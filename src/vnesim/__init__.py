@@ -12,12 +12,10 @@ from .config import RunConfig
 from .controller import BatchPolicy, make_controller
 from .embedder import (
     EmbedOutcome,
-    SplitMapping,
     cheapest_feasible_path,
     embed,
     greedy_node_map,
     oracle_embed,
-    splitting_embed,
 )
 from .metrics import MetricsLog, acceptance_rate, export_csv, summary, trace_hash
 from .netmodel import (
@@ -28,7 +26,6 @@ from .netmodel import (
     load_topology,
     mapping_cost,
     parse_topology,
-    release,
     reserve,
     topology_text,
     validate_mapping,
@@ -41,7 +38,6 @@ from .workload import (
     default_substrate,
     gen_virtual_request,
     generate_workload,
-    load_substrate,
     random_substrate,
 )
 

@@ -21,9 +21,8 @@ from multiprocessing import Pool
 from .config import ConfigError, RunConfig, build_config, parse_config_file
 from .controller import STRATEGIES
 from .metrics import export_csv, summary
-from .netmodel import TopologyError
+from .netmodel import TopologyError, load_topology
 from .run import run_simulation
-from .workload import load_substrate
 
 
 def _add_config_flags(parser, include_strategy=True):
@@ -151,7 +150,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate_topology(args) -> int:
     try:
-        net = load_substrate(args.path)
+        net = load_topology(args.path)
     except (TopologyError, OSError) as exc:
         print(f"invalid topology: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .controller import STRATEGIES, _MODES, WHICHEVER_FIRST
+from .simulator import to_ticks
 from .workload import GeneratorSpec
 
 
@@ -55,12 +56,21 @@ class RunConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.window is not None and self.window <= 0:
             raise ConfigError("window must be positive")
+        if to_ticks(self.effective_window()) < 1:
+            raise ConfigError(f"window {self.window} rounds to 0 ticks (one tick is 1e-6 time units)")
         if self.split_paths < 1:
             raise ConfigError("split_paths must be at least 1")
         if self.interarrival_mean <= 0 or self.lifetime_mean <= 0:
             raise ConfigError("arrival and lifetime means must be positive")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        if self.substrate.startswith("random:"):
+            try:
+                size = int(self.substrate.split(":", 1)[1])
+            except ValueError:
+                size = 0
+            if size < 2:
+                raise ConfigError(f"substrate {self.substrate!r}: random:<n> needs an integer n >= 2")
         try:
             self.generator_spec().validate()
         except ValueError as exc:

@@ -1,13 +1,18 @@
-"""Mapping controllers: batched-remap, per-request, and window-splitting.
+"""The mapping controller and the strategy rows that configure it.
 
-The batched controller queues successful initial mappings as tentative
-reservations until either n of them are waiting or a time window T has passed
-(policy-dependent), runs one weight-ordered remap pass over the whole batch,
-and then writes every surviving mapping's flow rules in a single commit
-event. The per-request controller commits each accepted request immediately
-(remapping only that request), one commit event per request. The splitting
-controller queues like the batched one but on a pure time window, embeds with
-path splitting, and never remaps.
+Every strategy runs one pipeline: embed each arrival (up to ``k`` paths per
+virtual link) and hold it as a tentative reservation until the commit
+trigger of its batch policy fires, optionally run one weight-ordered remap
+pass over the batch, then write every surviving mapping's flow rules in a
+single commit event. A strategy is a row ``(k, policy, remap)``:
+
+* batched: k = 1, the policy as given (n successes or a window T), remap on;
+* per-request: k = 1, a singleton count-only policy, remap off. Each accepted
+  request commits inside its own arrival, one commit event each; a remap of
+  a singleton batch could never adopt a path, since right after the embed
+  each link's cheapest feasible path is still its incumbent;
+* splitting: k = ``split_paths``, a pure time window of the given size and
+  length, remap off.
 
 Rule accounting: committing a mapping installs one flow rule per
 (virtual link, hosting path, transited switch); each rule consumes one unit
@@ -21,9 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .embedder import embed, splitting_embed
-from .netmodel import UnknownRequestError, SubstrateView, allocation_cost, reserve
+from .embedder import embed
+from .netmodel import UnknownRequestError, SubstrateView, mapping_cost, reserve
 from .weights import remap_pass
+
+# The controller calls only `embed`; bench/tracing.py wraps this module's
+# `splitting_embed` by name, so the name stays bound to the one embedder.
+splitting_embed = embed
 
 COUNT_ONLY = "count-only"
 TIME_ONLY = "time-only"
@@ -109,51 +118,51 @@ class RuleTable:
             self.installed[u] -= n
 
 
+@dataclass(frozen=True)
+class StrategyRow:
+    """What a strategy sets in the one pipeline: the path budget per virtual
+    link, the commit trigger, and whether the batch is remapped."""
+
+    k: int
+    policy: BatchPolicy
+    remap: bool
+
+
 class Controller:
-    """Shared state and event handlers; subclasses pick the strategy."""
+    """Event handlers and state of the pipeline, configured by a strategy row."""
 
-    strategy = None
-
-    def __init__(self, substrate, policy: BatchPolicy, log, split_paths=2):
+    def __init__(self, substrate, row: StrategyRow, log):
         self.view = SubstrateView(substrate)
-        self.policy = policy
+        self.row = row
         self.log = log
-        self.split_paths = split_paths
         self.batch = PendingBatch()
         self.rules = RuleTable(substrate.switches)
         self.status = {}
-        self.requests = {}
         self.commit_events = 0
         self.remapped_links = 0
         self.max_wait = 0  # largest tentative wait seen at commit, in ticks
 
     # -- arrivals ----------------------------------------------------------
 
-    def _embed(self, request):
-        return embed(self.view, request)
-
-    def _remaps_at_trigger(self):
-        return True
-
     def on_arrival(self, engine, request):
         rid = request.request_id
-        outcome = self._embed(request)
+        row = self.row
+        outcome = embed(self.view, request, row.k)
         if not outcome.accepted:
             self.status[rid] = REJECTED
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
         reserve(self.view, request, outcome.mapping, tentative=True)
         self.status[rid] = TENTATIVE
-        self.requests[rid] = request
         if not self.batch.entries:
             self.batch.window_open = engine.now
-            if self.policy.timed:
-                engine.schedule_trigger(engine.now + self.policy.window, self.batch.epoch)
+            if row.policy.timed:
+                engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
         self.batch.entries.append(BatchEntry(request, engine.now))
         self.log.record_arrival(engine.now, rid, accepted=True, cost=outcome.cost)
         # the count trigger fires inside the arrival that fills the batch,
         # so the batch can never hold more than `size` tentative requests
-        if self.policy.counts and len(self.batch) >= self.policy.size:
+        if row.policy.counts and len(self.batch) >= row.policy.size:
             self.commit_batch(engine)
 
     # -- triggers ----------------------------------------------------------
@@ -166,7 +175,7 @@ class Controller:
     def commit_batch(self, engine):
         if not self.batch.entries:
             return
-        if self._remaps_at_trigger():
+        if self.row.remap:
             self.remapped_links += remap_pass(
                 self.view, [e.request for e in self.batch.entries]
             )
@@ -185,7 +194,7 @@ class Controller:
             self.status[rid] = COMMITTED
             wait = engine.now - entry.accepted_at
             self.max_wait = max(self.max_wait, wait)
-            cost = allocation_cost(self.view.base, request, res.node_map, res.link_paths)
+            cost = mapping_cost(self.view.base, request, res)
             paths = res.hosting_paths()
             mean_hops = (
                 sum(len(p) - 1 for p in paths) / len(paths) if paths else 0.0
@@ -224,48 +233,15 @@ class Controller:
         self.log.record_departure(engine.now, request_id)
 
 
-class BatchedRemapController(Controller):
-    """Queue up to n successes or a window T, remap, commit atomically."""
-
-    strategy = BATCHED
-
-
-class PerRequestController(Controller):
-    """Commit every accepted request immediately; one commit event each."""
-
-    strategy = PER_REQUEST
-
-    def __init__(self, substrate, policy, log, split_paths=2):
-        # per-request commit ignores count/window settings entirely
-        super().__init__(substrate, BatchPolicy(1, None, COUNT_ONLY), log, split_paths)
-
-
-class SplittingWindowController(Controller):
-    """Queue on a pure time window, embed with path splitting, never remap."""
-
-    strategy = SPLITTING
-
-    def __init__(self, substrate, policy, log, split_paths=2):
-        super().__init__(
-            substrate,
-            BatchPolicy(policy.size, policy.window, TIME_ONLY),
-            log,
-            split_paths,
-        )
-
-    def _embed(self, request):
-        return splitting_embed(self.view, request, self.split_paths)
-
-    def _remaps_at_trigger(self):
-        return False
-
-
 def make_controller(strategy, substrate, policy, log, split_paths=2) -> Controller:
-    classes = {
-        BATCHED: BatchedRemapController,
-        PER_REQUEST: PerRequestController,
-        SPLITTING: SplittingWindowController,
-    }
-    if strategy not in classes:
+    """The one controller, configured by the row of the named strategy."""
+    if strategy == BATCHED:
+        row = StrategyRow(1, policy, True)
+    elif strategy == PER_REQUEST:
+        # per-request commit ignores count/window settings entirely
+        row = StrategyRow(1, BatchPolicy(1, None, COUNT_ONLY), False)
+    elif strategy == SPLITTING:
+        row = StrategyRow(split_paths, BatchPolicy(policy.size, policy.window, TIME_ONLY), False)
+    else:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {', '.join(STRATEGIES)}")
-    return classes[strategy](substrate, policy, log, split_paths)
+    return Controller(substrate, row, log)

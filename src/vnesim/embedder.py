@@ -1,4 +1,10 @@
-"""Embedding algorithms: greedy node placement plus cheapest-path routing.
+"""Embedding: greedy node placement plus cheapest-path routing, one embedder.
+
+``embed(view, request, k)`` is the only embedder; ``k`` is the path budget
+per virtual link. With k = 1 (batched and per-request) every virtual link
+rides one path; with k > 1 (splitting) a link whose demand no single path
+can carry is spread over up to k paths. The result is always a ``Mapping``
+in the ledger's ``vlink -> ((path, units), ...)`` form.
 
 All choices are deterministic under total tie-break orders:
 
@@ -18,49 +24,10 @@ import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
-from .netmodel import (
-    Mapping,
-    SubstrateView,
-    ValidationResult,
-    Violation,
-    NODE_CAPACITY,
-    PATH_BANDWIDTH,
-    PATH_EXISTENCE,
-    allocation_cost,
-    mapping_cost,
-    norm_link,
-    path_links,
-)
+from .netmodel import Mapping, SubstrateView, mapping_cost, norm_link, path_links
 
 NODE_STAGE = "node-stage"
 LINK_STAGE = "link-stage"
-
-
-@dataclass(frozen=True)
-class SplitMapping:
-    """Embedding where a virtual link's demand may ride several paths.
-
-    ``link_map``: normalized virtual link -> tuple of (path, allocated units)
-    with integer allocations summing to the link demand exactly.
-    """
-
-    node_map: dict
-    link_map: dict
-
-    def link_allocations(self, request=None) -> dict:
-        return self.link_map
-
-    def fractions(self, request) -> dict:
-        """Per-path share of each link's demand, as exact Fractions."""
-        from fractions import Fraction
-
-        return {
-            vl: tuple((path, Fraction(units, request.link_demands[vl])) for path, units in allocs)
-            for vl, allocs in self.link_map.items()
-        }
-
-    def hosting_paths(self):
-        return [p for _, allocs in sorted(self.link_map.items()) for p, _ in allocs]
 
 
 @dataclass(frozen=True)
@@ -145,45 +112,19 @@ def _link_order(request):
     return sorted(request.link_demands, key=lambda l: (-request.link_demands[l], l))
 
 
-def embed(view, request) -> EmbedOutcome:
-    """Greedy single-path embedding of one request against a view.
+def embed(view, request, k=1) -> EmbedOutcome:
+    """Greedy embedding of one request against a view, up to k paths per link.
+
+    Routing per virtual link: if one path can carry the whole remaining
+    demand, use the cheapest such path; otherwise saturate the bottleneck of
+    the cheapest path with any spare bandwidth and continue with the
+    remainder. Rejects at the link stage when the demand cannot be covered
+    within k paths.
 
     Does not mutate the view: routing runs against a working picture updated
-    after each virtual link, so sibling links of the same request never
+    after each part, so sibling links of the same request never
     oversubscribe a shared substrate link. The caller reserves the returned
     mapping.
-    """
-    node_map = greedy_node_map(view, request)
-    if node_map is None:
-        return EmbedOutcome(rejection=NODE_STAGE)
-    base = _base(view)
-    extra = {}
-
-    def residual(lk):
-        return view.residual_bandwidth(lk) - extra.get(lk, 0)
-
-    link_map = {}
-    for vl in _link_order(request):
-        demand = request.link_demands[vl]
-        a, b = vl
-        path = _dijkstra(base.adj, base.link_cost, residual, node_map[a], node_map[b], demand)
-        if path is None:
-            return EmbedOutcome(rejection=LINK_STAGE)
-        for lk in path_links(path):
-            extra[lk] = extra.get(lk, 0) + demand
-        link_map[vl] = path
-    mapping = Mapping(node_map, link_map)
-    return EmbedOutcome(mapping, mapping_cost(view, request, mapping))
-
-
-def splitting_embed(view, request, k=2) -> EmbedOutcome:
-    """Embedding that may split each virtual link across up to k paths.
-
-    Routing per link: if one path can carry the whole remaining demand, use
-    the cheapest such path (so k=1 reproduces embed's link stage exactly);
-    otherwise saturate the bottleneck of the cheapest path with any spare
-    bandwidth and continue with the remainder. Rejects when the demand cannot
-    be covered within k paths.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -196,7 +137,7 @@ def splitting_embed(view, request, k=2) -> EmbedOutcome:
     def residual(lk):
         return view.residual_bandwidth(lk) - extra.get(lk, 0)
 
-    link_map = {}
+    link_paths = {}
     for vl in _link_order(request):
         remaining = request.link_demands[vl]
         src, dst = node_map[vl[0]], node_map[vl[1]]
@@ -205,59 +146,23 @@ def splitting_embed(view, request, k=2) -> EmbedOutcome:
             path = _dijkstra(base.adj, base.link_cost, residual, src, dst, remaining)
             if path is not None:
                 alloc = remaining
+            elif len(parts) == k - 1:
+                break  # a last part cannot cover what no single path carries
             else:
                 path = _dijkstra(base.adj, base.link_cost, residual, src, dst, 1)
                 if path is None:
                     break
-                alloc = min(remaining, min(residual(lk) for lk in path_links(path)))
+                # below `remaining`, or the whole-demand search had found it
+                alloc = min(residual(lk) for lk in path_links(path))
             for lk in path_links(path):
                 extra[lk] = extra.get(lk, 0) + alloc
             parts.append((path, alloc))
             remaining -= alloc
         if remaining > 0:
             return EmbedOutcome(rejection=LINK_STAGE)
-        link_map[vl] = tuple(parts)
-    split = SplitMapping(node_map, link_map)
-    return EmbedOutcome(split, split_mapping_cost(view, request, split))
-
-
-def split_mapping_cost(net, request, split: SplitMapping) -> int:
-    """Embedding cost of a split mapping: host cost times node demand, plus
-    unit cost times allocated units on every link of every hosting path."""
-    return allocation_cost(_base(net), request, split.node_map, split.link_map)
-
-
-def validate_split_mapping(view, request, split: SplitMapping) -> ValidationResult:
-    """Constraint check for split mappings, cumulative over shared elements."""
-    violations = []
-    hosts = {}
-    for vn in sorted(split.node_map):
-        hosts.setdefault(split.node_map[vn], []).append(vn)
-    for sw in sorted(hosts):
-        if len(hosts[sw]) > 1:
-            violations.append(Violation("injectivity", sw, f"virtual nodes {hosts[sw]} share switch {sw}"))
-        demand = sum(request.node_demands[vn] for vn in hosts[sw])
-        if demand > view.residual_capacity(sw):
-            violations.append(Violation(NODE_CAPACITY, sw, f"demand {demand} exceeds residual"))
-    wanted = {}
-    for vl in sorted(split.link_map):
-        allocs = split.link_map[vl]
-        total = sum(units for _, units in allocs)
-        if total != request.link_demands[vl]:
-            violations.append(Violation(
-                PATH_EXISTENCE, vl,
-                f"allocations sum to {total}, demand is {request.link_demands[vl]}",
-            ))
-        ends = {split.node_map[vl[0]], split.node_map[vl[1]]}
-        for path, units in allocs:
-            if len(path) < 2 or {path[0], path[-1]} != ends or len(set(path)) != len(path):
-                violations.append(Violation(PATH_EXISTENCE, vl, f"bad path {path}"))
-            for lk in path_links(path):
-                wanted[lk] = wanted.get(lk, 0) + units
-    for lk in sorted(wanted):
-        if wanted[lk] > view.residual_bandwidth(lk):
-            violations.append(Violation(PATH_BANDWIDTH, lk, f"demand {wanted[lk]} exceeds residual"))
-    return ValidationResult(not violations, violations)
+        link_paths[vl] = tuple(parts)
+    mapping = Mapping(node_map, link_paths)
+    return EmbedOutcome(mapping, mapping_cost(base, request, mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-TICKS_PER_UNIT = 1_000_000
+from .simulator import TICKS_PER_UNIT
 
 CSV_COLUMNS = (
     "time",

@@ -116,25 +116,17 @@ class VirtualNetworkRequest:
 
 @dataclass(frozen=True)
 class Mapping:
-    """Single-path embedding: injective node map plus one simple path per link.
+    """An embedding: injective node map plus the paths of every virtual link.
 
-    ``node_map``: virtual node -> switch. ``link_map``: normalized virtual
-    link -> tuple of switch ids forming a simple substrate path whose ends
-    host the virtual endpoints.
+    ``node_map``: virtual node -> switch. ``link_paths``: normalized virtual
+    link -> tuple of (path, units) parts, each path a tuple of switch ids
+    whose ends host the virtual endpoints, the integer units summing to the
+    link's demand. A single-path link is the one-part case; this is also the
+    form the ledger keeps in ``Reservation.link_paths``.
     """
 
     node_map: dict
-    link_map: dict
-
-    def link_allocations(self, request) -> dict:
-        """Canonical allocation form: vlink -> ((path, bandwidth units),)."""
-        return {
-            vl: ((tuple(path), request.link_demands[vl]),)
-            for vl, path in self.link_map.items()
-        }
-
-    def hosting_paths(self):
-        return [tuple(p) for _, p in sorted(self.link_map.items())]
+    link_paths: dict
 
 
 @dataclass(frozen=True)
@@ -178,18 +170,6 @@ def rule_units_for(link_paths: dict) -> dict:
     return units
 
 
-def _aggregate_units(request, node_map, link_paths):
-    node_units = {}
-    for vn, sw in node_map.items():
-        node_units[sw] = node_units.get(sw, 0) + request.node_demands[vn]
-    link_units = {}
-    for vl in link_paths:
-        for path, alloc in link_paths[vl]:
-            for lk in path_links(path):
-                link_units[lk] = link_units.get(lk, 0) + alloc
-    return node_units, link_units
-
-
 class SubstrateNetwork:
     """Committed resource ledger over a validated substrate topology."""
 
@@ -217,14 +197,17 @@ class SubstrateNetwork:
         self.switch_cost = dict(switch_cost)
         self.bandwidth = {norm_link(*l): u for l, u in bandwidth.items()}
         self.link_cost = {norm_link(*l): c for l, c in link_cost.items()}
+        # routing settles each switch once, which needs unit costs >= 0
         for u in self.switches:
             if self.capacity.get(u, 0) <= 0:
                 raise TopologyError(f"switch {u}: capacity must be positive")
-            self.switch_cost.setdefault(u, 1)
+            if self.switch_cost.setdefault(u, 1) <= 0:
+                raise TopologyError(f"switch {u}: unit cost must be positive")
         for lk in self.links:
             if self.bandwidth.get(lk, 0) <= 0:
                 raise TopologyError(f"link {lk}: bandwidth must be positive")
-            self.link_cost.setdefault(lk, 1)
+            if self.link_cost.setdefault(lk, 1) <= 0:
+                raise TopologyError(f"link {lk}: unit cost must be positive")
 
         self.adj = {u: [] for u in self.switches}
         for a, b in self.links:
@@ -396,30 +379,6 @@ class SubstrateView:
     def residual_bandwidth(self, lk) -> int:
         return self.base.residual_bandwidth(lk) - self.t_link_load[lk]
 
-    def _reserve(self, request, node_map, link_paths, tentative):
-        rid = request.request_id
-        if rid in self.tentative or rid in self.base.committed:
-            raise ReservationError(f"request {rid} is already reserved")
-        node_units, link_units = _aggregate_units(request, node_map, link_paths)
-        for u, units in node_units.items():
-            if self.residual_capacity(u) < units:
-                raise ReservationError(f"switch {u}: reservation exceeds residual capacity")
-        for lk, units in link_units.items():
-            if self.residual_bandwidth(lk) < units:
-                raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
-        res = Reservation(rid, dict(node_map), dict(link_paths), node_units, link_units)
-        if tentative:
-            for u, units in node_units.items():
-                self.t_node_load[u] += units
-            for lk, units in link_units.items():
-                self.t_link_load[lk] += units
-            self.tentative[rid] = res
-            self.base._ever.add(rid)
-            self.overlay_version += 1
-        else:
-            self.base.commit_reservation(res)
-        return res
-
     def commit(self, request_id) -> bool:
         """Commit a tentative reservation and install its flow rules.
 
@@ -511,23 +470,24 @@ class SubstrateView:
 
 
 def _check_structure(net, request, mapping):
-    node_map, link_map = mapping.node_map, mapping.link_map
+    node_map, link_paths = mapping.node_map, mapping.link_paths
     if set(node_map) != set(request.node_demands):
         raise MappingStructureError("node map does not cover exactly the request's virtual nodes")
-    if set(link_map) != set(request.link_demands):
+    if set(link_paths) != set(request.link_demands):
         raise MappingStructureError("link map does not cover exactly the request's virtual links")
     known = set(net.switches)
     link_set = set(net.links)
     for vn, sw in node_map.items():
         if sw not in known:
             raise MappingStructureError(f"virtual node {vn} mapped to unknown switch {sw}")
-    for vl, path in link_map.items():
-        for sw in path:
-            if sw not in known:
-                raise MappingStructureError(f"virtual link {vl}: unknown switch {sw} on path")
-        for lk in path_links(path):
-            if lk not in link_set:
-                raise MappingStructureError(f"virtual link {vl}: no substrate link {lk}")
+    for vl, parts in link_paths.items():
+        for path, _units in parts:
+            for sw in path:
+                if sw not in known:
+                    raise MappingStructureError(f"virtual link {vl}: unknown switch {sw} on path")
+            for lk in path_links(path):
+                if lk not in link_set:
+                    raise MappingStructureError(f"virtual link {vl}: no substrate link {lk}")
 
 
 def validate_mapping(view, request, mapping) -> ValidationResult:
@@ -535,9 +495,10 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
 
     Demands of this request that share a substrate element are summed before
     comparing with the element's effective residual, so an accepted mapping is
-    always reservable as-is. Structural problems (references to elements that
-    do not exist) raise MappingStructureError; constraint problems are
-    returned as violations.
+    always reservable as-is. Each virtual link's parts must be positive and
+    sum to its demand. Structural problems (references to elements that do
+    not exist) raise MappingStructureError; constraint problems are returned
+    as violations.
     """
     net = view.base if isinstance(view, SubstrateView) else view
     _check_structure(net, request, mapping)
@@ -561,22 +522,28 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
                 f"demand {demand} exceeds residual {view.residual_capacity(sw)}",
             ))
 
-    for vl in sorted(mapping.link_map):
+    wanted = {}
+    for vl in sorted(mapping.link_paths):
         a, b = vl
-        path = tuple(mapping.link_map[vl])
-        ends = {mapping.node_map[a], mapping.node_map[b]}
-        if len(path) < 2 or {path[0], path[-1]} != ends:
+        parts = mapping.link_paths[vl]
+        units = [n for _, n in parts]
+        if sum(units) != request.link_demands[vl] or any(n < 1 for n in units):
             violations.append(Violation(
                 PATH_EXISTENCE, vl,
-                f"path endpoints {path[:1] + path[-1:]} do not host the virtual endpoints",
+                f"part units {units} must be positive and sum to demand {request.link_demands[vl]}",
             ))
-        elif len(set(path)) != len(path):
-            violations.append(Violation(PATH_EXISTENCE, vl, "path is not simple"))
-
-    wanted = {}
-    for vl in sorted(mapping.link_map):
-        for lk in path_links(mapping.link_map[vl]):
-            wanted[lk] = wanted.get(lk, 0) + request.link_demands[vl]
+        ends = {mapping.node_map[a], mapping.node_map[b]}
+        for path, n in parts:
+            path = tuple(path)
+            if len(path) < 2 or {path[0], path[-1]} != ends:
+                violations.append(Violation(
+                    PATH_EXISTENCE, vl,
+                    f"path endpoints {path[:1] + path[-1:]} do not host the virtual endpoints",
+                ))
+            elif len(set(path)) != len(path):
+                violations.append(Violation(PATH_EXISTENCE, vl, f"path {path} is not simple"))
+            for lk in path_links(path):
+                wanted[lk] = wanted.get(lk, 0) + n
     for lk in sorted(wanted):
         if wanted[lk] > view.residual_bandwidth(lk):
             violations.append(Violation(
@@ -587,41 +554,57 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
     return ValidationResult(not violations, violations)
 
 
-def allocation_cost(net, request, node_map, link_paths) -> int:
-    """Embedding cost over the canonical allocation form: host unit cost
-    times node demand, plus link unit cost times allocated units on every
-    link of every hosting path. Pure in the topology; ignores residuals."""
+def mapping_cost(net, request, mapping) -> int:
+    """Embedding cost: host unit cost times node demand, plus link unit cost
+    times units on every link of every part's path. Pure in the topology
+    (ignores residuals); ``mapping`` may also be a Reservation."""
     base = net.base if isinstance(net, SubstrateView) else net
     cost = 0
-    for vn, sw in node_map.items():
+    for vn, sw in mapping.node_map.items():
         cost += base.switch_cost[sw] * request.node_demands[vn]
-    for allocs in link_paths.values():
-        for path, units in allocs:
+    for parts in mapping.link_paths.values():
+        for path, units in parts:
             for lk in path_links(path):
                 cost += base.link_cost[lk] * units
     return cost
 
 
-def mapping_cost(net, request, mapping) -> int:
-    """Embedding cost of a single-path mapping (see allocation_cost)."""
-    base = net.base if isinstance(net, SubstrateView) else net
-    _check_structure(base, request, mapping)
-    return allocation_cost(base, request, mapping.node_map, mapping.link_allocations(request))
-
-
 def reserve(view: SubstrateView, request, mapping, tentative=True) -> Reservation:
     """Reserve a mapping's resources on the view, atomically.
 
-    ``mapping`` is a Mapping or anything exposing node_map plus
-    link_allocations(request). Raises ReservationError (applying nothing)
-    if any element lacks headroom.
+    Tentative reservations go to the view's overlay; otherwise straight into
+    the committed ledger. Raises ReservationError (applying nothing) if any
+    element lacks headroom or the request is already reserved.
     """
-    return view._reserve(request, mapping.node_map, mapping.link_allocations(request), tentative)
-
-
-def release(ledger, request_id) -> bool:
-    """Release a request's resources; False flags a repeated release."""
-    return ledger.release(request_id)
+    rid = request.request_id
+    if rid in view.tentative or rid in view.base.committed:
+        raise ReservationError(f"request {rid} is already reserved")
+    node_units = {}
+    for vn, sw in mapping.node_map.items():
+        node_units[sw] = node_units.get(sw, 0) + request.node_demands[vn]
+    link_units = {}
+    for parts in mapping.link_paths.values():
+        for path, units in parts:
+            for lk in path_links(path):
+                link_units[lk] = link_units.get(lk, 0) + units
+    for u, units in node_units.items():
+        if view.residual_capacity(u) < units:
+            raise ReservationError(f"switch {u}: reservation exceeds residual capacity")
+    for lk, units in link_units.items():
+        if view.residual_bandwidth(lk) < units:
+            raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
+    res = Reservation(rid, dict(mapping.node_map), dict(mapping.link_paths), node_units, link_units)
+    if tentative:
+        for u, units in node_units.items():
+            view.t_node_load[u] += units
+        for lk, units in link_units.items():
+            view.t_link_load[lk] += units
+        view.tentative[rid] = res
+        view.base._ever.add(rid)
+        view.overlay_version += 1
+    else:
+        view.base.commit_reservation(res)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +621,7 @@ def parse_topology(text: str, origin: str = "<string>") -> SubstrateNetwork:
 
     Unit costs default to 1. Raises TopologyError with the offending line
     number on malformed input, duplicates, self-loops, unknown endpoints,
-    or a disconnected topology.
+    non-positive capacities or unit costs, or a disconnected topology.
     """
     switch_lines = []
     link_lines = []
@@ -671,6 +654,8 @@ def parse_topology(text: str, origin: str = "<string>") -> SubstrateNetwork:
             raise TopologyError(f"duplicate switch {sid}", lineno)
         if cap <= 0:
             raise TopologyError(f"switch {sid}: capacity must be positive", lineno)
+        if cost <= 0:
+            raise TopologyError(f"switch {sid}: unit cost must be positive", lineno)
         switches.append(sid)
         capacity[sid] = cap
         switch_cost[sid] = cost
@@ -689,6 +674,8 @@ def parse_topology(text: str, origin: str = "<string>") -> SubstrateNetwork:
             raise TopologyError(f"link {lk} references unknown switch", lineno)
         if bw <= 0:
             raise TopologyError(f"link {lk}: bandwidth must be positive", lineno)
+        if cost <= 0:
+            raise TopologyError(f"link {lk}: unit cost must be positive", lineno)
         links.append(lk)
         bandwidth[lk] = bw
         link_cost[lk] = cost

@@ -133,7 +133,7 @@ class Engine:
             problems.append(
                 f"rule table {rules.installed} disagrees with ledger {base.rule_load}"
             )
-        policy = self.controller.policy
+        policy = self.controller.row.policy
         if policy.counts and len(self.controller.batch) > policy.size:
             problems.append(
                 f"batch holds {len(self.controller.batch)} > {policy.size} tentative requests"

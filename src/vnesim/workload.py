@@ -116,17 +116,12 @@ def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> Substrat
     )
 
 
-def load_substrate(path) -> SubstrateNetwork:
-    """Load and validate a substrate from the topology text format."""
-    return load_topology(path)
-
-
 def build_substrate(source, stream, spec: GeneratorSpec = None) -> SubstrateNetwork:
     if source == "default":
         return default_substrate(stream, spec)
     if source.startswith("random:"):
         return random_substrate(stream, int(source.split(":", 1)[1]), spec)
-    return load_substrate(source)
+    return load_topology(source)
 
 
 def _prufer_tree(stream, n):

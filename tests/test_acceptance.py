@@ -90,9 +90,10 @@ def test_criterion_3_cost_exactness():
         total = 0
         for vn, sw in mapping.node_map.items():
             total += req.node_demands[vn] * net.switch_cost[sw]
-        for vl, path in mapping.link_map.items():
-            for a, b in zip(path, path[1:]):
-                total += req.link_demands[vl] * net.link_cost[norm_link(a, b)]
+        for parts in mapping.link_paths.values():
+            for path, units in parts:
+                for a, b in zip(path, path[1:]):
+                    total += units * net.link_cost[norm_link(a, b)]
         return total
 
     spec = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1,
@@ -142,7 +143,7 @@ def test_criterion_5_weight_algebra():
     net = make_net([1, 2, 3], [(1, 2), (2, 3)])
     req = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10})
     view = SubstrateView(net)
-    reserve(view, req, Mapping({"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)}))
+    reserve(view, req, Mapping({"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
     hand = used_resources(view, req, ("a", "b"), (1, 2, 3))
     assert hand == 23
 

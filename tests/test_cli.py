@@ -211,3 +211,47 @@ class TestValidateTopologyCommand:
         code, _, stderr = run_cli(capsys, "validate-topology", str(tmp_path / "nope"))
         assert code == 2
         assert stderr.startswith("invalid topology:")
+
+
+class TestBadInputExitsTwo:
+    """Bad input ends with exit code 2 and one message, never a traceback."""
+
+    def run_expecting_2(self, capsys, tmp_path, *argv):
+        code, _, stderr = run_cli(capsys, *argv, "--requests", "5",
+                                  "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "Traceback" not in stderr and len(stderr.splitlines()) == 1
+        return stderr
+
+    def test_random_substrate_size_must_be_an_integer(self, capsys, tmp_path):
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", "random:abc")
+        assert stderr.startswith("bad configuration:") and "random:abc" in stderr
+
+    @pytest.mark.parametrize("size", ["1", "0"])
+    def test_random_substrate_needs_two_switches(self, capsys, tmp_path, size):
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", f"random:{size}")
+        assert stderr.startswith("bad configuration:") and "n >= 2" in stderr
+
+    def test_window_that_rounds_to_zero_ticks(self, capsys, tmp_path):
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--window", "1e-9")
+        assert stderr.startswith("bad configuration:") and "0 ticks" in stderr
+
+    def test_negative_link_cost_fails_validate_topology(self, capsys, tmp_path):
+        p = tmp_path / "net.topo"
+        p.write_text("switch 1 100\nswitch 2 100\nlink 1 2 50 -5\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "validate-topology", str(p))
+        assert code == 2
+        assert stderr == "invalid topology: line 3: link (1, 2): unit cost must be positive\n"
+
+    def test_zero_switch_cost_fails_validate_topology(self, capsys, tmp_path):
+        p = tmp_path / "net.topo"
+        p.write_text("switch 1 100 0\nswitch 2 100\nlink 1 2 50\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "validate-topology", str(p))
+        assert code == 2
+        assert stderr == "invalid topology: line 1: switch 1: unit cost must be positive\n"
+
+    def test_nonpositive_cost_topology_fails_run(self, capsys, tmp_path):
+        p = tmp_path / "net.topo"
+        p.write_text("switch 1 100\nswitch 2 100\nlink 1 2 50 0\n", encoding="utf-8")
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", str(p))
+        assert stderr.startswith("error: line 3:")

@@ -1,4 +1,4 @@
-"""Batch policies, commit flow, rule accounting, and the three strategies."""
+"""Batch policies, commit flow, rule accounting, and the three strategy rows."""
 
 import pytest
 
@@ -15,10 +15,8 @@ from vnesim.controller import (
     TIME_ONLY,
     WHICHEVER_FIRST,
     BatchPolicy,
-    BatchedRemapController,
-    PerRequestController,
     RuleTable,
-    SplittingWindowController,
+    StrategyRow,
     make_controller,
 )
 from vnesim.metrics import MetricsLog
@@ -328,7 +326,7 @@ class TestSplittingStrategy:
             horizon=u(12),
         )
         assert ctl.status[0] == COMMITTED
-        assert ctl.policy.mode == TIME_ONLY  # forced regardless of input
+        assert ctl.row.policy.mode == TIME_ONLY  # forced regardless of input
         # 60 units direct plus 40 units around: rules on 1 and 2 for each
         # path, on 3 for the detour only
         assert ctl.rules.installed == {1: 2, 2: 2, 3: 1}
@@ -367,9 +365,29 @@ class TestStrategySelection:
     def test_make_controller_picks_the_classes(self):
         net = make_net([1, 2], [(1, 2)])
         policy = BatchPolicy(5, u(25), WHICHEVER_FIRST)
-        assert isinstance(make_controller(BATCHED, net, policy, None), BatchedRemapController)
-        assert isinstance(make_controller(PER_REQUEST, net, policy, None), PerRequestController)
-        assert isinstance(make_controller(SPLITTING, net, policy, None), SplittingWindowController)
+        assert make_controller(BATCHED, net, policy, None).row == StrategyRow(1, policy, True)
+        assert make_controller(PER_REQUEST, net, policy, None).row == StrategyRow(
+            1, BatchPolicy(1, None, COUNT_ONLY), False)
+        assert make_controller(SPLITTING, net, policy, None, split_paths=3).row == StrategyRow(
+            3, BatchPolicy(5, u(25), TIME_ONLY), False)
+
+    def test_only_batched_runs_the_remap_pass(self, monkeypatch):
+        import vnesim.controller
+
+        calls = []
+        real = vnesim.controller.remap_pass
+
+        def counting(view, requests):
+            calls.append(len(requests))
+            return real(view, requests)
+
+        monkeypatch.setattr(vnesim.controller, "remap_pass", counting)
+        requests = [mk(i, {0: 5, 1: 5}, {(0, 1): 3}, arrival=1 + i) for i in range(4)]
+        for strategy, expected in ((PER_REQUEST, []), (SPLITTING, []), (BATCHED, [2, 2])):
+            calls.clear()
+            drive(make_net([1, 2, 3], [(1, 2), (2, 3)]), BatchPolicy(2, u(50), WHICHEVER_FIRST),
+                  requests, strategy=strategy)
+            assert calls == expected, strategy
 
     def test_unknown_strategy_is_rejected(self):
         net = make_net([1, 2], [(1, 2)])
@@ -379,9 +397,9 @@ class TestStrategySelection:
     def test_per_request_forces_singleton_count_policy(self):
         net = make_net([1, 2], [(1, 2)])
         ctl = make_controller(PER_REQUEST, net, BatchPolicy(7, u(25), WHICHEVER_FIRST), None)
-        assert (ctl.policy.size, ctl.policy.window, ctl.policy.mode) == (1, None, COUNT_ONLY)
+        assert ctl.row.policy == BatchPolicy(1, None, COUNT_ONLY)
 
     def test_splitting_keeps_the_window_but_drops_the_count(self):
         net = make_net([1, 2], [(1, 2)])
         ctl = make_controller(SPLITTING, net, BatchPolicy(7, u(25), WHICHEVER_FIRST), None)
-        assert (ctl.policy.size, ctl.policy.window, ctl.policy.mode) == (7, u(25), TIME_ONLY)
+        assert ctl.row.policy == BatchPolicy(7, u(25), TIME_ONLY)

@@ -1,4 +1,4 @@
-"""Greedy embedding, split routing, and the exhaustive reference search."""
+"""Greedy embedding with a path budget k, and the exhaustive reference search."""
 
 import random
 
@@ -13,16 +13,15 @@ from vnesim.embedder import (
     embed,
     greedy_node_map,
     oracle_embed,
-    split_mapping_cost,
-    splitting_embed,
-    validate_split_mapping,
 )
 from vnesim.netmodel import (
     Mapping,
     SubstrateView,
     VirtualNetworkRequest,
+    mapping_cost,
     path_links,
     reserve,
+    validate_mapping,
 )
 from vnesim.simulator import RandomStreams
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
@@ -135,7 +134,7 @@ class TestEmbed:
         outcome = embed(view, req())
         assert outcome.accepted
         assert outcome.mapping.node_map == {"b": 1, "a": 2}
-        assert outcome.mapping.link_map == {("a", "b"): (2, 1)}
+        assert outcome.mapping.link_paths == {("a", "b"): (((2, 1), 5),)}
         assert outcome.cost == 35
 
     def test_embed_does_not_mutate_the_view(self, triangle):
@@ -187,7 +186,10 @@ class TestEmbed:
         # (a, b) = 60 routes first onto the direct link; (a, c) = 40 cannot
         # use the thin direct (1, 3) and detours through (1, 2), landing it
         # at exactly its 100-unit capacity
-        assert outcome.mapping.link_map == {("a", "b"): (1, 2), ("a", "c"): (1, 2, 3)}
+        assert outcome.mapping.link_paths == {
+            ("a", "b"): (((1, 2), 60),),
+            ("a", "c"): (((1, 2, 3), 40),),
+        }
         reserve(view, r, outcome.mapping)
         assert view.residual_bandwidth((1, 2)) == 0
 
@@ -204,43 +206,42 @@ class TestSplittingEmbed:
     def test_splits_across_two_paths(self):
         view = SubstrateView(self.split_case_net())
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        outcome = splitting_embed(view, r, k=2)
+        outcome = embed(view, r, k=2)
         assert outcome.accepted
         assert outcome.mapping.node_map == {"a": 1, "b": 2}
-        assert outcome.mapping.link_map == {
+        assert outcome.mapping.link_paths == {
             ("a", "b"): (((1, 2), 60), ((1, 3, 2), 40)),
         }
         assert outcome.cost == 175
 
     def test_fractions_are_exact(self):
-        from fractions import Fraction
-
+        # the parts are integer units that add up to the demand exactly
         view = SubstrateView(self.split_case_net())
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        split = splitting_embed(view, r, k=2).mapping
-        assert split.fractions(r) == {
-            ("a", "b"): (((1, 2), Fraction(3, 5)), ((1, 3, 2), Fraction(2, 5))),
-        }
+        parts = embed(view, r, k=2).mapping.link_paths[("a", "b")]
+        assert [units for _, units in parts] == [60, 40]
+        assert all(isinstance(units, int) for _, units in parts)
+        assert sum(units for _, units in parts) == r.link_demands[("a", "b")]
 
     def test_k1_rejects_what_needs_a_split(self):
         view = SubstrateView(self.split_case_net())
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        assert splitting_embed(view, r, k=1).rejection == LINK_STAGE
+        assert embed(view, r, k=1).rejection == LINK_STAGE
 
     def test_rejects_when_k_paths_cannot_cover(self):
         view = SubstrateView(self.split_case_net())
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 150})
-        assert splitting_embed(view, r, k=3).rejection == LINK_STAGE
+        assert embed(view, r, k=3).rejection == LINK_STAGE
 
     def test_whole_demand_takes_single_path_when_possible(self, triangle):
         view = SubstrateView(triangle)
         r = req(nodes={"a": 1, "b": 1}, links={("a", "b"): 50})
-        outcome = splitting_embed(view, r, k=2)
-        assert outcome.mapping.link_map == {("a", "b"): (((1, 2), 50),)}
+        outcome = embed(view, r, k=2)
+        assert outcome.mapping.link_paths == {("a", "b"): (((1, 2), 50),)}
 
     def test_k_below_one_raises(self, triangle):
         with pytest.raises(ValueError, match="at least 1"):
-            splitting_embed(SubstrateView(triangle), req(), k=0)
+            embed(SubstrateView(triangle), req(), k=0)
 
     def test_k1_agrees_with_embed_on_random_instances(self):
         spec = GeneratorSpec()
@@ -251,42 +252,61 @@ class TestSplittingEmbed:
             view = SubstrateView(net)
             r = gen_virtual_request(streams.request(0), spec, 0, 0, 10)
             single = embed(view, r)
-            asplit = splitting_embed(view, r, k=1)
-            assert single.accepted == asplit.accepted
+            assert embed(view, r, k=1) == single
             if single.accepted:
-                assert asplit.cost == single.cost
-                assert asplit.mapping.node_map == single.mapping.node_map
-                assert asplit.mapping.link_map == {
-                    vl: ((tuple(p), r.link_demands[vl]),)
-                    for vl, p in single.mapping.link_map.items()
-                }
+                # k = 1 puts each link's full demand on one path
+                assert single.mapping.link_paths.keys() == r.link_demands.keys()
+                for vl, parts in single.mapping.link_paths.items():
+                    assert len(parts) == 1
+                    assert parts[0][1] == r.link_demands[vl]
+                assert single.cost == mapping_cost(net, r, single.mapping)
                 agreements += 1
         assert agreements > 10
 
     def test_split_cost_matches_by_hand(self):
         net = self.split_case_net()
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        split = splitting_embed(SubstrateView(net), r, k=2).mapping
+        split = embed(SubstrateView(net), r, k=2).mapping
         # nodes 20 + 15; 60 units over one link; 40 units over two links
-        assert split_mapping_cost(net, r, split) == 35 + 60 + 80
+        assert mapping_cost(net, r, split) == 35 + 60 + 80
 
     def test_validate_split_mapping_accepts_the_real_thing(self):
         net = self.split_case_net()
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        split = splitting_embed(view, r, k=2).mapping
-        assert bool(validate_split_mapping(view, r, split)) is True
+        split = embed(view, r, k=2).mapping
+        assert bool(validate_mapping(view, r, split)) is True
 
     def test_validate_split_mapping_flags_short_allocation(self):
-        from vnesim.embedder import SplitMapping
-
         net = self.split_case_net()
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        broken = SplitMapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 60),)})
-        result = validate_split_mapping(view, r, broken)
+        broken = Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 60),)})
+        result = validate_mapping(view, r, broken)
         assert not result.ok
-        assert any("sum to 60" in v.detail for v in result.violations)
+        assert any("sum to demand 100" in v.detail for v in result.violations)
+
+    def test_last_allowed_part_skips_the_one_unit_search(self, monkeypatch):
+        # with the one path that is left too thin for the rest of the demand,
+        # a part that would be the k-th cannot cover it: reject without
+        # searching for a partial path
+        import vnesim.embedder as embedder
+
+        calls = []
+        real = embedder._dijkstra
+
+        def counting(adj, link_cost, residual, src, dst, demand):
+            calls.append(demand)
+            return real(adj, link_cost, residual, src, dst, demand)
+
+        monkeypatch.setattr(embedder, "_dijkstra", counting)
+        view = SubstrateView(self.split_case_net())
+        r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
+        assert embed(view, r, k=1).rejection == LINK_STAGE
+        assert calls == [100]
+        calls.clear()
+        assert embed(view, r, k=2).accepted
+        assert calls == [100, 1, 40]
 
 
 class TestOracle:

@@ -98,7 +98,7 @@ class TestRecording:
     def test_utilization_means_average_over_all_elements(self):
         log, net = fresh_log()
         r = VirtualNetworkRequest(1, {0: 1, 1: 1}, {(0, 1): 50}, 0, 10)
-        reserve(log.view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+        reserve(log.view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 50),)}))
         link_util, switch_util = log._utilization_means()
         assert link_util == pytest.approx((0.5 + 0 + 0) / 3)
         assert switch_util == pytest.approx((0.01 + 0.01 + 0) / 3)

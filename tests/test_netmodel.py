@@ -14,13 +14,11 @@ from vnesim.netmodel import (
     TopologyError,
     UnknownRequestError,
     VirtualNetworkRequest,
-    allocation_cost,
     load_topology,
     mapping_cost,
     norm_link,
     parse_topology,
     path_links,
-    release,
     reserve,
     rule_units_for,
     topology_text,
@@ -112,6 +110,12 @@ class TestSubstrateNetwork:
         with pytest.raises(TopologyError, match="capacity must be positive"):
             make_net([1, 2], [(1, 2)], caps={1: 0})
 
+    def test_rejects_nonpositive_unit_costs(self):
+        with pytest.raises(TopologyError, match="switch 1: unit cost must be positive"):
+            make_net([1, 2], [(1, 2)], switch_costs={1: 0})
+        with pytest.raises(TopologyError, match=r"link \(1, 2\): unit cost must be positive"):
+            make_net([1, 2], [(1, 2)], link_costs={(1, 2): -5})
+
     def test_rejects_disconnected_and_names_a_representative(self):
         with pytest.raises(TopologyError, match="switch 4"):
             make_net([1, 2, 4, 5], [(1, 2), (4, 5)])
@@ -125,7 +129,7 @@ class TestReserveAndCommit:
     def test_tentative_reserve_hits_view_not_base(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        mapping = Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)})
+        mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)})
         reserve(view, r, mapping, tentative=True)
         assert view.residual_capacity(1) == 90
         assert view.residual_bandwidth((1, 2)) == 95
@@ -136,8 +140,8 @@ class TestReserveAndCommit:
     def test_release_tentative_restores_everything(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
-        assert release(view, r.request_id) is True
+        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        assert view.release(r.request_id) is True
         assert view.residual_capacity(1) == 100
         assert view.residual_bandwidth((1, 2)) == 100
         assert view.tentative == {}
@@ -145,7 +149,7 @@ class TestReserveAndCommit:
     def test_commit_moves_reservation_and_installs_rule_memory(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.commit(r.request_id) is True
         # nodes 10 + one rule on each path switch
         assert triangle.residual_capacity(1) == 100 - 10 - 1
@@ -162,29 +166,29 @@ class TestReserveAndCommit:
         squatter = req(rid=1, nodes={0: 100}, links={})
         reserve(view, squatter, Mapping({0: 2}, {}), tentative=False)
         r = req(rid=2, nodes={0: 10, 1: 10}, links={(0, 1): 5})
-        reserve(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (1, 2, 3)}))
+        reserve(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)}))
         assert view.commit(2) is False
         # the reservation stays tentative and fully accounted
         assert 2 in view.tentative
         assert view.conservation_violations() == []
         # freeing the squatter makes the same commit succeed
-        release(view, 1)
+        view.release(1)
         assert view.commit(2) is True
         assert net.rule_load[2] == 1
 
     def test_double_release_returns_false(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         view.commit(r.request_id)
-        assert release(view, r.request_id) is True
-        assert release(view, r.request_id) is False
+        assert view.release(r.request_id) is True
+        assert view.release(r.request_id) is False
 
     def test_overbooked_reserve_raises_and_applies_nothing(self, triangle):
         view = SubstrateView(triangle)
         r = req(nodes={0: 150, 1: 10}, links={(0, 1): 5})
         with pytest.raises(ReservationError):
-            reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+            reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.residual_capacity(1) == 100
         assert view.residual_bandwidth((1, 2)) == 100
         assert view.tentative == {}
@@ -192,9 +196,9 @@ class TestReserveAndCommit:
     def test_duplicate_reserve_raises(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         with pytest.raises(ReservationError, match="already reserved"):
-            reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+            reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
 
     def test_sibling_tentative_requests_see_each_other(self, triangle):
         view = SubstrateView(triangle)
@@ -222,14 +226,14 @@ class TestValidateMapping:
     def test_good_mapping_is_valid(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 2)}))
+        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert bool(result) is True
         assert result.violations == []
 
     def test_injectivity_violation(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 1}, {(0, 1): (1, 2)}))
+        result = validate_mapping(view, r, Mapping({0: 1, 1: 1}, {(0, 1): (((1, 2), 5),)}))
         kinds = [v.kind for v in result.violations]
         assert INJECTIVITY in kinds
 
@@ -237,21 +241,21 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         # two virtual nodes of 60 on one switch: each alone fits, the sum not
         r = req(nodes={0: 60, 1: 60}, links={(0, 1): 1})
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 1}, {(0, 1): (1, 2)}))
+        result = validate_mapping(view, r, Mapping({0: 1, 1: 1}, {(0, 1): (((1, 2), 1),)}))
         kinds = {v.kind for v in result.violations}
         assert NODE_CAPACITY in kinds
 
     def test_path_must_connect_the_hosts(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 3)}))
+        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3), 5),)}))
         assert [v.kind for v in result.violations] == [PATH_EXISTENCE]
 
     def test_path_must_be_simple(self):
         net = make_net([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
         view = SubstrateView(net)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (1, 3, 1, 2)}))
+        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 1, 2), 5),)}))
         assert any(v.kind == PATH_EXISTENCE for v in result.violations)
 
     def test_bandwidth_violation_sums_links_sharing_an_element(self, triangle):
@@ -263,30 +267,40 @@ class TestValidateMapping:
         # both 60-unit links routed across (1, 2): 120 > 100 even though each fits
         mapping = Mapping(
             {0: 1, 1: 2, 2: 3},
-            {(0, 1): (1, 2), (0, 2): (1, 2, 3), (1, 2): (2, 3)},
+            {(0, 1): (((1, 2), 60),), (0, 2): (((1, 2, 3), 60),), (1, 2): (((2, 3), 1),)},
         )
         result = validate_mapping(view, r, mapping)
         bad = [v for v in result.violations if v.kind == PATH_BANDWIDTH]
         assert [v.element for v in bad] == [(1, 2)]
 
+    def test_parts_must_be_positive_and_sum_to_the_demand(self, triangle):
+        view = SubstrateView(triangle)
+        r = req()
+        good = {(0, 1): (((1, 2), 3), ((1, 3, 2), 2))}
+        assert validate_mapping(view, r, Mapping({0: 1, 1: 2}, good))
+        for parts in ((((1, 2), 4),), (((1, 2), 6), ((1, 3, 2), -1))):
+            result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): parts}))
+            assert [v.kind for v in result.violations] == [PATH_EXISTENCE]
+            assert "sum to demand 5" in result.violations[0].detail
+
     def test_wrong_node_cover_is_structural(self, triangle):
         view = SubstrateView(triangle)
         r = req()
         with pytest.raises(MappingStructureError, match="node map"):
-            validate_mapping(view, r, Mapping({0: 1}, {(0, 1): (1, 2)}))
+            validate_mapping(view, r, Mapping({0: 1}, {(0, 1): (((1, 2), 5),)}))
 
     def test_unknown_substrate_link_is_structural(self, line3):
         view = SubstrateView(line3)
         r = req()
         with pytest.raises(MappingStructureError, match="no substrate link"):
-            validate_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (1, 3)}))
+            validate_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
 
 
 class TestCost:
     def test_hand_computed_mapping_cost(self, line3):
         # nodes: 10*1 + 20*1 = 30; link: 5 units on two links = 10; total 40
         r = req()
-        mapping = Mapping({0: 1, 1: 3}, {(0, 1): (1, 2, 3)})
+        mapping = Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
         assert mapping_cost(line3, r, mapping) == 40
 
     def test_cost_weights_by_unit_costs(self):
@@ -297,15 +311,15 @@ class TestCost:
             link_costs={(1, 2): 4, (2, 3): 5},
         )
         r = req()
-        mapping = Mapping({0: 1, 1: 3}, {(0, 1): (1, 2, 3)})
+        mapping = Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
         # nodes: 10*2 + 20*3 = 80; link: 5*4 + 5*5 = 45
         assert mapping_cost(net, r, mapping) == 125
 
     def test_allocation_cost_covers_split_allocations(self, triangle):
         r = req(links={(0, 1): 10})
-        link_paths = {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))}
+        mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
         # nodes 30; direct part 6*1; detour part over two links 4*2 = 8
-        assert allocation_cost(triangle, r, {0: 1, 1: 2}, link_paths) == 30 + 6 + 8
+        assert mapping_cost(triangle, r, mapping) == 30 + 6 + 8
 
 
 class TestTopologyFormat:
@@ -346,6 +360,14 @@ class TestTopologyFormat:
         with pytest.raises(TopologyError) as err:
             parse_topology(text)
         assert err.value.line == 4
+
+    def test_nonpositive_unit_costs_carry_line_number(self):
+        with pytest.raises(TopologyError) as err:
+            parse_topology("switch 1 100\nswitch 2 100 -1\nlink 1 2 50")
+        assert err.value.line == 2 and "unit cost" in str(err.value)
+        with pytest.raises(TopologyError) as err:
+            parse_topology("switch 1 100\nswitch 2 100\nlink 1 2 50 0")
+        assert err.value.line == 3 and "unit cost" in str(err.value)
 
     def test_link_to_unknown_switch(self):
         with pytest.raises(TopologyError, match="unknown switch"):

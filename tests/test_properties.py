@@ -4,7 +4,7 @@ cost invariances, and whole-run accounting, over seeded random instances."""
 import random
 
 from vnesim.config import RunConfig
-from vnesim.embedder import embed, oracle_embed, splitting_embed, validate_split_mapping
+from vnesim.embedder import embed, oracle_embed
 from vnesim.metrics import summary, trace_hash
 from vnesim.netmodel import (
     Mapping,
@@ -13,7 +13,6 @@ from vnesim.netmodel import (
     mapping_cost,
     norm_link,
     path_links,
-    release,
     reserve,
     validate_mapping,
 )
@@ -51,7 +50,7 @@ class TestLedgerFuzz:
                 before = ledger_state(view)
                 reserve(view, req, out.mapping, tentative=tentative)
                 assert ledger_state(view) != before
-                assert release(view, req.request_id) is True
+                assert view.release(req.request_id) is True
                 assert ledger_state(view) == before
             done += 1
         assert done > 40
@@ -77,11 +76,11 @@ class TestLedgerFuzz:
                     if view.commit(rid):
                         held[rid][2] = True
                     else:  # no rule headroom: cancelled, resources returned
-                        release(view, rid)
+                        view.release(rid)
                         del held[rid]
                 elif held:
                     rid = rng.choice(sorted(held))
-                    assert release(view, rid) is True
+                    assert view.release(rid) is True
                     del held[rid]
 
                 # recompute every element's books from the mappings we hold
@@ -91,9 +90,11 @@ class TestLedgerFuzz:
                 for req, mapping, committed in held.values():
                     for vn, sw in mapping.node_map.items():
                         exp_node[sw] += req.node_demands[vn]
-                    for vl, path in mapping.link_map.items():
+                    for vl, parts in mapping.link_paths.items():
+                        (path, units), = parts
+                        assert units == req.link_demands[vl]
                         for lk in path_links(path):
-                            exp_link[lk] += req.link_demands[vl]
+                            exp_link[lk] += units
                         if committed:  # flow rules exist only once committed
                             for sw in path:
                                 exp_rule[sw] += 1
@@ -116,7 +117,7 @@ class TestLedgerFuzz:
             assert view.version not in seen
             seen.add(view.version)
 
-        reserve(view, req, Mapping({"a": 1, "b": 2}, {("a", "b"): (1, 2)}))
+        reserve(view, req, Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 3),)}))
         bumped()
         record = link_weight(view, req, ("a", "b"), (1, 2))
         assert record.ledger_version == view.version
@@ -127,7 +128,7 @@ class TestLedgerFuzz:
         bumped()
         assert view.commit(1)
         bumped()
-        assert release(view, 1) is True
+        assert view.release(1) is True
         bumped()
 
 
@@ -159,7 +160,8 @@ class TestCostInvariance:
             )
             moved = Mapping(
                 {vn: perm[sw] for vn, sw in out.mapping.node_map.items()},
-                {vl: tuple(perm[s] for s in path) for vl, path in out.mapping.link_map.items()},
+                {vl: tuple((tuple(perm[s] for s in path), units) for path, units in parts)
+                 for vl, parts in out.mapping.link_paths.items()},
             )
             assert mapping_cost(relabeled, req, moved) == out.cost
             done += 1
@@ -182,7 +184,7 @@ class TestEmbeddingSoundness:
             assert view.conservation_violations() == []
             assert min(view.residual_capacity(u) for u in view.switches) >= 0
             assert min(view.residual_bandwidth(lk) for lk in view.links) >= 0
-            release(view, req.request_id)
+            view.release(req.request_id)
             assert ledger_state(view) == before
         assert accepted > 120
 
@@ -196,21 +198,20 @@ class TestEmbeddingSoundness:
             net = random_substrate(rng, 6, spec)
             req = gen_virtual_request(rng, spec, seed, 1, 100)
             view = SubstrateView(net)
-            out = splitting_embed(view, req, 2)
+            out = embed(view, req, 2)
             if not out.accepted:
                 continue
             accepted += 1
-            assert validate_split_mapping(view, req, out.mapping)
-            for vl, allocs in out.mapping.link_map.items():
+            assert validate_mapping(view, req, out.mapping)
+            for vl, allocs in out.mapping.link_paths.items():
                 assert sum(units for _, units in allocs) == req.link_demands[vl]
-                assert all(units >= 1 for _, units in allocs)
-                assert sum(f for _, f in out.mapping.fractions(req)[vl]) == 1
-            if any(len(allocs) > 1 for allocs in out.mapping.link_map.values()):
+                assert all(isinstance(units, int) and units >= 1 for _, units in allocs)
+            if any(len(allocs) > 1 for allocs in out.mapping.link_paths.values()):
                 real_splits += 1
             before = ledger_state(view)
             reserve(view, req, out.mapping)
             assert view.conservation_violations() == []
-            release(view, req.request_id)
+            view.release(req.request_id)
             assert ledger_state(view) == before
         assert accepted > 70
         assert real_splits > 25  # the quantifier really covers multi-path cases
@@ -256,7 +257,7 @@ class TestEmbeddingSoundness:
             # same residual order and unchanged bandwidths: identical choices
             assert again.accepted
             assert again.mapping.node_map == out.mapping.node_map
-            assert again.mapping.link_map == out.mapping.link_map
+            assert again.mapping.link_paths == out.mapping.link_paths
             assert again.cost == out.cost
             done += 1
         assert done > 25

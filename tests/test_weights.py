@@ -25,10 +25,11 @@ from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 from conftest import make_net
 
 
-def tentative(view, rid, node_map, link_map, nodes, links):
-    """Reserve a hand-picked mapping tentatively; returns the request."""
+def tentative(view, rid, node_map, paths, nodes, links):
+    """Reserve a hand-picked single-path mapping tentatively; returns the request."""
     r = VirtualNetworkRequest(rid, nodes, links, 0, 10)
-    reserve(view, r, Mapping(node_map, link_map))
+    link_paths = {vl: ((path, links[vl]),) for vl, path in paths.items()}
+    reserve(view, r, Mapping(node_map, link_paths))
     return r
 
 
@@ -210,11 +211,9 @@ class TestRemapPass:
         assert view.residual_bandwidth((1, 2)) == 0
 
     def test_split_reservations_are_refused(self, triangle):
-        from vnesim.embedder import SplitMapping
-
         view = SubstrateView(triangle)
         r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 120}, 0, 10)
-        split = SplitMapping(
+        split = Mapping(
             {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))}
         )
         reserve(view, r, split)
@@ -252,7 +251,7 @@ class TestRemapPass:
                 blocker = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): hold}, 0, 10)
                 reserve(
                     view, blocker,
-                    Mapping({0: lk[0], 1: lk[1]}, {(0, 1): lk}),
+                    Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, hold),)}),
                     tentative=False,
                 )
                 blockers.append(rid)
