@@ -15,55 +15,51 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from multiprocessing import Pool
 
-from .config import ConfigError, RunConfig, build_config, parse_config_file
-from .controller import STRATEGIES
+from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_file
+from .controller import _MODES, STRATEGIES
 from .metrics import export_csv, summary
 from .netmodel import TopologyError, load_topology
 from .run import run_simulation
 
 
+_HELP = {
+    "strategy": f"one of {', '.join(STRATEGIES)}",
+    "batch_size": "commit after this many tentative successes (n)",
+    "window": "commit window in time units (default 5*n)",
+    "mode": f"one of {', '.join(_MODES)}",
+    "split_paths": "path budget per virtual link for the splitting strategy",
+    "substrate": "'default', 'random:<n>', or a topology file",
+    "out": "CSV trace path",
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _add_config_flags(parser, include_strategy=True):
+    """One flag per RunConfig field; values stay text until _config_from_args."""
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    if include_strategy:
-        parser.add_argument("--strategy", choices=STRATEGIES)
-    parser.add_argument("--requests", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int,
-                        help="commit after this many tentative successes (n)")
-    parser.add_argument("--window", type=float,
-                        help="commit window in time units (default 5*n)")
-    parser.add_argument("--mode", choices=("count-only", "time-only", "whichever-first"))
-    parser.add_argument("--split-paths", dest="split_paths", type=int,
-                        help="path budget per virtual link for the splitting strategy")
-    parser.add_argument("--substrate", help="'default', 'random:<n>', or a topology file")
-    parser.add_argument("--interarrival-mean", dest="interarrival_mean", type=float)
-    parser.add_argument("--lifetime-mean", dest="lifetime_mean", type=float)
-    parser.add_argument("--hop-delay", dest="hop_delay", type=float)
-    parser.add_argument("--wait-delay", dest="wait_delay", type=float)
-    parser.add_argument("--horizon", type=float)
-    parser.add_argument("--out", help="CSV trace path")
-    parser.add_argument("--check-invariants", dest="check_invariants",
-                        action="store_const", const=True)
-    parser.add_argument("--vnodes-min", dest="vnodes_min", type=int)
-    parser.add_argument("--vnodes-max", dest="vnodes_max", type=int)
-    parser.add_argument("--edge-prob", dest="edge_prob", type=float)
-    parser.add_argument("--node-demand-min", dest="node_demand_min", type=int)
-    parser.add_argument("--node-demand-max", dest="node_demand_max", type=int)
-    parser.add_argument("--link-demand-min", dest="link_demand_min", type=int)
-    parser.add_argument("--link-demand-max", dest="link_demand_max", type=int)
-    parser.add_argument("--cap-min", dest="cap_min", type=int)
-    parser.add_argument("--cap-max", dest="cap_max", type=int)
+    for f in fields(RunConfig):
+        if f.name == "strategy" and not include_strategy:
+            continue
+        if f.type == "bool":
+            parser.add_argument(_flag(f.name), dest=f.name, action="store_const",
+                                const="true", help=_HELP.get(f.name))
+        else:
+            parser.add_argument(_flag(f.name), dest=f.name, help=_HELP.get(f.name))
 
 
 def _config_from_args(args) -> RunConfig:
+    """File values, then flags, each coerced and checked like the other."""
     file_values = parse_config_file(args.config) if args.config else {}
     flag_values = {
-        key: getattr(args, key)
-        for key in RunConfig.__dataclass_fields__
-        if hasattr(args, key)
+        f.name: _coerce(f.name, raw, _flag(f.name))
+        for f in fields(RunConfig)
+        if (raw := getattr(args, f.name, None)) is not None
     }
     return build_config(file_values, flag_values)
 
@@ -129,8 +125,8 @@ def cmd_sweep(args) -> int:
         jobs = [(kind, n, replace(config, batch_size=n)) for n in values]
     else:
         kind = "seed"
-        first, count = args.seed or 0, args.runs
-        jobs = [(kind, s, replace(config, seed=s)) for s in range(first, first + count)]
+        seeds = range(config.seed, config.seed + args.runs)
+        jobs = [(kind, s, replace(config, seed=s)) for s in seeds]
     for _, _, job_config in jobs:
         job_config.validate()
 
@@ -176,7 +172,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="repeat runs over seeds or batch sizes")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--runs", type=int, default=10,
-                         help="number of consecutive seeds starting at --seed")
+                         help="number of consecutive seeds from the configured seed")
     p_sweep.add_argument("--batch-sizes", dest="batch_sizes",
                          help="comma list of n values to sweep instead of seeds")
     p_sweep.add_argument("--workers", type=int, default=1,

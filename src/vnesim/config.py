@@ -7,6 +7,7 @@ which override the defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .controller import STRATEGIES, _MODES, WHICHEVER_FIRST
@@ -19,7 +20,9 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(GeneratorSpec):
+    """Everything one run reads; the generator knobs are GeneratorSpec's."""
+
     strategy: str = "batched"
     requests: int = 1500
     seed: int = 0
@@ -27,7 +30,6 @@ class RunConfig:
     window: float = None  # time units; defaults to 5 * batch_size
     mode: str = WHICHEVER_FIRST
     split_paths: int = 2
-    substrate: str = "default"
     interarrival_mean: float = 5.0
     lifetime_mean: float = 120.0
     hop_delay: float = 1.0
@@ -35,17 +37,12 @@ class RunConfig:
     horizon: float = None  # time units, optional
     out: str = None
     check_invariants: bool = False
-    vnodes_min: int = 3
-    vnodes_max: int = 10
-    edge_prob: float = 0.5
-    node_demand_min: int = 1
-    node_demand_max: int = 35
-    link_demand_min: int = 1
-    link_demand_max: int = 4
-    cap_min: int = 100
-    cap_max: int = 250
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}")
         if self.mode not in _MODES:
@@ -62,6 +59,8 @@ class RunConfig:
             raise ConfigError("split_paths must be at least 1")
         if self.interarrival_mean <= 0 or self.lifetime_mean <= 0:
             raise ConfigError("arrival and lifetime means must be positive")
+        if self.hop_delay < 0 or self.wait_delay < 0:
+            raise ConfigError("hop_delay and wait_delay must be nonnegative")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError("horizon must be positive")
         if self.substrate.startswith("random:"):
@@ -72,7 +71,7 @@ class RunConfig:
             if size < 2:
                 raise ConfigError(f"substrate {self.substrate!r}: random:<n> needs an integer n >= 2")
         try:
-            self.generator_spec().validate()
+            super().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
@@ -82,34 +81,26 @@ class RunConfig:
         return self.window if self.window is not None else 5.0 * self.batch_size
 
     def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(
-            substrate=self.substrate,
-            vnodes_min=self.vnodes_min,
-            vnodes_max=self.vnodes_max,
-            edge_prob=self.edge_prob,
-            node_demand_min=self.node_demand_min,
-            node_demand_max=self.node_demand_max,
-            link_demand_min=self.link_demand_min,
-            link_demand_max=self.link_demand_max,
-            cap_min=self.cap_min,
-            cap_max=self.cap_max,
-        )
+        return GeneratorSpec(**{f.name: getattr(self, f.name) for f in fields(GeneratorSpec)})
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(key, raw, lineno):
-    ftype = _FIELD_TYPES[key]
+def _coerce(key, raw, where):
+    """One flag or file value from text to the field's type; ``where`` names
+    its source ("line 3", "--window") in the error."""
+    f = _FIELDS[key]
     raw = raw.strip()
     try:
-        if ftype == "int":
+        if f.type == "int":
             return int(raw)
-        if ftype == "float":
-            return None if raw.lower() == "none" else float(raw)
-        if ftype == "bool":
+        if f.type == "float":
+            # "none" only where None is the default (window, horizon)
+            return None if raw.lower() == "none" and f.default is None else float(raw)
+        if f.type == "bool":
             low = raw.lower()
             if low in _BOOL_TRUE:
                 return True
@@ -118,7 +109,7 @@ def _coerce(key, raw, lineno):
             raise ValueError(raw)
         return raw
     except ValueError:
-        raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
+        raise ConfigError(f"{where}: bad value {raw!r} for {key}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -133,9 +124,9 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _FIELDS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, value, lineno)
+            values[key] = _coerce(key, value, f"line {lineno}")
     return values
 
 
@@ -144,7 +135,7 @@ def build_config(file_values: dict = None, flag_values: dict = None) -> RunConfi
     merged = {}
     merged.update(file_values or {})
     merged.update({k: v for k, v in (flag_values or {}).items() if v is not None})
-    unknown = set(merged) - set(_FIELD_TYPES)
+    unknown = set(merged) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return RunConfig(**merged).validate()

@@ -88,7 +88,6 @@ class PendingBatch:
     """Tentative successes waiting for the next commit trigger."""
 
     entries: list = field(default_factory=list)
-    window_open: int = None
     epoch: int = 0
 
     def __len__(self):
@@ -96,7 +95,6 @@ class PendingBatch:
 
     def reset(self):
         self.entries = []
-        self.window_open = None
         self.epoch += 1
 
 
@@ -154,10 +152,8 @@ class Controller:
             return
         reserve(self.view, request, outcome.mapping, tentative=True)
         self.status[rid] = TENTATIVE
-        if not self.batch.entries:
-            self.batch.window_open = engine.now
-            if row.policy.timed:
-                engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
+        if not self.batch.entries and row.policy.timed:
+            engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
         self.batch.entries.append(BatchEntry(request, engine.now))
         self.log.record_arrival(engine.now, rid, accepted=True, cost=outcome.cost)
         # the count trigger fires inside the arrival that fills the batch,

@@ -28,8 +28,9 @@ PATH_BANDWIDTH = "path-bandwidth"
 class TopologyError(ValueError):
     """Bad topology definition; carries the offending line number if known."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, at=None):
         self.line = line
+        self.at = at  # ("switch" | "link", index in SubstrateNetwork's input) or None
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -174,40 +175,40 @@ class SubstrateNetwork:
     """Committed resource ledger over a validated substrate topology."""
 
     def __init__(self, switches, links, capacity, switch_cost, bandwidth, link_cost):
-        self.switches = sorted(switches)
-        if not self.switches:
-            raise TopologyError("topology has no switches")
-        if len(set(self.switches)) != len(self.switches):
-            raise TopologyError("duplicate switch id")
-        known = set(self.switches)
-        self.links = []
-        seen = set()
-        for a, b in links:
-            if a == b:
-                raise TopologyError(f"self-loop on switch {a}")
-            lk = norm_link(a, b)
-            if lk in seen:
-                raise TopologyError(f"duplicate link {lk}")
-            if a not in known or b not in known:
-                raise TopologyError(f"link {lk} references unknown switch")
-            seen.add(lk)
-            self.links.append(lk)
-        self.links.sort()
+        """Checks every switch, then every link, in input order; unit costs
+        default to 1."""
         self.capacity = dict(capacity)
         self.switch_cost = dict(switch_cost)
         self.bandwidth = {norm_link(*l): u for l, u in bandwidth.items()}
         self.link_cost = {norm_link(*l): c for l, c in link_cost.items()}
         # routing settles each switch once, which needs unit costs >= 0
-        for u in self.switches:
+        known = set()
+        for i, u in enumerate(switches):
+            if u in known:
+                raise TopologyError(f"duplicate switch {u}", at=("switch", i))
             if self.capacity.get(u, 0) <= 0:
-                raise TopologyError(f"switch {u}: capacity must be positive")
+                raise TopologyError(f"switch {u}: capacity must be positive", at=("switch", i))
             if self.switch_cost.setdefault(u, 1) <= 0:
-                raise TopologyError(f"switch {u}: unit cost must be positive")
-        for lk in self.links:
+                raise TopologyError(f"switch {u}: unit cost must be positive", at=("switch", i))
+            known.add(u)
+        if not known:
+            raise TopologyError("topology has no switches")
+        seen = set()
+        for i, (a, b) in enumerate(links):
+            lk = norm_link(a, b)
+            if a == b:
+                raise TopologyError(f"self-loop on switch {a}", at=("link", i))
+            if lk in seen:
+                raise TopologyError(f"duplicate link {lk}", at=("link", i))
+            if a not in known or b not in known:
+                raise TopologyError(f"link {lk} references unknown switch", at=("link", i))
             if self.bandwidth.get(lk, 0) <= 0:
-                raise TopologyError(f"link {lk}: bandwidth must be positive")
+                raise TopologyError(f"link {lk}: bandwidth must be positive", at=("link", i))
             if self.link_cost.setdefault(lk, 1) <= 0:
-                raise TopologyError(f"link {lk}: unit cost must be positive")
+                raise TopologyError(f"link {lk}: unit cost must be positive", at=("link", i))
+            seen.add(lk)
+        self.switches = sorted(known)
+        self.links = sorted(seen)
 
         self.adj = {u: [] for u in self.switches}
         for a, b in self.links:
@@ -222,7 +223,6 @@ class SubstrateNetwork:
         self.link_load = {l: 0 for l in self.links}
         self.committed = {}
         self._ever = set()
-        self.version = 0
 
     def _check_connected(self):
         seen = {self.switches[0]}
@@ -279,7 +279,6 @@ class SubstrateNetwork:
             self.link_load[lk] += units
         self.committed[res.request_id] = res
         self._ever.add(res.request_id)
-        self.version += 1
 
     def release(self, request_id) -> bool:
         """Release a committed request. Returns False on a repeated release."""
@@ -294,7 +293,6 @@ class SubstrateNetwork:
             self.rule_load[u] -= units
         for lk, units in res.link_units.items():
             self.link_load[lk] -= units
-        self.version += 1
         return True
 
     def conservation_violations(self) -> list:
@@ -359,7 +357,6 @@ class SubstrateView:
         self.t_node_load = {u: 0 for u in base.switches}
         self.t_link_load = {l: 0 for l in base.links}
         self.tentative = {}
-        self.overlay_version = 0
 
     @property
     def switches(self):
@@ -368,10 +365,6 @@ class SubstrateView:
     @property
     def links(self):
         return self.base.links
-
-    @property
-    def version(self):
-        return (self.base.version, self.overlay_version)
 
     def residual_capacity(self, u) -> int:
         return self.base.residual_capacity(u) - self.t_node_load[u]
@@ -404,7 +397,6 @@ class SubstrateView:
         for lk, units in res.link_units.items():
             self.t_link_load[lk] -= units
         del self.tentative[res.request_id]
-        self.overlay_version += 1
 
     def release(self, request_id) -> bool:
         res = self.tentative.get(request_id)
@@ -429,7 +421,6 @@ class SubstrateView:
                 if res.link_units[lk] == 0:
                     del res.link_units[lk]
                 self.t_link_load[lk] -= units
-        self.overlay_version += 1
         return allocs
 
     def reserve_tentative_link(self, request_id, vlink, path, units):
@@ -445,7 +436,6 @@ class SubstrateView:
             res.link_units[lk] = res.link_units.get(lk, 0) + units
             self.t_link_load[lk] += units
         res.link_paths[vlink] = ((path, units),)
-        self.overlay_version += 1
 
     def conservation_violations(self) -> list:
         out = self.base.conservation_violations()
@@ -601,7 +591,6 @@ def reserve(view: SubstrateView, request, mapping, tentative=True) -> Reservatio
             view.t_link_load[lk] += units
         view.tentative[rid] = res
         view.base._ever.add(rid)
-        view.overlay_version += 1
     else:
         view.base.commit_reservation(res)
     return res
@@ -611,7 +600,7 @@ def reserve(view: SubstrateView, request, mapping, tentative=True) -> Reservatio
 # topology text format
 
 
-def parse_topology(text: str, origin: str = "<string>") -> SubstrateNetwork:
+def parse_topology(text: str) -> SubstrateNetwork:
     """Parse the plain-text topology format.
 
     One declaration per line; ``#`` starts a comment. Forms:
@@ -620,8 +609,9 @@ def parse_topology(text: str, origin: str = "<string>") -> SubstrateNetwork:
         link <id_a> <id_b> <bandwidth> [<unit_cost>]
 
     Unit costs default to 1. Raises TopologyError with the offending line
-    number on malformed input, duplicates, self-loops, unknown endpoints,
-    non-positive capacities or unit costs, or a disconnected topology.
+    number on malformed input and on every element SubstrateNetwork rejects
+    (for a duplicate, the line of the second declaration). An empty or
+    disconnected topology raises without a line number.
     """
     switch_lines = []
     link_lines = []
@@ -645,49 +635,34 @@ def parse_topology(text: str, origin: str = "<string>") -> SubstrateNetwork:
         except ValueError:
             raise TopologyError(f"{what}: fields must be integers", lineno) from None
 
+    # a missing unit cost is 1; the first declaration's values stand, so
+    # a duplicate is what fails
     switches, capacity, switch_cost = [], {}, {}
     for lineno, tokens in switch_lines:
-        vals = ints(lineno, tokens, "switch", 2, 3)
-        sid, cap = vals[0], vals[1]
-        cost = vals[2] if len(vals) == 3 else 1
-        if sid in capacity:
-            raise TopologyError(f"duplicate switch {sid}", lineno)
-        if cap <= 0:
-            raise TopologyError(f"switch {sid}: capacity must be positive", lineno)
-        if cost <= 0:
-            raise TopologyError(f"switch {sid}: unit cost must be positive", lineno)
+        sid, cap, cost = (ints(lineno, tokens, "switch", 2, 3) + [1])[:3]
         switches.append(sid)
-        capacity[sid] = cap
-        switch_cost[sid] = cost
-
+        capacity.setdefault(sid, cap)
+        switch_cost.setdefault(sid, cost)
     links, bandwidth, link_cost = [], {}, {}
     for lineno, tokens in link_lines:
-        vals = ints(lineno, tokens, "link", 3, 4)
-        a, b, bw = vals[0], vals[1], vals[2]
-        cost = vals[3] if len(vals) == 4 else 1
-        if a == b:
-            raise TopologyError(f"self-loop on switch {a}", lineno)
-        lk = norm_link(a, b)
-        if lk in bandwidth:
-            raise TopologyError(f"duplicate link {lk}", lineno)
-        if a not in capacity or b not in capacity:
-            raise TopologyError(f"link {lk} references unknown switch", lineno)
-        if bw <= 0:
-            raise TopologyError(f"link {lk}: bandwidth must be positive", lineno)
-        if cost <= 0:
-            raise TopologyError(f"link {lk}: unit cost must be positive", lineno)
-        links.append(lk)
-        bandwidth[lk] = bw
-        link_cost[lk] = cost
+        a, b, bw, cost = (ints(lineno, tokens, "link", 3, 4) + [1])[:4]
+        links.append((a, b))
+        bandwidth.setdefault(norm_link(a, b), bw)
+        link_cost.setdefault(norm_link(a, b), cost)
 
-    if not switches:
-        raise TopologyError(f"{origin}: no switches declared")
-    return SubstrateNetwork(switches, links, capacity, switch_cost, bandwidth, link_cost)
+    try:
+        return SubstrateNetwork(switches, links, capacity, switch_cost, bandwidth, link_cost)
+    except TopologyError as exc:
+        if exc.at is None:
+            raise
+        kind, index = exc.at
+        lineno = (switch_lines if kind == "switch" else link_lines)[index][0]
+        raise TopologyError(str(exc), lineno) from None
 
 
 def load_topology(path) -> SubstrateNetwork:
     with open(path, encoding="utf-8") as fh:
-        return parse_topology(fh.read(), origin=str(path))
+        return parse_topology(fh.read())
 
 
 def topology_text(net: SubstrateNetwork) -> str:

@@ -36,7 +36,6 @@ class LinkWeightRecord:
     used: int  # R
     free: int  # A
     weight: int  # W = R - A
-    ledger_version: tuple
 
 
 def _reserved_single_path(view, request, vlink):
@@ -83,7 +82,7 @@ def link_weight(view, request, vlink, path) -> LinkWeightRecord:
     used = used_resources(view, request, vlink, path)
     free = free_resources(view, request, vlink, path)
     return LinkWeightRecord(
-        request.request_id, vlink, path, units, used, free, used - free, view.version
+        request.request_id, vlink, path, units, used, free, used - free
     )
 
 
@@ -125,13 +124,9 @@ def remap_pass(view, requests) -> int:
             if len(allocs) != 1:
                 raise ValueError("remap applies to single-path reservations only")
             records.append(link_weight(view, request, vlink, allocs[0][0]))
-    ordered = prioritize(records)
-    if any(rec.ledger_version != view.version for rec in ordered):
-        raise AssertionError("stale weight record: ledger changed between scoring and prioritize")
-
     base = view.base
     changed = 0
-    for rec in ordered:
+    for rec in prioritize(records):
         request = by_id[rec.request_id]
         res = view.tentative_reservation(rec.request_id)
         (old_path, units), = view.release_tentative_link(rec.request_id, rec.vlink)

@@ -4,6 +4,7 @@ Each test exercises one numbered criterion against the stated tolerance and
 prints a single pass/fail line (run with -s to see them as they happen).
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -232,13 +233,16 @@ def test_criterion_7_determinism(tmp_path):
     second = csv_text(run_simulation(config)[1])
     assert first == second
 
+    # the CLI processes import the same package as this test
+    src = os.path.dirname(os.path.dirname(vnesim.controller.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "vnesim.cli", "run",
              "--requests", "200", "--seed", "3", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     ok = outs[0] == outs[1] == first.encode("utf-8")

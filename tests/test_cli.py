@@ -1,7 +1,10 @@
 """Command-line interface and config-file handling."""
 
+from dataclasses import fields
+
 import pytest
 
+from vnesim import cli
 from vnesim.cli import main
 from vnesim.config import ConfigError, RunConfig, build_config, parse_config_file
 from vnesim.netmodel import topology_text
@@ -90,6 +93,34 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config keys: haircut"):
             build_config({}, {"haircut": 9})
 
+    # a valid value other than the default for every RunConfig field
+    SAMPLES = {
+        "substrate": "random:20", "vnodes_min": "4", "vnodes_max": "6",
+        "edge_prob": "0.25", "node_demand_min": "2", "node_demand_max": "30",
+        "link_demand_min": "2", "link_demand_max": "3", "cap_min": "90",
+        "cap_max": "300", "strategy": "splitting", "requests": "7", "seed": "7",
+        "batch_size": "3", "window": "12.5", "mode": "time-only",
+        "split_paths": "3", "interarrival_mean": "2.5", "lifetime_mean": "60",
+        "hop_delay": "0.5", "wait_delay": "0", "horizon": "100", "out": "x.csv",
+        "check_invariants": "true",
+    }
+
+    def test_every_field_has_a_sample(self):
+        assert set(self.SAMPLES) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_file_line_build_equal_configs(self, monkeypatch, tmp_path, name):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(cli._config_from_args(args)) or 0)
+        flag = "--" + name.replace("_", "-")
+        value = self.SAMPLES[name]
+        assert main(["run", flag] if value == "true" else ["run", flag, value]) == 0
+        p = tmp_path / "one.conf"
+        p.write_text(f"{name} = {value}\n", encoding="utf-8")
+        from_file = build_config(parse_config_file(p))
+        assert seen == [from_file]
+        assert from_file != RunConfig()
+
 
 class TestRunCommand:
     def test_smoke_run_writes_trace_and_summary(self, capsys, tmp_path):
@@ -159,6 +190,15 @@ class TestCompareCommand:
 
 
 class TestSweepCommand:
+    def test_seed_sweep_starts_at_the_config_file_seed(self, capsys, tmp_path):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("seed = 7\n", encoding="utf-8")
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--config", str(conf), "--requests", "20", "--runs", "2"
+        )
+        assert code == 0
+        assert [l.split(",")[0] for l in stdout.splitlines()[1:]] == ["7", "8"]
+
     def test_seed_sweep_rows(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "sweep", "--requests", "20", "--runs", "3", "--seed", "5"
@@ -231,6 +271,24 @@ class TestBadInputExitsTwo:
     def test_random_substrate_needs_two_switches(self, capsys, tmp_path, size):
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", f"random:{size}")
         assert stderr.startswith("bad configuration:") and "n >= 2" in stderr
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--window", "nan"), ("--interarrival-mean", "nan"), ("--lifetime-mean", "inf"),
+        ("--horizon", "nan"), ("--hop-delay", "nan"), ("--hop-delay", "-1"),
+    ])
+    def test_nonfinite_or_negative_float_flag(self, capsys, tmp_path, flag, value):
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", flag, value)
+        assert stderr.startswith("bad configuration:") and flag[2:].replace("-", "_") in stderr
+
+    def test_nonfinite_float_in_config_file(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("window = nan\n", encoding="utf-8")
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--config", str(conf))
+        assert stderr.startswith("bad configuration:") and "window" in stderr
+
+    def test_bad_flag_value_names_the_flag(self, capsys, tmp_path):
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--seed", "seven")
+        assert stderr == "bad configuration: --seed: bad value 'seven' for seed\n"
 
     def test_window_that_rounds_to_zero_ticks(self, capsys, tmp_path):
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--window", "1e-9")

@@ -361,6 +361,15 @@ class TestTopologyFormat:
             parse_topology(text)
         assert err.value.line == 4
 
+    def test_duplicate_switch_carries_the_second_line(self):
+        with pytest.raises(TopologyError) as err:
+            parse_topology("switch 1 100\nswitch 2 100\nswitch 1 100\nlink 1 2 50")
+        assert err.value.line == 3 and "duplicate switch 1" in str(err.value)
+        # elements are checked in input order: the first declaration fails first
+        with pytest.raises(TopologyError) as err:
+            parse_topology("switch 1 0\nswitch 1 100\nswitch 2 100\nlink 1 2 50")
+        assert err.value.line == 1 and "capacity" in str(err.value)
+
     def test_nonpositive_unit_costs_carry_line_number(self):
         with pytest.raises(TopologyError) as err:
             parse_topology("switch 1 100\nswitch 2 100 -1\nlink 1 2 50")

@@ -17,7 +17,6 @@ from vnesim.netmodel import (
     validate_mapping,
 )
 from vnesim.run import run_simulation
-from vnesim.weights import link_weight
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 SMALL = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1, node_demand_max=30,
@@ -105,31 +104,6 @@ class TestLedgerFuzz:
                     assert view.residual_bandwidth(lk) == net.bandwidth[lk] - exp_link[lk]
                     assert view.residual_bandwidth(lk) >= 0
                 assert view.conservation_violations() == []
-
-    def test_every_ledger_mutation_bumps_the_version(self, triangle):
-        from vnesim.netmodel import VirtualNetworkRequest
-
-        view = SubstrateView(triangle)
-        req = VirtualNetworkRequest(1, {"a": 5, "b": 5}, {("a", "b"): 3})
-        seen = {view.version}
-
-        def bumped():
-            assert view.version not in seen
-            seen.add(view.version)
-
-        reserve(view, req, Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 3),)}))
-        bumped()
-        record = link_weight(view, req, ("a", "b"), (1, 2))
-        assert record.ledger_version == view.version
-        view.release_tentative_link(1, ("a", "b"))
-        bumped()
-        assert record.ledger_version != view.version  # record now stale
-        view.reserve_tentative_link(1, ("a", "b"), (1, 3, 2), 3)
-        bumped()
-        assert view.commit(1)
-        bumped()
-        assert view.release(1) is True
-        bumped()
 
 
 class TestCostInvariance:

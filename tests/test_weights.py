@@ -68,7 +68,6 @@ class TestUsedAndFree:
             used=23,
             free=465,
             weight=23 - 465,
-            ledger_version=view.version,
         )
 
     def test_free_memory_term_clamps_at_zero(self):
@@ -113,7 +112,7 @@ class TestUsedAndFree:
 class TestPrioritize:
     @staticmethod
     def rec(rid, vlink, weight, used):
-        return LinkWeightRecord(rid, vlink, (1, 2), 1, used, used - weight, weight, (0, 0))
+        return LinkWeightRecord(rid, vlink, (1, 2), 1, used, used - weight, weight)
 
     def test_orders_by_weight_then_used_then_ids(self):
         r1 = self.rec(1, (0, 1), weight=5, used=10)
