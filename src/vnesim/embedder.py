@@ -14,6 +14,26 @@ All choices are deterministic under total tie-break orders:
   feasible path minimizing summed link unit cost, ties broken by fewer hops,
   then by lexicographic switch-id sequence.
 
+Routing is one A* search per path, run backward from dst to src on the
+integer index of ``SubstrateNetwork`` (switch i is ``switches[i]``, link j
+is ``links[j]``) against a flat list of residuals by link id. A label packs
+(cost, hops) into one int, ``cost * H + hops``, with H larger than any hop
+count, so int order is pair order and labels add along a path; a link of unit
+cost c steps a label by ``c * H + 1``, at least ``min_step = cmin * H + 1``.
+The bound ``lb[v] = min(hopdist(v, src), 255) * min_step`` (hop distances on
+the whole substrate, memoized per src) never exceeds the label of any path
+from v to src, and it changes by at most ``min_step`` across a link, so it is
+consistent. The heap is ordered by ``(f, g, v)`` with ``f = g + lb``.
+
+Tie-break: call u a tight neighbour of v when ``g*(v) = g*(u) + step(u, v)``
+over a feasible link. Consistency gives ``f(u) <= f(v)``, and ``g*(u) <
+g*(v)``, so u settles, and relaxes v, before v settles; hence when v settles,
+``nxt[v]`` is the smallest-id neighbour that starts an optimal remainder to
+dst. Every optimal path has the same hop count, so the lexicographic minimum
+among them is built by taking the smallest such next switch at every step:
+the walk along ``nxt`` from src, once src settles, is the (cost, hops,
+switch sequence) minimum that a forward search over whole paths returns.
+
 ``oracle_embed`` is an independent exhaustive search used to bound the
 heuristics on small instances; it shares no routing code with ``embed``.
 """
@@ -24,7 +44,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
-from .netmodel import Mapping, SubstrateView, mapping_cost, norm_link, path_links
+from .netmodel import Mapping, SubstrateView, mapping_cost, path_links
 
 NODE_STAGE = "node-stage"
 LINK_STAGE = "link-stage"
@@ -50,48 +70,60 @@ def _base(view):
 
 def greedy_node_map(view, request):
     """Place virtual nodes by descending demand onto the emptiest feasible
-    switch; returns the node map, or None when some node cannot be placed."""
+    switch (the lowest id among equals); returns the node map, or None when
+    some node cannot be placed."""
     order = sorted(request.node_demands, key=lambda n: (-request.node_demands[n], n))
-    used = set()
+    switches = _base(view).switches
+    resid = view.residual_capacities()
     node_map = {}
     for vn in order:
-        need = request.node_demands[vn]
-        best = None
-        best_resid = -1
-        for sw in _base(view).switches:
-            if sw in used:
-                continue
-            resid = view.residual_capacity(sw)
-            if resid >= need and resid > best_resid:
-                best, best_resid = sw, resid
-        if best is None:
+        best_resid = max(resid)
+        if best_resid < request.node_demands[vn]:
             return None
-        node_map[vn] = best
-        used.add(best)
+        best = resid.index(best_resid)
+        node_map[vn] = switches[best]
+        resid[best] = -1  # used; every demand is positive
     return node_map
 
 
-def _dijkstra(adj, link_cost, residual, src, dst, demand):
-    # Keys are (cost, hops, path); appending an edge strictly increases the
-    # key, so the first settled label per switch is optimal and the settled
-    # path at dst realizes every tie-break in one pass.
-    heap = [(0, 0, (src,))]
-    settled = set()
+def _dijkstra(net, residual, src, dst, demand):
+    """The cheapest path from switch src to switch dst over links whose
+    ``residual[link id] >= demand``, as a switch-id tuple; None when there is
+    none. Backward A* on the index (see the module docstring)."""
+    rows = net.rows
+    s, t = net.switch_index[src], net.switch_index[dst]
+    lb = net.hop_bounds(s)
+    step_min = net.min_step
+    n = len(rows)
+    dist = [None] * n
+    nxt = [n] * n
+    done = bytearray(n)
+    dist[t] = 0
+    heap = [(lb[t] * step_min, 0, t)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
+        _f, g, v = pop(heap)
+        if done[v]:
             continue
-        settled.add(node)
-        if node == dst:
-            return path
-        for nb in adj[node]:
-            if nb in settled:
+        done[v] = 1
+        if v == s:
+            switches = net.switches
+            path = [src]
+            while v != t:
+                v = nxt[v]
+                path.append(switches[v])
+            return tuple(path)
+        for u, j, step in rows[v]:
+            if done[u] or residual[j] < demand:
                 continue
-            lk = norm_link(node, nb)
-            if residual(lk) < demand:
-                continue
-            heapq.heappush(heap, (cost + link_cost[lk], hops + 1, path + (nb,)))
+            gu = g + step
+            old = dist[u]
+            if old is None or gu < old:
+                dist[u] = gu
+                nxt[u] = v
+                push(heap, (gu + lb[u] * step_min, gu, u))
+            elif gu == old and v < nxt[u]:
+                nxt[u] = v
     return None
 
 
@@ -101,11 +133,12 @@ def cheapest_feasible_path(view, src, dst, demand):
     Returns the switch sequence, or None when no feasible path exists.
     """
     base = _base(view)
-    if src not in base.adj or dst not in base.adj:
-        raise ValueError(f"unknown switch: {src if src not in base.adj else dst}")
+    for sw in (src, dst):
+        if sw not in base.switch_index:
+            raise ValueError(f"unknown switch: {sw}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    return _dijkstra(base.adj, base.link_cost, view.residual_bandwidth, src, dst, demand)
+    return _dijkstra(base, view.residual_bandwidths(), src, dst, demand)
 
 
 def _link_order(request):
@@ -121,10 +154,10 @@ def embed(view, request, k=1) -> EmbedOutcome:
     remainder. Rejects at the link stage when the demand cannot be covered
     within k paths.
 
-    Does not mutate the view: routing runs against a working picture updated
-    after each part, so sibling links of the same request never
-    oversubscribe a shared substrate link. The caller reserves the returned
-    mapping.
+    Does not mutate the view: routing runs against a flat copy of its
+    residuals, debited after each part, so sibling links of the same request
+    never oversubscribe a shared substrate link. The caller reserves the
+    returned mapping.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -132,30 +165,25 @@ def embed(view, request, k=1) -> EmbedOutcome:
     if node_map is None:
         return EmbedOutcome(rejection=NODE_STAGE)
     base = _base(view)
-    extra = {}
-
-    def residual(lk):
-        return view.residual_bandwidth(lk) - extra.get(lk, 0)
-
+    residual = view.residual_bandwidths()  # debited part by part
     link_paths = {}
     for vl in _link_order(request):
         remaining = request.link_demands[vl]
         src, dst = node_map[vl[0]], node_map[vl[1]]
         parts = []
         while remaining > 0 and len(parts) < k:
-            path = _dijkstra(base.adj, base.link_cost, residual, src, dst, remaining)
-            if path is not None:
-                alloc = remaining
-            elif len(parts) == k - 1:
-                break  # a last part cannot cover what no single path carries
-            else:
-                path = _dijkstra(base.adj, base.link_cost, residual, src, dst, 1)
+            path = _dijkstra(base, residual, src, dst, remaining)
+            if path is None:
+                if len(parts) == k - 1:
+                    break  # a last part cannot cover what no single path carries
+                path = _dijkstra(base, residual, src, dst, 1)
                 if path is None:
                     break
-                # below `remaining`, or the whole-demand search had found it
-                alloc = min(residual(lk) for lk in path_links(path))
-            for lk in path_links(path):
-                extra[lk] = extra.get(lk, 0) + alloc
+            link_ids = base.path_link_ids(path)
+            # the whole remainder, or the bottleneck of a path too thin for it
+            alloc = min(remaining, *(residual[j] for j in link_ids))
+            for j in link_ids:
+                residual[j] -= alloc
             parts.append((path, alloc))
             remaining -= alloc
         if remaining > 0:
@@ -200,12 +228,13 @@ def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
 
     vnodes = sorted(request.node_demands)
     vlinks = _link_order(request)
+    adj = base.adj
     paths_memo = {}
 
     def simple_paths(src, dst):
         key = (src, dst)
         if key not in paths_memo:
-            found = _simple_paths(base.adj, src, dst)
+            found = _simple_paths(adj, src, dst)
             found.sort(key=lambda p: (sum(base.link_cost[l] for l in path_links(p)), len(p)))
             paths_memo[key] = found
         return paths_memo[key]

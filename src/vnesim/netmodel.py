@@ -208,14 +208,11 @@ class SubstrateNetwork:
                 raise TopologyError(f"link {lk}: unit cost must be positive", at=("link", i))
             seen.add(lk)
         self.switches = sorted(known)
+        # one tuple object per link, shared by every per-link dict
         self.links = sorted(seen)
-
-        self.adj = {u: [] for u in self.switches}
-        for a, b in self.links:
-            self.adj[a].append(b)
-            self.adj[b].append(a)
-        for u in self.adj:
-            self.adj[u].sort()
+        self.bandwidth = {lk: self.bandwidth[lk] for lk in self.links}
+        self.link_cost = {lk: self.link_cost[lk] for lk in self.links}
+        self._index()
         self._check_connected()
 
         self.node_load = {u: 0 for u in self.switches}
@@ -224,29 +221,76 @@ class SubstrateNetwork:
         self.committed = {}
         self._ever = set()
 
+    def _index(self):
+        """The integer index routing runs on: switch i is ``switches[i]``,
+        link j is ``links[j]``. ``rows[i]`` lists ``(neighbour index, link id,
+        step)`` sorted by neighbour, where step packs the link's unit cost c
+        and its one hop as ``c * label_base + 1``; since no simple path has
+        ``label_base`` hops, summed steps order paths by (cost, hops)."""
+        self.switch_index = {u: i for i, u in enumerate(self.switches)}
+        self.link_index = {lk: j for j, lk in enumerate(self.links)}
+        self.label_base = len(self.switches) + 1
+        self.min_step = min(self.link_cost.values(), default=1) * self.label_base + 1
+        steps = {}  # one int object per distinct step
+        rows = [[] for _ in self.switches]
+        for j, (a, b) in enumerate(self.links):
+            c = self.link_cost[(a, b)]
+            step = steps.setdefault(c, c * self.label_base + 1)
+            ia, ib = self.switch_index[a], self.switch_index[b]
+            rows[ia].append((ib, j, step))
+            rows[ib].append((ia, j, step))
+        self.rows = [tuple(sorted(row)) for row in rows]
+        self._hop_bounds = {}
+
+    @property
+    def adj(self):
+        """Sorted neighbour ids per switch (derived from the index)."""
+        sw = self.switches
+        return {u: [sw[i] for i, _j, _step in row] for u, row in zip(sw, self.rows)}
+
+    def _hops_from(self, s) -> list:
+        """Hop distance from switch index s to every switch index; -1 when
+        unreachable."""
+        rows = self.rows
+        hops = [-1] * len(rows)
+        hops[s] = 0
+        frontier = [s]
+        depth = 0
+        while frontier:
+            depth += 1
+            reached = []
+            for v in frontier:
+                for u, _j, _step in rows[v]:
+                    if hops[u] < 0:
+                        hops[u] = depth
+                        reached.append(u)
+            frontier = reached
+        return hops
+
+    def hop_bounds(self, s) -> bytes:
+        """Hop distance from switch index s to each switch index, clamped at
+        255, memoized per s. A clamped distance still changes by at most one
+        across a link, which keeps the routing bound consistent."""
+        bounds = self._hop_bounds.get(s)
+        if bounds is None:
+            hops = self._hops_from(s)
+            bounds = self._hop_bounds[s] = bytes([h if h < 255 else 255 for h in hops])
+        return bounds
+
+    def path_link_ids(self, path) -> list:
+        """Link ids along a switch sequence."""
+        index = self.link_index
+        return [index[(a, b) if a <= b else (b, a)] for a, b in zip(path, path[1:])]
+
     def _check_connected(self):
-        seen = {self.switches[0]}
-        stack = [self.switches[0]]
-        while stack:
-            for m in self.adj[stack.pop()]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        if len(seen) != len(self.switches):
-            strays = sorted(set(self.switches) - seen)
-            # name one representative per stranded component
-            reps = []
-            while strays:
-                rep = strays[0]
-                comp = {rep}
-                stack = [rep]
-                while stack:
-                    for m in self.adj[stack.pop()]:
-                        if m not in comp:
-                            comp.add(m)
-                            stack.append(m)
-                reps.append(rep)
-                strays = [s for s in strays if s not in comp]
+        strays = [i for i, h in enumerate(self._hops_from(0)) if h < 0]
+        # name one representative per stranded component
+        reps = []
+        while strays:
+            reached = self._hops_from(strays[0])
+            reps.append(self.switches[strays[0]])
+            strays = [i for i in strays if reached[i] < 0]
+        if reps:
             raise TopologyError(
                 "topology is disconnected; unreachable component(s) containing "
                 + ", ".join(f"switch {r}" for r in reps)
@@ -257,6 +301,16 @@ class SubstrateNetwork:
 
     def residual_bandwidth(self, lk) -> int:
         return self.bandwidth[lk] - self.link_load[lk]
+
+    def residual_capacities(self) -> list:
+        """Residual switch memory, one entry per switch index."""
+        cap, node, rule = self.capacity, self.node_load, self.rule_load
+        return [cap[u] - node[u] - rule[u] for u in self.switches]
+
+    def residual_bandwidths(self) -> list:
+        """Residual link bandwidth, one entry per link id."""
+        bw, load = self.bandwidth, self.link_load
+        return [bw[lk] - load[lk] for lk in self.links]
 
     def commit_reservation(self, res: Reservation):
         """Apply a reservation to the committed ledger, atomically."""
@@ -308,22 +362,24 @@ class SubstrateNetwork:
                 want_rule[u] += units
             for lk, units in res.link_units.items():
                 want_link[lk] += units
-        for u in self.switches:
-            if self.node_load[u] != want_node[u] or self.rule_load[u] != want_rule[u]:
+        for u, resid in zip(self.switches, self.residual_capacities()):
+            node, rule = self.node_load[u], self.rule_load[u]
+            if node != want_node[u] or rule != want_rule[u]:
                 out.append(
-                    f"switch {u}: loads ({self.node_load[u]}, {self.rule_load[u]}) "
+                    f"switch {u}: loads ({node}, {rule}) "
                     f"!= per-request sums ({want_node[u]}, {want_rule[u]})"
                 )
-            if self.residual_capacity(u) < 0:
-                out.append(f"switch {u}: negative residual {self.residual_capacity(u)}")
-            if self.residual_capacity(u) + self.node_load[u] + self.rule_load[u] != self.capacity[u]:
+            if resid < 0:
+                out.append(f"switch {u}: negative residual {resid}")
+            if resid + node + rule != self.capacity[u]:
                 out.append(f"switch {u}: conservation identity broken")
-        for lk in self.links:
-            if self.link_load[lk] != want_link[lk]:
-                out.append(f"link {lk}: load {self.link_load[lk]} != per-request sum {want_link[lk]}")
-            if self.residual_bandwidth(lk) < 0:
-                out.append(f"link {lk}: negative residual {self.residual_bandwidth(lk)}")
-            if self.residual_bandwidth(lk) + self.link_load[lk] != self.bandwidth[lk]:
+        for lk, resid in zip(self.links, self.residual_bandwidths()):
+            load = self.link_load[lk]
+            if load != want_link[lk]:
+                out.append(f"link {lk}: load {load} != per-request sum {want_link[lk]}")
+            if resid < 0:
+                out.append(f"link {lk}: negative residual {resid}")
+            if resid + load != self.bandwidth[lk]:
                 out.append(f"link {lk}: conservation identity broken")
         return out
 
@@ -371,6 +427,18 @@ class SubstrateView:
 
     def residual_bandwidth(self, lk) -> int:
         return self.base.residual_bandwidth(lk) - self.t_link_load[lk]
+
+    def residual_capacities(self) -> list:
+        """Effective residual switch memory, one entry per switch index."""
+        base, t = self.base, self.t_node_load
+        cap, node, rule = base.capacity, base.node_load, base.rule_load
+        return [cap[u] - node[u] - rule[u] - t[u] for u in base.switches]
+
+    def residual_bandwidths(self) -> list:
+        """Effective residual link bandwidth, one entry per link id."""
+        base, t = self.base, self.t_link_load
+        bw, load = base.bandwidth, base.link_load
+        return [bw[lk] - load[lk] - t[lk] for lk in base.links]
 
     def commit(self, request_id) -> bool:
         """Commit a tentative reservation and install its flow rules.
@@ -446,15 +514,15 @@ class SubstrateView:
                 want_node[u] += units
             for lk, units in res.link_units.items():
                 want_link[lk] += units
-        for u in self.switches:
+        for u, resid in zip(self.switches, self.residual_capacities()):
             if self.t_node_load[u] != want_node[u]:
                 out.append(f"switch {u}: overlay load {self.t_node_load[u]} != sum {want_node[u]}")
-            if self.residual_capacity(u) < 0:
+            if resid < 0:
                 out.append(f"switch {u}: negative effective residual")
-        for lk in self.links:
+        for lk, resid in zip(self.links, self.residual_bandwidths()):
             if self.t_link_load[lk] != want_link[lk]:
                 out.append(f"link {lk}: overlay load {self.t_link_load[lk]} != sum {want_link[lk]}")
-            if self.residual_bandwidth(lk) < 0:
+            if resid < 0:
                 out.append(f"link {lk}: negative effective residual")
         return out
 

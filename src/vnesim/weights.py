@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embedder import cheapest_feasible_path
+from . import embedder
 from .netmodel import path_links
 
 
@@ -114,10 +114,8 @@ def remap_pass(view, requests) -> int:
     view's overlay in place and returns the number of links whose path
     actually changed. Total batch cost never increases.
     """
-    by_id = {}
     records = []
     for request in requests:
-        by_id[request.request_id] = request
         res = view.tentative_reservation(request.request_id)
         for vlink in sorted(res.link_paths):
             allocs = res.link_paths[vlink]
@@ -125,14 +123,15 @@ def remap_pass(view, requests) -> int:
                 raise ValueError("remap applies to single-path reservations only")
             records.append(link_weight(view, request, vlink, allocs[0][0]))
     base = view.base
+    residual = view.residual_bandwidths()  # kept equal to the view's, link by link
     changed = 0
     for rec in prioritize(records):
-        request = by_id[rec.request_id]
         res = view.tentative_reservation(rec.request_id)
         (old_path, units), = view.release_tentative_link(rec.request_id, rec.vlink)
+        for j in base.path_link_ids(old_path):
+            residual[j] += units
         a, b = rec.vlink
-        src, dst = res.node_map[a], res.node_map[b]
-        new_path = cheapest_feasible_path(view, src, dst, units)
+        new_path = embedder._dijkstra(base, residual, res.node_map[a], res.node_map[b], units)
         adopt = False
         if new_path is not None and new_path != old_path:
             old_cost = _path_cost(base, old_path, units)
@@ -143,9 +142,9 @@ def remap_pass(view, requests) -> int:
                 adopt = _max_utilization_after(view, new_path, units) < _max_utilization_after(
                     view, old_path, units
                 )
-        if adopt:
-            view.reserve_tentative_link(rec.request_id, rec.vlink, new_path, units)
-            changed += 1
-        else:
-            view.reserve_tentative_link(rec.request_id, rec.vlink, old_path, units)
+        path = new_path if adopt else old_path
+        view.reserve_tentative_link(rec.request_id, rec.vlink, path, units)
+        for j in base.path_link_ids(path):
+            residual[j] -= units
+        changed += adopt
     return changed

@@ -295,9 +295,9 @@ class TestSplittingEmbed:
         calls = []
         real = embedder._dijkstra
 
-        def counting(adj, link_cost, residual, src, dst, demand):
+        def counting(net, residual, src, dst, demand):
             calls.append(demand)
-            return real(adj, link_cost, residual, src, dst, demand)
+            return real(net, residual, src, dst, demand)
 
         monkeypatch.setattr(embedder, "_dijkstra", counting)
         view = SubstrateView(self.split_case_net())
