@@ -115,6 +115,10 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
+    for flag, value in (("--runs", args.runs), ("--workers", args.workers)):
+        if value < 1:
+            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     if args.batch_sizes:
         kind = "batch_size"
         try:
@@ -130,8 +134,9 @@ def cmd_sweep(args) -> int:
     for _, _, job_config in jobs:
         job_config.validate()
 
-    if args.workers > 1:
-        with Pool(args.workers) as pool:
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_sweep_one, jobs)
     else:
         results = [_sweep_one(job) for job in jobs]

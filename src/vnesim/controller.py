@@ -150,7 +150,7 @@ class Controller:
             self.status[rid] = REJECTED
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
-        reserve(self.view, request, outcome.mapping, tentative=True)
+        reserve(self.view, request, outcome.mapping)
         self.status[rid] = TENTATIVE
         if not self.batch.entries and row.policy.timed:
             engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
@@ -191,10 +191,8 @@ class Controller:
             wait = engine.now - entry.accepted_at
             self.max_wait = max(self.max_wait, wait)
             cost = mapping_cost(self.view.base, request, res)
-            paths = res.hosting_paths()
-            mean_hops = (
-                sum(len(p) - 1 for p in paths) / len(paths) if paths else 0.0
-            )
+            hops = [len(p) - 1 for parts in res.link_paths.values() for p, _ in parts]
+            mean_hops = sum(hops) / len(hops) if hops else 0.0
             self.log.record_commit(
                 engine.now, rid, committed=True, cost=cost,
                 mean_hops=mean_hops, wait=wait,

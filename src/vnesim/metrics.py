@@ -72,11 +72,11 @@ class MetricsLog:
     def _utilization_means(self):
         base = self.view.base
         link_util = 0.0
-        for lk in base.links:
-            link_util += 1.0 - self.view.residual_bandwidth(lk) / base.bandwidth[lk]
+        for lk, resid in zip(base.links, self.view.residual_bandwidths()):
+            link_util += 1.0 - resid / base.bandwidth[lk]
         switch_util = 0.0
-        for u in base.switches:
-            switch_util += 1.0 - self.view.residual_capacity(u) / base.capacity[u]
+        for u, resid in zip(base.switches, self.view.residual_capacities()):
+            switch_util += 1.0 - resid / base.capacity[u]
         return link_util / len(base.links), switch_util / len(base.switches)
 
     def _append(self, time, kind, request_id, outcome, cost, latency):

@@ -157,9 +157,6 @@ class Reservation:
     link_units: dict = field(default_factory=dict)  # link -> units
     rule_units: dict = field(default_factory=dict)  # switch -> rule count
 
-    def hosting_paths(self):
-        return [p for _, allocs in sorted(self.link_paths.items()) for p, _ in allocs]
-
 
 def rule_units_for(link_paths: dict) -> dict:
     """Flow-rule memory per switch: one unit per (virtual link, path, switch)."""
@@ -479,27 +476,23 @@ class SubstrateView:
             raise UnknownRequestError(request_id)
         return res
 
-    def release_tentative_link(self, request_id, vlink):
-        """Take one virtual link's allocation out of the overlay (for remap)."""
+    def move_tentative_link(self, request_id, vlink, path):
+        """Move one single-path virtual link of a tentative reservation onto
+        ``path`` (for remap), atomically: the units freed from the old path
+        count as headroom, and when some link of the new path still lacks it
+        ReservationError is raised with nothing applied."""
         res = self.tentative_reservation(request_id)
-        allocs = res.link_paths.pop(vlink)
-        for path, units in allocs:
-            for lk in path_links(path):
-                res.link_units[lk] -= units
-                if res.link_units[lk] == 0:
-                    del res.link_units[lk]
-                self.t_link_load[lk] -= units
-        return allocs
-
-    def reserve_tentative_link(self, request_id, vlink, path, units):
-        """Put a (re-routed) virtual link allocation back into the overlay."""
-        res = self.tentative_reservation(request_id)
-        if vlink in res.link_paths:
-            raise ReservationError(f"virtual link {vlink} already reserved")
+        (old, units), = res.link_paths[vlink]
         path = tuple(path)
+        freed = path_links(old)
         for lk in path_links(path):
-            if self.residual_bandwidth(lk) < units:
+            if self.residual_bandwidth(lk) + (units if lk in freed else 0) < units:
                 raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
+        for lk in freed:
+            res.link_units[lk] -= units
+            if res.link_units[lk] == 0:
+                del res.link_units[lk]
+            self.t_link_load[lk] -= units
         for lk in path_links(path):
             res.link_units[lk] = res.link_units.get(lk, 0) + units
             self.t_link_load[lk] += units
@@ -627,12 +620,12 @@ def mapping_cost(net, request, mapping) -> int:
     return cost
 
 
-def reserve(view: SubstrateView, request, mapping, tentative=True) -> Reservation:
-    """Reserve a mapping's resources on the view, atomically.
+def reserve(view: SubstrateView, request, mapping) -> Reservation:
+    """Reserve a mapping's resources in the view's tentative overlay, atomically.
 
-    Tentative reservations go to the view's overlay; otherwise straight into
-    the committed ledger. Raises ReservationError (applying nothing) if any
-    element lacks headroom or the request is already reserved.
+    Raises ReservationError (applying nothing) if any element lacks headroom
+    or the request is already reserved. ``SubstrateView.commit`` later moves
+    the reservation into the committed ledger with its flow rules.
     """
     rid = request.request_id
     if rid in view.tentative or rid in view.base.committed:
@@ -652,15 +645,12 @@ def reserve(view: SubstrateView, request, mapping, tentative=True) -> Reservatio
         if view.residual_bandwidth(lk) < units:
             raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
     res = Reservation(rid, dict(mapping.node_map), dict(mapping.link_paths), node_units, link_units)
-    if tentative:
-        for u, units in node_units.items():
-            view.t_node_load[u] += units
-        for lk, units in link_units.items():
-            view.t_link_load[lk] += units
-        view.tentative[rid] = res
-        view.base._ever.add(rid)
-    else:
-        view.base.commit_reservation(res)
+    for u, units in node_units.items():
+        view.t_node_load[u] += units
+    for lk, units in link_units.items():
+        view.t_link_load[lk] += units
+    view.tentative[rid] = res
+    view.base._ever.add(rid)
     return res
 
 

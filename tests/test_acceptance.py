@@ -29,7 +29,7 @@ from vnesim.simulator import (
     to_ticks,
     to_units,
 )
-from vnesim.weights import link_weight, remap_pass, used_resources
+from vnesim.weights import link_weight, remap_pass
 from vnesim.workload import GeneratorSpec, default_substrate, gen_virtual_request, random_substrate
 
 
@@ -145,7 +145,7 @@ def test_criterion_5_weight_algebra():
     req = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10})
     view = SubstrateView(net)
     reserve(view, req, Mapping({"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
-    hand = used_resources(view, req, ("a", "b"), (1, 2, 3))
+    hand = link_weight(view, req, ("a", "b"), (1, 2, 3)).used
     assert hand == 23
 
     spec = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1,

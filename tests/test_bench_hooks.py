@@ -39,6 +39,9 @@ def test_traced_run_records_spans_and_keeps_the_trace(strategy):
     for name in ("embedder.embed", "embedder.dijkstra", "netmodel.commit"):
         assert calls.get(name, 0) > 0, name
     assert calls["embedder.embed"] == 100  # one embed per arrival
+    # links_scored and adopt_ratio are read off these spans: only batched remaps
+    for name in ("weights.remap_pass", "weights.link_weight"):
+        assert (calls.get(name, 0) > 0) == (strategy == "batched"), name
     assert traced == untraced
     assert patched
     for owner, attr, original in patched:

@@ -217,6 +217,41 @@ class TestSweepCommand:
         )
         assert parallel == sequential
 
+    @pytest.mark.parametrize("flag,value", [("--runs", "-2"), ("--runs", "0"),
+                                            ("--workers", "-3"), ("--workers", "0")])
+    def test_nonpositive_runs_or_workers_exit_2(self, capsys, flag, value):
+        code, stdout, stderr = run_cli(capsys, "sweep", "--requests", "20", flag, value)
+        assert code == 2
+        assert stdout == ""
+        assert f"{flag} must be at least 1" in stderr
+
+    def test_pool_is_no_larger_than_the_job_list(self, capsys, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "3", "--workers", "8")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--batch-sizes", "2,3", "--workers", "4")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "1", "--workers", "8")
+        assert code == 0
+        assert sizes == [3, 2]  # one job runs in this process, no pool
+
     def test_batch_size_sweep(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "sweep", "--requests", "20", "--batch-sizes", "1,5"

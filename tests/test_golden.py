@@ -52,6 +52,8 @@ GOLDEN = [
     ("splitting", HEAVY, "54366671ba7135494a2306bc966ecc946983f34cf79f09fbfd573cf3e035f23b"),
     ("splitting", dict(HEAVY, split_paths=1), "f30f72fdb16954f03e7785fb41628232ddb32c3611e586c7b15189e1a2b3c1de"),
     ("splitting", dict(HEAVY, split_paths=3), "1831f7e1989e0f14012f68ab843ab9b151631f4fc2f19bd20a7f5dfb614f44d1"),
+    # the one case whose remap adopts a path by the utilization tie-break
+    ("batched", dict(HEAVY, seed=2), "9e967c0f26e0bfb288f8bc7c04a9e67e637ae5a291c7286d512488264cba4237"),
 ]
 
 

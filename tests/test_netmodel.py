@@ -1,5 +1,7 @@
 """Resource ledger, mapping validation, cost, and the topology text format."""
 
+import copy
+
 import pytest
 
 from vnesim.netmodel import (
@@ -130,7 +132,7 @@ class TestReserveAndCommit:
         view = SubstrateView(triangle)
         r = req()
         mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)})
-        reserve(view, r, mapping, tentative=True)
+        reserve(view, r, mapping)
         assert view.residual_capacity(1) == 90
         assert view.residual_bandwidth((1, 2)) == 95
         assert triangle.residual_capacity(1) == 100
@@ -164,7 +166,8 @@ class TestReserveAndCommit:
         net = make_net([1, 2, 3], [(1, 2), (2, 3)])
         view = SubstrateView(net)
         squatter = req(rid=1, nodes={0: 100}, links={})
-        reserve(view, squatter, Mapping({0: 2}, {}), tentative=False)
+        reserve(view, squatter, Mapping({0: 2}, {}))
+        assert view.commit(1) is True
         r = req(rid=2, nodes={0: 10, 1: 10}, links={(0, 1): 5})
         reserve(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)}))
         assert view.commit(2) is False
@@ -175,6 +178,48 @@ class TestReserveAndCommit:
         view.release(1)
         assert view.commit(2) is True
         assert net.rule_load[2] == 1
+
+    def test_move_keeps_the_ledger_balanced(self, triangle):
+        view = SubstrateView(triangle)
+        r = req()
+        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
+        view.move_tentative_link(r.request_id, (0, 1), [1, 2])
+        res = view.tentative_reservation(r.request_id)
+        assert res.link_paths == {(0, 1): (((1, 2), 5),)}
+        assert res.link_units == {(1, 2): 5}
+        assert view.t_link_load == {(1, 2): 5, (1, 3): 0, (2, 3): 0}
+        assert view.conservation_violations() == []
+
+    def test_move_counts_the_units_it_frees_on_shared_links(self):
+        # the old path 1-2-3 fills link (1, 2); the new path 1-2-4-3 reuses
+        # it, so the move fits only because the link's own units come back
+        net = make_net([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)], bws={(1, 2): 10})
+        view = SubstrateView(net)
+        r = req(nodes={0: 1, 1: 1}, links={(0, 1): 10})
+        reserve(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 10),)}))
+        assert view.residual_bandwidth((1, 2)) == 0
+        view.move_tentative_link(r.request_id, (0, 1), (1, 2, 4, 3))
+        res = view.tentative_reservation(r.request_id)
+        assert res.link_paths == {(0, 1): (((1, 2, 4, 3), 10),)}
+        assert res.link_units == {(1, 2): 10, (2, 4): 10, (3, 4): 10}
+        assert view.residual_bandwidth((1, 2)) == 0
+        assert view.residual_bandwidth((2, 3)) == 100
+        assert view.conservation_violations() == []
+
+    def test_refused_move_raises_and_applies_nothing(self, triangle):
+        view = SubstrateView(triangle)
+        hog = req(rid=1, nodes={0: 1, 1: 1}, links={(0, 1): 100})
+        reserve(view, hog, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 100),)}))
+        r = req(rid=2, nodes={0: 1, 1: 1}, links={(0, 1): 5})
+        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
+        res_before = copy.deepcopy(view.tentative_reservation(2))
+        load_before = copy.deepcopy(view.t_link_load)
+        # (1, 2) is full and the old path frees nothing on it
+        with pytest.raises(ReservationError, match=r"link \(1, 2\)"):
+            view.move_tentative_link(2, (0, 1), (1, 2))
+        assert view.tentative_reservation(2) == res_before
+        assert view.t_link_load == load_before
+        assert view.conservation_violations() == []
 
     def test_double_release_returns_false(self, triangle):
         view = SubstrateView(triangle)

@@ -45,9 +45,11 @@ class TestLedgerFuzz:
             out = embed(view, req)
             if not out.accepted:
                 continue
-            for tentative in (True, False):
+            for commit in (False, True):
                 before = ledger_state(view)
-                reserve(view, req, out.mapping, tentative=tentative)
+                reserve(view, req, out.mapping)
+                if commit:
+                    assert view.commit(req.request_id) is True
                 assert ledger_state(view) != before
                 assert view.release(req.request_id) is True
                 assert ledger_state(view) == before

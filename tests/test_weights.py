@@ -12,14 +12,7 @@ from vnesim.netmodel import (
     reserve,
 )
 from vnesim.simulator import RandomStreams
-from vnesim.weights import (
-    LinkWeightRecord,
-    free_resources,
-    link_weight,
-    prioritize,
-    remap_pass,
-    used_resources,
-)
+from vnesim.weights import LinkWeightRecord, link_weight, prioritize, remap_pass
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
@@ -41,7 +34,7 @@ class TestUsedAndFree:
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
         # 10 units on each of 2 hops, plus a rule on each of 3 switches
-        assert used_resources(view, r, ("a", "b"), (1, 2, 3)) == 23
+        assert link_weight(view, r, ("a", "b"), (1, 2, 3)).used == 23
 
     def test_free_sums_residuals_along_the_path(self, line3):
         view = SubstrateView(line3)
@@ -51,7 +44,7 @@ class TestUsedAndFree:
         )
         # links: (100-10) + (100-10); switches less one rule unit each:
         # (100-5-1) + (100-1) + (100-7-1)
-        assert free_resources(view, r, ("a", "b"), (1, 2, 3)) == 180 + 94 + 99 + 92
+        assert link_weight(view, r, ("a", "b"), (1, 2, 3)).free == 180 + 94 + 99 + 92
 
     def test_weight_is_used_minus_free(self, line3):
         view = SubstrateView(line3)
@@ -81,7 +74,7 @@ class TestUsedAndFree:
             view, 1, {"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)},
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
-        free = free_resources(view, r, ("a", "b"), (1, 2, 3))
+        free = link_weight(view, r, ("a", "b"), (1, 2, 3)).free
         assert free == 180 + 94 + 0 + 92
 
     def test_mismatched_path_is_rejected(self, line3):
@@ -91,7 +84,7 @@ class TestUsedAndFree:
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
         with pytest.raises(ValueError, match="does not match"):
-            used_resources(view, r, ("a", "b"), (1, 2))
+            link_weight(view, r, ("a", "b"), (1, 2))
 
     def test_unreserved_vlink_is_rejected(self, line3):
         view = SubstrateView(line3)
@@ -100,13 +93,13 @@ class TestUsedAndFree:
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
         with pytest.raises(ValueError, match="no tentative reservation"):
-            used_resources(view, r, ("a", "z"), (1, 2, 3))
+            link_weight(view, r, ("a", "z"), (1, 2, 3))
 
     def test_unknown_request_is_rejected(self, line3):
         view = SubstrateView(line3)
         r = VirtualNetworkRequest(5, {"a": 1}, {}, 0, 10)
         with pytest.raises(UnknownRequestError):
-            used_resources(view, r, ("a", "b"), (1, 2))
+            link_weight(view, r, ("a", "b"), (1, 2))
 
 
 class TestPrioritize:
@@ -248,11 +241,8 @@ class TestRemapPass:
                 hold = net.residual_bandwidth(lk) - rng.randint(1, 8)
                 rid = 1000 + j
                 blocker = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): hold}, 0, 10)
-                reserve(
-                    view, blocker,
-                    Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, hold),)}),
-                    tentative=False,
-                )
+                reserve(view, blocker, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, hold),)}))
+                assert view.commit(rid)
                 blockers.append(rid)
             batch = []
             for i in range(8):
@@ -270,3 +260,42 @@ class TestRemapPass:
             assert view.conservation_violations() == []
             remaps += changed
         assert remaps > 20  # the fuzz actually exercised adoptions
+
+    def test_a_pass_that_adopts_nothing_leaves_the_overlay_untouched(self, monkeypatch):
+        # a freshly embedded batch with nothing released since: every
+        # incumbent is still its link's cheapest feasible path
+        moves = []
+        original = SubstrateView.move_tentative_link
+
+        def spy(view, *args):
+            moves.append(args)
+            return original(view, *args)
+
+        monkeypatch.setattr(SubstrateView, "move_tentative_link", spy)
+        spec = GeneratorSpec(link_demand_min=10, link_demand_max=60)
+        scored = 0
+        for seed in range(10):
+            streams = RandomStreams(f"still-{seed}")
+            view = SubstrateView(random_substrate(streams.topology, 8, spec))
+            batch = []
+            for i in range(8):
+                r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
+                outcome = embed(view, r)
+                if outcome.accepted:
+                    reserve(view, r, outcome.mapping)
+                    batch.append(r)
+            before = (
+                {rid: (dict(res.link_paths), dict(res.link_units))
+                 for rid, res in view.tentative.items()},
+                dict(view.t_link_load),
+            )
+            assert remap_pass(view, batch) == 0
+            after = (
+                {rid: (dict(res.link_paths), dict(res.link_units))
+                 for rid, res in view.tentative.items()},
+                dict(view.t_link_load),
+            )
+            assert after == before
+            scored += sum(len(res.link_paths) for res in view.tentative.values())
+        assert moves == []
+        assert scored > 50  # the passes really scored links
