@@ -10,13 +10,7 @@ window-splitting baselines run the same workload for comparison.
 
 from .config import RunConfig
 from .controller import BatchPolicy, make_controller
-from .embedder import (
-    EmbedOutcome,
-    cheapest_feasible_path,
-    embed,
-    greedy_node_map,
-    oracle_embed,
-)
+from .embedder import EmbedOutcome, embed, greedy_node_map
 from .metrics import MetricsLog, acceptance_rate, export_csv, summary, trace_hash
 from .netmodel import (
     Mapping,
@@ -27,8 +21,6 @@ from .netmodel import (
     mapping_cost,
     parse_topology,
     reserve,
-    topology_text,
-    validate_mapping,
 )
 from .run import run_simulation
 from .simulator import Engine, RandomStreams, draw_interarrival, draw_lifetime

@@ -39,12 +39,6 @@ TIME_ONLY = "time-only"
 WHICHEVER_FIRST = "whichever-first"
 _MODES = (COUNT_ONLY, TIME_ONLY, WHICHEVER_FIRST)
 
-TENTATIVE = "tentative"
-COMMITTED = "committed"
-REJECTED = "rejected"
-CANCELLED = "rejected-at-commit"
-DEPARTED = "departed"
-
 BATCHED = "batched"
 PER_REQUEST = "per-request"
 SPLITTING = "splitting"
@@ -78,37 +72,31 @@ class BatchPolicy:
 
 
 @dataclass
-class BatchEntry:
-    request: object
-    accepted_at: int  # tick of the tentative acceptance
-
-
-@dataclass
 class PendingBatch:
-    """Tentative successes waiting for the next commit trigger."""
+    """Tentative successes waiting for the next commit trigger, in arrival
+    order. Each became tentative in its own arrival event, so its wait at
+    commit is ``now - request.arrival``."""
 
-    entries: list = field(default_factory=list)
+    requests: list = field(default_factory=list)
     epoch: int = 0
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.requests)
 
     def reset(self):
-        self.entries = []
+        self.requests = []
         self.epoch += 1
 
 
 class RuleTable:
-    """Installed flow rules per switch plus the monotone write counter."""
+    """Installed flow rules per switch (writes are counted by the log)."""
 
     def __init__(self, switches):
         self.installed = {u: 0 for u in switches}
-        self.writes = 0
 
     def install(self, rule_units: dict):
         for u, n in rule_units.items():
             self.installed[u] += n
-        self.writes += sum(rule_units.values())
 
     def remove(self, rule_units: dict):
         # departures free memory but never count as writes
@@ -127,7 +115,12 @@ class StrategyRow:
 
 
 class Controller:
-    """Event handlers and state of the pipeline, configured by a strategy row."""
+    """Event handlers and state of the pipeline, configured by a strategy row.
+
+    A request's state is kept once: tentative or committed by the ledger
+    (``view.tentative``, ``view.base.committed``), every count and final
+    outcome by the log.
+    """
 
     def __init__(self, substrate, row: StrategyRow, log):
         self.view = SubstrateView(substrate)
@@ -135,10 +128,10 @@ class Controller:
         self.log = log
         self.batch = PendingBatch()
         self.rules = RuleTable(substrate.switches)
-        self.status = {}
-        self.commit_events = 0
-        self.remapped_links = 0
-        self.max_wait = 0  # largest tentative wait seen at commit, in ticks
+
+    @property
+    def commit_events(self) -> int:
+        return self.log.commit_events
 
     # -- arrivals ----------------------------------------------------------
 
@@ -147,14 +140,12 @@ class Controller:
         row = self.row
         outcome = embed(self.view, request, row.k)
         if not outcome.accepted:
-            self.status[rid] = REJECTED
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
         reserve(self.view, request, outcome.mapping)
-        self.status[rid] = TENTATIVE
-        if not self.batch.entries and row.policy.timed:
+        if not self.batch.requests and row.policy.timed:
             engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
-        self.batch.entries.append(BatchEntry(request, engine.now))
+        self.batch.requests.append(request)
         self.log.record_arrival(engine.now, rid, accepted=True, cost=outcome.cost)
         # the count trigger fires inside the arrival that fills the batch,
         # so the batch can never hold more than `size` tentative requests
@@ -169,39 +160,30 @@ class Controller:
         self.commit_batch(engine)
 
     def commit_batch(self, engine):
-        if not self.batch.entries:
+        if not self.batch.requests:
             return
-        if self.row.remap:
-            self.remapped_links += remap_pass(
-                self.view, [e.request for e in self.batch.entries]
-            )
-        self.commit_events += 1
-        self.log.record_commit_event(self.remapped_links)
-        for entry in self.batch.entries:
-            self._commit_one(engine, entry)
+        remapped = remap_pass(self.view, self.batch.requests) if self.row.remap else 0
+        self.log.record_commit_event(remapped)
+        for request in self.batch.requests:
+            self._commit_one(engine, request)
         self.batch.reset()
 
-    def _commit_one(self, engine, entry):
-        request = entry.request
+    def _commit_one(self, engine, request):
         rid = request.request_id
         res = self.view.tentative_reservation(rid)
         if self.view.commit(rid):
             self.rules.install(res.rule_units)
-            self.status[rid] = COMMITTED
-            wait = engine.now - entry.accepted_at
-            self.max_wait = max(self.max_wait, wait)
             cost = mapping_cost(self.view.base, request, res)
             hops = [len(p) - 1 for parts in res.link_paths.values() for p, _ in parts]
             mean_hops = sum(hops) / len(hops) if hops else 0.0
             self.log.record_commit(
                 engine.now, rid, committed=True, cost=cost,
-                mean_hops=mean_hops, wait=wait,
+                mean_hops=mean_hops, wait=engine.now - request.arrival,
                 rules_written=sum(res.rule_units.values()),
             )
             engine.schedule_departure(max(engine.now, request.departure), rid)
         else:
             self.view.release(rid)
-            self.status[rid] = CANCELLED
             self.log.record_commit(engine.now, rid, committed=False)
 
     def flush(self, engine):
@@ -215,15 +197,11 @@ class Controller:
     # -- departures --------------------------------------------------------
 
     def on_departure(self, engine, request_id):
-        status = self.status.get(request_id)
-        if status != COMMITTED:
-            raise UnknownRequestError(
-                f"departure for request {request_id} in state {status!r}"
-            )
-        res = self.view.base.committed[request_id]
+        res = self.view.base.committed.get(request_id)
+        if res is None:
+            raise UnknownRequestError(f"departure for request {request_id}, which is not committed")
         self.rules.remove(res.rule_units)
         self.view.release(request_id)
-        self.status[request_id] = DEPARTED
         self.log.record_departure(engine.now, request_id)
 
 

@@ -33,18 +33,14 @@ dst. Every optimal path has the same hop count, so the lexicographic minimum
 among them is built by taking the smallest such next switch at every step:
 the walk along ``nxt`` from src, once src settles, is the (cost, hops,
 switch sequence) minimum that a forward search over whole paths returns.
-
-``oracle_embed`` is an independent exhaustive search used to bound the
-heuristics on small instances; it shares no routing code with ``embed``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import permutations
 
-from .netmodel import Mapping, SubstrateView, mapping_cost, path_links
+from .netmodel import Mapping, SubstrateView, mapping_cost
 
 NODE_STAGE = "node-stage"
 LINK_STAGE = "link-stage"
@@ -127,20 +123,6 @@ def _dijkstra(net, residual, src, dst, demand):
     return None
 
 
-def cheapest_feasible_path(view, src, dst, demand):
-    """Cheapest simple path from src to dst over links with residual >= demand.
-
-    Returns the switch sequence, or None when no feasible path exists.
-    """
-    base = _base(view)
-    for sw in (src, dst):
-        if sw not in base.switch_index:
-            raise ValueError(f"unknown switch: {sw}")
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    return _dijkstra(base, view.residual_bandwidths(), src, dst, demand)
-
-
 def _link_order(request):
     return sorted(request.link_demands, key=lambda l: (-request.link_demands[l], l))
 
@@ -192,88 +174,3 @@ def embed(view, request, k=1) -> EmbedOutcome:
     mapping = Mapping(node_map, link_paths)
     return EmbedOutcome(mapping, mapping_cost(base, request, mapping))
 
-
-# ---------------------------------------------------------------------------
-# exhaustive reference search
-
-
-def _simple_paths(adj, src, dst):
-    """All simple paths src->dst, by depth-first search."""
-    out = []
-    stack = [(src, (src,))]
-    while stack:
-        node, path = stack.pop()
-        if node == dst:
-            out.append(path)
-            continue
-        for nb in adj[node]:
-            if nb not in path:
-                stack.append((nb, path + (nb,)))
-    return out
-
-
-def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
-    """Exhaustive embedding search on small instances.
-
-    Enumerates every injective node assignment and, per assignment,
-    backtracks over all simple-path routings with cumulative bandwidth
-    accounting. Returns (feasible, minimum cost) where cost is None when
-    infeasible. Refuses instances above the stated limits.
-    """
-    base = _base(net)
-    if len(base.switches) > switch_limit:
-        raise ValueError(f"oracle limited to {switch_limit} switches")
-    if len(request.node_demands) > vnode_limit:
-        raise ValueError(f"oracle limited to {vnode_limit} virtual nodes")
-
-    vnodes = sorted(request.node_demands)
-    vlinks = _link_order(request)
-    adj = base.adj
-    paths_memo = {}
-
-    def simple_paths(src, dst):
-        key = (src, dst)
-        if key not in paths_memo:
-            found = _simple_paths(adj, src, dst)
-            found.sort(key=lambda p: (sum(base.link_cost[l] for l in path_links(p)), len(p)))
-            paths_memo[key] = found
-        return paths_memo[key]
-
-    best = None
-    feasible = False
-
-    for combo in permutations(base.switches, len(vnodes)):
-        assign = dict(zip(vnodes, combo))
-        if any(net.residual_capacity(assign[vn]) < request.node_demands[vn] for vn in vnodes):
-            continue
-        node_cost = sum(
-            base.switch_cost[assign[vn]] * request.node_demands[vn] for vn in vnodes
-        )
-        if best is not None and node_cost >= best:
-            continue
-        used = {}
-
-        def route(i, acc):
-            nonlocal best, feasible
-            if best is not None and node_cost + acc >= best:
-                return
-            if i == len(vlinks):
-                feasible = True
-                best = node_cost + acc
-                return
-            vl = vlinks[i]
-            demand = request.link_demands[vl]
-            for path in simple_paths(assign[vl[0]], assign[vl[1]]):
-                links = path_links(path)
-                if any(net.residual_bandwidth(l) - used.get(l, 0) < demand for l in links):
-                    continue
-                for l in links:
-                    used[l] = used.get(l, 0) + demand
-                route(i + 1, acc + demand * sum(base.link_cost[l] for l in links))
-                for l in links:
-                    used[l] -= demand
-            return
-
-        route(0, 0)
-
-    return feasible, best

@@ -45,7 +45,6 @@ class Row:
     commit_events_cum: int
     remapped_links_cum: int
     latency_proxy: float
-    active: int  # concurrent committed requests (not exported)
 
 
 class MetricsLog:
@@ -64,7 +63,6 @@ class MetricsLog:
         self.rule_writes = 0
         self.commit_events = 0
         self.remapped_links = 0
-        self.active = 0
         self.fates = {}  # request id -> (arrival index, arrival ticks, final outcome)
 
     # -- recording ---------------------------------------------------------
@@ -86,7 +84,7 @@ class MetricsLog:
             time, kind, request_id, outcome, cost, rate,
             link_util, switch_util,
             self.rule_writes, self.commit_events, self.remapped_links,
-            latency, self.active,
+            latency,
         ))
 
     def record_arrival(self, time, request_id, accepted, cost=None):
@@ -100,15 +98,15 @@ class MetricsLog:
         self.fates[request_id] = [self.arrivals - 1, time, outcome]
         self._append(time, "arrival", request_id, outcome, cost, None)
 
-    def record_commit_event(self, remapped_links_cum):
+    def record_commit_event(self, remapped_links):
+        """One commit event, after a remap pass that moved ``remapped_links``."""
         self.commit_events += 1
-        self.remapped_links = remapped_links_cum
+        self.remapped_links += remapped_links
 
     def record_commit(self, time, request_id, committed, cost=None,
                       mean_hops=0.0, wait=0, rules_written=0):
         if committed:
             self.committed += 1
-            self.active += 1
             self.rule_writes += rules_written
             latency = self.latency_proxy(mean_hops, wait)
             self.fates[request_id][2] = "committed"
@@ -119,7 +117,6 @@ class MetricsLog:
             self._append(time, "commit", request_id, "rejected-at-commit", None, None)
 
     def record_departure(self, time, request_id):
-        self.active -= 1
         self._append(time, "departure", request_id, "departed", None, None)
 
     def latency_proxy(self, mean_hops, wait_ticks) -> float:
@@ -174,31 +171,13 @@ def _time_weighted(rows, value):
     return area / span if span else prev_v
 
 
-def utilization_series(log, kind="link"):
-    attr = "avg_link_util" if kind == "link" else "avg_switch_util"
-    return [(row.time / TICKS_PER_UNIT, getattr(row, attr)) for row in log.rows]
-
-
 def time_weighted_utilization(log, kind="link") -> float:
     attr = "avg_link_util" if kind == "link" else "avg_switch_util"
     return _time_weighted(log.rows, lambda r: getattr(r, attr))
 
 
-def mean_concurrent_active(log) -> float:
-    """Time-weighted mean number of concurrently committed requests."""
-    return _time_weighted(log.rows, lambda r: r.active)
-
-
-def latency_series(log):
-    return [
-        (row.time / TICKS_PER_UNIT, row.latency_proxy)
-        for row in log.rows
-        if row.latency_proxy is not None
-    ]
-
-
 def mean_latency(log) -> float:
-    series = [v for _, v in latency_series(log)]
+    series = [r.latency_proxy for r in log.rows if r.latency_proxy is not None]
     return sum(series) / len(series) if series else 0.0
 
 

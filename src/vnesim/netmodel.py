@@ -1,4 +1,4 @@
-"""Substrate network model: topology, integer resource ledger, mapping checks.
+"""Substrate network model: topology, integer resource ledger, mapping cost.
 
 The substrate is an undirected graph of switches and links. Every resource is
 an integer: switch memory (shared by hosted virtual nodes and installed flow
@@ -19,12 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-NODE_CAPACITY = "node-capacity"
-INJECTIVITY = "injectivity"
-PATH_EXISTENCE = "path-existence"
-PATH_BANDWIDTH = "path-bandwidth"
-
-
 class TopologyError(ValueError):
     """Bad topology definition; carries the offending line number if known."""
 
@@ -34,10 +28,6 @@ class TopologyError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class MappingStructureError(ValueError):
-    """Mapping references virtual or substrate elements that do not exist."""
 
 
 class ReservationError(RuntimeError):
@@ -130,22 +120,6 @@ class Mapping:
     link_paths: dict
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    element: object
-    detail: str = ""
-
-
-@dataclass
-class ValidationResult:
-    ok: bool
-    violations: list
-
-    def __bool__(self):
-        return self.ok
-
-
 @dataclass
 class Reservation:
     """Per-request ledger record; the unit dicts are what release subtracts."""
@@ -172,8 +146,8 @@ class SubstrateNetwork:
     """Committed resource ledger over a validated substrate topology."""
 
     def __init__(self, switches, links, capacity, switch_cost, bandwidth, link_cost):
-        """Checks every switch, then every link, in input order; unit costs
-        default to 1."""
+        """Checks every switch, then every link, in input order, then that
+        the topology is connected and has a link; unit costs default to 1."""
         self.capacity = dict(capacity)
         self.switch_cost = dict(switch_cost)
         self.bandwidth = {norm_link(*l): u for l, u in bandwidth.items()}
@@ -204,13 +178,20 @@ class SubstrateNetwork:
             if self.link_cost.setdefault(lk, 1) <= 0:
                 raise TopologyError(f"link {lk}: unit cost must be positive", at=("link", i))
             seen.add(lk)
+        # entries for ids that are not elements are dropped
         self.switches = sorted(known)
+        self.capacity = {u: self.capacity[u] for u in self.switches}
+        self.switch_cost = {u: self.switch_cost[u] for u in self.switches}
         # one tuple object per link, shared by every per-link dict
         self.links = sorted(seen)
         self.bandwidth = {lk: self.bandwidth[lk] for lk in self.links}
         self.link_cost = {lk: self.link_cost[lk] for lk in self.links}
         self._index()
         self._check_connected()
+        if not self.links:
+            # a lone switch is connected, but has no link to route over or
+            # to average utilization over
+            raise TopologyError("topology has no links")
 
         self.node_load = {u: 0 for u in self.switches}
         self.rule_load = {u: 0 for u in self.switches}
@@ -238,12 +219,6 @@ class SubstrateNetwork:
             rows[ib].append((ia, j, step))
         self.rows = [tuple(sorted(row)) for row in rows]
         self._hop_bounds = {}
-
-    @property
-    def adj(self):
-        """Sorted neighbour ids per switch (derived from the index)."""
-        sw = self.switches
-        return {u: [sw[i] for i, _j, _step in row] for u, row in zip(sw, self.rows)}
 
     def _hops_from(self, s) -> list:
         """Hop distance from switch index s to every switch index; -1 when
@@ -380,21 +355,6 @@ class SubstrateNetwork:
                 out.append(f"link {lk}: conservation identity broken")
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, SubstrateNetwork):
-            return NotImplemented
-        return (
-            self.switches == other.switches
-            and self.links == other.links
-            and self.capacity == other.capacity
-            and self.switch_cost == other.switch_cost
-            and self.bandwidth == other.bandwidth
-            and self.link_cost == other.link_cost
-            and self.node_load == other.node_load
-            and self.rule_load == other.rule_load
-            and self.link_load == other.link_load
-        )
-
 
 class SubstrateView:
     """A substrate plus an overlay of tentative (uncommitted) reservations.
@@ -520,91 +480,6 @@ class SubstrateView:
         return out
 
 
-def _check_structure(net, request, mapping):
-    node_map, link_paths = mapping.node_map, mapping.link_paths
-    if set(node_map) != set(request.node_demands):
-        raise MappingStructureError("node map does not cover exactly the request's virtual nodes")
-    if set(link_paths) != set(request.link_demands):
-        raise MappingStructureError("link map does not cover exactly the request's virtual links")
-    known = set(net.switches)
-    link_set = set(net.links)
-    for vn, sw in node_map.items():
-        if sw not in known:
-            raise MappingStructureError(f"virtual node {vn} mapped to unknown switch {sw}")
-    for vl, parts in link_paths.items():
-        for path, _units in parts:
-            for sw in path:
-                if sw not in known:
-                    raise MappingStructureError(f"virtual link {vl}: unknown switch {sw} on path")
-            for lk in path_links(path):
-                if lk not in link_set:
-                    raise MappingStructureError(f"virtual link {vl}: no substrate link {lk}")
-
-
-def validate_mapping(view, request, mapping) -> ValidationResult:
-    """Check a mapping against the four embedding constraints, cumulatively.
-
-    Demands of this request that share a substrate element are summed before
-    comparing with the element's effective residual, so an accepted mapping is
-    always reservable as-is. Each virtual link's parts must be positive and
-    sum to its demand. Structural problems (references to elements that do
-    not exist) raise MappingStructureError; constraint problems are returned
-    as violations.
-    """
-    net = view.base if isinstance(view, SubstrateView) else view
-    _check_structure(net, request, mapping)
-    violations = []
-
-    hosts = {}
-    for vn in sorted(mapping.node_map):
-        hosts.setdefault(mapping.node_map[vn], []).append(vn)
-    for sw in sorted(hosts):
-        if len(hosts[sw]) > 1:
-            violations.append(Violation(
-                INJECTIVITY, sw,
-                f"virtual nodes {hosts[sw]} share switch {sw}",
-            ))
-
-    for sw in sorted(hosts):
-        demand = sum(request.node_demands[vn] for vn in hosts[sw])
-        if demand > view.residual_capacity(sw):
-            violations.append(Violation(
-                NODE_CAPACITY, sw,
-                f"demand {demand} exceeds residual {view.residual_capacity(sw)}",
-            ))
-
-    wanted = {}
-    for vl in sorted(mapping.link_paths):
-        a, b = vl
-        parts = mapping.link_paths[vl]
-        units = [n for _, n in parts]
-        if sum(units) != request.link_demands[vl] or any(n < 1 for n in units):
-            violations.append(Violation(
-                PATH_EXISTENCE, vl,
-                f"part units {units} must be positive and sum to demand {request.link_demands[vl]}",
-            ))
-        ends = {mapping.node_map[a], mapping.node_map[b]}
-        for path, n in parts:
-            path = tuple(path)
-            if len(path) < 2 or {path[0], path[-1]} != ends:
-                violations.append(Violation(
-                    PATH_EXISTENCE, vl,
-                    f"path endpoints {path[:1] + path[-1:]} do not host the virtual endpoints",
-                ))
-            elif len(set(path)) != len(path):
-                violations.append(Violation(PATH_EXISTENCE, vl, f"path {path} is not simple"))
-            for lk in path_links(path):
-                wanted[lk] = wanted.get(lk, 0) + n
-    for lk in sorted(wanted):
-        if wanted[lk] > view.residual_bandwidth(lk):
-            violations.append(Violation(
-                PATH_BANDWIDTH, lk,
-                f"demand {wanted[lk]} exceeds residual {view.residual_bandwidth(lk)}",
-            ))
-
-    return ValidationResult(not violations, violations)
-
-
 def mapping_cost(net, request, mapping) -> int:
     """Embedding cost: host unit cost times node demand, plus link unit cost
     times units on every link of every part's path. Pure in the topology
@@ -668,8 +543,9 @@ def parse_topology(text: str) -> SubstrateNetwork:
 
     Unit costs default to 1. Raises TopologyError with the offending line
     number on malformed input and on every element SubstrateNetwork rejects
-    (for a duplicate, the line of the second declaration). An empty or
-    disconnected topology raises without a line number.
+    (for a duplicate, the line of the second declaration). A topology with
+    no switches, no links, or more than one component raises without a line
+    number.
     """
     switch_lines = []
     link_lines = []
@@ -722,12 +598,3 @@ def load_topology(path) -> SubstrateNetwork:
     with open(path, encoding="utf-8") as fh:
         return parse_topology(fh.read())
 
-
-def topology_text(net: SubstrateNetwork) -> str:
-    """Serialize a substrate back to the text format (sorted, reloadable)."""
-    lines = ["# substrate topology"]
-    for u in net.switches:
-        lines.append(f"switch {u} {net.capacity[u]} {net.switch_cost[u]}")
-    for a, b in net.links:
-        lines.append(f"link {a} {b} {net.bandwidth[(a, b)]} {net.link_cost[(a, b)]}")
-    return "\n".join(lines) + "\n"

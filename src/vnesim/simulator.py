@@ -138,8 +138,5 @@ class Engine:
             problems.append(
                 f"batch holds {len(self.controller.batch)} > {policy.size} tentative requests"
             )
-        for rid in self.controller.view.tentative:
-            if self.controller.status.get(rid) != "tentative":
-                problems.append(f"request {rid} in overlay but not tentative")
         if problems:
             raise AssertionError("; ".join(problems))

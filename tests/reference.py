@@ -1,0 +1,315 @@
+"""Reference code the tests check the package against.
+
+Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
+oracle) and the mapping checker share no routing code with
+``vnesim.embedder.embed``, which is why they live apart from it. The rest
+derives from a network or a finished run what the package itself never
+needs: adjacency, equality and text of a substrate, the state of a request,
+the longest wait and the mean number of concurrently committed requests.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import permutations
+
+from vnesim import embedder
+from vnesim.metrics import _time_weighted
+from vnesim.netmodel import SubstrateNetwork, SubstrateView, path_links
+
+NODE_CAPACITY = "node-capacity"
+INJECTIVITY = "injectivity"
+PATH_EXISTENCE = "path-existence"
+PATH_BANDWIDTH = "path-bandwidth"
+
+
+def _base(view):
+    return view.base if isinstance(view, SubstrateView) else view
+
+
+# ---------------------------------------------------------------------------
+# substrate helpers
+
+
+def adj(net) -> dict:
+    """Sorted neighbour ids per switch (derived from the routing index)."""
+    sw = net.switches
+    return {u: [sw[i] for i, _j, _step in row] for u, row in zip(sw, net.rows)}
+
+
+def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
+    """Same topology, unit costs, capacities and committed loads."""
+    return (
+        a.switches == b.switches
+        and a.links == b.links
+        and a.capacity == b.capacity
+        and a.switch_cost == b.switch_cost
+        and a.bandwidth == b.bandwidth
+        and a.link_cost == b.link_cost
+        and a.node_load == b.node_load
+        and a.rule_load == b.rule_load
+        and a.link_load == b.link_load
+    )
+
+
+def topology_text(net: SubstrateNetwork) -> str:
+    """Serialize a substrate back to the text format (sorted, reloadable)."""
+    lines = ["# substrate topology"]
+    for u in net.switches:
+        lines.append(f"switch {u} {net.capacity[u]} {net.switch_cost[u]}")
+    for a, b in net.links:
+        lines.append(f"link {a} {b} {net.bandwidth[(a, b)]} {net.link_cost[(a, b)]}")
+    return "\n".join(lines) + "\n"
+
+
+def cheapest_feasible_path(view, src, dst, demand):
+    """Cheapest simple path from src to dst over links with residual >= demand.
+
+    Returns the switch sequence, or None when no feasible path exists.
+    """
+    base = _base(view)
+    for sw in (src, dst):
+        if sw not in base.switch_index:
+            raise ValueError(f"unknown switch: {sw}")
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    return embedder._dijkstra(base, view.residual_bandwidths(), src, dst, demand)
+
+
+# ---------------------------------------------------------------------------
+# mapping checker
+
+
+class MappingStructureError(ValueError):
+    """Mapping references virtual or substrate elements that do not exist."""
+
+
+@dataclass(frozen=True)
+class Violation:
+    kind: str
+    element: object
+    detail: str = ""
+
+
+@dataclass
+class ValidationResult:
+    ok: bool
+    violations: list
+
+    def __bool__(self):
+        return self.ok
+
+
+def _check_structure(net, request, mapping):
+    node_map, link_paths = mapping.node_map, mapping.link_paths
+    if set(node_map) != set(request.node_demands):
+        raise MappingStructureError("node map does not cover exactly the request's virtual nodes")
+    if set(link_paths) != set(request.link_demands):
+        raise MappingStructureError("link map does not cover exactly the request's virtual links")
+    known = set(net.switches)
+    link_set = set(net.links)
+    for vn, sw in node_map.items():
+        if sw not in known:
+            raise MappingStructureError(f"virtual node {vn} mapped to unknown switch {sw}")
+    for vl, parts in link_paths.items():
+        for path, _units in parts:
+            for sw in path:
+                if sw not in known:
+                    raise MappingStructureError(f"virtual link {vl}: unknown switch {sw} on path")
+            for lk in path_links(path):
+                if lk not in link_set:
+                    raise MappingStructureError(f"virtual link {vl}: no substrate link {lk}")
+
+
+def validate_mapping(view, request, mapping) -> ValidationResult:
+    """Check a mapping against the four embedding constraints, cumulatively.
+
+    Demands of this request that share a substrate element are summed before
+    comparing with the element's effective residual, so an accepted mapping is
+    always reservable as-is. Each virtual link's parts must be positive and
+    sum to its demand. Structural problems (references to elements that do
+    not exist) raise MappingStructureError; constraint problems are returned
+    as violations.
+    """
+    net = _base(view)
+    _check_structure(net, request, mapping)
+    violations = []
+
+    hosts = {}
+    for vn in sorted(mapping.node_map):
+        hosts.setdefault(mapping.node_map[vn], []).append(vn)
+    for sw in sorted(hosts):
+        if len(hosts[sw]) > 1:
+            violations.append(Violation(
+                INJECTIVITY, sw,
+                f"virtual nodes {hosts[sw]} share switch {sw}",
+            ))
+
+    for sw in sorted(hosts):
+        demand = sum(request.node_demands[vn] for vn in hosts[sw])
+        if demand > view.residual_capacity(sw):
+            violations.append(Violation(
+                NODE_CAPACITY, sw,
+                f"demand {demand} exceeds residual {view.residual_capacity(sw)}",
+            ))
+
+    wanted = {}
+    for vl in sorted(mapping.link_paths):
+        a, b = vl
+        parts = mapping.link_paths[vl]
+        units = [n for _, n in parts]
+        if sum(units) != request.link_demands[vl] or any(n < 1 for n in units):
+            violations.append(Violation(
+                PATH_EXISTENCE, vl,
+                f"part units {units} must be positive and sum to demand {request.link_demands[vl]}",
+            ))
+        ends = {mapping.node_map[a], mapping.node_map[b]}
+        for path, n in parts:
+            path = tuple(path)
+            if len(path) < 2 or {path[0], path[-1]} != ends:
+                violations.append(Violation(
+                    PATH_EXISTENCE, vl,
+                    f"path endpoints {path[:1] + path[-1:]} do not host the virtual endpoints",
+                ))
+            elif len(set(path)) != len(path):
+                violations.append(Violation(PATH_EXISTENCE, vl, f"path {path} is not simple"))
+            for lk in path_links(path):
+                wanted[lk] = wanted.get(lk, 0) + n
+    for lk in sorted(wanted):
+        if wanted[lk] > view.residual_bandwidth(lk):
+            violations.append(Violation(
+                PATH_BANDWIDTH, lk,
+                f"demand {wanted[lk]} exceeds residual {view.residual_bandwidth(lk)}",
+            ))
+
+    return ValidationResult(not violations, violations)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive reference search
+
+
+def _simple_paths(adj, src, dst):
+    """All simple paths src->dst, by depth-first search."""
+    out = []
+    stack = [(src, (src,))]
+    while stack:
+        node, path = stack.pop()
+        if node == dst:
+            out.append(path)
+            continue
+        for nb in adj[node]:
+            if nb not in path:
+                stack.append((nb, path + (nb,)))
+    return out
+
+
+def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
+    """Exhaustive embedding search on small instances.
+
+    Enumerates every injective node assignment and, per assignment,
+    backtracks over all simple-path routings with cumulative bandwidth
+    accounting. Returns (feasible, minimum cost) where cost is None when
+    infeasible. Refuses instances above the stated limits.
+    """
+    base = _base(net)
+    if len(base.switches) > switch_limit:
+        raise ValueError(f"oracle limited to {switch_limit} switches")
+    if len(request.node_demands) > vnode_limit:
+        raise ValueError(f"oracle limited to {vnode_limit} virtual nodes")
+
+    vnodes = sorted(request.node_demands)
+    vlinks = sorted(request.link_demands, key=lambda l: (-request.link_demands[l], l))
+    neighbours = adj(base)
+    paths_memo = {}
+
+    def simple_paths(src, dst):
+        key = (src, dst)
+        if key not in paths_memo:
+            found = _simple_paths(neighbours, src, dst)
+            found.sort(key=lambda p: (sum(base.link_cost[l] for l in path_links(p)), len(p)))
+            paths_memo[key] = found
+        return paths_memo[key]
+
+    best = None
+    feasible = False
+
+    for combo in permutations(base.switches, len(vnodes)):
+        assign = dict(zip(vnodes, combo))
+        if any(net.residual_capacity(assign[vn]) < request.node_demands[vn] for vn in vnodes):
+            continue
+        node_cost = sum(
+            base.switch_cost[assign[vn]] * request.node_demands[vn] for vn in vnodes
+        )
+        if best is not None and node_cost >= best:
+            continue
+        used = {}
+
+        def route(i, acc):
+            nonlocal best, feasible
+            if best is not None and node_cost + acc >= best:
+                return
+            if i == len(vlinks):
+                feasible = True
+                best = node_cost + acc
+                return
+            vl = vlinks[i]
+            demand = request.link_demands[vl]
+            for path in simple_paths(assign[vl[0]], assign[vl[1]]):
+                links = path_links(path)
+                if any(net.residual_bandwidth(l) - used.get(l, 0) < demand for l in links):
+                    continue
+                for l in links:
+                    used[l] = used.get(l, 0) + demand
+                route(i + 1, acc + demand * sum(base.link_cost[l] for l in links))
+                for l in links:
+                    used[l] -= demand
+            return
+
+        route(0, 0)
+
+    return feasible, best
+
+
+# ---------------------------------------------------------------------------
+# facts of a run, derived from the ledger and the log
+
+
+def request_state(controller, request_id) -> str:
+    """The state of a request: tentative or committed by the ledger, else
+    the log's final outcome, "rejected" or "rejected-at-commit", or
+    "departed" for a committed request that has left the ledger."""
+    if request_id in controller.view.tentative:
+        return "tentative"
+    if request_id in controller.view.base.committed:
+        return "committed"
+    outcome = controller.log.fates[request_id][2]
+    return "departed" if outcome == "committed" else outcome
+
+
+def longest_wait(log) -> int:
+    """Largest commit-row time minus arrival time, in ticks, over every
+    commit row, cancelled ones included; 0 when nothing was committed."""
+    return max(
+        (r.time - log.fates[r.request_id][1] for r in log.rows if r.event_kind == "commit"),
+        default=0,
+    )
+
+
+def active_counts(rows) -> list:
+    """Concurrently committed requests after each row: up at a commit row
+    that committed, down at a departure row."""
+    active, out = 0, []
+    for r in rows:
+        if r.event_kind == "commit" and r.outcome == "committed":
+            active += 1
+        elif r.event_kind == "departure":
+            active -= 1
+        out.append(active)
+    return out
+
+
+def mean_concurrent_active(log) -> float:
+    """Time-weighted mean number of concurrently committed requests."""
+    counts = iter(active_counts(log.rows))
+    return _time_weighted(log.rows, lambda _row: next(counts))

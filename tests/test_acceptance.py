@@ -12,15 +12,9 @@ import time
 
 import vnesim.controller
 from vnesim.config import RunConfig
-from vnesim.embedder import embed, oracle_embed
-from vnesim.metrics import MetricsLog, csv_text, mean_concurrent_active, summary
-from vnesim.netmodel import (
-    SubstrateView,
-    norm_link,
-    path_links,
-    reserve,
-    validate_mapping,
-)
+from vnesim.embedder import embed
+from vnesim.metrics import MetricsLog, csv_text, summary
+from vnesim.netmodel import SubstrateView, norm_link, path_links, reserve
 from vnesim.run import run_simulation
 from vnesim.simulator import (
     RandomStreams,
@@ -31,6 +25,8 @@ from vnesim.simulator import (
 )
 from vnesim.weights import link_weight, remap_pass
 from vnesim.workload import GeneratorSpec, default_substrate, gen_virtual_request, random_substrate
+
+from reference import longest_wait, mean_concurrent_active, oracle_embed, validate_mapping
 
 
 def report(label, ok, detail):
@@ -269,11 +265,12 @@ def test_criterion_8_batch_policy_exactness(monkeypatch):
         deepest = max(deepest, log.max_tentative)
     count_ok = deepest == 7  # batches fill to exactly n, never beyond
 
-    longest_wait = 0
+    # commit-row time minus arrival, cancelled commits included
+    longest = 0
     for seed in range(10):
-        engine, _ = run_simulation(RunConfig(requests=400, seed=seed))
-        longest_wait = max(longest_wait, engine.controller.max_wait)
-    window_ok = longest_wait <= to_ticks(25.0)
+        _, log = run_simulation(RunConfig(requests=400, seed=seed))
+        longest = max(longest, longest_wait(log))
+    window_ok = longest <= to_ticks(25.0)
     report("8 (batch policy exactness)", count_ok and window_ok,
            f"deepest batch {deepest} (n=7); longest tentative wait "
-           f"{to_units(longest_wait):.2f} <= window 25.0")
+           f"{to_units(longest):.2f} <= window 25.0")

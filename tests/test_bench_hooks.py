@@ -1,9 +1,12 @@
-"""The span tracer in bench/tracing.py must find every name it wraps.
+"""The benchmark in bench/ must find every name it wraps or reads.
 
 ``Tracer.install`` looks each measured function up by name on the module or
 class that the code calls it through, so a renamed or dropped name breaks
 every traced benchmark run. This test installs the tracer on the package,
 runs each strategy, and checks the spans, the trace bytes and the restore.
+It also runs each strategy through bench/run.py's checked ``simulate`` and
+``tracing.layer_metrics``, which read the controller's rule table, pending
+count, commit events and overlay, and the log's counts.
 """
 
 import sys
@@ -17,7 +20,8 @@ from vnesim.controller import STRATEGIES
 from vnesim.metrics import trace_hash
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-from tracing import Tracer  # noqa: E402
+import run as bench_run  # noqa: E402
+from tracing import LAYER_METRICS, Tracer, layer_metrics  # noqa: E402
 
 
 def run(strategy):
@@ -48,3 +52,17 @@ def test_traced_run_records_spans_and_keeps_the_trace(strategy):
         assert vars(owner)[attr] is original, attr
     assert vnesim.controller.embed is vnesim.embedder.embed
     assert vnesim.controller.splitting_embed is vnesim.embedder.embed
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_bench_checks_and_layer_metrics_read_the_run(strategy):
+    config = RunConfig(strategy=strategy, requests=100, seed=3)
+    tracer = Tracer()
+    # raises CheckFailed when a check fails, AttributeError when a name it reads is gone
+    _us, result, engine, log = bench_run.simulate(vnesim, config, tracer=tracer)
+    metrics = layer_metrics(tracer, [(engine.controller, log)])
+    assert set(metrics) | {"trace_overhead"} == set(LAYER_METRICS)
+    assert metrics["controller.commit_events"] == result["commit_events"] > 0
+    assert metrics["controller.tentative_acceptances"] == log.accepted > 0
+    assert metrics["controller.batch_size_mean"] == (
+        (log.committed + log.cancelled) / log.commit_events)

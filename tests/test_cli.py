@@ -7,9 +7,9 @@ import pytest
 from vnesim import cli
 from vnesim.cli import main
 from vnesim.config import ConfigError, RunConfig, build_config, parse_config_file
-from vnesim.netmodel import topology_text
 
 from conftest import make_net
+from reference import topology_text
 
 
 def run_cli(capsys, *argv):
@@ -348,3 +348,12 @@ class TestBadInputExitsTwo:
         p.write_text("switch 1 100\nswitch 2 100\nlink 1 2 50 0\n", encoding="utf-8")
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", str(p))
         assert stderr.startswith("error: line 3:")
+
+    def test_lone_switch_fails_validate_topology_and_run(self, capsys, tmp_path):
+        p = tmp_path / "net.topo"
+        p.write_text("switch 1 100\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "validate-topology", str(p))
+        assert code == 2
+        assert stderr == "invalid topology: topology has no links\n"
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", str(p))
+        assert stderr == "error: topology has no links\n"

@@ -4,14 +4,9 @@ import pytest
 
 from vnesim.controller import (
     BATCHED,
-    CANCELLED,
-    COMMITTED,
     COUNT_ONLY,
-    DEPARTED,
     PER_REQUEST,
-    REJECTED,
     SPLITTING,
-    TENTATIVE,
     TIME_ONLY,
     WHICHEVER_FIRST,
     BatchPolicy,
@@ -20,10 +15,16 @@ from vnesim.controller import (
     make_controller,
 )
 from vnesim.metrics import MetricsLog
-from vnesim.netmodel import UnknownRequestError, VirtualNetworkRequest
+from vnesim.netmodel import SubstrateView, UnknownRequestError, VirtualNetworkRequest
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
+from reference import longest_wait, request_state
+
+COMMITTED = "committed"
+DEPARTED = "departed"
+REJECTED = "rejected"
+CANCELLED = "rejected-at-commit"
 
 
 def u(units):
@@ -68,12 +69,18 @@ class TestBatchPolicy:
 
 class TestRuleTable:
     def test_installs_count_writes_removals_do_not(self):
+        # the table holds installed rules; the log counts the writes
         t = RuleTable([1, 2, 3])
+        log = MetricsLog(SubstrateView(make_net([1, 2, 3], [(1, 2), (2, 3)])))
+        log.record_arrival(0, 0, accepted=True, cost=1)
+        log.record_commit_event(0)
         t.install({1: 2, 3: 1})
-        assert t.writes == 3
+        log.record_commit(1, 0, committed=True, cost=1, rules_written=3)
+        assert log.rule_writes == 3
         assert t.installed == {1: 2, 2: 0, 3: 1}
         t.remove({1: 2, 3: 1})
-        assert t.writes == 3
+        log.record_departure(2, 0)
+        assert log.rule_writes == 3
         assert t.installed == {1: 0, 2: 0, 3: 0}
 
 
@@ -110,9 +117,9 @@ class TestBatchedCommit:
             horizon=u(10),
         )
         assert ctl.commit_events == 1
-        assert all(ctl.status[r] == COMMITTED for r in range(5))
+        assert all(request_state(ctl, r) == COMMITTED for r in range(5))
         # each request writes 9 rules: three 2-hop paths over three switches
-        assert ctl.rules.writes == 45
+        assert ctl.log.rule_writes == 45
         assert ctl.rules.installed == {1: 10, 3: 10, 5: 10, 2: 5, 4: 5, 6: 5}
         # the five even-switch units are exactly spent: 5 rules in cap 5
         assert ctl.view.residual_capacity(2) == 0
@@ -124,8 +131,8 @@ class TestBatchedCommit:
             BatchPolicy(5, None, COUNT_ONLY),
             triangle_requests(5),
         )
-        assert all(ctl.status[r] == DEPARTED for r in range(5))
-        assert ctl.rules.writes == 45
+        assert all(request_state(ctl, r) == DEPARTED for r in range(5))
+        assert ctl.log.rule_writes == 45
         assert ctl.rules.installed == {sw: 0 for sw in [1, 2, 3, 4, 5, 6]}
         assert ctl.view.base.committed == {}
         assert ctl.view.conservation_violations() == []
@@ -140,7 +147,7 @@ class TestBatchedCommit:
             triangle_requests(5),
             strategy="per-request",
         )
-        assert per_req.rules.writes == batched.rules.writes == 45
+        assert per_req.log.rule_writes == batched.log.rule_writes == 45
         assert batched.commit_events == 1
         assert per_req.commit_events == 5
 
@@ -152,12 +159,12 @@ class TestBatchedCommit:
         ]
         ctl, engine = drive(net, BatchPolicy(5, u(10), WHICHEVER_FIRST), reqs)
         assert ctl.commit_events == 1
-        assert ctl.status == {0: DEPARTED, 1: DEPARTED}
+        assert {r: request_state(ctl, r) for r in (0, 1)} == {0: DEPARTED, 1: DEPARTED}
         commit_rows = [r for r in ctl.log.rows if r.event_kind == "commit"]
         # the window opened at the first tentative success (t=1) and fired
         # ten units later
         assert [r.time for r in commit_rows] == [u(11), u(11)]
-        assert ctl.max_wait == u(10)
+        assert longest_wait(ctl.log) == u(10)
 
     def test_stale_window_trigger_is_ignored_after_count_commit(self):
         ctl, engine = drive(
@@ -188,7 +195,7 @@ class TestBatchedCommit:
         ctl, engine = drive(net, BatchPolicy(5, u(10), TIME_ONLY), [r])
         # the request expired (t=3) before its window trigger (t=11): it is
         # committed at t=11 and departs in the immediately following event
-        assert ctl.status[0] == DEPARTED
+        assert request_state(ctl, 0) == DEPARTED
         assert [(row.event_kind, row.time) for row in ctl.log.rows] == [
             ("arrival", u(1)),
             ("commit", u(11)),
@@ -202,7 +209,7 @@ class TestBatchedCommit:
             mk(1, {0: 1, 1: 1}, {(0, 1): 1}, arrival=5),
         ]
         ctl, engine = drive(net, BatchPolicy(9, u(10), TIME_ONLY), reqs)
-        assert ctl.status[0] == REJECTED
+        assert request_state(ctl, 0) == REJECTED
         commit_rows = [r for r in ctl.log.rows if r.event_kind == "commit"]
         # window ran from t=5 (first tentative success), not from t=1
         assert [r.time for r in commit_rows] == [u(15)]
@@ -215,7 +222,7 @@ class TestBatchedCommit:
             net, BatchPolicy(9, u(1000), TIME_ONLY), [r], horizon=u(10)
         )
         assert engine.now == u(10)
-        assert ctl.status[0] == DEPARTED
+        assert request_state(ctl, 0) == DEPARTED
         commit_rows = [row for row in ctl.log.rows if row.event_kind == "commit"]
         assert [row.time for row in commit_rows] == [u(10)]
 
@@ -228,11 +235,11 @@ class TestBatchedCommit:
             mk(1, {0: 5, 1: 5}, {(0, 1): 2}, arrival=2),
         ]
         ctl, engine = drive(net, BatchPolicy(1, None, COUNT_ONLY), reqs)
-        assert ctl.status[0] == DEPARTED  # lived its full life committed
-        assert ctl.status[1] == CANCELLED
+        assert request_state(ctl, 0) == DEPARTED  # lived its full life committed
+        assert request_state(ctl, 1) == CANCELLED
         assert ctl.log.cancelled == 1
         assert ctl.view.tentative == {}
-        assert ctl.rules.writes == 0  # squatter had no links, victim died
+        assert ctl.log.rule_writes == 0  # squatter had no links, victim died
         assert ctl.commit_events == 2
         row = next(r for r in ctl.log.rows if r.outcome == CANCELLED)
         assert row.request_id == 1
@@ -271,7 +278,7 @@ class TestRemapThroughTheEngine:
             self.scenario(),
             horizon=u(13),
         )
-        assert ctl.remapped_links == 1
+        assert ctl.log.remapped_links == 1
         assert ctl.commit_events == 2
         # the victim committed on the direct path at its window trigger
         res = ctl.view.base.committed[2]
@@ -294,7 +301,7 @@ class TestRemapThroughTheEngine:
         )
         # committed within the arrival event, so the blocker was still there:
         # the victim keeps its detour and pays for two links
-        assert ctl.remapped_links == 0
+        assert ctl.log.remapped_links == 0
         assert ctl.commit_events == 3
         res = ctl.view.base.committed[2]
         assert res.link_paths == {(0, 1): (((2, 3, 1), 10),)}
@@ -304,7 +311,7 @@ class TestRemapThroughTheEngine:
         )
         assert victim_commit.time == u(2)
         assert victim_commit.cost == 30
-        assert ctl.max_wait == 0
+        assert longest_wait(ctl.log) == 0
 
 
 class TestSplittingStrategy:
@@ -325,13 +332,13 @@ class TestSplittingStrategy:
             strategy="splitting",
             horizon=u(12),
         )
-        assert ctl.status[0] == COMMITTED
+        assert request_state(ctl, 0) == COMMITTED
         assert ctl.row.policy.mode == TIME_ONLY  # forced regardless of input
         # 60 units direct plus 40 units around: rules on 1 and 2 for each
         # path, on 3 for the detour only
         assert ctl.rules.installed == {1: 2, 2: 2, 3: 1}
-        assert ctl.rules.writes == 5
-        assert ctl.remapped_links == 0
+        assert ctl.log.rule_writes == 5
+        assert ctl.log.remapped_links == 0
         commit = next(row for row in ctl.log.rows if row.event_kind == "commit")
         assert commit.cost == 175
         assert commit.time == u(11)
@@ -346,8 +353,8 @@ class TestSplittingStrategy:
             [r],
             strategy="splitting",
         )
-        assert ctl.status[0] == DEPARTED
-        assert ctl.remapped_links == 0
+        assert request_state(ctl, 0) == DEPARTED
+        assert ctl.log.remapped_links == 0
 
     def test_single_path_budget_rejects_what_needs_a_split(self):
         r = mk(0, {0: 20, 1: 15}, {(0, 1): 100}, arrival=1)
@@ -358,7 +365,7 @@ class TestSplittingStrategy:
             strategy="splitting",
             split_paths=1,
         )
-        assert ctl.status[0] == REJECTED
+        assert request_state(ctl, 0) == REJECTED
 
 
 class TestStrategySelection:

@@ -9,10 +9,8 @@ from vnesim.embedder import (
     LINK_STAGE,
     NODE_STAGE,
     EmbedOutcome,
-    cheapest_feasible_path,
     embed,
     greedy_node_map,
-    oracle_embed,
 )
 from vnesim.netmodel import (
     Mapping,
@@ -21,12 +19,12 @@ from vnesim.netmodel import (
     mapping_cost,
     path_links,
     reserve,
-    validate_mapping,
 )
 from vnesim.simulator import RandomStreams
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
+from reference import cheapest_feasible_path, oracle_embed, validate_mapping
 
 
 def req(rid=1, nodes=None, links=None):

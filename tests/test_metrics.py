@@ -12,18 +12,17 @@ from vnesim.metrics import (
     csv_text,
     cumulative_acceptance,
     export_csv,
-    mean_concurrent_active,
     mean_cost_per_accepted,
     mean_latency,
     summary,
     time_weighted_utilization,
     trace_hash,
-    utilization_series,
     _time_weighted,
 )
 from vnesim.netmodel import Mapping, SubstrateView, VirtualNetworkRequest, reserve
 
 from conftest import make_net
+from reference import active_counts, mean_concurrent_active
 
 
 def fresh_log(**kwargs):
@@ -38,7 +37,7 @@ def drive_tiny_run(log):
     r = VirtualNetworkRequest(1, {0: 50}, {}, 2_000_000, 5_000_000)
     reserve(view, r, Mapping({0: 1}, {}))
     log.record_arrival(2_000_000, 1, accepted=True, cost=50)
-    log.record_commit_event(remapped_links_cum=0)
+    log.record_commit_event(remapped_links=0)
     view.commit(1)
     log.record_commit(
         3_000_000, 1, committed=True, cost=50, mean_hops=0.0,
@@ -53,7 +52,7 @@ class TestRecording:
         log, _ = fresh_log()
         drive_tiny_run(log)
         assert (log.arrivals, log.accepted, log.rejected) == (2, 1, 1)
-        assert (log.committed, log.cancelled, log.active) == (1, 0, 0)
+        assert (log.committed, log.cancelled, active_counts(log.rows)[-1]) == (1, 0, 0)
         assert log.commit_events == 1
         assert log.fates == {
             0: [0, 1_000_000, "rejected"],
@@ -72,7 +71,7 @@ class TestRecording:
         ]
         rates = [r.cum_accept_rate for r in log.rows]
         assert rates == [0.0, 0.5, 0.5, 0.5]
-        actives = [r.active for r in log.rows]
+        actives = active_counts(log.rows)
         assert actives == [0, 0, 1, 0]
         # 50 units tentative on switch 1 out of caps 100/100/100
         assert [round(r.avg_switch_util, 6) for r in log.rows] == [
@@ -82,7 +81,7 @@ class TestRecording:
     def test_cancelled_commits_count_against_acceptance(self):
         log, _ = fresh_log()
         log.record_arrival(1, 0, accepted=True, cost=10)
-        log.record_commit_event(remapped_links_cum=0)
+        log.record_commit_event(remapped_links=0)
         log.record_commit(2, 0, committed=False)
         assert log.cancelled == 1
         assert log.fates[0][2] == "rejected-at-commit"
@@ -137,8 +136,8 @@ class TestAcceptanceRate:
         assert cumulative_acceptance(log) == 0.0
 
 
-def row(t, link=0.0, active=0, kind="arrival", latency=None, cost=None, outcome="x"):
-    return Row(t, kind, 0, outcome, cost, None, link, 0.0, 0, 0, 0, latency, active)
+def row(t, link=0.0, kind="arrival", latency=None, cost=None, outcome="x"):
+    return Row(t, kind, 0, outcome, cost, None, link, 0.0, 0, 0, 0, latency)
 
 
 class TestTimeWeighted:
@@ -155,7 +154,10 @@ class TestTimeWeighted:
 
     def test_mean_concurrent_active(self):
         log, _ = fresh_log()
-        log.rows = [row(5, active=2), row(10, active=0)]
+        # two commits at t=5, both depart at t=10
+        commit = dict(kind="commit", outcome="committed")
+        departure = dict(kind="departure", outcome="departed")
+        log.rows = [row(5, **commit), row(5, **commit), row(10, **departure), row(10, **departure)]
         assert mean_concurrent_active(log) == pytest.approx(1.0)
 
     def test_time_weighted_utilization_reads_the_requested_kind(self):
@@ -166,9 +168,11 @@ class TestTimeWeighted:
         assert time_weighted_utilization(log, "link") == pytest.approx(0.4)
 
     def test_utilization_series_converts_ticks_to_units(self):
+        # the trace is the series: its time column is in units
         log, _ = fresh_log()
         log.rows = [row(1_500_000, link=0.25)]
-        assert utilization_series(log, "link") == [(1.5, 0.25)]
+        fields = csv_text(log).splitlines()[1].split(",")
+        assert (fields[0], fields[CSV_COLUMNS.index("avg_link_util")]) == ("1.500000", "0.25")
 
 
 class TestDerivedStats:

@@ -5,13 +5,9 @@ import copy
 import pytest
 
 from vnesim.netmodel import (
-    INJECTIVITY,
-    NODE_CAPACITY,
-    PATH_BANDWIDTH,
-    PATH_EXISTENCE,
     Mapping,
-    MappingStructureError,
     ReservationError,
+    SubstrateNetwork,
     SubstrateView,
     TopologyError,
     UnknownRequestError,
@@ -23,11 +19,20 @@ from vnesim.netmodel import (
     path_links,
     reserve,
     rule_units_for,
-    topology_text,
-    validate_mapping,
 )
 
 from conftest import make_net
+from reference import (
+    INJECTIVITY,
+    NODE_CAPACITY,
+    PATH_BANDWIDTH,
+    PATH_EXISTENCE,
+    MappingStructureError,
+    adj,
+    networks_equal,
+    topology_text,
+    validate_mapping,
+)
 
 
 def req(rid=1, nodes=None, links=None, arrival=0, lifetime=10):
@@ -90,7 +95,18 @@ class TestSubstrateNetwork:
         net = make_net([3, 1, 2], [(2, 3), (1, 2)])
         assert net.switches == [1, 2, 3]
         assert net.links == [(1, 2), (2, 3)]
-        assert net.adj == {1: [2], 2: [1, 3], 3: [2]}
+        assert adj(net) == {1: [2], 2: [1, 3], 3: [2]}
+
+    def test_keeps_values_of_declared_elements_only(self):
+        net = SubstrateNetwork(
+            [1, 2], [(1, 2)],
+            {1: 5, 2: 6, 9: 7}, {1: 2, 9: 7},
+            {(1, 2): 10, (2, 9): 4}, {(1, 2): 3, (1, 9): 4},
+        )
+        assert net.capacity == {1: 5, 2: 6}
+        assert net.switch_cost == {1: 2, 2: 1}
+        assert net.bandwidth == {(1, 2): 10}
+        assert net.link_cost == {(1, 2): 3}
 
     def test_rejects_duplicate_switch(self):
         with pytest.raises(TopologyError, match="duplicate switch"):
@@ -387,7 +403,7 @@ class TestTopologyFormat:
 
     def test_round_trip_through_text(self):
         net = parse_topology(self.GOOD)
-        assert parse_topology(topology_text(net)) == net
+        assert networks_equal(parse_topology(topology_text(net)), net)
 
     def test_unknown_declaration_carries_line_number(self):
         with pytest.raises(TopologyError) as err:
@@ -431,7 +447,13 @@ class TestTopologyFormat:
         with pytest.raises(TopologyError, match="no switches"):
             parse_topology("# nothing here\n")
 
+    def test_lone_switch_rejected(self):
+        # connected, but no virtual link could be routed and no link sampled
+        with pytest.raises(TopologyError, match="topology has no links") as err:
+            parse_topology("switch 1 100\n")
+        assert err.value.line is None
+
     def test_load_topology_from_file(self, tmp_path):
         p = tmp_path / "net.edges"
         p.write_text(self.GOOD, encoding="utf-8")
-        assert load_topology(p) == parse_topology(self.GOOD)
+        assert networks_equal(load_topology(p), parse_topology(self.GOOD))

@@ -4,7 +4,7 @@ cost invariances, and whole-run accounting, over seeded random instances."""
 import random
 
 from vnesim.config import RunConfig
-from vnesim.embedder import embed, oracle_embed
+from vnesim.embedder import embed
 from vnesim.metrics import summary, trace_hash
 from vnesim.netmodel import (
     Mapping,
@@ -14,10 +14,11 @@ from vnesim.netmodel import (
     norm_link,
     path_links,
     reserve,
-    validate_mapping,
 )
 from vnesim.run import run_simulation
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
+
+from reference import oracle_embed, validate_mapping
 
 SMALL = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1, node_demand_max=30,
                       link_demand_min=1, link_demand_max=20, edge_prob=0.6)

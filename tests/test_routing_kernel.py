@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from vnesim.embedder import cheapest_feasible_path
 from vnesim.netmodel import SubstrateNetwork, SubstrateView, norm_link
+
+from reference import adj, cheapest_feasible_path
 
 
 def _dijkstra(adj, link_cost, residual, src, dst, demand):
@@ -43,7 +44,7 @@ def _dijkstra(adj, link_cost, residual, src, dst, demand):
 
 def oracle(view, src, dst, demand):
     base = view.base if isinstance(view, SubstrateView) else view
-    return _dijkstra(base.adj, base.link_cost, view.residual_bandwidth, src, dst, demand)
+    return _dijkstra(adj(base), base.link_cost, view.residual_bandwidth, src, dst, demand)
 
 
 def make_net(rng, ids, links, min_bw, max_bw):
