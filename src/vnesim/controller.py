@@ -9,8 +9,9 @@ single commit event. A strategy is a row ``(k, policy, remap)``:
 * batched: k = 1, the policy as given (n successes or a window T), remap on;
 * per-request: k = 1, a singleton count-only policy, remap off. Each accepted
   request commits inside its own arrival, one commit event each; a remap of
-  a singleton batch could never adopt a path, since right after the embed
-  each link's cheapest feasible path is still its incumbent;
+  a singleton batch could never adopt a path: right after the embed no link
+  that could not carry a virtual link has gained units, so by the lemma in
+  ``weights`` every link's search returns its incumbent;
 * splitting: k = ``split_paths``, a pure time window of the given size and
   length, remap off.
 
@@ -138,11 +139,13 @@ class Controller:
     def on_arrival(self, engine, request):
         rid = request.request_id
         row = self.row
-        outcome = embed(self.view, request, row.k)
+        # only the remap pass reads the links that blocked each route
+        blocked = {} if row.remap else None
+        outcome = embed(self.view, request, row.k, blocked)
         if not outcome.accepted:
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
-        reserve(self.view, request, outcome.mapping)
+        reserve(self.view, request, outcome.mapping).blocked = blocked
         if not self.batch.requests and row.policy.timed:
             engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
         self.batch.requests.append(request)

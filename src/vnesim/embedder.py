@@ -127,7 +127,7 @@ def _link_order(request):
     return sorted(request.link_demands, key=lambda l: (-request.link_demands[l], l))
 
 
-def embed(view, request, k=1) -> EmbedOutcome:
+def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
     """Greedy embedding of one request against a view, up to k paths per link.
 
     Routing per virtual link: if one path can carry the whole remaining
@@ -140,18 +140,36 @@ def embed(view, request, k=1) -> EmbedOutcome:
     residuals, debited after each part, so sibling links of the same request
     never oversubscribe a shared substrate link. The caller reserves the
     returned mapping.
+
+    With k = 1, a dict passed as ``blocked`` receives, for each virtual link
+    whose route some substrate link could not carry, ``vlink -> ascending
+    tuple of the ids j with residual[j] < demand`` in that flat copy at that
+    call, earlier siblings already debited. The remap pass uses it to skip links that
+    cannot move (see ``weights``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if blocked is not None and k != 1:
+        raise ValueError("blocked links are recorded only with k = 1")
     node_map = greedy_node_map(view, request)
     if node_map is None:
         return EmbedOutcome(rejection=NODE_STAGE)
     base = _base(view)
     residual = view.residual_bandwidths()  # debited part by part
+    if blocked is not None:
+        # residuals only fall during the call, so a substrate link too thin
+        # for some virtual link starts below the largest demand or is
+        # debited below it
+        top = max(request.link_demands.values(), default=0)
+        low = {j for j, r in enumerate(residual) if r < top}
     link_paths = {}
     for vl in _link_order(request):
         remaining = request.link_demands[vl]
         src, dst = node_map[vl[0]], node_map[vl[1]]
+        if blocked is not None and low:
+            under = sorted(j for j in low if residual[j] < remaining)
+            if under:
+                blocked[vl] = tuple(under)
         parts = []
         while remaining > 0 and len(parts) < k:
             path = _dijkstra(base, residual, src, dst, remaining)
@@ -166,6 +184,8 @@ def embed(view, request, k=1) -> EmbedOutcome:
             alloc = min(remaining, *(residual[j] for j in link_ids))
             for j in link_ids:
                 residual[j] -= alloc
+            if blocked is not None:
+                low.update(j for j in link_ids if residual[j] < top)
             parts.append((path, alloc))
             remaining -= alloc
         if remaining > 0:

@@ -11,6 +11,7 @@ trace reproduces the same numbers.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .simulator import TICKS_PER_UNIT
@@ -141,18 +142,20 @@ def acceptance_rate(log, grouping="by-count", bucket=100):
     ``by-count`` groups each consecutive ``bucket`` arrivals; ``by-time``
     groups arrivals into windows of ``bucket`` time units. A request counts
     as accepted when it was eventually committed. Returns a list of
-    (bucket start, rate) pairs.
+    (bucket start, rate) pairs. Raises ValueError for an unknown grouping,
+    a bucket that is not positive and finite, and a by-time bucket that
+    rounds to 0 ticks.
     """
-    fates = sorted(log.fates.values())
+    if grouping not in ("by-count", "by-time"):
+        raise ValueError(f"unknown grouping {grouping!r}")
+    if not 0 < bucket < math.inf:  # NaN fails too
+        raise ValueError(f"bucket must be positive and finite, got {bucket!r}")
+    width = bucket if grouping == "by-count" else int(round(bucket * TICKS_PER_UNIT))
+    if width == 0:
+        raise ValueError(f"by-time bucket {bucket!r} rounds to 0 ticks")
     groups = {}
-    for index, arrival_ticks, outcome in fates:
-        if grouping == "by-count":
-            key = (index // bucket) * bucket
-        elif grouping == "by-time":
-            width = int(round(bucket * TICKS_PER_UNIT))
-            key = (arrival_ticks // width) * bucket
-        else:
-            raise ValueError(f"unknown grouping {grouping!r}")
+    for index, arrival_ticks, outcome in sorted(log.fates.values()):
+        key = ((index if grouping == "by-count" else arrival_ticks) // width) * bucket
         hit, total = groups.get(key, (0, 0))
         groups[key] = (hit + (outcome == "committed"), total + 1)
     return [(key, hit / total) for key, (hit, total) in sorted(groups.items())]

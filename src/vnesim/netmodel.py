@@ -130,6 +130,9 @@ class Reservation:
     node_units: dict = field(default_factory=dict)  # switch -> units
     link_units: dict = field(default_factory=dict)  # link -> units
     rule_units: dict = field(default_factory=dict)  # switch -> rule count
+    # vlink -> ids of the links that could not carry it when embed routed it,
+    # for links with any; None when unknown. Read once by the remap pass.
+    blocked: dict = None
 
 
 def rule_units_for(link_paths: dict) -> dict:

@@ -10,12 +10,30 @@ For every tentatively mapped virtual link the controller scores:
 * weight W = R - A.
 
 Heavier links (large W) sit on scarce resources, so the remap pass processes
-them first: the cheapest feasible path of each link is recomputed against
+them first: the cheapest feasible path of each link is searched again against
 everything else, and the new path is adopted only when it strictly lowers the
 link's cost contribution, or matches it with a strictly lower maximum link
 utilization. The pass lifts each link only in its own flat copy of the
 residuals; the view's overlay moves only when a path is adopted. Node
 placements never move.
+
+Which links could move. With k = 1, ``embed`` routed a virtual link of demand
+d onto P, the (cost, hops, switch sequence) minimum over the substrate links
+F = {j : r[j] >= d}, where r is embed's flat residual list at that call,
+earlier siblings already debited. Let B = {j : r[j] < d}, the links that
+blocked it (``Reservation.blocked``); P uses no link of B. In the pass, let
+r' be the pass's list when the link is reached, its own units added back, so
+every link of P has r'[j] >= d and P is feasible. Every j outside B is in F,
+so if r'[j] < d for every j in B, the feasible set {j : r'[j] >= d} lies
+inside F and contains P, and P stays its minimum: the search returns the
+incumbent and nothing moves. r' counts units freed by departures,
+cancellations and earlier moves of the pass alike. A link with B empty can
+never move, so the pass neither scores, sorts nor routes it; leaving it out
+keeps its own residual round trip, which nets to zero, and the relative order
+of the rest, since sorting a subset keeps its order. A link with B nonempty
+is scored, and routed only when some j in B has r'[j] >= d. B describes the
+path embed chose, so the pass reads it once and clears it; a reservation
+with B unknown (None) is scored and routed whole.
 """
 
 from __future__ import annotations
@@ -40,6 +58,13 @@ class LinkWeightRecord:
     weight: int  # W = R - A
 
 
+def _single_path(vlink, allocs):
+    """The one (path, units) part of a single-path link."""
+    if len(allocs) != 1:
+        raise ValueError(f"virtual link {vlink} is split; weights apply to single-path links")
+    return allocs[0]
+
+
 def link_weight(view, request, vlink, path) -> LinkWeightRecord:
     """Score one single-path virtual link on the path it holds.
 
@@ -52,9 +77,7 @@ def link_weight(view, request, vlink, path) -> LinkWeightRecord:
     allocs = view.tentative_reservation(request.request_id).link_paths.get(vlink)
     if allocs is None:
         raise ValueError(f"virtual link {vlink} has no tentative reservation")
-    if len(allocs) != 1:
-        raise ValueError(f"virtual link {vlink} is split; weights apply to single-path links")
-    (reserved, units), = allocs
+    reserved, units = _single_path(vlink, allocs)
     if tuple(path) != reserved:
         raise ValueError(f"path {tuple(path)} does not match the reservation {reserved}")
     used = units * (len(reserved) - 1) + len(reserved)
@@ -83,22 +106,34 @@ def _score(base, residual, ids, units):
 def remap_pass(view, requests) -> int:
     """One weight-ordered remap pass over a tentative batch.
 
-    Computes a fresh record for every tentatively mapped virtual link,
-    prioritizes once, and re-routes each link in that order against a flat
-    copy of the residuals with the link's own units added back. Only an
-    adopted path touches the view's overlay. Returns the number of links
-    whose path changed. Total batch cost never increases.
+    Computes a fresh record for every tentatively mapped virtual link that
+    could move (see the module docstring), prioritizes once, and re-routes
+    each link in that order against a flat copy of the residuals with the
+    link's own units added back. Only an adopted path touches the view's
+    overlay. Returns the number of links whose path changed. Total batch cost
+    never increases.
     """
     records = []
+    gates = {}  # (request id, vlink) -> B, or None when unknown
     for request in requests:
         res = view.tentative_reservation(request.request_id)
+        blocked, res.blocked = res.blocked, None  # valid for this pass only
         for vlink in sorted(res.link_paths):
-            records.append(link_weight(view, request, vlink, res.link_paths[vlink][0][0]))
+            path, _units = _single_path(vlink, res.link_paths[vlink])
+            gate = None if blocked is None else blocked.get(vlink, ())
+            if gate == ():
+                continue  # nothing blocked its route: it cannot move
+            records.append(link_weight(view, request, vlink, path))
+            gates[request.request_id, vlink] = gate
     base = view.base
     residual = view.residual_bandwidths()  # equal to the view's between links
     changed = 0
     for rec in prioritize(records):
         units = rec.demand
+        gate = gates[rec.request_id, rec.vlink]
+        # B and the path share no link, so the add-back leaves B's residuals
+        if gate is not None and max(map(residual.__getitem__, gate)) < units:
+            continue  # no blocking link can carry it yet: the search returns the incumbent
         ids = base.path_link_ids(rec.path)
         for j in ids:
             residual[j] += units

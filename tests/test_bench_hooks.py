@@ -25,7 +25,11 @@ from tracing import LAYER_METRICS, Tracer, layer_metrics  # noqa: E402
 
 
 def run(strategy):
-    _, log = vnesim.run.run_simulation(RunConfig(strategy=strategy, requests=100, seed=3))
+    # link demands of 40-120 units leave some substrate link unable to carry
+    # a virtual link, so batched has links the remap pass must score
+    config = RunConfig(
+        strategy=strategy, requests=100, seed=3, link_demand_min=40, link_demand_max=120)
+    _, log = vnesim.run.run_simulation(config)
     return trace_hash(log)
 
 

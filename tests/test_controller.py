@@ -396,6 +396,34 @@ class TestStrategySelection:
                   requests, strategy=strategy)
             assert calls == expected, strategy
 
+    def test_only_batched_records_blocking_links(self, monkeypatch):
+        # per-request and splitting never pay for the sets; batched hands
+        # them to its remap pass, which clears them
+        import vnesim.controller
+
+        reserved, at_remap = [], []
+        real_reserve, real_remap = vnesim.controller.reserve, vnesim.controller.remap_pass
+
+        def spy_reserve(view, request, mapping):
+            reserved.append(real_reserve(view, request, mapping))
+            return reserved[-1]
+
+        def spy_remap(view, requests):
+            at_remap.extend(view.tentative_reservation(r.request_id).blocked for r in requests)
+            return real_remap(view, requests)
+
+        monkeypatch.setattr(vnesim.controller, "reserve", spy_reserve)
+        monkeypatch.setattr(vnesim.controller, "remap_pass", spy_remap)
+        requests = [mk(i, {0: 5, 1: 5}, {(0, 1): 20 + 10 * i}, arrival=1 + i) for i in range(4)]
+        for strategy in (PER_REQUEST, SPLITTING, BATCHED):
+            reserved.clear()
+            net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)], bws={(1, 2): 50})
+            drive(net, BatchPolicy(2, u(50), WHICHEVER_FIRST), requests, strategy=strategy)
+            assert len(reserved) == 4, strategy
+            assert all(res.blocked is None for res in reserved), strategy
+        # the 50-unit link 1-2 (id 0) could not carry the 40- and 50-unit links
+        assert at_remap == [{}, {}, {(0, 1): (0,)}, {(0, 1): (0,)}]
+
     def test_unknown_strategy_is_rejected(self):
         net = make_net([1, 2], [(1, 2)])
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -1,6 +1,7 @@
 """Metrics log, summaries, and the CSV trace format."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -130,6 +131,16 @@ class TestAcceptanceRate:
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError, match="unknown grouping"):
             acceptance_rate(self.build(), "by-vibes")
+
+    @pytest.mark.parametrize("grouping", ["by-count", "by-time"])
+    @pytest.mark.parametrize("bucket", [0, -5, -10, math.inf, math.nan])
+    def test_bucket_not_positive_and_finite_rejected(self, grouping, bucket):
+        with pytest.raises(ValueError, match="bucket must be positive and finite"):
+            acceptance_rate(self.build(), grouping, bucket)
+
+    def test_by_time_bucket_rounding_to_zero_ticks_rejected(self):
+        with pytest.raises(ValueError, match="rounds to 0 ticks"):
+            acceptance_rate(self.build(), "by-time", 1e-7)
 
     def test_cumulative_acceptance_of_empty_log(self):
         log, _ = fresh_log()

@@ -1,0 +1,216 @@
+"""The remap pass that skips links which cannot move, against the pass that
+scores and routes every link: on every instance both adopt the same paths.
+
+The oracle below is a verbatim copy of the earlier ``remap_pass`` and
+``_score``, which compute a record for every tentatively mapped virtual link
+and search each one again. The instances are bandwidth-bound batches embedded
+with ``blocked``, after which committed requests depart and tentative ones
+are cancelled, so links that blocked a route at embed time gain units.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from vnesim import embedder
+from vnesim.embedder import embed
+from vnesim.netmodel import (
+    Mapping,
+    SubstrateNetwork,
+    SubstrateView,
+    VirtualNetworkRequest,
+    norm_link,
+    reserve,
+)
+from vnesim.weights import link_weight, prioritize, remap_pass
+
+from conftest import make_net
+
+
+def _score(base, residual, ids, units):
+    """(link cost of units on the links ``ids``, peak link utilization once
+    they are placed there); a lower tuple is a better path."""
+    links, bandwidth, link_cost = base.links, base.bandwidth, base.link_cost
+    cost = units * sum(link_cost[links[j]] for j in ids)
+    peak = max(
+        Fraction(bandwidth[links[j]] - residual[j] + units, bandwidth[links[j]]) for j in ids
+    )
+    return cost, peak
+
+
+def oracle_remap_pass(view, requests) -> int:
+    records = []
+    for request in requests:
+        res = view.tentative_reservation(request.request_id)
+        for vlink in sorted(res.link_paths):
+            records.append(link_weight(view, request, vlink, res.link_paths[vlink][0][0]))
+    base = view.base
+    residual = view.residual_bandwidths()  # equal to the view's between links
+    changed = 0
+    for rec in prioritize(records):
+        units = rec.demand
+        ids = base.path_link_ids(rec.path)
+        for j in ids:
+            residual[j] += units
+        node_map = view.tentative_reservation(rec.request_id).node_map
+        a, b = rec.vlink
+        new_path = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
+        if new_path is not None and new_path != rec.path:
+            new_ids = base.path_link_ids(new_path)
+            if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
+                view.move_tentative_link(rec.request_id, rec.vlink, new_path)
+                ids = new_ids
+                changed += 1
+        for j in ids:
+            residual[j] -= units
+    return changed
+
+
+def random_request(rng, rid):
+    """2-4 virtual nodes on a connected demand graph; link demands large
+    against the substrate's bandwidths."""
+    n = rng.randint(2, 4)
+    nodes = {v: rng.randint(1, 3) for v in range(n)}
+    links = {norm_link(v, rng.randrange(v)) for v in range(1, n)}
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(n), 2)
+        links.add(norm_link(a, b))
+    return VirtualNetworkRequest(rid, nodes, {lk: rng.randint(1, 10) for lk in sorted(links)}, 0, 10)
+
+
+def scenario(seed):
+    """A view holding a tentative batch whose blocking links have since
+    gained units, and that batch; the same seed builds the same state.
+
+    Background requests are committed first. The batch is embedded with
+    ``blocked`` while background requests depart between its arrivals; then
+    more depart and some batch members are cancelled. About one reservation
+    in eight keeps ``blocked`` unknown, as hand-made reservations do.
+    """
+    rng = random.Random(f"remap-skip-{seed}")
+    n = rng.randint(5, 14)
+    ids = rng.sample(range(1, 4 * n), n)
+    order = ids[:]
+    rng.shuffle(order)
+    links = {norm_link(order[i], order[rng.randrange(i)]) for i in range(1, n)}
+    for _ in range(rng.randint(1, 2 * n)):
+        a, b = rng.sample(ids, 2)
+        links.add(norm_link(a, b))
+    links = sorted(links)
+    net = SubstrateNetwork(
+        ids, links, {u: 1000 for u in ids}, {u: 1 for u in ids},
+        {lk: rng.randint(10, 40) for lk in links}, {lk: rng.randint(1, 4) for lk in links},
+    )
+    view = SubstrateView(net)
+    rid = 0
+    background = []
+    for _ in range(rng.randint(4, 12)):
+        r = random_request(rng, rid)
+        rid += 1
+        outcome = embed(view, r)
+        if outcome.accepted:
+            reserve(view, r, outcome.mapping)
+            assert view.commit(r.request_id)
+            background.append(r.request_id)
+    batch = []
+    for _ in range(rng.randint(3, 10)):
+        r = random_request(rng, rid)
+        rid += 1
+        blocked = {}
+        outcome = embed(view, r, 1, blocked)
+        if outcome.accepted:
+            res = reserve(view, r, outcome.mapping)
+            res.blocked = blocked if rng.random() < 0.875 else None
+            batch.append(r)
+        if background and rng.random() < 0.4:
+            view.release(background.pop(rng.randrange(len(background))))
+    for _ in range(rng.randint(0, len(background))):
+        view.release(background.pop(rng.randrange(len(background))))
+    for r in list(batch):
+        if rng.random() < 0.15:
+            view.release(r.request_id)
+            batch.remove(r)
+    return view, batch, background
+
+
+def state(view):
+    return (
+        {rid: dict(res.link_paths) for rid, res in view.tentative.items()},
+        dict(view.t_link_load),
+    )
+
+
+def test_same_moves_as_the_pass_that_routes_every_link():
+    counted = {"passes": 0, "adopted": 0, "known": 0, "gated": 0}
+    for seed in range(400):
+        view, batch, _ = scenario(seed)
+        want_view, want_batch, _ = scenario(seed)
+        assert state(view) == state(want_view)
+        for res in view.tentative.values():
+            if res.blocked is not None:
+                counted["known"] += len(res.link_paths)
+                counted["gated"] += len(res.blocked)
+        got = remap_pass(view, batch)
+        want = oracle_remap_pass(want_view, want_batch)
+        assert got == want, seed
+        assert state(view) == state(want_view), seed
+        assert view.conservation_violations() == []
+        counted["passes"] += 1
+        counted["adopted"] += want
+    # plenty of adoptions, and of links both with and without a blocking set
+    assert counted["passes"] == 400
+    assert counted["adopted"] > 200
+    assert counted["gated"] > 1000 and counted["known"] - counted["gated"] > 200
+
+
+def test_a_second_pass_matches_the_second_pass_of_the_oracle():
+    adopted = 0
+    for seed in range(400):
+        view, batch, background = scenario(seed)
+        want_view, want_batch, _ = scenario(seed)
+        assert remap_pass(view, batch) == oracle_remap_pass(want_view, want_batch), seed
+        assert all(view.tentative_reservation(r.request_id).blocked is None for r in batch)
+        # units freed after the first pass reach links that moved in it
+        for rid in background:
+            view.release(rid)
+            want_view.release(rid)
+        got = remap_pass(view, batch)
+        want = oracle_remap_pass(want_view, want_batch)
+        assert got == want, seed
+        assert state(view) == state(want_view), seed
+        adopted += want
+    assert adopted > 20
+
+
+def test_a_skipped_split_link_is_still_refused(triangle):
+    view = SubstrateView(triangle)
+    r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 120}, 0, 10)
+    split = Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))})
+    reserve(view, r, split).blocked = {}  # nothing blocked it: a skip
+    with pytest.raises(ValueError, match="single-path"):
+        remap_pass(view, [r])
+
+
+def test_blocked_links_need_a_single_path_budget(triangle):
+    r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10}, 0, 10)
+    with pytest.raises(ValueError, match="k = 1"):
+        embed(SubstrateView(triangle), r, 2, {})
+
+
+def test_embed_records_the_links_that_could_not_carry_each_route():
+    # 1-2 carries 10, so the 12-unit link detours over 1-3; that leaves 8
+    # units on 1-3, short of the 9-unit sibling, which takes 1-2-3
+    net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)], bws={(1, 2): 10, (1, 3): 20, (2, 3): 30})
+    view = SubstrateView(net)
+    r = VirtualNetworkRequest(1, {"a": 2, "b": 1, "c": 1}, {("a", "b"): 12, ("a", "c"): 9}, 0, 10)
+    blocked = {}
+    outcome = embed(view, r, 1, blocked)
+    assert outcome.mapping.node_map == {"a": 1, "b": 2, "c": 3}
+    assert outcome.mapping.link_paths == {("a", "b"): (((1, 3, 2), 12),), ("a", "c"): (((1, 2, 3), 9),)}
+    assert blocked == {("a", "b"): (net.link_index[1, 2],), ("a", "c"): (net.link_index[1, 3],)}
+    # without the argument, or where every link carries the demand, nothing is recorded
+    assert embed(view, r) == outcome
+    blocked = {}
+    embed(view, VirtualNetworkRequest(2, {"a": 1, "b": 1}, {("a", "b"): 10}, 0, 10), 1, blocked)
+    assert blocked == {}
