@@ -48,6 +48,14 @@ class Row:
     latency_proxy: float
 
 
+def ordered_sum(values) -> float:
+    """Left-to-right float sum; ``sum`` compensates rounding since Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class MetricsLog:
     """Collects one sample per event; fed by the controller."""
 
@@ -69,14 +77,8 @@ class MetricsLog:
     # -- recording ---------------------------------------------------------
 
     def _utilization_means(self):
-        base = self.view.base
-        link_util = 0.0
-        for lk, resid in zip(base.links, self.view.residual_bandwidths()):
-            link_util += 1.0 - resid / base.bandwidth[lk]
-        switch_util = 0.0
-        for u, resid in zip(base.switches, self.view.residual_capacities()):
-            switch_util += 1.0 - resid / base.capacity[u]
-        return link_util / len(base.links), switch_util / len(base.switches)
+        link_util, switch_util = self.view.link_util, self.view.switch_util
+        return ordered_sum(link_util) / len(link_util), ordered_sum(switch_util) / len(switch_util)
 
     def _append(self, time, kind, request_id, outcome, cost, latency):
         link_util, switch_util = self._utilization_means()
@@ -181,7 +183,7 @@ def time_weighted_utilization(log, kind="link") -> float:
 
 def mean_latency(log) -> float:
     series = [r.latency_proxy for r in log.rows if r.latency_proxy is not None]
-    return sum(series) / len(series) if series else 0.0
+    return ordered_sum(series) / len(series) if series else 0.0
 
 
 def mean_cost_per_accepted(log) -> float:

@@ -366,13 +366,24 @@ class SubstrateView:
     staged batch members see each other. ``commit`` moves one reservation into
     the committed ledger and installs its flow rules; it fails (leaving the
     reservation tentative) only when rule-memory headroom is missing.
+
+    The view keeps the effective residuals flat, ``capacity_left`` by switch
+    index and ``bandwidth_left`` by link id, with each element's utilization
+    term ``1.0 - residual / total`` in ``switch_util`` and ``link_util``;
+    ``reserve``, ``commit``, ``release`` and ``move_tentative_link`` update
+    only the entries they touch. Every ledger change must therefore go through
+    the view: a base mutated behind its back leaves the lists stale, and
+    ``conservation_violations`` reports it.
     """
 
     def __init__(self, base: SubstrateNetwork):
         self.base = base
-        self.t_node_load = {u: 0 for u in base.switches}
-        self.t_link_load = {l: 0 for l in base.links}
         self.tentative = {}
+        self.capacity_left = base.residual_capacities()
+        self.bandwidth_left = base.residual_bandwidths()
+        # base.capacity and base.bandwidth are ordered by switch index and link id
+        self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacity.values())]
+        self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidth.values())]
 
     @property
     def switches(self):
@@ -382,23 +393,40 @@ class SubstrateView:
     def links(self):
         return self.base.links
 
+    @property
+    def t_node_load(self) -> dict:  # derived: base residual less effective residual
+        return {u: self.base.residual_capacity(u) - r for u, r in zip(self.switches, self.capacity_left)}
+
+    @property
+    def t_link_load(self) -> dict:  # derived: base residual less effective residual
+        return {lk: self.base.residual_bandwidth(lk) - r for lk, r in zip(self.links, self.bandwidth_left)}
+
     def residual_capacity(self, u) -> int:
-        return self.base.residual_capacity(u) - self.t_node_load[u]
+        return self.capacity_left[self.base.switch_index[u]]
 
     def residual_bandwidth(self, lk) -> int:
-        return self.base.residual_bandwidth(lk) - self.t_link_load[lk]
+        return self.bandwidth_left[self.base.link_index[lk]]
 
     def residual_capacities(self) -> list:
         """Effective residual switch memory, one entry per switch index."""
-        base, t = self.base, self.t_node_load
-        cap, node, rule = base.capacity, base.node_load, base.rule_load
-        return [cap[u] - node[u] - rule[u] - t[u] for u in base.switches]
+        return self.capacity_left[:]
 
     def residual_bandwidths(self) -> list:
         """Effective residual link bandwidth, one entry per link id."""
-        base, t = self.base, self.t_link_load
-        bw, load = base.bandwidth, base.link_load
-        return [bw[lk] - load[lk] - t[lk] for lk in base.links]
+        return self.bandwidth_left[:]
+
+    def _debit(self, node_units, link_units, sign=1):
+        """Take (sign 1) or give back (sign -1) units of the named switches
+        and links, recomputing their utilization terms."""
+        base = self.base
+        for units, index, totals, left, util in (
+            (node_units, base.switch_index, base.capacity, self.capacity_left, self.switch_util),
+            (link_units, base.link_index, base.bandwidth, self.bandwidth_left, self.link_util),
+        ):
+            for key, n in units.items():
+                i = index[key]
+                r = left[i] = left[i] - sign * n
+                util[i] = 1.0 - r / totals[key]
 
     def commit(self, request_id) -> bool:
         """Commit a tentative reservation and install its flow rules.
@@ -414,24 +442,21 @@ class SubstrateView:
         for u, units in rules.items():
             if self.residual_capacity(u) < units:
                 return False
-        self._drop_overlay(res)
         res.rule_units = rules
         self.base.commit_reservation(res)
+        del self.tentative[request_id]
+        self._debit(rules, {})  # node and link units were already debited
         return True
 
-    def _drop_overlay(self, res):
-        for u, units in res.node_units.items():
-            self.t_node_load[u] -= units
-        for lk, units in res.link_units.items():
-            self.t_link_load[lk] -= units
-        del self.tentative[res.request_id]
-
     def release(self, request_id) -> bool:
-        res = self.tentative.get(request_id)
-        if res is not None:
-            self._drop_overlay(res)
-            return True
-        return self.base.release(request_id)
+        res = self.tentative.pop(request_id, None)
+        if res is None:
+            res = self.base.committed.get(request_id)
+            if not self.base.release(request_id):
+                return False
+            self._debit(res.rule_units, {}, -1)
+        self._debit(res.node_units, res.link_units, -1)
+        return True
 
     def tentative_reservation(self, request_id) -> Reservation:
         res = self.tentative.get(request_id)
@@ -448,38 +473,44 @@ class SubstrateView:
         (old, units), = res.link_paths[vlink]
         path = tuple(path)
         freed = path_links(old)
-        for lk in path_links(path):
+        taken = path_links(path)
+        for lk in taken:
             if self.residual_bandwidth(lk) + (units if lk in freed else 0) < units:
                 raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
         for lk in freed:
             res.link_units[lk] -= units
             if res.link_units[lk] == 0:
                 del res.link_units[lk]
-            self.t_link_load[lk] -= units
-        for lk in path_links(path):
+        for lk in taken:
             res.link_units[lk] = res.link_units.get(lk, 0) + units
-            self.t_link_load[lk] += units
+        self._debit({}, dict.fromkeys(freed, units), -1)
+        self._debit({}, dict.fromkeys(taken, units))
         res.link_paths[vlink] = ((path, units),)
 
     def conservation_violations(self) -> list:
-        out = self.base.conservation_violations()
-        want_node = {u: 0 for u in self.switches}
-        want_link = {l: 0 for l in self.links}
+        """The base's audit, plus each flat residual against the base residual
+        less the tentative per-request sums, and each utilization term against
+        its residual."""
+        base = self.base
+        out = base.conservation_violations()
+        want_node = base.residual_capacities()
+        want_link = base.residual_bandwidths()
         for res in self.tentative.values():
             for u, units in res.node_units.items():
-                want_node[u] += units
+                want_node[base.switch_index[u]] -= units
             for lk, units in res.link_units.items():
-                want_link[lk] += units
-        for u, resid in zip(self.switches, self.residual_capacities()):
-            if self.t_node_load[u] != want_node[u]:
-                out.append(f"switch {u}: overlay load {self.t_node_load[u]} != sum {want_node[u]}")
-            if resid < 0:
-                out.append(f"switch {u}: negative effective residual")
-        for lk, resid in zip(self.links, self.residual_bandwidths()):
-            if self.t_link_load[lk] != want_link[lk]:
-                out.append(f"link {lk}: overlay load {self.t_link_load[lk]} != sum {want_link[lk]}")
-            if resid < 0:
-                out.append(f"link {lk}: negative effective residual")
+                want_link[base.link_index[lk]] -= units
+        for kind, names, left, util, wants, totals in (
+            ("switch", base.switches, self.capacity_left, self.switch_util, want_node, base.capacity),
+            ("link", base.links, self.bandwidth_left, self.link_util, want_link, base.bandwidth),
+        ):
+            for name, resid, term, want in zip(names, left, util, wants):
+                if resid != want:
+                    out.append(f"{kind} {name}: effective residual {resid} != base less overlay {want}")
+                if resid < 0:
+                    out.append(f"{kind} {name}: negative effective residual")
+                if term != 1.0 - resid / totals[name]:
+                    out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
         return out
 
 
@@ -523,10 +554,7 @@ def reserve(view: SubstrateView, request, mapping) -> Reservation:
         if view.residual_bandwidth(lk) < units:
             raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
     res = Reservation(rid, dict(mapping.node_map), dict(mapping.link_paths), node_units, link_units)
-    for u, units in node_units.items():
-        view.t_node_load[u] += units
-    for lk, units in link_units.items():
-        view.t_link_load[lk] += units
+    view._debit(node_units, link_units)
     view.tentative[rid] = res
     view.base._ever.add(rid)
     return res

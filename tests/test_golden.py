@@ -4,9 +4,24 @@ Each case pins the ``trace_sha256`` of one run. A refactor or speedup must
 leave every hash as it is; a deliberate behaviour change regenerates them in
 its own change and says why. Runs are short (400 requests unless stated), so
 the whole file takes a few seconds.
+
+Run as a script, ``python tests/test_golden.py`` checks every case without
+pytest, so each installed interpreter can be checked; it exits 1 on any
+mismatch.
 """
 
-import pytest
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+    def parametrize(*_args, **_kwargs):
+        return lambda test: test
+else:
+    import pytest
+
+    parametrize = pytest.mark.parametrize
 
 from vnesim.config import RunConfig
 from vnesim.metrics import trace_hash
@@ -62,8 +77,26 @@ def _case_id(case):
     return strategy + "-" + "-".join(f"{k}={v}" for k, v in overrides.items())
 
 
-@pytest.mark.parametrize("strategy,overrides,expected", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
+@parametrize("strategy,overrides,expected", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
 def test_trace_hash_is_unchanged(strategy, overrides, expected):
     config = RunConfig(strategy=strategy, **dict(dict(requests=400), **overrides))
     _, log = run_simulation(config)
     assert trace_hash(log) == expected
+
+
+def main() -> int:
+    if sys.flags.optimize:
+        sys.exit("run without -O: the check is an assert")
+    failed = 0
+    for case in GOLDEN:
+        try:
+            test_trace_hash_is_unchanged(*case)
+        except AssertionError:
+            failed += 1
+            print("MISMATCH", _case_id(case))
+    print(f"Python {sys.version.split()[0]}: {len(GOLDEN) - failed}/{len(GOLDEN)} golden hashes hold")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

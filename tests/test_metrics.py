@@ -15,6 +15,7 @@ from vnesim.metrics import (
     export_csv,
     mean_cost_per_accepted,
     mean_latency,
+    ordered_sum,
     summary,
     time_weighted_utilization,
     trace_hash,
@@ -205,6 +206,16 @@ class TestDerivedStats:
             row(3, latency=4.0),
         ]
         assert mean_latency(log) == 3.0
+
+    def test_mean_latency_sums_left_to_right(self):
+        # a compensated sum (``sum`` since Python 3.12, ``math.fsum``) keeps
+        # the 1.0 that a left-to-right sum rounds away
+        log, _ = fresh_log()
+        series = [1e16, 1.0, -1e16]
+        log.rows = [row(t, latency=v) for t, v in enumerate(series, start=1)]
+        assert math.fsum(series) == 1.0
+        assert ordered_sum(series) == (1e16 + 1.0) - 1e16 == 0.0
+        assert mean_latency(log) == 0.0
 
     def test_summary_keys_and_values(self):
         log, _ = fresh_log()

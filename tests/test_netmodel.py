@@ -1,6 +1,7 @@
 """Resource ledger, mapping validation, cost, and the topology text format."""
 
 import copy
+import math
 
 import pytest
 
@@ -281,6 +282,46 @@ def test_rule_units_one_per_link_path_switch():
 def test_rule_units_split_paths_count_per_path():
     link_paths = {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))}
     assert rule_units_for(link_paths) == {1: 2, 2: 2, 3: 1}
+
+
+class TestViewAudit:
+    """The view's audit covers its flat residuals and utilization terms."""
+
+    @staticmethod
+    def staged(net):
+        view = SubstrateView(net)
+        reserve(view, req(rid=1), Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        assert view.commit(1) is True
+        reserve(view, req(rid=2), Mapping({0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
+        assert view.conservation_violations() == []
+        return view
+
+    @pytest.mark.parametrize("flat,element", [
+        ("capacity_left", "switch 2"), ("bandwidth_left", "link (1, 3)"),
+    ])
+    def test_a_corrupted_residual_entry_is_reported(self, triangle, flat, element):
+        view = self.staged(triangle)
+        getattr(view, flat)[1] -= 1
+        found = view.conservation_violations()
+        assert any(v.startswith(f"{element}: effective residual") for v in found), found
+
+    @pytest.mark.parametrize("terms,element", [
+        ("switch_util", "switch 1"), ("link_util", "link (1, 2)"),
+    ])
+    def test_a_corrupted_utilization_term_is_reported(self, triangle, terms, element):
+        view = self.staged(triangle)
+        entries = getattr(view, terms)
+        entries[0] = math.nextafter(entries[0], 1.0)  # one ulp off
+        found = view.conservation_violations()
+        assert len(found) == 1 and found[0].startswith(f"{element}: utilization term"), found
+
+    def test_a_release_behind_the_views_back_is_reported(self, triangle):
+        view = self.staged(triangle)
+        assert triangle.release(1) is True
+        assert triangle.conservation_violations() == []  # the base alone balances
+        stale = view.conservation_violations()
+        assert sorted(v.split(":")[0] for v in stale) == ["link (1, 2)", "switch 1", "switch 2"]
+        assert all("effective residual" in v for v in stale)
 
 
 class TestValidateMapping:

@@ -34,7 +34,7 @@ def ledger_state(view):
     b = view.base
     return (dict(b.node_load), dict(b.rule_load), dict(b.link_load),
             set(b.committed), dict(view.t_node_load), dict(view.t_link_load),
-            set(view.tentative))
+            list(view.switch_util), list(view.link_util), set(view.tentative))
 
 
 class TestLedgerFuzz:
@@ -106,6 +106,13 @@ class TestLedgerFuzz:
                 for lk in net.links:
                     assert view.residual_bandwidth(lk) == net.bandwidth[lk] - exp_link[lk]
                     assert view.residual_bandwidth(lk) >= 0
+                # the flat lists the view keeps, entry by entry
+                caps = [net.capacity[u] - exp_node[u] - exp_rule[u] for u in net.switches]
+                bws = [net.bandwidth[lk] - exp_link[lk] for lk in net.links]
+                assert view.capacity_left == caps
+                assert view.bandwidth_left == bws
+                assert view.switch_util == [1.0 - r / net.capacity[u] for u, r in zip(net.switches, caps)]
+                assert view.link_util == [1.0 - r / net.bandwidth[lk] for lk, r in zip(net.links, bws)]
                 assert view.conservation_violations() == []
 
 

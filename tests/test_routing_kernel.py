@@ -13,7 +13,14 @@ import random
 
 import pytest
 
-from vnesim.netmodel import SubstrateNetwork, SubstrateView, norm_link
+from vnesim.netmodel import (
+    Mapping,
+    SubstrateNetwork,
+    SubstrateView,
+    VirtualNetworkRequest,
+    norm_link,
+    reserve,
+)
 
 from reference import adj, cheapest_feasible_path
 
@@ -48,9 +55,10 @@ def oracle(view, src, dst, demand):
 
 
 def make_net(rng, ids, links, min_bw, max_bw):
+    # memory n leaves room for one tentative unit per incident link
     return SubstrateNetwork(
         ids, links,
-        {u: 10 for u in ids}, {u: 1 for u in ids},
+        {u: len(ids) for u in ids}, {u: 1 for u in ids},
         {lk: rng.randint(min_bw, max_bw) for lk in links},
         {lk: rng.randint(1, 5) for lk in links},
     )
@@ -68,10 +76,21 @@ def random_instance(rng):
         a, b = rng.sample(ids, 2)
         links.add(norm_link(a, b))
     net = make_net(rng, ids, sorted(links), 1, 8)
-    view = SubstrateView(net)
+    committed, tentative = {}, {}
     for lk in net.links:
-        net.link_load[lk] = rng.randint(0, net.bandwidth[lk])
-        view.t_link_load[lk] = rng.randint(0, net.residual_bandwidth(lk))
+        committed[lk] = rng.randint(0, net.bandwidth[lk])
+        tentative[lk] = rng.randint(0, net.bandwidth[lk] - committed[lk])
+    # the view reads committed loads when it is built, and tentative ones
+    # through reserve, one request per loaded link
+    net.link_load.update(committed)
+    view = SubstrateView(net)
+    for rid, lk in enumerate(net.links):
+        if tentative[lk]:
+            request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): tentative[lk]})
+            reserve(view, request, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, tentative[lk]),)}))
+    assert view.residual_bandwidths() == [
+        net.bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
+    ]
     return net, view
 
 
@@ -120,7 +139,8 @@ def test_same_path_where_hop_distances_pass_the_clamp(shape):
 def test_index_shares_one_tuple_per_link_and_sorts_each_row():
     rng = random.Random("index")
     net, view = random_instance(rng)
-    for per_link in (net.bandwidth, net.link_cost, net.link_load, view.t_link_load):
+    # the view keeps no per-link dict; its derived overlay loads reuse the keys
+    for per_link in (net.bandwidth, net.link_cost, net.link_load, net.link_index, view.t_link_load):
         assert all(key is lk for key, lk in zip(per_link, net.links))
     for i, row in enumerate(net.rows):
         assert [u for u, _j, _step in row] == sorted(u for u, _j, _step in row)

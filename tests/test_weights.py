@@ -252,7 +252,7 @@ class TestRemapPass:
                     reserve(view, r, outcome.mapping)
                     batch.append(r)
             for rid in blockers:
-                net.release(rid)
+                view.release(rid)  # through the view, whose residuals follow
             before = batch_link_cost(view)
             changed = remap_pass(view, batch)
             after = batch_link_cost(view)
