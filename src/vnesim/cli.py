@@ -20,7 +20,7 @@ from multiprocessing import Pool
 
 from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_file
 from .controller import _MODES, STRATEGIES
-from .metrics import export_csv, summary
+from .metrics import MetricsLog, export_csv, summary
 from .netmodel import TopologyError, load_topology
 from .run import run_simulation
 
@@ -86,12 +86,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-_COMPARE_COLUMNS = (
-    "strategy", "arrivals", "accepted", "rejected", "rejected_at_commit",
-    "acceptance_rate", "mean_cost_per_accepted", "rule_writes",
-    "commit_events", "remapped_links", "mean_latency_proxy",
-    "avg_link_utilization", "avg_switch_utilization",
-)
+# the strategy, then the summary's keys in its order, less the trace hash
+_COMPARE_COLUMNS = ("strategy",) + tuple(k for k in summary(MetricsLog(None)) if k != "trace_sha256")
 
 
 def cmd_compare(args) -> int:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .controller import STRATEGIES, _MODES, WHICHEVER_FIRST
-from .simulator import to_ticks
+from .simulator import MAX_DRAW_FACTOR, TICKS_PER_UNIT, to_ticks
 from .workload import GeneratorSpec
 
 
@@ -53,16 +53,25 @@ class RunConfig(GeneratorSpec):
             raise ConfigError("batch_size must be at least 1")
         if self.window is not None and self.window <= 0:
             raise ConfigError("window must be positive")
+        if not _fits_ticks(self.effective_window()):
+            raise ConfigError(f"window {self.effective_window()} overflows the tick count")
         if to_ticks(self.effective_window()) < 1:
             raise ConfigError(f"window {self.window} rounds to 0 ticks (one tick is 1e-6 time units)")
         if self.split_paths < 1:
             raise ConfigError("split_paths must be at least 1")
         if self.interarrival_mean <= 0 or self.lifetime_mean <= 0:
             raise ConfigError("arrival and lifetime means must be positive")
+        for name in ("interarrival_mean", "lifetime_mean"):
+            mean = getattr(self, name)
+            if not _fits_ticks(MAX_DRAW_FACTOR * mean):
+                raise ConfigError(f"{name} {mean}: a draw of up to {MAX_DRAW_FACTOR:.1f} times "
+                                  "the mean overflows the tick count")
         if self.hop_delay < 0 or self.wait_delay < 0:
             raise ConfigError("hop_delay and wait_delay must be nonnegative")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        if self.horizon is not None and not _fits_ticks(self.horizon):
+            raise ConfigError(f"horizon {self.horizon} overflows the tick count")
         if self.substrate.startswith("random:"):
             try:
                 size = int(self.substrate.split(":", 1)[1])
@@ -82,6 +91,11 @@ class RunConfig(GeneratorSpec):
 
     def generator_spec(self) -> GeneratorSpec:
         return GeneratorSpec(**{f.name: getattr(self, f.name) for f in fields(GeneratorSpec)})
+
+
+def _fits_ticks(units) -> bool:
+    """Whether ``units`` time units convert to a finite tick count."""
+    return math.isfinite(units * TICKS_PER_UNIT)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -116,17 +130,21 @@ def parse_config_file(path) -> dict:
     """Read ``key = value`` lines into a dict of RunConfig field values."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, value, f"line {lineno}")
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values[key] = _coerce(key, value, f"line {lineno}")
     return values
 
 

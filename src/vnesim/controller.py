@@ -15,6 +15,10 @@ single commit event. A strategy is a row ``(k, policy, remap)``:
 * splitting: k = ``split_paths``, a pure time window of the given size and
   length, remap off.
 
+The pending batch is the view's tentative overlay, in arrival order; the
+controller keeps no copy of it, and writes the ledger only through the view
+(``SubstrateView.commit`` and ``.release``).
+
 Rule accounting: committing a mapping installs one flow rule per
 (virtual link, hosting path, transited switch); each rule consumes one unit
 of switch memory and one write. Removal at departure frees the memory but is
@@ -25,7 +29,7 @@ resources are released.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embedder import embed
 from .netmodel import UnknownRequestError, SubstrateView, mapping_cost, reserve
@@ -72,23 +76,6 @@ class BatchPolicy:
         return self.mode != COUNT_ONLY
 
 
-@dataclass
-class PendingBatch:
-    """Tentative successes waiting for the next commit trigger, in arrival
-    order. Each became tentative in its own arrival event, so its wait at
-    commit is ``now - request.arrival``."""
-
-    requests: list = field(default_factory=list)
-    epoch: int = 0
-
-    def __len__(self):
-        return len(self.requests)
-
-    def reset(self):
-        self.requests = []
-        self.epoch += 1
-
-
 class RuleTable:
     """Installed flow rules per switch (writes are counted by the log)."""
 
@@ -120,14 +107,16 @@ class Controller:
 
     A request's state is kept once: tentative or committed by the ledger
     (``view.tentative``, ``view.base.committed``), every count and final
-    outcome by the log.
+    outcome by the log. Each batch member became tentative in its own arrival
+    event, so its wait at commit is ``now - request.arrival``. A window
+    trigger carries the count of commit events when its batch opened, so one
+    whose batch a count trigger or flush already committed is ignored.
     """
 
     def __init__(self, substrate, row: StrategyRow, log):
         self.view = SubstrateView(substrate)
         self.row = row
         self.log = log
-        self.batch = PendingBatch()
         self.rules = RuleTable(substrate.switches)
 
     @property
@@ -146,34 +135,32 @@ class Controller:
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
         reserve(self.view, request, outcome.mapping).blocked = blocked
-        if not self.batch.requests and row.policy.timed:
-            engine.schedule_trigger(engine.now + row.policy.window, self.batch.epoch)
-        self.batch.requests.append(request)
+        if self.pending == 1 and row.policy.timed:  # this member opened the batch
+            engine.schedule_trigger(engine.now + row.policy.window, self.commit_events)
         self.log.record_arrival(engine.now, rid, accepted=True, cost=outcome.cost)
         # the count trigger fires inside the arrival that fills the batch,
         # so the batch can never hold more than `size` tentative requests
-        if row.policy.counts and len(self.batch) >= row.policy.size:
+        if row.policy.counts and self.pending >= row.policy.size:
             self.commit_batch(engine)
 
     # -- triggers ----------------------------------------------------------
 
     def on_window_trigger(self, engine, epoch):
-        if epoch != self.batch.epoch:
+        if epoch != self.commit_events:
             return  # a count trigger or flush already committed this batch
         self.commit_batch(engine)
 
     def commit_batch(self, engine):
-        if not self.batch.requests:
+        batch = list(self.view.tentative.values())
+        if not batch:
             return
-        remapped = remap_pass(self.view, self.batch.requests) if self.row.remap else 0
+        remapped = remap_pass(self.view, [res.request for res in batch]) if self.row.remap else 0
         self.log.record_commit_event(remapped)
-        for request in self.batch.requests:
-            self._commit_one(engine, request)
-        self.batch.reset()
+        for res in batch:
+            self._commit_one(engine, res)
 
-    def _commit_one(self, engine, request):
-        rid = request.request_id
-        res = self.view.tentative_reservation(rid)
+    def _commit_one(self, engine, res):
+        request, rid = res.request, res.request_id
         if self.view.commit(rid):
             self.rules.install(res.rule_units)
             cost = mapping_cost(self.view.base, request, res)
@@ -195,7 +182,7 @@ class Controller:
 
     @property
     def pending(self) -> int:
-        return len(self.batch)
+        return len(self.view.tentative)
 
     # -- departures --------------------------------------------------------
 

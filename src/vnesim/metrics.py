@@ -12,24 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .simulator import TICKS_PER_UNIT
-
-CSV_COLUMNS = (
-    "time",
-    "event_kind",
-    "request_id",
-    "outcome",
-    "cost",
-    "cum_accept_rate",
-    "avg_link_util",
-    "avg_switch_util",
-    "rule_writes_cum",
-    "commit_events_cum",
-    "remapped_links_cum",
-    "latency_proxy",
-)
 
 
 @dataclass(frozen=True)
@@ -46,6 +31,9 @@ class Row:
     commit_events_cum: int
     remapped_links_cum: int
     latency_proxy: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(Row))  # the trace's header, in row order
 
 
 def ordered_sum(values) -> float:
@@ -72,7 +60,6 @@ class MetricsLog:
         self.rule_writes = 0
         self.commit_events = 0
         self.remapped_links = 0
-        self.fates = {}  # request id -> (arrival index, arrival ticks, final outcome)
 
     # -- recording ---------------------------------------------------------
 
@@ -98,7 +85,6 @@ class MetricsLog:
         else:
             self.rejected += 1
             outcome = "rejected"
-        self.fates[request_id] = [self.arrivals - 1, time, outcome]
         self._append(time, "arrival", request_id, outcome, cost, None)
 
     def record_commit_event(self, remapped_links):
@@ -112,11 +98,9 @@ class MetricsLog:
             self.committed += 1
             self.rule_writes += rules_written
             latency = self.latency_proxy(mean_hops, wait)
-            self.fates[request_id][2] = "committed"
             self._append(time, "commit", request_id, "committed", cost, latency)
         else:
             self.cancelled += 1
-            self.fates[request_id][2] = "rejected-at-commit"
             self._append(time, "commit", request_id, "rejected-at-commit", None, None)
 
     def record_departure(self, time, request_id):
@@ -129,7 +113,7 @@ class MetricsLog:
 
 
 # ---------------------------------------------------------------------------
-# summaries (all derived from the rows / fates only)
+# summaries (all derived from the rows and counters only)
 
 
 def cumulative_acceptance(log) -> float:
@@ -155,11 +139,13 @@ def acceptance_rate(log, grouping="by-count", bucket=100):
     width = bucket if grouping == "by-count" else int(round(bucket * TICKS_PER_UNIT))
     if width == 0:
         raise ValueError(f"by-time bucket {bucket!r} rounds to 0 ticks")
+    committed = {r.request_id for r in log.rows if r.outcome == "committed"}
+    arrivals = (r for r in log.rows if r.event_kind == "arrival")
     groups = {}
-    for index, arrival_ticks, outcome in sorted(log.fates.values()):
-        key = ((index if grouping == "by-count" else arrival_ticks) // width) * bucket
+    for index, row in enumerate(arrivals):
+        key = ((index if grouping == "by-count" else row.time) // width) * bucket
         hit, total = groups.get(key, (0, 0))
-        groups[key] = (hit + (outcome == "committed"), total + 1)
+        groups[key] = (hit + (row.request_id in committed), total + 1)
     return [(key, hit / total) for key, (hit, total) in sorted(groups.items())]
 
 

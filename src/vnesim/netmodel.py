@@ -11,7 +11,10 @@ can be audited on every element at any event boundary.
 
 Committed state lives on ``SubstrateNetwork``; tentative (uncommitted)
 reservations live in a ``SubstrateView`` overlay so a batch can be staged,
-remapped, and then committed or cancelled atomically.
+remapped, and then committed or cancelled atomically. The overlay is the
+pending batch, in arrival order. The view is the only writer of the ledger:
+``SubstrateView.commit`` and ``SubstrateView.release`` change the committed
+loads and ``committed``; the network only holds them.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class Mapping:
 class Reservation:
     """Per-request ledger record; the unit dicts are what release subtracts."""
 
-    request_id: int
+    request: VirtualNetworkRequest
     node_map: dict
     link_paths: dict  # vlink -> tuple of (path tuple, allocated units)
     node_units: dict = field(default_factory=dict)  # switch -> units
@@ -133,6 +136,10 @@ class Reservation:
     # vlink -> ids of the links that could not carry it when embed routed it,
     # for links with any; None when unknown. Read once by the remap pass.
     blocked: dict = None
+
+    @property
+    def request_id(self) -> int:
+        return self.request.request_id
 
 
 def rule_units_for(link_paths: dict) -> dict:
@@ -146,7 +153,8 @@ def rule_units_for(link_paths: dict) -> dict:
 
 
 class SubstrateNetwork:
-    """Committed resource ledger over a validated substrate topology."""
+    """Committed resource ledger over a validated substrate topology; a
+    ``SubstrateView`` writes its loads and ``committed``."""
 
     def __init__(self, switches, links, capacity, switch_cost, bandwidth, link_cost):
         """Checks every switch, then every link, in input order, then that
@@ -287,43 +295,6 @@ class SubstrateNetwork:
         bw, load = self.bandwidth, self.link_load
         return [bw[lk] - load[lk] for lk in self.links]
 
-    def commit_reservation(self, res: Reservation):
-        """Apply a reservation to the committed ledger, atomically."""
-        if res.request_id in self.committed:
-            raise ReservationError(f"request {res.request_id} already committed")
-        for u, units in res.node_units.items():
-            if self.residual_capacity(u) < units + res.rule_units.get(u, 0):
-                raise ReservationError(f"switch {u}: reservation exceeds residual capacity")
-        for u, units in res.rule_units.items():
-            if u not in res.node_units and self.residual_capacity(u) < units:
-                raise ReservationError(f"switch {u}: rule units exceed residual capacity")
-        for lk, units in res.link_units.items():
-            if self.residual_bandwidth(lk) < units:
-                raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
-        for u, units in res.node_units.items():
-            self.node_load[u] += units
-        for u, units in res.rule_units.items():
-            self.rule_load[u] += units
-        for lk, units in res.link_units.items():
-            self.link_load[lk] += units
-        self.committed[res.request_id] = res
-        self._ever.add(res.request_id)
-
-    def release(self, request_id) -> bool:
-        """Release a committed request. Returns False on a repeated release."""
-        res = self.committed.pop(request_id, None)
-        if res is None:
-            if request_id in self._ever:
-                return False
-            raise UnknownRequestError(request_id)
-        for u, units in res.node_units.items():
-            self.node_load[u] -= units
-        for u, units in res.rule_units.items():
-            self.rule_load[u] -= units
-        for lk, units in res.link_units.items():
-            self.link_load[lk] -= units
-        return True
-
     def conservation_violations(self) -> list:
         """Audit the ledger; empty list means every element balances."""
         out = []
@@ -363,9 +334,13 @@ class SubstrateView:
     """A substrate plus an overlay of tentative (uncommitted) reservations.
 
     Effective residuals subtract both committed and tentative consumption, so
-    staged batch members see each other. ``commit`` moves one reservation into
-    the committed ledger and installs its flow rules; it fails (leaving the
-    reservation tentative) only when rule-memory headroom is missing.
+    staged batch members see each other. ``tentative`` maps request id to
+    Reservation in reserve order; the controller reserves each accepted
+    arrival, so this overlay is its pending batch. ``commit`` moves
+    one reservation into the committed ledger and installs its flow rules; it
+    fails (leaving the reservation tentative) only when rule-memory headroom
+    is missing. The view is the only writer of the base's loads and
+    ``committed``.
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
     index and ``bandwidth_left`` by link id, with each element's utilization
@@ -443,20 +418,40 @@ class SubstrateView:
             if self.residual_capacity(u) < units:
                 return False
         res.rule_units = rules
-        self.base.commit_reservation(res)
+        self._book(res)
+        self.base.committed[request_id] = res
         del self.tentative[request_id]
         self._debit(rules, {})  # node and link units were already debited
         return True
 
     def release(self, request_id) -> bool:
+        """Release a tentative or committed request. Returns False on a
+        repeated release; raises UnknownRequestError for an id never reserved."""
         res = self.tentative.pop(request_id, None)
         if res is None:
-            res = self.base.committed.get(request_id)
-            if not self.base.release(request_id):
-                return False
+            base = self.base
+            res = base.committed.pop(request_id, None)
+            if res is None:
+                if request_id in base._ever:
+                    return False
+                raise UnknownRequestError(request_id)
+            self._book(res, -1)
             self._debit(res.rule_units, {}, -1)
         self._debit(res.node_units, res.link_units, -1)
         return True
+
+    def _book(self, res, sign=1):
+        """Add (sign 1) or remove (sign -1) a reservation's node, rule and
+        link units in the committed loads. No headroom check is needed: the
+        effective residuals already count every unit."""
+        base = self.base
+        for units, load in (
+            (res.node_units, base.node_load),
+            (res.rule_units, base.rule_load),
+            (res.link_units, base.link_load),
+        ):
+            for key, n in units.items():
+                load[key] += sign * n
 
     def tentative_reservation(self, request_id) -> Reservation:
         res = self.tentative.get(request_id)
@@ -553,7 +548,7 @@ def reserve(view: SubstrateView, request, mapping) -> Reservation:
     for lk, units in link_units.items():
         if view.residual_bandwidth(lk) < units:
             raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
-    res = Reservation(rid, dict(mapping.node_map), dict(mapping.link_paths), node_units, link_units)
+    res = Reservation(request, dict(mapping.node_map), dict(mapping.link_paths), node_units, link_units)
     view._debit(node_units, link_units)
     view.tentative[rid] = res
     view.base._ever.add(rid)
@@ -627,5 +622,9 @@ def parse_topology(text: str) -> SubstrateNetwork:
 
 def load_topology(path) -> SubstrateNetwork:
     with open(path, encoding="utf-8") as fh:
-        return parse_topology(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TopologyError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_topology(text)
 

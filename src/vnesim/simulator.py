@@ -51,6 +51,11 @@ class RandomStreams:
         return Random(f"{self.master_seed}/request/{index}")
 
 
+# -log(1 - u) at the largest u that random() returns, 1 - 2**-53: the
+# largest multiple of its mean that one draw can be (about 36.7)
+MAX_DRAW_FACTOR = -math.log(2.0 ** -53)
+
+
 def _exponential_ticks(stream, mean_units) -> int:
     # inverse CDF on the stream's next uniform; at least one tick so draws
     # are strictly positive and arrival times strictly increase
@@ -134,9 +139,9 @@ class Engine:
                 f"rule table {rules.installed} disagrees with ledger {base.rule_load}"
             )
         policy = self.controller.row.policy
-        if policy.counts and len(self.controller.batch) > policy.size:
+        if policy.counts and self.controller.pending > policy.size:
             problems.append(
-                f"batch holds {len(self.controller.batch)} > {policy.size} tentative requests"
+                f"batch holds {self.controller.pending} > {policy.size} tentative requests"
             )
         if problems:
             raise AssertionError("; ".join(problems))

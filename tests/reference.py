@@ -4,8 +4,9 @@ Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
 oracle) and the mapping checker share no routing code with
 ``vnesim.embedder.embed``, which is why they live apart from it. The rest
 derives from a network or a finished run what the package itself never
-needs: adjacency, equality and text of a substrate, the state of a request,
-the longest wait and the mean number of concurrently committed requests.
+needs: adjacency, equality and text of a substrate, the fate and the state
+of a request, the longest wait and the mean number of concurrently committed
+requests.
 """
 
 from __future__ import annotations
@@ -283,15 +284,28 @@ def request_state(controller, request_id) -> str:
         return "tentative"
     if request_id in controller.view.base.committed:
         return "committed"
-    outcome = controller.log.fates[request_id][2]
+    outcome = fates(controller.log)[request_id][2]
     return "departed" if outcome == "committed" else outcome
+
+
+def fates(log) -> dict:
+    """Request id -> [arrival index, arrival ticks, final outcome], read off
+    the arrival rows and then the commit rows, whose outcome is final."""
+    out = {}
+    for r in log.rows:
+        if r.event_kind == "arrival":
+            out[r.request_id] = [len(out), r.time, r.outcome]
+        elif r.event_kind == "commit":
+            out[r.request_id][2] = r.outcome
+    return out
 
 
 def longest_wait(log) -> int:
     """Largest commit-row time minus arrival time, in ticks, over every
     commit row, cancelled ones included; 0 when nothing was committed."""
+    arrived = fates(log)
     return max(
-        (r.time - log.fates[r.request_id][1] for r in log.rows if r.event_kind == "commit"),
+        (r.time - arrived[r.request_id][1] for r in log.rows if r.event_kind == "commit"),
         default=0,
     )
 

@@ -310,6 +310,10 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("flag, value", [
         ("--window", "nan"), ("--interarrival-mean", "nan"), ("--lifetime-mean", "inf"),
         ("--horizon", "nan"), ("--hop-delay", "nan"), ("--hop-delay", "-1"),
+        # finite, but the tick count (of a mean: of its largest draw) overflows
+        ("--window", "1e303"), ("--horizon", "1e303"),
+        ("--interarrival-mean", "1e303"), ("--lifetime-mean", "1e303"),
+        ("--interarrival-mean", "4.9e300"),
     ])
     def test_nonfinite_or_negative_float_flag(self, capsys, tmp_path, flag, value):
         stderr = self.run_expecting_2(capsys, tmp_path, "run", flag, value)
@@ -320,6 +324,22 @@ class TestBadInputExitsTwo:
         conf.write_text("window = nan\n", encoding="utf-8")
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--config", str(conf))
         assert stderr.startswith("bad configuration:") and "window" in stderr
+
+    def test_config_file_that_is_not_utf8(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"seed = 1\n\xff\n")
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--config", str(conf))
+        assert stderr.startswith("bad configuration:") and "not UTF-8" in stderr
+
+    def test_topology_file_that_is_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "net.topo"
+        p.write_bytes(b"switch 1 100\n\xff\n")
+        code, _, stderr = run_cli(capsys, "validate-topology", str(p))
+        assert code == 2
+        assert stderr.startswith("invalid topology:") and "not UTF-8" in stderr
+        assert "Traceback" not in stderr and len(stderr.splitlines()) == 1
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", str(p))
+        assert stderr.startswith("error:") and "not UTF-8" in stderr
 
     def test_bad_flag_value_names_the_flag(self, capsys, tmp_path):
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--seed", "seven")

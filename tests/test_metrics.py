@@ -24,7 +24,7 @@ from vnesim.metrics import (
 from vnesim.netmodel import Mapping, SubstrateView, VirtualNetworkRequest, reserve
 
 from conftest import make_net
-from reference import active_counts, mean_concurrent_active
+from reference import active_counts, fates, mean_concurrent_active
 
 
 def fresh_log(**kwargs):
@@ -56,7 +56,7 @@ class TestRecording:
         assert (log.arrivals, log.accepted, log.rejected) == (2, 1, 1)
         assert (log.committed, log.cancelled, active_counts(log.rows)[-1]) == (1, 0, 0)
         assert log.commit_events == 1
-        assert log.fates == {
+        assert fates(log) == {
             0: [0, 1_000_000, "rejected"],
             1: [1, 2_000_000, "committed"],
         }
@@ -86,7 +86,7 @@ class TestRecording:
         log.record_commit_event(remapped_links=0)
         log.record_commit(2, 0, committed=False)
         assert log.cancelled == 1
-        assert log.fates[0][2] == "rejected-at-commit"
+        assert fates(log)[0][2] == "rejected-at-commit"
         assert cumulative_acceptance(log) == 0.0
         row = log.rows[-1]
         assert row.outcome == "rejected-at-commit"
