@@ -53,9 +53,14 @@ class RunConfig(GeneratorSpec):
             raise ConfigError("batch_size must be at least 1")
         if self.window is not None and self.window <= 0:
             raise ConfigError("window must be positive")
-        if not _fits_ticks(self.effective_window()):
-            raise ConfigError(f"window {self.effective_window()} overflows the tick count")
-        if to_ticks(self.effective_window()) < 1:
+        try:
+            window = self.effective_window()
+        except OverflowError:  # an int batch_size past float range
+            raise ConfigError("batch_size is too large: the default window, 5 * batch_size "
+                              "time units, overflows a float") from None
+        if not _fits_ticks(window):
+            raise ConfigError(f"window {window} overflows the tick count")
+        if to_ticks(window) < 1:
             raise ConfigError(f"window {self.window} rounds to 0 ticks (one tick is 1e-6 time units)")
         if self.split_paths < 1:
             raise ConfigError("split_paths must be at least 1")

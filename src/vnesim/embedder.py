@@ -14,7 +14,8 @@ All choices are deterministic under total tie-break orders:
   feasible path minimizing summed link unit cost, ties broken by fewer hops,
   then by lexicographic switch-id sequence.
 
-Routing is one A* search per path, run backward from dst to src on the
+Routing first walks from src along exact hop distances (below). Where the
+walk is blocked it runs one A* search, backward from dst to src, on the
 integer index of ``SubstrateNetwork`` (switch i is ``switches[i]``, link j
 is ``links[j]``) against a flat list of residuals by link id. A label packs
 (cost, hops) into one int, ``cost * H + hops``, with H larger than any hop
@@ -33,6 +34,22 @@ dst. Every optimal path has the same hop count, so the lexicographic minimum
 among them is built by taking the smallest such next switch at every step:
 the walk along ``nxt`` from src, once src settles, is the (cost, hops,
 switch sequence) minimum that a forward search over whole paths returns.
+
+Walk first: with ``to_t = hop_bounds(dst)``, every src-dst path has at least
+``to_t[src]`` hops, each of step at least ``min_step``, so its label is at
+least ``to_t[src] * min_step``. Call a link from v to u tight when
+``to_t[u] = to_t[v] - 1`` and its step is ``min_step``. A path of tight links
+meets that bound, so it is (cost, hops)-optimal over all links and hence over
+the feasible ones; conversely a path meeting the bound has ``to_t[src]``
+hops of step ``min_step`` and loses one hop of distance at each, so every
+optimal path is made of tight links whenever a tight feasible path exists.
+The walk starts at src and takes, at each switch, the smallest-id neighbour
+over a tight link with ``residual >= demand``. If it reaches dst, its path
+beats every other optimal path at their first difference, so it is the
+same lexicographic minimum the A* returns. If it dead-ends, the A* runs as
+if the walk had not been tried. A clamped ``to_t[src] = 255`` (true distance
+above 255) leaves no neighbour at 254, and a costlier link is never tight, so
+there the walk can only fail, never return a wrong path.
 """
 
 from __future__ import annotations
@@ -85,11 +102,28 @@ def greedy_node_map(view, request):
 def _dijkstra(net, residual, src, dst, demand):
     """The cheapest path from switch src to switch dst over links whose
     ``residual[link id] >= demand``, as a switch-id tuple; None when there is
-    none. Backward A* on the index (see the module docstring)."""
+    none. The walk along tight links, else backward A* on the index (see
+    the module docstring)."""
     rows = net.rows
     s, t = net.switch_index[src], net.switch_index[dst]
-    lb = net.hop_bounds(s)
     step_min = net.min_step
+    # the walk along tight feasible links (see the module docstring)
+    to_t = net.hop_bounds(t)
+    switches = net.switches
+    path = [src]
+    v, h = s, to_t[s]
+    while h:
+        h -= 1
+        for u, j, step in rows[v]:
+            if to_t[u] == h and step == step_min and residual[j] >= demand:
+                break
+        else:
+            break  # blocked: the A* below decides
+        v = u
+        path.append(switches[u])
+    else:  # h reached 0: the walk is at dst
+        return tuple(path)
+    lb = net.hop_bounds(s)
     n = len(rows)
     dist = [None] * n
     nxt = [n] * n
@@ -103,7 +137,6 @@ def _dijkstra(net, residual, src, dst, demand):
             continue
         done[v] = 1
         if v == s:
-            switches = net.switches
             path = [src]
             while v != t:
                 v = nxt[v]

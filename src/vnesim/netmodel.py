@@ -252,8 +252,11 @@ class SubstrateNetwork:
 
     def hop_bounds(self, s) -> bytes:
         """Hop distance from switch index s to each switch index, clamped at
-        255, memoized per s. A clamped distance still changes by at most one
-        across a link, which keeps the routing bound consistent."""
+        255, memoized per s. Links are undirected, so the same table is the
+        distance to s: routing reads it at both ends, at dst for the walk
+        along tight links and at src for the A* bound. A clamped distance
+        still changes by at most one across a link, which keeps that bound
+        consistent."""
         bounds = self._hop_bounds.get(s)
         if bounds is None:
             hops = self._hops_from(s)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .controller import BatchPolicy, make_controller
 from .metrics import MetricsLog
 from .simulator import Engine, RandomStreams, to_ticks
@@ -29,6 +29,8 @@ def run_simulation(config: RunConfig):
         window=to_ticks(config.effective_window()),
         mode=config.mode,
     )
+    horizon = to_ticks(config.horizon) if config.horizon is not None else None
+    _check_clock(config, requests, policy.window, horizon)
     controller = make_controller(config.strategy, substrate, policy, log=None,
                                  split_paths=config.split_paths)
     log = MetricsLog(controller.view, hop_delay=config.hop_delay,
@@ -36,8 +38,26 @@ def run_simulation(config: RunConfig):
     controller.log = log
     engine = Engine(
         controller, requests,
-        horizon=to_ticks(config.horizon) if config.horizon is not None else None,
+        horizon=horizon,
         check_invariants=config.check_invariants,
     )
     engine.run()
     return engine, log
+
+
+def _check_clock(config, requests, window, horizon):
+    """Reject a workload whose events run past float range: the metrics
+    divide by the last event tick. ``validate`` bounds each draw, but
+    many inter-arrival gaps can sum past it. No event comes after the last
+    departure or the last arrival's window, nor after the horizon."""
+    if not requests:
+        return
+    last = max(requests[-1].arrival + window, max(r.departure for r in requests))
+    if horizon is not None:
+        last = min(last, horizon)
+    try:
+        float(last)
+    except OverflowError:
+        raise ConfigError(
+            f"interarrival_mean {config.interarrival_mean}: {len(requests)} arrivals and "
+            f"their lifetimes run the clock past float range") from None

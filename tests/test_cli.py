@@ -291,8 +291,8 @@ class TestValidateTopologyCommand:
 class TestBadInputExitsTwo:
     """Bad input ends with exit code 2 and one message, never a traceback."""
 
-    def run_expecting_2(self, capsys, tmp_path, *argv):
-        code, _, stderr = run_cli(capsys, *argv, "--requests", "5",
+    def run_expecting_2(self, capsys, tmp_path, *argv, requests=5):
+        code, _, stderr = run_cli(capsys, *argv, "--requests", str(requests),
                                   "--out", str(tmp_path / "t.csv"))
         assert code == 2
         assert "Traceback" not in stderr and len(stderr.splitlines()) == 1
@@ -318,6 +318,21 @@ class TestBadInputExitsTwo:
     def test_nonfinite_or_negative_float_flag(self, capsys, tmp_path, flag, value):
         stderr = self.run_expecting_2(capsys, tmp_path, "run", flag, value)
         assert stderr.startswith("bad configuration:") and flag[2:].replace("-", "_") in stderr
+
+    def test_batch_size_past_float_range(self, capsys, tmp_path):
+        # the default window, 5 * batch_size, is a float
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--batch-size", "1" + "0" * 400)
+        assert stderr.startswith("bad configuration:") and "batch_size" in stderr
+
+    def test_arrivals_that_sum_past_float_range(self, capsys, tmp_path):
+        # each gap fits the tick count, 1,500 of them summed do not
+        argv = ("run", "--interarrival-mean", "1e300")
+        stderr = self.run_expecting_2(capsys, tmp_path, *argv, requests=1500)
+        assert stderr.startswith("bad configuration:") and "interarrival_mean" in stderr
+        # a horizon stops the clock in range
+        code, _, stderr = run_cli(capsys, *argv, "--horizon", "1000", "--requests", "1500",
+                                  "--out", str(tmp_path / "h.csv"))
+        assert code == 0 and stderr == ""
 
     def test_nonfinite_float_in_config_file(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

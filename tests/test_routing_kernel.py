@@ -1,6 +1,6 @@
-"""The integer-indexed A* routing kernel against the path-tuple Dijkstra it
-replaced: on every instance both return the identical switch sequence, or
-None in both.
+"""The integer-indexed routing kernel (the walk along tight links, else A*)
+against the path-tuple Dijkstra it replaced: on every instance both return
+the identical switch sequence, or None in both.
 
 The oracle below is a verbatim copy of the earlier ``_dijkstra``: a forward
 search whose heap keys are whole ``(cost, hops, path)`` tuples, so the first
@@ -10,9 +10,11 @@ construction.
 
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
+from vnesim import embedder
 from vnesim.netmodel import (
     Mapping,
     SubstrateNetwork,
@@ -54,19 +56,19 @@ def oracle(view, src, dst, demand):
     return _dijkstra(adj(base), base.link_cost, view.residual_bandwidth, src, dst, demand)
 
 
-def make_net(rng, ids, links, min_bw, max_bw):
+def make_net(rng, ids, links, min_bw, max_bw, max_cost=5):
     # memory n leaves room for one tentative unit per incident link
     return SubstrateNetwork(
         ids, links,
         {u: len(ids) for u in ids}, {u: 1 for u in ids},
         {lk: rng.randint(min_bw, max_bw) for lk in links},
-        {lk: rng.randint(1, 5) for lk in links},
+        {lk: rng.randint(1, max_cost) for lk in links},
     )
 
 
-def random_instance(rng):
+def random_instance(rng, max_cost=5):
     """A connected substrate of 6-40 switches with scattered ids, unit costs
-    1-5, and random committed and tentative link loads."""
+    1 to max_cost, and random committed and tentative link loads."""
     n = rng.randint(6, 40)
     ids = rng.sample(range(1, 4 * n), n)
     order = ids[:]
@@ -75,7 +77,7 @@ def random_instance(rng):
     for _ in range(rng.randint(0, 2 * n)):
         a, b = rng.sample(ids, 2)
         links.add(norm_link(a, b))
-    net = make_net(rng, ids, sorted(links), 1, 8)
+    net = make_net(rng, ids, sorted(links), 1, 8, max_cost)
     committed, tentative = {}, {}
     for lk in net.links:
         committed[lk] = rng.randint(0, net.bandwidth[lk])
@@ -117,23 +119,93 @@ def test_same_path_as_the_path_tuple_dijkstra_on_random_instances():
     assert 2000 < found < 10000
 
 
-@pytest.mark.parametrize("shape", ["path", "ring"])
-def test_same_path_where_hop_distances_pass_the_clamp(shape):
-    rng = random.Random(f"routing-kernel-{shape}")
+def clamp_instance(rng, shape, max_cost=5):
+    """A path of 300 or a ring of 600 switches, so hop distances pass the
+    255 clamp, with link bandwidths 2-3 and loads 0-1 (demand 1 always fits);
+    returns the substrate and the (src, dst) pairs to query."""
     n = 300 if shape == "path" else 600
     ids = list(range(n))
     links = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if shape == "ring" else [])
-    net = make_net(rng, ids, links, 2, 3)
+    net = make_net(rng, ids, links, 2, 3, max_cost)
     for lk in net.links:
-        net.link_load[lk] = rng.randint(0, 1)  # demand 1 always fits
+        net.link_load[lk] = rng.randint(0, 1)
     assert max(net.hop_bounds(0)) == 255  # the bound is clamped here
     pairs = [(0, n - 1), (n - 1, 0), (0, n // 2), (n // 2, 0), (5, n - 6)]
     pairs += [tuple(rng.sample(ids, 2)) for _ in range(20)]
+    return net, pairs
+
+
+@pytest.mark.parametrize("shape", ["path", "ring"])
+def test_same_path_where_hop_distances_pass_the_clamp(shape):
+    net, pairs = clamp_instance(random.Random(f"routing-kernel-{shape}"), shape)
     for src, dst in pairs:
         for demand in (1, 2):
             want = oracle(net, src, dst, demand)
             assert cheapest_feasible_path(net, src, dst, demand) == want
             assert want is not None or demand == 2
+
+
+class CountingHeapq:
+    """Stands in for ``heapq`` inside the embedder. Every A* search pops its
+    heap at least once; the walk along tight links never touches it."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.pops = 0
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """Checks one query against the oracle and counts who answered it:
+    ``(walk or A*, path found)``."""
+    counter = CountingHeapq()
+    monkeypatch.setattr(embedder, "heapq", counter)
+    tally = Counter()
+
+    def check(where, src, dst, demand):
+        want = oracle(where, src, dst, demand)
+        before = counter.pops
+        got = cheapest_feasible_path(where, src, dst, demand)
+        assert got == want, (type(where).__name__, src, dst, demand)
+        tally["astar" if counter.pops > before else "walk", want is not None] += 1
+
+    check.tally = tally
+    return check
+
+
+@pytest.mark.parametrize("max_cost", [1, 2])
+def test_walk_and_astar_match_the_path_tuple_dijkstra(resolved, max_cost):
+    # unit costs make every shortest-hop link tight, costs 1-2 only some;
+    # loads saturate part of the tight links, so the walk is often blocked
+    rng = random.Random(f"routing-walk-{max_cost}")
+    for _ in range(1000):
+        net, view = random_instance(rng, max_cost)
+        for src, dst, demand in queries(rng, net, 3):
+            for where in (net, view):
+                resolved(where, src, dst, demand)
+    tally = resolved.tally
+    assert sum(tally.values()) == 6000
+    assert tally["walk", False] == 0  # the walk returns only paths it walked
+    # each side answers a real share; A* also finds paths the walk missed
+    assert tally["walk", True] > 300
+    assert tally["astar", True] > 600 and tally["astar", False] > 600
+
+
+@pytest.mark.parametrize("shape", ["path", "ring"])
+def test_walk_at_unit_cost_where_hop_distances_pass_the_clamp(resolved, shape):
+    net, pairs = clamp_instance(random.Random(f"routing-walk-{shape}"), shape, max_cost=1)
+    for src, dst in pairs:
+        for demand in (1, 2):
+            resolved(net, src, dst, demand)
+    tally = resolved.tally
+    # the pairs beyond 255 hops, and demand-2 queries blocked on the way,
+    # fall back to A*; the rest are walked
+    assert tally["walk", True] > 0 and tally["astar", True] > 0
 
 
 def test_index_shares_one_tuple_per_link_and_sorts_each_row():
