@@ -18,7 +18,6 @@ from .netmodel import (
     SubstrateView,
     VirtualNetworkRequest,
     load_topology,
-    mapping_cost,
     parse_topology,
     reserve,
 )

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedder import embed
-from .netmodel import UnknownRequestError, SubstrateView, mapping_cost, reserve
+from .netmodel import UnknownRequestError, SubstrateView, reserve
 from .weights import remap_pass
 
 # The controller calls only `embed`; bench/tracing.py wraps this module's
@@ -134,7 +134,8 @@ class Controller:
         if not outcome.accepted:
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
-        reserve(self.view, request, outcome.mapping).blocked = blocked
+        reserve(self.view, request, outcome.mapping, outcome.link_units,
+                outcome.cost).blocked = blocked
         if self.pending == 1 and row.policy.timed:  # this member opened the batch
             engine.schedule_trigger(engine.now + row.policy.window, self.commit_events)
         self.log.record_arrival(engine.now, rid, accepted=True, cost=outcome.cost)
@@ -163,11 +164,10 @@ class Controller:
         request, rid = res.request, res.request_id
         if self.view.commit(rid):
             self.rules.install(res.rule_units)
-            cost = mapping_cost(self.view.base, request, res)
             hops = [len(p) - 1 for parts in res.link_paths.values() for p, _ in parts]
             mean_hops = sum(hops) / len(hops) if hops else 0.0
             self.log.record_commit(
-                engine.now, rid, committed=True, cost=cost,
+                engine.now, rid, committed=True, cost=res.cost,
                 mean_hops=mean_hops, wait=engine.now - request.arrival,
                 rules_written=sum(res.rule_units.values()),
             )

@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .netmodel import Mapping, SubstrateView, mapping_cost
+from .netmodel import Mapping, SubstrateView
 
 NODE_STAGE = "node-stage"
 LINK_STAGE = "link-stage"
@@ -65,12 +65,14 @@ LINK_STAGE = "link-stage"
 
 @dataclass(frozen=True)
 class EmbedOutcome:
-    """Result of an embedding attempt: a mapping and its cost, or a rejection
-    stage (node-stage when placement failed, link-stage when routing did)."""
+    """Result of an embedding attempt: a mapping, its units per link id and
+    its cost, or a rejection stage (node-stage when placement failed,
+    link-stage when routing did)."""
 
     mapping: object = None
     cost: int = None
     rejection: str = None
+    link_units: dict = None
 
     @property
     def accepted(self) -> bool:
@@ -172,7 +174,8 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
     Does not mutate the view: routing runs against a flat copy of its
     residuals, debited after each part, so sibling links of the same request
     never oversubscribe a shared substrate link. The caller reserves the
-    returned mapping.
+    returned mapping with its ``link_units`` (link id -> units over every
+    part) and ``cost``, as ``reserve`` keeps them.
 
     With k = 1, a dict passed as ``blocked`` receives, for each virtual link
     whose route some substrate link could not carry, ``vlink -> ascending
@@ -196,6 +199,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
         top = max(request.link_demands.values(), default=0)
         low = {j for j, r in enumerate(residual) if r < top}
     link_paths = {}
+    link_units = {}
     for vl in _link_order(request):
         remaining = request.link_demands[vl]
         src, dst = node_map[vl[0]], node_map[vl[1]]
@@ -217,6 +221,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
             alloc = min(remaining, *(residual[j] for j in link_ids))
             for j in link_ids:
                 residual[j] -= alloc
+                link_units[j] = link_units.get(j, 0) + alloc
             if blocked is not None:
                 low.update(j for j in link_ids if residual[j] < top)
             parts.append((path, alloc))
@@ -224,6 +229,9 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
         if remaining > 0:
             return EmbedOutcome(rejection=LINK_STAGE)
         link_paths[vl] = tuple(parts)
-    mapping = Mapping(node_map, link_paths)
-    return EmbedOutcome(mapping, mapping_cost(base, request, mapping))
+    # host unit cost times node demand, plus link unit cost times units
+    switch_cost, demands, link_costs = base.switch_cost, request.node_demands, base.link_costs
+    cost = sum(switch_cost[sw] * demands[vn] for vn, sw in node_map.items())
+    cost += sum(link_costs[j] * n for j, n in link_units.items())
+    return EmbedOutcome(Mapping(node_map, link_paths), cost, link_units=link_units)
 

@@ -1,4 +1,4 @@
-"""Substrate network model: topology, integer resource ledger, mapping cost.
+"""Substrate network model: topology and the integer resource ledger.
 
 The substrate is an undirected graph of switches and links. Every resource is
 an integer: switch memory (shared by hosted virtual nodes and installed flow
@@ -15,6 +15,10 @@ remapped, and then committed or cancelled atomically. The overlay is the
 pending batch, in arrival order. The view is the only writer of the ledger:
 ``SubstrateView.commit`` and ``SubstrateView.release`` change the committed
 loads and ``committed``; the network only holds them.
+
+A reservation keeps the link units by link id and the mapping cost that
+``embed`` computed while it routed; ``reserve`` re-derives neither from the
+paths, a remap move adjusts both, and commit reads the cost.
 """
 
 from __future__ import annotations
@@ -44,11 +48,6 @@ class UnknownRequestError(KeyError):
 def norm_link(a: int, b: int) -> tuple[int, int]:
     """Normalize an undirected link to (low, high) id order."""
     return (a, b) if a <= b else (b, a)
-
-
-def path_links(path) -> list[tuple[int, int]]:
-    """Substrate links traversed by a switch sequence."""
-    return [norm_link(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
 @dataclass(frozen=True)
@@ -125,14 +124,16 @@ class Mapping:
 
 @dataclass
 class Reservation:
-    """Per-request ledger record; the unit dicts are what release subtracts."""
+    """Per-request ledger record; the unit dicts are what release subtracts,
+    ``cost`` the mapping cost of its current paths."""
 
     request: VirtualNetworkRequest
     node_map: dict
     link_paths: dict  # vlink -> tuple of (path tuple, allocated units)
     node_units: dict = field(default_factory=dict)  # switch -> units
-    link_units: dict = field(default_factory=dict)  # link -> units
+    link_units: dict = field(default_factory=dict)  # link id -> units
     rule_units: dict = field(default_factory=dict)  # switch -> rule count
+    cost: int = 0
     # vlink -> ids of the links that could not carry it when embed routed it,
     # for links with any; None when unknown. Read once by the remap pass.
     blocked: dict = None
@@ -197,6 +198,9 @@ class SubstrateNetwork:
         self.links = sorted(seen)
         self.bandwidth = {lk: self.bandwidth[lk] for lk in self.links}
         self.link_cost = {lk: self.link_cost[lk] for lk in self.links}
+        # the same by link id, as the ledger reads them
+        self.bandwidths = list(self.bandwidth.values())
+        self.link_costs = list(self.link_cost.values())
         self._index()
         self._check_connected()
         if not self.links:
@@ -208,7 +212,6 @@ class SubstrateNetwork:
         self.rule_load = {u: 0 for u in self.switches}
         self.link_load = {l: 0 for l in self.links}
         self.committed = {}
-        self._ever = set()
 
     def _index(self):
         """The integer index routing runs on: switch i is ``switches[i]``,
@@ -219,11 +222,10 @@ class SubstrateNetwork:
         self.switch_index = {u: i for i, u in enumerate(self.switches)}
         self.link_index = {lk: j for j, lk in enumerate(self.links)}
         self.label_base = len(self.switches) + 1
-        self.min_step = min(self.link_cost.values(), default=1) * self.label_base + 1
+        self.min_step = min(self.link_costs, default=1) * self.label_base + 1
         steps = {}  # one int object per distinct step
         rows = [[] for _ in self.switches]
-        for j, (a, b) in enumerate(self.links):
-            c = self.link_cost[(a, b)]
+        for j, ((a, b), c) in enumerate(zip(self.links, self.link_costs)):
             step = steps.setdefault(c, c * self.label_base + 1)
             ia, ib = self.switch_index[a], self.switch_index[b]
             rows[ia].append((ib, j, step))
@@ -285,9 +287,6 @@ class SubstrateNetwork:
     def residual_capacity(self, u) -> int:
         return self.capacity[u] - self.node_load[u] - self.rule_load[u]
 
-    def residual_bandwidth(self, lk) -> int:
-        return self.bandwidth[lk] - self.link_load[lk]
-
     def residual_capacities(self) -> list:
         """Residual switch memory, one entry per switch index."""
         cap, node, rule = self.capacity, self.node_load, self.rule_load
@@ -295,22 +294,22 @@ class SubstrateNetwork:
 
     def residual_bandwidths(self) -> list:
         """Residual link bandwidth, one entry per link id."""
-        bw, load = self.bandwidth, self.link_load
-        return [bw[lk] - load[lk] for lk in self.links]
+        load = self.link_load
+        return [bw - load[lk] for lk, bw in zip(self.links, self.bandwidths)]
 
     def conservation_violations(self) -> list:
         """Audit the ledger; empty list means every element balances."""
         out = []
         want_node = {u: 0 for u in self.switches}
         want_rule = {u: 0 for u in self.switches}
-        want_link = {l: 0 for l in self.links}
+        want_link = [0] * len(self.links)
         for res in self.committed.values():
             for u, units in res.node_units.items():
                 want_node[u] += units
             for u, units in res.rule_units.items():
                 want_rule[u] += units
-            for lk, units in res.link_units.items():
-                want_link[lk] += units
+            for j, units in res.link_units.items():
+                want_link[j] += units
         for u, resid in zip(self.switches, self.residual_capacities()):
             node, rule = self.node_load[u], self.rule_load[u]
             if node != want_node[u] or rule != want_rule[u]:
@@ -322,13 +321,14 @@ class SubstrateNetwork:
                 out.append(f"switch {u}: negative residual {resid}")
             if resid + node + rule != self.capacity[u]:
                 out.append(f"switch {u}: conservation identity broken")
-        for lk, resid in zip(self.links, self.residual_bandwidths()):
+        for lk, resid, want, total in zip(
+                self.links, self.residual_bandwidths(), want_link, self.bandwidths):
             load = self.link_load[lk]
-            if load != want_link[lk]:
-                out.append(f"link {lk}: load {load} != per-request sum {want_link[lk]}")
+            if load != want:
+                out.append(f"link {lk}: load {load} != per-request sum {want}")
             if resid < 0:
                 out.append(f"link {lk}: negative residual {resid}")
-            if resid + load != self.bandwidth[lk]:
+            if resid + load != total:
                 out.append(f"link {lk}: conservation identity broken")
         return out
 
@@ -359,31 +359,12 @@ class SubstrateView:
         self.tentative = {}
         self.capacity_left = base.residual_capacities()
         self.bandwidth_left = base.residual_bandwidths()
-        # base.capacity and base.bandwidth are ordered by switch index and link id
+        # base.capacity is ordered by switch index
         self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacity.values())]
-        self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidth.values())]
-
-    @property
-    def switches(self):
-        return self.base.switches
-
-    @property
-    def links(self):
-        return self.base.links
-
-    @property
-    def t_node_load(self) -> dict:  # derived: base residual less effective residual
-        return {u: self.base.residual_capacity(u) - r for u, r in zip(self.switches, self.capacity_left)}
-
-    @property
-    def t_link_load(self) -> dict:  # derived: base residual less effective residual
-        return {lk: self.base.residual_bandwidth(lk) - r for lk, r in zip(self.links, self.bandwidth_left)}
+        self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidths)]
 
     def residual_capacity(self, u) -> int:
         return self.capacity_left[self.base.switch_index[u]]
-
-    def residual_bandwidth(self, lk) -> int:
-        return self.bandwidth_left[self.base.link_index[lk]]
 
     def residual_capacities(self) -> list:
         """Effective residual switch memory, one entry per switch index."""
@@ -395,16 +376,17 @@ class SubstrateView:
 
     def _debit(self, node_units, link_units, sign=1):
         """Take (sign 1) or give back (sign -1) units of the named switches
-        and links, recomputing their utilization terms."""
+        and of the links by id, recomputing their utilization terms."""
         base = self.base
-        for units, index, totals, left, util in (
-            (node_units, base.switch_index, base.capacity, self.capacity_left, self.switch_util),
-            (link_units, base.link_index, base.bandwidth, self.bandwidth_left, self.link_util),
-        ):
-            for key, n in units.items():
-                i = index[key]
-                r = left[i] = left[i] - sign * n
-                util[i] = 1.0 - r / totals[key]
+        index, capacity, left, util = base.switch_index, base.capacity, self.capacity_left, self.switch_util
+        for u, n in node_units.items():
+            i = index[u]
+            r = left[i] = left[i] - sign * n
+            util[i] = 1.0 - r / capacity[u]
+        bandwidths, left, util = base.bandwidths, self.bandwidth_left, self.link_util
+        for j, n in link_units.items():
+            r = left[j] = left[j] - sign * n
+            util[j] = 1.0 - r / bandwidths[j]
 
     def commit(self, request_id) -> bool:
         """Commit a tentative reservation and install its flow rules.
@@ -428,15 +410,12 @@ class SubstrateView:
         return True
 
     def release(self, request_id) -> bool:
-        """Release a tentative or committed request. Returns False on a
-        repeated release; raises UnknownRequestError for an id never reserved."""
+        """Release a tentative or committed request and return True; raises
+        UnknownRequestError for an id that is neither, a released one too."""
         res = self.tentative.pop(request_id, None)
         if res is None:
-            base = self.base
-            res = base.committed.pop(request_id, None)
+            res = self.base.committed.pop(request_id, None)
             if res is None:
-                if request_id in base._ever:
-                    return False
                 raise UnknownRequestError(request_id)
             self._book(res, -1)
             self._debit(res.rule_units, {}, -1)
@@ -448,13 +427,12 @@ class SubstrateView:
         link units in the committed loads. No headroom check is needed: the
         effective residuals already count every unit."""
         base = self.base
-        for units, load in (
-            (res.node_units, base.node_load),
-            (res.rule_units, base.rule_load),
-            (res.link_units, base.link_load),
-        ):
-            for key, n in units.items():
-                load[key] += sign * n
+        for units, load in ((res.node_units, base.node_load), (res.rule_units, base.rule_load)):
+            for u, n in units.items():
+                load[u] += sign * n
+        links, load = base.links, base.link_load
+        for j, n in res.link_units.items():
+            load[links[j]] += sign * n
 
     def tentative_reservation(self, request_id) -> Reservation:
         res = self.tentative.get(request_id)
@@ -466,21 +444,27 @@ class SubstrateView:
         """Move one single-path virtual link of a tentative reservation onto
         ``path`` (for remap), atomically: the units freed from the old path
         count as headroom, and when some link of the new path still lacks it
-        ReservationError is raised with nothing applied."""
+        ReservationError is raised with nothing applied. The reservation's
+        cost changes by ``units`` times the new path's link cost less the
+        old one's."""
         res = self.tentative_reservation(request_id)
         (old, units), = res.link_paths[vlink]
         path = tuple(path)
-        freed = path_links(old)
-        taken = path_links(path)
-        for lk in taken:
-            if self.residual_bandwidth(lk) + (units if lk in freed else 0) < units:
-                raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
-        for lk in freed:
-            res.link_units[lk] -= units
-            if res.link_units[lk] == 0:
-                del res.link_units[lk]
-        for lk in taken:
-            res.link_units[lk] = res.link_units.get(lk, 0) + units
+        base = self.base
+        freed = base.path_link_ids(old)
+        taken = base.path_link_ids(path)
+        for j in taken:
+            if self.bandwidth_left[j] + (units if j in freed else 0) < units:
+                raise ReservationError(f"link {base.links[j]}: reservation exceeds residual bandwidth")
+        link_units = res.link_units
+        for j in freed:
+            link_units[j] -= units
+            if link_units[j] == 0:
+                del link_units[j]
+        for j in taken:
+            link_units[j] = link_units.get(j, 0) + units
+        costs = base.link_costs
+        res.cost += units * (sum(costs[j] for j in taken) - sum(costs[j] for j in freed))
         self._debit({}, dict.fromkeys(freed, units), -1)
         self._debit({}, dict.fromkeys(taken, units))
         res.link_paths[vlink] = ((path, units),)
@@ -496,65 +480,50 @@ class SubstrateView:
         for res in self.tentative.values():
             for u, units in res.node_units.items():
                 want_node[base.switch_index[u]] -= units
-            for lk, units in res.link_units.items():
-                want_link[base.link_index[lk]] -= units
+            for j, units in res.link_units.items():
+                want_link[j] -= units
         for kind, names, left, util, wants, totals in (
-            ("switch", base.switches, self.capacity_left, self.switch_util, want_node, base.capacity),
-            ("link", base.links, self.bandwidth_left, self.link_util, want_link, base.bandwidth),
+            ("switch", base.switches, self.capacity_left, self.switch_util, want_node,
+             base.capacity.values()),
+            ("link", base.links, self.bandwidth_left, self.link_util, want_link, base.bandwidths),
         ):
-            for name, resid, term, want in zip(names, left, util, wants):
+            for name, resid, term, want, total in zip(names, left, util, wants, totals):
                 if resid != want:
                     out.append(f"{kind} {name}: effective residual {resid} != base less overlay {want}")
                 if resid < 0:
                     out.append(f"{kind} {name}: negative effective residual")
-                if term != 1.0 - resid / totals[name]:
+                if term != 1.0 - resid / total:
                     out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
         return out
 
 
-def mapping_cost(net, request, mapping) -> int:
-    """Embedding cost: host unit cost times node demand, plus link unit cost
-    times units on every link of every part's path. Pure in the topology
-    (ignores residuals); ``mapping`` may also be a Reservation."""
-    base = net.base if isinstance(net, SubstrateView) else net
-    cost = 0
-    for vn, sw in mapping.node_map.items():
-        cost += base.switch_cost[sw] * request.node_demands[vn]
-    for parts in mapping.link_paths.values():
-        for path, units in parts:
-            for lk in path_links(path):
-                cost += base.link_cost[lk] * units
-    return cost
-
-
-def reserve(view: SubstrateView, request, mapping) -> Reservation:
+def reserve(view: SubstrateView, request, mapping, link_units, cost) -> Reservation:
     """Reserve a mapping's resources in the view's tentative overlay, atomically.
 
-    Raises ReservationError (applying nothing) if any element lacks headroom
-    or the request is already reserved. ``SubstrateView.commit`` later moves
-    the reservation into the committed ledger with its flow rules.
+    ``link_units`` (link id -> units over every part's path) and ``cost``
+    are what ``embed`` computed for ``mapping``, kept as handed. Raises
+    ReservationError (applying nothing) if any element lacks headroom or the
+    request is already reserved. ``SubstrateView.commit`` later moves the
+    reservation into the committed ledger with its flow rules.
     """
     rid = request.request_id
-    if rid in view.tentative or rid in view.base.committed:
+    base = view.base
+    if rid in view.tentative or rid in base.committed:
         raise ReservationError(f"request {rid} is already reserved")
     node_units = {}
     for vn, sw in mapping.node_map.items():
         node_units[sw] = node_units.get(sw, 0) + request.node_demands[vn]
-    link_units = {}
-    for parts in mapping.link_paths.values():
-        for path, units in parts:
-            for lk in path_links(path):
-                link_units[lk] = link_units.get(lk, 0) + units
     for u, units in node_units.items():
         if view.residual_capacity(u) < units:
             raise ReservationError(f"switch {u}: reservation exceeds residual capacity")
-    for lk, units in link_units.items():
-        if view.residual_bandwidth(lk) < units:
-            raise ReservationError(f"link {lk}: reservation exceeds residual bandwidth")
-    res = Reservation(request, dict(mapping.node_map), dict(mapping.link_paths), node_units, link_units)
+    left = view.bandwidth_left
+    for j, units in link_units.items():
+        if left[j] < units:
+            raise ReservationError(f"link {base.links[j]}: reservation exceeds residual bandwidth")
+    res = Reservation(request, dict(mapping.node_map), dict(mapping.link_paths),
+                      node_units, dict(link_units), cost=cost)
     view._debit(node_units, link_units)
     view.tentative[rid] = res
-    view.base._ever.add(rid)
     return res
 
 

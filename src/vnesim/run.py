@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 from .config import ConfigError, RunConfig
 from .controller import BatchPolicy, make_controller
 from .metrics import MetricsLog
-from .simulator import Engine, RandomStreams, to_ticks
+from .simulator import TICKS_PER_UNIT, Engine, RandomStreams, to_ticks
 from .workload import build_substrate, generate_workload
 
 
@@ -30,7 +32,8 @@ def run_simulation(config: RunConfig):
         mode=config.mode,
     )
     horizon = to_ticks(config.horizon) if config.horizon is not None else None
-    _check_clock(config, requests, policy.window, horizon)
+    last = _check_clock(config, requests, policy.window, horizon)
+    _check_latency(config, substrate, requests, last)
     controller = make_controller(config.strategy, substrate, policy, log=None,
                                  split_paths=config.split_paths)
     log = MetricsLog(controller.view, hop_delay=config.hop_delay,
@@ -49,9 +52,10 @@ def _check_clock(config, requests, window, horizon):
     """Reject a workload whose events run past float range: the metrics
     divide by the last event tick. ``validate`` bounds each draw, but
     many inter-arrival gaps can sum past it. No event comes after the last
-    departure or the last arrival's window, nor after the horizon."""
+    departure or the last arrival's window, nor after the horizon. Returns
+    that bound on the last event tick, 0 without requests."""
     if not requests:
-        return
+        return 0
     last = max(requests[-1].arrival + window, max(r.departure for r in requests))
     if horizon is not None:
         last = min(last, horizon)
@@ -61,3 +65,17 @@ def _check_clock(config, requests, window, horizon):
         raise ConfigError(
             f"interarrival_mean {config.interarrival_mean}: {len(requests)} arrivals and "
             f"their lifetimes run the clock past float range") from None
+    return last
+
+
+def _check_latency(config, substrate, requests, last):
+    """Reject delays whose latency proxies, summed over the run for their
+    mean, leave float range. Each request commits at most once, with a proxy
+    of at most a simple path's hops times hop_delay plus the time of the last
+    event (the ``last`` tick) times wait_delay."""
+    hops = len(requests) * ((len(substrate.switches) - 1) * config.hop_delay)
+    waits = len(requests) * ((last / TICKS_PER_UNIT) * config.wait_delay)
+    if not math.isfinite(hops + waits):
+        name = "hop_delay" if not math.isfinite(hops) else "wait_delay"
+        raise ConfigError(f"{name} {getattr(config, name)}: the latency proxies of "
+                          f"{len(requests)} requests overflow float range summed for their mean")

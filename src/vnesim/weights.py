@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import embedder
-from .netmodel import path_links
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,8 @@ def link_weight(view, request, vlink, path) -> LinkWeightRecord:
     if tuple(path) != reserved:
         raise ValueError(f"path {tuple(path)} does not match the reservation {reserved}")
     used = units * (len(reserved) - 1) + len(reserved)
-    free = sum(view.residual_bandwidth(lk) for lk in path_links(reserved))
+    left = view.bandwidth_left
+    free = sum(left[j] for j in view.base.path_link_ids(reserved))
     free += sum(max(0, view.residual_capacity(sw) - 1) for sw in reserved)
     return LinkWeightRecord(request.request_id, vlink, reserved, units, used, free, used - free)
 
@@ -95,11 +95,9 @@ def prioritize(records) -> list:
 def _score(base, residual, ids, units):
     """(link cost of units on the links ``ids``, peak link utilization once
     they are placed there); a lower tuple is a better path."""
-    links, bandwidth, link_cost = base.links, base.bandwidth, base.link_cost
-    cost = units * sum(link_cost[links[j]] for j in ids)
-    peak = max(
-        Fraction(bandwidth[links[j]] - residual[j] + units, bandwidth[links[j]]) for j in ids
-    )
+    bandwidths, link_costs = base.bandwidths, base.link_costs
+    cost = units * sum(link_costs[j] for j in ids)
+    peak = max(Fraction(bandwidths[j] - residual[j] + units, bandwidths[j]) for j in ids)
     return cost, peak
 
 

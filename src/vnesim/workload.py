@@ -148,7 +148,11 @@ def _prufer_tree(stream, n):
 
 
 def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifetime) -> VirtualNetworkRequest:
-    """One random request: tree plus extra edges, uniform integer demands."""
+    """One random request: tree plus extra edges, uniform integer demands.
+
+    Skips the request's checks, which cannot fail for a validated spec, an
+    arrival >= 0 and a lifetime > 0: a spanning tree connects the nodes,
+    each link is (a, b) with a < b, and each demand is an integer >= 1."""
     n = stream.randint(spec.vnodes_min, spec.vnodes_max)
     links = set(_prufer_tree(stream, n))
     for a in range(n):
@@ -162,7 +166,10 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
         lk: stream.randint(spec.link_demand_min, spec.link_demand_max)
         for lk in sorted(links)
     }
-    return VirtualNetworkRequest(request_id, node_demands, link_demands, arrival, lifetime)
+    request = object.__new__(VirtualNetworkRequest)  # no __post_init__
+    request.__dict__.update(request_id=request_id, node_demands=node_demands,
+                            link_demands=link_demands, arrival=arrival, lifetime=lifetime)
+    return request
 
 
 def generate_workload(streams: RandomStreams, spec: GeneratorSpec, count,

@@ -2,10 +2,13 @@
 
 Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
 oracle) and the mapping checker share no routing code with
-``vnesim.embedder.embed``, which is why they live apart from it. The rest
-derives from a network or a finished run what the package itself never
-needs: adjacency, equality and text of a substrate, the fate and the state
-of a request, the longest wait and the mean number of concurrently committed
+``vnesim.embedder.embed``, which is why they live apart from it. The ledger
+terms of a mapping (its units per link id and its cost) are derived here
+from the paths alone, for mappings built by hand and to check the ones that
+``embed`` hands to ``reserve``. The rest derives from a network or a
+finished run what the package itself never needs: adjacency, equality and
+text of a substrate, the overlay's loads, the fate and the state of a
+request, the longest wait and the mean number of concurrently committed
 requests.
 """
 
@@ -16,7 +19,7 @@ from itertools import permutations
 
 from vnesim import embedder
 from vnesim.metrics import _time_weighted
-from vnesim.netmodel import SubstrateNetwork, SubstrateView, path_links
+from vnesim.netmodel import SubstrateNetwork, SubstrateView, norm_link, reserve
 
 NODE_CAPACITY = "node-capacity"
 INJECTIVITY = "injectivity"
@@ -26,6 +29,69 @@ PATH_BANDWIDTH = "path-bandwidth"
 
 def _base(view):
     return view.base if isinstance(view, SubstrateView) else view
+
+
+# ---------------------------------------------------------------------------
+# ledger terms of a mapping, derived from its paths
+
+
+def path_links(path) -> list:
+    """Substrate links, as (low, high) switch pairs, traversed by a switch
+    sequence."""
+    return [norm_link(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def link_units_of(net, mapping) -> dict:
+    """Link id -> units over every part's path of a mapping."""
+    index = _base(net).link_index
+    units = {}
+    for parts in mapping.link_paths.values():
+        for path, n in parts:
+            for lk in path_links(path):
+                j = index[lk]
+                units[j] = units.get(j, 0) + n
+    return units
+
+
+def mapping_cost(net, request, mapping) -> int:
+    """Embedding cost: host unit cost times node demand, plus link unit cost
+    times units on every link of every part's path. Pure in the topology
+    (ignores residuals); ``mapping`` may also be a Reservation."""
+    base = _base(net)
+    cost = 0
+    for vn, sw in mapping.node_map.items():
+        cost += base.switch_cost[sw] * request.node_demands[vn]
+    for parts in mapping.link_paths.values():
+        for path, units in parts:
+            for lk in path_links(path):
+                cost += base.link_cost[lk] * units
+    return cost
+
+
+def reserve_mapping(view, request, mapping):
+    """``reserve`` a hand-built mapping with the terms its paths give."""
+    return reserve(view, request, mapping, link_units_of(view, mapping),
+                   mapping_cost(view, request, mapping))
+
+
+def residual_bandwidth(net, lk) -> int:
+    """Residual bandwidth of link lk: effective on a view, committed on a
+    network."""
+    if isinstance(net, SubstrateView):
+        return net.bandwidth_left[net.base.link_index[lk]]
+    return net.bandwidth[lk] - net.link_load[lk]
+
+
+def t_node_load(view) -> dict:
+    """Switch -> tentative node units: base residual less effective residual."""
+    base = view.base
+    return {u: base.residual_capacity(u) - r for u, r in zip(base.switches, view.capacity_left)}
+
+
+def t_link_load(view) -> dict:
+    """Link -> tentative units: base residual less effective residual."""
+    base = view.base
+    return {lk: residual_bandwidth(base, lk) - r for lk, r in zip(base.links, view.bandwidth_left)}
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +243,10 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
             for lk in path_links(path):
                 wanted[lk] = wanted.get(lk, 0) + n
     for lk in sorted(wanted):
-        if wanted[lk] > view.residual_bandwidth(lk):
+        if wanted[lk] > residual_bandwidth(view, lk):
             violations.append(Violation(
                 PATH_BANDWIDTH, lk,
-                f"demand {wanted[lk]} exceeds residual {view.residual_bandwidth(lk)}",
+                f"demand {wanted[lk]} exceeds residual {residual_bandwidth(view, lk)}",
             ))
 
     return ValidationResult(not violations, violations)
@@ -258,7 +324,7 @@ def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
             demand = request.link_demands[vl]
             for path in simple_paths(assign[vl[0]], assign[vl[1]]):
                 links = path_links(path)
-                if any(net.residual_bandwidth(l) - used.get(l, 0) < demand for l in links):
+                if any(residual_bandwidth(net, l) - used.get(l, 0) < demand for l in links):
                     continue
                 for l in links:
                     used[l] = used.get(l, 0) + demand

@@ -14,7 +14,7 @@ import vnesim.controller
 from vnesim.config import RunConfig
 from vnesim.embedder import embed
 from vnesim.metrics import MetricsLog, csv_text, summary
-from vnesim.netmodel import SubstrateView, norm_link, path_links, reserve
+from vnesim.netmodel import SubstrateView, norm_link, reserve
 from vnesim.run import run_simulation
 from vnesim.simulator import (
     RandomStreams,
@@ -26,7 +26,16 @@ from vnesim.simulator import (
 from vnesim.weights import link_weight, remap_pass
 from vnesim.workload import GeneratorSpec, default_substrate, gen_virtual_request, random_substrate
 
-from reference import longest_wait, mean_concurrent_active, oracle_embed, validate_mapping
+from reference import (
+    longest_wait,
+    mapping_cost,
+    mean_concurrent_active,
+    oracle_embed,
+    path_links,
+    reserve_mapping,
+    residual_bandwidth,
+    validate_mapping,
+)
 
 
 def report(label, ok, detail):
@@ -110,8 +119,8 @@ def test_criterion_3_cost_exactness():
         outcome = embed(SubstrateView(net), req)
         if not outcome.accepted:
             continue
-        from vnesim.netmodel import mapping_cost
         assert mapping_cost(net, req, outcome.mapping) == evaluate(net, req, outcome.mapping)
+        assert outcome.cost == evaluate(net, req, outcome.mapping)
         checked += 1
     report("3 (cost exactness)", True,
            f"{checked} mappings match the independent evaluator exactly")
@@ -140,7 +149,7 @@ def test_criterion_5_weight_algebra():
     net = make_net([1, 2, 3], [(1, 2), (2, 3)])
     req = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10})
     view = SubstrateView(net)
-    reserve(view, req, Mapping({"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
+    reserve_mapping(view, req, Mapping({"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
     hand = link_weight(view, req, ("a", "b"), (1, 2, 3)).used
     assert hand == 23
 
@@ -156,12 +165,12 @@ def test_criterion_5_weight_algebra():
             outcome = embed(view, req)
             if not outcome.accepted:
                 continue
-            reserve(view, req, outcome.mapping)
+            reserve(view, req, outcome.mapping, outcome.link_units, outcome.cost)
             for vl, allocs in view.tentative_reservation(rid).link_paths.items():
                 (path, _units), = allocs
                 rec = link_weight(view, req, vl, path)
                 used = req.link_demands[vl] * (len(path) - 1) + len(path)
-                free = sum(view.residual_bandwidth(lk) for lk in path_links(path)) \
+                free = sum(residual_bandwidth(view, lk) for lk in path_links(path)) \
                      + sum(max(0, view.residual_capacity(sw) - 1) for sw in path)
                 assert rec.weight == used - free == rec.used - rec.free
                 records += 1

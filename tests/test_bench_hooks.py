@@ -70,3 +70,21 @@ def test_bench_checks_and_layer_metrics_read_the_run(strategy):
     assert metrics["controller.tentative_acceptances"] == log.accepted > 0
     assert metrics["controller.batch_size_mean"] == (
         (log.committed + log.cancelled) / log.commit_events)
+
+
+@pytest.mark.parametrize("corrupt", ["link_load", "rule_table"])
+def test_bench_audit_reports_each_selftest_corruption(corrupt):
+    # bench/selftest.py corrupts a finished run in these two ways and expects
+    # a failed run; the audit must report each one as a problem, since an
+    # exception (say, from a key of another form) would fail the run as well
+    config = RunConfig(strategy="batched", requests=100, seed=3)
+    engine, log = vnesim.run.run_simulation(config)
+    result = vnesim.metrics.summary(log)
+    assert bench_run.output_problems(engine, log, result, config) == []
+    if corrupt == "link_load":
+        base = engine.controller.view.base
+        base.link_load[base.links[0]] += 1
+    else:
+        rules = engine.controller.rules.installed
+        rules[next(iter(rules))] += 1
+    assert bench_run.output_problems(engine, log, result, config) != []

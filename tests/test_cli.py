@@ -1,5 +1,6 @@
 """Command-line interface and config-file handling."""
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -333,6 +334,20 @@ class TestBadInputExitsTwo:
         code, _, stderr = run_cli(capsys, *argv, "--horizon", "1000", "--requests", "1500",
                                   "--out", str(tmp_path / "h.csv"))
         assert code == 0 and stderr == ""
+
+    @pytest.mark.parametrize("flag", ["--hop-delay", "--wait-delay"])
+    def test_latency_delay_past_float_range(self, capsys, tmp_path, flag):
+        # finite, but the largest latency proxies, summed for their mean, are not
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", flag, "1e308", requests=20)
+        assert stderr.startswith("bad configuration:") and flag[2:].replace("-", "_") in stderr
+
+    @pytest.mark.parametrize("flag", ["--hop-delay", "--wait-delay"])
+    def test_large_but_safe_latency_delay_still_runs(self, capsys, tmp_path, flag):
+        code, out, stderr = run_cli(capsys, "run", flag, "1e300", "--requests", "20",
+                                    "--out", str(tmp_path / "t.csv"))
+        assert code == 0 and stderr == ""
+        latency = next(line for line in out.splitlines() if "mean_latency_proxy" in line)
+        assert math.isfinite(float(latency.split()[-1]))
 
     def test_nonfinite_float_in_config_file(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

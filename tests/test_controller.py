@@ -404,8 +404,8 @@ class TestStrategySelection:
         reserved, at_remap = [], []
         real_reserve, real_remap = vnesim.controller.reserve, vnesim.controller.remap_pass
 
-        def spy_reserve(view, request, mapping):
-            reserved.append(real_reserve(view, request, mapping))
+        def spy_reserve(*args):
+            reserved.append(real_reserve(*args))
             return reserved[-1]
 
         def spy_remap(view, requests):

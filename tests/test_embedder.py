@@ -16,15 +16,21 @@ from vnesim.netmodel import (
     Mapping,
     SubstrateView,
     VirtualNetworkRequest,
-    mapping_cost,
-    path_links,
     reserve,
 )
 from vnesim.simulator import RandomStreams
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
-from reference import cheapest_feasible_path, oracle_embed, validate_mapping
+from reference import (
+    cheapest_feasible_path,
+    mapping_cost,
+    oracle_embed,
+    path_links,
+    reserve_mapping,
+    residual_bandwidth,
+    validate_mapping,
+)
 
 
 def req(rid=1, nodes=None, links=None):
@@ -55,7 +61,7 @@ class TestGreedyNodeMap:
     def test_counts_committed_and_tentative_load(self, triangle):
         view = SubstrateView(triangle)
         filler = req(rid=9, nodes={"x": 70}, links={})
-        reserve(view, filler, Mapping({"x": 1}, {}))
+        reserve_mapping(view, filler, Mapping({"x": 1}, {}))
         m = greedy_node_map(view, req(nodes={"a": 50}, links={}))
         assert m == {"a": 2}
 
@@ -87,7 +93,7 @@ class TestCheapestFeasiblePath:
         view = SubstrateView(triangle)
         r = req(nodes={"a": 1, "b": 1}, links={("a", "b"): 95})
         outcome = embed(view, r)
-        reserve(view, r, outcome.mapping)
+        reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
         # direct (1, 2) now has 5 left; demand 10 must detour
         assert cheapest_feasible_path(view, 1, 2, 10) == (1, 3, 2)
 
@@ -112,7 +118,7 @@ class TestCheapestFeasiblePath:
             g = nx.Graph()
             g.add_nodes_from(net.switches)
             for lk in net.links:
-                if net.residual_bandwidth(lk) >= demand:
+                if residual_bandwidth(net, lk) >= demand:
                     g.add_edge(*lk, weight=net.link_cost[lk])
             src, dst = rng.sample(net.switches, 2)
             path = cheapest_feasible_path(net, src, dst, demand)
@@ -139,8 +145,8 @@ class TestEmbed:
         view = SubstrateView(triangle)
         embed(view, req())
         assert view.tentative == {}
-        assert all(view.residual_capacity(u) == 100 for u in view.switches)
-        assert all(view.residual_bandwidth(l) == 100 for l in view.links)
+        assert all(view.residual_capacity(u) == 100 for u in view.base.switches)
+        assert all(residual_bandwidth(view, l) == 100 for l in view.base.links)
 
     def test_node_stage_rejection(self, triangle):
         outcome = embed(SubstrateView(triangle), req(nodes={"a": 101}, links={}))
@@ -188,8 +194,8 @@ class TestEmbed:
             ("a", "b"): (((1, 2), 60),),
             ("a", "c"): (((1, 2, 3), 40),),
         }
-        reserve(view, r, outcome.mapping)
-        assert view.residual_bandwidth((1, 2)) == 0
+        reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
+        assert residual_bandwidth(view, (1, 2)) == 0
 
 
 class TestSplittingEmbed:

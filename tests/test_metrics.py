@@ -21,10 +21,10 @@ from vnesim.metrics import (
     trace_hash,
     _time_weighted,
 )
-from vnesim.netmodel import Mapping, SubstrateView, VirtualNetworkRequest, reserve
+from vnesim.netmodel import Mapping, SubstrateView, VirtualNetworkRequest
 
 from conftest import make_net
-from reference import active_counts, fates, mean_concurrent_active
+from reference import active_counts, fates, mean_concurrent_active, reserve_mapping
 
 
 def fresh_log(**kwargs):
@@ -37,7 +37,7 @@ def drive_tiny_run(log):
     view = log.view
     log.record_arrival(1_000_000, 0, accepted=False)
     r = VirtualNetworkRequest(1, {0: 50}, {}, 2_000_000, 5_000_000)
-    reserve(view, r, Mapping({0: 1}, {}))
+    reserve_mapping(view, r, Mapping({0: 1}, {}))
     log.record_arrival(2_000_000, 1, accepted=True, cost=50)
     log.record_commit_event(remapped_links=0)
     view.commit(1)
@@ -99,7 +99,7 @@ class TestRecording:
     def test_utilization_means_average_over_all_elements(self):
         log, net = fresh_log()
         r = VirtualNetworkRequest(1, {0: 1, 1: 1}, {(0, 1): 50}, 0, 10)
-        reserve(log.view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 50),)}))
+        reserve_mapping(log.view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 50),)}))
         link_util, switch_util = log._utilization_means()
         assert link_util == pytest.approx((0.5 + 0 + 0) / 3)
         assert switch_util == pytest.approx((0.01 + 0.01 + 0) / 3)

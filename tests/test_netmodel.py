@@ -14,11 +14,8 @@ from vnesim.netmodel import (
     UnknownRequestError,
     VirtualNetworkRequest,
     load_topology,
-    mapping_cost,
     norm_link,
     parse_topology,
-    path_links,
-    reserve,
     rule_units_for,
 )
 
@@ -30,7 +27,12 @@ from reference import (
     PATH_EXISTENCE,
     MappingStructureError,
     adj,
+    mapping_cost,
     networks_equal,
+    path_links,
+    reserve_mapping,
+    residual_bandwidth,
+    t_link_load,
     topology_text,
     validate_mapping,
 )
@@ -150,26 +152,26 @@ class TestReserveAndCommit:
         view = SubstrateView(triangle)
         r = req()
         mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)})
-        reserve(view, r, mapping)
+        reserve_mapping(view, r, mapping)
         assert view.residual_capacity(1) == 90
-        assert view.residual_bandwidth((1, 2)) == 95
+        assert residual_bandwidth(view, (1, 2)) == 95
         assert triangle.residual_capacity(1) == 100
-        assert triangle.residual_bandwidth((1, 2)) == 100
+        assert residual_bandwidth(triangle, (1, 2)) == 100
         assert view.conservation_violations() == []
 
     def test_release_tentative_restores_everything(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.release(r.request_id) is True
         assert view.residual_capacity(1) == 100
-        assert view.residual_bandwidth((1, 2)) == 100
+        assert residual_bandwidth(view, (1, 2)) == 100
         assert view.tentative == {}
 
     def test_commit_moves_reservation_and_installs_rule_memory(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.commit(r.request_id) is True
         # nodes 10 + one rule on each path switch
         assert triangle.residual_capacity(1) == 100 - 10 - 1
@@ -184,10 +186,10 @@ class TestReserveAndCommit:
         net = make_net([1, 2, 3], [(1, 2), (2, 3)])
         view = SubstrateView(net)
         squatter = req(rid=1, nodes={0: 100}, links={})
-        reserve(view, squatter, Mapping({0: 2}, {}))
+        reserve_mapping(view, squatter, Mapping({0: 2}, {}))
         assert view.commit(1) is True
         r = req(rid=2, nodes={0: 10, 1: 10}, links={(0, 1): 5})
-        reserve(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)}))
         assert view.commit(2) is False
         # the reservation stays tentative and fully accounted
         assert 2 in view.tentative
@@ -200,12 +202,13 @@ class TestReserveAndCommit:
     def test_move_keeps_the_ledger_balanced(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
         view.move_tentative_link(r.request_id, (0, 1), [1, 2])
         res = view.tentative_reservation(r.request_id)
         assert res.link_paths == {(0, 1): (((1, 2), 5),)}
-        assert res.link_units == {(1, 2): 5}
-        assert view.t_link_load == {(1, 2): 5, (1, 3): 0, (2, 3): 0}
+        assert res.link_units == {triangle.link_index[1, 2]: 5}
+        assert res.cost == mapping_cost(triangle, r, res) == 30 + 5
+        assert t_link_load(view) == {(1, 2): 5, (1, 3): 0, (2, 3): 0}
         assert view.conservation_violations() == []
 
     def test_move_counts_the_units_it_frees_on_shared_links(self):
@@ -214,62 +217,65 @@ class TestReserveAndCommit:
         net = make_net([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)], bws={(1, 2): 10})
         view = SubstrateView(net)
         r = req(nodes={0: 1, 1: 1}, links={(0, 1): 10})
-        reserve(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 10),)}))
-        assert view.residual_bandwidth((1, 2)) == 0
+        reserve_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 10),)}))
+        assert residual_bandwidth(view, (1, 2)) == 0
         view.move_tentative_link(r.request_id, (0, 1), (1, 2, 4, 3))
         res = view.tentative_reservation(r.request_id)
         assert res.link_paths == {(0, 1): (((1, 2, 4, 3), 10),)}
-        assert res.link_units == {(1, 2): 10, (2, 4): 10, (3, 4): 10}
-        assert view.residual_bandwidth((1, 2)) == 0
-        assert view.residual_bandwidth((2, 3)) == 100
+        assert res.link_units == {net.link_index[lk]: 10 for lk in ((1, 2), (2, 4), (3, 4))}
+        assert res.cost == mapping_cost(net, r, res) == 2 + 30
+        assert residual_bandwidth(view, (1, 2)) == 0
+        assert residual_bandwidth(view, (2, 3)) == 100
         assert view.conservation_violations() == []
 
     def test_refused_move_raises_and_applies_nothing(self, triangle):
         view = SubstrateView(triangle)
         hog = req(rid=1, nodes={0: 1, 1: 1}, links={(0, 1): 100})
-        reserve(view, hog, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 100),)}))
+        reserve_mapping(view, hog, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 100),)}))
         r = req(rid=2, nodes={0: 1, 1: 1}, links={(0, 1): 5})
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
         res_before = copy.deepcopy(view.tentative_reservation(2))
-        load_before = copy.deepcopy(view.t_link_load)
+        load_before = t_link_load(view)
         # (1, 2) is full and the old path frees nothing on it
         with pytest.raises(ReservationError, match=r"link \(1, 2\)"):
             view.move_tentative_link(2, (0, 1), (1, 2))
         assert view.tentative_reservation(2) == res_before
-        assert view.t_link_load == load_before
+        assert t_link_load(view) == load_before
         assert view.conservation_violations() == []
 
-    def test_double_release_returns_false(self, triangle):
+    def test_double_release_raises(self, triangle):
+        # a released id is unknown to the ledger, like one never reserved
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         view.commit(r.request_id)
         assert view.release(r.request_id) is True
-        assert view.release(r.request_id) is False
+        with pytest.raises(UnknownRequestError):
+            view.release(r.request_id)
 
     def test_overbooked_reserve_raises_and_applies_nothing(self, triangle):
         view = SubstrateView(triangle)
         r = req(nodes={0: 150, 1: 10}, links={(0, 1): 5})
         with pytest.raises(ReservationError):
-            reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+            reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.residual_capacity(1) == 100
-        assert view.residual_bandwidth((1, 2)) == 100
+        assert residual_bandwidth(view, (1, 2)) == 100
         assert view.tentative == {}
 
     def test_duplicate_reserve_raises(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         with pytest.raises(ReservationError, match="already reserved"):
-            reserve(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+            reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
 
     def test_sibling_tentative_requests_see_each_other(self, triangle):
         view = SubstrateView(triangle)
         first = req(rid=1, nodes={0: 60}, links={})
-        reserve(view, first, Mapping({0: 1}, {}))
+        reserve_mapping(view, first, Mapping({0: 1}, {}))
         second = req(rid=2, nodes={0: 60}, links={})
         with pytest.raises(ReservationError):
-            reserve(view, second, Mapping({0: 1}, {}))
+            reserve_mapping(view, second, Mapping({0: 1}, {}))
 
 
 def test_rule_units_one_per_link_path_switch():
@@ -291,9 +297,9 @@ class TestViewAudit:
     @staticmethod
     def staged(net):
         view = SubstrateView(net)
-        reserve(view, req(rid=1), Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve_mapping(view, req(rid=1), Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.commit(1) is True
-        reserve(view, req(rid=2), Mapping({0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
+        reserve_mapping(view, req(rid=2), Mapping({0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
         assert view.conservation_violations() == []
         return view
 
@@ -322,7 +328,8 @@ class TestViewAudit:
         res = triangle.committed.pop(1)
         for units, load in ((res.node_units, triangle.node_load),
                             (res.rule_units, triangle.rule_load),
-                            (res.link_units, triangle.link_load)):
+                            ({triangle.links[j]: n for j, n in res.link_units.items()},
+                             triangle.link_load)):
             for key, n in units.items():
                 load[key] -= n
         assert triangle.conservation_violations() == []  # the base alone balances

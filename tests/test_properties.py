@@ -8,17 +8,27 @@ from vnesim.embedder import embed
 from vnesim.metrics import summary, trace_hash
 from vnesim.netmodel import (
     Mapping,
+    ReservationError,
     SubstrateNetwork,
     SubstrateView,
-    mapping_cost,
     norm_link,
-    path_links,
     reserve,
 )
 from vnesim.run import run_simulation
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
-from reference import oracle_embed, validate_mapping
+from reference import (
+    _simple_paths,
+    adj,
+    link_units_of,
+    mapping_cost,
+    oracle_embed,
+    path_links,
+    residual_bandwidth,
+    t_link_load,
+    t_node_load,
+    validate_mapping,
+)
 
 SMALL = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1, node_demand_max=30,
                       link_demand_min=1, link_demand_max=20, edge_prob=0.6)
@@ -33,7 +43,7 @@ def draw_instance(seed, n_switches=8, spec=SMALL):
 def ledger_state(view):
     b = view.base
     return (dict(b.node_load), dict(b.rule_load), dict(b.link_load),
-            set(b.committed), dict(view.t_node_load), dict(view.t_link_load),
+            set(b.committed), t_node_load(view), t_link_load(view),
             list(view.switch_util), list(view.link_util), set(view.tentative))
 
 
@@ -48,7 +58,7 @@ class TestLedgerFuzz:
                 continue
             for commit in (False, True):
                 before = ledger_state(view)
-                reserve(view, req, out.mapping)
+                reserve(view, req, out.mapping, out.link_units, out.cost)
                 if commit:
                     assert view.commit(req.request_id) is True
                 assert ledger_state(view) != before
@@ -71,7 +81,7 @@ class TestLedgerFuzz:
                     next_rid += 1
                     out = embed(view, req)
                     if out.accepted:
-                        reserve(view, req, out.mapping)
+                        reserve(view, req, out.mapping, out.link_units, out.cost)
                         held[req.request_id] = [req, out.mapping, False]
                 elif roll < 0.8 and any(not v[2] for v in held.values()):
                     rid = rng.choice([r for r, v in held.items() if not v[2]])
@@ -104,8 +114,8 @@ class TestLedgerFuzz:
                     assert view.residual_capacity(u) == net.capacity[u] - exp_node[u] - exp_rule[u]
                     assert view.residual_capacity(u) >= 0
                 for lk in net.links:
-                    assert view.residual_bandwidth(lk) == net.bandwidth[lk] - exp_link[lk]
-                    assert view.residual_bandwidth(lk) >= 0
+                    assert residual_bandwidth(view, lk) == net.bandwidth[lk] - exp_link[lk]
+                    assert residual_bandwidth(view, lk) >= 0
                 # the flat lists the view keeps, entry by entry
                 caps = [net.capacity[u] - exp_node[u] - exp_rule[u] for u in net.switches]
                 bws = [net.bandwidth[lk] - exp_link[lk] for lk in net.links]
@@ -114,6 +124,51 @@ class TestLedgerFuzz:
                 assert view.switch_util == [1.0 - r / net.capacity[u] for u, r in zip(net.switches, caps)]
                 assert view.link_util == [1.0 - r / net.bandwidth[lk] for lk, r in zip(net.links, bws)]
                 assert view.conservation_violations() == []
+
+
+    def test_carried_link_ids_and_cost_follow_every_step(self):
+        # a reservation keeps the link units by id and the cost that embed
+        # handed to reserve; after every reserve, move, commit and release,
+        # both must equal what its paths give
+        moved = 0
+        for seed in range(15):
+            rng = random.Random(f"carried-{seed}")
+            plain = random_substrate(random.Random(f"carried-net-{seed}"), 8, SMALL)
+            net = SubstrateNetwork(plain.switches, plain.links, dict(plain.capacity),
+                                   {u: rng.randrange(1, 6) for u in plain.switches},
+                                   dict(plain.bandwidth),
+                                   {lk: rng.randrange(1, 6) for lk in plain.links})
+            view = SubstrateView(net)
+            neighbours = adj(net)
+            for rid in range(120):
+                roll = rng.random()
+                if roll < 0.4:
+                    req = gen_virtual_request(rng, SMALL, rid, 1, 100)
+                    out = embed(view, req, rng.choice((1, 2)))
+                    if out.accepted:
+                        reserve(view, req, out.mapping, out.link_units, out.cost)
+                elif roll < 0.75:
+                    movable = [(res, vl) for res in view.tentative.values()
+                               for vl, parts in sorted(res.link_paths.items()) if len(parts) == 1]
+                    if movable:
+                        res, (a, b) = rng.choice(movable)
+                        paths = _simple_paths(neighbours, res.node_map[a], res.node_map[b])
+                        try:
+                            view.move_tentative_link(res.request_id, (a, b), rng.choice(paths))
+                            moved += 1
+                        except ReservationError:
+                            pass
+                elif roll < 0.9 and view.tentative:
+                    rid = rng.choice(sorted(view.tentative))
+                    if not view.commit(rid):
+                        view.release(rid)
+                elif net.committed:
+                    view.release(rng.choice(sorted(net.committed)))
+                for res in [*view.tentative.values(), *net.committed.values()]:
+                    assert res.link_units == link_units_of(net, res)
+                    assert res.cost == mapping_cost(net, res.request, res)
+            assert view.conservation_violations() == []
+        assert moved > 200
 
 
 class TestCostInvariance:
@@ -164,10 +219,10 @@ class TestEmbeddingSoundness:
             accepted += 1
             assert validate_mapping(view, req, out.mapping)
             before = ledger_state(view)
-            reserve(view, req, out.mapping)
+            reserve(view, req, out.mapping, out.link_units, out.cost)
             assert view.conservation_violations() == []
-            assert min(view.residual_capacity(u) for u in view.switches) >= 0
-            assert min(view.residual_bandwidth(lk) for lk in view.links) >= 0
+            assert min(view.residual_capacity(u) for u in view.base.switches) >= 0
+            assert min(residual_bandwidth(view, lk) for lk in view.base.links) >= 0
             view.release(req.request_id)
             assert ledger_state(view) == before
         assert accepted > 120
@@ -193,7 +248,7 @@ class TestEmbeddingSoundness:
             if any(len(allocs) > 1 for allocs in out.mapping.link_paths.values()):
                 real_splits += 1
             before = ledger_state(view)
-            reserve(view, req, out.mapping)
+            reserve(view, req, out.mapping, out.link_units, out.cost)
             assert view.conservation_violations() == []
             view.release(req.request_id)
             assert ledger_state(view) == before

@@ -26,6 +26,7 @@ from vnesim.netmodel import (
 from vnesim.weights import link_weight, prioritize, remap_pass
 
 from conftest import make_net
+from reference import reserve_mapping, t_link_load
 
 
 def _score(base, residual, ids, units):
@@ -110,7 +111,7 @@ def scenario(seed):
         rid += 1
         outcome = embed(view, r)
         if outcome.accepted:
-            reserve(view, r, outcome.mapping)
+            reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
             assert view.commit(r.request_id)
             background.append(r.request_id)
     batch = []
@@ -120,7 +121,7 @@ def scenario(seed):
         blocked = {}
         outcome = embed(view, r, 1, blocked)
         if outcome.accepted:
-            res = reserve(view, r, outcome.mapping)
+            res = reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
             res.blocked = blocked if rng.random() < 0.875 else None
             batch.append(r)
         if background and rng.random() < 0.4:
@@ -137,7 +138,7 @@ def scenario(seed):
 def state(view):
     return (
         {rid: dict(res.link_paths) for rid, res in view.tentative.items()},
-        dict(view.t_link_load),
+        t_link_load(view),
     )
 
 
@@ -187,7 +188,7 @@ def test_a_skipped_split_link_is_still_refused(triangle):
     view = SubstrateView(triangle)
     r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 120}, 0, 10)
     split = Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))})
-    reserve(view, r, split).blocked = {}  # nothing blocked it: a skip
+    reserve_mapping(view, r, split).blocked = {}  # nothing blocked it: a skip
     with pytest.raises(ValueError, match="single-path"):
         remap_pass(view, [r])
 

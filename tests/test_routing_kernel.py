@@ -21,10 +21,9 @@ from vnesim.netmodel import (
     SubstrateView,
     VirtualNetworkRequest,
     norm_link,
-    reserve,
 )
 
-from reference import adj, cheapest_feasible_path
+from reference import adj, cheapest_feasible_path, reserve_mapping, residual_bandwidth, t_link_load
 
 
 def _dijkstra(adj, link_cost, residual, src, dst, demand):
@@ -53,7 +52,8 @@ def _dijkstra(adj, link_cost, residual, src, dst, demand):
 
 def oracle(view, src, dst, demand):
     base = view.base if isinstance(view, SubstrateView) else view
-    return _dijkstra(adj(base), base.link_cost, view.residual_bandwidth, src, dst, demand)
+    return _dijkstra(adj(base), base.link_cost, lambda lk: residual_bandwidth(view, lk),
+                     src, dst, demand)
 
 
 def make_net(rng, ids, links, min_bw, max_bw, max_cost=5):
@@ -89,7 +89,7 @@ def random_instance(rng, max_cost=5):
     for rid, lk in enumerate(net.links):
         if tentative[lk]:
             request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): tentative[lk]})
-            reserve(view, request, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, tentative[lk]),)}))
+            reserve_mapping(view, request, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, tentative[lk]),)}))
     assert view.residual_bandwidths() == [
         net.bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
     ]
@@ -212,7 +212,7 @@ def test_index_shares_one_tuple_per_link_and_sorts_each_row():
     rng = random.Random("index")
     net, view = random_instance(rng)
     # the view keeps no per-link dict; its derived overlay loads reuse the keys
-    for per_link in (net.bandwidth, net.link_cost, net.link_load, net.link_index, view.t_link_load):
+    for per_link in (net.bandwidth, net.link_cost, net.link_load, net.link_index, t_link_load(view)):
         assert all(key is lk for key, lk in zip(per_link, net.links))
     for i, row in enumerate(net.rows):
         assert [u for u, _j, _step in row] == sorted(u for u, _j, _step in row)

@@ -8,7 +8,6 @@ from vnesim.netmodel import (
     SubstrateView,
     UnknownRequestError,
     VirtualNetworkRequest,
-    path_links,
     reserve,
 )
 from vnesim.simulator import RandomStreams
@@ -16,13 +15,14 @@ from vnesim.weights import LinkWeightRecord, link_weight, prioritize, remap_pass
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
+from reference import path_links, reserve_mapping, residual_bandwidth, t_link_load
 
 
 def tentative(view, rid, node_map, paths, nodes, links):
     """Reserve a hand-picked single-path mapping tentatively; returns the request."""
     r = VirtualNetworkRequest(rid, nodes, links, 0, 10)
     link_paths = {vl: ((path, links[vl]),) for vl, path in paths.items()}
-    reserve(view, r, Mapping(node_map, link_paths))
+    reserve_mapping(view, r, Mapping(node_map, link_paths))
     return r
 
 
@@ -69,7 +69,7 @@ class TestUsedAndFree:
         net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={2: 100})
         view = SubstrateView(net)
         squat = VirtualNetworkRequest(7, {"x": 99}, {}, 0, 5)
-        reserve(view, squat, Mapping({"x": 2}, {}))
+        reserve_mapping(view, squat, Mapping({"x": 2}, {}))
         r = tentative(
             view, 1, {"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)},
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
@@ -140,9 +140,9 @@ class TestRemapPass:
         assert remap_pass(view, [r]) == 1
         res = view.tentative_reservation(1)
         assert res.link_paths[("a", "b")] == (((1, 2), 10),)
-        assert view.residual_bandwidth((1, 3)) == 100
-        assert view.residual_bandwidth((2, 3)) == 100
-        assert view.residual_bandwidth((1, 2)) == 90
+        assert residual_bandwidth(view, (1, 3)) == 100
+        assert residual_bandwidth(view, (2, 3)) == 100
+        assert residual_bandwidth(view, (1, 2)) == 90
         assert view.conservation_violations() == []
 
     def diamond(self, thin_bw=10):
@@ -200,7 +200,7 @@ class TestRemapPass:
         assert remap_pass(view, [heavy, light]) == 1
         assert view.tentative_reservation(1).link_paths[("a", "b")] == (((1, 2), 10),)
         assert view.tentative_reservation(2).link_paths[("a", "b")] == (((1, 3, 2), 6),)
-        assert view.residual_bandwidth((1, 2)) == 0
+        assert residual_bandwidth(view, (1, 2)) == 0
 
     def test_split_reservations_are_refused(self, triangle):
         view = SubstrateView(triangle)
@@ -208,7 +208,7 @@ class TestRemapPass:
         split = Mapping(
             {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))}
         )
-        reserve(view, r, split)
+        reserve_mapping(view, r, split)
         with pytest.raises(ValueError, match="single-path"):
             remap_pass(view, [r])
 
@@ -238,10 +238,10 @@ class TestRemapPass:
             rng = random.Random(f"blockers-{seed}")
             blockers = []
             for j, lk in enumerate(rng.sample(net.links, 4)):
-                hold = net.residual_bandwidth(lk) - rng.randint(1, 8)
+                hold = residual_bandwidth(net, lk) - rng.randint(1, 8)
                 rid = 1000 + j
                 blocker = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): hold}, 0, 10)
-                reserve(view, blocker, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, hold),)}))
+                reserve_mapping(view, blocker, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, hold),)}))
                 assert view.commit(rid)
                 blockers.append(rid)
             batch = []
@@ -249,7 +249,7 @@ class TestRemapPass:
                 r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
                 outcome = embed(view, r)
                 if outcome.accepted:
-                    reserve(view, r, outcome.mapping)
+                    reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
                     batch.append(r)
             for rid in blockers:
                 view.release(rid)  # through the view, whose residuals follow
@@ -282,18 +282,18 @@ class TestRemapPass:
                 r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
                 outcome = embed(view, r)
                 if outcome.accepted:
-                    reserve(view, r, outcome.mapping)
+                    reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
                     batch.append(r)
             before = (
                 {rid: (dict(res.link_paths), dict(res.link_units))
                  for rid, res in view.tentative.items()},
-                dict(view.t_link_load),
+                t_link_load(view),
             )
             assert remap_pass(view, batch) == 0
             after = (
                 {rid: (dict(res.link_paths), dict(res.link_units))
                  for rid, res in view.tentative.items()},
-                dict(view.t_link_load),
+                t_link_load(view),
             )
             assert after == before
             scored += sum(len(res.link_paths) for res in view.tentative.values())

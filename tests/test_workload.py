@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vnesim.netmodel import TopologyError
+from vnesim.netmodel import TopologyError, VirtualNetworkRequest
 from vnesim.simulator import RandomStreams, to_ticks
 from vnesim.workload import (
     GeneratorSpec,
@@ -141,6 +141,25 @@ class TestGenVirtualRequest:
         a = gen_virtual_request(random.Random("r"), spec, 0, 0, 1)
         b = gen_virtual_request(random.Random("r"), spec, 0, 0, 1)
         assert (a.node_demands, a.link_demands) == (b.node_demands, b.link_demands)
+
+
+class TestGeneratedRequestsAreValid:
+    """Generated requests skip the request's checks; each one must pass them.
+    Requests built by hand keep them (TestVirtualNetworkRequest in
+    test_netmodel.py)."""
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(),
+        GeneratorSpec(vnodes_min=1, vnodes_max=1),
+        GeneratorSpec(vnodes_min=1, vnodes_max=6, edge_prob=1.0),
+        GeneratorSpec(node_demand_min=7, node_demand_max=7, link_demand_min=3, link_demand_max=3),
+    ], ids=["defaults", "one-node", "complete", "equal-demand-bounds"])
+    def test_every_generated_request_passes_the_checking_constructor(self, spec):
+        for seed in range(4):
+            for r in generate_workload(RandomStreams(seed), spec, 300):
+                checked = VirtualNetworkRequest(r.request_id, dict(r.node_demands),
+                                                dict(r.link_demands), r.arrival, r.lifetime)
+                assert checked == r and type(r) is VirtualNetworkRequest
 
 
 class TestGenerateWorkload:
