@@ -14,6 +14,7 @@ Every RunConfig field is settable by flag and by ``--config`` file
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from multiprocessing import Pool
@@ -130,7 +131,8 @@ def cmd_sweep(args) -> int:
     for _, _, job_config in jobs:
         job_config.validate()
 
-    workers = min(args.workers, len(jobs))
+    # the output does not depend on the worker count
+    workers = min(args.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(_sweep_one, jobs)
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--batch-sizes", dest="batch_sizes",
                          help="comma list of n values to sweep instead of seeds")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes")
+                         help="parallel worker processes (at most one per CPU)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate-topology", help="check a topology file")

@@ -77,19 +77,18 @@ class BatchPolicy:
 
 
 class RuleTable:
-    """Installed flow rules per switch (writes are counted by the log)."""
+    """Installed flow rules per switch id (writes are counted by the log)."""
 
     def __init__(self, switches):
+        self.switches = switches
         self.installed = {u: 0 for u in switches}
 
-    def install(self, rule_units: dict):
-        for u, n in rule_units.items():
-            self.installed[u] += n
-
-    def remove(self, rule_units: dict):
-        # departures free memory but never count as writes
-        for u, n in rule_units.items():
-            self.installed[u] -= n
+    def install(self, rule_units: dict, sign=1):
+        """Install (sign 1) or remove (sign -1) rule units keyed by switch
+        index; departures free memory but never count as writes."""
+        switches, installed = self.switches, self.installed
+        for i, n in rule_units.items():
+            installed[switches[i]] += sign * n
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ class Controller:
         res = self.view.base.committed.get(request_id)
         if res is None:
             raise UnknownRequestError(f"departure for request {request_id}, which is not committed")
-        self.rules.remove(res.rule_units)
+        self.rules.install(res.rule_units, -1)
         self.view.release(request_id)
         self.log.record_departure(engine.now, request_id)
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .netmodel import Mapping, SubstrateView
+from .netmodel import Mapping
 
 NODE_STAGE = "node-stage"
 LINK_STAGE = "link-stage"
@@ -79,16 +79,12 @@ class EmbedOutcome:
         return self.mapping is not None
 
 
-def _base(view):
-    return view.base if isinstance(view, SubstrateView) else view
-
-
 def greedy_node_map(view, request):
     """Place virtual nodes by descending demand onto the emptiest feasible
     switch (the lowest id among equals); returns the node map, or None when
     some node cannot be placed."""
     order = sorted(request.node_demands, key=lambda n: (-request.node_demands[n], n))
-    switches = _base(view).switches
+    switches = view.base.switches
     resid = view.residual_capacities()
     node_map = {}
     for vn in order:
@@ -190,7 +186,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
     node_map = greedy_node_map(view, request)
     if node_map is None:
         return EmbedOutcome(rejection=NODE_STAGE)
-    base = _base(view)
+    base = view.base
     residual = view.residual_bandwidths()  # debited part by part
     if blocked is not None:
         # residuals only fall during the call, so a substrate link too thin
@@ -230,8 +226,8 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
             return EmbedOutcome(rejection=LINK_STAGE)
         link_paths[vl] = tuple(parts)
     # host unit cost times node demand, plus link unit cost times units
-    switch_cost, demands, link_costs = base.switch_cost, request.node_demands, base.link_costs
-    cost = sum(switch_cost[sw] * demands[vn] for vn, sw in node_map.items())
+    index, switch_costs, link_costs = base.switch_index, base.switch_costs, base.link_costs
+    cost = sum(switch_costs[index[sw]] * request.node_demands[vn] for vn, sw in node_map.items())
     cost += sum(link_costs[j] * n for j, n in link_units.items())
     return EmbedOutcome(Mapping(node_map, link_paths), cost, link_units=link_units)
 

@@ -2,8 +2,10 @@
 
 The substrate is an undirected graph of switches and links. Every resource is
 an integer: switch memory (shared by hosted virtual nodes and installed flow
-rules), link bandwidth, and unit costs. Reservations are tracked per request
-so that release is exact and the conservation identity
+rules), link bandwidth, and unit costs. Totals and unit costs are flat lists,
+by switch index (switch i is ``switches[i]``) and by link id (link j is
+``links[j]``). Reservations are tracked per request, with their units by the
+same indices, so that release is exact and the conservation identity
 
     residual + hosted demands + held rule units == total capacity
 
@@ -12,13 +14,16 @@ can be audited on every element at any event boundary.
 Committed state lives on ``SubstrateNetwork``; tentative (uncommitted)
 reservations live in a ``SubstrateView`` overlay so a batch can be staged,
 remapped, and then committed or cancelled atomically. The overlay is the
-pending batch, in arrival order. The view is the only writer of the ledger:
-``SubstrateView.commit`` and ``SubstrateView.release`` change the committed
-loads and ``committed``; the network only holds them.
+pending batch, in arrival order. The view is the only writer and auditor
+of the ledger: ``SubstrateView.commit`` and ``SubstrateView.release``
+change the committed loads and ``committed``; the network only holds them.
+The committed loads keep names as keys (``node_load`` and ``rule_load`` by
+switch id, ``link_load`` by link tuple); the view maps indices to names only
+when it books them.
 
-A reservation keeps the link units by link id and the mapping cost that
-``embed`` computed while it routed; ``reserve`` re-derives neither from the
-paths, a remap move adjusts both, and commit reads the cost.
+A reservation keeps the mapping cost that ``embed`` computed while it routed;
+``reserve`` re-derives neither its link units nor its cost from the paths, a
+remap move adjusts both, and commit reads the cost.
 """
 
 from __future__ import annotations
@@ -130,9 +135,9 @@ class Reservation:
     request: VirtualNetworkRequest
     node_map: dict
     link_paths: dict  # vlink -> tuple of (path tuple, allocated units)
-    node_units: dict = field(default_factory=dict)  # switch -> units
+    node_units: dict = field(default_factory=dict)  # switch index -> units
     link_units: dict = field(default_factory=dict)  # link id -> units
-    rule_units: dict = field(default_factory=dict)  # switch -> rule count
+    rule_units: dict = field(default_factory=dict)  # switch index -> rule count
     cost: int = 0
     # vlink -> ids of the links that could not carry it when embed routed it,
     # for links with any; None when unknown. Read once by the remap pass.
@@ -143,35 +148,38 @@ class Reservation:
         return self.request.request_id
 
 
-def rule_units_for(link_paths: dict) -> dict:
-    """Flow-rule memory per switch: one unit per (virtual link, path, switch)."""
+def rule_units_for(link_paths: dict, switch_index: dict) -> dict:
+    """Flow-rule memory per switch index: one unit per (virtual link, path,
+    switch)."""
     units = {}
     for vl in link_paths:
         for path, _alloc in link_paths[vl]:
             for sw in path:
-                units[sw] = units.get(sw, 0) + 1
+                i = switch_index[sw]
+                units[i] = units.get(i, 0) + 1
     return units
 
 
 class SubstrateNetwork:
-    """Committed resource ledger over a validated substrate topology; a
-    ``SubstrateView`` writes its loads and ``committed``."""
+    """Committed resource ledger over a validated substrate topology: totals
+    and unit costs by switch index and link id, committed loads by name; a
+    ``SubstrateView`` writes the loads and ``committed``."""
 
     def __init__(self, switches, links, capacity, switch_cost, bandwidth, link_cost):
         """Checks every switch, then every link, in input order, then that
-        the topology is connected and has a link; unit costs default to 1."""
-        self.capacity = dict(capacity)
-        self.switch_cost = dict(switch_cost)
-        self.bandwidth = {norm_link(*l): u for l, u in bandwidth.items()}
-        self.link_cost = {norm_link(*l): c for l, c in link_cost.items()}
+        the topology is connected and has a link; unit costs default to 1.
+        Values keyed by ids that are not elements are dropped."""
+        capacity, switch_cost = dict(capacity), dict(switch_cost)
+        bandwidth = {norm_link(*l): u for l, u in bandwidth.items()}
+        link_cost = {norm_link(*l): c for l, c in link_cost.items()}
         # routing settles each switch once, which needs unit costs >= 0
         known = set()
         for i, u in enumerate(switches):
             if u in known:
                 raise TopologyError(f"duplicate switch {u}", at=("switch", i))
-            if self.capacity.get(u, 0) <= 0:
+            if capacity.get(u, 0) <= 0:
                 raise TopologyError(f"switch {u}: capacity must be positive", at=("switch", i))
-            if self.switch_cost.setdefault(u, 1) <= 0:
+            if switch_cost.setdefault(u, 1) <= 0:
                 raise TopologyError(f"switch {u}: unit cost must be positive", at=("switch", i))
             known.add(u)
         if not known:
@@ -185,22 +193,18 @@ class SubstrateNetwork:
                 raise TopologyError(f"duplicate link {lk}", at=("link", i))
             if a not in known or b not in known:
                 raise TopologyError(f"link {lk} references unknown switch", at=("link", i))
-            if self.bandwidth.get(lk, 0) <= 0:
+            if bandwidth.get(lk, 0) <= 0:
                 raise TopologyError(f"link {lk}: bandwidth must be positive", at=("link", i))
-            if self.link_cost.setdefault(lk, 1) <= 0:
+            if link_cost.setdefault(lk, 1) <= 0:
                 raise TopologyError(f"link {lk}: unit cost must be positive", at=("link", i))
             seen.add(lk)
-        # entries for ids that are not elements are dropped
         self.switches = sorted(known)
-        self.capacity = {u: self.capacity[u] for u in self.switches}
-        self.switch_cost = {u: self.switch_cost[u] for u in self.switches}
+        self.capacities = [capacity[u] for u in self.switches]
+        self.switch_costs = [switch_cost[u] for u in self.switches]
         # one tuple object per link, shared by every per-link dict
         self.links = sorted(seen)
-        self.bandwidth = {lk: self.bandwidth[lk] for lk in self.links}
-        self.link_cost = {lk: self.link_cost[lk] for lk in self.links}
-        # the same by link id, as the ledger reads them
-        self.bandwidths = list(self.bandwidth.values())
-        self.link_costs = list(self.link_cost.values())
+        self.bandwidths = [bandwidth[lk] for lk in self.links]
+        self.link_costs = [link_cost[lk] for lk in self.links]
         self._index()
         self._check_connected()
         if not self.links:
@@ -284,54 +288,6 @@ class SubstrateNetwork:
                 + ", ".join(f"switch {r}" for r in reps)
             )
 
-    def residual_capacity(self, u) -> int:
-        return self.capacity[u] - self.node_load[u] - self.rule_load[u]
-
-    def residual_capacities(self) -> list:
-        """Residual switch memory, one entry per switch index."""
-        cap, node, rule = self.capacity, self.node_load, self.rule_load
-        return [cap[u] - node[u] - rule[u] for u in self.switches]
-
-    def residual_bandwidths(self) -> list:
-        """Residual link bandwidth, one entry per link id."""
-        load = self.link_load
-        return [bw - load[lk] for lk, bw in zip(self.links, self.bandwidths)]
-
-    def conservation_violations(self) -> list:
-        """Audit the ledger; empty list means every element balances."""
-        out = []
-        want_node = {u: 0 for u in self.switches}
-        want_rule = {u: 0 for u in self.switches}
-        want_link = [0] * len(self.links)
-        for res in self.committed.values():
-            for u, units in res.node_units.items():
-                want_node[u] += units
-            for u, units in res.rule_units.items():
-                want_rule[u] += units
-            for j, units in res.link_units.items():
-                want_link[j] += units
-        for u, resid in zip(self.switches, self.residual_capacities()):
-            node, rule = self.node_load[u], self.rule_load[u]
-            if node != want_node[u] or rule != want_rule[u]:
-                out.append(
-                    f"switch {u}: loads ({node}, {rule}) "
-                    f"!= per-request sums ({want_node[u]}, {want_rule[u]})"
-                )
-            if resid < 0:
-                out.append(f"switch {u}: negative residual {resid}")
-            if resid + node + rule != self.capacity[u]:
-                out.append(f"switch {u}: conservation identity broken")
-        for lk, resid, want, total in zip(
-                self.links, self.residual_bandwidths(), want_link, self.bandwidths):
-            load = self.link_load[lk]
-            if load != want:
-                out.append(f"link {lk}: load {load} != per-request sum {want}")
-            if resid < 0:
-                out.append(f"link {lk}: negative residual {resid}")
-            if resid + load != total:
-                out.append(f"link {lk}: conservation identity broken")
-        return out
-
 
 class SubstrateView:
     """A substrate plus an overlay of tentative (uncommitted) reservations.
@@ -343,7 +299,7 @@ class SubstrateView:
     one reservation into the committed ledger and installs its flow rules; it
     fails (leaving the reservation tentative) only when rule-memory headroom
     is missing. The view is the only writer of the base's loads and
-    ``committed``.
+    ``committed``, and the only auditor of the ledger.
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
     index and ``bandwidth_left`` by link id, with each element's utilization
@@ -357,14 +313,11 @@ class SubstrateView:
     def __init__(self, base: SubstrateNetwork):
         self.base = base
         self.tentative = {}
-        self.capacity_left = base.residual_capacities()
-        self.bandwidth_left = base.residual_bandwidths()
-        # base.capacity is ordered by switch index
-        self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacity.values())]
+        node, rule, link = base.node_load, base.rule_load, base.link_load
+        self.capacity_left = [c - node[u] - rule[u] for u, c in zip(base.switches, base.capacities)]
+        self.bandwidth_left = [b - link[lk] for lk, b in zip(base.links, base.bandwidths)]
+        self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacities)]
         self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidths)]
-
-    def residual_capacity(self, u) -> int:
-        return self.capacity_left[self.base.switch_index[u]]
 
     def residual_capacities(self) -> list:
         """Effective residual switch memory, one entry per switch index."""
@@ -375,18 +328,16 @@ class SubstrateView:
         return self.bandwidth_left[:]
 
     def _debit(self, node_units, link_units, sign=1):
-        """Take (sign 1) or give back (sign -1) units of the named switches
-        and of the links by id, recomputing their utilization terms."""
+        """Take (sign 1) or give back (sign -1) units of switches by index
+        and of links by id, recomputing their utilization terms."""
         base = self.base
-        index, capacity, left, util = base.switch_index, base.capacity, self.capacity_left, self.switch_util
-        for u, n in node_units.items():
-            i = index[u]
-            r = left[i] = left[i] - sign * n
-            util[i] = 1.0 - r / capacity[u]
-        bandwidths, left, util = base.bandwidths, self.bandwidth_left, self.link_util
-        for j, n in link_units.items():
-            r = left[j] = left[j] - sign * n
-            util[j] = 1.0 - r / bandwidths[j]
+        for units, totals, left, util in (
+            (node_units, base.capacities, self.capacity_left, self.switch_util),
+            (link_units, base.bandwidths, self.bandwidth_left, self.link_util),
+        ):
+            for i, n in units.items():
+                r = left[i] = left[i] - sign * n
+                util[i] = 1.0 - r / totals[i]
 
     def commit(self, request_id) -> bool:
         """Commit a tentative reservation and install its flow rules.
@@ -398,9 +349,10 @@ class SubstrateView:
         res = self.tentative.get(request_id)
         if res is None:
             raise UnknownRequestError(request_id)
-        rules = rule_units_for(res.link_paths)
-        for u, units in rules.items():
-            if self.residual_capacity(u) < units:
+        rules = rule_units_for(res.link_paths, self.base.switch_index)
+        left = self.capacity_left
+        for i, units in rules.items():
+            if left[i] < units:
                 return False
         res.rule_units = rules
         self._book(res)
@@ -424,15 +376,15 @@ class SubstrateView:
 
     def _book(self, res, sign=1):
         """Add (sign 1) or remove (sign -1) a reservation's node, rule and
-        link units in the committed loads. No headroom check is needed: the
-        effective residuals already count every unit."""
+        link units in the committed loads, mapping each index to the name
+        that keys the load. No headroom check is needed: the effective
+        residuals already count every unit."""
         base = self.base
-        for units, load in ((res.node_units, base.node_load), (res.rule_units, base.rule_load)):
-            for u, n in units.items():
-                load[u] += sign * n
-        links, load = base.links, base.link_load
-        for j, n in res.link_units.items():
-            load[links[j]] += sign * n
+        for units, names, load in ((res.node_units, base.switches, base.node_load),
+                                   (res.rule_units, base.switches, base.rule_load),
+                                   (res.link_units, base.links, base.link_load)):
+            for i, n in units.items():
+                load[names[i]] += sign * n
 
     def tentative_reservation(self, request_id) -> Reservation:
         res = self.tentative.get(request_id)
@@ -470,31 +422,55 @@ class SubstrateView:
         res.link_paths[vlink] = ((path, units),)
 
     def conservation_violations(self) -> list:
-        """The base's audit, plus each flat residual against the base residual
-        less the tentative per-request sums, and each utilization term against
-        its residual."""
+        """Audit the ledger in one pass; an empty list means every element
+        balances. The committed and the tentative per-request units are
+        summed by index; each element's committed loads must equal the
+        committed sums, its flat residual its total less both sums, neither
+        its committed nor its effective residual may be negative, and its
+        utilization term must match its flat residual."""
         base = self.base
-        out = base.conservation_violations()
-        want_node = base.residual_capacities()
-        want_link = base.residual_bandwidths()
-        for res in self.tentative.values():
-            for u, units in res.node_units.items():
-                want_node[base.switch_index[u]] -= units
-            for j, units in res.link_units.items():
-                want_link[j] -= units
-        for kind, names, left, util, wants, totals in (
-            ("switch", base.switches, self.capacity_left, self.switch_util, want_node,
-             base.capacity.values()),
-            ("link", base.links, self.bandwidth_left, self.link_util, want_link, base.bandwidths),
+        switches, links = base.switches, base.links
+        node, rule, link = _unit_sums(base.committed, len(switches), len(links))
+        t_node, t_rule, t_link = _unit_sums(self.tentative, len(switches), len(links))
+        out = []
+        node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
+        for u, n, r in zip(switches, node, rule):
+            if node_load[u] != n or rule_load[u] != r:
+                out.append(f"switch {u}: loads ({node_load[u]}, {rule_load[u]}) "
+                           f"!= per-request sums ({n}, {r})")
+        for lk, n in zip(links, link):
+            if link_load[lk] != n:
+                out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
+        held_sw = [n + r for n, r in zip(node, rule)]
+        pending_sw = [n + r for n, r in zip(t_node, t_rule)]
+        for kind, names, totals, held, pending, left, util in (
+            ("switch", switches, base.capacities, held_sw, pending_sw,
+             self.capacity_left, self.switch_util),
+            ("link", links, base.bandwidths, link, t_link,
+             self.bandwidth_left, self.link_util),
         ):
-            for name, resid, term, want, total in zip(names, left, util, wants, totals):
-                if resid != want:
-                    out.append(f"{kind} {name}: effective residual {resid} != base less overlay {want}")
+            for name, total, h, p, resid, term in zip(names, totals, held, pending, left, util):
+                if total - h < 0:
+                    out.append(f"{kind} {name}: negative residual {total - h}")
+                if resid != total - h - p:
+                    out.append(f"{kind} {name}: effective residual {resid} "
+                               f"!= total less per-request sums {total - h - p}")
                 if resid < 0:
                     out.append(f"{kind} {name}: negative effective residual")
                 if term != 1.0 - resid / total:
                     out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
         return out
+
+
+def _unit_sums(reservations, switches, links) -> tuple:
+    """(node, rule, link) units of every reservation in a request id ->
+    Reservation dict, summed into lists by switch index and link id."""
+    sums = ([0] * switches, [0] * switches, [0] * links)
+    for res in reservations.values():
+        for units, into in zip((res.node_units, res.rule_units, res.link_units), sums):
+            for i, n in units.items():
+                into[i] += n
+    return sums
 
 
 def reserve(view: SubstrateView, request, mapping, link_units, cost) -> Reservation:
@@ -510,12 +486,14 @@ def reserve(view: SubstrateView, request, mapping, link_units, cost) -> Reservat
     base = view.base
     if rid in view.tentative or rid in base.committed:
         raise ReservationError(f"request {rid} is already reserved")
+    index, left = base.switch_index, view.capacity_left
     node_units = {}
     for vn, sw in mapping.node_map.items():
-        node_units[sw] = node_units.get(sw, 0) + request.node_demands[vn]
-    for u, units in node_units.items():
-        if view.residual_capacity(u) < units:
-            raise ReservationError(f"switch {u}: reservation exceeds residual capacity")
+        i = index[sw]
+        node_units[i] = node_units.get(i, 0) + request.node_demands[vn]
+    for i, units in node_units.items():
+        if left[i] < units:
+            raise ReservationError(f"switch {base.switches[i]}: reservation exceeds residual capacity")
     left = view.bandwidth_left
     for j, units in link_units.items():
         if left[j] < units:

@@ -34,6 +34,7 @@ def run_simulation(config: RunConfig):
     horizon = to_ticks(config.horizon) if config.horizon is not None else None
     last = _check_clock(config, requests, policy.window, horizon)
     _check_latency(config, substrate, requests, last)
+    _check_cost(config, substrate, requests)
     controller = make_controller(config.strategy, substrate, policy, log=None,
                                  split_paths=config.split_paths)
     log = MetricsLog(controller.view, hop_delay=config.hop_delay,
@@ -79,3 +80,19 @@ def _check_latency(config, substrate, requests, last):
         name = "hop_delay" if not math.isfinite(hops) else "wait_delay"
         raise ConfigError(f"{name} {getattr(config, name)}: the latency proxies of "
                           f"{len(requests)} requests overflow float range summed for their mean")
+
+
+def _check_cost(config, substrate, requests):
+    """Reject unit costs that can take one request's mapping cost past float
+    range: the metrics average the costs as floats. A request costs at most
+    its node demands times the largest switch cost, plus its link demands
+    times a simple path's V - 1 hops at the largest link cost."""
+    per_node = max(substrate.switch_costs)
+    per_link = (len(substrate.switches) - 1) * max(substrate.link_costs)
+    bound = max((sum(r.node_demands.values()) * per_node + sum(r.link_demands.values()) * per_link
+                 for r in requests), default=0)
+    try:
+        float(bound)
+    except OverflowError:
+        raise ConfigError(f"substrate {config.substrate}: its unit costs can take a request's "
+                          f"mapping cost past float range") from None

@@ -80,9 +80,10 @@ def link_weight(view, request, vlink, path) -> LinkWeightRecord:
     if tuple(path) != reserved:
         raise ValueError(f"path {tuple(path)} does not match the reservation {reserved}")
     used = units * (len(reserved) - 1) + len(reserved)
-    left = view.bandwidth_left
-    free = sum(left[j] for j in view.base.path_link_ids(reserved))
-    free += sum(max(0, view.residual_capacity(sw) - 1) for sw in reserved)
+    base = view.base
+    free = sum(view.bandwidth_left[j] for j in base.path_link_ids(reserved))
+    left, index = view.capacity_left, base.switch_index
+    free += sum(max(0, left[index[sw]] - 1) for sw in reserved)
     return LinkWeightRecord(request.request_id, vlink, reserved, units, used, free, used - free)
 
 

@@ -3,11 +3,12 @@
 Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
 oracle) and the mapping checker share no routing code with
 ``vnesim.embedder.embed``, which is why they live apart from it. The ledger
-terms of a mapping (its units per link id and its cost) are derived here
-from the paths alone, for mappings built by hand and to check the ones that
-``embed`` hands to ``reserve``. The rest derives from a network or a
-finished run what the package itself never needs: adjacency, equality and
-text of a substrate, the overlay's loads, the fate and the state of a
+terms of a mapping (its node and rule units per switch index, its units per
+link id and its cost) are derived here from the node map and the paths
+alone, for mappings built by hand and to check the ones that the ledger
+keeps. The rest derives from a network or a finished run what the package
+itself never needs: adjacency, equality and text of a substrate, its totals
+and residuals by name, the overlay's loads, the fate and the state of a
 request, the longest wait and the mean number of concurrently committed
 requests.
 """
@@ -53,18 +54,39 @@ def link_units_of(net, mapping) -> dict:
     return units
 
 
+def node_units_of(net, request, mapping) -> dict:
+    """Switch index -> node demand hosted there by a mapping."""
+    index = _base(net).switch_index
+    units = {}
+    for vn, sw in mapping.node_map.items():
+        units[index[sw]] = units.get(index[sw], 0) + request.node_demands[vn]
+    return units
+
+
+def rule_units_of(net, mapping) -> dict:
+    """Switch index -> flow rules a mapping installs: one per virtual link,
+    part and switch on the part's path."""
+    index = _base(net).switch_index
+    units = {}
+    for parts in mapping.link_paths.values():
+        for path, _n in parts:
+            for sw in path:
+                units[index[sw]] = units.get(index[sw], 0) + 1
+    return units
+
+
 def mapping_cost(net, request, mapping) -> int:
     """Embedding cost: host unit cost times node demand, plus link unit cost
     times units on every link of every part's path. Pure in the topology
     (ignores residuals); ``mapping`` may also be a Reservation."""
-    base = _base(net)
+    _capacity, switch_cost, _bandwidth, link_cost = named_totals(_base(net))
     cost = 0
     for vn, sw in mapping.node_map.items():
-        cost += base.switch_cost[sw] * request.node_demands[vn]
+        cost += switch_cost[sw] * request.node_demands[vn]
     for parts in mapping.link_paths.values():
         for path, units in parts:
             for lk in path_links(path):
-                cost += base.link_cost[lk] * units
+                cost += link_cost[lk] * units
     return cost
 
 
@@ -79,13 +101,21 @@ def residual_bandwidth(net, lk) -> int:
     network."""
     if isinstance(net, SubstrateView):
         return net.bandwidth_left[net.base.link_index[lk]]
-    return net.bandwidth[lk] - net.link_load[lk]
+    return net.bandwidths[net.link_index[lk]] - net.link_load[lk]
+
+
+def residual_capacity(net, u) -> int:
+    """Residual memory of switch u: effective on a view, committed on a
+    network."""
+    if isinstance(net, SubstrateView):
+        return net.capacity_left[net.base.switch_index[u]]
+    return net.capacities[net.switch_index[u]] - net.node_load[u] - net.rule_load[u]
 
 
 def t_node_load(view) -> dict:
     """Switch -> tentative node units: base residual less effective residual."""
     base = view.base
-    return {u: base.residual_capacity(u) - r for u, r in zip(base.switches, view.capacity_left)}
+    return {u: residual_capacity(base, u) - r for u, r in zip(base.switches, view.capacity_left)}
 
 
 def t_link_load(view) -> dict:
@@ -104,15 +134,23 @@ def adj(net) -> dict:
     return {u: [sw[i] for i, _j, _step in row] for u, row in zip(sw, net.rows)}
 
 
+def named_totals(net) -> tuple:
+    """A network's totals and unit costs keyed by name, in the order
+    SubstrateNetwork takes them: (capacity, switch cost) by switch id,
+    (bandwidth, link cost) by link tuple."""
+    return (dict(zip(net.switches, net.capacities)), dict(zip(net.switches, net.switch_costs)),
+            dict(zip(net.links, net.bandwidths)), dict(zip(net.links, net.link_costs)))
+
+
 def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
     """Same topology, unit costs, capacities and committed loads."""
     return (
         a.switches == b.switches
         and a.links == b.links
-        and a.capacity == b.capacity
-        and a.switch_cost == b.switch_cost
-        and a.bandwidth == b.bandwidth
-        and a.link_cost == b.link_cost
+        and a.capacities == b.capacities
+        and a.switch_costs == b.switch_costs
+        and a.bandwidths == b.bandwidths
+        and a.link_costs == b.link_costs
         and a.node_load == b.node_load
         and a.rule_load == b.rule_load
         and a.link_load == b.link_load
@@ -122,19 +160,22 @@ def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
 def topology_text(net: SubstrateNetwork) -> str:
     """Serialize a substrate back to the text format (sorted, reloadable)."""
     lines = ["# substrate topology"]
-    for u in net.switches:
-        lines.append(f"switch {u} {net.capacity[u]} {net.switch_cost[u]}")
-    for a, b in net.links:
-        lines.append(f"link {a} {b} {net.bandwidth[(a, b)]} {net.link_cost[(a, b)]}")
+    for u, cap, cost in zip(net.switches, net.capacities, net.switch_costs):
+        lines.append(f"switch {u} {cap} {cost}")
+    for (a, b), bw, cost in zip(net.links, net.bandwidths, net.link_costs):
+        lines.append(f"link {a} {b} {bw} {cost}")
     return "\n".join(lines) + "\n"
 
 
 def cheapest_feasible_path(view, src, dst, demand):
     """Cheapest simple path from src to dst over links with residual >= demand.
 
-    Returns the switch sequence, or None when no feasible path exists.
+    Returns the switch sequence, or None when no feasible path exists; a
+    network is read through a fresh view.
     """
-    base = _base(view)
+    if not isinstance(view, SubstrateView):
+        view = SubstrateView(view)
+    base = view.base
     for sw in (src, dst):
         if sw not in base.switch_index:
             raise ValueError(f"unknown switch: {sw}")
@@ -214,10 +255,10 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
 
     for sw in sorted(hosts):
         demand = sum(request.node_demands[vn] for vn in hosts[sw])
-        if demand > view.residual_capacity(sw):
+        if demand > residual_capacity(view, sw):
             violations.append(Violation(
                 NODE_CAPACITY, sw,
-                f"demand {demand} exceeds residual {view.residual_capacity(sw)}",
+                f"demand {demand} exceeds residual {residual_capacity(view, sw)}",
             ))
 
     wanted = {}
@@ -288,13 +329,14 @@ def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
     vnodes = sorted(request.node_demands)
     vlinks = sorted(request.link_demands, key=lambda l: (-request.link_demands[l], l))
     neighbours = adj(base)
+    _capacity, switch_cost, _bandwidth, link_cost = named_totals(base)
     paths_memo = {}
 
     def simple_paths(src, dst):
         key = (src, dst)
         if key not in paths_memo:
             found = _simple_paths(neighbours, src, dst)
-            found.sort(key=lambda p: (sum(base.link_cost[l] for l in path_links(p)), len(p)))
+            found.sort(key=lambda p: (sum(link_cost[l] for l in path_links(p)), len(p)))
             paths_memo[key] = found
         return paths_memo[key]
 
@@ -303,10 +345,10 @@ def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
 
     for combo in permutations(base.switches, len(vnodes)):
         assign = dict(zip(vnodes, combo))
-        if any(net.residual_capacity(assign[vn]) < request.node_demands[vn] for vn in vnodes):
+        if any(residual_capacity(net, assign[vn]) < request.node_demands[vn] for vn in vnodes):
             continue
         node_cost = sum(
-            base.switch_cost[assign[vn]] * request.node_demands[vn] for vn in vnodes
+            switch_cost[assign[vn]] * request.node_demands[vn] for vn in vnodes
         )
         if best is not None and node_cost >= best:
             continue
@@ -328,7 +370,7 @@ def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
                     continue
                 for l in links:
                     used[l] = used.get(l, 0) + demand
-                route(i + 1, acc + demand * sum(base.link_cost[l] for l in links))
+                route(i + 1, acc + demand * sum(link_cost[l] for l in links))
                 for l in links:
                     used[l] -= demand
             return

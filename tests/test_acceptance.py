@@ -30,10 +30,12 @@ from reference import (
     longest_wait,
     mapping_cost,
     mean_concurrent_active,
+    named_totals,
     oracle_embed,
     path_links,
     reserve_mapping,
     residual_bandwidth,
+    residual_capacity,
     validate_mapping,
 )
 
@@ -93,13 +95,14 @@ def test_criterion_2_oracle_containment():
 def test_criterion_3_cost_exactness():
     def evaluate(net, req, mapping):
         # test-local cost evaluator: unit cost times units, per element
+        _capacity, switch_cost, _bandwidth, link_cost = named_totals(net)
         total = 0
         for vn, sw in mapping.node_map.items():
-            total += req.node_demands[vn] * net.switch_cost[sw]
+            total += req.node_demands[vn] * switch_cost[sw]
         for parts in mapping.link_paths.values():
             for path, units in parts:
                 for a, b in zip(path, path[1:]):
-                    total += units * net.link_cost[norm_link(a, b)]
+                    total += units * link_cost[norm_link(a, b)]
         return total
 
     spec = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1,
@@ -110,9 +113,10 @@ def test_criterion_3_cost_exactness():
     while checked < 100:
         rng = random.Random(f"cost-{i}")
         plain = random_substrate(random.Random(f"cost-net-{i}"), 4 + i % 5, spec)
-        net = type(plain)(plain.switches, plain.links, dict(plain.capacity),
+        capacity, _switch_cost, bandwidth, _link_cost = named_totals(plain)
+        net = type(plain)(plain.switches, plain.links, capacity,
                           {u: rng.randrange(1, 7) for u in plain.switches},
-                          dict(plain.bandwidth),
+                          bandwidth,
                           {lk: rng.randrange(1, 7) for lk in plain.links})
         req = gen_virtual_request(rng, spec, i, 1, 100)
         i += 1
@@ -171,7 +175,7 @@ def test_criterion_5_weight_algebra():
                 rec = link_weight(view, req, vl, path)
                 used = req.link_demands[vl] * (len(path) - 1) + len(path)
                 free = sum(residual_bandwidth(view, lk) for lk in path_links(path)) \
-                     + sum(max(0, view.residual_capacity(sw) - 1) for sw in path)
+                     + sum(max(0, residual_capacity(view, sw) - 1) for sw in path)
                 assert rec.weight == used - free == rec.used - rec.free
                 records += 1
     report("5 (weight algebra)", records >= 10_000,
@@ -183,6 +187,8 @@ def test_criterion_6_strategy_trends(monkeypatch):
     remap_audit = {"calls": 0, "violations": 0}
 
     def audited_remap(view, requests):
+        link_cost = named_totals(view.base)[3]
+
         def batch_link_cost():
             total = 0
             for req in requests:
@@ -190,7 +196,7 @@ def test_criterion_6_strategy_trends(monkeypatch):
                 for allocs in res.link_paths.values():
                     for path, units in allocs:
                         for lk in path_links(path):
-                            total += view.base.link_cost[lk] * units
+                            total += link_cost[lk] * units
             return total
 
         before = batch_link_cost()

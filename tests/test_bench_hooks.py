@@ -88,3 +88,17 @@ def test_bench_audit_reports_each_selftest_corruption(corrupt):
         rules = engine.controller.rules.installed
         rules[next(iter(rules))] += 1
     assert bench_run.output_problems(engine, log, result, config) != []
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_committed_loads_keep_the_key_forms_bench_reads(strategy):
+    # bench/selftest.py corrupts `rules[next(iter(rules))]` and
+    # `base.link_load[base.links[0]]`, and bench/run.py compares the rule
+    # table with the rule load; on a list or on index keys those would still
+    # "detect" a corruption, for the wrong reason
+    config = RunConfig(strategy=strategy, requests=100, seed=3)
+    engine, _log = vnesim.run.run_simulation(config)
+    base = engine.controller.view.base
+    for by_switch in (engine.controller.rules.installed, base.rule_load, base.node_load):
+        assert type(by_switch) is dict and list(by_switch) == base.switches
+    assert type(base.link_load) is dict and list(base.link_load) == base.links

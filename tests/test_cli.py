@@ -245,6 +245,7 @@ class TestSweepCommand:
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(cli, "Pool", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "3", "--workers", "8")
         assert code == 0
         code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--batch-sizes", "2,3", "--workers", "4")
@@ -252,6 +253,14 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "1", "--workers", "8")
         assert code == 0
         assert sizes == [3, 2]  # one job runs in this process, no pool
+        # nor larger than the CPU count; an unknown count allows one process
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "6", "--workers", "5000")
+        assert code == 0 and len(out.splitlines()) == 7
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        code, _, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "3", "--workers", "8")
+        assert code == 0
+        assert sizes == [3, 2, 2]  # the last sweep ran in this process
 
     def test_batch_size_sweep(self, capsys):
         code, stdout, _ = run_cli(
@@ -348,6 +357,29 @@ class TestBadInputExitsTwo:
         assert code == 0 and stderr == ""
         latency = next(line for line in out.splitlines() if "mean_latency_proxy" in line)
         assert math.isfinite(float(latency.split()[-1]))
+
+    @staticmethod
+    def costly_topology(tmp_path, cost):
+        p = tmp_path / "costly.topo"
+        p.write_text(f"switch 1 200\nswitch 2 200 {cost}\nswitch 3 200\n"
+                     "link 1 2 200\nlink 2 3 200\nlink 1 3 200\n", encoding="utf-8")
+        return p
+
+    def test_unit_cost_past_float_range(self, capsys, tmp_path):
+        # a valid topology, but one request's mapping cost cannot be averaged
+        p = self.costly_topology(tmp_path, 10 ** 330)
+        code, _, _ = run_cli(capsys, "validate-topology", str(p))
+        assert code == 0
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", str(p), requests=30)
+        assert stderr.startswith("bad configuration: substrate") and str(p) in stderr
+
+    def test_large_but_safe_unit_cost_still_runs(self, capsys, tmp_path):
+        p = self.costly_topology(tmp_path, 10 ** 300)
+        code, out, stderr = run_cli(capsys, "run", "--substrate", str(p), "--requests", "30",
+                                    "--out", str(tmp_path / "t.csv"))
+        assert code == 0 and stderr == ""
+        cost = next(line for line in out.splitlines() if "mean_cost_per_accepted" in line)
+        assert 1e300 < float(cost.split()[-1]) < math.inf
 
     def test_nonfinite_float_in_config_file(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

@@ -19,7 +19,7 @@ from vnesim.netmodel import SubstrateView, UnknownRequestError, VirtualNetworkRe
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
-from reference import longest_wait, request_state
+from reference import longest_wait, request_state, residual_capacity
 
 COMMITTED = "committed"
 DEPARTED = "departed"
@@ -74,11 +74,11 @@ class TestRuleTable:
         log = MetricsLog(SubstrateView(make_net([1, 2, 3], [(1, 2), (2, 3)])))
         log.record_arrival(0, 0, accepted=True, cost=1)
         log.record_commit_event(0)
-        t.install({1: 2, 3: 1})
+        t.install({0: 2, 2: 1})  # rule units by switch index
         log.record_commit(1, 0, committed=True, cost=1, rules_written=3)
         assert log.rule_writes == 3
         assert t.installed == {1: 2, 2: 0, 3: 1}
-        t.remove({1: 2, 3: 1})
+        t.install({0: 2, 2: 1}, -1)
         log.record_departure(2, 0)
         assert log.rule_writes == 3
         assert t.installed == {1: 0, 2: 0, 3: 0}
@@ -122,7 +122,7 @@ class TestBatchedCommit:
         assert ctl.log.rule_writes == 45
         assert ctl.rules.installed == {1: 10, 3: 10, 5: 10, 2: 5, 4: 5, 6: 5}
         # the five even-switch units are exactly spent: 5 rules in cap 5
-        assert ctl.view.residual_capacity(2) == 0
+        assert residual_capacity(ctl.view, 2) == 0
         assert engine.events_dispatched == 5  # five arrivals, no trigger
 
     def test_departures_free_rule_memory_but_not_writes(self):

@@ -25,10 +25,12 @@ from conftest import make_net
 from reference import (
     cheapest_feasible_path,
     mapping_cost,
+    named_totals,
     oracle_embed,
     path_links,
     reserve_mapping,
     residual_bandwidth,
+    residual_capacity,
     validate_mapping,
 )
 
@@ -46,16 +48,16 @@ def req(rid=1, nodes=None, links=None):
 class TestGreedyNodeMap:
     def test_biggest_demand_takes_emptiest_switch(self):
         net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={1: 50, 2: 80, 3: 70})
-        m = greedy_node_map(net, req(nodes={"a": 10, "b": 30}, links={("a", "b"): 1}))
+        m = greedy_node_map(SubstrateView(net), req(nodes={"a": 10, "b": 30}, links={("a", "b"): 1}))
         assert m == {"b": 2, "a": 3}
 
     def test_residual_tie_prefers_smaller_switch_id(self, triangle):
-        m = greedy_node_map(triangle, req(nodes={"a": 5, "b": 5}, links={("a", "b"): 1}))
+        m = greedy_node_map(SubstrateView(triangle), req(nodes={"a": 5, "b": 5}, links={("a", "b"): 1}))
         assert m == {"a": 1, "b": 2}
 
     def test_demand_tie_places_smaller_virtual_id_first(self):
         net = make_net([1, 2], [(1, 2)], caps={1: 100, 2: 60})
-        m = greedy_node_map(net, req(nodes={"a": 5, "b": 5}, links={("a", "b"): 1}))
+        m = greedy_node_map(SubstrateView(net), req(nodes={"a": 5, "b": 5}, links={("a", "b"): 1}))
         assert m == {"a": 1, "b": 2}
 
     def test_counts_committed_and_tentative_load(self, triangle):
@@ -66,14 +68,14 @@ class TestGreedyNodeMap:
         assert m == {"a": 2}
 
     def test_none_when_demand_exceeds_every_switch(self, triangle):
-        assert greedy_node_map(triangle, req(nodes={"a": 101}, links={})) is None
+        assert greedy_node_map(SubstrateView(triangle), req(nodes={"a": 101}, links={})) is None
 
     def test_none_when_more_nodes_than_switches(self, triangle):
         r = req(
             nodes={"a": 1, "b": 1, "c": 1, "d": 1},
             links={("a", "b"): 1, ("a", "c"): 1, ("a", "d"): 1},
         )
-        assert greedy_node_map(triangle, r) is None
+        assert greedy_node_map(SubstrateView(triangle), r) is None
 
 
 class TestCheapestFeasiblePath:
@@ -115,18 +117,19 @@ class TestCheapestFeasiblePath:
             n = rng.randint(4, 9)
             net = random_substrate(random.Random(f"sub-{trial}"), n)
             demand = rng.randint(1, 300)
+            link_cost = named_totals(net)[3]
             g = nx.Graph()
             g.add_nodes_from(net.switches)
             for lk in net.links:
                 if residual_bandwidth(net, lk) >= demand:
-                    g.add_edge(*lk, weight=net.link_cost[lk])
+                    g.add_edge(*lk, weight=link_cost[lk])
             src, dst = rng.sample(net.switches, 2)
             path = cheapest_feasible_path(net, src, dst, demand)
             if path is None:
                 assert not nx.has_path(g, src, dst)
             else:
                 want = nx.shortest_path_length(g, src, dst, weight="weight")
-                got = sum(net.link_cost[lk] for lk in path_links(path))
+                got = sum(link_cost[lk] for lk in path_links(path))
                 assert got == want
                 checked += 1
         assert checked > 20  # the fuzz actually exercised feasible cases
@@ -145,7 +148,7 @@ class TestEmbed:
         view = SubstrateView(triangle)
         embed(view, req())
         assert view.tentative == {}
-        assert all(view.residual_capacity(u) == 100 for u in view.base.switches)
+        assert all(residual_capacity(view, u) == 100 for u in view.base.switches)
         assert all(residual_bandwidth(view, l) == 100 for l in view.base.links)
 
     def test_node_stage_rejection(self, triangle):

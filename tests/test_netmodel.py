@@ -28,10 +28,12 @@ from reference import (
     MappingStructureError,
     adj,
     mapping_cost,
+    named_totals,
     networks_equal,
     path_links,
     reserve_mapping,
     residual_bandwidth,
+    residual_capacity,
     t_link_load,
     topology_text,
     validate_mapping,
@@ -106,10 +108,10 @@ class TestSubstrateNetwork:
             {1: 5, 2: 6, 9: 7}, {1: 2, 9: 7},
             {(1, 2): 10, (2, 9): 4}, {(1, 2): 3, (1, 9): 4},
         )
-        assert net.capacity == {1: 5, 2: 6}
-        assert net.switch_cost == {1: 2, 2: 1}
-        assert net.bandwidth == {(1, 2): 10}
-        assert net.link_cost == {(1, 2): 3}
+        assert net.capacities == [5, 6]
+        assert net.switch_costs == [2, 1]
+        assert net.bandwidths == [10]
+        assert net.link_costs == [3]
 
     def test_rejects_duplicate_switch(self):
         with pytest.raises(TopologyError, match="duplicate switch"):
@@ -153,9 +155,9 @@ class TestReserveAndCommit:
         r = req()
         mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)})
         reserve_mapping(view, r, mapping)
-        assert view.residual_capacity(1) == 90
+        assert residual_capacity(view, 1) == 90
         assert residual_bandwidth(view, (1, 2)) == 95
-        assert triangle.residual_capacity(1) == 100
+        assert residual_capacity(triangle, 1) == 100
         assert residual_bandwidth(triangle, (1, 2)) == 100
         assert view.conservation_violations() == []
 
@@ -164,7 +166,7 @@ class TestReserveAndCommit:
         r = req()
         reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.release(r.request_id) is True
-        assert view.residual_capacity(1) == 100
+        assert residual_capacity(view, 1) == 100
         assert residual_bandwidth(view, (1, 2)) == 100
         assert view.tentative == {}
 
@@ -174,8 +176,8 @@ class TestReserveAndCommit:
         reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.commit(r.request_id) is True
         # nodes 10 + one rule on each path switch
-        assert triangle.residual_capacity(1) == 100 - 10 - 1
-        assert triangle.residual_capacity(2) == 100 - 20 - 1
+        assert residual_capacity(triangle, 1) == 100 - 10 - 1
+        assert residual_capacity(triangle, 2) == 100 - 20 - 1
         assert triangle.rule_load == {1: 1, 2: 1, 3: 0}
         assert view.tentative == {}
         assert view.conservation_violations() == []
@@ -258,7 +260,7 @@ class TestReserveAndCommit:
         r = req(nodes={0: 150, 1: 10}, links={(0, 1): 5})
         with pytest.raises(ReservationError):
             reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
-        assert view.residual_capacity(1) == 100
+        assert residual_capacity(view, 1) == 100
         assert residual_bandwidth(view, (1, 2)) == 100
         assert view.tentative == {}
 
@@ -283,12 +285,13 @@ def test_rule_units_one_per_link_path_switch():
         (0, 1): (((1, 2, 3), 5),),
         (1, 2): (((3, 2), 4),),
     }
-    assert rule_units_for(link_paths) == {1: 1, 2: 2, 3: 2}
+    # keyed by switch index
+    assert rule_units_for(link_paths, {1: 0, 2: 1, 3: 2}) == {0: 1, 1: 2, 2: 2}
 
 
 def test_rule_units_split_paths_count_per_path():
     link_paths = {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))}
-    assert rule_units_for(link_paths) == {1: 2, 2: 2, 3: 1}
+    assert rule_units_for(link_paths, {1: 2, 2: 0, 3: 1}) == {2: 2, 0: 2, 1: 1}
 
 
 class TestViewAudit:
@@ -326,16 +329,91 @@ class TestViewAudit:
         view = self.staged(triangle)
         # release request 1 on the base by hand, as only the view may
         res = triangle.committed.pop(1)
-        for units, load in ((res.node_units, triangle.node_load),
-                            (res.rule_units, triangle.rule_load),
-                            ({triangle.links[j]: n for j, n in res.link_units.items()},
-                             triangle.link_load)):
-            for key, n in units.items():
-                load[key] -= n
-        assert triangle.conservation_violations() == []  # the base alone balances
+        for units, names, load in ((res.node_units, triangle.switches, triangle.node_load),
+                                   (res.rule_units, triangle.switches, triangle.rule_load),
+                                   (res.link_units, triangle.links, triangle.link_load)):
+            for i, n in units.items():
+                load[names[i]] -= n
+        # the committed loads still match the committed sums: only the
+        # view's stale flat residuals are reported
         stale = view.conservation_violations()
         assert sorted(v.split(":")[0] for v in stale) == ["link (1, 2)", "switch 1", "switch 2"]
         assert all("effective residual" in v for v in stale)
+
+    # Each corruption breaks one check of the audit and nothing else: the
+    # view's _debit keeps a residual and its utilization term consistent, and
+    # a unit moved between a committed and a tentative reservation leaves the
+    # effective residual as it was.
+    @staticmethod
+    def node_load(net, view):
+        net.node_load[2] += 1
+
+    @staticmethod
+    def rule_load(net, view):
+        net.rule_load[1] += 1
+
+    @staticmethod
+    def link_load(net, view):
+        net.link_load[1, 2] += 1
+
+    @staticmethod
+    def switch_residual(net, view):
+        view._debit({1: 1}, {})
+
+    @staticmethod
+    def link_residual(net, view):
+        view._debit({}, {1: 1})
+
+    @staticmethod
+    def committed_switch_overdrawn(net, view):
+        net.committed[1].node_units[0] += 200
+        net.node_load[1] += 200
+        view.tentative[2].node_units[0] -= 200
+
+    @staticmethod
+    def committed_link_overdrawn(net, view):
+        net.committed[1].link_units[0] += 200
+        net.link_load[1, 2] += 200
+        view.tentative[2].link_units[0] = -200
+
+    @staticmethod
+    def effective_switch_overdrawn(net, view):
+        view.tentative[2].node_units[2] += 200
+        view._debit({2: 200}, {})
+
+    @staticmethod
+    def effective_link_overdrawn(net, view):
+        view.tentative[2].link_units[1] += 200
+        view._debit({}, {1: 200})
+
+    @staticmethod
+    def switch_term(net, view):
+        view.switch_util[0] = math.nextafter(view.switch_util[0], 1.0)
+
+    @staticmethod
+    def link_term(net, view):
+        view.link_util[0] = math.nextafter(view.link_util[0], 1.0)
+
+    CHECKS = [
+        ("node_load", "switch 2: loads (21, 1) != per-request sums (20, 1)"),
+        ("rule_load", "switch 1: loads (10, 2) != per-request sums (10, 1)"),
+        ("link_load", "link (1, 2): load 6 != per-request sum 5"),
+        ("switch_residual", "switch 2: effective residual 78 != total less per-request sums 79"),
+        ("link_residual", "link (1, 3): effective residual 94 != total less per-request sums 95"),
+        ("committed_switch_overdrawn", "switch 1: negative residual -111"),
+        ("committed_link_overdrawn", "link (1, 2): negative residual -105"),
+        ("effective_switch_overdrawn", "switch 3: negative effective residual"),
+        ("effective_link_overdrawn", "link (1, 3): negative effective residual"),
+        ("switch_term", "switch 1: utilization term"),
+        ("link_term", "link (1, 2): utilization term"),
+    ]
+
+    @pytest.mark.parametrize("corrupt,line", CHECKS, ids=[c for c, _ in CHECKS])
+    def test_each_check_is_reported_on_its_own(self, triangle, corrupt, line):
+        view = self.staged(triangle)
+        getattr(self, corrupt)(triangle, view)
+        found = view.conservation_violations()
+        assert len(found) == 1 and found[0].startswith(line), found
 
 
 class TestValidateMapping:
@@ -451,10 +529,10 @@ class TestTopologyFormat:
     def test_parse_reads_capacities_costs_comments(self):
         net = parse_topology(self.GOOD)
         assert net.switches == [1, 2, 3]
-        assert net.capacity == {1: 100, 2: 150, 3: 200}
-        assert net.switch_cost == {1: 1, 2: 2, 3: 1}
-        assert net.bandwidth == {(1, 2): 80, (2, 3): 90}
-        assert net.link_cost == {(1, 2): 1, (2, 3): 3}
+        assert named_totals(net) == (
+            {1: 100, 2: 150, 3: 200}, {1: 1, 2: 2, 3: 1},
+            {(1, 2): 80, (2, 3): 90}, {(1, 2): 1, (2, 3): 3},
+        )
 
     def test_round_trip_through_text(self):
         net = parse_topology(self.GOOD)

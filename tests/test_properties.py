@@ -22,9 +22,13 @@ from reference import (
     adj,
     link_units_of,
     mapping_cost,
+    named_totals,
+    node_units_of,
     oracle_embed,
     path_links,
     residual_bandwidth,
+    residual_capacity,
+    rule_units_of,
     t_link_load,
     t_node_load,
     validate_mapping,
@@ -110,33 +114,36 @@ class TestLedgerFuzz:
                         if committed:  # flow rules exist only once committed
                             for sw in path:
                                 exp_rule[sw] += 1
+                capacity, _switch_cost, bandwidth, _link_cost = named_totals(net)
                 for u in net.switches:
-                    assert view.residual_capacity(u) == net.capacity[u] - exp_node[u] - exp_rule[u]
-                    assert view.residual_capacity(u) >= 0
+                    assert residual_capacity(view, u) == capacity[u] - exp_node[u] - exp_rule[u]
+                    assert residual_capacity(view, u) >= 0
                 for lk in net.links:
-                    assert residual_bandwidth(view, lk) == net.bandwidth[lk] - exp_link[lk]
+                    assert residual_bandwidth(view, lk) == bandwidth[lk] - exp_link[lk]
                     assert residual_bandwidth(view, lk) >= 0
                 # the flat lists the view keeps, entry by entry
-                caps = [net.capacity[u] - exp_node[u] - exp_rule[u] for u in net.switches]
-                bws = [net.bandwidth[lk] - exp_link[lk] for lk in net.links]
+                caps = [capacity[u] - exp_node[u] - exp_rule[u] for u in net.switches]
+                bws = [bandwidth[lk] - exp_link[lk] for lk in net.links]
                 assert view.capacity_left == caps
                 assert view.bandwidth_left == bws
-                assert view.switch_util == [1.0 - r / net.capacity[u] for u, r in zip(net.switches, caps)]
-                assert view.link_util == [1.0 - r / net.bandwidth[lk] for lk, r in zip(net.links, bws)]
+                assert view.switch_util == [1.0 - r / capacity[u] for u, r in zip(net.switches, caps)]
+                assert view.link_util == [1.0 - r / bandwidth[lk] for lk, r in zip(net.links, bws)]
                 assert view.conservation_violations() == []
 
 
     def test_carried_link_ids_and_cost_follow_every_step(self):
-        # a reservation keeps the link units by id and the cost that embed
-        # handed to reserve; after every reserve, move, commit and release,
-        # both must equal what its paths give
+        # a reservation keeps the link units by link id and the cost that embed
+        # handed to reserve, and its node and rule units by switch index;
+        # after every reserve, move, commit and release, each must equal what
+        # its node map and paths give (rules only once committed)
         moved = 0
         for seed in range(15):
             rng = random.Random(f"carried-{seed}")
             plain = random_substrate(random.Random(f"carried-net-{seed}"), 8, SMALL)
-            net = SubstrateNetwork(plain.switches, plain.links, dict(plain.capacity),
+            capacity, _switch_cost, bandwidth, _link_cost = named_totals(plain)
+            net = SubstrateNetwork(plain.switches, plain.links, capacity,
                                    {u: rng.randrange(1, 6) for u in plain.switches},
-                                   dict(plain.bandwidth),
+                                   bandwidth,
                                    {lk: rng.randrange(1, 6) for lk in plain.links})
             view = SubstrateView(net)
             neighbours = adj(net)
@@ -167,6 +174,9 @@ class TestLedgerFuzz:
                 for res in [*view.tentative.values(), *net.committed.values()]:
                     assert res.link_units == link_units_of(net, res)
                     assert res.cost == mapping_cost(net, res.request, res)
+                    assert res.node_units == node_units_of(net, res.request, res)
+                    committed = res.request_id in net.committed
+                    assert res.rule_units == (rule_units_of(net, res) if committed else {})
             assert view.conservation_violations() == []
         assert moved > 200
 
@@ -180,8 +190,9 @@ class TestCostInvariance:
             plain = random_substrate(random.Random(f"relabel-net-{seed}"), n, SMALL)
             switch_cost = {u: rng.randrange(1, 6) for u in plain.switches}
             link_cost = {lk: rng.randrange(1, 6) for lk in plain.links}
-            net = SubstrateNetwork(plain.switches, plain.links, dict(plain.capacity),
-                                   switch_cost, dict(plain.bandwidth), link_cost)
+            capacity, _switch_cost, bandwidth, _link_cost = named_totals(plain)
+            net = SubstrateNetwork(plain.switches, plain.links, capacity,
+                                   switch_cost, bandwidth, link_cost)
             req = gen_virtual_request(rng, SMALL, seed, 1, 100)
             out = embed(SubstrateView(net), req)
             if not out.accepted:
@@ -192,9 +203,9 @@ class TestCostInvariance:
             relabeled = SubstrateNetwork(
                 sorted(perm.values()),
                 sorted(norm_link(perm[a], perm[b]) for a, b in net.links),
-                {perm[u]: net.capacity[u] for u in net.switches},
+                {perm[u]: capacity[u] for u in net.switches},
                 {perm[u]: switch_cost[u] for u in net.switches},
-                {norm_link(perm[a], perm[b]): net.bandwidth[(a, b)] for a, b in net.links},
+                {norm_link(perm[a], perm[b]): bandwidth[(a, b)] for a, b in net.links},
                 {norm_link(perm[a], perm[b]): link_cost[(a, b)] for a, b in net.links},
             )
             moved = Mapping(
@@ -221,7 +232,7 @@ class TestEmbeddingSoundness:
             before = ledger_state(view)
             reserve(view, req, out.mapping, out.link_units, out.cost)
             assert view.conservation_violations() == []
-            assert min(view.residual_capacity(u) for u in view.base.switches) >= 0
+            assert min(residual_capacity(view, u) for u in view.base.switches) >= 0
             assert min(residual_bandwidth(view, lk) for lk in view.base.links) >= 0
             view.release(req.request_id)
             assert ledger_state(view) == before
@@ -267,13 +278,13 @@ class TestEmbeddingSoundness:
             feasible, cost = oracle_embed(net, req)
             if not feasible:
                 continue
-            capacity, bandwidth = dict(net.capacity), dict(net.bandwidth)
+            capacity, switch_cost, bandwidth, link_cost = named_totals(net)
             if rng.random() < 0.5:
                 capacity[rng.choice(net.switches)] += rng.randrange(1, 60)
             else:
                 bandwidth[rng.choice(net.links)] += rng.randrange(1, 60)
             boosted = SubstrateNetwork(net.switches, net.links, capacity,
-                                       dict(net.switch_cost), bandwidth, dict(net.link_cost))
+                                       switch_cost, bandwidth, link_cost)
             still_feasible, new_cost = oracle_embed(boosted, req)
             assert still_feasible
             assert new_cost <= cost  # enlarged feasible set can only help
@@ -288,10 +299,10 @@ class TestEmbeddingSoundness:
             if not out.accepted:
                 continue
             delta = random.Random(f"delta-{seed}").randrange(1, 100)
+            capacity, switch_cost, bandwidth, link_cost = named_totals(net)
             boosted = SubstrateNetwork(net.switches, net.links,
-                                       {u: c + delta for u, c in net.capacity.items()},
-                                       dict(net.switch_cost), dict(net.bandwidth),
-                                       dict(net.link_cost))
+                                       {u: c + delta for u, c in capacity.items()},
+                                       switch_cost, bandwidth, link_cost)
             again = embed(SubstrateView(boosted), req)
             # same residual order and unchanged bandwidths: identical choices
             assert again.accepted

@@ -26,13 +26,13 @@ from vnesim.netmodel import (
 from vnesim.weights import link_weight, prioritize, remap_pass
 
 from conftest import make_net
-from reference import reserve_mapping, t_link_load
+from reference import named_totals, reserve_mapping, t_link_load
 
 
 def _score(base, residual, ids, units):
     """(link cost of units on the links ``ids``, peak link utilization once
     they are placed there); a lower tuple is a better path."""
-    links, bandwidth, link_cost = base.links, base.bandwidth, base.link_cost
+    links, (_capacity, _switch_cost, bandwidth, link_cost) = base.links, named_totals(base)
     cost = units * sum(link_cost[links[j]] for j in ids)
     peak = max(
         Fraction(bandwidth[links[j]] - residual[j] + units, bandwidth[links[j]]) for j in ids

@@ -23,7 +23,14 @@ from vnesim.netmodel import (
     norm_link,
 )
 
-from reference import adj, cheapest_feasible_path, reserve_mapping, residual_bandwidth, t_link_load
+from reference import (
+    adj,
+    cheapest_feasible_path,
+    named_totals,
+    reserve_mapping,
+    residual_bandwidth,
+    t_link_load,
+)
 
 
 def _dijkstra(adj, link_cost, residual, src, dst, demand):
@@ -52,7 +59,7 @@ def _dijkstra(adj, link_cost, residual, src, dst, demand):
 
 def oracle(view, src, dst, demand):
     base = view.base if isinstance(view, SubstrateView) else view
-    return _dijkstra(adj(base), base.link_cost, lambda lk: residual_bandwidth(view, lk),
+    return _dijkstra(adj(base), named_totals(base)[3], lambda lk: residual_bandwidth(view, lk),
                      src, dst, demand)
 
 
@@ -79,9 +86,10 @@ def random_instance(rng, max_cost=5):
         links.add(norm_link(a, b))
     net = make_net(rng, ids, sorted(links), 1, 8, max_cost)
     committed, tentative = {}, {}
+    bandwidth = named_totals(net)[2]
     for lk in net.links:
-        committed[lk] = rng.randint(0, net.bandwidth[lk])
-        tentative[lk] = rng.randint(0, net.bandwidth[lk] - committed[lk])
+        committed[lk] = rng.randint(0, bandwidth[lk])
+        tentative[lk] = rng.randint(0, bandwidth[lk] - committed[lk])
     # the view reads committed loads when it is built, and tentative ones
     # through reserve, one request per loaded link
     net.link_load.update(committed)
@@ -91,7 +99,7 @@ def random_instance(rng, max_cost=5):
             request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): tentative[lk]})
             reserve_mapping(view, request, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, tentative[lk]),)}))
     assert view.residual_bandwidths() == [
-        net.bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
+        bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
     ]
     return net, view
 
@@ -211,11 +219,12 @@ def test_walk_at_unit_cost_where_hop_distances_pass_the_clamp(resolved, shape):
 def test_index_shares_one_tuple_per_link_and_sorts_each_row():
     rng = random.Random("index")
     net, view = random_instance(rng)
-    # the view keeps no per-link dict; its derived overlay loads reuse the keys
-    for per_link in (net.bandwidth, net.link_cost, net.link_load, net.link_index, t_link_load(view)):
+    # totals and unit costs are lists by link id, the view keeps no per-link
+    # dict, and the committed loads and derived overlay loads reuse the keys
+    for per_link in (net.link_load, net.link_index, t_link_load(view)):
         assert all(key is lk for key, lk in zip(per_link, net.links))
     for i, row in enumerate(net.rows):
         assert [u for u, _j, _step in row] == sorted(u for u, _j, _step in row)
         for u, j, step in row:
             assert net.links[j] == norm_link(net.switches[i], net.switches[u])
-            assert step == net.link_cost[net.links[j]] * net.label_base + 1
+            assert step == net.link_costs[j] * net.label_base + 1

@@ -15,7 +15,7 @@ from vnesim.weights import LinkWeightRecord, link_weight, prioritize, remap_pass
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
-from reference import path_links, reserve_mapping, residual_bandwidth, t_link_load
+from reference import named_totals, path_links, reserve_mapping, residual_bandwidth, t_link_load
 
 
 def tentative(view, rid, node_map, paths, nodes, links):
@@ -221,13 +221,12 @@ class TestRemapPass:
         spec = GeneratorSpec(link_demand_min=10, link_demand_max=60)
 
         def batch_link_cost(view):
+            link_cost = named_totals(view.base)[3]
             total = 0
             for res in view.tentative.values():
                 for allocs in res.link_paths.values():
                     for path, units in allocs:
-                        total += units * sum(
-                            view.base.link_cost[lk] for lk in path_links(path)
-                        )
+                        total += units * sum(link_cost[lk] for lk in path_links(path))
             return total
 
         remaps = 0

@@ -58,10 +58,9 @@ class TestDefaultSubstrate:
 
     def test_resources_drawn_within_the_spec_range(self):
         net = default_substrate(random.Random(5))
-        assert all(100 <= net.capacity[u] <= 250 for u in net.switches)
-        assert all(100 <= net.bandwidth[lk] <= 250 for lk in net.links)
-        assert all(net.switch_cost[u] == 1 for u in net.switches)
-        assert all(net.link_cost[lk] == 1 for lk in net.links)
+        assert all(100 <= c <= 250 for c in net.capacities)
+        assert all(100 <= b <= 250 for b in net.bandwidths)
+        assert net.switch_costs == [1] * 14 and net.link_costs == [1] * 21
 
     def test_same_stream_seed_same_substrate(self):
         assert networks_equal(default_substrate(random.Random(3)), default_substrate(random.Random(3)))
@@ -70,8 +69,8 @@ class TestDefaultSubstrate:
     def test_custom_resource_range(self):
         spec = GeneratorSpec(cap_min=5, cap_max=7)
         net = default_substrate(random.Random(0), spec)
-        assert all(5 <= net.capacity[u] <= 7 for u in net.switches)
-        assert all(5 <= net.bandwidth[lk] <= 7 for lk in net.links)
+        assert all(5 <= c <= 7 for c in net.capacities)
+        assert all(5 <= b <= 7 for b in net.bandwidths)
 
 
 class TestRandomSubstrate:
