@@ -77,6 +77,8 @@ class RunConfig(GeneratorSpec):
             raise ConfigError("horizon must be positive")
         if self.horizon is not None and not _fits_ticks(self.horizon):
             raise ConfigError(f"horizon {self.horizon} overflows the tick count")
+        if self.horizon is not None and to_ticks(self.horizon) < 1:
+            raise ConfigError(f"horizon {self.horizon} rounds to 0 ticks (one tick is 1e-6 time units)")
         if self.substrate.startswith("random:"):
             try:
                 size = int(self.substrate.split(":", 1)[1])

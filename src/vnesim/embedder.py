@@ -50,6 +50,12 @@ same lexicographic minimum the A* returns. If it dead-ends, the A* runs as
 if the walk had not been tried. A clamped ``to_t[src] = 255`` (true distance
 above 255) leaves no neighbour at 254, and a costlier link is never tight, so
 there the walk can only fail, never return a wrong path.
+
+Both read each link id from ``rows`` as they pass it (the A* sets ``via[u]``
+wherever it sets ``nxt[u]``), so a path comes back with its link ids. A part
+found at the whole remaining demand takes all of it without a scan, since
+every link on it carries that much; only a split's one-unit fallback takes
+its path's bottleneck, below the remainder that no path carries.
 """
 
 from __future__ import annotations
@@ -99,16 +105,16 @@ def greedy_node_map(view, request):
 
 def _dijkstra(net, residual, src, dst, demand):
     """The cheapest path from switch src to switch dst over links whose
-    ``residual[link id] >= demand``, as a switch-id tuple; None when there is
-    none. The walk along tight links, else backward A* on the index (see
-    the module docstring)."""
+    ``residual[link id] >= demand``, as ``(switch-id tuple, list of its link
+    ids)``; None when there is none. The walk along tight links, else
+    backward A* on the index (see the module docstring)."""
     rows = net.rows
     s, t = net.switch_index[src], net.switch_index[dst]
     step_min = net.min_step
     # the walk along tight feasible links (see the module docstring)
     to_t = net.hop_bounds(t)
     switches = net.switches
-    path = [src]
+    path, ids = [src], []
     v, h = s, to_t[s]
     while h:
         h -= 1
@@ -119,12 +125,14 @@ def _dijkstra(net, residual, src, dst, demand):
             break  # blocked: the A* below decides
         v = u
         path.append(switches[u])
+        ids.append(j)
     else:  # h reached 0: the walk is at dst
-        return tuple(path)
+        return tuple(path), ids
     lb = net.hop_bounds(s)
     n = len(rows)
     dist = [None] * n
     nxt = [n] * n
+    via = [n] * n
     done = bytearray(n)
     dist[t] = 0
     heap = [(lb[t] * step_min, 0, t)]
@@ -135,11 +143,12 @@ def _dijkstra(net, residual, src, dst, demand):
             continue
         done[v] = 1
         if v == s:
-            path = [src]
+            path, ids = [src], []
             while v != t:
+                ids.append(via[v])
                 v = nxt[v]
                 path.append(switches[v])
-            return tuple(path)
+            return tuple(path), ids
         for u, j, step in rows[v]:
             if done[u] or residual[j] < demand:
                 continue
@@ -148,9 +157,11 @@ def _dijkstra(net, residual, src, dst, demand):
             if old is None or gu < old:
                 dist[u] = gu
                 nxt[u] = v
+                via[u] = j
                 push(heap, (gu + lb[u] * step_min, gu, u))
             elif gu == old and v < nxt[u]:
                 nxt[u] = v
+                via[u] = j
     return None
 
 
@@ -188,6 +199,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
         return EmbedOutcome(rejection=NODE_STAGE)
     base = view.base
     residual = view.residual_bandwidths()  # debited part by part
+    top, low = 0, set()  # no residual falls below 0: nothing is recorded
     if blocked is not None:
         # residuals only fall during the call, so a substrate link too thin
         # for some virtual link starts below the largest demand or is
@@ -199,27 +211,29 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
     for vl in _link_order(request):
         remaining = request.link_demands[vl]
         src, dst = node_map[vl[0]], node_map[vl[1]]
-        if blocked is not None and low:
+        if low:
             under = sorted(j for j in low if residual[j] < remaining)
             if under:
                 blocked[vl] = tuple(under)
         parts = []
         while remaining > 0 and len(parts) < k:
-            path = _dijkstra(base, residual, src, dst, remaining)
-            if path is None:
-                if len(parts) == k - 1:
-                    break  # a last part cannot cover what no single path carries
-                path = _dijkstra(base, residual, src, dst, 1)
-                if path is None:
+            found = _dijkstra(base, residual, src, dst, remaining)
+            if found is not None:
+                path, link_ids = found
+                alloc = remaining  # every link of the path carries it
+            elif len(parts) == k - 1:
+                break  # a last part cannot cover what no single path carries
+            else:
+                found = _dijkstra(base, residual, src, dst, 1)
+                if found is None:
                     break
-            link_ids = base.path_link_ids(path)
-            # the whole remainder, or the bottleneck of a path too thin for it
-            alloc = min(remaining, *(residual[j] for j in link_ids))
+                path, link_ids = found
+                alloc = min(map(residual.__getitem__, link_ids))  # the bottleneck
             for j in link_ids:
-                residual[j] -= alloc
+                left = residual[j] = residual[j] - alloc
                 link_units[j] = link_units.get(j, 0) + alloc
-            if blocked is not None:
-                low.update(j for j in link_ids if residual[j] < top)
+                if left < top:
+                    low.add(j)
             parts.append((path, alloc))
             remaining -= alloc
         if remaining > 0:

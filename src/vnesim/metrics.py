@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .simulator import TICKS_PER_UNIT
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     time: int  # ticks
     event_kind: str
     request_id: int
@@ -33,7 +32,7 @@ class Row:
     latency_proxy: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(Row))  # the trace's header, in row order
+CSV_COLUMNS = Row._fields  # the trace's header, in row order
 
 
 def ordered_sum(values) -> float:
@@ -209,21 +208,8 @@ def _cell(value):
 
 def csv_text(log) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in log.rows:
-        lines.append(",".join((
-            f"{row.time / TICKS_PER_UNIT:.6f}",
-            row.event_kind,
-            _cell(row.request_id),
-            _cell(row.outcome),
-            _cell(row.cost),
-            _cell(row.cum_accept_rate),
-            _cell(row.avg_link_util),
-            _cell(row.avg_switch_util),
-            _cell(row.rule_writes_cum),
-            _cell(row.commit_events_cum),
-            _cell(row.remapped_links_cum),
-            _cell(row.latency_proxy),
-        )))
+    for row in log.rows:  # the time in units, then every other field in order
+        lines.append(",".join((f"{row.time / TICKS_PER_UNIT:.6f}", *map(_cell, row[1:]))))
     return "\n".join(lines) + "\n"
 
 

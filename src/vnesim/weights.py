@@ -138,9 +138,9 @@ def remap_pass(view, requests) -> int:
             residual[j] += units
         node_map = view.tentative_reservation(rec.request_id).node_map
         a, b = rec.vlink
-        new_path = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
-        if new_path is not None and new_path != rec.path:
-            new_ids = base.path_link_ids(new_path)
+        found = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
+        if found is not None and found[0] != rec.path:
+            new_path, new_ids = found
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
                 view.move_tentative_link(rec.request_id, rec.vlink, new_path)
                 ids = new_ids

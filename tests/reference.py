@@ -42,6 +42,19 @@ def path_links(path) -> list:
     return [norm_link(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
+def link_ids_along(net, path) -> list:
+    """Link ids along a switch sequence, found by their place in the link
+    list rather than through ``link_index``."""
+    links = _base(net).links
+    return [links.index(lk) for lk in path_links(path)]
+
+
+def route(net, path):
+    """A path in the routing kernel's return shape, ``(switch tuple, link
+    ids along it)``; None stays None."""
+    return None if path is None else (tuple(path), link_ids_along(net, path))
+
+
 def link_units_of(net, mapping) -> dict:
     """Link id -> units over every part's path of a mapping."""
     index = _base(net).link_index
@@ -170,8 +183,9 @@ def topology_text(net: SubstrateNetwork) -> str:
 def cheapest_feasible_path(view, src, dst, demand):
     """Cheapest simple path from src to dst over links with residual >= demand.
 
-    Returns the switch sequence, or None when no feasible path exists; a
-    network is read through a fresh view.
+    Returns what the routing kernel does, ``(switch tuple, link ids along
+    it)``, or None when no feasible path exists; a network is read through a
+    fresh view.
     """
     if not isinstance(view, SubstrateView):
         view = SubstrateView(view)

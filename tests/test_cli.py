@@ -329,6 +329,13 @@ class TestBadInputExitsTwo:
         stderr = self.run_expecting_2(capsys, tmp_path, "run", flag, value)
         assert stderr.startswith("bad configuration:") and flag[2:].replace("-", "_") in stderr
 
+    @pytest.mark.parametrize("flag", ["--window", "--horizon"])
+    def test_time_that_rounds_to_zero_ticks(self, capsys, tmp_path, flag):
+        # positive, but below half a tick: no event could ever play
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", flag, "1e-9", requests=20)
+        assert stderr.startswith("bad configuration:") and flag[2:] in stderr
+        assert "rounds to 0 ticks" in stderr
+
     def test_batch_size_past_float_range(self, capsys, tmp_path):
         # the default window, 5 * batch_size, is a float
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--batch-size", "1" + "0" * 400)

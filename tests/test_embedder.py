@@ -1,10 +1,12 @@
 """Greedy embedding with a path budget k, and the exhaustive reference search."""
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
+from vnesim.config import RunConfig
 from vnesim.embedder import (
     LINK_STAGE,
     NODE_STAGE,
@@ -14,16 +16,20 @@ from vnesim.embedder import (
 )
 from vnesim.netmodel import (
     Mapping,
+    SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,
     reserve,
 )
+from vnesim.run import run_simulation
 from vnesim.simulator import RandomStreams
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
 from reference import (
     cheapest_feasible_path,
+    link_ids_along,
+    link_units_of,
     mapping_cost,
     named_totals,
     oracle_embed,
@@ -31,6 +37,7 @@ from reference import (
     reserve_mapping,
     residual_bandwidth,
     residual_capacity,
+    route,
     validate_mapping,
 )
 
@@ -86,10 +93,10 @@ class TestCheapestFeasiblePath:
             [(1, 2), (1, 3), (2, 3)],
             link_costs={(1, 2): 5, (1, 3): 1, (2, 3): 1},
         )
-        assert cheapest_feasible_path(net, 1, 2, 10) == (1, 3, 2)
+        assert cheapest_feasible_path(net, 1, 2, 10) == route(net, (1, 3, 2))
 
     def test_cost_tie_prefers_fewer_hops(self, triangle):
-        assert cheapest_feasible_path(triangle, 1, 2, 10) == (1, 2)
+        assert cheapest_feasible_path(triangle, 1, 2, 10) == route(triangle, (1, 2))
 
     def test_skips_links_without_residual(self, triangle):
         view = SubstrateView(triangle)
@@ -97,7 +104,7 @@ class TestCheapestFeasiblePath:
         outcome = embed(view, r)
         reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
         # direct (1, 2) now has 5 left; demand 10 must detour
-        assert cheapest_feasible_path(view, 1, 2, 10) == (1, 3, 2)
+        assert cheapest_feasible_path(view, 1, 2, 10) == route(view, (1, 3, 2))
 
     def test_none_when_no_feasible_path(self, line3):
         assert cheapest_feasible_path(line3, 1, 3, 101) is None
@@ -124,10 +131,12 @@ class TestCheapestFeasiblePath:
                 if residual_bandwidth(net, lk) >= demand:
                     g.add_edge(*lk, weight=link_cost[lk])
             src, dst = rng.sample(net.switches, 2)
-            path = cheapest_feasible_path(net, src, dst, demand)
-            if path is None:
+            found = cheapest_feasible_path(net, src, dst, demand)
+            if found is None:
                 assert not nx.has_path(g, src, dst)
             else:
+                path, ids = found
+                assert ids == link_ids_along(net, path)
                 want = nx.shortest_path_length(g, src, dst, weight="weight")
                 got = sum(link_cost[lk] for lk in path_links(path))
                 assert got == want
@@ -174,7 +183,7 @@ class TestEmbed:
         )
         # routed alone, a-c fits via 1-2-3; after sibling a-b takes 8 of
         # link (1, 2) it no longer does, and embed must notice
-        assert cheapest_feasible_path(view, 1, 3, 6) == (1, 2, 3)
+        assert cheapest_feasible_path(view, 1, 3, 6) == route(view, (1, 2, 3))
         assert embed(view, r).rejection == LINK_STAGE
 
     def test_demands_fill_a_shared_link_to_exact_capacity(self):
@@ -277,6 +286,37 @@ class TestSplittingEmbed:
         # nodes 20 + 15; 60 units over one link; 40 units over two links
         assert mapping_cost(net, r, split) == 35 + 60 + 80
 
+    def three_path_net(self):
+        # from switch 1 to switch 2: direct at cost 1 carrying 50, over 3 at
+        # cost 2 carrying 30, over 4 at cost 4 carrying 20
+        return make_net(
+            [1, 2, 3, 4],
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)],
+            caps={1: 100, 2: 90, 3: 10, 4: 10},
+            bws={(1, 2): 50, (1, 3): 30, (2, 3): 40, (1, 4): 20, (2, 4): 25},
+            link_costs={(1, 4): 2, (2, 4): 2},
+        )
+
+    @pytest.mark.parametrize("k, demand, parts", [
+        # the first part takes the direct link's bottleneck; the second
+        # takes the 20 left, not the 30 its path could carry
+        (2, 70, (((1, 2), 50), ((1, 3, 2), 20))),
+        # a k = 2 link's last part must carry the whole remainder, so a
+        # second part thinner than the remainder needs k = 3: it takes its
+        # path's bottleneck, 30 of the 50 left
+        (3, 100, (((1, 2), 50), ((1, 3, 2), 30), ((1, 4, 2), 20))),
+    ])
+    def test_each_part_takes_the_remainder_or_its_paths_bottleneck(self, k, demand, parts):
+        net = self.three_path_net()
+        view = SubstrateView(net)
+        r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): demand})
+        outcome = embed(view, r, k=k)
+        assert outcome.mapping.node_map == {"a": 1, "b": 2}
+        assert outcome.mapping.link_paths == {("a", "b"): parts}
+        # the terms handed to reserve are the ones the paths give
+        assert outcome.link_units == link_units_of(net, outcome.mapping)
+        assert outcome.cost == mapping_cost(net, r, outcome.mapping)
+
     def test_validate_split_mapping_accepts_the_real_thing(self):
         net = self.split_case_net()
         view = SubstrateView(net)
@@ -314,6 +354,35 @@ class TestSplittingEmbed:
         calls.clear()
         assert embed(view, r, k=2).accepted
         assert calls == [100, 1, 40]
+
+
+def test_embed_reads_link_ids_from_routing_not_from_paths(monkeypatch):
+    # routing hands back the link ids it walked, so over a whole default
+    # batched run embed derives none from a path; the remap's scoring and
+    # the ledger's moves still do, which shows the counter counts
+    import vnesim.controller as controller
+
+    calls = Counter()
+    inside_embed = []
+    real_ids, real_embed = SubstrateNetwork.path_link_ids, controller.embed
+
+    def counting_ids(net, path):
+        calls["embed" if inside_embed else "elsewhere"] += 1
+        return real_ids(net, path)
+
+    def marking_embed(*args):
+        inside_embed.append(True)
+        try:
+            return real_embed(*args)
+        finally:
+            inside_embed.pop()
+
+    monkeypatch.setattr(SubstrateNetwork, "path_link_ids", counting_ids)
+    monkeypatch.setattr(controller, "embed", marking_embed)
+    _, log = run_simulation(RunConfig(strategy="batched", seed=11))
+    assert log.accepted > 1000
+    assert calls["embed"] == 0
+    assert calls["elsewhere"] > 0
 
 
 class TestOracle:

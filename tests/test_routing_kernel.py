@@ -1,6 +1,7 @@
 """The integer-indexed routing kernel (the walk along tight links, else A*)
 against the path-tuple Dijkstra it replaced: on every instance both return
-the identical switch sequence, or None in both.
+the identical switch sequence, or None in both, and the link ids the kernel
+hands back with its path are the ones along it (``reference.route``).
 
 The oracle below is a verbatim copy of the earlier ``_dijkstra``: a forward
 search whose heap keys are whole ``(cost, hops, path)`` tuples, so the first
@@ -29,6 +30,7 @@ from reference import (
     named_totals,
     reserve_mapping,
     residual_bandwidth,
+    route,
     t_link_load,
 )
 
@@ -58,9 +60,11 @@ def _dijkstra(adj, link_cost, residual, src, dst, demand):
 
 
 def oracle(view, src, dst, demand):
+    """The oracle's path with the link ids along it, as the kernel returns
+    them; None when there is no path."""
     base = view.base if isinstance(view, SubstrateView) else view
-    return _dijkstra(adj(base), named_totals(base)[3], lambda lk: residual_bandwidth(view, lk),
-                     src, dst, demand)
+    return route(base, _dijkstra(adj(base), named_totals(base)[3],
+                                 lambda lk: residual_bandwidth(view, lk), src, dst, demand))
 
 
 def make_net(rng, ids, links, min_bw, max_bw, max_cost=5):
