@@ -13,7 +13,6 @@ from .controller import BatchPolicy, make_controller
 from .embedder import EmbedOutcome, embed, greedy_node_map
 from .metrics import MetricsLog, acceptance_rate, export_csv, summary, trace_hash
 from .netmodel import (
-    Mapping,
     SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,

@@ -1,10 +1,11 @@
 """The mapping controller and the strategy rows that configure it.
 
 Every strategy runs one pipeline: embed each arrival (up to ``k`` paths per
-virtual link) and hold it as a tentative reservation until the commit
-trigger of its batch policy fires, optionally run one weight-ordered remap
-pass over the batch, then write every surviving mapping's flow rules in a
-single commit event. A strategy is a row ``(k, policy, remap)``:
+virtual link) into a reservation, stage that same record as tentative until
+the commit trigger of its batch policy fires, optionally run one
+weight-ordered remap pass over the batch, then write every surviving
+mapping's flow rules in a single commit event. A strategy is a row
+``(k, policy, remap)``:
 
 * batched: k = 1, the policy as given (n successes or a window T), remap on;
 * per-request: k = 1, a singleton count-only policy, remap off. Each accepted
@@ -128,16 +129,14 @@ class Controller:
         rid = request.request_id
         row = self.row
         # only the remap pass reads the links that blocked each route
-        blocked = {} if row.remap else None
-        outcome = embed(self.view, request, row.k, blocked)
+        outcome = embed(self.view, request, row.k, {} if row.remap else None)
         if not outcome.accepted:
             self.log.record_arrival(engine.now, rid, accepted=False)
             return
-        reserve(self.view, request, outcome.mapping, outcome.link_units,
-                outcome.cost).blocked = blocked
+        res = reserve(self.view, outcome.reservation)
         if self.pending == 1 and row.policy.timed:  # this member opened the batch
             engine.schedule_trigger(engine.now + row.policy.window, self.commit_events)
-        self.log.record_arrival(engine.now, rid, accepted=True, cost=outcome.cost)
+        self.log.record_arrival(engine.now, rid, accepted=True, cost=res.cost)
         # the count trigger fires inside the arrival that fills the batch,
         # so the batch can never hold more than `size` tentative requests
         if row.policy.counts and self.pending >= row.policy.size:

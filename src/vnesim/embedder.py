@@ -3,8 +3,9 @@
 ``embed(view, request, k)`` is the only embedder; ``k`` is the path budget
 per virtual link. With k = 1 (batched and per-request) every virtual link
 rides one path; with k > 1 (splitting) a link whose demand no single path
-can carry is spread over up to k paths. The result is always a ``Mapping``
-in the ledger's ``vlink -> ((path, units), ...)`` form.
+can carry is spread over up to k paths. An accepted request comes back as
+the ``Reservation`` that ``reserve`` stages, with its paths in the ledger's
+``vlink -> ((path, units), ...)`` form and its units and cost.
 
 All choices are deterministic under total tie-break orders:
 
@@ -63,7 +64,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .netmodel import Mapping
+from .netmodel import Reservation
 
 NODE_STAGE = "node-stage"
 LINK_STAGE = "link-stage"
@@ -71,18 +72,16 @@ LINK_STAGE = "link-stage"
 
 @dataclass(frozen=True)
 class EmbedOutcome:
-    """Result of an embedding attempt: a mapping, its units per link id and
-    its cost, or a rejection stage (node-stage when placement failed,
-    link-stage when routing did)."""
+    """Result of an embedding attempt: the reservation to stage, or a
+    rejection stage (node-stage when placement failed, link-stage when
+    routing did)."""
 
-    mapping: object = None
-    cost: int = None
+    reservation: Reservation = None
     rejection: str = None
-    link_units: dict = None
 
     @property
     def accepted(self) -> bool:
-        return self.mapping is not None
+        return self.reservation is not None
 
 
 def greedy_node_map(view, request):
@@ -180,15 +179,16 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
 
     Does not mutate the view: routing runs against a flat copy of its
     residuals, debited after each part, so sibling links of the same request
-    never oversubscribe a shared substrate link. The caller reserves the
-    returned mapping with its ``link_units`` (link id -> units over every
-    part) and ``cost``, as ``reserve`` keeps them.
+    never oversubscribe a shared substrate link. The caller stages the
+    returned reservation with ``reserve``: its ``node_units`` by switch
+    index, ``link_units`` by link id over every part, and ``cost``.
 
     With k = 1, a dict passed as ``blocked`` receives, for each virtual link
     whose route some substrate link could not carry, ``vlink -> ascending
     tuple of the ids j with residual[j] < demand`` in that flat copy at that
-    call, earlier siblings already debited. The remap pass uses it to skip links that
-    cannot move (see ``weights``).
+    call, earlier siblings already debited, and the reservation carries it as
+    ``blocked``. The remap pass uses it to skip links that cannot move (see
+    ``weights``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -239,9 +239,13 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
         if remaining > 0:
             return EmbedOutcome(rejection=LINK_STAGE)
         link_paths[vl] = tuple(parts)
+    # placement is injective: each switch hosts one virtual node's demand
+    index, demands = base.switch_index, request.node_demands
+    node_units = {index[sw]: demands[vn] for vn, sw in node_map.items()}
     # host unit cost times node demand, plus link unit cost times units
-    index, switch_costs, link_costs = base.switch_index, base.switch_costs, base.link_costs
-    cost = sum(switch_costs[index[sw]] * request.node_demands[vn] for vn, sw in node_map.items())
+    switch_costs, link_costs = base.switch_costs, base.link_costs
+    cost = sum(switch_costs[i] * n for i, n in node_units.items())
     cost += sum(link_costs[j] * n for j, n in link_units.items())
-    return EmbedOutcome(Mapping(node_map, link_paths), cost, link_units=link_units)
+    return EmbedOutcome(Reservation(request, node_map, link_paths, node_units, link_units,
+                                    cost=cost, blocked=blocked))
 

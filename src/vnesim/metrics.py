@@ -128,13 +128,15 @@ def acceptance_rate(log, grouping="by-count", bucket=100):
     groups arrivals into windows of ``bucket`` time units. A request counts
     as accepted when it was eventually committed. Returns a list of
     (bucket start, rate) pairs. Raises ValueError for an unknown grouping,
-    a bucket that is not positive and finite, and a by-time bucket that
-    rounds to 0 ticks.
+    a bucket that is not positive and finite, a by-count bucket that is not
+    an integer, and a by-time bucket that rounds to 0 ticks.
     """
     if grouping not in ("by-count", "by-time"):
         raise ValueError(f"unknown grouping {grouping!r}")
     if not 0 < bucket < math.inf:  # NaN fails too
         raise ValueError(f"bucket must be positive and finite, got {bucket!r}")
+    if grouping == "by-count" and not isinstance(bucket, int):
+        raise ValueError(f"by-count bucket must be an integer, got {bucket!r}")
     width = bucket if grouping == "by-count" else int(round(bucket * TICKS_PER_UNIT))
     if width == 0:
         raise ValueError(f"by-time bucket {bucket!r} rounds to 0 ticks")

@@ -21,9 +21,10 @@ The committed loads keep names as keys (``node_load`` and ``rule_load`` by
 switch id, ``link_load`` by link tuple); the view maps indices to names only
 when it books them.
 
-A reservation keeps the mapping cost that ``embed`` computed while it routed;
-``reserve`` re-derives neither its link units nor its cost from the paths, a
-remap move adjusts both, and commit reads the cost.
+A ``Reservation`` is the one allocation record: ``embed`` builds it with the
+units and the cost it computed while it routed, ``reserve`` stages that same
+object, a remap move adjusts its link units and cost, and commit and release
+read it.
 """
 
 from __future__ import annotations
@@ -112,29 +113,21 @@ class VirtualNetworkRequest:
         return self.arrival + self.lifetime
 
 
-@dataclass(frozen=True)
-class Mapping:
-    """An embedding: injective node map plus the paths of every virtual link.
+@dataclass
+class Reservation:
+    """One request's allocation: an injective node map plus the paths of
+    every virtual link, and the units by index that release subtracts.
 
     ``node_map``: virtual node -> switch. ``link_paths``: normalized virtual
     link -> tuple of (path, units) parts, each path a tuple of switch ids
     whose ends host the virtual endpoints, the integer units summing to the
-    link's demand. A single-path link is the one-part case; this is also the
-    form the ledger keeps in ``Reservation.link_paths``.
+    link's demand; a single-path link is the one-part case. ``cost`` is the
+    mapping cost of its current paths.
     """
-
-    node_map: dict
-    link_paths: dict
-
-
-@dataclass
-class Reservation:
-    """Per-request ledger record; the unit dicts are what release subtracts,
-    ``cost`` the mapping cost of its current paths."""
 
     request: VirtualNetworkRequest
     node_map: dict
-    link_paths: dict  # vlink -> tuple of (path tuple, allocated units)
+    link_paths: dict
     node_units: dict = field(default_factory=dict)  # switch index -> units
     link_units: dict = field(default_factory=dict)  # link id -> units
     rule_units: dict = field(default_factory=dict)  # switch index -> rule count
@@ -392,19 +385,17 @@ class SubstrateView:
             raise UnknownRequestError(request_id)
         return res
 
-    def move_tentative_link(self, request_id, vlink, path):
+    def move_tentative_link(self, request_id, vlink, freed, path, taken):
         """Move one single-path virtual link of a tentative reservation onto
-        ``path`` (for remap), atomically: the units freed from the old path
-        count as headroom, and when some link of the new path still lacks it
-        ReservationError is raised with nothing applied. The reservation's
-        cost changes by ``units`` times the new path's link cost less the
-        old one's."""
+        ``path`` (for remap), atomically. ``freed`` are the link ids of its
+        current path and ``taken`` those of ``path``, as the caller holds
+        them. The units freed from the old path count as headroom, and when
+        some link of the new path still lacks it ReservationError is raised
+        with nothing applied. The reservation's cost changes by ``units``
+        times the new path's link cost less the old one's."""
         res = self.tentative_reservation(request_id)
-        (old, units), = res.link_paths[vlink]
-        path = tuple(path)
+        (_old, units), = res.link_paths[vlink]
         base = self.base
-        freed = base.path_link_ids(old)
-        taken = base.path_link_ids(path)
         for j in taken:
             if self.bandwidth_left[j] + (units if j in freed else 0) < units:
                 raise ReservationError(f"link {base.links[j]}: reservation exceeds residual bandwidth")
@@ -419,7 +410,7 @@ class SubstrateView:
         res.cost += units * (sum(costs[j] for j in taken) - sum(costs[j] for j in freed))
         self._debit({}, dict.fromkeys(freed, units), -1)
         self._debit({}, dict.fromkeys(taken, units))
-        res.link_paths[vlink] = ((path, units),)
+        res.link_paths[vlink] = ((tuple(path), units),)
 
     def conservation_violations(self) -> list:
         """Audit the ledger in one pass; an empty list means every element
@@ -473,37 +464,30 @@ def _unit_sums(reservations, switches, links) -> tuple:
     return sums
 
 
-def reserve(view: SubstrateView, request, mapping, link_units, cost) -> Reservation:
-    """Reserve a mapping's resources in the view's tentative overlay, atomically.
+def reserve(view: SubstrateView, res: Reservation) -> Reservation:
+    """Stage a reservation in the view's tentative overlay, atomically, and
+    return it.
 
-    ``link_units`` (link id -> units over every part's path) and ``cost``
-    are what ``embed`` computed for ``mapping``, kept as handed. Raises
-    ReservationError (applying nothing) if any element lacks headroom or the
-    request is already reserved. ``SubstrateView.commit`` later moves the
-    reservation into the committed ledger with its flow rules.
+    The record is kept as handed, with the units and the cost that ``embed``
+    computed. Raises ReservationError (applying nothing) if any element lacks
+    headroom or the request is already reserved. ``SubstrateView.commit``
+    later moves the reservation into the committed ledger with its flow rules.
     """
-    rid = request.request_id
+    rid = res.request_id
     base = view.base
     if rid in view.tentative or rid in base.committed:
         raise ReservationError(f"request {rid} is already reserved")
-    index, left = base.switch_index, view.capacity_left
-    node_units = {}
-    for vn, sw in mapping.node_map.items():
-        i = index[sw]
-        node_units[i] = node_units.get(i, 0) + request.node_demands[vn]
-    for i, units in node_units.items():
+    left = view.capacity_left
+    for i, units in res.node_units.items():
         if left[i] < units:
             raise ReservationError(f"switch {base.switches[i]}: reservation exceeds residual capacity")
     left = view.bandwidth_left
-    for j, units in link_units.items():
+    for j, units in res.link_units.items():
         if left[j] < units:
             raise ReservationError(f"link {base.links[j]}: reservation exceeds residual bandwidth")
-    res = Reservation(request, dict(mapping.node_map), dict(mapping.link_paths),
-                      node_units, dict(link_units), cost=cost)
-    view._debit(node_units, link_units)
+    view._debit(res.node_units, res.link_units)
     view.tentative[rid] = res
     return res
-
 
 # ---------------------------------------------------------------------------
 # topology text format

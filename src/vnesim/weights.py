@@ -51,6 +51,7 @@ class LinkWeightRecord:
     request_id: int
     vlink: tuple
     path: tuple
+    ids: list  # link ids along path
     demand: int
     used: int  # R
     free: int  # A
@@ -81,10 +82,12 @@ def link_weight(view, request, vlink, path) -> LinkWeightRecord:
         raise ValueError(f"path {tuple(path)} does not match the reservation {reserved}")
     used = units * (len(reserved) - 1) + len(reserved)
     base = view.base
-    free = sum(view.bandwidth_left[j] for j in base.path_link_ids(reserved))
+    ids = base.path_link_ids(reserved)
+    free = sum(view.bandwidth_left[j] for j in ids)
     left, index = view.capacity_left, base.switch_index
     free += sum(max(0, left[index[sw]] - 1) for sw in reserved)
-    return LinkWeightRecord(request.request_id, vlink, reserved, units, used, free, used - free)
+    return LinkWeightRecord(request.request_id, vlink, reserved, ids, units, used, free,
+                            used - free)
 
 
 def prioritize(records) -> list:
@@ -133,7 +136,7 @@ def remap_pass(view, requests) -> int:
         # B and the path share no link, so the add-back leaves B's residuals
         if gate is not None and max(map(residual.__getitem__, gate)) < units:
             continue  # no blocking link can carry it yet: the search returns the incumbent
-        ids = base.path_link_ids(rec.path)
+        ids = rec.ids
         for j in ids:
             residual[j] += units
         node_map = view.tentative_reservation(rec.request_id).node_map
@@ -142,7 +145,7 @@ def remap_pass(view, requests) -> int:
         if found is not None and found[0] != rec.path:
             new_path, new_ids = found
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
-                view.move_tentative_link(rec.request_id, rec.vlink, new_path)
+                view.move_tentative_link(rec.request_id, rec.vlink, ids, new_path, new_ids)
                 ids = new_ids
                 changed += 1
         for j in ids:

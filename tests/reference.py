@@ -3,10 +3,10 @@
 Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
 oracle) and the mapping checker share no routing code with
 ``vnesim.embedder.embed``, which is why they live apart from it. The ledger
-terms of a mapping (its node and rule units per switch index, its units per
-link id and its cost) are derived here from the node map and the paths
-alone, for mappings built by hand and to check the ones that the ledger
-keeps. The rest derives from a network or a finished run what the package
+terms of a reservation (its node and rule units per switch index, its units
+per link id and its cost) are derived here from the node map and the paths
+alone, for reservations built by hand and to check the ones that ``embed``
+builds. The rest derives from a network or a finished run what the package
 itself never needs: adjacency, equality and text of a substrate, its totals
 and residuals by name, the overlay's loads, the fate and the state of a
 request, the longest wait and the mean number of concurrently committed
@@ -20,7 +20,7 @@ from itertools import permutations
 
 from vnesim import embedder
 from vnesim.metrics import _time_weighted
-from vnesim.netmodel import SubstrateNetwork, SubstrateView, norm_link, reserve
+from vnesim.netmodel import Reservation, SubstrateNetwork, SubstrateView, norm_link
 
 NODE_CAPACITY = "node-capacity"
 INJECTIVITY = "injectivity"
@@ -103,10 +103,23 @@ def mapping_cost(net, request, mapping) -> int:
     return cost
 
 
-def reserve_mapping(view, request, mapping):
-    """``reserve`` a hand-built mapping with the terms its paths give."""
-    return reserve(view, request, mapping, link_units_of(view, mapping),
-                   mapping_cost(view, request, mapping))
+def build_reservation(net, request, node_map, link_paths) -> Reservation:
+    """A hand-built reservation with the terms its node map and paths give:
+    node units by switch index (summed, so a node map need not be
+    injective), link units by link id and the cost; no rule units."""
+    res = Reservation(request, dict(node_map), dict(link_paths))
+    res.node_units = node_units_of(net, request, res)
+    res.link_units = link_units_of(net, res)
+    res.cost = mapping_cost(net, request, res)
+    return res
+
+
+def move_tentative(view, request_id, vlink, path):
+    """``move_tentative_link`` with both paths' link ids derived here, as
+    the remap pass hands over the ids it holds."""
+    (old, _units), = view.tentative_reservation(request_id).link_paths[vlink]
+    view.move_tentative_link(request_id, vlink, link_ids_along(view, old),
+                             path, link_ids_along(view, path))
 
 
 def residual_bandwidth(net, lk) -> int:

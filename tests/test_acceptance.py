@@ -27,13 +27,13 @@ from vnesim.weights import link_weight, remap_pass
 from vnesim.workload import GeneratorSpec, default_substrate, gen_virtual_request, random_substrate
 
 from reference import (
+    build_reservation,
     longest_wait,
     mapping_cost,
     mean_concurrent_active,
     named_totals,
     oracle_embed,
     path_links,
-    reserve_mapping,
     residual_bandwidth,
     residual_capacity,
     validate_mapping,
@@ -80,9 +80,9 @@ def test_criterion_2_oracle_containment():
             embed_accepts += 1
             if not feasible:
                 containment_breaks += 1
-            if not validate_mapping(view, req, outcome.mapping):
+            if not validate_mapping(view, req, outcome.reservation):
                 validation_breaks += 1
-            if feasible and best_cost > outcome.cost:
+            if feasible and best_cost > outcome.reservation.cost:
                 cost_breaks += 1
     ratio = embed_accepts / oracle_feasible
     ok = (containment_breaks == 0 and validation_breaks == 0
@@ -123,8 +123,9 @@ def test_criterion_3_cost_exactness():
         outcome = embed(SubstrateView(net), req)
         if not outcome.accepted:
             continue
-        assert mapping_cost(net, req, outcome.mapping) == evaluate(net, req, outcome.mapping)
-        assert outcome.cost == evaluate(net, req, outcome.mapping)
+        res = outcome.reservation
+        assert mapping_cost(net, req, res) == evaluate(net, req, res)
+        assert res.cost == evaluate(net, req, res)
         checked += 1
     report("3 (cost exactness)", True,
            f"{checked} mappings match the independent evaluator exactly")
@@ -147,13 +148,13 @@ def test_criterion_4_workload_statistics():
 
 def test_criterion_5_weight_algebra():
     # hand value: demand 10 on a 2-hop path -> 10*2 + 3 = 23 used units
-    from vnesim.netmodel import Mapping, VirtualNetworkRequest
+    from vnesim.netmodel import VirtualNetworkRequest
     from conftest import make_net
 
     net = make_net([1, 2, 3], [(1, 2), (2, 3)])
     req = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10})
     view = SubstrateView(net)
-    reserve_mapping(view, req, Mapping({"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
+    reserve(view, build_reservation(view, req, {"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
     hand = link_weight(view, req, ("a", "b"), (1, 2, 3)).used
     assert hand == 23
 
@@ -169,7 +170,7 @@ def test_criterion_5_weight_algebra():
             outcome = embed(view, req)
             if not outcome.accepted:
                 continue
-            reserve(view, req, outcome.mapping, outcome.link_units, outcome.cost)
+            reserve(view, outcome.reservation)
             for vl, allocs in view.tentative_reservation(rid).link_paths.items():
                 (path, _units), = allocs
                 rec = link_weight(view, req, vl, path)

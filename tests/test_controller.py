@@ -1,5 +1,7 @@
 """Batch policies, commit flow, rule accounting, and the three strategy rows."""
 
+import copy
+
 import pytest
 
 from vnesim.controller import (
@@ -423,6 +425,33 @@ class TestStrategySelection:
             assert all(res.blocked is None for res in reserved), strategy
         # the 50-unit link 1-2 (id 0) could not carry the 40- and 50-unit links
         assert at_remap == [{}, {}, {(0, 1): (0,)}, {(0, 1): (0,)}]
+
+    @pytest.mark.parametrize("strategy", [BATCHED, SPLITTING])
+    def test_the_staged_record_is_the_one_embed_built(self, monkeypatch, strategy):
+        # on_arrival stages the reservation embed returned, not a copy, and
+        # sets no field on it afterwards
+        import vnesim.controller
+
+        built = []
+        real_embed = vnesim.controller.embed
+
+        def spy_embed(*args):
+            outcome = real_embed(*args)
+            built.append((outcome.reservation, copy.deepcopy(outcome.reservation)))
+            return outcome
+
+        monkeypatch.setattr(vnesim.controller, "embed", spy_embed)
+        net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)], bws={(1, 2): 50})
+        ctl = make_controller(strategy, net, BatchPolicy(5, u(50), WHICHEVER_FIRST), None)
+        ctl.log = MetricsLog(ctl.view)
+        engine = Engine(ctl, [])
+        for i in range(3):
+            r = mk(i, {0: 5, 1: 5}, {(0, 1): 20 + 10 * i}, arrival=1 + i)
+            ctl.on_arrival(engine, r)
+            res, as_built = built[-1]
+            assert ctl.view.tentative[r.request_id] is res
+            assert res == as_built
+        assert ctl.pending == 3
 
     def test_unknown_strategy_is_rejected(self):
         net = make_net([1, 2], [(1, 2)])

@@ -1,6 +1,7 @@
 """Greedy embedding with a path budget k, and the exhaustive reference search."""
 
 import random
+import sys
 from collections import Counter
 
 import networkx as nx
@@ -15,7 +16,7 @@ from vnesim.embedder import (
     greedy_node_map,
 )
 from vnesim.netmodel import (
-    Mapping,
+    Reservation,
     SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,
@@ -26,15 +27,17 @@ from vnesim.simulator import RandomStreams
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
+from test_golden import HEAVY
 from reference import (
+    build_reservation,
     cheapest_feasible_path,
     link_ids_along,
     link_units_of,
     mapping_cost,
     named_totals,
+    node_units_of,
     oracle_embed,
     path_links,
-    reserve_mapping,
     residual_bandwidth,
     residual_capacity,
     route,
@@ -70,7 +73,7 @@ class TestGreedyNodeMap:
     def test_counts_committed_and_tentative_load(self, triangle):
         view = SubstrateView(triangle)
         filler = req(rid=9, nodes={"x": 70}, links={})
-        reserve_mapping(view, filler, Mapping({"x": 1}, {}))
+        reserve(view, build_reservation(view, filler, {"x": 1}, {}))
         m = greedy_node_map(view, req(nodes={"a": 50}, links={}))
         assert m == {"a": 2}
 
@@ -102,7 +105,7 @@ class TestCheapestFeasiblePath:
         view = SubstrateView(triangle)
         r = req(nodes={"a": 1, "b": 1}, links={("a", "b"): 95})
         outcome = embed(view, r)
-        reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
+        reserve(view, outcome.reservation)
         # direct (1, 2) now has 5 left; demand 10 must detour
         assert cheapest_feasible_path(view, 1, 2, 10) == route(view, (1, 3, 2))
 
@@ -149,9 +152,9 @@ class TestEmbed:
         view = SubstrateView(line3)
         outcome = embed(view, req())
         assert outcome.accepted
-        assert outcome.mapping.node_map == {"b": 1, "a": 2}
-        assert outcome.mapping.link_paths == {("a", "b"): (((2, 1), 5),)}
-        assert outcome.cost == 35
+        assert outcome.reservation.node_map == {"b": 1, "a": 2}
+        assert outcome.reservation.link_paths == {("a", "b"): (((2, 1), 5),)}
+        assert outcome.reservation.cost == 35
 
     def test_embed_does_not_mutate_the_view(self, triangle):
         view = SubstrateView(triangle)
@@ -164,7 +167,7 @@ class TestEmbed:
         outcome = embed(SubstrateView(triangle), req(nodes={"a": 101}, links={}))
         assert not outcome.accepted
         assert outcome.rejection == NODE_STAGE
-        assert outcome.mapping is None and outcome.cost is None
+        assert outcome.reservation is None
 
     def test_link_stage_rejection(self, line3):
         outcome = embed(SubstrateView(line3), req(links={("a", "b"): 101}))
@@ -202,11 +205,11 @@ class TestEmbed:
         # (a, b) = 60 routes first onto the direct link; (a, c) = 40 cannot
         # use the thin direct (1, 3) and detours through (1, 2), landing it
         # at exactly its 100-unit capacity
-        assert outcome.mapping.link_paths == {
+        assert outcome.reservation.link_paths == {
             ("a", "b"): (((1, 2), 60),),
             ("a", "c"): (((1, 2, 3), 40),),
         }
-        reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
+        reserve(view, outcome.reservation)
         assert residual_bandwidth(view, (1, 2)) == 0
 
 
@@ -224,17 +227,17 @@ class TestSplittingEmbed:
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
         outcome = embed(view, r, k=2)
         assert outcome.accepted
-        assert outcome.mapping.node_map == {"a": 1, "b": 2}
-        assert outcome.mapping.link_paths == {
+        assert outcome.reservation.node_map == {"a": 1, "b": 2}
+        assert outcome.reservation.link_paths == {
             ("a", "b"): (((1, 2), 60), ((1, 3, 2), 40)),
         }
-        assert outcome.cost == 175
+        assert outcome.reservation.cost == 175
 
     def test_fractions_are_exact(self):
         # the parts are integer units that add up to the demand exactly
         view = SubstrateView(self.split_case_net())
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        parts = embed(view, r, k=2).mapping.link_paths[("a", "b")]
+        parts = embed(view, r, k=2).reservation.link_paths[("a", "b")]
         assert [units for _, units in parts] == [60, 40]
         assert all(isinstance(units, int) for _, units in parts)
         assert sum(units for _, units in parts) == r.link_demands[("a", "b")]
@@ -253,7 +256,7 @@ class TestSplittingEmbed:
         view = SubstrateView(triangle)
         r = req(nodes={"a": 1, "b": 1}, links={("a", "b"): 50})
         outcome = embed(view, r, k=2)
-        assert outcome.mapping.link_paths == {("a", "b"): (((1, 2), 50),)}
+        assert outcome.reservation.link_paths == {("a", "b"): (((1, 2), 50),)}
 
     def test_k_below_one_raises(self, triangle):
         with pytest.raises(ValueError, match="at least 1"):
@@ -271,18 +274,40 @@ class TestSplittingEmbed:
             assert embed(view, r, k=1) == single
             if single.accepted:
                 # k = 1 puts each link's full demand on one path
-                assert single.mapping.link_paths.keys() == r.link_demands.keys()
-                for vl, parts in single.mapping.link_paths.items():
+                assert single.reservation.link_paths.keys() == r.link_demands.keys()
+                for vl, parts in single.reservation.link_paths.items():
                     assert len(parts) == 1
                     assert parts[0][1] == r.link_demands[vl]
-                assert single.cost == mapping_cost(net, r, single.mapping)
+                assert single.reservation.cost == mapping_cost(net, r, single.reservation)
                 agreements += 1
         assert agreements > 10
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_record_terms_are_the_ones_its_paths_give(self, k):
+        # embed builds the reservation reserve stages: its node units by
+        # switch index, link units by link id and cost must equal what the
+        # node map and paths give, on the instances drawn above
+        spec = GeneratorSpec()
+        accepted = 0
+        for seed in range(40):
+            streams = RandomStreams(seed)
+            net = random_substrate(streams.topology, 8, spec)
+            r = gen_virtual_request(streams.request(0), spec, 0, 0, 10)
+            res = embed(SubstrateView(net), r, k).reservation
+            if res is None:
+                continue
+            assert res.request is r
+            assert res.node_units == node_units_of(net, r, res)
+            assert res.link_units == link_units_of(net, res)
+            assert res.cost == mapping_cost(net, r, res)
+            assert res.rule_units == {} and res.blocked is None
+            accepted += 1
+        assert accepted > 10
 
     def test_split_cost_matches_by_hand(self):
         net = self.split_case_net()
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        split = embed(SubstrateView(net), r, k=2).mapping
+        split = embed(SubstrateView(net), r, k=2).reservation
         # nodes 20 + 15; 60 units over one link; 40 units over two links
         assert mapping_cost(net, r, split) == 35 + 60 + 80
 
@@ -311,24 +336,24 @@ class TestSplittingEmbed:
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): demand})
         outcome = embed(view, r, k=k)
-        assert outcome.mapping.node_map == {"a": 1, "b": 2}
-        assert outcome.mapping.link_paths == {("a", "b"): parts}
+        assert outcome.reservation.node_map == {"a": 1, "b": 2}
+        assert outcome.reservation.link_paths == {("a", "b"): parts}
         # the terms handed to reserve are the ones the paths give
-        assert outcome.link_units == link_units_of(net, outcome.mapping)
-        assert outcome.cost == mapping_cost(net, r, outcome.mapping)
+        assert outcome.reservation.link_units == link_units_of(net, outcome.reservation)
+        assert outcome.reservation.cost == mapping_cost(net, r, outcome.reservation)
 
     def test_validate_split_mapping_accepts_the_real_thing(self):
         net = self.split_case_net()
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        split = embed(view, r, k=2).mapping
+        split = embed(view, r, k=2).reservation
         assert bool(validate_mapping(view, r, split)) is True
 
     def test_validate_split_mapping_flags_short_allocation(self):
         net = self.split_case_net()
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        broken = Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 60),)})
+        broken = Reservation(r, {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 60),)})
         result = validate_mapping(view, r, broken)
         assert not result.ok
         assert any("sum to demand 100" in v.detail for v in result.violations)
@@ -357,32 +382,30 @@ class TestSplittingEmbed:
 
 
 def test_embed_reads_link_ids_from_routing_not_from_paths(monkeypatch):
-    # routing hands back the link ids it walked, so over a whole default
-    # batched run embed derives none from a path; the remap's scoring and
-    # the ledger's moves still do, which shows the counter counts
-    import vnesim.controller as controller
-
-    calls = Counter()
-    inside_embed = []
-    real_ids, real_embed = SubstrateNetwork.path_link_ids, controller.embed
+    # routing hands back the link ids it walked and a weight record keeps
+    # the ids it scored, so neither embed, the remap pass nor the ledger's
+    # moves derive ids from a path: only scoring does, on a default batched
+    # run and on a bandwidth-bound one where remaps adopt
+    callers, moves = Counter(), []
+    real_ids, real_move = SubstrateNetwork.path_link_ids, SubstrateView.move_tentative_link
 
     def counting_ids(net, path):
-        calls["embed" if inside_embed else "elsewhere"] += 1
+        callers[sys._getframe(1).f_code.co_name] += 1
         return real_ids(net, path)
 
-    def marking_embed(*args):
-        inside_embed.append(True)
-        try:
-            return real_embed(*args)
-        finally:
-            inside_embed.pop()
+    def counting_move(view, *args):
+        moves.append(args)
+        return real_move(view, *args)
 
     monkeypatch.setattr(SubstrateNetwork, "path_link_ids", counting_ids)
-    monkeypatch.setattr(controller, "embed", marking_embed)
+    monkeypatch.setattr(SubstrateView, "move_tentative_link", counting_move)
     _, log = run_simulation(RunConfig(strategy="batched", seed=11))
     assert log.accepted > 1000
-    assert calls["embed"] == 0
-    assert calls["elsewhere"] > 0
+    assert callers.keys() == {"link_weight"}
+    callers.clear()
+    _, log = run_simulation(RunConfig(strategy="batched", **HEAVY))
+    assert len(moves) > 5
+    assert callers.keys() == {"link_weight"}
 
 
 class TestOracle:
@@ -427,7 +450,7 @@ class TestOracle:
 
         r = req(nodes={"a": 50, "b": 50}, links={("a", "b"): 50})
         small = embed(SubstrateView(build(55)), r)
-        assert small.accepted and small.cost == 150
+        assert small.accepted and small.reservation.cost == 150
         # raising switch 2's capacity attracts the first node there, and the
         # only path out of switch 2 is too thin for the demand
         assert embed(SubstrateView(build(120)), r).rejection == LINK_STAGE
@@ -443,11 +466,11 @@ class TestOracle:
             outcome = embed(SubstrateView(net), r)
             if outcome.accepted:
                 assert feasible
-                assert best <= outcome.cost
+                assert best <= outcome.reservation.cost
                 wins += 1
         assert wins > 10
 
 
 def test_embed_outcome_accepted_property():
-    assert EmbedOutcome(mapping=object(), cost=3).accepted is True
+    assert EmbedOutcome(reservation=object()).accepted is True
     assert EmbedOutcome(rejection=NODE_STAGE).accepted is False

@@ -21,10 +21,10 @@ from vnesim.metrics import (
     trace_hash,
     _time_weighted,
 )
-from vnesim.netmodel import Mapping, SubstrateView, VirtualNetworkRequest
+from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
 
 from conftest import make_net
-from reference import active_counts, fates, mean_concurrent_active, reserve_mapping
+from reference import active_counts, build_reservation, fates, mean_concurrent_active
 
 
 def fresh_log(**kwargs):
@@ -37,7 +37,7 @@ def drive_tiny_run(log):
     view = log.view
     log.record_arrival(1_000_000, 0, accepted=False)
     r = VirtualNetworkRequest(1, {0: 50}, {}, 2_000_000, 5_000_000)
-    reserve_mapping(view, r, Mapping({0: 1}, {}))
+    reserve(view, build_reservation(view, r, {0: 1}, {}))
     log.record_arrival(2_000_000, 1, accepted=True, cost=50)
     log.record_commit_event(remapped_links=0)
     view.commit(1)
@@ -99,7 +99,7 @@ class TestRecording:
     def test_utilization_means_average_over_all_elements(self):
         log, net = fresh_log()
         r = VirtualNetworkRequest(1, {0: 1, 1: 1}, {(0, 1): 50}, 0, 10)
-        reserve_mapping(log.view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 50),)}))
+        reserve(log.view, build_reservation(log.view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 50),)}))
         link_util, switch_util = log._utilization_means()
         assert link_util == pytest.approx((0.5 + 0 + 0) / 3)
         assert switch_util == pytest.approx((0.01 + 0.01 + 0) / 3)
@@ -138,6 +138,16 @@ class TestAcceptanceRate:
     def test_bucket_not_positive_and_finite_rejected(self, grouping, bucket):
         with pytest.raises(ValueError, match="bucket must be positive and finite"):
             acceptance_rate(self.build(), grouping, bucket)
+
+    def test_by_count_bucket_not_an_integer_rejected(self):
+        # a fractional count would group 3, 2, 3, 2 arrivals under float keys
+        with pytest.raises(ValueError, match="by-count bucket must be an integer"):
+            acceptance_rate(self.build(), "by-count", 2.5)
+        # by-time buckets are durations and stay fractional
+        assert acceptance_rate(self.build(), "by-time", 2.5) == [
+            (0.0, 0.5),
+            (2.5, 1.0),
+        ]
 
     def test_by_time_bucket_rounding_to_zero_ticks_rejected(self):
         with pytest.raises(ValueError, match="rounds to 0 ticks"):

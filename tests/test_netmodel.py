@@ -6,7 +6,7 @@ import math
 import pytest
 
 from vnesim.netmodel import (
-    Mapping,
+    Reservation,
     ReservationError,
     SubstrateNetwork,
     SubstrateView,
@@ -16,6 +16,7 @@ from vnesim.netmodel import (
     load_topology,
     norm_link,
     parse_topology,
+    reserve,
     rule_units_for,
 )
 
@@ -27,11 +28,12 @@ from reference import (
     PATH_EXISTENCE,
     MappingStructureError,
     adj,
+    build_reservation,
     mapping_cost,
+    move_tentative,
     named_totals,
     networks_equal,
     path_links,
-    reserve_mapping,
     residual_bandwidth,
     residual_capacity,
     t_link_load,
@@ -153,8 +155,10 @@ class TestReserveAndCommit:
     def test_tentative_reserve_hits_view_not_base(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)})
-        reserve_mapping(view, r, mapping)
+        res = build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)})
+        # the record handed in is the one staged, not a copy
+        assert reserve(view, res) is res
+        assert view.tentative[r.request_id] is res
         assert residual_capacity(view, 1) == 90
         assert residual_bandwidth(view, (1, 2)) == 95
         assert residual_capacity(triangle, 1) == 100
@@ -164,7 +168,7 @@ class TestReserveAndCommit:
     def test_release_tentative_restores_everything(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.release(r.request_id) is True
         assert residual_capacity(view, 1) == 100
         assert residual_bandwidth(view, (1, 2)) == 100
@@ -173,7 +177,7 @@ class TestReserveAndCommit:
     def test_commit_moves_reservation_and_installs_rule_memory(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.commit(r.request_id) is True
         # nodes 10 + one rule on each path switch
         assert residual_capacity(triangle, 1) == 100 - 10 - 1
@@ -188,10 +192,10 @@ class TestReserveAndCommit:
         net = make_net([1, 2, 3], [(1, 2), (2, 3)])
         view = SubstrateView(net)
         squatter = req(rid=1, nodes={0: 100}, links={})
-        reserve_mapping(view, squatter, Mapping({0: 2}, {}))
+        reserve(view, build_reservation(view, squatter, {0: 2}, {}))
         assert view.commit(1) is True
         r = req(rid=2, nodes={0: 10, 1: 10}, links={(0, 1): 5})
-        reserve_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)}))
         assert view.commit(2) is False
         # the reservation stays tentative and fully accounted
         assert 2 in view.tentative
@@ -204,8 +208,8 @@ class TestReserveAndCommit:
     def test_move_keeps_the_ledger_balanced(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
-        view.move_tentative_link(r.request_id, (0, 1), [1, 2])
+        reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
+        move_tentative(view, r.request_id, (0, 1), [1, 2])
         res = view.tentative_reservation(r.request_id)
         assert res.link_paths == {(0, 1): (((1, 2), 5),)}
         assert res.link_units == {triangle.link_index[1, 2]: 5}
@@ -219,9 +223,9 @@ class TestReserveAndCommit:
         net = make_net([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)], bws={(1, 2): 10})
         view = SubstrateView(net)
         r = req(nodes={0: 1, 1: 1}, links={(0, 1): 10})
-        reserve_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 10),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 10),)}))
         assert residual_bandwidth(view, (1, 2)) == 0
-        view.move_tentative_link(r.request_id, (0, 1), (1, 2, 4, 3))
+        move_tentative(view, r.request_id, (0, 1), (1, 2, 4, 3))
         res = view.tentative_reservation(r.request_id)
         assert res.link_paths == {(0, 1): (((1, 2, 4, 3), 10),)}
         assert res.link_units == {net.link_index[lk]: 10 for lk in ((1, 2), (2, 4), (3, 4))}
@@ -233,14 +237,14 @@ class TestReserveAndCommit:
     def test_refused_move_raises_and_applies_nothing(self, triangle):
         view = SubstrateView(triangle)
         hog = req(rid=1, nodes={0: 1, 1: 1}, links={(0, 1): 100})
-        reserve_mapping(view, hog, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 100),)}))
+        reserve(view, build_reservation(view, hog, {0: 1, 1: 2}, {(0, 1): (((1, 2), 100),)}))
         r = req(rid=2, nodes={0: 1, 1: 1}, links={(0, 1): 5})
-        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
         res_before = copy.deepcopy(view.tentative_reservation(2))
         load_before = t_link_load(view)
         # (1, 2) is full and the old path frees nothing on it
         with pytest.raises(ReservationError, match=r"link \(1, 2\)"):
-            view.move_tentative_link(2, (0, 1), (1, 2))
+            move_tentative(view, 2, (0, 1), (1, 2))
         assert view.tentative_reservation(2) == res_before
         assert t_link_load(view) == load_before
         assert view.conservation_violations() == []
@@ -249,7 +253,7 @@ class TestReserveAndCommit:
         # a released id is unknown to the ledger, like one never reserved
         view = SubstrateView(triangle)
         r = req()
-        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         view.commit(r.request_id)
         assert view.release(r.request_id) is True
         with pytest.raises(UnknownRequestError):
@@ -259,7 +263,7 @@ class TestReserveAndCommit:
         view = SubstrateView(triangle)
         r = req(nodes={0: 150, 1: 10}, links={(0, 1): 5})
         with pytest.raises(ReservationError):
-            reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+            reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert residual_capacity(view, 1) == 100
         assert residual_bandwidth(view, (1, 2)) == 100
         assert view.tentative == {}
@@ -267,17 +271,17 @@ class TestReserveAndCommit:
     def test_duplicate_reserve_raises(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         with pytest.raises(ReservationError, match="already reserved"):
-            reserve_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+            reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
 
     def test_sibling_tentative_requests_see_each_other(self, triangle):
         view = SubstrateView(triangle)
         first = req(rid=1, nodes={0: 60}, links={})
-        reserve_mapping(view, first, Mapping({0: 1}, {}))
+        reserve(view, build_reservation(view, first, {0: 1}, {}))
         second = req(rid=2, nodes={0: 60}, links={})
         with pytest.raises(ReservationError):
-            reserve_mapping(view, second, Mapping({0: 1}, {}))
+            reserve(view, build_reservation(view, second, {0: 1}, {}))
 
 
 def test_rule_units_one_per_link_path_switch():
@@ -300,9 +304,9 @@ class TestViewAudit:
     @staticmethod
     def staged(net):
         view = SubstrateView(net)
-        reserve_mapping(view, req(rid=1), Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        reserve(view, build_reservation(view, req(rid=1), {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert view.commit(1) is True
-        reserve_mapping(view, req(rid=2), Mapping({0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
+        reserve(view, build_reservation(view, req(rid=2), {0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
         assert view.conservation_violations() == []
         return view
 
@@ -420,14 +424,14 @@ class TestValidateMapping:
     def test_good_mapping_is_valid(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert bool(result) is True
         assert result.violations == []
 
     def test_injectivity_violation(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 1}, {(0, 1): (((1, 2), 5),)}))
+        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 1}, {(0, 1): (((1, 2), 5),)}))
         kinds = [v.kind for v in result.violations]
         assert INJECTIVITY in kinds
 
@@ -435,21 +439,22 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         # two virtual nodes of 60 on one switch: each alone fits, the sum not
         r = req(nodes={0: 60, 1: 60}, links={(0, 1): 1})
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 1}, {(0, 1): (((1, 2), 1),)}))
+        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 1}, {(0, 1): (((1, 2), 1),)}))
         kinds = {v.kind for v in result.violations}
         assert NODE_CAPACITY in kinds
 
     def test_path_must_connect_the_hosts(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3), 5),)}))
+        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 3), 5),)}))
         assert [v.kind for v in result.violations] == [PATH_EXISTENCE]
 
     def test_path_must_be_simple(self):
         net = make_net([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
         view = SubstrateView(net)
         r = req()
-        result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): (((1, 3, 1, 2), 5),)}))
+        mapping = Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 1, 2), 5),)})
+        result = validate_mapping(view, r, mapping)
         assert any(v.kind == PATH_EXISTENCE for v in result.violations)
 
     def test_bandwidth_violation_sums_links_sharing_an_element(self, triangle):
@@ -459,7 +464,8 @@ class TestValidateMapping:
             links={(0, 1): 60, (0, 2): 60, (1, 2): 1},
         )
         # both 60-unit links routed across (1, 2): 120 > 100 even though each fits
-        mapping = Mapping(
+        mapping = Reservation(
+            r,
             {0: 1, 1: 2, 2: 3},
             {(0, 1): (((1, 2), 60),), (0, 2): (((1, 2, 3), 60),), (1, 2): (((2, 3), 1),)},
         )
@@ -471,9 +477,9 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         r = req()
         good = {(0, 1): (((1, 2), 3), ((1, 3, 2), 2))}
-        assert validate_mapping(view, r, Mapping({0: 1, 1: 2}, good))
+        assert validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, good))
         for parts in ((((1, 2), 4),), (((1, 2), 6), ((1, 3, 2), -1))):
-            result = validate_mapping(view, r, Mapping({0: 1, 1: 2}, {(0, 1): parts}))
+            result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, {(0, 1): parts}))
             assert [v.kind for v in result.violations] == [PATH_EXISTENCE]
             assert "sum to demand 5" in result.violations[0].detail
 
@@ -481,20 +487,20 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         r = req()
         with pytest.raises(MappingStructureError, match="node map"):
-            validate_mapping(view, r, Mapping({0: 1}, {(0, 1): (((1, 2), 5),)}))
+            validate_mapping(view, r, Reservation(r, {0: 1}, {(0, 1): (((1, 2), 5),)}))
 
     def test_unknown_substrate_link_is_structural(self, line3):
         view = SubstrateView(line3)
         r = req()
         with pytest.raises(MappingStructureError, match="no substrate link"):
-            validate_mapping(view, r, Mapping({0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
+            validate_mapping(view, r, Reservation(r, {0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
 
 
 class TestCost:
     def test_hand_computed_mapping_cost(self, line3):
         # nodes: 10*1 + 20*1 = 30; link: 5 units on two links = 10; total 40
         r = req()
-        mapping = Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
+        mapping = Reservation(r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
         assert mapping_cost(line3, r, mapping) == 40
 
     def test_cost_weights_by_unit_costs(self):
@@ -505,13 +511,13 @@ class TestCost:
             link_costs={(1, 2): 4, (2, 3): 5},
         )
         r = req()
-        mapping = Mapping({0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
+        mapping = Reservation(r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
         # nodes: 10*2 + 20*3 = 80; link: 5*4 + 5*5 = 45
         assert mapping_cost(net, r, mapping) == 125
 
     def test_allocation_cost_covers_split_allocations(self, triangle):
         r = req(links={(0, 1): 10})
-        mapping = Mapping({0: 1, 1: 2}, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
+        mapping = Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
         # nodes 30; direct part 6*1; detour part over two links 4*2 = 8
         assert mapping_cost(triangle, r, mapping) == 30 + 6 + 8
 

@@ -7,7 +7,7 @@ from vnesim.config import RunConfig
 from vnesim.embedder import embed
 from vnesim.metrics import summary, trace_hash
 from vnesim.netmodel import (
-    Mapping,
+    Reservation,
     ReservationError,
     SubstrateNetwork,
     SubstrateView,
@@ -22,6 +22,7 @@ from reference import (
     adj,
     link_units_of,
     mapping_cost,
+    move_tentative,
     named_totals,
     node_units_of,
     oracle_embed,
@@ -62,7 +63,7 @@ class TestLedgerFuzz:
                 continue
             for commit in (False, True):
                 before = ledger_state(view)
-                reserve(view, req, out.mapping, out.link_units, out.cost)
+                reserve(view, out.reservation)
                 if commit:
                     assert view.commit(req.request_id) is True
                 assert ledger_state(view) != before
@@ -85,8 +86,8 @@ class TestLedgerFuzz:
                     next_rid += 1
                     out = embed(view, req)
                     if out.accepted:
-                        reserve(view, req, out.mapping, out.link_units, out.cost)
-                        held[req.request_id] = [req, out.mapping, False]
+                        reserve(view, out.reservation)
+                        held[req.request_id] = [req, out.reservation, False]
                 elif roll < 0.8 and any(not v[2] for v in held.values()):
                     rid = rng.choice([r for r, v in held.items() if not v[2]])
                     if view.commit(rid):
@@ -132,10 +133,11 @@ class TestLedgerFuzz:
 
 
     def test_carried_link_ids_and_cost_follow_every_step(self):
-        # a reservation keeps the link units by link id and the cost that embed
-        # handed to reserve, and its node and rule units by switch index;
-        # after every reserve, move, commit and release, each must equal what
-        # its node map and paths give (rules only once committed)
+        # embed builds the reservation with its node units by switch index,
+        # its link units by link id and its cost, and reserve stages that
+        # record; after every embed, reserve, move, commit and release, each
+        # term must equal what its node map and paths give, and the rule
+        # units by switch index too (rules only once committed)
         moved = 0
         for seed in range(15):
             rng = random.Random(f"carried-{seed}")
@@ -153,7 +155,11 @@ class TestLedgerFuzz:
                     req = gen_virtual_request(rng, SMALL, rid, 1, 100)
                     out = embed(view, req, rng.choice((1, 2)))
                     if out.accepted:
-                        reserve(view, req, out.mapping, out.link_units, out.cost)
+                        res = out.reservation
+                        assert res.node_units == node_units_of(net, req, res)
+                        assert res.link_units == link_units_of(net, res)
+                        assert res.cost == mapping_cost(net, req, res)
+                        assert reserve(view, res) is res
                 elif roll < 0.75:
                     movable = [(res, vl) for res in view.tentative.values()
                                for vl, parts in sorted(res.link_paths.items()) if len(parts) == 1]
@@ -161,7 +167,7 @@ class TestLedgerFuzz:
                         res, (a, b) = rng.choice(movable)
                         paths = _simple_paths(neighbours, res.node_map[a], res.node_map[b])
                         try:
-                            view.move_tentative_link(res.request_id, (a, b), rng.choice(paths))
+                            move_tentative(view, res.request_id, (a, b), rng.choice(paths))
                             moved += 1
                         except ReservationError:
                             pass
@@ -197,7 +203,7 @@ class TestCostInvariance:
             out = embed(SubstrateView(net), req)
             if not out.accepted:
                 continue
-            assert mapping_cost(net, req, out.mapping) == out.cost
+            assert mapping_cost(net, req, out.reservation) == out.reservation.cost
 
             perm = dict(zip(net.switches, rng.sample(range(101, 101 + n), n)))
             relabeled = SubstrateNetwork(
@@ -208,12 +214,13 @@ class TestCostInvariance:
                 {norm_link(perm[a], perm[b]): bandwidth[(a, b)] for a, b in net.links},
                 {norm_link(perm[a], perm[b]): link_cost[(a, b)] for a, b in net.links},
             )
-            moved = Mapping(
-                {vn: perm[sw] for vn, sw in out.mapping.node_map.items()},
+            moved = Reservation(
+                req,
+                {vn: perm[sw] for vn, sw in out.reservation.node_map.items()},
                 {vl: tuple((tuple(perm[s] for s in path), units) for path, units in parts)
-                 for vl, parts in out.mapping.link_paths.items()},
+                 for vl, parts in out.reservation.link_paths.items()},
             )
-            assert mapping_cost(relabeled, req, moved) == out.cost
+            assert mapping_cost(relabeled, req, moved) == out.reservation.cost
             done += 1
         assert done > 20
 
@@ -228,9 +235,9 @@ class TestEmbeddingSoundness:
             if not out.accepted:
                 continue
             accepted += 1
-            assert validate_mapping(view, req, out.mapping)
+            assert validate_mapping(view, req, out.reservation)
             before = ledger_state(view)
-            reserve(view, req, out.mapping, out.link_units, out.cost)
+            reserve(view, out.reservation)
             assert view.conservation_violations() == []
             assert min(residual_capacity(view, u) for u in view.base.switches) >= 0
             assert min(residual_bandwidth(view, lk) for lk in view.base.links) >= 0
@@ -252,14 +259,14 @@ class TestEmbeddingSoundness:
             if not out.accepted:
                 continue
             accepted += 1
-            assert validate_mapping(view, req, out.mapping)
-            for vl, allocs in out.mapping.link_paths.items():
+            assert validate_mapping(view, req, out.reservation)
+            for vl, allocs in out.reservation.link_paths.items():
                 assert sum(units for _, units in allocs) == req.link_demands[vl]
                 assert all(isinstance(units, int) and units >= 1 for _, units in allocs)
-            if any(len(allocs) > 1 for allocs in out.mapping.link_paths.values()):
+            if any(len(allocs) > 1 for allocs in out.reservation.link_paths.values()):
                 real_splits += 1
             before = ledger_state(view)
-            reserve(view, req, out.mapping, out.link_units, out.cost)
+            reserve(view, out.reservation)
             assert view.conservation_violations() == []
             view.release(req.request_id)
             assert ledger_state(view) == before
@@ -306,9 +313,9 @@ class TestEmbeddingSoundness:
             again = embed(SubstrateView(boosted), req)
             # same residual order and unchanged bandwidths: identical choices
             assert again.accepted
-            assert again.mapping.node_map == out.mapping.node_map
-            assert again.mapping.link_paths == out.mapping.link_paths
-            assert again.cost == out.cost
+            assert again.reservation.node_map == out.reservation.node_map
+            assert again.reservation.link_paths == out.reservation.link_paths
+            assert again.reservation.cost == out.reservation.cost
             done += 1
         assert done > 25
 

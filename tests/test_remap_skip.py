@@ -9,6 +9,7 @@ are cancelled, so links that blocked a route at embed time gain units.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from vnesim import embedder
 from vnesim.embedder import embed
 from vnesim.netmodel import (
-    Mapping,
     SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,
@@ -26,7 +26,7 @@ from vnesim.netmodel import (
 from vnesim.weights import link_weight, prioritize, remap_pass
 
 from conftest import make_net
-from reference import named_totals, reserve_mapping, t_link_load
+from reference import build_reservation, named_totals, t_link_load
 
 
 def _score(base, residual, ids, units):
@@ -61,7 +61,7 @@ def oracle_remap_pass(view, requests) -> int:
             new_path, new_ids = found
             assert new_ids == base.path_link_ids(new_path)
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
-                view.move_tentative_link(rec.request_id, rec.vlink, new_path)
+                view.move_tentative_link(rec.request_id, rec.vlink, ids, new_path, new_ids)
                 ids = new_ids
                 changed += 1
         for j in ids:
@@ -112,18 +112,18 @@ def scenario(seed):
         rid += 1
         outcome = embed(view, r)
         if outcome.accepted:
-            reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
+            reserve(view, outcome.reservation)
             assert view.commit(r.request_id)
             background.append(r.request_id)
     batch = []
     for _ in range(rng.randint(3, 10)):
         r = random_request(rng, rid)
         rid += 1
-        blocked = {}
-        outcome = embed(view, r, 1, blocked)
+        outcome = embed(view, r, 1, {})
         if outcome.accepted:
-            res = reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
-            res.blocked = blocked if rng.random() < 0.875 else None
+            res = reserve(view, outcome.reservation)
+            if rng.random() >= 0.875:
+                res.blocked = None
             batch.append(r)
         if background and rng.random() < 0.4:
             view.release(background.pop(rng.randrange(len(background))))
@@ -188,8 +188,9 @@ def test_a_second_pass_matches_the_second_pass_of_the_oracle():
 def test_a_skipped_split_link_is_still_refused(triangle):
     view = SubstrateView(triangle)
     r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 120}, 0, 10)
-    split = Mapping({"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))})
-    reserve_mapping(view, r, split).blocked = {}  # nothing blocked it: a skip
+    split = build_reservation(view, r, {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))})
+    split.blocked = {}  # nothing blocked it: a skip
+    reserve(view, split)
     with pytest.raises(ValueError, match="single-path"):
         remap_pass(view, [r])
 
@@ -208,11 +209,14 @@ def test_embed_records_the_links_that_could_not_carry_each_route():
     r = VirtualNetworkRequest(1, {"a": 2, "b": 1, "c": 1}, {("a", "b"): 12, ("a", "c"): 9}, 0, 10)
     blocked = {}
     outcome = embed(view, r, 1, blocked)
-    assert outcome.mapping.node_map == {"a": 1, "b": 2, "c": 3}
-    assert outcome.mapping.link_paths == {("a", "b"): (((1, 3, 2), 12),), ("a", "c"): (((1, 2, 3), 9),)}
+    res = outcome.reservation
+    assert res.node_map == {"a": 1, "b": 2, "c": 3}
+    assert res.link_paths == {("a", "b"): (((1, 3, 2), 12),), ("a", "c"): (((1, 2, 3), 9),)}
     assert blocked == {("a", "b"): (net.link_index[1, 2],), ("a", "c"): (net.link_index[1, 3],)}
+    # the reservation carries the record for the remap pass
+    assert res.blocked is blocked
     # without the argument, or where every link carries the demand, nothing is recorded
-    assert embed(view, r) == outcome
+    assert embed(view, r).reservation == replace(res, blocked=None)
     blocked = {}
     embed(view, VirtualNetworkRequest(2, {"a": 1, "b": 1}, {("a", "b"): 10}, 0, 10), 1, blocked)
     assert blocked == {}

@@ -17,18 +17,18 @@ import pytest
 
 from vnesim import embedder
 from vnesim.netmodel import (
-    Mapping,
     SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,
     norm_link,
+    reserve,
 )
 
 from reference import (
     adj,
+    build_reservation,
     cheapest_feasible_path,
     named_totals,
-    reserve_mapping,
     residual_bandwidth,
     route,
     t_link_load,
@@ -101,7 +101,8 @@ def random_instance(rng, max_cost=5):
     for rid, lk in enumerate(net.links):
         if tentative[lk]:
             request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): tentative[lk]})
-            reserve_mapping(view, request, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, tentative[lk]),)}))
+            reserve(view, build_reservation(view, request, {0: lk[0], 1: lk[1]},
+                                            {(0, 1): ((lk, tentative[lk]),)}))
     assert view.residual_bandwidths() == [
         bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
     ]

@@ -4,7 +4,6 @@ import pytest
 
 from vnesim.embedder import embed
 from vnesim.netmodel import (
-    Mapping,
     SubstrateView,
     UnknownRequestError,
     VirtualNetworkRequest,
@@ -15,14 +14,14 @@ from vnesim.weights import LinkWeightRecord, link_weight, prioritize, remap_pass
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
-from reference import named_totals, path_links, reserve_mapping, residual_bandwidth, t_link_load
+from reference import build_reservation, named_totals, path_links, residual_bandwidth, t_link_load
 
 
 def tentative(view, rid, node_map, paths, nodes, links):
     """Reserve a hand-picked single-path mapping tentatively; returns the request."""
     r = VirtualNetworkRequest(rid, nodes, links, 0, 10)
     link_paths = {vl: ((path, links[vl]),) for vl, path in paths.items()}
-    reserve_mapping(view, r, Mapping(node_map, link_paths))
+    reserve(view, build_reservation(view, r, node_map, link_paths))
     return r
 
 
@@ -57,6 +56,7 @@ class TestUsedAndFree:
             request_id=1,
             vlink=("a", "b"),
             path=(1, 2, 3),
+            ids=[line3.link_index[1, 2], line3.link_index[2, 3]],
             demand=10,
             used=23,
             free=465,
@@ -69,7 +69,7 @@ class TestUsedAndFree:
         net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={2: 100})
         view = SubstrateView(net)
         squat = VirtualNetworkRequest(7, {"x": 99}, {}, 0, 5)
-        reserve_mapping(view, squat, Mapping({"x": 2}, {}))
+        reserve(view, build_reservation(view, squat, {"x": 2}, {}))
         r = tentative(
             view, 1, {"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)},
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
@@ -105,7 +105,7 @@ class TestUsedAndFree:
 class TestPrioritize:
     @staticmethod
     def rec(rid, vlink, weight, used):
-        return LinkWeightRecord(rid, vlink, (1, 2), 1, used, used - weight, weight)
+        return LinkWeightRecord(rid, vlink, (1, 2), [0], 1, used, used - weight, weight)
 
     def test_orders_by_weight_then_used_then_ids(self):
         r1 = self.rec(1, (0, 1), weight=5, used=10)
@@ -205,10 +205,10 @@ class TestRemapPass:
     def test_split_reservations_are_refused(self, triangle):
         view = SubstrateView(triangle)
         r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 120}, 0, 10)
-        split = Mapping(
-            {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))}
+        split = build_reservation(
+            view, r, {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 100), ((1, 3, 2), 20))}
         )
-        reserve_mapping(view, r, split)
+        reserve(view, split)
         with pytest.raises(ValueError, match="single-path"):
             remap_pass(view, [r])
 
@@ -240,7 +240,8 @@ class TestRemapPass:
                 hold = residual_bandwidth(net, lk) - rng.randint(1, 8)
                 rid = 1000 + j
                 blocker = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): hold}, 0, 10)
-                reserve_mapping(view, blocker, Mapping({0: lk[0], 1: lk[1]}, {(0, 1): ((lk, hold),)}))
+                reserve(view, build_reservation(view, blocker, {0: lk[0], 1: lk[1]},
+                                                {(0, 1): ((lk, hold),)}))
                 assert view.commit(rid)
                 blockers.append(rid)
             batch = []
@@ -248,7 +249,7 @@ class TestRemapPass:
                 r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
                 outcome = embed(view, r)
                 if outcome.accepted:
-                    reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
+                    reserve(view, outcome.reservation)
                     batch.append(r)
             for rid in blockers:
                 view.release(rid)  # through the view, whose residuals follow
@@ -281,7 +282,7 @@ class TestRemapPass:
                 r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
                 outcome = embed(view, r)
                 if outcome.accepted:
-                    reserve(view, r, outcome.mapping, outcome.link_units, outcome.cost)
+                    reserve(view, outcome.reservation)
                     batch.append(r)
             before = (
                 {rid: (dict(res.link_paths), dict(res.link_units))
