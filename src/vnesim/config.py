@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .controller import STRATEGIES, _MODES, WHICHEVER_FIRST
 from .simulator import MAX_DRAW_FACTOR, TICKS_PER_UNIT, to_ticks
-from .workload import GeneratorSpec
+from .workload import GeneratorSpec, random_size
 
 
 class ConfigError(ValueError):
@@ -79,14 +79,8 @@ class RunConfig(GeneratorSpec):
             raise ConfigError(f"horizon {self.horizon} overflows the tick count")
         if self.horizon is not None and to_ticks(self.horizon) < 1:
             raise ConfigError(f"horizon {self.horizon} rounds to 0 ticks (one tick is 1e-6 time units)")
-        if self.substrate.startswith("random:"):
-            try:
-                size = int(self.substrate.split(":", 1)[1])
-            except ValueError:
-                size = 0
-            if size < 2:
-                raise ConfigError(f"substrate {self.substrate!r}: random:<n> needs an integer n >= 2")
         try:
+            random_size(self.substrate)
             super().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

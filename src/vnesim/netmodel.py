@@ -158,27 +158,25 @@ class SubstrateNetwork:
     and unit costs by switch index and link id, committed loads by name; a
     ``SubstrateView`` writes the loads and ``committed``."""
 
-    def __init__(self, switches, links, capacity, switch_cost, bandwidth, link_cost):
-        """Checks every switch, then every link, in input order, then that
-        the topology is connected and has a link; unit costs default to 1.
-        Values keyed by ids that are not elements are dropped."""
-        capacity, switch_cost = dict(capacity), dict(switch_cost)
-        bandwidth = {norm_link(*l): u for l, u in bandwidth.items()}
-        link_cost = {norm_link(*l): c for l, c in link_cost.items()}
+    def __init__(self, switches, links):
+        """``switches`` holds ``(id, capacity, unit cost)`` rows and ``links``
+        ``(a, b, bandwidth, unit cost)`` rows; a link is keyed by
+        ``norm_link(a, b)``. Checks every switch, then every link, in input
+        order, then that the topology is connected and has a link."""
         # routing settles each switch once, which needs unit costs >= 0
-        known = set()
-        for i, u in enumerate(switches):
+        known = {}
+        for i, (u, cap, cost) in enumerate(switches):
             if u in known:
                 raise TopologyError(f"duplicate switch {u}", at=("switch", i))
-            if capacity.get(u, 0) <= 0:
+            if cap <= 0:
                 raise TopologyError(f"switch {u}: capacity must be positive", at=("switch", i))
-            if switch_cost.setdefault(u, 1) <= 0:
+            if cost <= 0:
                 raise TopologyError(f"switch {u}: unit cost must be positive", at=("switch", i))
-            known.add(u)
+            known[u] = cap, cost
         if not known:
             raise TopologyError("topology has no switches")
-        seen = set()
-        for i, (a, b) in enumerate(links):
+        seen = {}
+        for i, (a, b, bw, cost) in enumerate(links):
             lk = norm_link(a, b)
             if a == b:
                 raise TopologyError(f"self-loop on switch {a}", at=("link", i))
@@ -186,18 +184,18 @@ class SubstrateNetwork:
                 raise TopologyError(f"duplicate link {lk}", at=("link", i))
             if a not in known or b not in known:
                 raise TopologyError(f"link {lk} references unknown switch", at=("link", i))
-            if bandwidth.get(lk, 0) <= 0:
+            if bw <= 0:
                 raise TopologyError(f"link {lk}: bandwidth must be positive", at=("link", i))
-            if link_cost.setdefault(lk, 1) <= 0:
+            if cost <= 0:
                 raise TopologyError(f"link {lk}: unit cost must be positive", at=("link", i))
-            seen.add(lk)
+            seen[lk] = bw, cost
         self.switches = sorted(known)
-        self.capacities = [capacity[u] for u in self.switches]
-        self.switch_costs = [switch_cost[u] for u in self.switches]
+        self.capacities = [known[u][0] for u in self.switches]
+        self.switch_costs = [known[u][1] for u in self.switches]
         # one tuple object per link, shared by every per-link dict
         self.links = sorted(seen)
-        self.bandwidths = [bandwidth[lk] for lk in self.links]
-        self.link_costs = [link_cost[lk] for lk in self.links]
+        self.bandwidths = [seen[lk][0] for lk in self.links]
+        self.link_costs = [seen[lk][1] for lk in self.links]
         self._index()
         self._check_connected()
         if not self.links:
@@ -220,10 +218,11 @@ class SubstrateNetwork:
         self.link_index = {lk: j for j, lk in enumerate(self.links)}
         self.label_base = len(self.switches) + 1
         self.min_step = min(self.link_costs, default=1) * self.label_base + 1
-        steps = {}  # one int object per distinct step
+        # one int object per distinct step
+        steps = {c: c * self.label_base + 1 for c in set(self.link_costs)}
         rows = [[] for _ in self.switches]
         for j, ((a, b), c) in enumerate(zip(self.links, self.link_costs)):
-            step = steps.setdefault(c, c * self.label_base + 1)
+            step = steps[c]
             ia, ib = self.switch_index[a], self.switch_index[b]
             rows[ia].append((ib, j, step))
             rows[ib].append((ia, j, step))
@@ -501,11 +500,13 @@ def parse_topology(text: str) -> SubstrateNetwork:
         switch <id> <capacity> [<unit_cost>]
         link <id_a> <id_b> <bandwidth> [<unit_cost>]
 
-    Unit costs default to 1. Raises TopologyError with the offending line
-    number on malformed input and on every element SubstrateNetwork rejects
-    (for a duplicate, the line of the second declaration). A topology with
-    no switches, no links, or more than one component raises without a line
-    number.
+    Unit costs default to 1. Each declaration becomes one of the element
+    rows SubstrateNetwork takes, in file order. Raises TopologyError with the
+    offending line number: first for an unknown declaration, then for
+    malformed switch fields, then link fields, then for the first element
+    SubstrateNetwork rejects (for a duplicate, the line of the second
+    declaration). A topology with no switches, no links, or more than one
+    component raises without a line number.
     """
     switch_lines = []
     link_lines = []
@@ -529,23 +530,11 @@ def parse_topology(text: str) -> SubstrateNetwork:
         except ValueError:
             raise TopologyError(f"{what}: fields must be integers", lineno) from None
 
-    # a missing unit cost is 1; the first declaration's values stand, so
-    # a duplicate is what fails
-    switches, capacity, switch_cost = [], {}, {}
-    for lineno, tokens in switch_lines:
-        sid, cap, cost = (ints(lineno, tokens, "switch", 2, 3) + [1])[:3]
-        switches.append(sid)
-        capacity.setdefault(sid, cap)
-        switch_cost.setdefault(sid, cost)
-    links, bandwidth, link_cost = [], {}, {}
-    for lineno, tokens in link_lines:
-        a, b, bw, cost = (ints(lineno, tokens, "link", 3, 4) + [1])[:4]
-        links.append((a, b))
-        bandwidth.setdefault(norm_link(a, b), bw)
-        link_cost.setdefault(norm_link(a, b), cost)
-
+    # a missing unit cost is 1
+    switches = [(ints(lineno, tokens, "switch", 2, 3) + [1])[:3] for lineno, tokens in switch_lines]
+    links = [(ints(lineno, tokens, "link", 3, 4) + [1])[:4] for lineno, tokens in link_lines]
     try:
-        return SubstrateNetwork(switches, links, capacity, switch_cost, bandwidth, link_cost)
+        return SubstrateNetwork(switches, links)
     except TopologyError as exc:
         if exc.at is None:
             raise

@@ -69,21 +69,19 @@ def _default_shape():
     return switches, edges
 
 
-def _draw_resources(stream, switches, edges, cap_min, cap_max):
-    capacity = {u: stream.randint(cap_min, cap_max) for u in switches}
-    bandwidth = {lk: stream.randint(cap_min, cap_max) for lk in sorted(edges)}
-    return capacity, bandwidth
+def _drawn_network(stream, switches, edges, spec) -> SubstrateNetwork:
+    """The network on ``switches`` and ``edges`` with capacities drawn for
+    the switches in order, then bandwidths for the edges in sorted order,
+    uniform over the spec's range; unit costs are 1."""
+    lo, hi = spec.cap_min, spec.cap_max
+    switch_rows = [(u, stream.randint(lo, hi), 1) for u in switches]
+    return SubstrateNetwork(switch_rows, [(a, b, stream.randint(lo, hi), 1) for a, b in sorted(edges)])
 
 
 def default_substrate(stream, spec: GeneratorSpec = None) -> SubstrateNetwork:
     """The built-in 14-switch substrate with per-seed uniform resources."""
-    spec = spec or GeneratorSpec()
     switches, edges = _default_shape()
-    capacity, bandwidth = _draw_resources(stream, switches, edges, spec.cap_min, spec.cap_max)
-    return SubstrateNetwork(
-        switches, edges, capacity,
-        {u: 1 for u in switches}, bandwidth, {lk: 1 for lk in edges},
-    )
+    return _drawn_network(stream, switches, edges, spec or GeneratorSpec())
 
 
 def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> SubstrateNetwork:
@@ -91,7 +89,6 @@ def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> Substrat
     up to roughly average degree 3, resources uniform like the default."""
     if n_switches < 2:
         raise ValueError("need at least 2 switches")
-    spec = spec or GeneratorSpec()
     switches = list(range(1, n_switches + 1))
     edges = set()
     order = switches[:]
@@ -106,21 +103,30 @@ def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> Substrat
         if (a, b) not in edges
     ]
     stream.shuffle(pairs)
-    for pair in pairs[: max(0, want - len(edges))]:
-        edges.add(pair)
-    edges = sorted(edges)
-    capacity, bandwidth = _draw_resources(stream, switches, edges, spec.cap_min, spec.cap_max)
-    return SubstrateNetwork(
-        switches, edges, capacity,
-        {u: 1 for u in switches}, bandwidth, {lk: 1 for lk in edges},
-    )
+    edges.update(pairs[: max(0, want - len(edges))])
+    return _drawn_network(stream, switches, edges, spec or GeneratorSpec())
+
+
+def random_size(source):
+    """n of a ``random:<n>`` substrate source, None for any other source;
+    raises ValueError unless n is an integer >= 2."""
+    if not source.startswith("random:"):
+        return None
+    try:
+        size = int(source.split(":", 1)[1])
+    except ValueError:
+        size = 0
+    if size < 2:
+        raise ValueError(f"substrate {source!r}: random:<n> needs an integer n >= 2")
+    return size
 
 
 def build_substrate(source, stream, spec: GeneratorSpec = None) -> SubstrateNetwork:
     if source == "default":
         return default_substrate(stream, spec)
-    if source.startswith("random:"):
-        return random_substrate(stream, int(source.split(":", 1)[1]), spec)
+    size = random_size(source)
+    if size is not None:
+        return random_substrate(stream, size, spec)
     return load_topology(source)
 
 

@@ -12,14 +12,9 @@ def make_net(switches, links, caps=None, bws=None, switch_costs=None, link_costs
     switch_costs = switch_costs or {}
     link_costs = link_costs or {}
     return SubstrateNetwork(
-        switches,
-        links,
-        {u: caps.get(u, 100) for u in switches},
-        {u: switch_costs.get(u, 1) for u in switches},
-        {lk: bws.get(lk, 100) for lk in links},
-        {lk: link_costs.get(lk, 1) for lk in links},
+        [(u, caps.get(u, 100), switch_costs.get(u, 1)) for u in switches],
+        [(a, b, bws.get((a, b), 100), link_costs.get((a, b), 1)) for a, b in links],
     )
-
 
 @pytest.fixture
 def triangle():

@@ -161,11 +161,18 @@ def adj(net) -> dict:
 
 
 def named_totals(net) -> tuple:
-    """A network's totals and unit costs keyed by name, in the order
-    SubstrateNetwork takes them: (capacity, switch cost) by switch id,
-    (bandwidth, link cost) by link tuple."""
+    """A network's totals and unit costs keyed by name: (capacity, switch
+    cost) by switch id, (bandwidth, link cost) by link tuple."""
     return (dict(zip(net.switches, net.capacities)), dict(zip(net.switches, net.switch_costs)),
             dict(zip(net.links, net.bandwidths)), dict(zip(net.links, net.link_costs)))
+
+
+def element_rows(net) -> tuple:
+    """A network's element rows as SubstrateNetwork takes them, in sorted
+    order: ``(id, capacity, unit cost)`` per switch and ``(a, b, bandwidth,
+    unit cost)`` per link."""
+    return (list(zip(net.switches, net.capacities, net.switch_costs)),
+            [(a, b, bw, cost) for (a, b), bw, cost in zip(net.links, net.bandwidths, net.link_costs)])
 
 
 def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
@@ -185,11 +192,10 @@ def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
 
 def topology_text(net: SubstrateNetwork) -> str:
     """Serialize a substrate back to the text format (sorted, reloadable)."""
+    switches, links = element_rows(net)
     lines = ["# substrate topology"]
-    for u, cap, cost in zip(net.switches, net.capacities, net.switch_costs):
-        lines.append(f"switch {u} {cap} {cost}")
-    for (a, b), bw, cost in zip(net.links, net.bandwidths, net.link_costs):
-        lines.append(f"link {a} {b} {bw} {cost}")
+    lines += [f"switch {u} {cap} {cost}" for u, cap, cost in switches]
+    lines += [f"link {a} {b} {bw} {cost}" for a, b, bw, cost in links]
     return "\n".join(lines) + "\n"
 
 

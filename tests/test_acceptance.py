@@ -28,6 +28,7 @@ from vnesim.workload import GeneratorSpec, default_substrate, gen_virtual_reques
 
 from reference import (
     build_reservation,
+    element_rows,
     longest_wait,
     mapping_cost,
     mean_concurrent_active,
@@ -113,11 +114,9 @@ def test_criterion_3_cost_exactness():
     while checked < 100:
         rng = random.Random(f"cost-{i}")
         plain = random_substrate(random.Random(f"cost-net-{i}"), 4 + i % 5, spec)
-        capacity, _switch_cost, bandwidth, _link_cost = named_totals(plain)
-        net = type(plain)(plain.switches, plain.links, capacity,
-                          {u: rng.randrange(1, 7) for u in plain.switches},
-                          bandwidth,
-                          {lk: rng.randrange(1, 7) for lk in plain.links})
+        switches, links = element_rows(plain)
+        net = type(plain)([(u, cap, rng.randrange(1, 7)) for u, cap, _cost in switches],
+                          [(a, b, bw, rng.randrange(1, 7)) for a, b, bw, _cost in links])
         req = gen_virtual_request(rng, spec, i, 1, 100)
         i += 1
         outcome = embed(SubstrateView(net), req)

@@ -104,16 +104,18 @@ class TestSubstrateNetwork:
         assert net.links == [(1, 2), (2, 3)]
         assert adj(net) == {1: [2], 2: [1, 3], 3: [2]}
 
-    def test_keeps_values_of_declared_elements_only(self):
+    def test_rows_out_of_order_give_sorted_flat_lists(self):
         net = SubstrateNetwork(
-            [1, 2], [(1, 2)],
-            {1: 5, 2: 6, 9: 7}, {1: 2, 9: 7},
-            {(1, 2): 10, (2, 9): 4}, {(1, 2): 3, (1, 9): 4},
+            [(3, 7, 4), (1, 5, 2), (2, 6, 3)],
+            [(3, 2, 11, 5), (2, 1, 10, 6)],
         )
-        assert net.capacities == [5, 6]
-        assert net.switch_costs == [2, 1]
-        assert net.bandwidths == [10]
-        assert net.link_costs == [3]
+        assert net.switches == [1, 2, 3]
+        assert net.capacities == [5, 6, 7]
+        assert net.switch_costs == [2, 3, 4]
+        # a (2, 1, bw, cost) row keys link (1, 2)
+        assert net.links == [(1, 2), (2, 3)]
+        assert net.bandwidths == [10, 11]
+        assert net.link_costs == [6, 5]
 
     def test_rejects_duplicate_switch(self):
         with pytest.raises(TopologyError, match="duplicate switch"):
@@ -579,8 +581,9 @@ class TestTopologyFormat:
         assert err.value.line == 3 and "unit cost" in str(err.value)
 
     def test_link_to_unknown_switch(self):
-        with pytest.raises(TopologyError, match="unknown switch"):
+        with pytest.raises(TopologyError, match="unknown switch") as err:
             parse_topology("switch 1 100\nswitch 2 100\nlink 1 9 50")
+        assert err.value.line == 3
 
     def test_empty_input_rejected(self):
         with pytest.raises(TopologyError, match="no switches"):

@@ -11,7 +11,6 @@ from vnesim.netmodel import (
     ReservationError,
     SubstrateNetwork,
     SubstrateView,
-    norm_link,
     reserve,
 )
 from vnesim.run import run_simulation
@@ -20,6 +19,7 @@ from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 from reference import (
     _simple_paths,
     adj,
+    element_rows,
     link_units_of,
     mapping_cost,
     move_tentative,
@@ -142,11 +142,9 @@ class TestLedgerFuzz:
         for seed in range(15):
             rng = random.Random(f"carried-{seed}")
             plain = random_substrate(random.Random(f"carried-net-{seed}"), 8, SMALL)
-            capacity, _switch_cost, bandwidth, _link_cost = named_totals(plain)
-            net = SubstrateNetwork(plain.switches, plain.links, capacity,
-                                   {u: rng.randrange(1, 6) for u in plain.switches},
-                                   bandwidth,
-                                   {lk: rng.randrange(1, 6) for lk in plain.links})
+            switches, links = element_rows(plain)
+            net = SubstrateNetwork([(u, cap, rng.randrange(1, 6)) for u, cap, _cost in switches],
+                                   [(a, b, bw, rng.randrange(1, 6)) for a, b, bw, _cost in links])
             view = SubstrateView(net)
             neighbours = adj(net)
             for rid in range(120):
@@ -194,11 +192,10 @@ class TestCostInvariance:
             rng = random.Random(f"relabel-{seed}")
             n = rng.randrange(4, 9)
             plain = random_substrate(random.Random(f"relabel-net-{seed}"), n, SMALL)
-            switch_cost = {u: rng.randrange(1, 6) for u in plain.switches}
-            link_cost = {lk: rng.randrange(1, 6) for lk in plain.links}
-            capacity, _switch_cost, bandwidth, _link_cost = named_totals(plain)
-            net = SubstrateNetwork(plain.switches, plain.links, capacity,
-                                   switch_cost, bandwidth, link_cost)
+            switches, links = element_rows(plain)
+            switches = [(u, cap, rng.randrange(1, 6)) for u, cap, _cost in switches]
+            links = [(a, b, bw, rng.randrange(1, 6)) for a, b, bw, _cost in links]
+            net = SubstrateNetwork(switches, links)
             req = gen_virtual_request(rng, SMALL, seed, 1, 100)
             out = embed(SubstrateView(net), req)
             if not out.accepted:
@@ -207,12 +204,8 @@ class TestCostInvariance:
 
             perm = dict(zip(net.switches, rng.sample(range(101, 101 + n), n)))
             relabeled = SubstrateNetwork(
-                sorted(perm.values()),
-                sorted(norm_link(perm[a], perm[b]) for a, b in net.links),
-                {perm[u]: capacity[u] for u in net.switches},
-                {perm[u]: switch_cost[u] for u in net.switches},
-                {norm_link(perm[a], perm[b]): bandwidth[(a, b)] for a, b in net.links},
-                {norm_link(perm[a], perm[b]): link_cost[(a, b)] for a, b in net.links},
+                [(perm[u], cap, cost) for u, cap, cost in switches],
+                [(perm[a], perm[b], bw, cost) for a, b, bw, cost in links],
             )
             moved = Reservation(
                 req,
@@ -290,8 +283,8 @@ class TestEmbeddingSoundness:
                 capacity[rng.choice(net.switches)] += rng.randrange(1, 60)
             else:
                 bandwidth[rng.choice(net.links)] += rng.randrange(1, 60)
-            boosted = SubstrateNetwork(net.switches, net.links, capacity,
-                                       switch_cost, bandwidth, link_cost)
+            boosted = SubstrateNetwork([(u, capacity[u], switch_cost[u]) for u in net.switches],
+                                       [(*lk, bandwidth[lk], link_cost[lk]) for lk in net.links])
             still_feasible, new_cost = oracle_embed(boosted, req)
             assert still_feasible
             assert new_cost <= cost  # enlarged feasible set can only help
@@ -306,10 +299,8 @@ class TestEmbeddingSoundness:
             if not out.accepted:
                 continue
             delta = random.Random(f"delta-{seed}").randrange(1, 100)
-            capacity, switch_cost, bandwidth, link_cost = named_totals(net)
-            boosted = SubstrateNetwork(net.switches, net.links,
-                                       {u: c + delta for u, c in capacity.items()},
-                                       switch_cost, bandwidth, link_cost)
+            switches, links = element_rows(net)
+            boosted = SubstrateNetwork([(u, cap + delta, cost) for u, cap, cost in switches], links)
             again = embed(SubstrateView(boosted), req)
             # same residual order and unchanged bandwidths: identical choices
             assert again.accepted

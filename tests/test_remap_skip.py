@@ -100,10 +100,10 @@ def scenario(seed):
         a, b = rng.sample(ids, 2)
         links.add(norm_link(a, b))
     links = sorted(links)
-    net = SubstrateNetwork(
-        ids, links, {u: 1000 for u in ids}, {u: 1 for u in ids},
-        {lk: rng.randint(10, 40) for lk in links}, {lk: rng.randint(1, 4) for lk in links},
-    )
+    bandwidths = [rng.randint(10, 40) for _ in links]
+    costs = [rng.randint(1, 4) for _ in links]
+    net = SubstrateNetwork([(u, 1000, 1) for u in ids],
+                           [(a, b, bw, c) for (a, b), bw, c in zip(links, bandwidths, costs)])
     view = SubstrateView(net)
     rid = 0
     background = []

@@ -69,12 +69,10 @@ def oracle(view, src, dst, demand):
 
 def make_net(rng, ids, links, min_bw, max_bw, max_cost=5):
     # memory n leaves room for one tentative unit per incident link
-    return SubstrateNetwork(
-        ids, links,
-        {u: len(ids) for u in ids}, {u: 1 for u in ids},
-        {lk: rng.randint(min_bw, max_bw) for lk in links},
-        {lk: rng.randint(1, max_cost) for lk in links},
-    )
+    bandwidths = [rng.randint(min_bw, max_bw) for _ in links]
+    costs = [rng.randint(1, max_cost) for _ in links]
+    return SubstrateNetwork([(u, len(ids), 1) for u in ids],
+                            [(a, b, bw, c) for (a, b), bw, c in zip(links, bandwidths, costs)])
 
 
 def random_instance(rng, max_cost=5):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vnesim.netmodel import TopologyError, VirtualNetworkRequest
+from vnesim.netmodel import TopologyError, VirtualNetworkRequest, parse_topology
 from vnesim.simulator import RandomStreams, to_ticks
 from vnesim.workload import (
     GeneratorSpec,
@@ -198,6 +198,19 @@ class TestBuildSubstrate:
         assert networks_equal(build_substrate("random:6", random.Random(2)), random_substrate(
             random.Random(2), 6
         ))
+
+    @pytest.mark.parametrize("source", ["random:abc", "random:1", "random:"])
+    def test_bad_random_size_raises(self, source):
+        with pytest.raises(ValueError, match=r"random:<n> needs an integer n >= 2"):
+            build_substrate(source, random.Random(0))
+
+    @pytest.mark.parametrize("size", [None, 2, 9, 40])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_generated_substrates_round_trip_through_text(self, size, seed):
+        # the generators' rows and the parser's rows build the same network
+        stream = random.Random(seed)
+        net = default_substrate(stream) if size is None else random_substrate(stream, size)
+        assert networks_equal(parse_topology(topology_text(net)), net)
 
     def test_file_dispatch(self, tmp_path):
         net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={1: 42})
