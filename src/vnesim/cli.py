@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_file
 from .controller import _MODES, STRATEGIES
-from .metrics import MetricsLog, export_csv, summary
+from .metrics import MetricsLog, csv_text, summary
 from .netmodel import TopologyError, load_topology
 from .run import run_simulation
 
@@ -80,10 +80,12 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     engine, log = run_simulation(config)
     out = config.out or "trace.csv"
-    export_csv(log, out)
+    text = csv_text(log)  # written and hashed: formatted once
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     print(f"trace {out}")
     print(f"events {engine.events_dispatched}")
-    _print_summary(summary(log))
+    _print_summary(summary(log, text))
     return 0
 
 

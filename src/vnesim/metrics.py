@@ -178,7 +178,10 @@ def mean_cost_per_accepted(log) -> float:
     return sum(costs) / len(costs) if costs else 0.0
 
 
-def summary(log) -> dict:
+def summary(log, text=None) -> dict:
+    """The run's totals and means. A caller that has already formatted the
+    trace passes it as ``text``, which must be ``csv_text(log)``; it is
+    hashed instead of formatting the trace again."""
     return {
         "arrivals": log.arrivals,
         "accepted": log.accepted - log.cancelled,
@@ -192,7 +195,8 @@ def summary(log) -> dict:
         "mean_latency_proxy": mean_latency(log),
         "avg_link_utilization": time_weighted_utilization(log, "link"),
         "avg_switch_utilization": time_weighted_utilization(log, "switch"),
-        "trace_sha256": trace_hash(log),
+        "trace_sha256": trace_hash(log) if text is None
+        else hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
 
 
@@ -200,18 +204,13 @@ def summary(log) -> dict:
 # CSV trace
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def csv_text(log) -> str:
+    # the time in units, then every other field in order: None as an empty
+    # cell, a float as its repr (which str gives), anything else as str
     lines = [",".join(CSV_COLUMNS)]
-    for row in log.rows:  # the time in units, then every other field in order
-        lines.append(",".join((f"{row.time / TICKS_PER_UNIT:.6f}", *map(_cell, row[1:]))))
+    for row in log.rows:
+        lines.append(f"{row.time / TICKS_PER_UNIT:.6f},"
+                     + ",".join(["" if v is None else str(v) for v in row[1:]]))
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,14 @@ fabric: node demands (up to 35 units) compete with rules for switch memory,
 the scarce resource, while link demands (up to 4 units) leave bandwidth
 comfortable. Generation is a pure function of (master seed, spec, request
 index).
+
+Integer draws go straight to the stream's ``getrandbits``: ``_randbelow``,
+``_randints`` and ``_shuffle`` reproduce ``Random.randrange``, ``randint``
+and ``shuffle`` draw for draw (the rejection loop of CPython's
+``_randbelow_with_getrandbits``, 3.10 to 3.13) without their per-draw calls.
+``tests/test_workload.py::TestInlineDraws`` pins them to ``Random`` itself,
+and ``TestGeneratorsMatchRandomMethods`` pins the generators to their
+``Random``-method versions in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -57,6 +65,54 @@ class GeneratorSpec:
         return self
 
 
+def _empty_range(n):
+    # getrandbits(0) is 0, so a draw from fewer than one value would never end
+    return ValueError(f"empty range for a draw: {n} values")
+
+
+def _randbelow(getrandbits, n):
+    """A draw from range(n), as ``Random.randrange(n)`` makes it."""
+    if n < 1:
+        raise _empty_range(n)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _randints(getrandbits, lo, hi, count):
+    """``count`` draws of ``Random.randint(lo, hi)``, in order."""
+    n = hi - lo + 1
+    if n < 1:
+        raise _empty_range(n)
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
+def _shuffle(getrandbits, x):
+    """``Random.shuffle(x)``: swap each x[i], last to second, with x[j] for
+    j drawn from range(i + 1). Every i whose i + 1 has the same bit length
+    draws with the same k, which saves about 2 ms of 11 on random:300's
+    44,551 pairs against a bit_length() per swap (BENCH_16.json)."""
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = bottom - 1
+
+
 def _default_shape():
     text = resources.files("vnesim.data").joinpath("default14.edges").read_text("utf-8")
     edges = []
@@ -74,8 +130,11 @@ def _drawn_network(stream, switches, edges, spec) -> SubstrateNetwork:
     the switches in order, then bandwidths for the edges in sorted order,
     uniform over the spec's range; unit costs are 1."""
     lo, hi = spec.cap_min, spec.cap_max
-    switch_rows = [(u, stream.randint(lo, hi), 1) for u in switches]
-    return SubstrateNetwork(switch_rows, [(a, b, stream.randint(lo, hi), 1) for a, b in sorted(edges)])
+    edges = sorted(edges)
+    caps = _randints(stream.getrandbits, lo, hi, len(switches))
+    bws = _randints(stream.getrandbits, lo, hi, len(edges))
+    return SubstrateNetwork([(u, cap, 1) for u, cap in zip(switches, caps)],
+                            [(a, b, bw, 1) for (a, b), bw in zip(edges, bws)])
 
 
 def default_substrate(stream, spec: GeneratorSpec = None) -> SubstrateNetwork:
@@ -86,24 +145,34 @@ def default_substrate(stream, spec: GeneratorSpec = None) -> SubstrateNetwork:
 
 def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> SubstrateNetwork:
     """A connected random substrate: random spanning tree plus extra links
-    up to roughly average degree 3, resources uniform like the default."""
+    up to roughly average degree 3, resources uniform like the default.
+
+    The extra links are the first pairs of a shuffle of every non-tree pair
+    (a, b), a < b, listed in lexicographic order. Each pair is held as the
+    integer a * (n + 1) + b, and only the pairs taken are decoded."""
     if n_switches < 2:
         raise ValueError("need at least 2 switches")
+    getrandbits = stream.getrandbits
     switches = list(range(1, n_switches + 1))
-    edges = set()
     order = switches[:]
-    stream.shuffle(order)
-    for i in range(1, len(order)):
-        edges.add(norm_link(order[i], order[stream.randrange(i)]))
+    _shuffle(getrandbits, order)
+    above = [[] for _ in range(n_switches + 1)]  # tree neighbours b > a, per a
+    edges = set()
+    for i in range(1, n_switches):
+        a, b = norm_link(order[i], order[_randbelow(getrandbits, i)])
+        above[a].append(b)
+        edges.add((a, b))
     want = max(n_switches - 1, round(1.5 * n_switches))
-    pairs = [
-        (a, b)
-        for i, a in enumerate(switches)
-        for b in switches[i + 1:]
-        if (a, b) not in edges
-    ]
-    stream.shuffle(pairs)
-    edges.update(pairs[: max(0, want - len(edges))])
+    stride = n_switches + 1
+    pairs = []
+    for a in switches:
+        base, start = a * stride, a + 1
+        for b in sorted(above[a]):
+            pairs.extend(range(base + start, base + b))
+            start = b + 1
+        pairs.extend(range(base + start, base + stride))
+    _shuffle(getrandbits, pairs)
+    edges.update(divmod(code, stride) for code in pairs[: max(0, want - len(edges))])
     return _drawn_network(stream, switches, edges, spec or GeneratorSpec())
 
 
@@ -136,7 +205,7 @@ def _prufer_tree(stream, n):
         return []
     if n == 2:
         return [(0, 1)]
-    seq = [stream.randrange(n) for _ in range(n - 2)]
+    seq = _randints(stream.getrandbits, 0, n - 1, n - 2)
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -159,19 +228,17 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
     Skips the request's checks, which cannot fail for a validated spec, an
     arrival >= 0 and a lifetime > 0: a spanning tree connects the nodes,
     each link is (a, b) with a < b, and each demand is an integer >= 1."""
-    n = stream.randint(spec.vnodes_min, spec.vnodes_max)
+    getrandbits, random = stream.getrandbits, stream.random
+    n = spec.vnodes_min + _randbelow(getrandbits, spec.vnodes_max - spec.vnodes_min + 1)
     links = set(_prufer_tree(stream, n))
     for a in range(n):
         for b in range(a + 1, n):
-            if (a, b) not in links and stream.random() < spec.edge_prob:
+            if (a, b) not in links and random() < spec.edge_prob:
                 links.add((a, b))
-    node_demands = {
-        i: stream.randint(spec.node_demand_min, spec.node_demand_max) for i in range(n)
-    }
-    link_demands = {
-        lk: stream.randint(spec.link_demand_min, spec.link_demand_max)
-        for lk in sorted(links)
-    }
+    node_demands = dict(enumerate(_randints(getrandbits, spec.node_demand_min, spec.node_demand_max, n)))
+    links = sorted(links)
+    link_demands = dict(zip(links, _randints(getrandbits, spec.link_demand_min, spec.link_demand_max,
+                                             len(links))))
     request = object.__new__(VirtualNetworkRequest)  # no __post_init__
     request.__dict__.update(request_id=request_id, node_demands=node_demands,
                             link_demands=link_demands, arrival=arrival, lifetime=lifetime)

@@ -10,17 +10,28 @@ builds. The rest derives from a network or a finished run what the package
 itself never needs: adjacency, equality and text of a substrate, its totals
 and residuals by name, the overlay's loads, the fate and the state of a
 request, the longest wait and the mean number of concurrently committed
-requests.
+requests. Last come the substrate and request generators as they drew
+through ``Random.randint``, ``randrange`` and ``shuffle``, which the inline
+draws of ``vnesim.workload`` must match network for network and request for
+request.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
 from vnesim import embedder
 from vnesim.metrics import _time_weighted
-from vnesim.netmodel import Reservation, SubstrateNetwork, SubstrateView, norm_link
+from vnesim.netmodel import (
+    Reservation,
+    SubstrateNetwork,
+    SubstrateView,
+    VirtualNetworkRequest,
+    norm_link,
+)
+from vnesim.workload import GeneratorSpec
 
 NODE_CAPACITY = "node-capacity"
 INJECTIVITY = "injectivity"
@@ -468,3 +479,87 @@ def mean_concurrent_active(log) -> float:
     """Time-weighted mean number of concurrently committed requests."""
     counts = iter(active_counts(log.rows))
     return _time_weighted(log.rows, lambda _row: next(counts))
+
+
+# ---------------------------------------------------------------------------
+# The generators drawing through Random's methods
+
+
+def _drawn_network(stream, switches, edges, spec) -> SubstrateNetwork:
+    """The network on ``switches`` and ``edges`` with capacities drawn for
+    the switches in order, then bandwidths for the edges in sorted order,
+    uniform over the spec's range; unit costs are 1."""
+    lo, hi = spec.cap_min, spec.cap_max
+    switch_rows = [(u, stream.randint(lo, hi), 1) for u in switches]
+    return SubstrateNetwork(switch_rows, [(a, b, stream.randint(lo, hi), 1) for a, b in sorted(edges)])
+
+
+def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> SubstrateNetwork:
+    """A connected random substrate: random spanning tree plus extra links
+    up to roughly average degree 3, resources uniform like the default."""
+    if n_switches < 2:
+        raise ValueError("need at least 2 switches")
+    switches = list(range(1, n_switches + 1))
+    edges = set()
+    order = switches[:]
+    stream.shuffle(order)
+    for i in range(1, len(order)):
+        edges.add(norm_link(order[i], order[stream.randrange(i)]))
+    want = max(n_switches - 1, round(1.5 * n_switches))
+    pairs = [
+        (a, b)
+        for i, a in enumerate(switches)
+        for b in switches[i + 1:]
+        if (a, b) not in edges
+    ]
+    stream.shuffle(pairs)
+    edges.update(pairs[: max(0, want - len(edges))])
+    return _drawn_network(stream, switches, edges, spec or GeneratorSpec())
+
+
+def _prufer_tree(stream, n):
+    """Uniform random labeled tree on nodes 0..n-1, as an edge list."""
+    if n < 2:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    seq = [stream.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append(norm_link(leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append(norm_link(heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifetime) -> VirtualNetworkRequest:
+    """One random request: tree plus extra edges, uniform integer demands.
+
+    Skips the request's checks, which cannot fail for a validated spec, an
+    arrival >= 0 and a lifetime > 0: a spanning tree connects the nodes,
+    each link is (a, b) with a < b, and each demand is an integer >= 1."""
+    n = stream.randint(spec.vnodes_min, spec.vnodes_max)
+    links = set(_prufer_tree(stream, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) not in links and stream.random() < spec.edge_prob:
+                links.add((a, b))
+    node_demands = {
+        i: stream.randint(spec.node_demand_min, spec.node_demand_max) for i in range(n)
+    }
+    link_demands = {
+        lk: stream.randint(spec.link_demand_min, spec.link_demand_max)
+        for lk in sorted(links)
+    }
+    request = object.__new__(VirtualNetworkRequest)  # no __post_init__
+    request.__dict__.update(request_id=request_id, node_demands=node_demands,
+                            link_demands=link_demands, arrival=arrival, lifetime=lifetime)
+    return request

@@ -1,5 +1,6 @@
 """Command-line interface and config-file handling."""
 
+import hashlib
 import math
 from dataclasses import fields
 
@@ -137,6 +138,13 @@ class TestRunCommand:
         stats = dict(l.split(" ", 1) for l in lines[2:])
         assert stats["arrivals"] == "30"
         assert out.read_text(encoding="utf-8").startswith("time,event_kind,")
+
+    def test_printed_hash_is_the_hash_of_the_written_file(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, stdout, _ = run_cli(capsys, "run", "--requests", "40", "--seed", "3", "--out", str(out))
+        stats = dict(l.split(" ", 1) for l in stdout.splitlines()[2:])
+        assert code == 0
+        assert stats["trace_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

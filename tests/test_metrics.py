@@ -281,6 +281,13 @@ class TestCsvTrace:
         assert export_csv(log, out) == out
         assert out.read_bytes() == csv_text(log).encode("utf-8")
 
+    def test_summary_hashes_the_formatted_text_as_the_trace_hash(self):
+        log, _ = fresh_log()
+        drive_tiny_run(log)
+        given = summary(log, csv_text(log))
+        assert given == summary(log)
+        assert given["trace_sha256"] == trace_hash(log)
+
     def test_trace_hash_is_sha256_of_the_text(self):
         log, _ = fresh_log()
         drive_tiny_run(log)

@@ -6,9 +6,14 @@ import pytest
 
 from vnesim.netmodel import TopologyError, VirtualNetworkRequest, parse_topology
 from vnesim.simulator import RandomStreams, to_ticks
+import reference
 from vnesim.workload import (
     GeneratorSpec,
+    _default_shape,
     _prufer_tree,
+    _randbelow,
+    _randints,
+    _shuffle,
     build_substrate,
     default_substrate,
     gen_virtual_request,
@@ -18,6 +23,12 @@ from vnesim.workload import (
 
 from conftest import make_net
 from reference import adj, networks_equal, topology_text
+
+WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 35, 151)
+# every range one value wide, every candidate virtual link taken
+DEGENERATE = GeneratorSpec(vnodes_min=6, vnodes_max=6, edge_prob=1.0, node_demand_min=7,
+                           node_demand_max=7, link_demand_min=3, link_demand_max=3,
+                           cap_min=120, cap_max=120)
 
 
 class TestGeneratorSpec:
@@ -47,6 +58,92 @@ class TestGeneratorSpec:
         assert (spec.node_demand_min, spec.node_demand_max) == (1, 35)
         assert (spec.link_demand_min, spec.link_demand_max) == (1, 4)
         assert (spec.cap_min, spec.cap_max) == (100, 250)
+
+
+class TestInlineDraws:
+    """The inline draws against ``random.Random`` itself: the same values
+    from the same seeds, and the stream left where ``Random`` leaves it
+    (its next ``random()`` agrees)."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_randbelow_is_randrange(self, width):
+        for seed in range(40):
+            want, got = random.Random(seed), random.Random(seed)
+            assert [_randbelow(got.getrandbits, width) for _ in range(30)] == [
+                want.randrange(width) for _ in range(30)]
+            assert got.random() == want.random()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_randints_is_randint(self, width):
+        for seed in range(40):
+            want, got = random.Random(seed), random.Random(seed)
+            lo = seed - 20
+            assert _randints(got.getrandbits, lo, lo + width - 1, 30) == [
+                want.randint(lo, lo + width - 1) for _ in range(30)]
+            assert got.random() == want.random()
+
+    @pytest.mark.parametrize("size", (0, 1) + WIDTHS[1:] + (256, 257, 44_551))
+    def test_shuffle_is_random_shuffle(self, size):
+        for seed in range(3 if size > 1000 else 40):
+            want, got = random.Random(seed), random.Random(seed)
+            expected, actual = list(range(size)), list(range(size))
+            want.shuffle(expected)
+            _shuffle(got.getrandbits, actual)
+            assert actual == expected
+            assert got.random() == want.random()
+
+
+    def test_an_empty_range_raises_instead_of_drawing_forever(self):
+        stream = random.Random(0)
+        for n in (0, -1, -2):
+            with pytest.raises(ValueError, match="empty range"):
+                _randbelow(stream.getrandbits, n)
+            with pytest.raises(ValueError, match="empty range"):
+                _randints(stream.getrandbits, 5, 4 + n, 3)
+        with pytest.raises(ValueError, match="empty range"):
+            default_substrate(stream, GeneratorSpec(cap_min=9, cap_max=8))
+        with pytest.raises(ValueError, match="empty range"):
+            gen_virtual_request(stream, GeneratorSpec(vnodes_min=4, vnodes_max=3), 0, 0, 1)
+
+
+class TestGeneratorsMatchRandomMethods:
+    """The generators against their versions in ``reference`` that draw
+    through ``Random.randint``, ``randrange`` and ``shuffle``: the same
+    networks and requests, and the stream left at the same place."""
+
+    @pytest.mark.parametrize("spec", [GeneratorSpec(), DEGENERATE], ids=["defaults", "degenerate"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 40, 300])
+    def test_random_substrate(self, n, spec):
+        for seed in range(2 if n == 300 else 12):
+            want, got = random.Random(f"{seed}/topology"), random.Random(f"{seed}/topology")
+            assert networks_equal(random_substrate(got, n, spec), reference.random_substrate(want, n, spec))
+            assert got.random() == want.random()
+
+    @pytest.mark.parametrize("spec", [GeneratorSpec(), DEGENERATE], ids=["defaults", "degenerate"])
+    def test_default_substrate(self, spec):
+        for seed in range(12):
+            want, got = random.Random(seed), random.Random(seed)
+            assert networks_equal(default_substrate(got, spec),
+                                  reference._drawn_network(want, *_default_shape(), spec))
+            assert got.random() == want.random()
+
+    def test_prufer_tree(self):
+        for n in range(12):
+            for seed in range(20):
+                want, got = random.Random(seed), random.Random(seed)
+                assert _prufer_tree(got, n) == reference._prufer_tree(want, n)
+                assert got.random() == want.random()
+
+    @pytest.mark.parametrize("spec", [GeneratorSpec(), DEGENERATE], ids=["defaults", "degenerate"])
+    def test_gen_virtual_request(self, spec):
+        for i in range(300):
+            want, got = random.Random(f"7/request/{i}"), random.Random(f"7/request/{i}")
+            a = gen_virtual_request(got, spec, i, i, 5)
+            b = reference.gen_virtual_request(want, spec, i, i, 5)
+            assert a == b
+            assert list(a.node_demands.items()) == list(b.node_demands.items())
+            assert list(a.link_demands.items()) == list(b.link_demands.items())
+            assert got.random() == want.random()
 
 
 class TestDefaultSubstrate:
