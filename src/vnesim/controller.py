@@ -17,7 +17,8 @@ mapping's flow rules in a single commit event. A strategy is a row
   length, remap off.
 
 The pending batch is the view's tentative overlay, in arrival order; the
-controller keeps no copy of it, and writes the ledger only through the view
+controller keeps no copy of it, the remap pass reads the batch from that
+overlay, and the controller writes the ledger only through the view
 (``SubstrateView.commit`` and ``.release``).
 
 Rule accounting: committing a mapping installs one flow rule per
@@ -153,7 +154,7 @@ class Controller:
         batch = list(self.view.tentative.values())
         if not batch:
             return
-        remapped = remap_pass(self.view, [res.request for res in batch]) if self.row.remap else 0
+        remapped = remap_pass(self.view) if self.row.remap else 0
         self.log.record_commit_event(remapped)
         for res in batch:
             self._commit_one(engine, res)
@@ -162,7 +163,7 @@ class Controller:
         request, rid = res.request, res.request_id
         if self.view.commit(rid):
             self.rules.install(res.rule_units)
-            hops = [len(p) - 1 for parts in res.link_paths.values() for p, _ in parts]
+            hops = [len(ids) for parts in res.link_paths.values() for _p, _u, ids in parts]
             mean_hops = sum(hops) / len(hops) if hops else 0.0
             self.log.record_commit(
                 engine.now, rid, committed=True, cost=res.cost,

@@ -5,7 +5,7 @@ per virtual link. With k = 1 (batched and per-request) every virtual link
 rides one path; with k > 1 (splitting) a link whose demand no single path
 can carry is spread over up to k paths. An accepted request comes back as
 the ``Reservation`` that ``reserve`` stages, with its paths in the ledger's
-``vlink -> ((path, units), ...)`` form and its units and cost.
+``vlink -> ((path, units, ids), ...)`` form and its units and cost.
 
 All choices are deterministic under total tie-break orders:
 
@@ -53,10 +53,11 @@ above 255) leaves no neighbour at 254, and a costlier link is never tight, so
 there the walk can only fail, never return a wrong path.
 
 Both read each link id from ``rows`` as they pass it (the A* sets ``via[u]``
-wherever it sets ``nxt[u]``), so a path comes back with its link ids. A part
-found at the whole remaining demand takes all of it without a scan, since
-every link on it carries that much; only a split's one-unit fallback takes
-its path's bottleneck, below the remainder that no path carries.
+wherever it sets ``nxt[u]``), so a path comes back with its link ids, and
+its part keeps that very list. A part found at the whole remaining demand
+takes all of it without a scan, since every link on it carries that much;
+only a split's one-unit fallback takes its path's bottleneck, below the
+remainder that no path carries.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def greedy_node_map(view, request):
     some node cannot be placed."""
     order = sorted(request.node_demands, key=lambda n: (-request.node_demands[n], n))
     switches = view.base.switches
-    resid = view.residual_capacities()
+    resid = view.capacity_left[:]
     node_map = {}
     for vn in order:
         best_resid = max(resid)
@@ -198,7 +199,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
     if node_map is None:
         return EmbedOutcome(rejection=NODE_STAGE)
     base = view.base
-    residual = view.residual_bandwidths()  # debited part by part
+    residual = view.bandwidth_left[:]  # debited part by part
     top, low = 0, set()  # no residual falls below 0: nothing is recorded
     if blocked is not None:
         # residuals only fall during the call, so a substrate link too thin
@@ -234,7 +235,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
                 link_units[j] = link_units.get(j, 0) + alloc
                 if left < top:
                     low.add(j)
-            parts.append((path, alloc))
+            parts.append((path, alloc, link_ids))
             remaining -= alloc
         if remaining > 0:
             return EmbedOutcome(rejection=LINK_STAGE)

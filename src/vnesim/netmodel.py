@@ -24,7 +24,9 @@ when it books them.
 A ``Reservation`` is the one allocation record: ``embed`` builds it with the
 units and the cost it computed while it routed, ``reserve`` stages that same
 object, a remap move adjusts its link units and cost, and commit and release
-read it.
+read it. Each virtual link's route is a tuple of ``(path, units, ids)``
+parts, ``ids`` the link ids that routing walked along ``path``, kept from
+the routing kernel to release so no reader derives them again.
 """
 
 from __future__ import annotations
@@ -119,10 +121,11 @@ class Reservation:
     every virtual link, and the units by index that release subtracts.
 
     ``node_map``: virtual node -> switch. ``link_paths``: normalized virtual
-    link -> tuple of (path, units) parts, each path a tuple of switch ids
-    whose ends host the virtual endpoints, the integer units summing to the
-    link's demand; a single-path link is the one-part case. ``cost`` is the
-    mapping cost of its current paths.
+    link -> tuple of (path, units, ids) parts, each path a tuple of switch
+    ids whose ends host the virtual endpoints, the integer units summing to
+    the link's demand, and ``ids`` the list of link ids along the path as
+    routing returned it, never mutated; a single-path link is the one-part
+    case. ``cost`` is the mapping cost of its current paths.
     """
 
     request: VirtualNetworkRequest
@@ -146,7 +149,7 @@ def rule_units_for(link_paths: dict, switch_index: dict) -> dict:
     switch)."""
     units = {}
     for vl in link_paths:
-        for path, _alloc in link_paths[vl]:
+        for path, _units, _ids in link_paths[vl]:
             for sw in path:
                 i = switch_index[sw]
                 units[i] = units.get(i, 0) + 1
@@ -215,7 +218,6 @@ class SubstrateNetwork:
         and its one hop as ``c * label_base + 1``; since no simple path has
         ``label_base`` hops, summed steps order paths by (cost, hops)."""
         self.switch_index = {u: i for i, u in enumerate(self.switches)}
-        self.link_index = {lk: j for j, lk in enumerate(self.links)}
         self.label_base = len(self.switches) + 1
         self.min_step = min(self.link_costs, default=1) * self.label_base + 1
         # one int object per distinct step
@@ -261,11 +263,6 @@ class SubstrateNetwork:
             bounds = self._hop_bounds[s] = bytes([h if h < 255 else 255 for h in hops])
         return bounds
 
-    def path_link_ids(self, path) -> list:
-        """Link ids along a switch sequence."""
-        index = self.link_index
-        return [index[(a, b) if a <= b else (b, a)] for a, b in zip(path, path[1:])]
-
     def _check_connected(self):
         strays = [i for i, h in enumerate(self._hops_from(0)) if h < 0]
         # name one representative per stranded component
@@ -310,14 +307,6 @@ class SubstrateView:
         self.bandwidth_left = [b - link[lk] for lk, b in zip(base.links, base.bandwidths)]
         self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacities)]
         self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidths)]
-
-    def residual_capacities(self) -> list:
-        """Effective residual switch memory, one entry per switch index."""
-        return self.capacity_left[:]
-
-    def residual_bandwidths(self) -> list:
-        """Effective residual link bandwidth, one entry per link id."""
-        return self.bandwidth_left[:]
 
     def _debit(self, node_units, link_units, sign=1):
         """Take (sign 1) or give back (sign -1) units of switches by index
@@ -384,18 +373,18 @@ class SubstrateView:
             raise UnknownRequestError(request_id)
         return res
 
-    def move_tentative_link(self, request_id, vlink, freed, path, taken):
+    def move_tentative_link(self, request_id, vlink, path, ids):
         """Move one single-path virtual link of a tentative reservation onto
-        ``path`` (for remap), atomically. ``freed`` are the link ids of its
-        current path and ``taken`` those of ``path``, as the caller holds
-        them. The units freed from the old path count as headroom, and when
-        some link of the new path still lacks it ReservationError is raised
-        with nothing applied. The reservation's cost changes by ``units``
-        times the new path's link cost less the old one's."""
+        ``path`` (for remap), atomically. ``ids`` are the link ids of
+        ``path`` as routing returned them; the ids freed are those its own
+        part carries. The units freed from the old path count as headroom,
+        and when some link of the new path still lacks it ReservationError
+        is raised with nothing applied. The reservation's cost changes by
+        ``units`` times the new path's link cost less the old one's."""
         res = self.tentative_reservation(request_id)
-        (_old, units), = res.link_paths[vlink]
+        (_old, units, freed), = res.link_paths[vlink]
         base = self.base
-        for j in taken:
+        for j in ids:
             if self.bandwidth_left[j] + (units if j in freed else 0) < units:
                 raise ReservationError(f"link {base.links[j]}: reservation exceeds residual bandwidth")
         link_units = res.link_units
@@ -403,13 +392,13 @@ class SubstrateView:
             link_units[j] -= units
             if link_units[j] == 0:
                 del link_units[j]
-        for j in taken:
+        for j in ids:
             link_units[j] = link_units.get(j, 0) + units
         costs = base.link_costs
-        res.cost += units * (sum(costs[j] for j in taken) - sum(costs[j] for j in freed))
+        res.cost += units * (sum(costs[j] for j in ids) - sum(costs[j] for j in freed))
         self._debit({}, dict.fromkeys(freed, units), -1)
-        self._debit({}, dict.fromkeys(taken, units))
-        res.link_paths[vlink] = ((tuple(path), units),)
+        self._debit({}, dict.fromkeys(ids, units))
+        res.link_paths[vlink] = ((path, units, ids),)
 
     def conservation_violations(self) -> list:
         """Audit the ledger in one pass; an empty list means every element

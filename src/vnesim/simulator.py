@@ -33,10 +33,6 @@ def to_ticks(units) -> int:
     return int(round(units * TICKS_PER_UNIT))
 
 
-def to_units(ticks) -> float:
-    return ticks / TICKS_PER_UNIT
-
-
 class RandomStreams:
     """Independent per-purpose generators derived from one master seed."""
 

@@ -1,6 +1,8 @@
 """Per-link weight records and the one-pass batch remap.
 
-For every tentatively mapped virtual link the controller scores:
+The pass reads its batch from the view's tentative overlay, the pending
+batch in arrival order, and each link's path, units and link ids from the
+link's own part. For every tentatively mapped virtual link it scores:
 
 * used resources R: bandwidth the link holds on each path link, plus one
   rule-memory unit for every switch its path transits;
@@ -51,7 +53,7 @@ class LinkWeightRecord:
     request_id: int
     vlink: tuple
     path: tuple
-    ids: list  # link ids along path
+    ids: list  # link ids along path, the part's own list
     demand: int
     used: int  # R
     free: int  # A
@@ -59,14 +61,14 @@ class LinkWeightRecord:
 
 
 def _single_path(vlink, allocs):
-    """The one (path, units) part of a single-path link."""
+    """The one (path, units, ids) part of a single-path link."""
     if len(allocs) != 1:
         raise ValueError(f"virtual link {vlink} is split; weights apply to single-path links")
     return allocs[0]
 
 
-def link_weight(view, request, vlink, path) -> LinkWeightRecord:
-    """Score one single-path virtual link on the path it holds.
+def link_weight(view, request, vlink) -> LinkWeightRecord:
+    """Score one single-path virtual link on the path its part holds.
 
     R is the bandwidth held per path link plus one rule unit per path switch.
     A is the effective residuals along the path: the link's own bandwidth is
@@ -77,16 +79,12 @@ def link_weight(view, request, vlink, path) -> LinkWeightRecord:
     allocs = view.tentative_reservation(request.request_id).link_paths.get(vlink)
     if allocs is None:
         raise ValueError(f"virtual link {vlink} has no tentative reservation")
-    reserved, units = _single_path(vlink, allocs)
-    if tuple(path) != reserved:
-        raise ValueError(f"path {tuple(path)} does not match the reservation {reserved}")
-    used = units * (len(reserved) - 1) + len(reserved)
-    base = view.base
-    ids = base.path_link_ids(reserved)
+    path, units, ids = _single_path(vlink, allocs)
+    used = units * len(ids) + len(path)
     free = sum(view.bandwidth_left[j] for j in ids)
-    left, index = view.capacity_left, base.switch_index
-    free += sum(max(0, left[index[sw]] - 1) for sw in reserved)
-    return LinkWeightRecord(request.request_id, vlink, reserved, ids, units, used, free,
+    left, index = view.capacity_left, view.base.switch_index
+    free += sum(max(0, left[index[sw]] - 1) for sw in path)
+    return LinkWeightRecord(request.request_id, vlink, path, ids, units, used, free,
                             used - free)
 
 
@@ -105,8 +103,8 @@ def _score(base, residual, ids, units):
     return cost, peak
 
 
-def remap_pass(view, requests) -> int:
-    """One weight-ordered remap pass over a tentative batch.
+def remap_pass(view) -> int:
+    """One weight-ordered remap pass over the view's tentative batch.
 
     Computes a fresh record for every tentatively mapped virtual link that
     could move (see the module docstring), prioritizes once, and re-routes
@@ -117,18 +115,17 @@ def remap_pass(view, requests) -> int:
     """
     records = []
     gates = {}  # (request id, vlink) -> B, or None when unknown
-    for request in requests:
-        res = view.tentative_reservation(request.request_id)
+    for res in view.tentative.values():
         blocked, res.blocked = res.blocked, None  # valid for this pass only
         for vlink in sorted(res.link_paths):
-            path, _units = _single_path(vlink, res.link_paths[vlink])
+            _single_path(vlink, res.link_paths[vlink])  # a split link is refused, skip or not
             gate = None if blocked is None else blocked.get(vlink, ())
             if gate == ():
                 continue  # nothing blocked its route: it cannot move
-            records.append(link_weight(view, request, vlink, path))
-            gates[request.request_id, vlink] = gate
+            records.append(link_weight(view, res.request, vlink))
+            gates[res.request_id, vlink] = gate
     base = view.base
-    residual = view.residual_bandwidths()  # equal to the view's between links
+    residual = view.bandwidth_left[:]  # equal to the view's between links
     changed = 0
     for rec in prioritize(records):
         units = rec.demand
@@ -145,7 +142,7 @@ def remap_pass(view, requests) -> int:
         if found is not None and found[0] != rec.path:
             new_path, new_ids = found
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
-                view.move_tentative_link(rec.request_id, rec.vlink, ids, new_path, new_ids)
+                view.move_tentative_link(rec.request_id, rec.vlink, new_path, new_ids)
                 ids = new_ids
                 changed += 1
         for j in ids:

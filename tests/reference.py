@@ -6,14 +6,16 @@ oracle) and the mapping checker share no routing code with
 terms of a reservation (its node and rule units per switch index, its units
 per link id and its cost) are derived here from the node map and the paths
 alone, for reservations built by hand and to check the ones that ``embed``
-builds. The rest derives from a network or a finished run what the package
+builds; so are the link ids of each part. These read a part's path and
+units only, so a mapping built by hand may give its parts as ``(path,
+units)``. The rest derives from a network or a finished run what the package
 itself never needs: adjacency, equality and text of a substrate, its totals
 and residuals by name, the overlay's loads, the fate and the state of a
 request, the longest wait and the mean number of concurrently committed
-requests. Last come the substrate and request generators as they drew
-through ``Random.randint``, ``randrange`` and ``shuffle``, which the inline
-draws of ``vnesim.workload`` must match network for network and request for
-request.
+requests, and a tick count in time units. Last come the substrate and
+request generators as they drew through ``Random.randint``, ``randrange``
+and ``shuffle``, which the inline draws of ``vnesim.workload`` must match
+network for network and request for request.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from vnesim.netmodel import (
     VirtualNetworkRequest,
     norm_link,
 )
+from vnesim.simulator import TICKS_PER_UNIT
 from vnesim.workload import GeneratorSpec
 
 NODE_CAPACITY = "node-capacity"
@@ -55,7 +58,7 @@ def path_links(path) -> list:
 
 def link_ids_along(net, path) -> list:
     """Link ids along a switch sequence, found by their place in the link
-    list rather than through ``link_index``."""
+    list."""
     links = _base(net).links
     return [links.index(lk) for lk in path_links(path)]
 
@@ -66,14 +69,19 @@ def route(net, path):
     return None if path is None else (tuple(path), link_ids_along(net, path))
 
 
+def with_link_ids(net, link_paths) -> dict:
+    """``vlink -> ((path, units), ...)`` in the ledger's part form, each part
+    ``(path, units, ids)`` with the ids derived from its path."""
+    return {vl: tuple((path, n, link_ids_along(net, path)) for path, n in parts)
+            for vl, parts in link_paths.items()}
+
+
 def link_units_of(net, mapping) -> dict:
     """Link id -> units over every part's path of a mapping."""
-    index = _base(net).link_index
     units = {}
     for parts in mapping.link_paths.values():
-        for path, n in parts:
-            for lk in path_links(path):
-                j = index[lk]
+        for path, n, *_ids in parts:
+            for j in link_ids_along(net, path):
                 units[j] = units.get(j, 0) + n
     return units
 
@@ -93,7 +101,7 @@ def rule_units_of(net, mapping) -> dict:
     index = _base(net).switch_index
     units = {}
     for parts in mapping.link_paths.values():
-        for path, _n in parts:
+        for path, _n, *_ids in parts:
             for sw in path:
                 units[index[sw]] = units.get(index[sw], 0) + 1
     return units
@@ -108,17 +116,18 @@ def mapping_cost(net, request, mapping) -> int:
     for vn, sw in mapping.node_map.items():
         cost += switch_cost[sw] * request.node_demands[vn]
     for parts in mapping.link_paths.values():
-        for path, units in parts:
+        for path, units, *_ids in parts:
             for lk in path_links(path):
                 cost += link_cost[lk] * units
     return cost
 
 
 def build_reservation(net, request, node_map, link_paths) -> Reservation:
-    """A hand-built reservation with the terms its node map and paths give:
-    node units by switch index (summed, so a node map need not be
-    injective), link units by link id and the cost; no rule units."""
-    res = Reservation(request, dict(node_map), dict(link_paths))
+    """A hand-built reservation from ``(path, units)`` parts, with the terms
+    its node map and paths give: each part's link ids, node units by switch
+    index (summed, so a node map need not be injective), link units by link
+    id and the cost; no rule units."""
+    res = Reservation(request, dict(node_map), with_link_ids(net, link_paths))
     res.node_units = node_units_of(net, request, res)
     res.link_units = link_units_of(net, res)
     res.cost = mapping_cost(net, request, res)
@@ -126,19 +135,18 @@ def build_reservation(net, request, node_map, link_paths) -> Reservation:
 
 
 def move_tentative(view, request_id, vlink, path):
-    """``move_tentative_link`` with both paths' link ids derived here, as
-    the remap pass hands over the ids it holds."""
-    (old, _units), = view.tentative_reservation(request_id).link_paths[vlink]
-    view.move_tentative_link(request_id, vlink, link_ids_along(view, old),
-                             path, link_ids_along(view, path))
+    """``move_tentative_link`` with the new path's link ids derived here, as
+    the remap pass hands over the ids its search returned."""
+    path = tuple(path)
+    view.move_tentative_link(request_id, vlink, path, link_ids_along(view, path))
 
 
 def residual_bandwidth(net, lk) -> int:
     """Residual bandwidth of link lk: effective on a view, committed on a
     network."""
     if isinstance(net, SubstrateView):
-        return net.bandwidth_left[net.base.link_index[lk]]
-    return net.bandwidths[net.link_index[lk]] - net.link_load[lk]
+        return net.bandwidth_left[net.base.links.index(lk)]
+    return net.bandwidths[net.links.index(lk)] - net.link_load[lk]
 
 
 def residual_capacity(net, u) -> int:
@@ -225,7 +233,7 @@ def cheapest_feasible_path(view, src, dst, demand):
             raise ValueError(f"unknown switch: {sw}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    return embedder._dijkstra(base, view.residual_bandwidths(), src, dst, demand)
+    return embedder._dijkstra(base, view.bandwidth_left[:], src, dst, demand)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +272,7 @@ def _check_structure(net, request, mapping):
         if sw not in known:
             raise MappingStructureError(f"virtual node {vn} mapped to unknown switch {sw}")
     for vl, parts in link_paths.items():
-        for path, _units in parts:
+        for path, _units, *_ids in parts:
             for sw in path:
                 if sw not in known:
                     raise MappingStructureError(f"virtual link {vl}: unknown switch {sw} on path")
@@ -309,14 +317,14 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
     for vl in sorted(mapping.link_paths):
         a, b = vl
         parts = mapping.link_paths[vl]
-        units = [n for _, n in parts]
+        units = [part[1] for part in parts]
         if sum(units) != request.link_demands[vl] or any(n < 1 for n in units):
             violations.append(Violation(
                 PATH_EXISTENCE, vl,
                 f"part units {units} must be positive and sum to demand {request.link_demands[vl]}",
             ))
         ends = {mapping.node_map[a], mapping.node_map[b]}
-        for path, n in parts:
+        for path, n, *_ids in parts:
             path = tuple(path)
             if len(path) < 2 or {path[0], path[-1]} != ends:
                 violations.append(Violation(
@@ -479,6 +487,11 @@ def mean_concurrent_active(log) -> float:
     """Time-weighted mean number of concurrently committed requests."""
     counts = iter(active_counts(log.rows))
     return _time_weighted(log.rows, lambda _row: next(counts))
+
+
+def to_units(ticks) -> float:
+    """A tick count in time units, the inverse of ``simulator.to_ticks``."""
+    return ticks / TICKS_PER_UNIT
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from vnesim.simulator import (
     draw_interarrival,
     draw_lifetime,
     to_ticks,
-    to_units,
 )
 from vnesim.weights import link_weight, remap_pass
 from vnesim.workload import GeneratorSpec, default_substrate, gen_virtual_request, random_substrate
@@ -37,6 +36,7 @@ from reference import (
     path_links,
     residual_bandwidth,
     residual_capacity,
+    to_units,
     validate_mapping,
 )
 
@@ -101,7 +101,7 @@ def test_criterion_3_cost_exactness():
         for vn, sw in mapping.node_map.items():
             total += req.node_demands[vn] * switch_cost[sw]
         for parts in mapping.link_paths.values():
-            for path, units in parts:
+            for path, units, _ids in parts:
                 for a, b in zip(path, path[1:]):
                     total += units * link_cost[norm_link(a, b)]
         return total
@@ -154,7 +154,7 @@ def test_criterion_5_weight_algebra():
     req = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10})
     view = SubstrateView(net)
     reserve(view, build_reservation(view, req, {"a": 1, "b": 3}, {("a", "b"): (((1, 2, 3), 10),)}))
-    hand = link_weight(view, req, ("a", "b"), (1, 2, 3)).used
+    hand = link_weight(view, req, ("a", "b")).used
     assert hand == 23
 
     spec = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1,
@@ -171,8 +171,8 @@ def test_criterion_5_weight_algebra():
                 continue
             reserve(view, outcome.reservation)
             for vl, allocs in view.tentative_reservation(rid).link_paths.items():
-                (path, _units), = allocs
-                rec = link_weight(view, req, vl, path)
+                (path, _units, _ids), = allocs
+                rec = link_weight(view, req, vl)
                 used = req.link_demands[vl] * (len(path) - 1) + len(path)
                 free = sum(residual_bandwidth(view, lk) for lk in path_links(path)) \
                      + sum(max(0, residual_capacity(view, sw) - 1) for sw in path)
@@ -186,21 +186,20 @@ def test_criterion_6_strategy_trends(monkeypatch):
     started = time.time()
     remap_audit = {"calls": 0, "violations": 0}
 
-    def audited_remap(view, requests):
+    def audited_remap(view):
         link_cost = named_totals(view.base)[3]
 
         def batch_link_cost():
             total = 0
-            for req in requests:
-                res = view.tentative_reservation(req.request_id)
+            for res in view.tentative.values():
                 for allocs in res.link_paths.values():
-                    for path, units in allocs:
+                    for path, units, _ids in allocs:
                         for lk in path_links(path):
                             total += link_cost[lk] * units
             return total
 
         before = batch_link_cost()
-        changed = remap_pass(view, requests)
+        changed = remap_pass(view)
         remap_audit["calls"] += 1
         if batch_link_cost() > before:
             remap_audit["violations"] += 1

@@ -21,7 +21,7 @@ from vnesim.netmodel import SubstrateView, UnknownRequestError, VirtualNetworkRe
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
-from reference import longest_wait, request_state, residual_capacity
+from reference import longest_wait, request_state, residual_capacity, with_link_ids
 
 COMMITTED = "committed"
 DEPARTED = "departed"
@@ -284,7 +284,7 @@ class TestRemapThroughTheEngine:
         assert ctl.commit_events == 2
         # the victim committed on the direct path at its window trigger
         res = ctl.view.base.committed[2]
-        assert res.link_paths == {(0, 1): (((2, 1), 10),)}
+        assert res.link_paths == with_link_ids(ctl.view, {(0, 1): (((2, 1), 10),)})
         victim_commit = next(
             r for r in ctl.log.rows
             if r.event_kind == "commit" and r.request_id == 2
@@ -306,7 +306,7 @@ class TestRemapThroughTheEngine:
         assert ctl.log.remapped_links == 0
         assert ctl.commit_events == 3
         res = ctl.view.base.committed[2]
-        assert res.link_paths == {(0, 1): (((2, 3, 1), 10),)}
+        assert res.link_paths == with_link_ids(ctl.view, {(0, 1): (((2, 3, 1), 10),)})
         victim_commit = next(
             r for r in ctl.log.rows
             if r.event_kind == "commit" and r.request_id == 2
@@ -386,9 +386,9 @@ class TestStrategySelection:
         calls = []
         real = vnesim.controller.remap_pass
 
-        def counting(view, requests):
-            calls.append(len(requests))
-            return real(view, requests)
+        def counting(view):
+            calls.append(len(view.tentative))
+            return real(view)
 
         monkeypatch.setattr(vnesim.controller, "remap_pass", counting)
         requests = [mk(i, {0: 5, 1: 5}, {(0, 1): 3}, arrival=1 + i) for i in range(4)]
@@ -410,9 +410,9 @@ class TestStrategySelection:
             reserved.append(real_reserve(*args))
             return reserved[-1]
 
-        def spy_remap(view, requests):
-            at_remap.extend(view.tentative_reservation(r.request_id).blocked for r in requests)
-            return real_remap(view, requests)
+        def spy_remap(view):
+            at_remap.extend(res.blocked for res in view.tentative.values())
+            return real_remap(view)
 
         monkeypatch.setattr(vnesim.controller, "reserve", spy_reserve)
         monkeypatch.setattr(vnesim.controller, "remap_pass", spy_remap)

@@ -1,12 +1,13 @@
 """Greedy embedding with a path budget k, and the exhaustive reference search."""
 
 import random
-import sys
 from collections import Counter
 
 import networkx as nx
 import pytest
 
+import vnesim.controller
+from vnesim import embedder
 from vnesim.config import RunConfig
 from vnesim.embedder import (
     LINK_STAGE,
@@ -17,7 +18,6 @@ from vnesim.embedder import (
 )
 from vnesim.netmodel import (
     Reservation,
-    SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,
     reserve,
@@ -42,6 +42,7 @@ from reference import (
     residual_capacity,
     route,
     validate_mapping,
+    with_link_ids,
 )
 
 
@@ -153,7 +154,7 @@ class TestEmbed:
         outcome = embed(view, req())
         assert outcome.accepted
         assert outcome.reservation.node_map == {"b": 1, "a": 2}
-        assert outcome.reservation.link_paths == {("a", "b"): (((2, 1), 5),)}
+        assert outcome.reservation.link_paths == with_link_ids(line3, {("a", "b"): (((2, 1), 5),)})
         assert outcome.reservation.cost == 35
 
     def test_embed_does_not_mutate_the_view(self, triangle):
@@ -205,10 +206,10 @@ class TestEmbed:
         # (a, b) = 60 routes first onto the direct link; (a, c) = 40 cannot
         # use the thin direct (1, 3) and detours through (1, 2), landing it
         # at exactly its 100-unit capacity
-        assert outcome.reservation.link_paths == {
+        assert outcome.reservation.link_paths == with_link_ids(net, {
             ("a", "b"): (((1, 2), 60),),
             ("a", "c"): (((1, 2, 3), 40),),
-        }
+        })
         reserve(view, outcome.reservation)
         assert residual_bandwidth(view, (1, 2)) == 0
 
@@ -228,9 +229,9 @@ class TestSplittingEmbed:
         outcome = embed(view, r, k=2)
         assert outcome.accepted
         assert outcome.reservation.node_map == {"a": 1, "b": 2}
-        assert outcome.reservation.link_paths == {
+        assert outcome.reservation.link_paths == with_link_ids(view, {
             ("a", "b"): (((1, 2), 60), ((1, 3, 2), 40)),
-        }
+        })
         assert outcome.reservation.cost == 175
 
     def test_fractions_are_exact(self):
@@ -238,9 +239,9 @@ class TestSplittingEmbed:
         view = SubstrateView(self.split_case_net())
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
         parts = embed(view, r, k=2).reservation.link_paths[("a", "b")]
-        assert [units for _, units in parts] == [60, 40]
-        assert all(isinstance(units, int) for _, units in parts)
-        assert sum(units for _, units in parts) == r.link_demands[("a", "b")]
+        assert [units for _, units, _ids in parts] == [60, 40]
+        assert all(isinstance(units, int) for _, units, _ids in parts)
+        assert sum(units for _, units, _ids in parts) == r.link_demands[("a", "b")]
 
     def test_k1_rejects_what_needs_a_split(self):
         view = SubstrateView(self.split_case_net())
@@ -256,7 +257,7 @@ class TestSplittingEmbed:
         view = SubstrateView(triangle)
         r = req(nodes={"a": 1, "b": 1}, links={("a", "b"): 50})
         outcome = embed(view, r, k=2)
-        assert outcome.reservation.link_paths == {("a", "b"): (((1, 2), 50),)}
+        assert outcome.reservation.link_paths == with_link_ids(triangle, {("a", "b"): (((1, 2), 50),)})
 
     def test_k_below_one_raises(self, triangle):
         with pytest.raises(ValueError, match="at least 1"):
@@ -285,8 +286,9 @@ class TestSplittingEmbed:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_record_terms_are_the_ones_its_paths_give(self, k):
         # embed builds the reservation reserve stages: its node units by
-        # switch index, link units by link id and cost must equal what the
-        # node map and paths give, on the instances drawn above
+        # switch index, link units by link id, cost and each part's link ids
+        # must equal what the node map and paths give, on the instances
+        # drawn above
         spec = GeneratorSpec()
         accepted = 0
         for seed in range(40):
@@ -301,6 +303,9 @@ class TestSplittingEmbed:
             assert res.link_units == link_units_of(net, res)
             assert res.cost == mapping_cost(net, r, res)
             assert res.rule_units == {} and res.blocked is None
+            for parts in res.link_paths.values():
+                for path, _units, ids in parts:
+                    assert ids == link_ids_along(net, path)
             accepted += 1
         assert accepted > 10
 
@@ -337,7 +342,7 @@ class TestSplittingEmbed:
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): demand})
         outcome = embed(view, r, k=k)
         assert outcome.reservation.node_map == {"a": 1, "b": 2}
-        assert outcome.reservation.link_paths == {("a", "b"): parts}
+        assert outcome.reservation.link_paths == with_link_ids(net, {("a", "b"): parts})
         # the terms handed to reserve are the ones the paths give
         assert outcome.reservation.link_units == link_units_of(net, outcome.reservation)
         assert outcome.reservation.cost == mapping_cost(net, r, outcome.reservation)
@@ -362,8 +367,6 @@ class TestSplittingEmbed:
         # with the one path that is left too thin for the rest of the demand,
         # a part that would be the k-th cannot cover it: reject without
         # searching for a partial path
-        import vnesim.embedder as embedder
-
         calls = []
         real = embedder._dijkstra
 
@@ -381,31 +384,46 @@ class TestSplittingEmbed:
         assert calls == [100, 1, 40]
 
 
-def test_embed_reads_link_ids_from_routing_not_from_paths(monkeypatch):
-    # routing hands back the link ids it walked and a weight record keeps
-    # the ids it scored, so neither embed, the remap pass nor the ledger's
-    # moves derive ids from a path: only scoring does, on a default batched
-    # run and on a bandwidth-bound one where remaps adopt
-    callers, moves = Counter(), []
-    real_ids, real_move = SubstrateNetwork.path_link_ids, SubstrateView.move_tentative_link
+def test_parts_keep_the_link_id_lists_routing_returned(monkeypatch):
+    # routing hands back the link ids it walked: each part embed builds
+    # keeps one of those very lists, and each remap move the list its search
+    # returned, so nothing derives ids from a path; on a default batched run
+    # and on a bandwidth-bound one, every move of both checked
+    routed, counts = [], Counter()
+    real_route, real_reserve = embedder._dijkstra, vnesim.controller.reserve
+    real_move = SubstrateView.move_tentative_link
 
-    def counting_ids(net, path):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return real_ids(net, path)
+    def routing(*args):
+        found = real_route(*args)
+        routed.append(found)
+        return found
 
-    def counting_move(view, *args):
-        moves.append(args)
-        return real_move(view, *args)
+    def staging(view, res):
+        returned = {id(found[1]) for found in routed if found is not None}
+        for parts in res.link_paths.values():
+            for _path, _units, ids in parts:
+                assert id(ids) in returned
+                counts["parts"] += 1
+        routed.clear()
+        return real_reserve(view, res)
 
-    monkeypatch.setattr(SubstrateNetwork, "path_link_ids", counting_ids)
-    monkeypatch.setattr(SubstrateView, "move_tentative_link", counting_move)
+    def moving(view, request_id, vlink, path, taken):
+        searched, searched_ids = routed[-1]  # the pass's search for this link
+        assert path is searched and taken is searched_ids
+        real_move(view, request_id, vlink, path, taken)
+        (_path, _units, ids), = view.tentative[request_id].link_paths[vlink]
+        assert ids is taken
+        counts["moves"] += 1
+
+    monkeypatch.setattr(embedder, "_dijkstra", routing)
+    monkeypatch.setattr(vnesim.controller, "reserve", staging)
+    monkeypatch.setattr(SubstrateView, "move_tentative_link", moving)
     _, log = run_simulation(RunConfig(strategy="batched", seed=11))
-    assert log.accepted > 1000
-    assert callers.keys() == {"link_weight"}
-    callers.clear()
+    assert log.accepted > 1000 and counts["parts"] > log.accepted
+    assert counts["moves"] == log.remapped_links > 5
+    counts.clear()
     _, log = run_simulation(RunConfig(strategy="batched", **HEAVY))
-    assert len(moves) > 5
-    assert callers.keys() == {"link_weight"}
+    assert counts["moves"] == log.remapped_links > 0
 
 
 class TestOracle:

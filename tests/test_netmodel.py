@@ -39,6 +39,7 @@ from reference import (
     t_link_load,
     topology_text,
     validate_mapping,
+    with_link_ids,
 )
 
 
@@ -213,8 +214,8 @@ class TestReserveAndCommit:
         reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
         move_tentative(view, r.request_id, (0, 1), [1, 2])
         res = view.tentative_reservation(r.request_id)
-        assert res.link_paths == {(0, 1): (((1, 2), 5),)}
-        assert res.link_units == {triangle.link_index[1, 2]: 5}
+        assert res.link_paths == with_link_ids(triangle, {(0, 1): (((1, 2), 5),)})
+        assert res.link_units == {triangle.links.index((1, 2)): 5}
         assert res.cost == mapping_cost(triangle, r, res) == 30 + 5
         assert t_link_load(view) == {(1, 2): 5, (1, 3): 0, (2, 3): 0}
         assert view.conservation_violations() == []
@@ -229,8 +230,8 @@ class TestReserveAndCommit:
         assert residual_bandwidth(view, (1, 2)) == 0
         move_tentative(view, r.request_id, (0, 1), (1, 2, 4, 3))
         res = view.tentative_reservation(r.request_id)
-        assert res.link_paths == {(0, 1): (((1, 2, 4, 3), 10),)}
-        assert res.link_units == {net.link_index[lk]: 10 for lk in ((1, 2), (2, 4), (3, 4))}
+        assert res.link_paths == with_link_ids(net, {(0, 1): (((1, 2, 4, 3), 10),)})
+        assert res.link_units == {net.links.index(lk): 10 for lk in ((1, 2), (2, 4), (3, 4))}
         assert res.cost == mapping_cost(net, r, res) == 2 + 30
         assert residual_bandwidth(view, (1, 2)) == 0
         assert residual_bandwidth(view, (2, 3)) == 100
@@ -286,17 +287,17 @@ class TestReserveAndCommit:
             reserve(view, build_reservation(view, second, {0: 1}, {}))
 
 
-def test_rule_units_one_per_link_path_switch():
-    link_paths = {
+def test_rule_units_one_per_link_path_switch(triangle):
+    link_paths = with_link_ids(triangle, {
         (0, 1): (((1, 2, 3), 5),),
         (1, 2): (((3, 2), 4),),
-    }
+    })
     # keyed by switch index
     assert rule_units_for(link_paths, {1: 0, 2: 1, 3: 2}) == {0: 1, 1: 2, 2: 2}
 
 
-def test_rule_units_split_paths_count_per_path():
-    link_paths = {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))}
+def test_rule_units_split_paths_count_per_path(triangle):
+    link_paths = with_link_ids(triangle, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
     assert rule_units_for(link_paths, {1: 2, 2: 0, 3: 1}) == {2: 2, 0: 2, 1: 1}
 
 

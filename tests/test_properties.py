@@ -20,6 +20,7 @@ from reference import (
     _simple_paths,
     adj,
     element_rows,
+    link_ids_along,
     link_units_of,
     mapping_cost,
     move_tentative,
@@ -108,7 +109,7 @@ class TestLedgerFuzz:
                     for vn, sw in mapping.node_map.items():
                         exp_node[sw] += req.node_demands[vn]
                     for vl, parts in mapping.link_paths.items():
-                        (path, units), = parts
+                        (path, units, _ids), = parts
                         assert units == req.link_demands[vl]
                         for lk in path_links(path):
                             exp_link[lk] += units
@@ -136,8 +137,9 @@ class TestLedgerFuzz:
         # embed builds the reservation with its node units by switch index,
         # its link units by link id and its cost, and reserve stages that
         # record; after every embed, reserve, move, commit and release, each
-        # term must equal what its node map and paths give, and the rule
-        # units by switch index too (rules only once committed)
+        # term must equal what its node map and paths give, the rule units
+        # by switch index too (rules only once committed), and each part's
+        # link ids those along its path
         moved = 0
         for seed in range(15):
             rng = random.Random(f"carried-{seed}")
@@ -181,6 +183,9 @@ class TestLedgerFuzz:
                     assert res.node_units == node_units_of(net, res.request, res)
                     committed = res.request_id in net.committed
                     assert res.rule_units == (rule_units_of(net, res) if committed else {})
+                    for parts in res.link_paths.values():
+                        for path, _units, ids in parts:
+                            assert ids == link_ids_along(net, path)
             assert view.conservation_violations() == []
         assert moved > 200
 
@@ -210,7 +215,7 @@ class TestCostInvariance:
             moved = Reservation(
                 req,
                 {vn: perm[sw] for vn, sw in out.reservation.node_map.items()},
-                {vl: tuple((tuple(perm[s] for s in path), units) for path, units in parts)
+                {vl: tuple((tuple(perm[s] for s in path), units) for path, units, _ids in parts)
                  for vl, parts in out.reservation.link_paths.items()},
             )
             assert mapping_cost(relabeled, req, moved) == out.reservation.cost
@@ -254,8 +259,8 @@ class TestEmbeddingSoundness:
             accepted += 1
             assert validate_mapping(view, req, out.reservation)
             for vl, allocs in out.reservation.link_paths.items():
-                assert sum(units for _, units in allocs) == req.link_demands[vl]
-                assert all(isinstance(units, int) and units >= 1 for _, units in allocs)
+                assert sum(units for _, units, _ids in allocs) == req.link_demands[vl]
+                assert all(isinstance(units, int) and units >= 1 for _, units, _ids in allocs)
             if any(len(allocs) > 1 for allocs in out.reservation.link_paths.values()):
                 real_splits += 1
             before = ledger_state(view)

@@ -1,11 +1,13 @@
 """The remap pass that skips links which cannot move, against the pass that
 scores and routes every link: on every instance both adopt the same paths.
 
-The oracle below is a verbatim copy of the earlier ``remap_pass`` and
-``_score``, which compute a record for every tentatively mapped virtual link
-and search each one again. The instances are bandwidth-bound batches embedded
-with ``blocked``, after which committed requests depart and tentative ones
-are cancelled, so links that blocked a route at embed time gain units.
+The oracle below is a copy of the earlier ``remap_pass`` and ``_score``,
+which compute a record for every tentatively mapped virtual link and search
+each one again; it also checks every link id the ledger carries or routing
+returns against the ids taken from the path. The instances are
+bandwidth-bound batches embedded with ``blocked``, after which committed
+requests depart and tentative ones are cancelled, so links that blocked a
+route at embed time gain units.
 """
 
 import random
@@ -26,7 +28,7 @@ from vnesim.netmodel import (
 from vnesim.weights import link_weight, prioritize, remap_pass
 
 from conftest import make_net
-from reference import build_reservation, named_totals, t_link_load
+from reference import build_reservation, link_ids_along, named_totals, t_link_load, with_link_ids
 
 
 def _score(base, residual, ids, units):
@@ -45,13 +47,14 @@ def oracle_remap_pass(view, requests) -> int:
     for request in requests:
         res = view.tentative_reservation(request.request_id)
         for vlink in sorted(res.link_paths):
-            records.append(link_weight(view, request, vlink, res.link_paths[vlink][0][0]))
+            records.append(link_weight(view, request, vlink))
     base = view.base
-    residual = view.residual_bandwidths()  # equal to the view's between links
+    residual = view.bandwidth_left[:]  # equal to the view's between links
     changed = 0
     for rec in prioritize(records):
         units = rec.demand
-        ids = base.path_link_ids(rec.path)
+        ids = link_ids_along(base, rec.path)
+        assert rec.ids == ids
         for j in ids:
             residual[j] += units
         node_map = view.tentative_reservation(rec.request_id).node_map
@@ -59,9 +62,9 @@ def oracle_remap_pass(view, requests) -> int:
         found = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
         if found is not None and found[0] != rec.path:
             new_path, new_ids = found
-            assert new_ids == base.path_link_ids(new_path)
+            assert new_ids == link_ids_along(base, new_path)
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
-                view.move_tentative_link(rec.request_id, rec.vlink, ids, new_path, new_ids)
+                view.move_tentative_link(rec.request_id, rec.vlink, new_path, new_ids)
                 ids = new_ids
                 changed += 1
         for j in ids:
@@ -146,14 +149,14 @@ def state(view):
 def test_same_moves_as_the_pass_that_routes_every_link():
     counted = {"passes": 0, "adopted": 0, "known": 0, "gated": 0}
     for seed in range(400):
-        view, batch, _ = scenario(seed)
+        view, _, _ = scenario(seed)
         want_view, want_batch, _ = scenario(seed)
         assert state(view) == state(want_view)
         for res in view.tentative.values():
             if res.blocked is not None:
                 counted["known"] += len(res.link_paths)
                 counted["gated"] += len(res.blocked)
-        got = remap_pass(view, batch)
+        got = remap_pass(view)
         want = oracle_remap_pass(want_view, want_batch)
         assert got == want, seed
         assert state(view) == state(want_view), seed
@@ -171,13 +174,13 @@ def test_a_second_pass_matches_the_second_pass_of_the_oracle():
     for seed in range(400):
         view, batch, background = scenario(seed)
         want_view, want_batch, _ = scenario(seed)
-        assert remap_pass(view, batch) == oracle_remap_pass(want_view, want_batch), seed
+        assert remap_pass(view) == oracle_remap_pass(want_view, want_batch), seed
         assert all(view.tentative_reservation(r.request_id).blocked is None for r in batch)
         # units freed after the first pass reach links that moved in it
         for rid in background:
             view.release(rid)
             want_view.release(rid)
-        got = remap_pass(view, batch)
+        got = remap_pass(view)
         want = oracle_remap_pass(want_view, want_batch)
         assert got == want, seed
         assert state(view) == state(want_view), seed
@@ -192,7 +195,7 @@ def test_a_skipped_split_link_is_still_refused(triangle):
     split.blocked = {}  # nothing blocked it: a skip
     reserve(view, split)
     with pytest.raises(ValueError, match="single-path"):
-        remap_pass(view, [r])
+        remap_pass(view)
 
 
 def test_blocked_links_need_a_single_path_budget(triangle):
@@ -211,8 +214,9 @@ def test_embed_records_the_links_that_could_not_carry_each_route():
     outcome = embed(view, r, 1, blocked)
     res = outcome.reservation
     assert res.node_map == {"a": 1, "b": 2, "c": 3}
-    assert res.link_paths == {("a", "b"): (((1, 3, 2), 12),), ("a", "c"): (((1, 2, 3), 9),)}
-    assert blocked == {("a", "b"): (net.link_index[1, 2],), ("a", "c"): (net.link_index[1, 3],)}
+    assert res.link_paths == with_link_ids(net, {("a", "b"): (((1, 3, 2), 12),),
+                                                 ("a", "c"): (((1, 2, 3), 9),)})
+    assert blocked == {("a", "b"): (net.links.index((1, 2)),), ("a", "c"): (net.links.index((1, 3)),)}
     # the reservation carries the record for the remap pass
     assert res.blocked is blocked
     # without the argument, or where every link carries the demand, nothing is recorded

@@ -101,7 +101,7 @@ def random_instance(rng, max_cost=5):
             request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): tentative[lk]})
             reserve(view, build_reservation(view, request, {0: lk[0], 1: lk[1]},
                                             {(0, 1): ((lk, tentative[lk]),)}))
-    assert view.residual_bandwidths() == [
+    assert view.bandwidth_left == [
         bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
     ]
     return net, view
@@ -224,7 +224,7 @@ def test_index_shares_one_tuple_per_link_and_sorts_each_row():
     net, view = random_instance(rng)
     # totals and unit costs are lists by link id, the view keeps no per-link
     # dict, and the committed loads and derived overlay loads reuse the keys
-    for per_link in (net.link_load, net.link_index, t_link_load(view)):
+    for per_link in (net.link_load, t_link_load(view)):
         assert all(key is lk for key, lk in zip(per_link, net.links))
     for i, row in enumerate(net.rows):
         assert [u for u, _j, _step in row] == sorted(u for u, _j, _step in row)

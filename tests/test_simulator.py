@@ -12,8 +12,9 @@ from vnesim.simulator import (
     draw_interarrival,
     draw_lifetime,
     to_ticks,
-    to_units,
 )
+
+from reference import to_units
 
 
 def test_tick_conversions():

@@ -14,7 +14,14 @@ from vnesim.weights import LinkWeightRecord, link_weight, prioritize, remap_pass
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
-from reference import build_reservation, named_totals, path_links, residual_bandwidth, t_link_load
+from reference import (
+    build_reservation,
+    named_totals,
+    path_links,
+    residual_bandwidth,
+    t_link_load,
+    with_link_ids,
+)
 
 
 def tentative(view, rid, node_map, paths, nodes, links):
@@ -33,7 +40,7 @@ class TestUsedAndFree:
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
         # 10 units on each of 2 hops, plus a rule on each of 3 switches
-        assert link_weight(view, r, ("a", "b"), (1, 2, 3)).used == 23
+        assert link_weight(view, r, ("a", "b")).used == 23
 
     def test_free_sums_residuals_along_the_path(self, line3):
         view = SubstrateView(line3)
@@ -43,7 +50,7 @@ class TestUsedAndFree:
         )
         # links: (100-10) + (100-10); switches less one rule unit each:
         # (100-5-1) + (100-1) + (100-7-1)
-        assert link_weight(view, r, ("a", "b"), (1, 2, 3)).free == 180 + 94 + 99 + 92
+        assert link_weight(view, r, ("a", "b")).free == 180 + 94 + 99 + 92
 
     def test_weight_is_used_minus_free(self, line3):
         view = SubstrateView(line3)
@@ -51,17 +58,19 @@ class TestUsedAndFree:
             view, 1, {"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)},
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
-        rec = link_weight(view, r, ("a", "b"), (1, 2, 3))
+        rec = link_weight(view, r, ("a", "b"))
         assert rec == LinkWeightRecord(
             request_id=1,
             vlink=("a", "b"),
             path=(1, 2, 3),
-            ids=[line3.link_index[1, 2], line3.link_index[2, 3]],
+            ids=[line3.links.index((1, 2)), line3.links.index((2, 3))],
             demand=10,
             used=23,
             free=465,
             weight=23 - 465,
         )
+        # the record keeps the part's own list of link ids
+        assert rec.ids is view.tentative_reservation(1).link_paths[("a", "b")][0][2]
 
     def test_free_memory_term_clamps_at_zero(self):
         # switch 2 has one unit left; after the rule attribution it shows 0,
@@ -74,17 +83,8 @@ class TestUsedAndFree:
             view, 1, {"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)},
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
-        free = link_weight(view, r, ("a", "b"), (1, 2, 3)).free
+        free = link_weight(view, r, ("a", "b")).free
         assert free == 180 + 94 + 0 + 92
-
-    def test_mismatched_path_is_rejected(self, line3):
-        view = SubstrateView(line3)
-        r = tentative(
-            view, 1, {"a": 1, "b": 3}, {("a", "b"): (1, 2, 3)},
-            nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            link_weight(view, r, ("a", "b"), (1, 2))
 
     def test_unreserved_vlink_is_rejected(self, line3):
         view = SubstrateView(line3)
@@ -93,13 +93,13 @@ class TestUsedAndFree:
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
         with pytest.raises(ValueError, match="no tentative reservation"):
-            link_weight(view, r, ("a", "z"), (1, 2, 3))
+            link_weight(view, r, ("a", "z"))
 
     def test_unknown_request_is_rejected(self, line3):
         view = SubstrateView(line3)
         r = VirtualNetworkRequest(5, {"a": 1}, {}, 0, 10)
         with pytest.raises(UnknownRequestError):
-            link_weight(view, r, ("a", "b"), (1, 2))
+            link_weight(view, r, ("a", "b"))
 
 
 class TestPrioritize:
@@ -133,13 +133,13 @@ class TestRemapPass:
     def test_adopts_a_strictly_cheaper_path(self, triangle):
         view = SubstrateView(triangle)
         # tentative on the detour while the direct link sits free
-        r = tentative(
+        tentative(
             view, 1, {"a": 1, "b": 2}, {("a", "b"): (1, 3, 2)},
             nodes={"a": 1, "b": 1}, links={("a", "b"): 10},
         )
-        assert remap_pass(view, [r]) == 1
+        assert remap_pass(view) == 1
         res = view.tentative_reservation(1)
-        assert res.link_paths[("a", "b")] == (((1, 2), 10),)
+        assert res.link_paths == with_link_ids(view, {("a", "b"): (((1, 2), 10),)})
         assert residual_bandwidth(view, (1, 3)) == 100
         assert residual_bandwidth(view, (2, 3)) == 100
         assert residual_bandwidth(view, (1, 2)) == 90
@@ -154,31 +154,31 @@ class TestRemapPass:
 
     def test_equal_cost_adopts_only_lower_peak_utilization(self):
         view = SubstrateView(self.diamond(thin_bw=10))
-        r = tentative(
+        tentative(
             view, 1, {"a": 1, "b": 4}, {("a", "b"): (1, 3, 4)},
             nodes={"a": 1, "b": 1}, links={("a", "b"): 5},
         )
         # both 2-hop paths cost 10; peak utilization 5/10 vs 5/100
-        assert remap_pass(view, [r]) == 1
-        assert view.tentative_reservation(1).link_paths[("a", "b")] == (((1, 2, 4), 5),)
+        assert remap_pass(view) == 1
+        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 2, 4), 5),)})
 
     def test_equal_cost_equal_utilization_keeps_the_incumbent(self):
         view = SubstrateView(self.diamond(thin_bw=100))
-        r = tentative(
+        tentative(
             view, 1, {"a": 1, "b": 4}, {("a", "b"): (1, 3, 4)},
             nodes={"a": 1, "b": 1}, links={("a", "b"): 5},
         )
-        assert remap_pass(view, [r]) == 0
-        assert view.tentative_reservation(1).link_paths[("a", "b")] == (((1, 3, 4), 5),)
+        assert remap_pass(view) == 0
+        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 3, 4), 5),)})
 
     def test_already_optimal_path_stays(self, triangle):
         view = SubstrateView(triangle)
-        r = tentative(
+        tentative(
             view, 1, {"a": 1, "b": 2}, {("a", "b"): (1, 2)},
             nodes={"a": 1, "b": 1}, links={("a", "b"): 10},
         )
-        assert remap_pass(view, [r]) == 0
-        assert view.tentative_reservation(1).link_paths[("a", "b")] == (((1, 2), 10),)
+        assert remap_pass(view) == 0
+        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 2), 10),)})
 
     def test_heavier_link_claims_the_scarce_path_first(self):
         net = make_net(
@@ -187,19 +187,19 @@ class TestRemapPass:
             bws={(1, 2): 10, (1, 3): 100, (2, 3): 100},
         )
         view = SubstrateView(net)
-        heavy = tentative(
+        tentative(
             view, 1, {"a": 1, "b": 2}, {("a", "b"): (1, 3, 2)},
             nodes={"a": 1, "b": 1}, links={("a", "b"): 10},
         )
-        light = tentative(
+        tentative(
             view, 2, {"a": 1, "b": 2}, {("a", "b"): (1, 3, 2)},
             nodes={"a": 1, "b": 1}, links={("a", "b"): 6},
         )
         # the 10-unit link outweighs the 6-unit one, remaps first, and takes
         # the whole direct link; the lighter one then has nowhere better
-        assert remap_pass(view, [heavy, light]) == 1
-        assert view.tentative_reservation(1).link_paths[("a", "b")] == (((1, 2), 10),)
-        assert view.tentative_reservation(2).link_paths[("a", "b")] == (((1, 3, 2), 6),)
+        assert remap_pass(view) == 1
+        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 2), 10),)})
+        assert view.tentative_reservation(2).link_paths == with_link_ids(view, {("a", "b"): (((1, 3, 2), 6),)})
         assert residual_bandwidth(view, (1, 2)) == 0
 
     def test_split_reservations_are_refused(self, triangle):
@@ -210,7 +210,7 @@ class TestRemapPass:
         )
         reserve(view, split)
         with pytest.raises(ValueError, match="single-path"):
-            remap_pass(view, [r])
+            remap_pass(view)
 
     def test_batch_link_cost_never_increases(self):
         # embed a batch while blocker requests clog most of a few links,
@@ -225,7 +225,7 @@ class TestRemapPass:
             total = 0
             for res in view.tentative.values():
                 for allocs in res.link_paths.values():
-                    for path, units in allocs:
+                    for path, units, _ids in allocs:
                         total += units * sum(link_cost[lk] for lk in path_links(path))
             return total
 
@@ -244,17 +244,14 @@ class TestRemapPass:
                                                 {(0, 1): ((lk, hold),)}))
                 assert view.commit(rid)
                 blockers.append(rid)
-            batch = []
             for i in range(8):
-                r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
-                outcome = embed(view, r)
+                outcome = embed(view, gen_virtual_request(streams.request(i), spec, i, 0, 10))
                 if outcome.accepted:
                     reserve(view, outcome.reservation)
-                    batch.append(r)
             for rid in blockers:
                 view.release(rid)  # through the view, whose residuals follow
             before = batch_link_cost(view)
-            changed = remap_pass(view, batch)
+            changed = remap_pass(view)
             after = batch_link_cost(view)
             assert after <= before
             assert view.conservation_violations() == []
@@ -277,19 +274,16 @@ class TestRemapPass:
         for seed in range(10):
             streams = RandomStreams(f"still-{seed}")
             view = SubstrateView(random_substrate(streams.topology, 8, spec))
-            batch = []
             for i in range(8):
-                r = gen_virtual_request(streams.request(i), spec, i, 0, 10)
-                outcome = embed(view, r)
+                outcome = embed(view, gen_virtual_request(streams.request(i), spec, i, 0, 10))
                 if outcome.accepted:
                     reserve(view, outcome.reservation)
-                    batch.append(r)
             before = (
                 {rid: (dict(res.link_paths), dict(res.link_units))
                  for rid, res in view.tentative.items()},
                 t_link_load(view),
             )
-            assert remap_pass(view, batch) == 0
+            assert remap_pass(view) == 0
             after = (
                 {rid: (dict(res.link_paths), dict(res.link_units))
                  for rid, res in view.tentative.items()},
