@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_file
 from .controller import _MODES, STRATEGIES
-from .metrics import MetricsLog, csv_text, summary
+from .metrics import MetricsLog, export_csv, summary
 from .netmodel import TopologyError, load_topology
 from .run import run_simulation
 
@@ -80,9 +80,7 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     engine, log = run_simulation(config)
     out = config.out or "trace.csv"
-    text = csv_text(log)  # written and hashed: formatted once
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    text = export_csv(log, out)  # written and hashed: formatted once
     print(f"trace {out}")
     print(f"events {engine.events_dispatched}")
     _print_summary(summary(log, text))

@@ -4,16 +4,19 @@
 per virtual link. With k = 1 (batched and per-request) every virtual link
 rides one path; with k > 1 (splitting) a link whose demand no single path
 can carry is spread over up to k paths. An accepted request comes back as
-the ``Reservation`` that ``reserve`` stages, with its paths in the ledger's
-``vlink -> ((path, units, ids), ...)`` form and its units and cost.
+the ``Reservation`` that ``reserve`` stages, in index form: its node map and
+paths name switches by index, its paths in the ledger's
+``vlink -> ((path, units, ids), ...)`` form, with its units and cost.
 
-All choices are deterministic under total tie-break orders:
+All choices are deterministic under total tie-break orders; ``switches`` is
+sorted, so switch-index order is switch-id order:
 
 * node placement: virtual nodes by descending demand (ties by id), each onto
-  the feasible switch with the largest effective residual (ties by switch id);
+  the feasible switch with the largest effective residual (ties by lowest
+  switch index);
 * routing: links by descending demand (ties by link id), each onto the
   feasible path minimizing summed link unit cost, ties broken by fewer hops,
-  then by lexicographic switch-id sequence.
+  then by lexicographic switch-index sequence.
 
 Routing first walks from src along exact hop distances (below). Where the
 walk is blocked it runs one A* search, backward from dst to src, on the
@@ -30,7 +33,7 @@ consistent. The heap is ordered by ``(f, g, v)`` with ``f = g + lb``.
 Tie-break: call u a tight neighbour of v when ``g*(v) = g*(u) + step(u, v)``
 over a feasible link. Consistency gives ``f(u) <= f(v)``, and ``g*(u) <
 g*(v)``, so u settles, and relaxes v, before v settles; hence when v settles,
-``nxt[v]`` is the smallest-id neighbour that starts an optimal remainder to
+``nxt[v]`` is the smallest-index neighbour that starts an optimal remainder to
 dst. Every optimal path has the same hop count, so the lexicographic minimum
 among them is built by taking the smallest such next switch at every step:
 the walk along ``nxt`` from src, once src settles, is the (cost, hops,
@@ -44,7 +47,7 @@ meets that bound, so it is (cost, hops)-optimal over all links and hence over
 the feasible ones; conversely a path meeting the bound has ``to_t[src]``
 hops of step ``min_step`` and loses one hop of distance at each, so every
 optimal path is made of tight links whenever a tight feasible path exists.
-The walk starts at src and takes, at each switch, the smallest-id neighbour
+The walk starts at src and takes, at each switch, the smallest-index neighbour
 over a tight link with ``residual >= demand``. If it reaches dst, its path
 beats every other optimal path at their first difference, so it is the
 same lexicographic minimum the A* returns. If it dead-ends, the A* runs as
@@ -87,10 +90,10 @@ class EmbedOutcome:
 
 def greedy_node_map(view, request):
     """Place virtual nodes by descending demand onto the emptiest feasible
-    switch (the lowest id among equals); returns the node map, or None when
-    some node cannot be placed."""
+    switch (the lowest index, so the lowest id, among equals); returns the
+    node map, virtual node -> switch index, or None when some node cannot be
+    placed."""
     order = sorted(request.node_demands, key=lambda n: (-request.node_demands[n], n))
-    switches = view.base.switches
     resid = view.capacity_left[:]
     node_map = {}
     for vn in order:
@@ -98,23 +101,21 @@ def greedy_node_map(view, request):
         if best_resid < request.node_demands[vn]:
             return None
         best = resid.index(best_resid)
-        node_map[vn] = switches[best]
+        node_map[vn] = best
         resid[best] = -1  # used; every demand is positive
     return node_map
 
 
-def _dijkstra(net, residual, src, dst, demand):
-    """The cheapest path from switch src to switch dst over links whose
-    ``residual[link id] >= demand``, as ``(switch-id tuple, list of its link
-    ids)``; None when there is none. The walk along tight links, else
-    backward A* on the index (see the module docstring)."""
+def _dijkstra(net, residual, s, t, demand):
+    """The cheapest path from switch index s to switch index t over links
+    whose ``residual[link id] >= demand``, as ``(switch-index tuple, list of
+    its link ids)``; None when there is none. The walk along tight links,
+    else backward A* on the index (see the module docstring)."""
     rows = net.rows
-    s, t = net.switch_index[src], net.switch_index[dst]
     step_min = net.min_step
     # the walk along tight feasible links (see the module docstring)
     to_t = net.hop_bounds(t)
-    switches = net.switches
-    path, ids = [src], []
+    path, ids = [s], []
     v, h = s, to_t[s]
     while h:
         h -= 1
@@ -124,7 +125,7 @@ def _dijkstra(net, residual, src, dst, demand):
         else:
             break  # blocked: the A* below decides
         v = u
-        path.append(switches[u])
+        path.append(u)
         ids.append(j)
     else:  # h reached 0: the walk is at dst
         return tuple(path), ids
@@ -143,11 +144,11 @@ def _dijkstra(net, residual, src, dst, demand):
             continue
         done[v] = 1
         if v == s:
-            path, ids = [src], []
+            path, ids = [s], []
             while v != t:
                 ids.append(via[v])
                 v = nxt[v]
-                path.append(switches[v])
+                path.append(v)
             return tuple(path), ids
         for u, j, step in rows[v]:
             if done[u] or residual[j] < demand:
@@ -241,8 +242,8 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
             return EmbedOutcome(rejection=LINK_STAGE)
         link_paths[vl] = tuple(parts)
     # placement is injective: each switch hosts one virtual node's demand
-    index, demands = base.switch_index, request.node_demands
-    node_units = {index[sw]: demands[vn] for vn, sw in node_map.items()}
+    demands = request.node_demands
+    node_units = {i: demands[vn] for vn, i in node_map.items()}
     # host unit cost times node demand, plus link unit cost times units
     switch_costs, link_costs = base.switch_costs, base.link_costs
     cost = sum(switch_costs[i] * n for i, n in node_units.items())

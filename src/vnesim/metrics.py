@@ -215,11 +215,12 @@ def csv_text(log) -> str:
 
 
 def export_csv(log, path) -> str:
-    """Write the trace; identical log state yields byte-identical files."""
+    """Write the trace and return its text, ``csv_text(log)``; identical log
+    state yields byte-identical files."""
     text = csv_text(log)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    return path
+    return text
 
 
 def trace_hash(log) -> str:

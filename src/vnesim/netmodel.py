@@ -3,9 +3,10 @@
 The substrate is an undirected graph of switches and links. Every resource is
 an integer: switch memory (shared by hosted virtual nodes and installed flow
 rules), link bandwidth, and unit costs. Totals and unit costs are flat lists,
-by switch index (switch i is ``switches[i]``) and by link id (link j is
-``links[j]``). Reservations are tracked per request, with their units by the
-same indices, so that release is exact and the conservation identity
+by switch index (switch i is ``switches[i]``, and ``switches`` is sorted, so
+index order is id order) and by link id (link j is ``links[j]``).
+Reservations are tracked per request in the same index form, node maps and
+paths included, so that release is exact and the conservation identity
 
     residual + hosted demands + held rule units == total capacity
 
@@ -19,7 +20,8 @@ of the ledger: ``SubstrateView.commit`` and ``SubstrateView.release``
 change the committed loads and ``committed``; the network only holds them.
 The committed loads keep names as keys (``node_load`` and ``rule_load`` by
 switch id, ``link_load`` by link tuple); the view maps indices to names only
-when it books them.
+when it books them. Switch ids are otherwise read only by the constructor,
+the parser and messages.
 
 A ``Reservation`` is the one allocation record: ``embed`` builds it with the
 units and the cost it computed while it routed, ``reserve`` stages that same
@@ -120,9 +122,9 @@ class Reservation:
     """One request's allocation: an injective node map plus the paths of
     every virtual link, and the units by index that release subtracts.
 
-    ``node_map``: virtual node -> switch. ``link_paths``: normalized virtual
-    link -> tuple of (path, units, ids) parts, each path a tuple of switch
-    ids whose ends host the virtual endpoints, the integer units summing to
+    ``node_map``: virtual node -> switch index. ``link_paths``: normalized
+    virtual link -> tuple of (path, units, ids) parts, each path a tuple of
+    switch indices whose ends host the virtual endpoints, the units summing to
     the link's demand, and ``ids`` the list of link ids along the path as
     routing returned it, never mutated; a single-path link is the one-part
     case. ``cost`` is the mapping cost of its current paths.
@@ -142,18 +144,6 @@ class Reservation:
     @property
     def request_id(self) -> int:
         return self.request.request_id
-
-
-def rule_units_for(link_paths: dict, switch_index: dict) -> dict:
-    """Flow-rule memory per switch index: one unit per (virtual link, path,
-    switch)."""
-    units = {}
-    for vl in link_paths:
-        for path, _units, _ids in link_paths[vl]:
-            for sw in path:
-                i = switch_index[sw]
-                units[i] = units.get(i, 0) + 1
-    return units
 
 
 class SubstrateNetwork:
@@ -217,7 +207,7 @@ class SubstrateNetwork:
         step)`` sorted by neighbour, where step packs the link's unit cost c
         and its one hop as ``c * label_base + 1``; since no simple path has
         ``label_base`` hops, summed steps order paths by (cost, hops)."""
-        self.switch_index = {u: i for i, u in enumerate(self.switches)}
+        index = {u: i for i, u in enumerate(self.switches)}
         self.label_base = len(self.switches) + 1
         self.min_step = min(self.link_costs, default=1) * self.label_base + 1
         # one int object per distinct step
@@ -225,7 +215,7 @@ class SubstrateNetwork:
         rows = [[] for _ in self.switches]
         for j, ((a, b), c) in enumerate(zip(self.links, self.link_costs)):
             step = steps[c]
-            ia, ib = self.switch_index[a], self.switch_index[b]
+            ia, ib = index[a], index[b]
             rows[ia].append((ib, j, step))
             rows[ib].append((ia, j, step))
         self.rows = [tuple(sorted(row)) for row in rows]
@@ -330,7 +320,11 @@ class SubstrateView:
         res = self.tentative.get(request_id)
         if res is None:
             raise UnknownRequestError(request_id)
-        rules = rule_units_for(res.link_paths, self.base.switch_index)
+        rules = {}  # one unit per (virtual link, part, switch on its path)
+        for parts in res.link_paths.values():
+            for path, _units, _ids in parts:
+                for i in path:
+                    rules[i] = rules.get(i, 0) + 1
         left = self.capacity_left
         for i, units in rules.items():
             if left[i] < units:

@@ -1,8 +1,9 @@
 """Per-link weight records and the one-pass batch remap.
 
 The pass reads its batch from the view's tentative overlay, the pending
-batch in arrival order, and each link's path, units and link ids from the
-link's own part. For every tentatively mapped virtual link it scores:
+batch in arrival order, and each link's path (switch indices), units and
+link ids from the link's own part. For every tentatively mapped virtual link
+it scores:
 
 * used resources R: bandwidth the link holds on each path link, plus one
   rule-memory unit for every switch its path transits;
@@ -52,7 +53,7 @@ class LinkWeightRecord:
 
     request_id: int
     vlink: tuple
-    path: tuple
+    path: tuple  # switch indices
     ids: list  # link ids along path, the part's own list
     demand: int
     used: int  # R
@@ -82,8 +83,8 @@ def link_weight(view, request, vlink) -> LinkWeightRecord:
     path, units, ids = _single_path(vlink, allocs)
     used = units * len(ids) + len(path)
     free = sum(view.bandwidth_left[j] for j in ids)
-    left, index = view.capacity_left, view.base.switch_index
-    free += sum(max(0, left[index[sw]] - 1) for sw in path)
+    left = view.capacity_left
+    free += sum(max(0, left[i] - 1) for i in path)
     return LinkWeightRecord(request.request_id, vlink, path, ids, units, used, free,
                             used - free)
 

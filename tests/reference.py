@@ -2,17 +2,24 @@
 
 Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
 oracle) and the mapping checker share no routing code with
-``vnesim.embedder.embed``, which is why they live apart from it. The ledger
-terms of a reservation (its node and rule units per switch index, its units
-per link id and its cost) are derived here from the node map and the paths
-alone, for reservations built by hand and to check the ones that ``embed``
-builds; so are the link ids of each part. These read a part's path and
-units only, so a mapping built by hand may give its parts as ``(path,
-units)``. The rest derives from a network or a finished run what the package
-itself never needs: adjacency, equality and text of a substrate, its totals
-and residuals by name, the overlay's loads, the fate and the state of a
-request, the longest wait and the mean number of concurrently committed
-requests, and a tick count in time units. Last come the substrate and
+``vnesim.embedder.embed``, which is why they live apart from it.
+
+The package names a switch by its index in the sorted switch list
+everywhere past its edges: a reservation's node map and paths hold switch
+indices. Tests state node maps and paths in switch ids, so this module is
+the one place that converts: ``indexed`` and ``indexed_parts`` turn
+hand-given ids into the package's index form, and the checkers (the ledger
+terms, the cost, the mapping checker) take index-form records and read them
+by name through ``named``. The ledger terms of a reservation (its node and
+rule units per switch index, its units per link id and its cost) are
+derived here from the node map and the paths alone, for reservations built
+by hand and to check the ones that ``embed`` builds; so are the link ids of
+each part. These read a part's path and units only, so a mapping may give
+its parts as ``(path, units)``. The rest derives from a network or a
+finished run what the package itself never needs: adjacency, equality and
+text of a substrate, its totals and residuals by name, the overlay's loads,
+the fate and the state of a request, the longest wait and the mean number
+of concurrently committed requests, and a tick count in time units. Last come the substrate and
 request generators as they drew through ``Random.randint``, ``randrange``
 and ``shuffle``, which the inline draws of ``vnesim.workload`` must match
 network for network and request for request.
@@ -23,6 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import permutations
+from types import SimpleNamespace
 
 from vnesim import embedder
 from vnesim.metrics import _time_weighted
@@ -47,39 +55,100 @@ def _base(view):
 
 
 # ---------------------------------------------------------------------------
-# ledger terms of a mapping, derived from its paths
+# switch ids to the package's switch indices and back
+
+
+def switch_indices(net) -> dict:
+    """Switch id -> switch index, its place in the sorted switch list."""
+    return {u: i for i, u in enumerate(_base(net).switches)}
+
+
+def indexed_map(net, node_map) -> dict:
+    """A node map given in switch ids, by switch index."""
+    index = switch_indices(net)
+    return {vn: index[sw] for vn, sw in node_map.items()}
+
+
+def indexed_parts(net, link_paths) -> dict:
+    """``vlink -> ((path, units), ...)`` with paths in switch ids, in the
+    ledger's part form: each part ``(path, units, ids)``, its path by switch
+    index and ``ids`` the link ids along it."""
+    index = switch_indices(net)
+    return {vl: tuple((tuple(index[sw] for sw in path), n, link_ids_along(net, path))
+                      for path, n in parts)
+            for vl, parts in link_paths.items()}
+
+
+def indexed(net, request, node_map, link_paths) -> Reservation:
+    """A mapping given in switch ids, as the checkers take it: node map and
+    ``(path, units)`` parts by switch index, with no ids, units or cost, so
+    it may break any constraint. An unknown switch id is structural."""
+    index = switch_indices(net)
+
+    def at(sw):
+        if sw not in index:
+            raise MappingStructureError(f"unknown switch {sw}")
+        return index[sw]
+
+    return Reservation(request, {vn: at(sw) for vn, sw in node_map.items()},
+                       {vl: tuple((tuple(map(at, path)), n) for path, n in parts)
+                        for vl, parts in link_paths.items()})
+
+
+def named(net, mapping) -> SimpleNamespace:
+    """An index-form mapping read by switch id: its ``node_map`` and
+    ``link_paths`` with switch ids for switch indices, each part keeping its
+    units and any ids it has. A switch index outside the network is
+    structural."""
+    switches = _base(net).switches
+
+    def name(i):
+        if not 0 <= i < len(switches):
+            raise MappingStructureError(f"unknown switch index {i}")
+        return switches[i]
+
+    return SimpleNamespace(
+        node_map={vn: name(i) for vn, i in mapping.node_map.items()},
+        link_paths={vl: tuple((tuple(map(name, path)), *rest) for path, *rest in parts)
+                    for vl, parts in mapping.link_paths.items()})
+
+
+def named_path(net, path) -> tuple:
+    """A path of switch indices as switch ids."""
+    switches = _base(net).switches
+    return tuple(switches[i] for i in path)
+
+
+# ---------------------------------------------------------------------------
+# ledger terms of an index-form mapping, derived from its paths
 
 
 def path_links(path) -> list:
-    """Substrate links, as (low, high) switch pairs, traversed by a switch
-    sequence."""
+    """Substrate links, as (low, high) switch-id pairs, traversed by a
+    switch-id sequence."""
     return [norm_link(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
 def link_ids_along(net, path) -> list:
-    """Link ids along a switch sequence, found by their place in the link
+    """Link ids along a switch-id sequence, found by their place in the link
     list."""
     links = _base(net).links
     return [links.index(lk) for lk in path_links(path)]
 
 
 def route(net, path):
-    """A path in the routing kernel's return shape, ``(switch tuple, link
-    ids along it)``; None stays None."""
-    return None if path is None else (tuple(path), link_ids_along(net, path))
-
-
-def with_link_ids(net, link_paths) -> dict:
-    """``vlink -> ((path, units), ...)`` in the ledger's part form, each part
-    ``(path, units, ids)`` with the ids derived from its path."""
-    return {vl: tuple((path, n, link_ids_along(net, path)) for path, n in parts)
-            for vl, parts in link_paths.items()}
+    """A path given in switch ids in the routing kernel's return shape,
+    ``(switch-index tuple, link ids along it)``; None stays None."""
+    if path is None:
+        return None
+    index = switch_indices(net)
+    return tuple(index[sw] for sw in path), link_ids_along(net, path)
 
 
 def link_units_of(net, mapping) -> dict:
     """Link id -> units over every part's path of a mapping."""
     units = {}
-    for parts in mapping.link_paths.values():
+    for parts in named(net, mapping).link_paths.values():
         for path, n, *_ids in parts:
             for j in link_ids_along(net, path):
                 units[j] = units.get(j, 0) + n
@@ -88,30 +157,29 @@ def link_units_of(net, mapping) -> dict:
 
 def node_units_of(net, request, mapping) -> dict:
     """Switch index -> node demand hosted there by a mapping."""
-    index = _base(net).switch_index
     units = {}
-    for vn, sw in mapping.node_map.items():
-        units[index[sw]] = units.get(index[sw], 0) + request.node_demands[vn]
+    for vn, i in mapping.node_map.items():
+        units[i] = units.get(i, 0) + request.node_demands[vn]
     return units
 
 
 def rule_units_of(net, mapping) -> dict:
     """Switch index -> flow rules a mapping installs: one per virtual link,
     part and switch on the part's path."""
-    index = _base(net).switch_index
     units = {}
     for parts in mapping.link_paths.values():
         for path, _n, *_ids in parts:
-            for sw in path:
-                units[index[sw]] = units.get(index[sw], 0) + 1
+            for i in path:
+                units[i] = units.get(i, 0) + 1
     return units
 
 
 def mapping_cost(net, request, mapping) -> int:
     """Embedding cost: host unit cost times node demand, plus link unit cost
-    times units on every link of every part's path. Pure in the topology
-    (ignores residuals); ``mapping`` may also be a Reservation."""
+    times units on every link of every part's path, read by switch id. Pure
+    in the topology (ignores residuals)."""
     _capacity, switch_cost, _bandwidth, link_cost = named_totals(_base(net))
+    mapping = named(net, mapping)
     cost = 0
     for vn, sw in mapping.node_map.items():
         cost += switch_cost[sw] * request.node_demands[vn]
@@ -123,11 +191,11 @@ def mapping_cost(net, request, mapping) -> int:
 
 
 def build_reservation(net, request, node_map, link_paths) -> Reservation:
-    """A hand-built reservation from ``(path, units)`` parts, with the terms
-    its node map and paths give: each part's link ids, node units by switch
-    index (summed, so a node map need not be injective), link units by link
-    id and the cost; no rule units."""
-    res = Reservation(request, dict(node_map), with_link_ids(net, link_paths))
+    """A hand-built reservation in index form from a node map and ``(path,
+    units)`` parts in switch ids, with the terms they give: each part's link
+    ids, node units by switch index (summed, so a node map need not be
+    injective), link units by link id and the cost; no rule units."""
+    res = Reservation(request, indexed_map(net, node_map), indexed_parts(net, link_paths))
     res.node_units = node_units_of(net, request, res)
     res.link_units = link_units_of(net, res)
     res.cost = mapping_cost(net, request, res)
@@ -135,10 +203,10 @@ def build_reservation(net, request, node_map, link_paths) -> Reservation:
 
 
 def move_tentative(view, request_id, vlink, path):
-    """``move_tentative_link`` with the new path's link ids derived here, as
-    the remap pass hands over the ids its search returned."""
-    path = tuple(path)
-    view.move_tentative_link(request_id, vlink, path, link_ids_along(view, path))
+    """``move_tentative_link`` onto a path given in switch ids, by switch
+    index and with its link ids derived here, as the remap pass hands over
+    what its search returned."""
+    view.move_tentative_link(request_id, vlink, *route(view, path))
 
 
 def residual_bandwidth(net, lk) -> int:
@@ -152,9 +220,10 @@ def residual_bandwidth(net, lk) -> int:
 def residual_capacity(net, u) -> int:
     """Residual memory of switch u: effective on a view, committed on a
     network."""
+    i = switch_indices(net)[u]
     if isinstance(net, SubstrateView):
-        return net.capacity_left[net.base.switch_index[u]]
-    return net.capacities[net.switch_index[u]] - net.node_load[u] - net.rule_load[u]
+        return net.capacity_left[i]
+    return net.capacities[i] - net.node_load[u] - net.rule_load[u]
 
 
 def t_node_load(view) -> dict:
@@ -219,21 +288,22 @@ def topology_text(net: SubstrateNetwork) -> str:
 
 
 def cheapest_feasible_path(view, src, dst, demand):
-    """Cheapest simple path from src to dst over links with residual >= demand.
+    """Cheapest simple path from switch src to switch dst, both ids, over
+    links with residual >= demand.
 
-    Returns what the routing kernel does, ``(switch tuple, link ids along
-    it)``, or None when no feasible path exists; a network is read through a
-    fresh view.
+    Returns what the routing kernel does, ``(switch-index tuple, link ids
+    along it)``, or None when no feasible path exists; a network is read
+    through a fresh view.
     """
     if not isinstance(view, SubstrateView):
         view = SubstrateView(view)
-    base = view.base
+    index = switch_indices(view)
     for sw in (src, dst):
-        if sw not in base.switch_index:
+        if sw not in index:
             raise ValueError(f"unknown switch: {sw}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    return embedder._dijkstra(base, view.bandwidth_left[:], src, dst, demand)
+    return embedder._dijkstra(view.base, view.bandwidth_left[:], index[src], index[dst], demand)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +331,16 @@ class ValidationResult:
 
 
 def _check_structure(net, request, mapping):
+    """``mapping`` is read by switch id; ``named`` has already refused a
+    switch index outside the network."""
     node_map, link_paths = mapping.node_map, mapping.link_paths
     if set(node_map) != set(request.node_demands):
         raise MappingStructureError("node map does not cover exactly the request's virtual nodes")
     if set(link_paths) != set(request.link_demands):
         raise MappingStructureError("link map does not cover exactly the request's virtual links")
-    known = set(net.switches)
     link_set = set(net.links)
-    for vn, sw in node_map.items():
-        if sw not in known:
-            raise MappingStructureError(f"virtual node {vn} mapped to unknown switch {sw}")
     for vl, parts in link_paths.items():
         for path, _units, *_ids in parts:
-            for sw in path:
-                if sw not in known:
-                    raise MappingStructureError(f"virtual link {vl}: unknown switch {sw} on path")
             for lk in path_links(path):
                 if lk not in link_set:
                     raise MappingStructureError(f"virtual link {vl}: no substrate link {lk}")
@@ -287,11 +352,13 @@ def validate_mapping(view, request, mapping) -> ValidationResult:
     Demands of this request that share a substrate element are summed before
     comparing with the element's effective residual, so an accepted mapping is
     always reservable as-is. Each virtual link's parts must be positive and
-    sum to its demand. Structural problems (references to elements that do
-    not exist) raise MappingStructureError; constraint problems are returned
-    as violations.
+    sum to its demand. ``mapping`` is in index form and is checked by switch
+    id, as are the violations' elements. Structural problems (references to
+    elements that do not exist) raise MappingStructureError; constraint
+    problems are returned as violations.
     """
     net = _base(view)
+    mapping = named(net, mapping)
     _check_structure(net, request, mapping)
     violations = []
 

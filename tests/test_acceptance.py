@@ -31,6 +31,7 @@ from reference import (
     longest_wait,
     mapping_cost,
     mean_concurrent_active,
+    named,
     named_totals,
     oracle_embed,
     path_links,
@@ -123,8 +124,8 @@ def test_criterion_3_cost_exactness():
         if not outcome.accepted:
             continue
         res = outcome.reservation
-        assert mapping_cost(net, req, res) == evaluate(net, req, res)
-        assert res.cost == evaluate(net, req, res)
+        assert mapping_cost(net, req, res) == evaluate(net, req, named(net, res))
+        assert res.cost == evaluate(net, req, named(net, res))
         checked += 1
     report("3 (cost exactness)", True,
            f"{checked} mappings match the independent evaluator exactly")
@@ -170,7 +171,7 @@ def test_criterion_5_weight_algebra():
             if not outcome.accepted:
                 continue
             reserve(view, outcome.reservation)
-            for vl, allocs in view.tentative_reservation(rid).link_paths.items():
+            for vl, allocs in named(view, view.tentative_reservation(rid)).link_paths.items():
                 (path, _units, _ids), = allocs
                 rec = link_weight(view, req, vl)
                 used = req.link_demands[vl] * (len(path) - 1) + len(path)
@@ -192,7 +193,7 @@ def test_criterion_6_strategy_trends(monkeypatch):
         def batch_link_cost():
             total = 0
             for res in view.tentative.values():
-                for allocs in res.link_paths.values():
+                for allocs in named(view, res).link_paths.values():
                     for path, units, _ids in allocs:
                         for lk in path_links(path):
                             total += link_cost[lk] * units

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from vnesim import cli
+from vnesim import cli, metrics
 from vnesim.cli import main
 from vnesim.config import ConfigError, RunConfig, build_config, parse_config_file
 
@@ -145,6 +145,16 @@ class TestRunCommand:
         stats = dict(l.split(" ", 1) for l in stdout.splitlines()[2:])
         assert code == 0
         assert stats["trace_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_run_formats_the_trace_once(self, capsys, tmp_path, monkeypatch):
+        # the written file and the printed hash share one formatting
+        calls = []
+        csv_text = metrics.csv_text
+        monkeypatch.setattr(metrics, "csv_text", lambda log: calls.append(1) or csv_text(log))
+        code, _, _ = run_cli(capsys, "run", "--requests", "20", "--seed", "3",
+                             "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

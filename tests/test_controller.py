@@ -21,7 +21,7 @@ from vnesim.netmodel import SubstrateView, UnknownRequestError, VirtualNetworkRe
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
-from reference import longest_wait, request_state, residual_capacity, with_link_ids
+from reference import longest_wait, request_state, residual_capacity, indexed_parts
 
 COMMITTED = "committed"
 DEPARTED = "departed"
@@ -284,7 +284,7 @@ class TestRemapThroughTheEngine:
         assert ctl.commit_events == 2
         # the victim committed on the direct path at its window trigger
         res = ctl.view.base.committed[2]
-        assert res.link_paths == with_link_ids(ctl.view, {(0, 1): (((2, 1), 10),)})
+        assert res.link_paths == indexed_parts(ctl.view, {(0, 1): (((2, 1), 10),)})
         victim_commit = next(
             r for r in ctl.log.rows
             if r.event_kind == "commit" and r.request_id == 2
@@ -306,7 +306,7 @@ class TestRemapThroughTheEngine:
         assert ctl.log.remapped_links == 0
         assert ctl.commit_events == 3
         res = ctl.view.base.committed[2]
-        assert res.link_paths == with_link_ids(ctl.view, {(0, 1): (((2, 3, 1), 10),)})
+        assert res.link_paths == indexed_parts(ctl.view, {(0, 1): (((2, 3, 1), 10),)})
         victim_commit = next(
             r for r in ctl.log.rows
             if r.event_kind == "commit" and r.request_id == 2

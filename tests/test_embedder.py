@@ -16,12 +16,7 @@ from vnesim.embedder import (
     embed,
     greedy_node_map,
 )
-from vnesim.netmodel import (
-    Reservation,
-    SubstrateView,
-    VirtualNetworkRequest,
-    reserve,
-)
+from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
 from vnesim.run import run_simulation
 from vnesim.simulator import RandomStreams
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
@@ -31,9 +26,13 @@ from test_golden import HEAVY
 from reference import (
     build_reservation,
     cheapest_feasible_path,
+    indexed,
+    indexed_map,
+    indexed_parts,
     link_ids_along,
     link_units_of,
     mapping_cost,
+    named_path,
     named_totals,
     node_units_of,
     oracle_embed,
@@ -42,7 +41,6 @@ from reference import (
     residual_capacity,
     route,
     validate_mapping,
-    with_link_ids,
 )
 
 
@@ -60,23 +58,23 @@ class TestGreedyNodeMap:
     def test_biggest_demand_takes_emptiest_switch(self):
         net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={1: 50, 2: 80, 3: 70})
         m = greedy_node_map(SubstrateView(net), req(nodes={"a": 10, "b": 30}, links={("a", "b"): 1}))
-        assert m == {"b": 2, "a": 3}
+        assert m == indexed_map(net, {"b": 2, "a": 3})
 
     def test_residual_tie_prefers_smaller_switch_id(self, triangle):
         m = greedy_node_map(SubstrateView(triangle), req(nodes={"a": 5, "b": 5}, links={("a", "b"): 1}))
-        assert m == {"a": 1, "b": 2}
+        assert m == indexed_map(triangle, {"a": 1, "b": 2})
 
     def test_demand_tie_places_smaller_virtual_id_first(self):
         net = make_net([1, 2], [(1, 2)], caps={1: 100, 2: 60})
         m = greedy_node_map(SubstrateView(net), req(nodes={"a": 5, "b": 5}, links={("a", "b"): 1}))
-        assert m == {"a": 1, "b": 2}
+        assert m == indexed_map(net, {"a": 1, "b": 2})
 
     def test_counts_committed_and_tentative_load(self, triangle):
         view = SubstrateView(triangle)
         filler = req(rid=9, nodes={"x": 70}, links={})
         reserve(view, build_reservation(view, filler, {"x": 1}, {}))
         m = greedy_node_map(view, req(nodes={"a": 50}, links={}))
-        assert m == {"a": 2}
+        assert m == indexed_map(triangle, {"a": 2})
 
     def test_none_when_demand_exceeds_every_switch(self, triangle):
         assert greedy_node_map(SubstrateView(triangle), req(nodes={"a": 101}, links={})) is None
@@ -139,8 +137,8 @@ class TestCheapestFeasiblePath:
             if found is None:
                 assert not nx.has_path(g, src, dst)
             else:
-                path, ids = found
-                assert ids == link_ids_along(net, path)
+                path = named_path(net, found[0])
+                assert found[1] == link_ids_along(net, path)
                 want = nx.shortest_path_length(g, src, dst, weight="weight")
                 got = sum(link_cost[lk] for lk in path_links(path))
                 assert got == want
@@ -153,8 +151,8 @@ class TestEmbed:
         view = SubstrateView(line3)
         outcome = embed(view, req())
         assert outcome.accepted
-        assert outcome.reservation.node_map == {"b": 1, "a": 2}
-        assert outcome.reservation.link_paths == with_link_ids(line3, {("a", "b"): (((2, 1), 5),)})
+        assert outcome.reservation.node_map == indexed_map(line3, {"b": 1, "a": 2})
+        assert outcome.reservation.link_paths == indexed_parts(line3, {("a", "b"): (((2, 1), 5),)})
         assert outcome.reservation.cost == 35
 
     def test_embed_does_not_mutate_the_view(self, triangle):
@@ -206,7 +204,7 @@ class TestEmbed:
         # (a, b) = 60 routes first onto the direct link; (a, c) = 40 cannot
         # use the thin direct (1, 3) and detours through (1, 2), landing it
         # at exactly its 100-unit capacity
-        assert outcome.reservation.link_paths == with_link_ids(net, {
+        assert outcome.reservation.link_paths == indexed_parts(net, {
             ("a", "b"): (((1, 2), 60),),
             ("a", "c"): (((1, 2, 3), 40),),
         })
@@ -228,8 +226,8 @@ class TestSplittingEmbed:
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
         outcome = embed(view, r, k=2)
         assert outcome.accepted
-        assert outcome.reservation.node_map == {"a": 1, "b": 2}
-        assert outcome.reservation.link_paths == with_link_ids(view, {
+        assert outcome.reservation.node_map == indexed_map(view, {"a": 1, "b": 2})
+        assert outcome.reservation.link_paths == indexed_parts(view, {
             ("a", "b"): (((1, 2), 60), ((1, 3, 2), 40)),
         })
         assert outcome.reservation.cost == 175
@@ -257,7 +255,7 @@ class TestSplittingEmbed:
         view = SubstrateView(triangle)
         r = req(nodes={"a": 1, "b": 1}, links={("a", "b"): 50})
         outcome = embed(view, r, k=2)
-        assert outcome.reservation.link_paths == with_link_ids(triangle, {("a", "b"): (((1, 2), 50),)})
+        assert outcome.reservation.link_paths == indexed_parts(triangle, {("a", "b"): (((1, 2), 50),)})
 
     def test_k_below_one_raises(self, triangle):
         with pytest.raises(ValueError, match="at least 1"):
@@ -305,7 +303,7 @@ class TestSplittingEmbed:
             assert res.rule_units == {} and res.blocked is None
             for parts in res.link_paths.values():
                 for path, _units, ids in parts:
-                    assert ids == link_ids_along(net, path)
+                    assert ids == link_ids_along(net, named_path(net, path))
             accepted += 1
         assert accepted > 10
 
@@ -341,8 +339,8 @@ class TestSplittingEmbed:
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): demand})
         outcome = embed(view, r, k=k)
-        assert outcome.reservation.node_map == {"a": 1, "b": 2}
-        assert outcome.reservation.link_paths == with_link_ids(net, {("a", "b"): parts})
+        assert outcome.reservation.node_map == indexed_map(net, {"a": 1, "b": 2})
+        assert outcome.reservation.link_paths == indexed_parts(net, {("a", "b"): parts})
         # the terms handed to reserve are the ones the paths give
         assert outcome.reservation.link_units == link_units_of(net, outcome.reservation)
         assert outcome.reservation.cost == mapping_cost(net, r, outcome.reservation)
@@ -358,7 +356,7 @@ class TestSplittingEmbed:
         net = self.split_case_net()
         view = SubstrateView(net)
         r = req(nodes={"a": 20, "b": 15}, links={("a", "b"): 100})
-        broken = Reservation(r, {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 60),)})
+        broken = indexed(view, r, {"a": 1, "b": 2}, {("a", "b"): (((1, 2), 60),)})
         result = validate_mapping(view, r, broken)
         assert not result.ok
         assert any("sum to demand 100" in v.detail for v in result.violations)

@@ -278,8 +278,9 @@ class TestCsvTrace:
         log, _ = fresh_log()
         drive_tiny_run(log)
         out = tmp_path / "trace.csv"
-        assert export_csv(log, out) == out
-        assert out.read_bytes() == csv_text(log).encode("utf-8")
+        text = export_csv(log, out)
+        assert text == csv_text(log)
+        assert out.read_bytes() == text.encode("utf-8")
 
     def test_summary_hashes_the_formatted_text_as_the_trace_hash(self):
         log, _ = fresh_log()

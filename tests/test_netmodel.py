@@ -6,7 +6,6 @@ import math
 import pytest
 
 from vnesim.netmodel import (
-    Reservation,
     ReservationError,
     SubstrateNetwork,
     SubstrateView,
@@ -17,7 +16,6 @@ from vnesim.netmodel import (
     norm_link,
     parse_topology,
     reserve,
-    rule_units_for,
 )
 
 from conftest import make_net
@@ -29,6 +27,7 @@ from reference import (
     MappingStructureError,
     adj,
     build_reservation,
+    indexed,
     mapping_cost,
     move_tentative,
     named_totals,
@@ -36,10 +35,11 @@ from reference import (
     path_links,
     residual_bandwidth,
     residual_capacity,
+    rule_units_of,
     t_link_load,
     topology_text,
     validate_mapping,
-    with_link_ids,
+    indexed_parts,
 )
 
 
@@ -214,7 +214,7 @@ class TestReserveAndCommit:
         reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
         move_tentative(view, r.request_id, (0, 1), [1, 2])
         res = view.tentative_reservation(r.request_id)
-        assert res.link_paths == with_link_ids(triangle, {(0, 1): (((1, 2), 5),)})
+        assert res.link_paths == indexed_parts(triangle, {(0, 1): (((1, 2), 5),)})
         assert res.link_units == {triangle.links.index((1, 2)): 5}
         assert res.cost == mapping_cost(triangle, r, res) == 30 + 5
         assert t_link_load(view) == {(1, 2): 5, (1, 3): 0, (2, 3): 0}
@@ -230,7 +230,7 @@ class TestReserveAndCommit:
         assert residual_bandwidth(view, (1, 2)) == 0
         move_tentative(view, r.request_id, (0, 1), (1, 2, 4, 3))
         res = view.tentative_reservation(r.request_id)
-        assert res.link_paths == with_link_ids(net, {(0, 1): (((1, 2, 4, 3), 10),)})
+        assert res.link_paths == indexed_parts(net, {(0, 1): (((1, 2, 4, 3), 10),)})
         assert res.link_units == {net.links.index(lk): 10 for lk in ((1, 2), (2, 4), (3, 4))}
         assert res.cost == mapping_cost(net, r, res) == 2 + 30
         assert residual_bandwidth(view, (1, 2)) == 0
@@ -288,17 +288,28 @@ class TestReserveAndCommit:
 
 
 def test_rule_units_one_per_link_path_switch(triangle):
-    link_paths = with_link_ids(triangle, {
+    # commit counts them by switch index, as the reference derives them
+    view = SubstrateView(triangle)
+    r = req(nodes={0: 1, 1: 1, 2: 1}, links={(0, 1): 5, (1, 2): 4})
+    reserve(view, build_reservation(view, r, {0: 1, 1: 3, 2: 2}, {
         (0, 1): (((1, 2, 3), 5),),
         (1, 2): (((3, 2), 4),),
-    })
-    # keyed by switch index
-    assert rule_units_for(link_paths, {1: 0, 2: 1, 3: 2}) == {0: 1, 1: 2, 2: 2}
+    }))
+    assert view.commit(r.request_id) is True
+    res = triangle.committed[r.request_id]
+    assert res.rule_units == rule_units_of(triangle, res) == {0: 1, 1: 2, 2: 2}
 
 
-def test_rule_units_split_paths_count_per_path(triangle):
-    link_paths = with_link_ids(triangle, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
-    assert rule_units_for(link_paths, {1: 2, 2: 0, 3: 1}) == {2: 2, 0: 2, 1: 1}
+def test_rule_units_split_paths_count_per_path():
+    # switches 10, 20 and 30 are indices 0, 1 and 2: the units key by index
+    net = make_net([10, 20, 30], [(10, 20), (10, 30), (20, 30)])
+    view = SubstrateView(net)
+    r = req(links={(0, 1): 10})
+    reserve(view, build_reservation(view, r, {0: 10, 1: 20},
+                                    {(0, 1): (((10, 20), 6), ((10, 30, 20), 4))}))
+    assert view.commit(r.request_id) is True
+    res = net.committed[r.request_id]
+    assert res.rule_units == rule_units_of(net, res) == {0: 2, 1: 2, 2: 1}
 
 
 class TestViewAudit:
@@ -427,14 +438,14 @@ class TestValidateMapping:
     def test_good_mapping_is_valid(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
+        result = validate_mapping(view, r, indexed(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 5),)}))
         assert bool(result) is True
         assert result.violations == []
 
     def test_injectivity_violation(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 1}, {(0, 1): (((1, 2), 5),)}))
+        result = validate_mapping(view, r, indexed(view, r, {0: 1, 1: 1}, {(0, 1): (((1, 2), 5),)}))
         kinds = [v.kind for v in result.violations]
         assert INJECTIVITY in kinds
 
@@ -442,21 +453,21 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         # two virtual nodes of 60 on one switch: each alone fits, the sum not
         r = req(nodes={0: 60, 1: 60}, links={(0, 1): 1})
-        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 1}, {(0, 1): (((1, 2), 1),)}))
+        result = validate_mapping(view, r, indexed(view, r, {0: 1, 1: 1}, {(0, 1): (((1, 2), 1),)}))
         kinds = {v.kind for v in result.violations}
         assert NODE_CAPACITY in kinds
 
     def test_path_must_connect_the_hosts(self, triangle):
         view = SubstrateView(triangle)
         r = req()
-        result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 3), 5),)}))
+        result = validate_mapping(view, r, indexed(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3), 5),)}))
         assert [v.kind for v in result.violations] == [PATH_EXISTENCE]
 
     def test_path_must_be_simple(self):
         net = make_net([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
         view = SubstrateView(net)
         r = req()
-        mapping = Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 1, 2), 5),)})
+        mapping = indexed(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 1, 2), 5),)})
         result = validate_mapping(view, r, mapping)
         assert any(v.kind == PATH_EXISTENCE for v in result.violations)
 
@@ -467,8 +478,8 @@ class TestValidateMapping:
             links={(0, 1): 60, (0, 2): 60, (1, 2): 1},
         )
         # both 60-unit links routed across (1, 2): 120 > 100 even though each fits
-        mapping = Reservation(
-            r,
+        mapping = indexed(
+            view, r,
             {0: 1, 1: 2, 2: 3},
             {(0, 1): (((1, 2), 60),), (0, 2): (((1, 2, 3), 60),), (1, 2): (((2, 3), 1),)},
         )
@@ -480,9 +491,9 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         r = req()
         good = {(0, 1): (((1, 2), 3), ((1, 3, 2), 2))}
-        assert validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, good))
+        assert validate_mapping(view, r, indexed(view, r, {0: 1, 1: 2}, good))
         for parts in ((((1, 2), 4),), (((1, 2), 6), ((1, 3, 2), -1))):
-            result = validate_mapping(view, r, Reservation(r, {0: 1, 1: 2}, {(0, 1): parts}))
+            result = validate_mapping(view, r, indexed(view, r, {0: 1, 1: 2}, {(0, 1): parts}))
             assert [v.kind for v in result.violations] == [PATH_EXISTENCE]
             assert "sum to demand 5" in result.violations[0].detail
 
@@ -490,20 +501,20 @@ class TestValidateMapping:
         view = SubstrateView(triangle)
         r = req()
         with pytest.raises(MappingStructureError, match="node map"):
-            validate_mapping(view, r, Reservation(r, {0: 1}, {(0, 1): (((1, 2), 5),)}))
+            validate_mapping(view, r, indexed(view, r, {0: 1}, {(0, 1): (((1, 2), 5),)}))
 
     def test_unknown_substrate_link_is_structural(self, line3):
         view = SubstrateView(line3)
         r = req()
         with pytest.raises(MappingStructureError, match="no substrate link"):
-            validate_mapping(view, r, Reservation(r, {0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
+            validate_mapping(view, r, indexed(view, r, {0: 1, 1: 3}, {(0, 1): (((1, 3), 5),)}))
 
 
 class TestCost:
     def test_hand_computed_mapping_cost(self, line3):
         # nodes: 10*1 + 20*1 = 30; link: 5 units on two links = 10; total 40
         r = req()
-        mapping = Reservation(r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
+        mapping = indexed(line3, r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
         assert mapping_cost(line3, r, mapping) == 40
 
     def test_cost_weights_by_unit_costs(self):
@@ -514,13 +525,13 @@ class TestCost:
             link_costs={(1, 2): 4, (2, 3): 5},
         )
         r = req()
-        mapping = Reservation(r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
+        mapping = indexed(net, r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 5),)})
         # nodes: 10*2 + 20*3 = 80; link: 5*4 + 5*5 = 45
         assert mapping_cost(net, r, mapping) == 125
 
     def test_allocation_cost_covers_split_allocations(self, triangle):
         r = req(links={(0, 1): 10})
-        mapping = Reservation(r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
+        mapping = indexed(triangle, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 6), ((1, 3, 2), 4))})
         # nodes 30; direct part 6*1; detour part over two links 4*2 = 8
         assert mapping_cost(triangle, r, mapping) == 30 + 6 + 8
 

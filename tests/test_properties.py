@@ -7,7 +7,6 @@ from vnesim.config import RunConfig
 from vnesim.embedder import embed
 from vnesim.metrics import summary, trace_hash
 from vnesim.netmodel import (
-    Reservation,
     ReservationError,
     SubstrateNetwork,
     SubstrateView,
@@ -20,10 +19,13 @@ from reference import (
     _simple_paths,
     adj,
     element_rows,
+    indexed,
     link_ids_along,
     link_units_of,
     mapping_cost,
     move_tentative,
+    named,
+    named_path,
     named_totals,
     node_units_of,
     oracle_embed,
@@ -106,6 +108,7 @@ class TestLedgerFuzz:
                 exp_rule = {u: 0 for u in net.switches}
                 exp_link = {lk: 0 for lk in net.links}
                 for req, mapping, committed in held.values():
+                    mapping = named(net, mapping)
                     for vn, sw in mapping.node_map.items():
                         exp_node[sw] += req.node_demands[vn]
                     for vl, parts in mapping.link_paths.items():
@@ -165,7 +168,8 @@ class TestLedgerFuzz:
                                for vl, parts in sorted(res.link_paths.items()) if len(parts) == 1]
                     if movable:
                         res, (a, b) = rng.choice(movable)
-                        paths = _simple_paths(neighbours, res.node_map[a], res.node_map[b])
+                        hosts = named(net, res).node_map
+                        paths = _simple_paths(neighbours, hosts[a], hosts[b])
                         try:
                             move_tentative(view, res.request_id, (a, b), rng.choice(paths))
                             moved += 1
@@ -185,7 +189,7 @@ class TestLedgerFuzz:
                     assert res.rule_units == (rule_units_of(net, res) if committed else {})
                     for parts in res.link_paths.values():
                         for path, _units, ids in parts:
-                            assert ids == link_ids_along(net, path)
+                            assert ids == link_ids_along(net, named_path(net, path))
             assert view.conservation_violations() == []
         assert moved > 200
 
@@ -212,15 +216,49 @@ class TestCostInvariance:
                 [(perm[u], cap, cost) for u, cap, cost in switches],
                 [(perm[a], perm[b], bw, cost) for a, b, bw, cost in links],
             )
-            moved = Reservation(
-                req,
-                {vn: perm[sw] for vn, sw in out.reservation.node_map.items()},
+            by_id = named(net, out.reservation)
+            moved = indexed(
+                relabeled, req,
+                {vn: perm[sw] for vn, sw in by_id.node_map.items()},
                 {vl: tuple((tuple(perm[s] for s in path), units) for path, units, _ids in parts)
-                 for vl, parts in out.reservation.link_paths.items()},
+                 for vl, parts in by_id.link_paths.items()},
             )
             assert mapping_cost(relabeled, req, moved) == out.reservation.cost
             done += 1
         assert done > 20
+
+    def test_order_preserving_relabel_returns_the_same_index_form_record(self):
+        # the switch list is sorted, so ids relabelled in their own order keep
+        # every switch's index; embed's tie-breaks (the lowest switch for a
+        # node, the lexicographic path for a link) read indices, so on both
+        # networks it must return the identical record: node map, parts,
+        # units, cost and blocked links. Equal capacities on half the
+        # instances make placement ties common; unit link costs make routing
+        # ties common throughout.
+        done = 0
+        for seed in range(30):
+            rng = random.Random(f"keep-order-{seed}")
+            n = rng.randrange(4, 10)
+            spec = SMALL if seed % 2 else GeneratorSpec(
+                vnodes_min=2, vnodes_max=4, cap_min=100, cap_max=100, edge_prob=0.6)
+            plain = random_substrate(random.Random(f"keep-order-net-{seed}"), n, spec)
+            new = dict(zip(plain.switches, sorted(rng.sample(range(101, 101 + 5 * n), n))))
+            switches, links = element_rows(plain)
+            relabeled = SubstrateNetwork([(new[u], cap, cost) for u, cap, cost in switches],
+                                         [(new[a], new[b], bw, cost) for a, b, bw, cost in links])
+            assert [new[u] for u in plain.switches] == relabeled.switches
+            views = SubstrateView(plain), SubstrateView(relabeled)
+            for rid in range(8):
+                req = gen_virtual_request(rng, spec, rid, 1, 100)
+                k = rng.choice((1, 2))
+                blocked = ({}, {}) if k == 1 else (None, None)
+                out, again = (embed(view, req, k, b) for view, b in zip(views, blocked))
+                assert again == out
+                if out.accepted:
+                    reserve(views[0], out.reservation)
+                    reserve(views[1], again.reservation)
+                    done += 1
+        assert done > 100
 
 
 class TestEmbeddingSoundness:

@@ -28,7 +28,15 @@ from vnesim.netmodel import (
 from vnesim.weights import link_weight, prioritize, remap_pass
 
 from conftest import make_net
-from reference import build_reservation, link_ids_along, named_totals, t_link_load, with_link_ids
+from reference import (
+    build_reservation,
+    indexed_map,
+    indexed_parts,
+    link_ids_along,
+    named_path,
+    named_totals,
+    t_link_load,
+)
 
 
 def _score(base, residual, ids, units):
@@ -53,7 +61,7 @@ def oracle_remap_pass(view, requests) -> int:
     changed = 0
     for rec in prioritize(records):
         units = rec.demand
-        ids = link_ids_along(base, rec.path)
+        ids = link_ids_along(base, named_path(base, rec.path))
         assert rec.ids == ids
         for j in ids:
             residual[j] += units
@@ -62,7 +70,7 @@ def oracle_remap_pass(view, requests) -> int:
         found = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
         if found is not None and found[0] != rec.path:
             new_path, new_ids = found
-            assert new_ids == link_ids_along(base, new_path)
+            assert new_ids == link_ids_along(base, named_path(base, new_path))
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
                 view.move_tentative_link(rec.request_id, rec.vlink, new_path, new_ids)
                 ids = new_ids
@@ -213,8 +221,8 @@ def test_embed_records_the_links_that_could_not_carry_each_route():
     blocked = {}
     outcome = embed(view, r, 1, blocked)
     res = outcome.reservation
-    assert res.node_map == {"a": 1, "b": 2, "c": 3}
-    assert res.link_paths == with_link_ids(net, {("a", "b"): (((1, 3, 2), 12),),
+    assert res.node_map == indexed_map(net, {"a": 1, "b": 2, "c": 3})
+    assert res.link_paths == indexed_parts(net, {("a", "b"): (((1, 3, 2), 12),),
                                                  ("a", "c"): (((1, 2, 3), 9),)})
     assert blocked == {("a", "b"): (net.links.index((1, 2)),), ("a", "c"): (net.links.index((1, 3)),)}
     # the reservation carries the record for the remap pass

@@ -16,11 +16,13 @@ from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 from conftest import make_net
 from reference import (
     build_reservation,
+    indexed_parts,
+    named,
     named_totals,
     path_links,
     residual_bandwidth,
+    route,
     t_link_load,
-    with_link_ids,
 )
 
 
@@ -59,11 +61,13 @@ class TestUsedAndFree:
             nodes={"a": 5, "b": 7}, links={("a", "b"): 10},
         )
         rec = link_weight(view, r, ("a", "b"))
+        path, ids = route(line3, (1, 2, 3))
+        assert ids == [line3.links.index((1, 2)), line3.links.index((2, 3))]
         assert rec == LinkWeightRecord(
             request_id=1,
             vlink=("a", "b"),
-            path=(1, 2, 3),
-            ids=[line3.links.index((1, 2)), line3.links.index((2, 3))],
+            path=path,
+            ids=ids,
             demand=10,
             used=23,
             free=465,
@@ -139,7 +143,7 @@ class TestRemapPass:
         )
         assert remap_pass(view) == 1
         res = view.tentative_reservation(1)
-        assert res.link_paths == with_link_ids(view, {("a", "b"): (((1, 2), 10),)})
+        assert res.link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
         assert residual_bandwidth(view, (1, 3)) == 100
         assert residual_bandwidth(view, (2, 3)) == 100
         assert residual_bandwidth(view, (1, 2)) == 90
@@ -160,7 +164,7 @@ class TestRemapPass:
         )
         # both 2-hop paths cost 10; peak utilization 5/10 vs 5/100
         assert remap_pass(view) == 1
-        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 2, 4), 5),)})
+        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 2, 4), 5),)})
 
     def test_equal_cost_equal_utilization_keeps_the_incumbent(self):
         view = SubstrateView(self.diamond(thin_bw=100))
@@ -169,7 +173,7 @@ class TestRemapPass:
             nodes={"a": 1, "b": 1}, links={("a", "b"): 5},
         )
         assert remap_pass(view) == 0
-        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 3, 4), 5),)})
+        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 3, 4), 5),)})
 
     def test_already_optimal_path_stays(self, triangle):
         view = SubstrateView(triangle)
@@ -178,7 +182,7 @@ class TestRemapPass:
             nodes={"a": 1, "b": 1}, links={("a", "b"): 10},
         )
         assert remap_pass(view) == 0
-        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 2), 10),)})
+        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
 
     def test_heavier_link_claims_the_scarce_path_first(self):
         net = make_net(
@@ -198,8 +202,8 @@ class TestRemapPass:
         # the 10-unit link outweighs the 6-unit one, remaps first, and takes
         # the whole direct link; the lighter one then has nowhere better
         assert remap_pass(view) == 1
-        assert view.tentative_reservation(1).link_paths == with_link_ids(view, {("a", "b"): (((1, 2), 10),)})
-        assert view.tentative_reservation(2).link_paths == with_link_ids(view, {("a", "b"): (((1, 3, 2), 6),)})
+        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
+        assert view.tentative_reservation(2).link_paths == indexed_parts(view, {("a", "b"): (((1, 3, 2), 6),)})
         assert residual_bandwidth(view, (1, 2)) == 0
 
     def test_split_reservations_are_refused(self, triangle):
@@ -224,7 +228,7 @@ class TestRemapPass:
             link_cost = named_totals(view.base)[3]
             total = 0
             for res in view.tentative.values():
-                for allocs in res.link_paths.values():
+                for allocs in named(view, res).link_paths.values():
                     for path, units, _ids in allocs:
                         total += units * sum(link_cost[lk] for lk in path_links(path))
             return total
