@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_file
 from .controller import _MODES, STRATEGIES
-from .metrics import MetricsLog, export_csv, summary
+from .metrics import MetricsLog, export_csv, statistics, summary
 from .netmodel import TopologyError, load_topology
 from .run import run_simulation
 
@@ -87,8 +87,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-# the strategy, then the summary's keys in its order, less the trace hash
-_COMPARE_COLUMNS = ("strategy",) + tuple(k for k in summary(MetricsLog(None)) if k != "trace_sha256")
+# the strategy, then the statistics' keys in their order
+_COMPARE_COLUMNS = ("strategy", *statistics(MetricsLog(None)))
 
 
 def cmd_compare(args) -> int:
@@ -96,7 +96,7 @@ def cmd_compare(args) -> int:
     print(",".join(_COMPARE_COLUMNS))
     for strategy in STRATEGIES:
         _, log = run_simulation(replace(config, strategy=strategy))
-        stats = summary(log)
+        stats = statistics(log)
         stats["strategy"] = strategy
         print(",".join(_format(stats[c]) for c in _COMPARE_COLUMNS))
     return 0
@@ -105,7 +105,7 @@ def cmd_compare(args) -> int:
 def _sweep_one(payload):
     kind, value, config = payload
     _, log = run_simulation(config)
-    stats = summary(log)
+    stats = statistics(log)
     stats[kind] = value
     return value, stats
 

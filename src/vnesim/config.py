@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .controller import STRATEGIES, _MODES, WHICHEVER_FIRST
-from .simulator import MAX_DRAW_FACTOR, TICKS_PER_UNIT, to_ticks
+from .simulator import (DEFAULT_INTERARRIVAL_MEAN, DEFAULT_LIFETIME_MEAN, MAX_DRAW_FACTOR,
+                        TICKS_PER_UNIT, to_ticks)
 from .workload import GeneratorSpec, random_size
 
 
@@ -30,8 +31,8 @@ class RunConfig(GeneratorSpec):
     window: float = None  # time units; defaults to 5 * batch_size
     mode: str = WHICHEVER_FIRST
     split_paths: int = 2
-    interarrival_mean: float = 5.0
-    lifetime_mean: float = 120.0
+    interarrival_mean: float = DEFAULT_INTERARRIVAL_MEAN
+    lifetime_mean: float = DEFAULT_LIFETIME_MEAN
     hop_delay: float = 1.0
     wait_delay: float = 1.0
     horizon: float = None  # time units, optional

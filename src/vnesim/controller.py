@@ -23,22 +23,28 @@ overlay, and the controller writes the ledger only through the view
 
 Rule accounting: committing a mapping installs one flow rule per
 (virtual link, hosting path, transited switch); each rule consumes one unit
-of switch memory and one write. Removal at departure frees the memory but is
-not counted as a write. A tentative request can fail at commit only because
-some switch lacks rule-memory headroom; it is then cancelled and its
-resources are released.
+of switch memory and one write. The ledger's ``rule_load``, booked by the
+view's commit and release, is the one record of installed rules; the log
+counts the writes. Removal at departure frees the memory but is not counted
+as a write. A tentative request can fail at commit only because some switch
+lacks rule-memory headroom; it is then cancelled and its resources are
+released.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .embedder import embed
 from .netmodel import UnknownRequestError, SubstrateView, reserve
 from .weights import remap_pass
 
-# The controller calls only `embed`; bench/tracing.py wraps this module's
-# `splitting_embed` by name, so the name stays bound to the one embedder.
+# Two aliases exist only because bench/ reads them by name: bench/tracing.py
+# wraps `splitting_embed` (the one embedder), and bench/run.py and
+# bench/selftest.py read a controller's `rules.installed`, which is the
+# ledger's `rule_load` dict itself, set in `Controller.__init__`. Nothing in
+# src/ reads either; ROADMAP item 2's benchmark change removes both.
 splitting_embed = embed
 
 COUNT_ONLY = "count-only"
@@ -78,21 +84,6 @@ class BatchPolicy:
         return self.mode != COUNT_ONLY
 
 
-class RuleTable:
-    """Installed flow rules per switch id (writes are counted by the log)."""
-
-    def __init__(self, switches):
-        self.switches = switches
-        self.installed = {u: 0 for u in switches}
-
-    def install(self, rule_units: dict, sign=1):
-        """Install (sign 1) or remove (sign -1) rule units keyed by switch
-        index; departures free memory but never count as writes."""
-        switches, installed = self.switches, self.installed
-        for i, n in rule_units.items():
-            installed[switches[i]] += sign * n
-
-
 @dataclass(frozen=True)
 class StrategyRow:
     """What a strategy sets in the one pipeline: the path budget per virtual
@@ -118,7 +109,7 @@ class Controller:
         self.view = SubstrateView(substrate)
         self.row = row
         self.log = log
-        self.rules = RuleTable(substrate.switches)
+        self.rules = SimpleNamespace(installed=substrate.rule_load)  # bench/ alias, see splitting_embed
 
     @property
     def commit_events(self) -> int:
@@ -162,7 +153,6 @@ class Controller:
     def _commit_one(self, engine, res):
         request, rid = res.request, res.request_id
         if self.view.commit(rid):
-            self.rules.install(res.rule_units)
             hops = [len(ids) for parts in res.link_paths.values() for _p, _u, ids in parts]
             mean_hops = sum(hops) / len(hops) if hops else 0.0
             self.log.record_commit(
@@ -186,10 +176,9 @@ class Controller:
     # -- departures --------------------------------------------------------
 
     def on_departure(self, engine, request_id):
-        res = self.view.base.committed.get(request_id)
-        if res is None:
+        # release alone would also drop a tentative request of this id
+        if request_id not in self.view.base.committed:
             raise UnknownRequestError(f"departure for request {request_id}, which is not committed")
-        self.rules.install(res.rule_units, -1)
         self.view.release(request_id)
         self.log.record_departure(engine.now, request_id)
 

@@ -52,8 +52,7 @@ class MetricsLog:
         self.wait_delay = wait_delay
         self.rows = []
         self.arrivals = 0
-        self.accepted = 0  # tentative or committed successes
-        self.rejected = 0
+        self.accepted = 0  # tentative or committed successes; the rest were rejected
         self.cancelled = 0  # rejected at commit
         self.committed = 0
         self.rule_writes = 0
@@ -78,12 +77,8 @@ class MetricsLog:
 
     def record_arrival(self, time, request_id, accepted, cost=None):
         self.arrivals += 1
-        if accepted:
-            self.accepted += 1
-            outcome = "accepted"
-        else:
-            self.rejected += 1
-            outcome = "rejected"
+        self.accepted += accepted
+        outcome = "accepted" if accepted else "rejected"
         self._append(time, "arrival", request_id, outcome, cost, None)
 
     def record_commit_event(self, remapped_links):
@@ -178,14 +173,12 @@ def mean_cost_per_accepted(log) -> float:
     return sum(costs) / len(costs) if costs else 0.0
 
 
-def summary(log, text=None) -> dict:
-    """The run's totals and means. A caller that has already formatted the
-    trace passes it as ``text``, which must be ``csv_text(log)``; it is
-    hashed instead of formatting the trace again."""
+def statistics(log) -> dict:
+    """The run's totals and means: every summary field but the trace hash."""
     return {
         "arrivals": log.arrivals,
         "accepted": log.accepted - log.cancelled,
-        "rejected": log.rejected,
+        "rejected": log.arrivals - log.accepted,
         "rejected_at_commit": log.cancelled,
         "acceptance_rate": cumulative_acceptance(log),
         "mean_cost_per_accepted": mean_cost_per_accepted(log),
@@ -195,9 +188,17 @@ def summary(log, text=None) -> dict:
         "mean_latency_proxy": mean_latency(log),
         "avg_link_utilization": time_weighted_utilization(log, "link"),
         "avg_switch_utilization": time_weighted_utilization(log, "switch"),
-        "trace_sha256": trace_hash(log) if text is None
-        else hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
+
+
+def summary(log, text=None) -> dict:
+    """``statistics`` plus the trace hash. A caller that has already
+    formatted the trace passes it as ``text``, which must be
+    ``csv_text(log)``; it is hashed instead of formatting the trace again."""
+    stats = statistics(log)
+    stats["trace_sha256"] = (trace_hash(log) if text is None
+                             else hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ reservations live in a ``SubstrateView`` overlay so a batch can be staged,
 remapped, and then committed or cancelled atomically. The overlay is the
 pending batch, in arrival order. The view is the only writer and auditor
 of the ledger: ``SubstrateView.commit`` and ``SubstrateView.release``
-change the committed loads and ``committed``; the network only holds them.
+change the committed loads and ``committed``; the network only holds them,
+and its ``rule_load`` is the one record of installed flow rules.
 The committed loads keep names as keys (``node_load`` and ``rule_load`` by
 switch id, ``link_load`` by link tuple); the view maps indices to names only
 when it books them. Switch ids are otherwise read only by the constructor,

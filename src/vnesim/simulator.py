@@ -128,12 +128,6 @@ class Engine:
 
     def _audit(self):
         problems = self.controller.view.conservation_violations()
-        rules = self.controller.rules
-        base = self.controller.view.base
-        if rules.installed != base.rule_load:
-            problems.append(
-                f"rule table {rules.installed} disagrees with ledger {base.rule_load}"
-            )
         policy = self.controller.row.policy
         if policy.counts and self.controller.pending > policy.size:
             problems.append(

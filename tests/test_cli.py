@@ -9,6 +9,8 @@ import pytest
 from vnesim import cli, metrics
 from vnesim.cli import main
 from vnesim.config import ConfigError, RunConfig, build_config, parse_config_file
+from vnesim.controller import STRATEGIES
+from vnesim.run import run_simulation
 
 from conftest import make_net
 from reference import topology_text
@@ -18,6 +20,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def counting_csv_text(monkeypatch):
+    """Count the trace formattings from here on."""
+    calls = []
+    csv_text = metrics.csv_text
+    monkeypatch.setattr(metrics, "csv_text", lambda log: calls.append(1) or csv_text(log))
+    return calls
+
+
+def summary_row(first, config):
+    """A table row as the summary less its trace hash gives it."""
+    _, log = run_simulation(config)
+    stats = metrics.summary(log)
+    del stats["trace_sha256"]
+    return ",".join([str(first), *(cli._format(v) for v in stats.values())])
 
 
 class TestRunConfig:
@@ -148,9 +166,7 @@ class TestRunCommand:
 
     def test_run_formats_the_trace_once(self, capsys, tmp_path, monkeypatch):
         # the written file and the printed hash share one formatting
-        calls = []
-        csv_text = metrics.csv_text
-        monkeypatch.setattr(metrics, "csv_text", lambda log: calls.append(1) or csv_text(log))
+        calls = counting_csv_text(monkeypatch)
         code, _, _ = run_cli(capsys, "run", "--requests", "20", "--seed", "3",
                              "--out", str(tmp_path / "t.csv"))
         assert code == 0
@@ -207,6 +223,14 @@ class TestCompareCommand:
         assert [r[0] for r in rows] == ["batched", "per-request", "splitting"]
         assert {r[1] for r in rows} == {"40"}  # identical arrivals everywhere
 
+    def test_rows_are_the_summary_less_its_hash_and_no_trace_is_formatted(self, capsys, monkeypatch):
+        calls = counting_csv_text(monkeypatch)
+        code, stdout, _ = run_cli(capsys, "compare", "--requests", "40", "--seed", "3")
+        assert code == 0 and calls == []
+        header = [k for k in metrics.summary(metrics.MetricsLog(None)) if k != "trace_sha256"]
+        assert stdout.splitlines() == [",".join(["strategy", *header])] + [
+            summary_row(s, RunConfig(strategy=s, requests=40, seed=3)) for s in STRATEGIES]
+
 
 class TestSweepCommand:
     def test_seed_sweep_starts_at_the_config_file_seed(self, capsys, tmp_path):
@@ -226,6 +250,13 @@ class TestSweepCommand:
         lines = stdout.splitlines()
         assert lines[0].startswith("seed,arrivals,")
         assert [l.split(",")[0] for l in lines[1:]] == ["5", "6", "7"]
+
+    def test_rows_are_the_summary_less_its_hash_and_no_trace_is_formatted(self, capsys, monkeypatch):
+        calls = counting_csv_text(monkeypatch)
+        code, stdout, _ = run_cli(capsys, "sweep", "--requests", "20", "--runs", "2", "--seed", "5")
+        assert code == 0 and calls == []
+        assert stdout.splitlines()[1:] == [
+            summary_row(seed, RunConfig(requests=20, seed=seed)) for seed in (5, 6)]
 
     def test_parallel_matches_sequential(self, capsys):
         _, sequential, _ = run_cli(

@@ -9,15 +9,15 @@ from vnesim.controller import (
     COUNT_ONLY,
     PER_REQUEST,
     SPLITTING,
+    STRATEGIES,
     TIME_ONLY,
     WHICHEVER_FIRST,
     BatchPolicy,
-    RuleTable,
     StrategyRow,
     make_controller,
 )
 from vnesim.metrics import MetricsLog
-from vnesim.netmodel import SubstrateView, UnknownRequestError, VirtualNetworkRequest
+from vnesim.netmodel import UnknownRequestError, VirtualNetworkRequest
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
@@ -69,21 +69,38 @@ class TestBatchPolicy:
         assert p.counts and p.timed
 
 
-class TestRuleTable:
-    def test_installs_count_writes_removals_do_not(self):
-        # the table holds installed rules; the log counts the writes
-        t = RuleTable([1, 2, 3])
-        log = MetricsLog(SubstrateView(make_net([1, 2, 3], [(1, 2), (2, 3)])))
-        log.record_arrival(0, 0, accepted=True, cost=1)
-        log.record_commit_event(0)
-        t.install({0: 2, 2: 1})  # rule units by switch index
-        log.record_commit(1, 0, committed=True, cost=1, rules_written=3)
-        assert log.rule_writes == 3
-        assert t.installed == {1: 2, 2: 0, 3: 1}
-        t.install({0: 2, 2: 1}, -1)
-        log.record_departure(2, 0)
-        assert log.rule_writes == 3
-        assert t.installed == {1: 0, 2: 0, 3: 0}
+class TestRuleAccounting:
+    def test_commit_books_rules_once_and_departure_frees_them_without_a_write(self):
+        # the ledger's rule load is the one record of installed rules; the
+        # log counts each write once, and a departure writes nothing.
+        # Switch 2 cannot host a node of 5, so the nodes sit on 1 and 3 and
+        # the one virtual link's rules go on all three switches
+        net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={1: 10, 2: 3, 3: 10})
+        ctl = make_controller(BATCHED, net, BatchPolicy(1, None, COUNT_ONLY), None)
+        ctl.log = MetricsLog(ctl.view)
+        engine = Engine(ctl, [])
+        base = ctl.view.base
+        loads, left = dict(base.rule_load), list(ctl.view.capacity_left)
+        assert (loads, left) == ({1: 0, 2: 0, 3: 0}, [10, 3, 10])
+        ctl.on_arrival(engine, mk(0, {0: 5, 1: 5}, {(0, 1): 2}))  # a batch of one
+        assert request_state(ctl, 0) == COMMITTED
+        assert base.committed[0].rule_units == {0: 1, 1: 1, 2: 1}
+        assert base.rule_load == {1: 1, 2: 1, 3: 1}
+        assert ctl.view.capacity_left == [4, 2, 4]
+        assert ctl.log.rule_writes == 3
+        ctl.on_departure(engine, 0)
+        assert request_state(ctl, 0) == DEPARTED
+        assert (base.rule_load, ctl.view.capacity_left) == (loads, left)
+        assert ctl.log.rule_writes == 3
+        assert ctl.view.conservation_violations() == []
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rules_alias_is_the_ledgers_rule_load(self, strategy):
+        # bench/ reads `rules.installed` by name; it must be the ledger's
+        # dict itself, not a copy that could drift from it
+        net = make_net([1, 2], [(1, 2)])
+        ctl = make_controller(strategy, net, BatchPolicy(5, u(25), WHICHEVER_FIRST), None)
+        assert ctl.rules.installed is ctl.view.base.rule_load
 
 
 def six_cycle():
@@ -122,7 +139,7 @@ class TestBatchedCommit:
         assert all(request_state(ctl, r) == COMMITTED for r in range(5))
         # each request writes 9 rules: three 2-hop paths over three switches
         assert ctl.log.rule_writes == 45
-        assert ctl.rules.installed == {1: 10, 3: 10, 5: 10, 2: 5, 4: 5, 6: 5}
+        assert ctl.view.base.rule_load == {1: 10, 3: 10, 5: 10, 2: 5, 4: 5, 6: 5}
         # the five even-switch units are exactly spent: 5 rules in cap 5
         assert residual_capacity(ctl.view, 2) == 0
         assert engine.events_dispatched == 5  # five arrivals, no trigger
@@ -135,7 +152,7 @@ class TestBatchedCommit:
         )
         assert all(request_state(ctl, r) == DEPARTED for r in range(5))
         assert ctl.log.rule_writes == 45
-        assert ctl.rules.installed == {sw: 0 for sw in [1, 2, 3, 4, 5, 6]}
+        assert ctl.view.base.rule_load == {sw: 0 for sw in [1, 2, 3, 4, 5, 6]}
         assert ctl.view.base.committed == {}
         assert ctl.view.conservation_violations() == []
 
@@ -254,6 +271,25 @@ class TestBatchedCommit:
         with pytest.raises(UnknownRequestError):
             ctl.on_departure(engine, 404)
 
+    def test_departure_of_tentative_request_raises_and_changes_nothing(self):
+        # release alone would drop a tentative request; the departure guard
+        # accepts only a committed one
+        net = make_net([1, 2], [(1, 2)])
+        ctl = make_controller(BATCHED, net, BatchPolicy(5, None, COUNT_ONLY), None)
+        ctl.log = MetricsLog(ctl.view)
+        engine = Engine(ctl, [])
+        ctl.on_arrival(engine, mk(0, {0: 5, 1: 5}, {(0, 1): 2}))
+        assert request_state(ctl, 0) == "tentative"
+        view = ctl.view
+        tentative = dict(view.tentative)
+        flat = [list(v) for v in (view.capacity_left, view.bandwidth_left,
+                                  view.switch_util, view.link_util)]
+        with pytest.raises(UnknownRequestError):
+            ctl.on_departure(engine, 0)
+        assert view.tentative == tentative and view.tentative[0] is tentative[0]
+        assert [view.capacity_left, view.bandwidth_left, view.switch_util, view.link_util] == flat
+        assert view.base.committed == {}
+
 
 class TestRemapThroughTheEngine:
     def blocker_net(self):
@@ -291,7 +327,7 @@ class TestRemapThroughTheEngine:
         )
         assert victim_commit.time == u(12)
         assert victim_commit.cost == 20  # 5 + 5 node units + 10 on one link
-        assert ctl.rules.installed[3] == 0  # no rules left on the detour
+        assert ctl.view.base.rule_load[3] == 0  # no rules left on the detour
 
     def test_per_request_commits_instantly_and_never_moves_a_link(self):
         ctl, engine = drive(
@@ -338,7 +374,7 @@ class TestSplittingStrategy:
         assert ctl.row.policy.mode == TIME_ONLY  # forced regardless of input
         # 60 units direct plus 40 units around: rules on 1 and 2 for each
         # path, on 3 for the detour only
-        assert ctl.rules.installed == {1: 2, 2: 2, 3: 1}
+        assert ctl.view.base.rule_load == {1: 2, 2: 2, 3: 1}
         assert ctl.log.rule_writes == 5
         assert ctl.log.remapped_links == 0
         commit = next(row for row in ctl.log.rows if row.event_kind == "commit")

@@ -53,7 +53,7 @@ class TestRecording:
     def test_counters_and_fates(self):
         log, _ = fresh_log()
         drive_tiny_run(log)
-        assert (log.arrivals, log.accepted, log.rejected) == (2, 1, 1)
+        assert (log.arrivals, log.accepted, summary(log)["rejected"]) == (2, 1, 1)
         assert (log.committed, log.cancelled, active_counts(log.rows)[-1]) == (1, 0, 0)
         assert log.commit_events == 1
         assert fates(log) == {
