@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .netmodel import Reservation
 
@@ -92,17 +93,27 @@ def greedy_node_map(view, request):
     """Place virtual nodes by descending demand onto the emptiest feasible
     switch (the lowest index, so the lowest id, among equals); returns the
     node map, virtual node -> switch index, or None when some node cannot be
-    placed."""
-    order = sorted(request.node_demands, key=lambda n: (-request.node_demands[n], n))
-    resid = view.capacity_left[:]
+    placed.
+
+    Each switch hosts at most one virtual node, so the picks take the
+    residuals in descending order, one value each: the k-th pick is the k-th
+    largest. A value equal to the previous pick's is found after that pick's
+    index, any other value from index 0; either way at the lowest index not
+    yet taken.
+    """
+    demands = request.node_demands
+    order = sorted(demands, key=lambda n: (-demands[n], n))
+    left = view.capacity_left
+    if len(order) > len(left):
+        return None
+    find = left.index
     node_map = {}
-    for vn in order:
-        best_resid = max(resid)
-        if best_resid < request.node_demands[vn]:
+    prev, at = None, 0
+    for vn, r in zip(order, sorted(left, reverse=True)):
+        if r < demands[vn]:
             return None
-        best = resid.index(best_resid)
-        node_map[vn] = best
-        resid[best] = -1  # used; every demand is positive
+        at = node_map[vn] = find(r, at + 1 if r == prev else 0)
+        prev = r
     return node_map
 
 
@@ -207,7 +218,7 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
         # for some virtual link starts below the largest demand or is
         # debited below it
         top = max(request.link_demands.values(), default=0)
-        low = {j for j, r in enumerate(residual) if r < top}
+        low = set(compress(range(len(residual)), map(top.__gt__, residual)))
     link_paths = {}
     link_units = {}
     for vl in _link_order(request):

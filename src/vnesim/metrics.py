@@ -10,8 +10,10 @@ trace reproduces the same numbers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import sys
 from typing import NamedTuple
 
 from .simulator import TICKS_PER_UNIT
@@ -36,11 +38,19 @@ CSV_COLUMNS = Row._fields  # the trace's header, in row order
 
 
 def ordered_sum(values) -> float:
-    """Left-to-right float sum; ``sum`` compensates rounding since Python 3.12."""
+    """Left-to-right float sum from 0.0: one rounded addition per term, in
+    order, so an empty input gives 0.0 and a leading -0.0 adds to 0.0.
+    Below Python 3.12 the name is bound to the builtin ``sum`` (below)."""
     total = 0.0
     for v in values:
         total += v
     return total
+
+
+if sys.version_info < (3, 12):
+    # below 3.12 the builtin adds floats left to right in one C double, the
+    # same additions as the loop; from 3.12 on it compensates rounding
+    ordered_sum = functools.partial(sum, start=0.0)
 
 
 class MetricsLog:
@@ -124,7 +134,8 @@ def acceptance_rate(log, grouping="by-count", bucket=100):
     as accepted when it was eventually committed. Returns a list of
     (bucket start, rate) pairs. Raises ValueError for an unknown grouping,
     a bucket that is not positive and finite, a by-count bucket that is not
-    an integer, and a by-time bucket that rounds to 0 ticks.
+    an integer, and a by-time bucket that rounds to 0 ticks or whose tick
+    count overflows.
     """
     if grouping not in ("by-count", "by-time"):
         raise ValueError(f"unknown grouping {grouping!r}")
@@ -132,6 +143,8 @@ def acceptance_rate(log, grouping="by-count", bucket=100):
         raise ValueError(f"bucket must be positive and finite, got {bucket!r}")
     if grouping == "by-count" and not isinstance(bucket, int):
         raise ValueError(f"by-count bucket must be an integer, got {bucket!r}")
+    if grouping == "by-time" and not bucket * TICKS_PER_UNIT < math.inf:
+        raise ValueError(f"by-time bucket {bucket!r} overflows the tick count")
     width = bucket if grouping == "by-count" else int(round(bucket * TICKS_PER_UNIT))
     if width == 0:
         raise ValueError(f"by-time bucket {bucket!r} rounds to 0 ticks")

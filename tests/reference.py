@@ -15,9 +15,10 @@ rule units per switch index, its units per link id and its cost) are
 derived here from the node map and the paths alone, for reservations built
 by hand and to check the ones that ``embed`` builds; so are the link ids of
 each part. These read a part's path and units only, so a mapping may give
-its parts as ``(path, units)``. The rest derives from a network or a
-finished run what the package itself never needs: adjacency, equality and
-text of a substrate, its totals and residuals by name, the overlay's loads,
+its parts as ``(path, units)``. The node stage is given as one ``max`` and
+one ``index`` per virtual node, for ``greedy_node_map`` to match. The rest
+derives from a network or a finished run what the package itself never
+needs: adjacency, equality and text of a substrate, its totals and residuals by name, the overlay's loads,
 the fate and the state of a request, the longest wait and the mean number
 of concurrently committed requests, and a tick count in time units. Last come the substrate and
 request generators as they drew through ``Random.randint``, ``randrange``
@@ -304,6 +305,24 @@ def cheapest_feasible_path(view, src, dst, demand):
     if src == dst:
         raise ValueError("src and dst must differ")
     return embedder._dijkstra(view.base, view.bandwidth_left[:], index[src], index[dst], demand)
+
+
+def max_index_node_map(view, request):
+    """The greedy node stage as one ``max`` and one ``index`` per virtual
+    node over a copy of the residuals, each pick marked used with -1 (every
+    demand is positive); ``embedder.greedy_node_map`` must return the same
+    map, or None."""
+    order = sorted(request.node_demands, key=lambda n: (-request.node_demands[n], n))
+    resid = view.capacity_left[:]
+    node_map = {}
+    for vn in order:
+        best_resid = max(resid)
+        if best_resid < request.node_demands[vn]:
+            return None
+        best = resid.index(best_resid)
+        node_map[vn] = best
+        resid[best] = -1
+    return node_map
 
 
 # ---------------------------------------------------------------------------

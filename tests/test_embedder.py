@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -32,6 +33,7 @@ from reference import (
     link_ids_along,
     link_units_of,
     mapping_cost,
+    max_index_node_map,
     named_path,
     named_totals,
     node_units_of,
@@ -85,6 +87,21 @@ class TestGreedyNodeMap:
             links={("a", "b"): 1, ("a", "c"): 1, ("a", "d"): 1},
         )
         assert greedy_node_map(SubstrateView(triangle), r) is None
+
+    def test_matches_the_max_index_loop_on_heavy_ties(self):
+        rng = random.Random("node-stage")
+        placed = refused = 0
+        for _ in range(3000):
+            view = SimpleNamespace(capacity_left=[rng.randint(0, 5) for _ in range(rng.randint(1, 40))])
+            switches = len(view.capacity_left)
+            # demands up to 6 sometimes exceed every residual
+            nodes = {v: rng.randint(1, rng.choice((3, 6))) for v in range(rng.randint(1, switches + 2))}
+            r = SimpleNamespace(node_demands=nodes)
+            want = max_index_node_map(view, r)
+            assert greedy_node_map(view, r) == want, (view.capacity_left, nodes)
+            placed += want is not None
+            refused += want is None
+        assert placed > 500 and refused > 500
 
 
 class TestCheapestFeasiblePath:

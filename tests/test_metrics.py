@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -153,6 +154,10 @@ class TestAcceptanceRate:
         with pytest.raises(ValueError, match="rounds to 0 ticks"):
             acceptance_rate(self.build(), "by-time", 1e-7)
 
+    def test_by_time_bucket_overflowing_the_tick_count_rejected(self):
+        with pytest.raises(ValueError, match=r"by-time bucket 1e\+308 overflows the tick count"):
+            acceptance_rate(self.build(), "by-time", 1e308)
+
     def test_cumulative_acceptance_of_empty_log(self):
         log, _ = fresh_log()
         assert cumulative_acceptance(log) == 0.0
@@ -226,6 +231,27 @@ class TestDerivedStats:
         assert math.fsum(series) == 1.0
         assert ordered_sum(series) == (1e16 + 1.0) - 1e16 == 0.0
         assert mean_latency(log) == 0.0
+
+        def loop(values):
+            total = 0.0
+            for v in values:
+                total += v
+            return total
+
+        def same(got, want):
+            # repr tells -0.0 from 0.0 and every other pair of floats apart
+            return type(got) is float and repr(got) == repr(want)
+
+        # on the running interpreter, whichever form ordered_sum takes there
+        assert same(ordered_sum([-0.0]), 0.0)
+        assert same(ordered_sum([-0.0, -0.0]), 0.0)
+        assert same(ordered_sum([]), 0.0)
+        assert same(ordered_sum(v for v in series), 0.0)
+        rng = random.Random("ordered-sum")
+        for _ in range(2000):
+            values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+                      for _ in range(rng.randint(0, 60))]
+            assert same(ordered_sum(values), loop(values)), values
 
     def test_summary_keys_and_values(self):
         log, _ = fresh_log()

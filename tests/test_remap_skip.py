@@ -7,16 +7,21 @@ each one again; it also checks every link id the ledger carries or routing
 returns against the ids taken from the path. The instances are
 bandwidth-bound batches embedded with ``blocked``, after which committed
 requests depart and tentative ones are cancelled, so links that blocked a
-route at embed time gain units.
+route at embed time gain units. A second family embeds a batch back to back
+and cancels part of it, so many such links are still blocked at pass start
+and the pass scores them only at its first adoption.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from vnesim import embedder
+import vnesim.controller
+from vnesim import embedder, weights
+from vnesim.config import RunConfig
 from vnesim.embedder import embed
 from vnesim.netmodel import (
     SubstrateNetwork,
@@ -25,6 +30,7 @@ from vnesim.netmodel import (
     norm_link,
     reserve,
 )
+from vnesim.run import run_simulation
 from vnesim.weights import link_weight, prioritize, remap_pass
 
 from conftest import make_net
@@ -50,7 +56,9 @@ def _score(base, residual, ids, units):
     return cost, peak
 
 
-def oracle_remap_pass(view, requests) -> int:
+def oracle_remap_pass(view, requests, turns=None) -> int:
+    """``turns``, when given, receives ``[(request id, vlink), the list at
+    its turn, moved]`` for each link in processing order."""
     records = []
     for request in requests:
         res = view.tentative_reservation(request.request_id)
@@ -60,6 +68,9 @@ def oracle_remap_pass(view, requests) -> int:
     residual = view.bandwidth_left[:]  # equal to the view's between links
     changed = 0
     for rec in prioritize(records):
+        turn = [(rec.request_id, rec.vlink), residual[:], False]
+        if turns is not None:
+            turns.append(turn)
         units = rec.demand
         ids = link_ids_along(base, named_path(base, rec.path))
         assert rec.ids == ids
@@ -75,12 +86,13 @@ def oracle_remap_pass(view, requests) -> int:
                 view.move_tentative_link(rec.request_id, rec.vlink, new_path, new_ids)
                 ids = new_ids
                 changed += 1
+                turn[2] = True
         for j in ids:
             residual[j] -= units
     return changed
 
 
-def random_request(rng, rid):
+def random_request(rng, rid, demand_max=10):
     """2-4 virtual nodes on a connected demand graph; link demands large
     against the substrate's bandwidths."""
     n = rng.randint(2, 4)
@@ -89,7 +101,7 @@ def random_request(rng, rid):
     for _ in range(rng.randint(0, 2)):
         a, b = rng.sample(range(n), 2)
         links.add(norm_link(a, b))
-    return VirtualNetworkRequest(rid, nodes, {lk: rng.randint(1, 10) for lk in sorted(links)}, 0, 10)
+    return VirtualNetworkRequest(rid, nodes, {lk: rng.randint(1, demand_max) for lk in sorted(links)}, 0, 10)
 
 
 def scenario(seed):
@@ -147,6 +159,54 @@ def scenario(seed):
     return view, batch, background
 
 
+def bandwidth_bound_batch(seed):
+    """A view holding a tentative batch embedded back to back with
+    ``blocked`` on a bandwidth-bound substrate, a quarter of it then
+    cancelled, and that batch; the same seed builds the same state.
+
+    The cancelled units let some members move, while most links that
+    blocked a route still carry too little: those links are dormant at pass
+    start, and a move may free units on one of them.
+    """
+    rng = random.Random(f"remap-lazy-{seed}")
+    n = rng.randint(5, 10)
+    ids = rng.sample(range(1, 4 * n), n)
+    order = ids[:]
+    rng.shuffle(order)
+    links = {norm_link(order[i], order[rng.randrange(i)]) for i in range(1, n)}
+    for _ in range(rng.randint(n, 2 * n)):
+        a, b = rng.sample(ids, 2)
+        links.add(norm_link(a, b))
+    net = SubstrateNetwork([(u, 1000, 1) for u in ids],
+                           [(a, b, rng.randint(10, 30), rng.randint(1, 4)) for a, b in sorted(links)])
+    view = SubstrateView(net)
+    batch = []
+    for rid in range(rng.randint(8, 20)):
+        r = random_request(rng, rid, 12)
+        outcome = embed(view, r, 1, {})
+        if outcome.accepted:
+            reserve(view, outcome.reservation)
+            batch.append(r)
+    for r in list(batch):
+        if rng.random() < 0.25:
+            view.release(r.request_id)
+            batch.remove(r)
+    return view, batch
+
+
+def dormant_links(view):
+    """(request id, vlink) -> (B, demand) for each link whose B is nonempty
+    and has no link that carries its demand, read before a pass clears B."""
+    left = view.bandwidth_left
+    out = {}
+    for rid, res in view.tentative.items():
+        for vlink, gate in (res.blocked or {}).items():
+            (_path, units, _ids), = res.link_paths[vlink]
+            if gate and max(left[j] for j in gate) < units:
+                out[rid, vlink] = gate, units
+    return out
+
+
 def state(view):
     return (
         {rid: dict(res.link_paths) for rid, res in view.tentative.items()},
@@ -194,6 +254,66 @@ def test_a_second_pass_matches_the_second_pass_of_the_oracle():
         assert state(view) == state(want_view), seed
         adopted += want
     assert adopted > 20
+
+
+def test_dormant_links_scored_at_the_first_adoption_move_as_the_oracle_moves():
+    counted = Counter()
+    for seed in range(1000):
+        view, _ = bandwidth_bound_batch(seed)
+        want_view, want_batch = bandwidth_bound_batch(seed)
+        dormant = dormant_links(view)
+        turns = []
+        want = oracle_remap_pass(want_view, want_batch, turns)
+        assert remap_pass(view) == want, seed
+        assert state(view) == state(want_view), seed
+        if not want:
+            continue
+        # the first adoption, and the dormant links on either side of it
+        first = next(i for i, (_key, _left, moved) in enumerate(turns) if moved)
+        before = [key for key, _left, _moved in turns[:first] if key in dormant]
+        after = [(i, key) for i, (key, _left, _moved) in enumerate(turns) if i > first and key in dormant]
+        counted["both sides"] += bool(before and after)
+        # a dormant link that the first move opens routes after the merge
+        opened = [(i, key) for i, key in after
+                  if max(turns[first + 1][1][j] for j in dormant[key][0]) >= dormant[key][1]]
+        counted["opened"] += bool(opened)
+        counted["opened, then moved"] += any(turns[i][2] for i, _key in opened)
+    assert counted["both sides"] > 50
+    assert counted["opened"] > 10 and counted["opened, then moved"] > 0, counted
+
+
+def test_a_default_run_scores_fewer_links_and_every_move(monkeypatch):
+    scored, candidates, moves = [], [], []
+    this_pass = set()
+    real_weight, real_pass = weights.link_weight, vnesim.controller.remap_pass
+    real_move = SubstrateView.move_tentative_link
+
+    def counting_weight(view, request, vlink):
+        scored.append((request.request_id, vlink))
+        this_pass.add((request.request_id, vlink))
+        return real_weight(view, request, vlink)
+
+    def counting_pass(view):
+        # what the pass that scores every link scores: all but the links
+        # whose known B is empty
+        candidates.extend((rid, vlink) for rid, res in view.tentative.items()
+                          for vlink in res.link_paths
+                          if res.blocked is None or res.blocked.get(vlink))
+        this_pass.clear()
+        return real_pass(view)
+
+    def checked_move(self, request_id, vlink, path, ids):
+        assert (request_id, vlink) in this_pass
+        moves.append((request_id, vlink))
+        return real_move(self, request_id, vlink, path, ids)
+
+    monkeypatch.setattr(weights, "link_weight", counting_weight)
+    monkeypatch.setattr(vnesim.controller, "remap_pass", counting_pass)
+    monkeypatch.setattr(SubstrateView, "move_tentative_link", checked_move)
+    _, log = run_simulation(RunConfig(strategy="batched", seed=11))
+    assert log.remapped_links == len(moves) > 0
+    assert len(scored) < len(candidates)
+    assert set(scored) <= set(candidates)
 
 
 def test_a_skipped_split_link_is_still_refused(triangle):
