@@ -22,7 +22,7 @@ from .netmodel import (
 )
 from .run import run_simulation
 from .simulator import Engine, RandomStreams, draw_interarrival, draw_lifetime
-from .weights import LinkWeightRecord, link_weight, prioritize, remap_pass
+from .weights import LinkWeightRecord, link_weight, remap_pass
 from .workload import (
     GeneratorSpec,
     default_substrate,

@@ -30,11 +30,20 @@ object, a remap move adjusts its link units and cost, and commit and release
 read it. Each virtual link's route is a tuple of ``(path, units, ids)``
 parts, ``ids`` the link ids that routing walked along ``path``, kept from
 the routing kernel to release so no reader derives them again.
+
+A committed record is frozen: ``commit`` makes its node, rule and link unit
+maps read-only. The audit keeps its committed sums from one call to the
+next, updated by record identity: it reads each committed record's unit
+maps, compares them with the ones it summed at C level, and adds or
+subtracts only the records that entered, left or changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import add, attrgetter, ne, sub
+from types import MappingProxyType
 
 
 class TopologyError(ValueError):
@@ -128,7 +137,8 @@ class Reservation:
     switch indices whose ends host the virtual endpoints, the units summing to
     the link's demand, and ``ids`` the list of link ids along the path as
     routing returned it, never mutated; a single-path link is the one-part
-    case. ``cost`` is the mapping cost of its current paths.
+    case. ``cost`` is the mapping cost of its current paths. Once committed,
+    the three unit maps are read-only.
     """
 
     request: VirtualNetworkRequest
@@ -278,8 +288,10 @@ class SubstrateView:
     arrival, so this overlay is its pending batch. ``commit`` moves
     one reservation into the committed ledger and installs its flow rules; it
     fails (leaving the reservation tentative) only when rule-memory headroom
-    is missing. The view is the only writer of the base's loads and
-    ``committed``, and the only auditor of the ledger.
+    is missing; the committed record's unit maps become read-only. The view
+    is the only writer of the base's loads and ``committed``, and the only
+    auditor of the ledger. Its audit keeps the committed sums between calls,
+    updated by the identity of each committed record's unit maps.
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
     index and ``bandwidth_left`` by link id, with each element's utilization
@@ -298,6 +310,9 @@ class SubstrateView:
         self.bandwidth_left = [b - link[lk] for lk, b in zip(base.links, base.bandwidths)]
         self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacities)]
         self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidths)]
+        # the audit's (unit maps summed, in committed order and by request
+        # id, committed sums), or None
+        self._summed = None
 
     def _debit(self, node_units, link_units, sign=1):
         """Take (sign 1) or give back (sign -1) units of switches by index
@@ -316,7 +331,9 @@ class SubstrateView:
 
         Returns False (reservation stays tentative, nothing applied) when some
         switch lacks rule-memory headroom. Node and link units never fail
-        here: they are already counted in the effective residuals.
+        here: they are already counted in the effective residuals. A
+        committed record's ``node_units``, ``rule_units`` and ``link_units``
+        are read-only views of its own copies.
         """
         res = self.tentative.get(request_id)
         if res is None:
@@ -330,7 +347,10 @@ class SubstrateView:
         for i, units in rules.items():
             if left[i] < units:
                 return False
-        res.rule_units = rules
+        # read-only: the audit keeps its committed sums by these very maps
+        res.node_units = MappingProxyType(dict(res.node_units))
+        res.link_units = MappingProxyType(dict(res.link_units))
+        res.rule_units = MappingProxyType(rules)
         self._book(res)
         self.base.committed[request_id] = res
         del self.tentative[request_id]
@@ -396,18 +416,38 @@ class SubstrateView:
         res.link_paths[vlink] = ((path, units, ids),)
 
     def conservation_violations(self) -> list:
-        """Audit the ledger in one pass; an empty list means every element
-        balances. The committed and the tentative per-request units are
-        summed by index; each element's committed loads must equal the
-        committed sums, its flat residual its total less both sums, neither
-        its committed nor its effective residual may be negative, and its
-        utilization term must match its flat residual."""
+        """Audit the ledger; an empty list means every element balances.
+        The committed and the tentative per-request units are summed by
+        index; each element's committed loads must equal the committed sums,
+        its flat residual its total less both sums, neither its committed
+        nor its effective residual may be negative, and its utilization term
+        must match its flat residual.
+
+        The committed sums are kept from one audit to the next, updated by
+        record identity: the unit maps of every committed record are read
+        and compared with the ones summed, the read-only maps ``commit``
+        made by identity, and only the records that entered, left, were
+        swapped or had a map reassigned are added or subtracted. The
+        tentative overlay, at most one batch, is summed whole. When every
+        check passes on whole lists the answer is empty at once; otherwise
+        one pass over the elements names each failure, in element order."""
         base = self.base
         switches, links = base.switches, base.links
-        node, rule, link = _unit_sums(base.committed, len(switches), len(links))
+        node, rule, link = self._committed_sums()
         t_node, t_rule, t_link = _unit_sums(self.tentative, len(switches), len(links))
-        out = []
+        held_sw = list(map(add, node, rule))
+        pending_sw = list(map(add, t_node, t_rule))
         node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
+        # each load's keys in index order, then its values against the sums
+        if (list(node_load) == switches == list(rule_load) and list(link_load) == links
+                and list(node_load.values()) == node and list(rule_load.values()) == rule
+                and list(link_load.values()) == link
+                and _balanced(base.capacities, held_sw, pending_sw,
+                              self.capacity_left, self.switch_util)
+                and _balanced(base.bandwidths, link, t_link,
+                              self.bandwidth_left, self.link_util)):
+            return []
+        out = []
         for u, n, r in zip(switches, node, rule):
             if node_load[u] != n or rule_load[u] != r:
                 out.append(f"switch {u}: loads ({node_load[u]}, {rule_load[u]}) "
@@ -415,8 +455,6 @@ class SubstrateView:
         for lk, n in zip(links, link):
             if link_load[lk] != n:
                 out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
-        held_sw = [n + r for n, r in zip(node, rule)]
-        pending_sw = [n + r for n, r in zip(t_node, t_rule)]
         for kind, names, totals, held, pending, left, util in (
             ("switch", switches, base.capacities, held_sw, pending_sw,
              self.capacity_left, self.switch_util),
@@ -435,16 +473,76 @@ class SubstrateView:
                     out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
         return out
 
+    def _committed_sums(self) -> tuple:
+        """(node, rule, link) units of ``base.committed`` by switch index and
+        link id, kept from the last call with the unit maps they summed, by
+        request id and in ``committed`` order. When the maps read now differ
+        from those, the ids that left or changed are subtracted and the ids
+        that entered or changed are added."""
+        committed = self.base.committed
+        maps = list(map(_UNIT_MAPS, committed.values()))
+        kept = self._summed
+        if kept is None:
+            base = self.base
+            switches, links = len(base.switches), len(base.links)
+            kept = [], {}, ([0] * switches, [0] * switches, [0] * links)
+        order, summed, sums = kept
+        if maps != order:
+            self._summed = None  # summed afresh next time if this raises
+            for rid in summed.keys() - committed.keys():
+                _sub_units(sums, summed.pop(rid))
+            stale = map(ne, map(summed.get, committed), maps)  # a new id gets None
+            for rid, units in list(compress(zip(committed, maps), stale)):
+                old = summed.get(rid)
+                if old is not None:
+                    _sub_units(sums, old)
+                _add_units(sums, units)
+                if any(type(m) is not MappingProxyType for m in units):
+                    # kept as a copy, so an edit in place differs from it
+                    # at the next call
+                    units = tuple(map(dict, units))
+                summed[rid] = units
+            kept = list(map(summed.__getitem__, committed)), summed, sums
+        self._summed = kept
+        return sums
+
+
+_UNIT_MAPS = attrgetter("node_units", "rule_units", "link_units")
+
+
+def _add_units(sums, maps):
+    """Add one reservation's (node, rule, link) unit maps into (node, rule,
+    link) lists by switch index and link id."""
+    for units, into in zip(maps, sums):
+        for i, n in units.items():
+            into[i] += n
+
+
+def _sub_units(sums, maps):
+    """Take back what ``_add_units`` added for the same maps."""
+    for units, into in zip(maps, sums):
+        for i, n in units.items():
+            into[i] -= n
+
 
 def _unit_sums(reservations, switches, links) -> tuple:
     """(node, rule, link) units of every reservation in a request id ->
     Reservation dict, summed into lists by switch index and link id."""
     sums = ([0] * switches, [0] * switches, [0] * links)
-    for res in reservations.values():
-        for units, into in zip((res.node_units, res.rule_units, res.link_units), sums):
-            for i, n in units.items():
-                into[i] += n
+    for maps in map(_UNIT_MAPS, reservations.values()):
+        _add_units(sums, maps)
     return sums
+
+
+def _balanced(totals, held, pending, left, util) -> bool:
+    """Whether every element of one kind passes the audit's residual, sign
+    and utilization checks, read from whole lists: ``left`` is ``totals``
+    less ``held`` less ``pending``, neither ``totals - held`` nor ``left``
+    has a negative entry, and ``util`` is ``1.0 - left / totals``."""
+    free = list(map(sub, totals, held))
+    return (left == list(map(sub, free, pending))
+            and min(free, default=0) >= 0 and min(left, default=0) >= 0
+            and util == [1.0 - r / t for r, t in zip(left, totals)])
 
 
 def reserve(view: SubstrateView, res: Reservation) -> Reservation:

@@ -104,13 +104,9 @@ def link_weight(view, request, vlink) -> LinkWeightRecord:
 
 
 def _priority(rec):
+    """Sort key of the processing order: descending weight, ties by higher
+    R, then by (request id, virtual link id) ascending; unique per link."""
     return -rec.weight, -rec.used, rec.request_id, rec.vlink
-
-
-def prioritize(records) -> list:
-    """Processing order: descending weight, ties by higher R, then by
-    (request id, virtual link id) ascending."""
-    return sorted(records, key=_priority)
 
 
 def _score(base, residual, ids, units):
@@ -127,9 +123,9 @@ def remap_pass(view) -> int:
 
     Computes a fresh record for every tentatively mapped virtual link that
     could move, for a dormant one only at the pass's first adoption (see the
-    module docstring), prioritizes, and re-routes each link in that order
-    against a flat copy of the residuals with the link's own units added
-    back. Only an adopted path touches the view's overlay. Returns the
+    module docstring), sorts them by priority, and re-routes each link in
+    that order against a flat copy of the residuals with the link's own
+    units added back. Only an adopted path touches the view's overlay. Returns the
     number of links whose path changed. Total batch cost never increases.
     """
     records = []
@@ -150,7 +146,7 @@ def remap_pass(view) -> int:
                 records.append(link_weight(view, res.request, vlink))
     base = view.base
     residual = start[:]  # equal to the view's between links
-    todo = prioritize(records)[::-1]  # popped from the end
+    todo = sorted(records, key=_priority, reverse=True)  # popped from the end
     changed = 0
     while todo:
         rec = todo.pop()

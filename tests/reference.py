@@ -15,7 +15,9 @@ rule units per switch index, its units per link id and its cost) are
 derived here from the node map and the paths alone, for reservations built
 by hand and to check the ones that ``embed`` builds; so are the link ids of
 each part. These read a part's path and units only, so a mapping may give
-its parts as ``(path, units)``. The node stage is given as one ``max`` and
+its parts as ``(path, units)``. ``full_audit`` is the ledger audit that sums
+every per-request unit afresh, the list the view's audit, which keeps its
+committed sums, must equal. The node stage is given as one ``max`` and
 one ``index`` per virtual node, for ``greedy_node_map`` to match. The rest
 derives from a network or a finished run what the package itself never
 needs: adjacency, equality and text of a substrate, its totals and residuals by name, the overlay's loads,
@@ -237,6 +239,66 @@ def t_link_load(view) -> dict:
     """Link -> tentative units: base residual less effective residual."""
     base = view.base
     return {lk: residual_bandwidth(base, lk) - r for lk, r in zip(base.links, view.bandwidth_left)}
+
+
+# ---------------------------------------------------------------------------
+# the ledger audit, summed afresh
+
+
+def full_audit(view) -> list:
+    """The view's audit as it was before it kept its committed sums: every
+    committed and tentative per-request unit summed afresh. The package's
+    ``SubstrateView.conservation_violations`` must return exactly this list.
+
+    Audit the ledger in one pass; an empty list means every element
+    balances. The committed and the tentative per-request units are
+    summed by index; each element's committed loads must equal the
+    committed sums, its flat residual its total less both sums, neither
+    its committed nor its effective residual may be negative, and its
+    utilization term must match its flat residual."""
+    base = view.base
+    switches, links = base.switches, base.links
+    node, rule, link = _unit_sums(base.committed, len(switches), len(links))
+    t_node, t_rule, t_link = _unit_sums(view.tentative, len(switches), len(links))
+    out = []
+    node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
+    for u, n, r in zip(switches, node, rule):
+        if node_load[u] != n or rule_load[u] != r:
+            out.append(f"switch {u}: loads ({node_load[u]}, {rule_load[u]}) "
+                       f"!= per-request sums ({n}, {r})")
+    for lk, n in zip(links, link):
+        if link_load[lk] != n:
+            out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
+    held_sw = [n + r for n, r in zip(node, rule)]
+    pending_sw = [n + r for n, r in zip(t_node, t_rule)]
+    for kind, names, totals, held, pending, left, util in (
+        ("switch", switches, base.capacities, held_sw, pending_sw,
+         view.capacity_left, view.switch_util),
+        ("link", links, base.bandwidths, link, t_link,
+         view.bandwidth_left, view.link_util),
+    ):
+        for name, total, h, p, resid, term in zip(names, totals, held, pending, left, util):
+            if total - h < 0:
+                out.append(f"{kind} {name}: negative residual {total - h}")
+            if resid != total - h - p:
+                out.append(f"{kind} {name}: effective residual {resid} "
+                           f"!= total less per-request sums {total - h - p}")
+            if resid < 0:
+                out.append(f"{kind} {name}: negative effective residual")
+            if term != 1.0 - resid / total:
+                out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
+    return out
+
+
+def _unit_sums(reservations, switches, links) -> tuple:
+    """(node, rule, link) units of every reservation in a request id ->
+    Reservation dict, summed into lists by switch index and link id."""
+    sums = ([0] * switches, [0] * switches, [0] * links)
+    for res in reservations.values():
+        for units, into in zip((res.node_units, res.rule_units, res.link_units), sums):
+            for i, n in units.items():
+                into[i] += n
+    return sums
 
 
 # ---------------------------------------------------------------------------

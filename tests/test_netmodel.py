@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from reference import (
     MappingStructureError,
     adj,
     build_reservation,
+    full_audit,
     indexed,
     mapping_cost,
     move_tentative,
@@ -357,6 +359,82 @@ class TestViewAudit:
         stale = view.conservation_violations()
         assert sorted(v.split(":")[0] for v in stale) == ["link (1, 2)", "switch 1", "switch 2"]
         assert all("effective residual" in v for v in stale)
+        assert stale == full_audit(view)
+
+    def test_a_load_is_read_by_name_not_by_position(self, triangle):
+        view = self.staged(triangle)
+        # the same values in switch order, under other names
+        triangle.node_load = {1: 10, 3: 20, 2: 0}
+        found = view.conservation_violations()
+        assert found == ["switch 2: loads (0, 1) != per-request sums (20, 1)",
+                         "switch 3: loads (20, 0) != per-request sums (0, 0)"]
+        assert found == full_audit(view)
+
+    @pytest.mark.parametrize("units", ["node_units", "rule_units", "link_units"])
+    def test_a_committed_records_unit_maps_are_read_only(self, triangle, units):
+        view = self.staged(triangle)
+        res = triangle.committed[1]
+        with pytest.raises(TypeError):
+            getattr(res, units)[0] = 1
+        with pytest.raises(TypeError):
+            del getattr(res, units)[0]
+        # the tentative record is still writable, for the remap's moves
+        getattr(view.tentative[2], units)[0] = 1
+
+    def test_a_reassigned_unit_map_is_reported(self, triangle):
+        view = self.staged(triangle)
+        res = triangle.committed[1]
+        frozen = res.link_units
+        res.link_units = {**frozen, 0: frozen[0] + 1}
+        found = view.conservation_violations()
+        assert found == ["link (1, 2): load 5 != per-request sum 6",
+                         "link (1, 2): effective residual 95 != total less per-request sums 94"]
+        assert found == full_audit(view)
+        # the reassigned map is a plain dict: an edit in place shows too
+        res.link_units[0] += 1
+        assert view.conservation_violations() == full_audit(view)
+        assert "per-request sum 7" in view.conservation_violations()[0]
+        res.link_units = frozen
+        assert view.conservation_violations() == []
+
+    def test_a_view_over_a_base_that_holds_committed_records(self, triangle):
+        first = self.staged(triangle)
+        view = SubstrateView(triangle)  # sees request 1, not the other view's request 2
+        assert view.conservation_violations() == [] == full_audit(view)
+        reserve(view, build_reservation(view, req(rid=3), {0: 2, 1: 3}, {(0, 1): (((2, 3), 7),)}))
+        assert view.commit(3) is True
+        view.release(1)
+        assert view.conservation_violations() == [] == full_audit(view)
+        # the first view's flat lists are now stale, and both audits say so
+        stale = first.conservation_violations()
+        assert stale and stale == full_audit(first)
+
+    @pytest.mark.parametrize("same_record", [True, False])
+    def test_a_release_and_recommit_of_one_id_between_audits(self, triangle, same_record):
+        view = self.staged(triangle)
+        res = triangle.committed[1]
+        view.release(1)
+        if not same_record:
+            res = build_reservation(view, req(rid=1), {0: 3, 1: 2}, {(0, 1): (((3, 1, 2), 4),)})
+        reserve(view, res)
+        assert view.commit(1) is True
+        assert view.conservation_violations() == [] == full_audit(view)
+
+    def test_a_same_id_swap_is_summed_by_its_units(self, triangle):
+        view = self.staged(triangle)
+        res = triangle.committed[1]
+        # another record with equal units balances, shared maps or copies
+        triangle.committed[1] = replace(res)
+        assert view.conservation_violations() == []
+        triangle.committed[1] = replace(res, node_units=dict(res.node_units),
+                                        link_units=dict(res.link_units))
+        assert view.conservation_violations() == []
+        # one that carries other units does not
+        triangle.committed[1] = replace(res, link_units={**res.link_units, 0: 1})
+        found = view.conservation_violations()
+        assert found and found == full_audit(view)
+        triangle.committed[1] = res
+        assert view.conservation_violations() == []
 
     # Each corruption breaks one check of the audit and nothing else: the
     # view's _debit keeps a residual and its utilization term consistent, and
@@ -382,15 +460,19 @@ class TestViewAudit:
     def link_residual(net, view):
         view._debit({}, {1: 1})
 
+    # A committed record is frozen, so these swap in another record object
+    # that carries the overdrawn units.
     @staticmethod
     def committed_switch_overdrawn(net, view):
-        net.committed[1].node_units[0] += 200
+        res = net.committed[1]
+        net.committed[1] = replace(res, node_units={**res.node_units, 0: res.node_units[0] + 200})
         net.node_load[1] += 200
         view.tentative[2].node_units[0] -= 200
 
     @staticmethod
     def committed_link_overdrawn(net, view):
-        net.committed[1].link_units[0] += 200
+        res = net.committed[1]
+        net.committed[1] = replace(res, link_units={**res.link_units, 0: res.link_units[0] + 200})
         net.link_load[1, 2] += 200
         view.tentative[2].link_units[0] = -200
 

@@ -2,6 +2,9 @@
 cost invariances, and whole-run accounting, over seeded random instances."""
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from vnesim.config import RunConfig
 from vnesim.embedder import embed
@@ -13,12 +16,14 @@ from vnesim.netmodel import (
     reserve,
 )
 from vnesim.run import run_simulation
+from vnesim.simulator import Engine
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from reference import (
     _simple_paths,
     adj,
     element_rows,
+    full_audit,
     indexed,
     link_ids_along,
     link_units_of,
@@ -192,6 +197,133 @@ class TestLedgerFuzz:
                             assert ids == link_ids_along(net, named_path(net, path))
             assert view.conservation_violations() == []
         assert moved > 200
+
+
+def audits_agree(view):
+    """The view's audit, asserted equal to the one that sums afresh."""
+    found = view.conservation_violations()
+    assert found == full_audit(view)
+    return found
+
+
+def corrupt_and_undo(rng, view):
+    """Break a clean ledger in one of the ways the audit must see, behind
+    the view's back, check both audits agree, undo it and check again."""
+    base = view.base
+    committed = base.committed
+    kind = rng.choice(("swap", "reassign", "pop", "load")) if committed else "load"
+    if kind == "load":
+        load, key = rng.choice(((base.node_load, rng.choice(base.switches)),
+                                (base.rule_load, rng.choice(base.switches)),
+                                (base.link_load, rng.choice(base.links))))
+        load[key] += 1
+        assert audits_agree(view)
+        load[key] -= 1
+    else:
+        rid = rng.choice(sorted(committed))
+        res = committed[rid]
+        if kind == "pop":  # a release on the base alone
+            del committed[rid]
+            assert audits_agree(view)
+            committed[rid] = res
+        else:
+            field = rng.choice(("node_units", "rule_units", "link_units"))
+            units = getattr(res, field)
+            i = rng.choice(sorted(units))
+            other = {**units, i: units[i] + rng.choice((-1, 1))}
+            if kind == "swap":  # the same id, another record object
+                committed[rid] = replace(res, **{field: other})
+                assert audits_agree(view)
+                committed[rid] = res
+            else:  # the same record, one unit map reassigned
+                setattr(res, field, other)
+                assert audits_agree(view)
+                other[i] += 2  # a plain map can still change in place
+                assert audits_agree(view)
+                setattr(res, field, units)
+    assert audits_agree(view) == []
+
+
+class TestIncrementalAudit:
+    """The audit keeps its committed sums from one call to the next; after
+    every step it must say exactly what the audit that sums afresh says."""
+
+    def test_random_ledger_steps_and_corruptions(self):
+        steps = {"recommit": 0, "new view": 0, "corrupt": 0, "move": 0}
+        for seed in range(12):
+            rng = random.Random(f"audit-{seed}")
+            net = random_substrate(random.Random(f"audit-net-{seed}"), 8, SMALL)
+            neighbours = adj(net)
+            view = SubstrateView(net)
+            for step in range(150):
+                roll = rng.random()
+                if roll < 0.35:
+                    out = embed(view, gen_virtual_request(rng, SMALL, step, 1, 100), rng.choice((1, 2)))
+                    if out.accepted:
+                        reserve(view, out.reservation)
+                elif roll < 0.5:
+                    movable = [(res, vl) for res in view.tentative.values()
+                               for vl, parts in sorted(res.link_paths.items()) if len(parts) == 1]
+                    if movable:
+                        res, (a, b) = rng.choice(movable)
+                        hosts = named(net, res).node_map
+                        try:
+                            move_tentative(view, res.request_id, (a, b),
+                                           rng.choice(_simple_paths(neighbours, hosts[a], hosts[b])))
+                            steps["move"] += 1
+                        except ReservationError:
+                            pass
+                elif roll < 0.7 and view.tentative:
+                    rid = rng.choice(sorted(view.tentative))
+                    if not view.commit(rid):
+                        view.release(rid)
+                elif roll < 0.8 and net.committed:
+                    view.release(rng.choice(sorted(net.committed)))
+                elif roll < 0.87 and net.committed:
+                    # release and commit one id again between two audits,
+                    # the same record or one with other paths
+                    rid = rng.choice(sorted(net.committed))
+                    res = net.committed[rid]
+                    view.release(rid)
+                    if rng.random() < 0.5:
+                        res = embed(view, res.request).reservation
+                    if res is not None:
+                        reserve(view, res)
+                        if not view.commit(rid):
+                            view.release(rid)
+                    steps["recommit"] += 1
+                elif roll < 0.9:
+                    # a view built over a base that holds committed records;
+                    # the old view's tentative records are dropped with it
+                    view = SubstrateView(net)
+                    steps["new view"] += 1
+                else:
+                    corrupt_and_undo(rng, view)
+                    steps["corrupt"] += 1
+                assert audits_agree(view) == []
+        assert min(steps.values()) > 40, steps
+
+    @pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
+    def test_after_every_event_of_audited_runs(self, monkeypatch, strategy):
+        rng = random.Random(f"audited-{strategy}")
+        real = Engine._audit
+        audits = corrupted = 0
+
+        def audit(engine):
+            nonlocal audits, corrupted
+            view = engine.controller.view
+            audits += 1
+            assert audits_agree(view) == []
+            if rng.random() < 0.1:
+                corrupt_and_undo(rng, view)
+                corrupted += 1
+            real(engine)  # the package's own audit, which must find nothing
+
+        monkeypatch.setattr(Engine, "_audit", audit)
+        for seed in range(4):
+            run_simulation(RunConfig(strategy=strategy, requests=300, seed=seed,
+                                     check_invariants=True))
+        assert audits > 1500 and corrupted > 100, (audits, corrupted)
 
 
 class TestCostInvariance:

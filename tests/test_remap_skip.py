@@ -31,7 +31,7 @@ from vnesim.netmodel import (
     reserve,
 )
 from vnesim.run import run_simulation
-from vnesim.weights import link_weight, prioritize, remap_pass
+from vnesim.weights import _priority, link_weight, remap_pass
 
 from conftest import make_net
 from reference import (
@@ -67,7 +67,7 @@ def oracle_remap_pass(view, requests, turns=None) -> int:
     base = view.base
     residual = view.bandwidth_left[:]  # equal to the view's between links
     changed = 0
-    for rec in prioritize(records):
+    for rec in sorted(records, key=_priority):
         turn = [(rec.request_id, rec.vlink), residual[:], False]
         if turns is not None:
             turns.append(turn)

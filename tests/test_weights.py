@@ -10,7 +10,7 @@ from vnesim.netmodel import (
     reserve,
 )
 from vnesim.simulator import RandomStreams
-from vnesim.weights import LinkWeightRecord, link_weight, prioritize, remap_pass
+from vnesim.weights import LinkWeightRecord, _priority, link_weight, remap_pass
 from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 
 from conftest import make_net
@@ -116,21 +116,21 @@ class TestPrioritize:
         r2 = self.rec(2, (0, 1), weight=-2, used=1)
         r3 = self.rec(3, (0, 1), weight=5, used=12)
         r4 = self.rec(0, (0, 1), weight=7, used=3)
-        assert prioritize([r1, r2, r3, r4]) == [r4, r3, r1, r2]
+        assert sorted([r1, r2, r3, r4], key=_priority) == [r4, r3, r1, r2]
 
     def test_full_tie_falls_back_to_request_then_vlink(self):
         a = self.rec(2, (0, 1), weight=4, used=9)
         b = self.rec(1, (0, 2), weight=4, used=9)
         c = self.rec(1, (0, 1), weight=4, used=9)
-        assert prioritize([a, b, c]) == [c, b, a]
+        assert sorted([a, b, c], key=_priority) == [c, b, a]
 
     def test_input_order_is_irrelevant(self):
         recs = [self.rec(i, (0, 1), weight=i % 3, used=i) for i in range(6)]
         import itertools
 
-        want = prioritize(recs)
+        want = sorted(recs, key=_priority)
         for perm in itertools.permutations(recs):
-            assert prioritize(list(perm)) == want
+            assert sorted(perm, key=_priority) == want
 
 
 class TestRemapPass:
