@@ -76,8 +76,11 @@ class VirtualNetworkRequest:
 
     Demands are strictly positive integers. ``node_demands`` maps virtual
     node id -> memory units, ``link_demands`` maps a normalized virtual link
-    (a, b) -> bandwidth units. ``arrival`` and ``lifetime`` are in ticks
-    (integer micro-time-units).
+    (a, b) -> bandwidth units, a != b, both declared nodes, and the links
+    connect the nodes. ``arrival`` >= 0 and ``lifetime`` > 0 are in ticks
+    (integer micro-time-units). The constructor checks none of this;
+    ``workload.gen_virtual_request``, which builds every simulated request,
+    meets it by construction.
     """
 
     request_id: int
@@ -85,42 +88,6 @@ class VirtualNetworkRequest:
     link_demands: dict
     arrival: int = 0
     lifetime: int = 1
-
-    def __post_init__(self):
-        for n, d in self.node_demands.items():
-            if not isinstance(d, int) or d <= 0:
-                raise ValueError(f"node {n}: demand must be a positive integer, got {d!r}")
-        for lk, d in list(self.link_demands.items()):
-            a, b = lk
-            if a == b:
-                raise ValueError(f"virtual link {lk}: self-loop")
-            if norm_link(a, b) != lk:
-                raise ValueError(f"virtual link {lk}: not normalized")
-            if a not in self.node_demands or b not in self.node_demands:
-                raise ValueError(f"virtual link {lk}: endpoint not a declared node")
-            if not isinstance(d, int) or d <= 0:
-                raise ValueError(f"virtual link {lk}: demand must be a positive integer, got {d!r}")
-        if self.lifetime <= 0:
-            raise ValueError("lifetime must be positive")
-        if self.arrival < 0:
-            raise ValueError("arrival must be nonnegative")
-        if self.node_demands and not self._connected():
-            raise ValueError("demand graph is not connected")
-
-    def _connected(self) -> bool:
-        nodes = list(self.node_demands)
-        adj = {n: [] for n in nodes}
-        for a, b in self.link_demands:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for m in adj[stack.pop()]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return len(seen) == len(nodes)
 
     @property
     def departure(self) -> int:

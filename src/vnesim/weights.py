@@ -134,7 +134,7 @@ def remap_pass(view) -> int:
     start = view.bandwidth_left
     for res in view.tentative.values():
         blocked, res.blocked = res.blocked, None  # valid for this pass only
-        for vlink in sorted(res.link_paths):
+        for vlink in res.link_paths:  # any order: records and dormant are sorted by the unique _priority
             units = _single_path(vlink, res.link_paths[vlink])[1]  # a split link is refused, skip or not
             gate = None if blocked is None else blocked.get(vlink, ())
             if gate == ():

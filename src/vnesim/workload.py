@@ -225,9 +225,9 @@ def _prufer_tree(stream, n):
 def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifetime) -> VirtualNetworkRequest:
     """One random request: tree plus extra edges, uniform integer demands.
 
-    Skips the request's checks, which cannot fail for a validated spec, an
-    arrival >= 0 and a lifetime > 0: a spanning tree connects the nodes,
-    each link is (a, b) with a < b, and each demand is an integer >= 1."""
+    For a validated spec it meets ``VirtualNetworkRequest``'s contract: a
+    spanning tree connects the nodes, each link is (a, b) with a < b, and
+    each demand is an integer >= 1."""
     getrandbits, random = stream.getrandbits, stream.random
     n = spec.vnodes_min + _randbelow(getrandbits, spec.vnodes_max - spec.vnodes_min + 1)
     links = set(_prufer_tree(stream, n))
@@ -239,10 +239,7 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
     links = sorted(links)
     link_demands = dict(zip(links, _randints(getrandbits, spec.link_demand_min, spec.link_demand_max,
                                              len(links))))
-    request = object.__new__(VirtualNetworkRequest)  # no __post_init__
-    request.__dict__.update(request_id=request_id, node_demands=node_demands,
-                            link_demands=link_demands, arrival=arrival, lifetime=lifetime)
-    return request
+    return VirtualNetworkRequest(request_id, node_demands, link_demands, arrival, lifetime)
 
 
 def generate_workload(streams: RandomStreams, spec: GeneratorSpec, count,

@@ -3,6 +3,9 @@
 Nothing here runs in a simulation. The exhaustive embedder (the criterion-2
 oracle) and the mapping checker share no routing code with
 ``vnesim.embedder.embed``, which is why they live apart from it.
+``check_request`` checks the request contract that the package's
+constructor states but does not check: the tests' hand-built requests and
+every generated one must pass it.
 
 The package names a switch by its index in the sorted switch list
 everywhere past its edges: a reservation's node map and paths hold switch
@@ -55,6 +58,49 @@ PATH_BANDWIDTH = "path-bandwidth"
 
 def _base(view):
     return view.base if isinstance(view, SubstrateView) else view
+
+
+# ---------------------------------------------------------------------------
+# the request contract, which the package's constructor does not check
+
+
+def check_request(r) -> VirtualNetworkRequest:
+    """Return ``r`` if it meets ``VirtualNetworkRequest``'s contract, else
+    raise ValueError naming the first breach: every demand a positive
+    integer, each virtual link normalized between two declared nodes, a
+    positive lifetime, a nonnegative arrival, and a connected demand graph."""
+    for n, d in r.node_demands.items():
+        if not isinstance(d, int) or d <= 0:
+            raise ValueError(f"node {n}: demand must be a positive integer, got {d!r}")
+    for lk, d in r.link_demands.items():
+        a, b = lk
+        if a == b:
+            raise ValueError(f"virtual link {lk}: self-loop")
+        if norm_link(a, b) != lk:
+            raise ValueError(f"virtual link {lk}: not normalized")
+        if a not in r.node_demands or b not in r.node_demands:
+            raise ValueError(f"virtual link {lk}: endpoint not a declared node")
+        if not isinstance(d, int) or d <= 0:
+            raise ValueError(f"virtual link {lk}: demand must be a positive integer, got {d!r}")
+    if r.lifetime <= 0:
+        raise ValueError("lifetime must be positive")
+    if r.arrival < 0:
+        raise ValueError("arrival must be nonnegative")
+    if r.node_demands:
+        adjacent = {n: [] for n in r.node_demands}
+        for a, b in r.link_demands:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        seen = {next(iter(adjacent))}
+        stack = list(seen)
+        while stack:
+            for m in adjacent[stack.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        if len(seen) != len(adjacent):
+            raise ValueError("demand graph is not connected")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +748,7 @@ def _prufer_tree(stream, n):
 
 
 def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifetime) -> VirtualNetworkRequest:
-    """One random request: tree plus extra edges, uniform integer demands.
-
-    Skips the request's checks, which cannot fail for a validated spec, an
-    arrival >= 0 and a lifetime > 0: a spanning tree connects the nodes,
-    each link is (a, b) with a < b, and each demand is an integer >= 1."""
+    """One random request: tree plus extra edges, uniform integer demands."""
     n = stream.randint(spec.vnodes_min, spec.vnodes_max)
     links = set(_prufer_tree(stream, n))
     for a in range(n):
@@ -720,7 +762,4 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
         lk: stream.randint(spec.link_demand_min, spec.link_demand_max)
         for lk in sorted(links)
     }
-    request = object.__new__(VirtualNetworkRequest)  # no __post_init__
-    request.__dict__.update(request_id=request_id, node_demands=node_demands,
-                            link_demands=link_demands, arrival=arrival, lifetime=lifetime)
-    return request
+    return VirtualNetworkRequest(request_id, node_demands, link_demands, arrival, lifetime)

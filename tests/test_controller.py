@@ -21,7 +21,7 @@ from vnesim.netmodel import UnknownRequestError, VirtualNetworkRequest
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
-from reference import longest_wait, request_state, residual_capacity, indexed_parts
+from reference import check_request, longest_wait, request_state, residual_capacity, indexed_parts
 
 COMMITTED = "committed"
 DEPARTED = "departed"
@@ -34,7 +34,7 @@ def u(units):
 
 
 def mk(rid, nodes, links, arrival=1, lifetime=100):
-    return VirtualNetworkRequest(rid, nodes, links, u(arrival), u(lifetime))
+    return check_request(VirtualNetworkRequest(rid, nodes, links, u(arrival), u(lifetime)))
 
 
 def drive(substrate, policy, requests, strategy="batched", split_paths=2, horizon=None):

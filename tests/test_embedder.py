@@ -26,6 +26,7 @@ from conftest import make_net
 from test_golden import HEAVY
 from reference import (
     build_reservation,
+    check_request,
     cheapest_feasible_path,
     indexed,
     indexed_map,
@@ -47,13 +48,13 @@ from reference import (
 
 
 def req(rid=1, nodes=None, links=None):
-    return VirtualNetworkRequest(
+    return check_request(VirtualNetworkRequest(
         rid,
         nodes if nodes is not None else {"a": 10, "b": 20},
         links if links is not None else {("a", "b"): 5},
         0,
         10,
-    )
+    ))
 
 
 class TestGreedyNodeMap:

@@ -33,6 +33,8 @@ COUNT_ONLY = dict(seed=2, mode="count-only")
 TIME_ONLY = dict(seed=3, mode="time-only", batch_size=3)
 # bandwidth-bound: link demands large enough that links split and remaps adopt
 HEAVY = dict(seed=4, requests=300, link_demand_min=40, link_demand_max=120)
+# the default 14-switch shape with unit costs from 1 to 4
+COSTS14 = dict(seed=0, substrate=str(Path(__file__).resolve().parent / "data" / "costs14.topo"))
 
 GOLDEN = [
     ("batched", dict(seed=0), "1e4d14393ee1953b11cfe366141d823fef44831ebaab857098f36a9bf7f5401b"),
@@ -69,12 +71,21 @@ GOLDEN = [
     ("splitting", dict(HEAVY, split_paths=3), "1831f7e1989e0f14012f68ab843ab9b151631f4fc2f19bd20a7f5dfb614f44d1"),
     # the one case whose remap adopts a path by the utilization tie-break
     ("batched", dict(HEAVY, seed=2), "9e967c0f26e0bfb288f8bc7c04a9e67e637ae5a291c7286d512488264cba4237"),
+    # the horizon moves the last commit: mean_latency_proxy 958.245356, 17.888272 without it
+    ("batched", dict(requests=200, seed=3, mode="count-only", horizon=100000),
+     "d83279de5f6e81aacbf4b42f35b3c42ab46c463c2c6638af50354b283547b9fd"),
+    # costs other than 1 order the routes; the batched remap adopts 2 paths
+    ("batched", COSTS14, "9c2747d2982de7b1e5872628dbed28eb787f697c2192e4faa3fd3c2c7ed7dca6"),
+    ("per-request", COSTS14, "be93d89f003c4b27f0152bc520bb05764fbecddb2c890817c19c7256a3b0b67b"),
+    ("splitting", COSTS14, "23153f363a33219a8e9a35971e5ea9ea4bc5edbeadb21f6d5ff5143af68f127f"),
 ]
 
 
 def _case_id(case):
+    """The strategy and the overrides; a substrate file by its name alone."""
     strategy, overrides, _ = case
-    return strategy + "-" + "-".join(f"{k}={v}" for k, v in overrides.items())
+    return strategy + "-" + "-".join(f"{k}={Path(v).name if k == 'substrate' else v}"
+                                     for k, v in overrides.items())
 
 
 @parametrize("strategy,overrides,expected", GOLDEN, ids=[_case_id(c) for c in GOLDEN])

@@ -3,9 +3,12 @@
 ``metrics.ordered_sum`` is the builtin ``sum`` below Python 3.12 and a loop
 from 3.12 on, so one interpreter checks only one side of that switch. Each
 case runs ``tests/test_golden.py`` as a script, with ``PYTHONPATH=src``,
-under the ``python3.X`` that PATH finds. It is skipped when that is the
+under the ``python3.X`` that PATH finds or, when that one does not start as
+its version (a pyenv shim exits unless its version is selected), under
+the first ``$PYENV_ROOT/versions/3.X.*/bin/python3.X`` that does, with
+``PYENV_ROOT`` defaulting to ``~/.pyenv``. It is skipped when that is the
 version running the tests (``test_golden.py`` checks that one in process),
-when PATH has no such interpreter, or when it does not start as that version.
+or when no such interpreter starts as that version.
 """
 
 import os
@@ -20,22 +23,33 @@ ROOT = Path(__file__).resolve().parents[1]
 VERSIONS = ((3, 10), (3, 11), (3, 12), (3, 13))
 
 
+def _starts_as(exe, version) -> bool:
+    try:
+        probe = subprocess.run([str(exe), "-c", f"import sys; sys.exit(sys.version_info[:2] != {version})"],
+                               capture_output=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return probe.returncode == 0
+
+
+def interpreter(version):
+    """The first of PATH's ``python3.X`` and the pyenv installs of 3.X that
+    starts as Python 3.X, or None."""
+    name = "python%d.%d" % version
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    candidates = [shutil.which(name)] + sorted(pyenv.glob("%d.%d.*/bin/%s" % (version + (name,))))
+    return next((exe for exe in candidates if exe is not None and _starts_as(exe, version)), None)
+
+
 @pytest.mark.parametrize("version", VERSIONS, ids=[f"python{a}.{b}" for a, b in VERSIONS])
 def test_golden_hashes_hold_under(version):
     name = "python%d.%d" % version
     if version == sys.version_info[:2]:
         pytest.skip(f"{name} runs these tests")
-    exe = shutil.which(name)
+    exe = interpreter(version)
     if exe is None:
-        pytest.skip(f"no {name} on PATH")
-    try:
-        probe = subprocess.run([exe, "-c", f"import sys; sys.exit(sys.version_info[:2] != {version})"],
-                               capture_output=True, timeout=60)
-    except (OSError, subprocess.TimeoutExpired):
-        pytest.skip(f"{name} does not start")
-    if probe.returncode != 0:
-        pytest.skip(f"{name} does not start as Python {version[0]}.{version[1]}")
+        pytest.skip(f"no {name} on PATH or under $PYENV_ROOT/versions starts as Python {version[0]}.{version[1]}")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([exe, str(ROOT / "tests" / "test_golden.py")],
+    done = subprocess.run([str(exe), str(ROOT / "tests" / "test_golden.py")],
                           capture_output=True, text=True, env=env, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr

@@ -28,6 +28,7 @@ from reference import (
     MappingStructureError,
     adj,
     build_reservation,
+    check_request,
     full_audit,
     indexed,
     mapping_cost,
@@ -46,13 +47,13 @@ from reference import (
 
 
 def req(rid=1, nodes=None, links=None, arrival=0, lifetime=10):
-    return VirtualNetworkRequest(
+    return check_request(VirtualNetworkRequest(
         rid,
         nodes if nodes is not None else {0: 10, 1: 20},
         links if links is not None else {(0, 1): 5},
         arrival,
         lifetime,
-    )
+    ))
 
 
 def test_norm_link_orders_endpoints():
@@ -67,6 +68,9 @@ def test_path_links_decomposes_switch_sequence():
 
 
 class TestVirtualNetworkRequest:
+    """The request contract, as ``req`` checks it through
+    ``reference.check_request``; the constructor itself checks nothing."""
+
     def test_departure_is_arrival_plus_lifetime(self):
         r = req(arrival=5, lifetime=7)
         assert r.departure == 12

@@ -9,7 +9,8 @@ bandwidth-bound batches embedded with ``blocked``, after which committed
 requests depart and tentative ones are cancelled, so links that blocked a
 route at embed time gain units. A second family embeds a batch back to back
 and cancels part of it, so many such links are still blocked at pass start
-and the pass scores them only at its first adoption.
+and the pass scores them only at its first adoption. One more test requires
+the pass not to depend on the order of a reservation's links.
 """
 
 import random
@@ -34,8 +35,10 @@ from vnesim.run import run_simulation
 from vnesim.weights import _priority, link_weight, remap_pass
 
 from conftest import make_net
+from test_golden import HEAVY
 from reference import (
     build_reservation,
+    check_request,
     indexed_map,
     indexed_parts,
     link_ids_along,
@@ -101,7 +104,8 @@ def random_request(rng, rid, demand_max=10):
     for _ in range(rng.randint(0, 2)):
         a, b = rng.sample(range(n), 2)
         links.add(norm_link(a, b))
-    return VirtualNetworkRequest(rid, nodes, {lk: rng.randint(1, demand_max) for lk in sorted(links)}, 0, 10)
+    demands = {lk: rng.randint(1, demand_max) for lk in sorted(links)}
+    return check_request(VirtualNetworkRequest(rid, nodes, demands, 0, 10))
 
 
 def scenario(seed):
@@ -314,6 +318,42 @@ def test_a_default_run_scores_fewer_links_and_every_move(monkeypatch):
     assert log.remapped_links == len(moves) > 0
     assert len(scored) < len(candidates)
     assert set(scored) <= set(candidates)
+
+
+def test_the_pass_does_not_depend_on_the_order_of_a_reservations_links(monkeypatch):
+    # Each batch is staged twice, by two runs of the same config; the second
+    # gives the pass every reservation's links and blocking sets in reverse
+    # insertion order, and puts the links back in order after it.
+    real_pass = vnesim.controller.remap_pass
+
+    def run(reverse):
+        seen = []
+
+        def recording_pass(view):
+            orders = {}
+            for rid, res in view.tentative.items():
+                orders[rid] = list(res.link_paths)
+                if reverse:
+                    for entries in (res.link_paths, res.blocked or {}):
+                        items = list(entries.items())
+                        entries.clear()
+                        entries.update(reversed(items))
+            changed = real_pass(view)
+            seen.append((changed, {rid: dict(res.link_paths) for rid, res in view.tentative.items()},
+                         view.bandwidth_left[:], view.capacity_left[:]))
+            for rid, res in view.tentative.items():
+                moved = dict(res.link_paths)
+                res.link_paths.clear()
+                res.link_paths.update((vlink, moved[vlink]) for vlink in orders[rid])
+            return changed
+
+        monkeypatch.setattr(vnesim.controller, "remap_pass", recording_pass)
+        run_simulation(RunConfig(strategy="batched", **dict(HEAVY, seed=2)))
+        return seen
+
+    forward, backward = run(False), run(True)
+    assert forward == backward
+    assert sum(changed for changed, *_ in forward) > 0
 
 
 def test_a_skipped_split_link_is_still_refused(triangle):

@@ -16,6 +16,7 @@ from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 from conftest import make_net
 from reference import (
     build_reservation,
+    check_request,
     indexed_parts,
     named,
     named_totals,
@@ -28,7 +29,7 @@ from reference import (
 
 def tentative(view, rid, node_map, paths, nodes, links):
     """Reserve a hand-picked single-path mapping tentatively; returns the request."""
-    r = VirtualNetworkRequest(rid, nodes, links, 0, 10)
+    r = check_request(VirtualNetworkRequest(rid, nodes, links, 0, 10))
     link_paths = {vl: ((path, links[vl]),) for vl, path in paths.items()}
     reserve(view, build_reservation(view, r, node_map, link_paths))
     return r

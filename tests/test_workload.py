@@ -240,9 +240,9 @@ class TestGenVirtualRequest:
 
 
 class TestGeneratedRequestsAreValid:
-    """Generated requests skip the request's checks; each one must pass them.
-    Requests built by hand keep them (TestVirtualNetworkRequest in
-    test_netmodel.py)."""
+    """The request constructor checks nothing; every generated request must
+    meet its contract, as ``reference.check_request`` checks it (its
+    rejections are TestVirtualNetworkRequest in test_netmodel.py)."""
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec(),
@@ -250,12 +250,10 @@ class TestGeneratedRequestsAreValid:
         GeneratorSpec(vnodes_min=1, vnodes_max=6, edge_prob=1.0),
         GeneratorSpec(node_demand_min=7, node_demand_max=7, link_demand_min=3, link_demand_max=3),
     ], ids=["defaults", "one-node", "complete", "equal-demand-bounds"])
-    def test_every_generated_request_passes_the_checking_constructor(self, spec):
+    def test_every_generated_request_passes_the_checking_function(self, spec):
         for seed in range(4):
             for r in generate_workload(RandomStreams(seed), spec, 300):
-                checked = VirtualNetworkRequest(r.request_id, dict(r.node_demands),
-                                                dict(r.link_demands), r.arrival, r.lifetime)
-                assert checked == r and type(r) is VirtualNetworkRequest
+                assert reference.check_request(r) is r and type(r) is VirtualNetworkRequest
 
 
 class TestGenerateWorkload:
