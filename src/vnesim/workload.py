@@ -3,9 +3,11 @@
 The default substrate is a 14-switch backbone (ring plus seven cross-links,
 average degree 3) whose wiring ships as a data file; capacities and
 bandwidths are drawn uniformly from [100, 250] per seed, unit costs are 1.
-Virtual requests are uniform random spanning trees (via Prufer sequences)
-plus each remaining node pair independently with a fixed probability, with
-uniform integer demands. The default demand ranges model a flow-table-bound
+A ``random:<n>`` substrate is a random spanning tree plus uniform extra
+links drawn by rejection, in time and memory linear in n. Virtual requests
+are uniform random spanning trees (via Prufer sequences) plus each
+remaining node pair independently with a fixed probability, with uniform
+integer demands. The default demand ranges model a flow-table-bound
 fabric: node demands (up to 35 units) compete with rules for switch memory,
 the scarce resource, while link demands (up to 4 units) leave bandwidth
 comfortable. Generation is a pure function of (master seed, spec, request
@@ -98,19 +100,10 @@ def _randints(getrandbits, lo, hi, count):
 
 def _shuffle(getrandbits, x):
     """``Random.shuffle(x)``: swap each x[i], last to second, with x[j] for
-    j drawn from range(i + 1). Every i whose i + 1 has the same bit length
-    draws with the same k, which saves about 2 ms of 11 on random:300's
-    44,551 pairs against a bit_length() per swap (BENCH_16.json)."""
-    top = len(x) - 1
-    while top > 0:
-        k = (top + 1).bit_length()
-        bottom = (1 << (k - 1)) - 1
-        for i in range(top, bottom - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        top = bottom - 1
+    j drawn from range(i + 1)."""
+    for i in range(len(x) - 1, 0, -1):
+        j = _randbelow(getrandbits, i + 1)
+        x[i], x[j] = x[j], x[i]
 
 
 def _default_shape():
@@ -147,32 +140,26 @@ def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> Substrat
     """A connected random substrate: random spanning tree plus extra links
     up to roughly average degree 3, resources uniform like the default.
 
-    The extra links are the first pairs of a shuffle of every non-tree pair
-    (a, b), a < b, listed in lexicographic order. Each pair is held as the
-    integer a * (n + 1) + b, and only the pairs taken are decoded."""
+    The extra links are drawn by rejection (Batagelj & Brandes, Phys. Rev.
+    E 71, 2005): each attempt draws two switches uniformly and adds their
+    link unless they are equal or already linked, until the network has
+    its links. That is a uniform set of non-tree pairs, in time and memory
+    linear in n: the links wanted are about 3 / (n - 1) of all pairs, so
+    past a handful of switches nearly every attempt adds one. The count is
+    capped at all pairs, which n = 3 would otherwise ask one more than."""
     if n_switches < 2:
         raise ValueError("need at least 2 switches")
     getrandbits = stream.getrandbits
     switches = list(range(1, n_switches + 1))
     order = switches[:]
     _shuffle(getrandbits, order)
-    above = [[] for _ in range(n_switches + 1)]  # tree neighbours b > a, per a
-    edges = set()
-    for i in range(1, n_switches):
-        a, b = norm_link(order[i], order[_randbelow(getrandbits, i)])
-        above[a].append(b)
-        edges.add((a, b))
-    want = max(n_switches - 1, round(1.5 * n_switches))
-    stride = n_switches + 1
-    pairs = []
-    for a in switches:
-        base, start = a * stride, a + 1
-        for b in sorted(above[a]):
-            pairs.extend(range(base + start, base + b))
-            start = b + 1
-        pairs.extend(range(base + start, base + stride))
-    _shuffle(getrandbits, pairs)
-    edges.update(divmod(code, stride) for code in pairs[: max(0, want - len(edges))])
+    edges = {norm_link(order[i], order[_randbelow(getrandbits, i)]) for i in range(1, n_switches)}
+    want = min(max(n_switches - 1, round(1.5 * n_switches)), n_switches * (n_switches - 1) // 2)
+    while len(edges) < want:
+        a = 1 + _randbelow(getrandbits, n_switches)
+        b = 1 + _randbelow(getrandbits, n_switches)
+        if a != b:
+            edges.add(norm_link(a, b))
     return _drawn_network(stream, switches, edges, spec or GeneratorSpec())
 
 

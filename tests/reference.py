@@ -703,7 +703,9 @@ def _drawn_network(stream, switches, edges, spec) -> SubstrateNetwork:
 
 def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> SubstrateNetwork:
     """A connected random substrate: random spanning tree plus extra links
-    up to roughly average degree 3, resources uniform like the default."""
+    up to roughly average degree 3, resources uniform like the default.
+    Each extra link is drawn by rejection: two switches drawn uniformly,
+    kept unless they are equal or already linked."""
     if n_switches < 2:
         raise ValueError("need at least 2 switches")
     switches = list(range(1, n_switches + 1))
@@ -712,15 +714,13 @@ def random_substrate(stream, n_switches, spec: GeneratorSpec = None) -> Substrat
     stream.shuffle(order)
     for i in range(1, len(order)):
         edges.add(norm_link(order[i], order[stream.randrange(i)]))
-    want = max(n_switches - 1, round(1.5 * n_switches))
-    pairs = [
-        (a, b)
-        for i, a in enumerate(switches)
-        for b in switches[i + 1:]
-        if (a, b) not in edges
-    ]
-    stream.shuffle(pairs)
-    edges.update(pairs[: max(0, want - len(edges))])
+    n = n_switches
+    want = min(max(n - 1, round(1.5 * n)), n * (n - 1) // 2)
+    while len(edges) < want:
+        a = 1 + stream.randrange(n)
+        b = 1 + stream.randrange(n)
+        if a != b and norm_link(a, b) not in edges:
+            edges.add(norm_link(a, b))
     return _drawn_network(stream, switches, edges, spec or GeneratorSpec())
 
 

@@ -42,7 +42,7 @@ GOLDEN = [
     ("batched", dict(seed=2), "e06c3a954fea17c8379dfadb5f9124c21001d80c241fc8e00749211148605fea"),
     ("batched", dict(seed=3), "230ea311647fdad2f04bc3d98ae65cdf61d291d378382625ac982d9f8167c362"),
     ("batched", dict(seed=4), "e3ec1af3045478494ee9a45e440df3edd274b908dc068b006b6a33b9c633c3c5"),
-    ("batched", RANDOM100, "4b86247c439dd38bce1ba28988d728a669c597f1175ffc9c63bd04c7957979bb"),
+    ("batched", RANDOM100, "3b4aa8381dda53cafb3ff78a1648ccedf98cb0c2f96f19dae713f9a9e96584dd"),
     ("batched", SPLIT3, "212e8f4b0e1ddb9f171dc7f63a7bd0e733feb7e053334dcc18ff083c45115a78"),
     ("batched", COUNT_ONLY, "fd7155290d2cbc20569faea79520738fb2ac7e0cbfa28cd29c93bea64900486b"),
     ("batched", TIME_ONLY, "8648061e1414b44f60a7a346a64c9e6b23565d6e52cfffa5bb15801b23aca9df"),
@@ -52,7 +52,7 @@ GOLDEN = [
     ("per-request", dict(seed=2), "ed2aa15957a996927e8ebd155313ba53f1f7c028cf58d7f9d344a12c2852fef8"),
     ("per-request", dict(seed=3), "f59a803958b8eddb63a5e2864f38d1b0fe2cdb769bed236e0308a34a27f8ae64"),
     ("per-request", dict(seed=4), "2960d88d67f511f86221cd5c38e2ac3774dc2bae23ce1a698d8d57f6d6df3880"),
-    ("per-request", RANDOM100, "7c83889518499460734bd4eb2809cc13c37817a7989ac5938276c39606d5220e"),
+    ("per-request", RANDOM100, "74a36a9b4e2a920e4c8ed6fa3d93b31ee4b479979d55b5af1b51ce2d85789acc"),
     ("per-request", SPLIT3, "1ae590329b2f257af02ba5dadda6871d04e2f1a016d88e0e4d43640fcaba9a01"),
     ("per-request", COUNT_ONLY, "ed2aa15957a996927e8ebd155313ba53f1f7c028cf58d7f9d344a12c2852fef8"),
     ("per-request", TIME_ONLY, "f59a803958b8eddb63a5e2864f38d1b0fe2cdb769bed236e0308a34a27f8ae64"),
@@ -62,7 +62,7 @@ GOLDEN = [
     ("splitting", dict(seed=2), "ff95b927a07aa2c3251206c7f534be002359091ecfe90c71665a5b3f89a02c55"),
     ("splitting", dict(seed=3), "d16fd5210bbfd37af8385ddc931a30586233553cb90870f3a77007d36dd2e156"),
     ("splitting", dict(seed=4), "84765f10e98d33b8c71d3519225468233a98ba94c784d3e632ded865a0695c30"),
-    ("splitting", RANDOM100, "6865020875b4ec1c9bffe4a6ab25096bfa4829cb8bb37f17a27f390d8c4fa6f7"),
+    ("splitting", RANDOM100, "e98d33f387e5d4c0ee75c74e690fb80492aed1a247b2607cb6d080b07f0b5b2f"),
     ("splitting", SPLIT3, "4c3df9895fb7c22a968ecff8cea25672799b859b43647fbae9784495df188934"),
     ("splitting", COUNT_ONLY, "ff95b927a07aa2c3251206c7f534be002359091ecfe90c71665a5b3f89a02c55"),
     ("splitting", TIME_ONLY, "8648061e1414b44f60a7a346a64c9e6b23565d6e52cfffa5bb15801b23aca9df"),

@@ -112,9 +112,9 @@ class TestGeneratorsMatchRandomMethods:
     networks and requests, and the stream left at the same place."""
 
     @pytest.mark.parametrize("spec", [GeneratorSpec(), DEGENERATE], ids=["defaults", "degenerate"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 9, 40, 300])
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 40, 300, 5_000])
     def test_random_substrate(self, n, spec):
-        for seed in range(2 if n == 300 else 12):
+        for seed in range(2 if n >= 300 else 12):
             want, got = random.Random(f"{seed}/topology"), random.Random(f"{seed}/topology")
             assert networks_equal(random_substrate(got, n, spec), reference.random_substrate(want, n, spec))
             assert got.random() == want.random()
@@ -170,14 +170,44 @@ class TestDefaultSubstrate:
         assert all(5 <= b <= 7 for b in net.bandwidths)
 
 
+class CountingStream:
+    """A stream whose ``getrandbits``, the only draw ``random_substrate``
+    makes, counts its calls."""
+
+    def __init__(self, seed):
+        self._stream = random.Random(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return self._stream.getrandbits(k)
+
+
 class TestRandomSubstrate:
     def test_size_and_density(self):
-        for n in (2, 3, 6, 12):
+        for n in range(2, 41):
             net = random_substrate(random.Random(n), n)
             assert len(net.switches) == n
             assert net.switches == list(range(1, n + 1))
-            assert len(net.links) >= n - 1  # connected by construction
-            assert len(net.links) <= max(n - 1, round(1.5 * n))
+            assert len(net.links) == min(max(n - 1, round(1.5 * n)), n * (n - 1) // 2)
+
+    def test_draws_grow_linearly_with_size(self):
+        # all pairs listed and shuffled would take about 227 draws per switch
+        # at n = 300; the smaller size runs first so that such a build fails
+        # before it tries to list 2e8 pairs
+        for n in (300, 20_000):
+            stream = CountingStream(0)
+            random_substrate(stream, n)
+            assert stream.calls < 20 * n
+
+    def test_every_pair_is_equally_likely(self):
+        # 9 of the 15 pairs of 6 switches are links, and labels are symmetric,
+        # so each pair is a link with chance exactly 0.6
+        counts = dict.fromkeys(((a, b) for a in range(1, 7) for b in range(a + 1, 7)), 0)
+        for seed in range(3_000):
+            for link in random_substrate(random.Random(seed), 6).links:
+                counts[link] += 1
+        assert all(abs(c / 3_000 - 0.6) <= 0.04 for c in counts.values()), counts
 
     def test_deterministic_per_stream(self):
         assert networks_equal(random_substrate(random.Random(1), 8), random_substrate(random.Random(1), 8))
