@@ -11,7 +11,7 @@ mapping's flow rules in a single commit event. A strategy is a row
 * per-request: k = 1, a singleton count-only policy, remap off. Each accepted
   request commits inside its own arrival, one commit event each; a remap of
   a singleton batch could never adopt a path: right after the embed no link
-  that could not carry a virtual link has gained units, so by the lemma in
+  that blocked a virtual link's route has gained units, so by the lemma in
   ``weights`` every link's search returns its incumbent;
 * splitting: k = ``split_paths``, a pure time window of the given size and
   length, remap off.
@@ -120,7 +120,8 @@ class Controller:
     def on_arrival(self, engine, request):
         rid = request.request_id
         row = self.row
-        # only the remap pass reads the links that blocked each route
+        # only the remap pass reads the links that blocked each route, as
+        # each route's search reported them
         outcome = embed(self.view, request, row.k, {} if row.remap else None)
         if not outcome.accepted:
             self.log.record_arrival(engine.now, rid, accepted=False)

@@ -117,11 +117,17 @@ def greedy_node_map(view, request):
     return node_map
 
 
-def _dijkstra(net, residual, s, t, demand):
+def _dijkstra(net, residual, s, t, demand, thin=None):
     """The cheapest path from switch index s to switch index t over links
     whose ``residual[link id] >= demand``, as ``(switch-index tuple, list of
     its link ids)``; None when there is none. The walk along tight links,
-    else backward A* on the index (see the module docstring)."""
+    else backward A* on the index (see the module docstring).
+
+    A list passed as ``thin`` receives the links that blocked the answer:
+    the ids of the tight links the walk passed over as too thin, in walk
+    order, when the walk reaches t; else every id with ``residual[id] <
+    demand``, ascending, whatever the A* returns.
+    """
     rows = net.rows
     step_min = net.min_step
     # the walk along tight feasible links (see the module docstring)
@@ -131,8 +137,11 @@ def _dijkstra(net, residual, s, t, demand):
     while h:
         h -= 1
         for u, j, step in rows[v]:
-            if to_t[u] == h and step == step_min and residual[j] >= demand:
-                break
+            if to_t[u] == h and step == step_min:
+                if residual[j] >= demand:
+                    break
+                if thin is not None:
+                    thin.append(j)
         else:
             break  # blocked: the A* below decides
         v = u
@@ -140,6 +149,8 @@ def _dijkstra(net, residual, s, t, demand):
         ids.append(j)
     else:  # h reached 0: the walk is at dst
         return tuple(path), ids
+    if thin is not None:
+        thin[:] = compress(range(len(residual)), map(demand.__gt__, residual))
     lb = net.hop_bounds(s)
     n = len(rows)
     dist = [None] * n
@@ -198,10 +209,12 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
 
     With k = 1, a dict passed as ``blocked`` receives, for each virtual link
     whose route some substrate link could not carry, ``vlink -> ascending
-    tuple of the ids j with residual[j] < demand`` in that flat copy at that
-    call, earlier siblings already debited, and the reservation carries it as
-    ``blocked``. The remap pass uses it to skip links that cannot move (see
-    ``weights``).
+    tuple of the ids of the links that blocked its route``: the tight links
+    the routing walk passed over as too thin when the walk reached dst, or
+    every id j with residual[j] < demand in that flat copy at that call,
+    earlier siblings already debited, when the A* decided. The reservation
+    carries it as ``blocked``; the remap pass uses it to skip links that
+    cannot move (see ``weights``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -212,25 +225,15 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
         return EmbedOutcome(rejection=NODE_STAGE)
     base = view.base
     residual = view.bandwidth_left[:]  # debited part by part
-    top, low = 0, set()  # no residual falls below 0: nothing is recorded
-    if blocked is not None:
-        # residuals only fall during the call, so a substrate link too thin
-        # for some virtual link starts below the largest demand or is
-        # debited below it
-        top = max(request.link_demands.values(), default=0)
-        low = set(compress(range(len(residual)), map(top.__gt__, residual)))
     link_paths = {}
     link_units = {}
     for vl in _link_order(request):
         remaining = request.link_demands[vl]
         src, dst = node_map[vl[0]], node_map[vl[1]]
-        if low:
-            under = sorted(j for j in low if residual[j] < remaining)
-            if under:
-                blocked[vl] = tuple(under)
+        thin = None if blocked is None else []
         parts = []
         while remaining > 0 and len(parts) < k:
-            found = _dijkstra(base, residual, src, dst, remaining)
+            found = _dijkstra(base, residual, src, dst, remaining, thin)
             if found is not None:
                 path, link_ids = found
                 alloc = remaining  # every link of the path carries it
@@ -243,14 +246,14 @@ def embed(view, request, k=1, blocked=None) -> EmbedOutcome:
                 path, link_ids = found
                 alloc = min(map(residual.__getitem__, link_ids))  # the bottleneck
             for j in link_ids:
-                left = residual[j] = residual[j] - alloc
+                residual[j] -= alloc
                 link_units[j] = link_units.get(j, 0) + alloc
-                if left < top:
-                    low.add(j)
             parts.append((path, alloc, link_ids))
             remaining -= alloc
         if remaining > 0:
             return EmbedOutcome(rejection=LINK_STAGE)
+        if thin:
+            blocked[vl] = tuple(sorted(thin))
         link_paths[vl] = tuple(parts)
     # placement is injective: each switch hosts one virtual node's demand
     demands = request.node_demands

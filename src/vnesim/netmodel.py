@@ -115,8 +115,10 @@ class Reservation:
     link_units: dict = field(default_factory=dict)  # link id -> units
     rule_units: dict = field(default_factory=dict)  # switch index -> rule count
     cost: int = 0
-    # vlink -> ids of the links that could not carry it when embed routed it,
-    # for links with any; None when unknown. Read once by the remap pass.
+    # vlink -> ids of the links that blocked its route when embed routed it
+    # (the thin tight links its walk passed over, or every thin link where
+    # the A* decided), for links with any; None when unknown. Read once by
+    # the remap pass.
     blocked: dict = None
 
     @property

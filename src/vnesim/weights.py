@@ -23,20 +23,31 @@ placements never move.
 Which links could move. With k = 1, ``embed`` routed a virtual link of demand
 d onto P, the (cost, hops, switch sequence) minimum over the substrate links
 F = {j : r[j] >= d}, where r is embed's flat residual list at that call,
-earlier siblings already debited. Let B = {j : r[j] < d}, the links that
-blocked it (``Reservation.blocked``); P uses no link of B. In the pass, let
-r' be the pass's list when the link is reached, its own units added back, so
-every link of P has r'[j] >= d and P is feasible. Every j outside B is in F,
-so if r'[j] < d for every j in B, the feasible set {j : r'[j] >= d} lies
-inside F and contains P, and P stays its minimum: the search returns the
-incumbent and nothing moves. r' counts units freed by departures,
-cancellations and earlier moves of the pass alike. A link with B empty can
-never move, so the pass neither scores, sorts nor routes it; leaving it out
-keeps its own residual round trip, which nets to zero, and the relative order
-of the rest, since sorting a subset keeps its order. A link with B nonempty
-is scored, and routed only when some j in B has r'[j] >= d. B describes the
-path embed chose, so the pass reads it once and clears it; a reservation
-with B unknown (None) is scored and routed whole.
+earlier siblings already debited. The links that blocked it, B
+(``Reservation.blocked``), lie in {j : r[j] < d}, so P uses no link of B. In
+the pass, let r' be the pass's list when the link is reached, its own units
+added back, so every link of P has r'[j] >= d and P is feasible. Suppose
+r'[j] < d for every j in B; then the search returns P, the incumbent, and
+nothing moves. There are two cases, by what decided P at embed:
+
+* the A*, after the walk dead-ended: B = {j : r[j] < d}. Every j outside B is
+  in F, so the feasible set {j : r'[j] >= d} lies inside F and contains P,
+  and P stays its minimum.
+* the walk, which reached dst: B holds the tight links it passed over as too
+  thin. Rows and hop bounds depend on the topology alone, so the walk on r'
+  meets, at each switch of P, the same tight links in the same row order.
+  Those before P's link were passed over at embed, so they are in B and are
+  still too thin; P's link is tight and carries d under r'. So the walk on r'
+  takes P's link at every switch and returns P itself.
+
+r' counts units freed by departures, cancellations and earlier moves of the
+pass alike. A link with B empty can never move, so the pass neither scores,
+sorts nor routes it; leaving it out keeps its own residual round trip, which
+nets to zero, and the relative order of the rest, since sorting a subset
+keeps its order. A link with B nonempty is scored, and routed only when some
+j in B has r'[j] >= d. B describes the path embed chose, so the pass reads it
+once and clears it; a reservation with B unknown (None) is scored and routed
+whole.
 
 Which links need a score. Call a link dormant when B is nonempty and
 r0[j] < d for every j in B, where r0 is the view's residual list at pass

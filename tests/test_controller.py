@@ -21,7 +21,7 @@ from vnesim.netmodel import UnknownRequestError, VirtualNetworkRequest
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
-from reference import check_request, longest_wait, request_state, residual_capacity, indexed_parts
+from reference import check_request, longest_wait, request_state, residual_capacity, indexed_parts, named_path
 
 COMMITTED = "committed"
 DEPARTED = "departed"
@@ -452,15 +452,24 @@ class TestStrategySelection:
 
         monkeypatch.setattr(vnesim.controller, "reserve", spy_reserve)
         monkeypatch.setattr(vnesim.controller, "remap_pass", spy_remap)
-        requests = [mk(i, {0: 5, 1: 5}, {(0, 1): 20 + 10 * i}, arrival=1 + i) for i in range(4)]
+        # both requests route switch 1 to switch 4, two hops over 2 or 3;
+        # 2-3 is never tight for them, and too thin for both
+        requests = [mk(i, {0: 5, 1: 4}, {(0, 1): demand}, arrival=1 + i)
+                    for i, demand in enumerate((60, 30))]
+        links = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
         for strategy in (PER_REQUEST, SPLITTING, BATCHED):
             reserved.clear()
-            net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)], bws={(1, 2): 50})
+            net = make_net([1, 2, 3, 4], links, caps={1: 200, 4: 150},
+                           bws={(1, 2): 50, (2, 3): 10, (2, 4): 20})
             drive(net, BatchPolicy(2, u(50), WHICHEVER_FIRST), requests, strategy=strategy)
-            assert len(reserved) == 4, strategy
+            assert len(reserved) == 2, strategy
             assert all(res.blocked is None for res in reserved), strategy
-        # the 50-unit link 1-2 (id 0) could not carry the 40- and 50-unit links
-        assert at_remap == [{}, {}, {(0, 1): (0,)}, {(0, 1): (0,)}]
+        j = {link: net.links.index(link) for link in links}
+        assert [named_path(net, res.link_paths[(0, 1)][0][0]) for res in reserved] == [(1, 3, 4)] * 2
+        # the walk passes over the saturated 1-2 and reaches 4 over 3: only
+        # 1-2 blocked the 60-unit route. The 30-unit walk takes 1-2, dead-ends
+        # at 2 against 2-4, and the A* decides: every link too thin for 30
+        assert at_remap == [{(0, 1): (j[1, 2],)}, {(0, 1): (j[2, 3], j[2, 4])}]
 
     @pytest.mark.parametrize("strategy", [BATCHED, SPLITTING])
     def test_the_staged_record_is_the_one_embed_built(self, monkeypatch, strategy):

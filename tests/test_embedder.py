@@ -386,9 +386,9 @@ class TestSplittingEmbed:
         calls = []
         real = embedder._dijkstra
 
-        def counting(net, residual, src, dst, demand):
+        def counting(net, residual, src, dst, demand, thin=None):
             calls.append(demand)
-            return real(net, residual, src, dst, demand)
+            return real(net, residual, src, dst, demand, thin)
 
         monkeypatch.setattr(embedder, "_dijkstra", counting)
         view = SubstrateView(self.split_case_net())

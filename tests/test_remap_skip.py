@@ -10,7 +10,10 @@ requests depart and tentative ones are cancelled, so links that blocked a
 route at embed time gain units. A second family embeds a batch back to back
 and cancels part of it, so many such links are still blocked at pass start
 and the pass scores them only at its first adoption. One more test requires
-the pass not to depend on the order of a reservation's links.
+the pass not to depend on the order of a reservation's links. Two check the
+blocking links each of embed's searches reports: they are too thin at that
+call, all of them where the A* decided, and while they stay too thin the
+search returns the route embed took.
 """
 
 import random
@@ -36,6 +39,7 @@ from vnesim.weights import _priority, link_weight, remap_pass
 
 from conftest import make_net
 from test_golden import HEAVY
+from test_routing_kernel import CountingHeapq
 from reference import (
     build_reservation,
     check_request,
@@ -163,10 +167,11 @@ def scenario(seed):
     return view, batch, background
 
 
-def bandwidth_bound_batch(seed):
+def bandwidth_bound_batch(seed, max_cost=4):
     """A view holding a tentative batch embedded back to back with
-    ``blocked`` on a bandwidth-bound substrate, a quarter of it then
-    cancelled, and that batch; the same seed builds the same state.
+    ``blocked`` on a bandwidth-bound substrate with link unit costs 1 to
+    ``max_cost``, a quarter of it then cancelled, and that batch; the same
+    seed builds the same state.
 
     The cancelled units let some members move, while most links that
     blocked a route still carry too little: those links are dormant at pass
@@ -182,7 +187,7 @@ def bandwidth_bound_batch(seed):
         a, b = rng.sample(ids, 2)
         links.add(norm_link(a, b))
     net = SubstrateNetwork([(u, 1000, 1) for u in ids],
-                           [(a, b, rng.randint(10, 30), rng.randint(1, 4)) for a, b in sorted(links)])
+                           [(a, b, rng.randint(10, 30), rng.randint(1, max_cost)) for a, b in sorted(links)])
     view = SubstrateView(net)
     batch = []
     for rid in range(rng.randint(8, 20)):
@@ -318,6 +323,9 @@ def test_a_default_run_scores_fewer_links_and_every_move(monkeypatch):
     assert log.remapped_links == len(moves) > 0
     assert len(scored) < len(candidates)
     assert set(scored) <= set(candidates)
+    # B holds only the links that decided each route: 19 scores for the 8
+    # moves, where a B of every link too thin at embed made 129
+    assert (len(scored), len(moves)) == (19, 8)
 
 
 def test_the_pass_does_not_depend_on_the_order_of_a_reservations_links(monkeypatch):
@@ -370,6 +378,82 @@ def test_blocked_links_need_a_single_path_budget(triangle):
     r = VirtualNetworkRequest(1, {"a": 1, "b": 1}, {("a", "b"): 10}, 0, 10)
     with pytest.raises(ValueError, match="k = 1"):
         embed(SubstrateView(triangle), r, 2, {})
+
+
+def routed_calls(monkeypatch, seeds):
+    """Every search that ``embed`` makes with ``blocked`` while it builds
+    ``bandwidth_bound_batch`` at unit link costs 1 (where the walk decides
+    most searches) and 1 to 4: ``(base, residual at the call, src, dst,
+    demand, what it returned, the blocking list, A* decided)``."""
+    counter = CountingHeapq()
+    monkeypatch.setattr(embedder, "heapq", counter)
+    real, real_embed = embedder._dijkstra, embed
+    calls = []
+
+    def recording(net, residual, src, dst, demand, thin=None):
+        before, pops = residual[:], counter.pops
+        found = real(net, residual, src, dst, demand, thin)
+        if thin is not None:
+            calls.append((net, before, src, dst, demand, found, thin, counter.pops > pops))
+        return found
+
+    def checked_embed(view, request, k, blocked):
+        # an accepted request made one search per virtual link, in order,
+        # and its B per link is that search's list
+        start = len(calls)
+        outcome = real_embed(view, request, k, blocked)
+        if outcome.accepted:
+            ours = calls[start:]
+            assert len(ours) == len(request.link_demands)
+            for vlink, (_net, _r, _s, _t, d, found, thin, _astar) in zip(embedder._link_order(request), ours):
+                assert outcome.reservation.link_paths[vlink] == ((found[0], d, found[1]),)
+                assert blocked.get(vlink, ()) == tuple(sorted(thin))
+        return outcome
+
+    monkeypatch.setattr(embedder, "_dijkstra", recording)
+    monkeypatch.setitem(globals(), "embed", checked_embed)  # the name bandwidth_bound_batch calls
+    for seed in seeds:
+        for max_cost in (1, 4):
+            bandwidth_bound_batch(seed, max_cost)
+    monkeypatch.undo()
+    return calls
+
+
+def test_each_recorded_b_is_thin_and_the_whole_thin_set_where_the_astar_decided(monkeypatch):
+    counted = Counter()
+    for _net, r, _s, _t, d, _found, thin, astar in routed_calls(monkeypatch, range(300)):
+        too_thin = [j for j, left in enumerate(r) if left < d]
+        assert set(thin) <= set(too_thin)
+        if astar:
+            assert thin == too_thin
+        counted["astar" if astar else "walk", bool(thin)] += 1
+        counted["narrower"] += len(thin) < len(too_thin)
+    # both decide thousands of searches, the walk some past a thin tight
+    # link, and B is narrower than the thin set in thousands
+    assert counted["walk", True] > 200 and counted["walk", False] > 2000
+    assert counted["astar", True] > 2000
+    assert counted["narrower"] > 2000, counted
+
+
+def test_search_returns_the_incumbent_while_every_link_of_b_stays_too_thin(monkeypatch):
+    # the lemma of the weights module: with B below the demand and the
+    # route's own links at or above it, whatever the other links hold, the
+    # search returns the route embed took
+    rng = random.Random("b-lemma")
+    counted = Counter()
+    for net, r, s, t, d, found, thin, astar in routed_calls(monkeypatch, range(300)):
+        if found is None:
+            continue
+        path, ids = found
+        for _ in range(4):
+            residual = [rng.randint(0, 2 * d + 2) for _ in r]
+            for j in thin:
+                residual[j] = rng.randint(0, d - 1)
+            for j in ids:
+                residual[j] = rng.randint(d, 2 * d)
+            assert embedder._dijkstra(net, residual, s, t, d) == (path, ids)
+            counted["astar" if astar else "walk"] += 1
+    assert counted["walk"] > 10000 and counted["astar"] > 10000, counted
 
 
 def test_embed_records_the_links_that_could_not_carry_each_route():

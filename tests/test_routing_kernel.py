@@ -207,6 +207,25 @@ def test_walk_and_astar_match_the_path_tuple_dijkstra(resolved, max_cost):
     assert tally["astar", True] > 600 and tally["astar", False] > 600
 
 
+@pytest.mark.parametrize("max_cost", [1, 2])
+def test_the_blocking_list_never_changes_the_answer(max_cost):
+    # the same fuzz, searched with and without a list for the links that
+    # blocked the answer; the list holds only links too thin for the demand
+    rng = random.Random(f"routing-thin-{max_cost}")
+    counted = Counter()
+    for _ in range(1000):
+        net, view = random_instance(rng, max_cost)
+        index = {u: i for i, u in enumerate(net.switches)}
+        for src, dst, demand in queries(rng, net, 3):
+            for residual in (SubstrateView(net).bandwidth_left, view.bandwidth_left):
+                thin = []
+                got = embedder._dijkstra(net, residual, index[src], index[dst], demand, thin)
+                assert got == embedder._dijkstra(net, residual, index[src], index[dst], demand)
+                assert all(residual[j] < demand for j in thin)
+                counted[got is not None, bool(thin)] += 1
+    assert min(counted.values()) > 200, counted
+
+
 @pytest.mark.parametrize("shape", ["path", "ring"])
 def test_walk_at_unit_cost_where_hop_distances_pass_the_clamp(resolved, shape):
     net, pairs = clamp_instance(random.Random(f"routing-walk-{shape}"), shape, max_cost=1)
