@@ -41,9 +41,17 @@ subtracts only the records that entered, left or changed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
-from operator import add, attrgetter, ne, sub
+from operator import add, attrgetter, ne, or_, sub
 from types import MappingProxyType
+
+# ``hop_bounds`` builds every table in one sweep on substrates up to this
+# many switches (V**2 bytes of tables, 4 MiB) ...
+SWEEP_MAX_SWITCHES = 2048
+# ... whose switch 0 is at most this many hops from every switch, so the
+# diameter, and each round count and distance, is at most twice that
+SWEEP_MAX_ECC0 = 16
 
 
 class TopologyError(ValueError):
@@ -222,19 +230,68 @@ class SubstrateNetwork:
 
     def hop_bounds(self, s) -> bytes:
         """Hop distance from switch index s to each switch index, clamped at
-        255, memoized per s. Links are undirected, so the same table is the
-        distance to s: routing reads it at both ends, at dst for the walk
-        along tight links and at src for the A* bound. A clamped distance
-        still changes by at most one across a link, which keeps that bound
-        consistent."""
-        bounds = self._hop_bounds.get(s)
+        255. Links are undirected, so the same table is the distance to s:
+        routing reads it at both ends, at dst for the walk along tight links
+        and at src for the A* bound. A clamped distance still changes by at
+        most one across a link, which keeps that bound consistent.
+
+        The tables are memoized. On a substrate of at most
+        ``SWEEP_MAX_SWITCHES`` switches whose switch 0 is at most
+        ``SWEEP_MAX_ECC0`` hops from every switch, the first call fills the
+        memo with every switch's table from one sweep (``_swept_hop_bounds``);
+        elsewhere, where the sweep would cost more or its tables would not
+        fit, each s gets its own breadth-first search on its first call."""
+        memo = self._hop_bounds
+        bounds = memo.get(s)
         if bounds is None:
+            if not memo and len(self.rows) <= SWEEP_MAX_SWITCHES and self._ecc0 <= SWEEP_MAX_ECC0:
+                memo.update(enumerate(self._swept_hop_bounds()))
+                return memo[s]
             hops = self._hops_from(s)
-            bounds = self._hop_bounds[s] = bytes([h if h < 255 else 255 for h in hops])
+            bounds = memo[s] = bytes([h if h < 255 else 255 for h in hops])
         return bounds
 
+    def _swept_hop_bounds(self) -> list:
+        """Every switch's hop-distance table at once, by switch index, by a
+        multi-source breadth-first sweep in bit-parallel lanes (Then et al.,
+        "The More the Merrier: Efficient Multi-Source Graph Traversal", VLDB
+        2015). Switch v keeps one int ``ball`` with a byte lane per switch:
+        lane u is 1 once u is within d hops of v. Each round ORs every
+        neighbour's ball into v's, until every ball is ``ones``, all lanes 1;
+        a full ball stays full, so it drops out. Lane u of ``ecc[v] * ones -
+        total[v]``, where ``total[v]`` sums v's ball over the ``ecc[v]``
+        rounds it was short of ``ones``, from round 0 (v alone), counts the
+        rounds u was out of reach: the hop distance between u and v. Every
+        distance of a connected substrate stays below 256 here, so no lane
+        carries into the next, and that int's little-endian bytes are
+        ``hop_bounds(v)``."""
+        rows = self.rows
+        n = len(rows)
+        ones = int.from_bytes(b"\x01" * n, "little")
+        balls = [1 << 8 * v for v in range(n)]
+        total = balls[:]
+        ecc = [1] * n
+        neighbours = [[u for u, _j, _step in row] for row in rows]
+        get = balls.__getitem__
+        short = range(n)
+        while short:
+            grown = [reduce(or_, map(get, neighbours[v]), get(v)) for v in short]
+            still = []
+            for v, ball in zip(short, grown):
+                balls[v] = ball
+                if ball != ones:
+                    total[v] += ball
+                    ecc[v] += 1
+                    still.append(v)
+            short = still
+        return [(e * ones - t).to_bytes(n, "little") for e, t in zip(ecc, total)]
+
     def _check_connected(self):
-        strays = [i for i, h in enumerate(self._hops_from(0)) if h < 0]
+        """Raise TopologyError naming one switch of each component that
+        switch 0 does not reach; keeps switch 0's eccentricity as ``_ecc0``."""
+        hops = self._hops_from(0)
+        self._ecc0 = max(hops)
+        strays = [i for i, h in enumerate(hops) if h < 0]
         # name one representative per stranded component
         reps = []
         while strays:

@@ -12,17 +12,22 @@ construction.
 import heapq
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from vnesim import embedder
+from vnesim.config import RunConfig
 from vnesim.netmodel import (
     SubstrateNetwork,
     SubstrateView,
     VirtualNetworkRequest,
+    load_topology,
     norm_link,
     reserve,
 )
+from vnesim.run import run_simulation
+from vnesim.workload import build_substrate
 
 from reference import (
     adj,
@@ -250,3 +255,97 @@ def test_index_shares_one_tuple_per_link_and_sorts_each_row():
         for u, j, step in row:
             assert net.links[j] == norm_link(net.switches[i], net.switches[u])
             assert step == net.link_costs[j] * net.label_base + 1
+
+
+def bfs_tables(net):
+    """Every switch's hop-distance table from its own breadth-first search,
+    clamped at 255 as ``hop_bounds`` clamps it."""
+    return [bytes(min(h, 255) for h in net._hops_from(v)) for v in range(len(net.rows))]
+
+
+def unit_net(ids, links):
+    return SubstrateNetwork([(u, 1, 1) for u in ids], [(a, b, 1, 1) for a, b in links])
+
+
+def centred_path(ecc0):
+    """A path of 2 * ecc0 + 1 switches with switch 0 at its middle: switch 0
+    is ecc0 hops from either end, and the ends are 2 * ecc0 apart."""
+    ids = list(range(1, ecc0 + 1)) + [0] + list(range(ecc0 + 1, 2 * ecc0 + 1))
+    return unit_net(ids, zip(ids, ids[1:]))
+
+
+def ring(n):
+    return unit_net(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(n, hub):
+    return unit_net(range(n), [(hub, u) for u in range(n) if u != hub])
+
+
+def sweep_instances():
+    yield "default", build_substrate("default", random.Random(0))
+    for n in range(2, 61):
+        for seed in range(3):
+            yield f"random:{n} seed {seed}", build_substrate(f"random:{n}", random.Random(seed))
+    for seed in range(4):
+        yield f"random:300 seed {seed}", build_substrate("random:300", random.Random(seed))
+    yield "costs14", load_topology(Path(__file__).parent / "data" / "costs14.topo")
+    yield "star, hub 5", star(10, 5)
+    for ecc0 in (16, 17):
+        yield f"centred path, ecc0 {ecc0}", centred_path(ecc0)
+        yield f"ring, ecc0 {ecc0}", ring(2 * ecc0)
+
+
+def test_the_sweep_gives_every_switch_its_breadth_first_table():
+    # the sweep itself, also past its ecc0 bound, and whatever side
+    # hop_bounds picks, asked first for the last switch
+    for name, net in sweep_instances():
+        want = bfs_tables(net)
+        assert net._swept_hop_bounds() == want, name
+        last = len(want) - 1
+        assert net.hop_bounds(last) == want[last], name
+        assert [net.hop_bounds(v) for v in range(len(want))] == want, name
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """Counts every per-source breadth-first search, every sweep and every
+    substrate whose connectivity is checked (one search from switch 0)."""
+    counts = Counter()
+    for name, key in (("_hops_from", "bfs"), ("_swept_hop_bounds", "sweep"),
+                      ("_check_connected", "networks")):
+        def counted(*args, _method=getattr(SubstrateNetwork, name), _key=key):
+            counts[_key] += 1
+            return _method(*args)
+        monkeypatch.setattr(SubstrateNetwork, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
+@pytest.mark.parametrize("config", [
+    {"seed": 11},
+    {"substrate": "random:300", "requests": 200, "interarrival_mean": 0.5, "seed": 0},
+], ids=["default", "random300"])
+def test_a_run_sweeps_once_and_searches_only_at_construction(tables_built, strategy, config):
+    run_simulation(RunConfig(strategy=strategy, **config))
+    assert tables_built == {"networks": 1, "bfs": 1, "sweep": 1}
+
+
+def test_the_size_rule_picks_the_side(tables_built):
+    # at most 2,048 switches and ecc0 at most 16 sweep; one more of either
+    # searches from each switch asked, and only from it
+    for net, sweeps in ((star(2048, 0), True), (star(2049, 0), False),
+                        (centred_path(16), True), (centred_path(17), False)):
+        tables_built.clear()
+        net.hop_bounds(1)
+        assert tables_built == ({"sweep": 1} if sweeps else {"bfs": 1})
+        assert len(net._hop_bounds) == (len(net.rows) if sweeps else 1)
+
+
+@pytest.mark.parametrize("shape", ["path", "ring"])
+def test_clamp_instances_never_sweep(tables_built, shape):
+    net, pairs = clamp_instance(random.Random(f"routing-sweep-{shape}"), shape)
+    for src, dst in pairs:
+        cheapest_feasible_path(net, src, dst, 1)
+    assert tables_built["sweep"] == 0
+    assert tables_built["bfs"] == 1 + len(net._hop_bounds) > 2
