@@ -6,17 +6,31 @@ consumption over totals), cumulative rule writes, commit events, remapped
 links, and the latency proxy of the request just committed. Summaries are
 pure functions of the logged rows, so recomputing them from an exported
 trace reproduces the same numbers.
+
+The trace hash is SHA-256 from the interpreter's builtin module (``_sha2``
+from 3.12 on, ``_sha256`` before), the lean module the stdlib's own
+``random`` prefers for its ``sha512``. ``hashlib`` would map OpenSSL's
+libcrypto for one digest per run, about 3.5 MB of a default run's 28 MB
+peak; it is the fallback only on a build that has neither module. The
+digest is the same either way.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import sys
 from typing import NamedTuple
 
 from .simulator import TICKS_PER_UNIT
+
+try:
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class Row(NamedTuple):
@@ -210,7 +224,7 @@ def summary(log, text=None) -> dict:
     ``csv_text(log)``; it is hashed instead of formatting the trace again."""
     stats = statistics(log)
     stats["trace_sha256"] = (trace_hash(log) if text is None
-                             else hashlib.sha256(text.encode("utf-8")).hexdigest())
+                             else sha256(text.encode("utf-8")).hexdigest())
     return stats
 
 
@@ -225,7 +239,8 @@ def csv_text(log) -> str:
     for row in log.rows:
         lines.append(f"{row.time / TICKS_PER_UNIT:.6f},"
                      + ",".join(["" if v is None else str(v) for v in row[1:]]))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, in the one join that copies the text
+    return "\n".join(lines)
 
 
 def export_csv(log, path) -> str:
@@ -238,4 +253,4 @@ def export_csv(log, path) -> str:
 
 
 def trace_hash(log) -> str:
-    return hashlib.sha256(csv_text(log).encode("utf-8")).hexdigest()
+    return sha256(csv_text(log).encode("utf-8")).hexdigest()

@@ -1,8 +1,13 @@
 """Metrics log, summaries, and the CSV trace format."""
 
 import hashlib
+import importlib.util
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,9 @@ from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
 
 from conftest import make_net
 from reference import active_counts, build_reservation, fates, mean_concurrent_active
+from test_golden import GOLDEN
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fresh_log(**kwargs):
@@ -321,3 +329,43 @@ class TestCsvTrace:
         want = hashlib.sha256(csv_text(log).encode("utf-8")).hexdigest()
         assert trace_hash(log) == want
         assert len(want) == 64
+
+
+def fresh_python(code):
+    """Run ``code`` in a new interpreter with this checkout's ``src`` first on
+    the path; returns its standard output, and fails the test if it fails."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+class TestDigestModule:
+    """The trace hash comes from the builtin SHA-256 module, so a run never
+    maps OpenSSL through ``_hashlib``; ``hashlib`` is only the fallback."""
+
+    @pytest.mark.skipif(not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")),
+                        reason="this interpreter has no builtin SHA-256 module")
+    def test_a_run_and_its_summary_never_load_hashlib(self):
+        out = fresh_python(
+            "import sys\n"
+            "import vnesim\n"
+            "_, log = vnesim.run_simulation(vnesim.RunConfig(strategy='batched', requests=50))\n"
+            "vnesim.summary(log)\n"
+            "print('_hashlib' in sys.modules, vnesim.metrics.sha256.__module__)\n")
+        loaded, module = out.split()
+        assert loaded == "False"
+        assert module in ("_sha2", "_sha256")
+
+    def test_without_the_builtin_modules_hashlib_gives_the_same_hash(self):
+        strategy, overrides, expected = GOLDEN[0]
+        out = fresh_python(
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "import vnesim\n"
+            f"config = vnesim.RunConfig(strategy={strategy!r}, **dict(dict(requests=400), **{overrides!r}))\n"
+            "_, log = vnesim.run_simulation(config)\n"
+            "print(vnesim.metrics.sha256 is hashlib.sha256, vnesim.summary(log)['trace_sha256'])\n")
+        assert out.split() == ["True", expected]
