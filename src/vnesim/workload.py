@@ -11,11 +11,11 @@ integer demands. The default demand ranges model a flow-table-bound
 fabric: node demands (up to 35 units) compete with rules for switch memory,
 the scarce resource, while link demands (up to 4 units) leave bandwidth
 comfortable. Generation is a pure function of (master seed, spec, request
-index). ``generate_workload`` builds one ``_pair_rows`` table of link
-tuples, and every request's links are that table's tuples: 1,500 default
-requests then share at most 45 link tuples, not one per link, and hold
-1.6 MB by ``tracemalloc``, not 2.7 MB. The draws and the link order do not
-depend on the table.
+index). A request's links are tuples of ``_pair_rows(n)``, a table built
+once per node count n: 1,500 default requests (3 to 10 nodes) then share
+at most 164 link tuples, not one per link, and hold 1.65 MB by
+``tracemalloc``, not 2.7 MB. The draws and the link order do not depend
+on the table.
 
 Integer draws go straight to the stream's ``getrandbits``: ``_randbelow``,
 ``_randints`` and ``_shuffle`` reproduce ``Random.randrange``, ``randint``
@@ -28,6 +28,7 @@ and ``TestGeneratorsMatchRandomMethods`` pins the generators to their
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from importlib import resources
@@ -190,10 +191,12 @@ def build_substrate(source, stream, spec: GeneratorSpec = None) -> SubstrateNetw
     return load_topology(source)
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_rows(n):
     """The link table of nodes 0..n-1: ``rows[a][b]`` and ``rows[b][a]`` are
-    one tuple ``(min(a, b), max(a, b))``, so every request drawn from it
-    shares its link tuples instead of holding its own."""
+    one tuple ``(min(a, b), max(a, b))``. It is built once per n, so every
+    request with n nodes shares its link tuples instead of holding its own;
+    callers must not change it."""
     rows = [[None] * n for _ in range(n)]
     for a, row in enumerate(rows):
         for b in range(a, n):
@@ -201,14 +204,12 @@ def _pair_rows(n):
     return rows
 
 
-def _prufer_tree(stream, n, rows=None):
-    """Uniform random labeled tree on nodes 0..n-1, as an edge list whose
-    edges are ``rows``' tuples (a table of at least n nodes; built when not
-    given)."""
+def _prufer_tree(stream, n):
+    """Uniform random labeled tree on nodes 0..n-1, as an edge list of
+    ``_pair_rows(n)``'s tuples."""
     if n < 2:
         return []
-    if rows is None:
-        rows = _pair_rows(n)
+    rows = _pair_rows(n)
     if n == 2:
         return [rows[0][1]]
     seq = _randints(stream.getrandbits, 0, n - 1, n - 2)
@@ -228,23 +229,19 @@ def _prufer_tree(stream, n, rows=None):
     return edges
 
 
-def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifetime,
-                        rows=None) -> VirtualNetworkRequest:
+def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifetime) -> VirtualNetworkRequest:
     """One random request: tree plus extra edges, uniform integer demands.
 
     For a validated spec it meets ``VirtualNetworkRequest``'s contract: a
     spanning tree connects the nodes, each link is (a, b) with a < b, and
-    each demand is an integer >= 1. Its links are ``rows``' tuples, a
-    ``_pair_rows`` table of at least ``spec.vnodes_max`` nodes (built for
-    the drawn node count when not given); the draws are the same either
-    way."""
+    each demand is an integer >= 1. Its links are ``_pair_rows(n)``'s
+    tuples for its node count n."""
     getrandbits, random = stream.getrandbits, stream.random
     n = spec.vnodes_min + _randbelow(getrandbits, spec.vnodes_max - spec.vnodes_min + 1)
-    if rows is None:
-        rows = _pair_rows(n)
-    links = set(_prufer_tree(stream, n, rows))
+    rows = _pair_rows(n)
+    links = set(_prufer_tree(stream, n))
     for a in range(n):
-        for link in rows[a][a + 1:n]:
+        for link in rows[a][a + 1:]:
             if link not in links and random() < spec.edge_prob:
                 links.add(link)
     node_demands = dict(enumerate(_randints(getrandbits, spec.node_demand_min, spec.node_demand_max, n)))
@@ -259,11 +256,10 @@ def generate_workload(streams: RandomStreams, spec: GeneratorSpec, count,
                       lifetime_mean=DEFAULT_LIFETIME_MEAN) -> list:
     """Poisson arrivals with exponential lifetimes, demand graphs per spec."""
     spec.validate()
-    rows = _pair_rows(spec.vnodes_max)
     out = []
     now = 0
     for i in range(count):
         now += draw_interarrival(streams.interarrival, interarrival_mean)
         lifetime = draw_lifetime(streams.lifetime, lifetime_mean)
-        out.append(gen_virtual_request(streams.request(i), spec, i, now, lifetime, rows))
+        out.append(gen_virtual_request(streams.request(i), spec, i, now, lifetime))
     return out

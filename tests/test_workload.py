@@ -132,7 +132,9 @@ class TestGeneratorsMatchRandomMethods:
         for n in range(12):
             for seed in range(20):
                 want, got = random.Random(seed), random.Random(seed)
-                assert _prufer_tree(got, n) == reference._prufer_tree(want, n)
+                edges = _prufer_tree(got, n)
+                assert edges == reference._prufer_tree(want, n)
+                assert all(e is _pair_rows(n)[e[0]][e[1]] for e in edges)
                 assert got.random() == want.random()
 
     @pytest.mark.parametrize("spec", [GeneratorSpec(), DEGENERATE], ids=["defaults", "degenerate"])
@@ -144,6 +146,8 @@ class TestGeneratorsMatchRandomMethods:
             assert a == b
             assert list(a.node_demands.items()) == list(b.node_demands.items())
             assert list(a.link_demands.items()) == list(b.link_demands.items())
+            rows = _pair_rows(len(a.node_demands))
+            assert all(lk is rows[lk[0]][lk[1]] for lk in a.link_demands)
             assert got.random() == want.random()
 
 
@@ -245,7 +249,7 @@ class TestPruferTree:
 
 
 class TestSharedPairTuples:
-    """Requests drawn from one ``_pair_rows`` table share its link tuples."""
+    """Requests with n nodes share ``_pair_rows(n)``'s link tuples."""
 
     def test_pair_rows_at_tiny_sizes(self):
         assert _pair_rows(0) == []
@@ -256,40 +260,20 @@ class TestSharedPairTuples:
 
     def test_both_orders_of_a_pair_are_one_normalized_tuple(self):
         rows = _pair_rows(10)
+        assert _pair_rows(10) is rows
         for a in range(10):
             for b in range(10):
                 assert rows[a][b] == (min(a, b), max(a, b))
                 assert rows[a][b] is rows[b][a]
 
-    def test_a_workload_holds_one_tuple_per_node_pair(self):
+    def test_a_workload_holds_one_tuple_per_node_pair_and_count(self):
         spec = GeneratorSpec()
-        assert spec.vnodes_max == 10
         requests = generate_workload(RandomStreams(3), spec, 300)
         links = [lk for r in requests for lk in r.link_demands]
-        assert len(links) > 45
-        assert len({id(lk) for lk in links}) <= 45
-
-    def test_tree_edges_are_the_table_tuples(self):
-        rows = _pair_rows(12)
-        for n in range(12):
-            for seed in range(20):
-                want, got = random.Random(seed), random.Random(seed)
-                edges = _prufer_tree(got, n, rows)
-                assert edges == reference._prufer_tree(want, n)
-                assert all(e is rows[e[0]][e[1]] for e in edges)
-                assert got.random() == want.random()
-
-    @pytest.mark.parametrize("spec", [GeneratorSpec(), DEGENERATE], ids=["defaults", "degenerate"])
-    def test_request_is_the_same_with_and_without_the_table(self, spec):
-        rows = _pair_rows(spec.vnodes_max)
-        for i in range(200):
-            alone, shared = random.Random(f"3/request/{i}"), random.Random(f"3/request/{i}")
-            a = gen_virtual_request(alone, spec, i, i, 5)
-            b = gen_virtual_request(shared, spec, i, i, 5, rows)
-            assert a == b
-            assert list(a.link_demands.items()) == list(b.link_demands.items())
-            assert all(lk is rows[lk[0]][lk[1]] for lk in b.link_demands)
-            assert alone.random() == shared.random()
+        bound = sum(n * (n - 1) // 2 for n in range(spec.vnodes_min, spec.vnodes_max + 1))
+        assert bound == 164
+        assert len(links) > bound
+        assert len({id(lk) for lk in links}) <= bound
 
 
 class TestGenVirtualRequest:
