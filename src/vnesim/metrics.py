@@ -231,16 +231,24 @@ def summary(log, text=None) -> dict:
 # ---------------------------------------------------------------------------
 # CSV trace
 
+TRACE_BLOCK = 256  # rows per piece of text that _csv_blocks formats at a time
+
+
+def _csv_blocks(log):
+    """The trace text in pieces: the header line, then the lines of up to
+    ``TRACE_BLOCK`` rows each. A line is the time in units, then every other
+    field in order: None as an empty cell, a float as its repr (which str
+    gives), anything else as str."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    rows = log.rows
+    for start in range(0, len(rows), TRACE_BLOCK):
+        yield "".join([f"{row.time / TICKS_PER_UNIT:.6f},"
+                       + ",".join(["" if v is None else str(v) for v in row[1:]]) + "\n"
+                       for row in rows[start:start + TRACE_BLOCK]])
+
 
 def csv_text(log) -> str:
-    # the time in units, then every other field in order: None as an empty
-    # cell, a float as its repr (which str gives), anything else as str
-    lines = [",".join(CSV_COLUMNS)]
-    for row in log.rows:
-        lines.append(f"{row.time / TICKS_PER_UNIT:.6f},"
-                     + ",".join(["" if v is None else str(v) for v in row[1:]]))
-    lines.append("")  # the trailing newline, in the one join that copies the text
-    return "\n".join(lines)
+    return "".join(_csv_blocks(log))
 
 
 def export_csv(log, path) -> str:
@@ -253,4 +261,9 @@ def export_csv(log, path) -> str:
 
 
 def trace_hash(log) -> str:
-    return sha256(csv_text(log).encode("utf-8")).hexdigest()
+    """SHA-256 of ``csv_text(log)``, fed one block of rows at a time, so the
+    whole text never exists at once."""
+    digest = sha256()
+    for block in _csv_blocks(log):
+        digest.update(block.encode("utf-8"))
+    return digest.hexdigest()

@@ -4,8 +4,13 @@ Simulated time is an integer count of micro-time-units (ticks), so equal-time
 comparisons are exact. The event queue is a heap of
 (time, kind, sequence, payload) tuples: at equal times departures dispatch
 before arrivals, and arrivals before window triggers; the monotone sequence
-number makes the order total. Replaying the same master seed and config
-reproduces the event trace bit for bit.
+number makes the order total. The engine reads its arrivals from an iterable
+and keeps one pending arrival in the heap: popping an arrival pushes the
+next one before the popped one dispatches (the event-scheduling pattern in
+which each arrival schedules the next), so only the requests near the clock
+need exist. Arrivals must not decrease; for every such input the dispatch
+order is the one of pushing them all up front. Replaying the same master
+seed and config reproduces the event trace bit for bit.
 
 Random streams derive from a master seed as independent stdlib generators
 seeded with stable strings ("<seed>/interarrival", "/lifetime", "/topology",
@@ -72,12 +77,15 @@ def draw_lifetime(stream, mean=DEFAULT_LIFETIME_MEAN) -> int:
 class Engine:
     """Heap-driven event loop feeding a controller.
 
-    The controller schedules departures (at commit) and window triggers back
-    through the engine. After the queue drains, any still-pending batch is
-    flushed at the last event time so every tentative request resolves.
+    ``arrivals`` is an iterable of requests whose ``arrival`` ticks do not
+    decrease; it is read one request ahead of the clock, and a decrease
+    raises ValueError naming the request. The controller schedules
+    departures (at commit) and window triggers back through the engine.
+    After the queue drains, any still-pending batch is flushed at the last
+    event time so every tentative request resolves.
     """
 
-    def __init__(self, controller, requests, horizon=None, check_invariants=False):
+    def __init__(self, controller, arrivals, horizon=None, check_invariants=False):
         self.controller = controller
         self.now = 0
         self.horizon = horizon  # ticks, optional
@@ -85,7 +93,17 @@ class Engine:
         self.events_dispatched = 0
         self._heap = []
         self._seq = 0
-        for request in requests:
+        self._arrivals = iter(arrivals)
+        self._push_next_arrival(-math.inf)
+
+    def _push_next_arrival(self, after):
+        """Push the next arrival, which must not come before tick ``after``."""
+        request = next(self._arrivals, None)
+        if request is not None:
+            if request.arrival < after:
+                raise ValueError(f"request {request.request_id} arrives at tick {request.arrival}, "
+                                 f"before the previous arrival at tick {after}: "
+                                 f"arrivals must not decrease")
             self._push(request.arrival, ARRIVAL, request)
 
     def _push(self, time, kind, payload):
@@ -115,6 +133,8 @@ class Engine:
             if self.horizon is not None and self._heap[0][0] > self.horizon:
                 return
             time, kind, _seq, payload = heappop(self._heap)
+            if kind == ARRIVAL:
+                self._push_next_arrival(time)
             self._dispatch(time, kind, payload)
 
     def run(self):

@@ -11,11 +11,16 @@ integer demands. The default demand ranges model a flow-table-bound
 fabric: node demands (up to 35 units) compete with rules for switch memory,
 the scarce resource, while link demands (up to 4 units) leave bandwidth
 comfortable. Generation is a pure function of (master seed, spec, request
-index). A request's links are tuples of ``_pair_rows(n)``, a table built
-once per node count n: 1,500 default requests (3 to 10 nodes) then share
-at most 164 link tuples, not one per link, and hold 1.65 MB by
-``tracemalloc``, not 2.7 MB. The draws and the link order do not depend
-on the table.
+index). A request's links are tuples of one table, ``_pair_rows``, grown
+in place to the largest node count asked for: 1,500 default requests (3 to
+10 nodes) then share 45 link tuples, not one per link, and a spec of up to
+N nodes keeps one N x N table alive, not one per node count. The draws and
+the link order do not depend on the table.
+
+A run holds only the requests near the clock: ``arrival_schedule`` draws
+every arrival and lifetime up front, and ``iter_requests`` builds the
+requests from that schedule ``REQUEST_BLOCK`` at a time as they are asked
+for. ``generate_workload`` is the same requests as one list.
 
 Integer draws go straight to the stream's ``getrandbits``: ``_randbelow``,
 ``_randints`` and ``_shuffle`` reproduce ``Random.randrange``, ``randint``
@@ -28,7 +33,6 @@ and ``TestGeneratorsMatchRandomMethods`` pins the generators to their
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 from importlib import resources
@@ -191,22 +195,29 @@ def build_substrate(source, stream, spec: GeneratorSpec = None) -> SubstrateNetw
     return load_topology(source)
 
 
-@functools.lru_cache(maxsize=None)
+_PAIRS = []  # the one link table; see _pair_rows
+
+
 def _pair_rows(n):
-    """The link table of nodes 0..n-1: ``rows[a][b]`` and ``rows[b][a]`` are
-    one tuple ``(min(a, b), max(a, b))``. It is built once per n, so every
-    request with n nodes shares its link tuples instead of holding its own;
-    callers must not change it."""
-    rows = [[None] * n for _ in range(n)]
-    for a, row in enumerate(rows):
-        for b in range(a, n):
-            row[b] = rows[b][a] = (a, b)
+    """The link table, grown in place to at least n nodes: ``rows[a][b]`` and
+    ``rows[b][a]`` are one tuple ``(min(a, b), max(a, b))``. Every call returns
+    the same table and growing keeps its tuples, so all requests share their
+    link tuples instead of holding their own; callers must not change it."""
+    rows = _PAIRS
+    old = len(rows)
+    if n > old:
+        for row in rows:
+            row.extend([None] * (n - old))
+        rows.extend([None] * n for _ in range(n - old))
+        for a in range(n):
+            for b in range(max(a, old), n):
+                rows[a][b] = rows[b][a] = (a, b)
     return rows
 
 
 def _prufer_tree(stream, n):
     """Uniform random labeled tree on nodes 0..n-1, as an edge list of
-    ``_pair_rows(n)``'s tuples."""
+    ``_pair_rows``'s tuples."""
     if n < 2:
         return []
     rows = _pair_rows(n)
@@ -234,14 +245,13 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
 
     For a validated spec it meets ``VirtualNetworkRequest``'s contract: a
     spanning tree connects the nodes, each link is (a, b) with a < b, and
-    each demand is an integer >= 1. Its links are ``_pair_rows(n)``'s
-    tuples for its node count n."""
+    each demand is an integer >= 1. Its links are ``_pair_rows``'s tuples."""
     getrandbits, random = stream.getrandbits, stream.random
     n = spec.vnodes_min + _randbelow(getrandbits, spec.vnodes_max - spec.vnodes_min + 1)
     rows = _pair_rows(n)
     links = set(_prufer_tree(stream, n))
     for a in range(n):
-        for link in rows[a][a + 1:]:
+        for link in rows[a][a + 1:n]:
             if link not in links and random() < spec.edge_prob:
                 links.add(link)
     node_demands = dict(enumerate(_randints(getrandbits, spec.node_demand_min, spec.node_demand_max, n)))
@@ -251,15 +261,42 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
     return VirtualNetworkRequest(request_id, node_demands, link_demands, arrival, lifetime)
 
 
+# Requests built per step of iter_requests. On bench/run.py's default
+# workload, one at a time ran 11-13% slower per event than building every
+# request up front (most likely cache locality lost to the events between
+# requests), 32 and 64 up to 6% slower, and 256 level with it (BENCH_27.json).
+REQUEST_BLOCK = 256
+
+
+def arrival_schedule(streams: RandomStreams, count, interarrival_mean=DEFAULT_INTERARRIVAL_MEAN,
+                     lifetime_mean=DEFAULT_LIFETIME_MEAN) -> list:
+    """The ``(arrival, lifetime)`` ticks of ``count`` requests: Poisson
+    arrivals from ``streams.interarrival``, exponential lifetimes from
+    ``streams.lifetime``. Arrivals strictly increase."""
+    interarrival, lifetimes = streams.interarrival, streams.lifetime
+    out = []
+    now = 0
+    for _ in range(count):
+        now += draw_interarrival(interarrival, interarrival_mean)
+        out.append((now, draw_lifetime(lifetimes, lifetime_mean)))
+    return out
+
+
+def iter_requests(streams: RandomStreams, spec: GeneratorSpec, schedule):
+    """Request i of ``schedule``, demand graph from ``streams.request(i)``
+    per the validated ``spec``, in order; built ``REQUEST_BLOCK`` at a time,
+    so at most that many are built ahead of the one last asked for."""
+    for start in range(0, len(schedule), REQUEST_BLOCK):
+        block = schedule[start:start + REQUEST_BLOCK]
+        yield from [gen_virtual_request(streams.request(i), spec, i, arrival, lifetime)
+                    for i, (arrival, lifetime) in enumerate(block, start)]
+
+
 def generate_workload(streams: RandomStreams, spec: GeneratorSpec, count,
                       interarrival_mean=DEFAULT_INTERARRIVAL_MEAN,
                       lifetime_mean=DEFAULT_LIFETIME_MEAN) -> list:
-    """Poisson arrivals with exponential lifetimes, demand graphs per spec."""
+    """All ``count`` requests of ``iter_requests`` over ``arrival_schedule``,
+    as one list; raises ValueError for an invalid spec before any draw."""
     spec.validate()
-    out = []
-    now = 0
-    for i in range(count):
-        now += draw_interarrival(streams.interarrival, interarrival_mean)
-        lifetime = draw_lifetime(streams.lifetime, lifetime_mean)
-        out.append(gen_virtual_request(streams.request(i), spec, i, now, lifetime))
-    return out
+    schedule = arrival_schedule(streams, count, interarrival_mean, lifetime_mean)
+    return list(iter_requests(streams, spec, schedule))

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from vnesim import cli, metrics
+from vnesim import run as run_module
 from vnesim.cli import main
 from vnesim.config import ConfigError, RunConfig, build_config, parse_config_file
 from vnesim.controller import STRATEGIES
@@ -428,6 +429,24 @@ class TestBadInputExitsTwo:
         assert code == 0
         stderr = self.run_expecting_2(capsys, tmp_path, "run", "--substrate", str(p), requests=30)
         assert stderr.startswith("bad configuration: substrate") and str(p) in stderr
+
+    def test_unit_cost_whose_spec_bound_overflows_but_no_request_does(
+            self, capsys, tmp_path, monkeypatch):
+        # 10 nodes of 35 units at 6e305 pass float range, so the requests
+        # are generated up front and bounded one by one: none of these 30
+        # has more than 249 node units. The hash is the one the run had when
+        # every run bounded its requests one by one.
+        built = []
+        generate_workload = run_module.generate_workload
+        monkeypatch.setattr(run_module, "generate_workload",
+                            lambda *args: built.append(1) or generate_workload(*args))
+        p = self.costly_topology(tmp_path, 6 * 10 ** 305)
+        code, out, stderr = run_cli(capsys, "run", "--substrate", str(p), "--requests", "30",
+                                    "--out", str(tmp_path / "t.csv"))
+        assert code == 0 and stderr == ""
+        stats = dict(line.split(" ", 1) for line in out.splitlines()[2:])
+        assert stats["trace_sha256"] == "24361348b7b719312c8c8538a7868d5b4a078367ed610299ed5cdf498771faa0"
+        assert built == [1]
 
     def test_large_but_safe_unit_cost_still_runs(self, capsys, tmp_path):
         p = self.costly_topology(tmp_path, 10 ** 300)

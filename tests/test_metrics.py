@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from vnesim.config import RunConfig
 from vnesim.metrics import (
     CSV_COLUMNS,
     MetricsLog,
+    TRACE_BLOCK,
     Row,
     acceptance_rate,
     csv_text,
@@ -28,6 +30,7 @@ from vnesim.metrics import (
     _time_weighted,
 )
 from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
+from vnesim.run import run_simulation
 
 from conftest import make_net
 from reference import active_counts, build_reservation, fates, mean_concurrent_active
@@ -329,6 +332,19 @@ class TestCsvTrace:
         want = hashlib.sha256(csv_text(log).encode("utf-8")).hexdigest()
         assert trace_hash(log) == want
         assert len(want) == 64
+
+    def test_hash_and_text_agree_around_a_block_boundary(self):
+        # trace_hash feeds the digest TRACE_BLOCK rows at a time
+        _, full = run_simulation(RunConfig(requests=120, seed=4))
+        rows = full.rows
+        assert len(rows) > TRACE_BLOCK + 1
+        lines = csv_text(full).splitlines(keepends=True)
+        log = MetricsLog(None)
+        for count in (0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1):
+            log.rows = rows[:count]
+            text = csv_text(log)
+            assert text == "".join(lines[:count + 1])
+            assert trace_hash(log) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fresh_python(code):

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, field
 
+import pytest
+
 from vnesim.simulator import (
     ARRIVAL,
     DEPARTURE,
@@ -117,9 +119,9 @@ class RecordingController:
 
 
 class TestEngine:
-    def test_arrivals_dispatch_in_time_order(self):
+    def test_sorted_arrivals_dispatch_in_order(self):
         ctl = RecordingController()
-        reqs = [FakeRequest(0, 7), FakeRequest(1, 3), FakeRequest(2, 5)]
+        reqs = [FakeRequest(1, 3), FakeRequest(2, 5), FakeRequest(0, 7)]
         engine = Engine(ctl, reqs).run()
         assert ctl.seen == [
             ("arrival", 3, 1),
@@ -128,6 +130,52 @@ class TestEngine:
         ]
         assert engine.now == 7
         assert engine.events_dispatched == 3
+
+    def test_a_decreasing_arrival_raises_naming_the_request(self):
+        ctl = RecordingController()
+        engine = Engine(ctl, [FakeRequest(0, 7), FakeRequest(1, 3), FakeRequest(2, 5)])
+        with pytest.raises(ValueError, match="request 1 arrives at tick 3, before .* tick 7"):
+            engine.run()
+        assert ctl.seen == []
+
+    def test_arrivals_are_read_one_ahead_of_the_clock(self):
+        read, seen_at_dispatch = [], []
+
+        def arrivals():
+            for r in [FakeRequest(0, 2), FakeRequest(1, 4), FakeRequest(2, 6)]:
+                read.append(r.request_id)
+                yield r
+
+        class Watching(RecordingController):
+            def on_arrival(self, engine, request):
+                seen_at_dispatch.append(list(read))
+
+        Engine(Watching(), arrivals()).run()
+        # the next arrival is in the heap before the current one dispatches
+        assert seen_at_dispatch == [[0, 1], [0, 1, 2], [0, 1, 2]]
+
+    def test_lazy_arrivals_keep_the_tie_order(self):
+        # arrivals at 5, 5 and 9; each arrival at 5 schedules a departure and
+        # a trigger at 9, so the lazily pushed arrival at 9 gets a later
+        # sequence number than both, yet dispatches between them by kind
+        class Scheduling(RecordingController):
+            def on_arrival(self, engine, request):
+                super().on_arrival(engine, request)
+                if engine.now == 5:
+                    engine.schedule_trigger(9, epoch=request.request_id)
+                    engine.schedule_departure(9, request_id=request.request_id)
+
+        ctl = Scheduling()
+        Engine(ctl, [FakeRequest(0, 5), FakeRequest(1, 5), FakeRequest(2, 9)]).run()
+        assert ctl.seen == [
+            ("arrival", 5, 0),
+            ("arrival", 5, 1),
+            ("departure", 9, 0),
+            ("departure", 9, 1),
+            ("arrival", 9, 2),
+            ("trigger", 9, 0),
+            ("trigger", 9, 1),
+        ]
 
     def test_same_tick_orders_departure_arrival_trigger(self):
         ctl = RecordingController()
