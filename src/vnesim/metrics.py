@@ -1,11 +1,15 @@
 """Per-event metrics log, summary statistics, and the CSV trace format.
 
 Every arrival, commit, and departure appends one row sampling the run state:
-cumulative acceptance, mean link/switch utilization (committed plus tentative
-consumption over totals), cumulative rule writes, commit events, remapped
-links, and the latency proxy of the request just committed. Summaries are
-pure functions of the logged rows, so recomputing them from an exported
-trace reproduces the same numbers.
+cumulative acceptance, mean link/switch utilization, cumulative rule writes,
+commit events, remapped links, and the latency proxy of the request just
+committed. Summaries are pure functions of the logged rows, so recomputing
+them from an exported trace reproduces the same numbers.
+
+A row's mean utilization of a kind is the exact mean of its elements'
+``(total - residual) / total`` (committed plus tentative use), rounded once:
+one int division of the view's numerator per row (see ``netmodel``), so no
+summation order or interpreter version can move it.
 
 The trace hash is SHA-256 from the interpreter's builtin module (``_sha2``
 from 3.12 on, ``_sha256`` before), the lean module the stdlib's own
@@ -17,9 +21,7 @@ digest is the same either way.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from typing import NamedTuple
 
 from .simulator import TICKS_PER_UNIT
@@ -53,18 +55,12 @@ CSV_COLUMNS = Row._fields  # the trace's header, in row order
 
 def ordered_sum(values) -> float:
     """Left-to-right float sum from 0.0: one rounded addition per term, in
-    order, so an empty input gives 0.0 and a leading -0.0 adds to 0.0.
-    Below Python 3.12 the name is bound to the builtin ``sum`` (below)."""
+    order, so an empty input gives 0.0 and a leading -0.0 adds to 0.0. The
+    builtin ``sum`` compensates rounding from Python 3.12 on."""
     total = 0.0
     for v in values:
         total += v
     return total
-
-
-if sys.version_info < (3, 12):
-    # below 3.12 the builtin adds floats left to right in one C double, the
-    # same additions as the loop; from 3.12 on it compensates rounding
-    ordered_sum = functools.partial(sum, start=0.0)
 
 
 class MetricsLog:
@@ -86,15 +82,16 @@ class MetricsLog:
     # -- recording ---------------------------------------------------------
 
     def _utilization_means(self):
-        link_util, switch_util = self.view.link_util, self.view.switch_util
-        return ordered_sum(link_util) / len(link_util), ordered_sum(switch_util) / len(switch_util)
+        # over L * count, L being any element's scale times its total
+        view, base = self.view, self.view.base
+        return (view.link_used / (view.link_scale[0] * base.bandwidths[0] * len(base.links)),
+                view.switch_used / (view.switch_scale[0] * base.capacities[0] * len(base.switches)))
 
     def _append(self, time, kind, request_id, outcome, cost, latency):
-        link_util, switch_util = self._utilization_means()
         rate = (self.accepted - self.cancelled) / self.arrivals if self.arrivals else None
         self.rows.append(Row(
             time, kind, request_id, outcome, cost, rate,
-            link_util, switch_util,
+            *self._utilization_means(),
             self.rule_writes, self.commit_events, self.remapped_links,
             latency,
         ))

@@ -12,6 +12,12 @@ paths included, so that release is exact and the conservation identity
 
 can be audited on every element at any event boundary.
 
+Mean utilization is exact. Per kind, with ``L`` the lcm of the totals, the
+view keeps one integer numerator ``sum((total_i - residual_i) * (L //
+total_i))``, ``L`` times the sum of the per-element utilizations; the mean
+is that numerator over ``L * count``, an int division that CPython rounds
+correctly, whatever the summation order or the interpreter version.
+
 Committed state lives on ``SubstrateNetwork``; tentative (uncommitted)
 reservations live in a ``SubstrateView`` overlay so a batch can be staged,
 remapped, and then committed or cancelled atomically. The overlay is the
@@ -40,10 +46,11 @@ subtracts only the records that entered, left or changed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import add, attrgetter, ne, or_, sub
+from operator import add, attrgetter, mul, ne, or_, sub
 from types import MappingProxyType
 
 # ``hop_bounds`` builds every table in one sweep on substrates up to this
@@ -305,12 +312,21 @@ class SubstrateNetwork:
             )
 
 
+class _Pending(dict):
+    """Request id -> tentative Reservation; a missing id raises
+    UnknownRequestError, a KeyError."""
+
+    def __missing__(self, request_id):
+        raise UnknownRequestError(request_id)
+
+
 class SubstrateView:
     """A substrate plus an overlay of tentative (uncommitted) reservations.
 
     Effective residuals subtract both committed and tentative consumption, so
     staged batch members see each other. ``tentative`` maps request id to
-    Reservation in reserve order; the controller reserves each accepted
+    Reservation in reserve order, and raises UnknownRequestError for an id
+    it does not hold; the controller reserves each accepted
     arrival, so this overlay is its pending batch. ``commit`` moves
     one reservation into the committed ledger and installs its flow rules; it
     fails (leaving the reservation tentative) only when rule-memory headroom
@@ -320,37 +336,35 @@ class SubstrateView:
     updated by the identity of each committed record's unit maps.
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
-    index and ``bandwidth_left`` by link id, with each element's utilization
-    term ``1.0 - residual / total`` in ``switch_util`` and ``link_util``;
+    index and ``bandwidth_left`` by link id, and the utilization numerators
+    ``switch_used`` and ``link_used`` (module docstring), with each
+    element's ``L // total`` in ``switch_scale`` and ``link_scale``.
     ``reserve``, ``commit``, ``release`` and ``move_tentative_link`` update
-    only the entries they touch. Every ledger change must therefore go through
-    the view: a base mutated behind its back leaves the lists stale, and
-    ``conservation_violations`` reports it.
+    only the entries they touch, and the numerators by their units. Every
+    ledger change must therefore go through the view: a base mutated behind
+    its back leaves the lists stale, and ``conservation_violations`` reports
+    it.
     """
 
     def __init__(self, base: SubstrateNetwork):
         self.base = base
-        self.tentative = {}
+        self.tentative = _Pending()
         node, rule, link = base.node_load, base.rule_load, base.link_load
         self.capacity_left = [c - node[u] - rule[u] for u, c in zip(base.switches, base.capacities)]
         self.bandwidth_left = [b - link[lk] for lk, b in zip(base.links, base.bandwidths)]
-        self.switch_util = [1.0 - r / c for r, c in zip(self.capacity_left, base.capacities)]
-        self.link_util = [1.0 - r / b for r, b in zip(self.bandwidth_left, base.bandwidths)]
+        self.switch_scale = _scales(base.capacities)
+        self.link_scale = _scales(base.bandwidths)
+        self.switch_used = _scaled_used(base.capacities, self.capacity_left, self.switch_scale)
+        self.link_used = _scaled_used(base.bandwidths, self.bandwidth_left, self.link_scale)
         # the audit's (unit maps summed, in committed order and by request
         # id, committed sums), or None
         self._summed = None
 
     def _debit(self, node_units, link_units, sign=1):
         """Take (sign 1) or give back (sign -1) units of switches by index
-        and of links by id, recomputing their utilization terms."""
-        base = self.base
-        for units, totals, left, util in (
-            (node_units, base.capacities, self.capacity_left, self.switch_util),
-            (link_units, base.bandwidths, self.bandwidth_left, self.link_util),
-        ):
-            for i, n in units.items():
-                r = left[i] = left[i] - sign * n
-                util[i] = 1.0 - r / totals[i]
+        and of links by id, and the same units, scaled, in the numerators."""
+        self.switch_used += _take(self.capacity_left, self.switch_scale, node_units, sign)
+        self.link_used += _take(self.bandwidth_left, self.link_scale, link_units, sign)
 
     def commit(self, request_id) -> bool:
         """Commit a tentative reservation and install its flow rules.
@@ -361,9 +375,7 @@ class SubstrateView:
         committed record's ``node_units``, ``rule_units`` and ``link_units``
         are read-only views of its own copies.
         """
-        res = self.tentative.get(request_id)
-        if res is None:
-            raise UnknownRequestError(request_id)
+        res = self.tentative[request_id]
         rules = {}  # one unit per (virtual link, part, switch on its path)
         for parts in res.link_paths.values():
             for path, _units, _ids in parts:
@@ -408,12 +420,6 @@ class SubstrateView:
             for i, n in units.items():
                 load[names[i]] += sign * n
 
-    def tentative_reservation(self, request_id) -> Reservation:
-        res = self.tentative.get(request_id)
-        if res is None:
-            raise UnknownRequestError(request_id)
-        return res
-
     def move_tentative_link(self, request_id, vlink, path, ids):
         """Move one single-path virtual link of a tentative reservation onto
         ``path`` (for remap), atomically. ``ids`` are the link ids of
@@ -421,8 +427,9 @@ class SubstrateView:
         part carries. The units freed from the old path count as headroom,
         and when some link of the new path still lacks it ReservationError
         is raised with nothing applied. The reservation's cost changes by
-        ``units`` times the new path's link cost less the old one's."""
-        res = self.tentative_reservation(request_id)
+        ``units`` times the new path's link cost less the old one's. Raises
+        UnknownRequestError for an id that is not tentative."""
+        res = self.tentative[request_id]
         (_old, units, freed), = res.link_paths[vlink]
         base = self.base
         for j in ids:
@@ -445,9 +452,11 @@ class SubstrateView:
         """Audit the ledger; an empty list means every element balances.
         The committed and the tentative per-request units are summed by
         index; each element's committed loads must equal the committed sums,
-        its flat residual its total less both sums, neither its committed
-        nor its effective residual may be negative, and its utilization term
-        must match its flat residual.
+        its flat residual its total less both sums, and neither its committed
+        nor its effective residual may be negative. Each kind's utilization
+        numerator must equal its recount from the flat residuals; ``_debit``
+        moves both together, so a stray debit is reported once, by the
+        residual check.
 
         The committed sums are kept from one audit to the next, updated by
         record identity: the unit maps of every committed record are read
@@ -464,14 +473,15 @@ class SubstrateView:
         held_sw = list(map(add, node, rule))
         pending_sw = list(map(add, t_node, t_rule))
         node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
+        kinds = (("switch", switches, base.capacities, held_sw, pending_sw,
+                  self.capacity_left, self.switch_scale, self.switch_used),
+                 ("link", links, base.bandwidths, link, t_link,
+                  self.bandwidth_left, self.link_scale, self.link_used))
         # each load's keys in index order, then its values against the sums
         if (list(node_load) == switches == list(rule_load) and list(link_load) == links
                 and list(node_load.values()) == node and list(rule_load.values()) == rule
                 and list(link_load.values()) == link
-                and _balanced(base.capacities, held_sw, pending_sw,
-                              self.capacity_left, self.switch_util)
-                and _balanced(base.bandwidths, link, t_link,
-                              self.bandwidth_left, self.link_util)):
+                and all(_balanced(*kind[2:]) for kind in kinds)):
             return []
         out = []
         for u, n, r in zip(switches, node, rule):
@@ -481,13 +491,8 @@ class SubstrateView:
         for lk, n in zip(links, link):
             if link_load[lk] != n:
                 out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
-        for kind, names, totals, held, pending, left, util in (
-            ("switch", switches, base.capacities, held_sw, pending_sw,
-             self.capacity_left, self.switch_util),
-            ("link", links, base.bandwidths, link, t_link,
-             self.bandwidth_left, self.link_util),
-        ):
-            for name, total, h, p, resid, term in zip(names, totals, held, pending, left, util):
+        for kind, names, totals, held, pending, left, scale, used in kinds:
+            for name, total, h, p, resid in zip(names, totals, held, pending, left):
                 if total - h < 0:
                     out.append(f"{kind} {name}: negative residual {total - h}")
                 if resid != total - h - p:
@@ -495,8 +500,8 @@ class SubstrateView:
                                f"!= total less per-request sums {total - h - p}")
                 if resid < 0:
                     out.append(f"{kind} {name}: negative effective residual")
-                if term != 1.0 - resid / total:
-                    out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
+            if used != _scaled_used(totals, left, scale):
+                out.append(f"{kind} utilization numerator {used} does not match the residuals")
         return out
 
     def _committed_sums(self) -> tuple:
@@ -560,15 +565,37 @@ def _unit_sums(reservations, switches, links) -> tuple:
     return sums
 
 
-def _balanced(totals, held, pending, left, util) -> bool:
-    """Whether every element of one kind passes the audit's residual, sign
-    and utilization checks, read from whole lists: ``left`` is ``totals``
-    less ``held`` less ``pending``, neither ``totals - held`` nor ``left``
-    has a negative entry, and ``util`` is ``1.0 - left / totals``."""
+def _balanced(totals, held, pending, left, scale, used) -> bool:
+    """Whether one kind passes the audit's residual, sign and numerator
+    checks, read from whole lists: ``left`` is ``totals`` less ``held``
+    less ``pending``, neither ``totals - held`` nor ``left`` has a negative
+    entry, and ``used`` is the numerator recounted from ``left``."""
     free = list(map(sub, totals, held))
     return (left == list(map(sub, free, pending))
             and min(free, default=0) >= 0 and min(left, default=0) >= 0
-            and util == [1.0 - r / t for r, t in zip(left, totals)])
+            and used == _scaled_used(totals, left, scale))
+
+
+def _scales(totals) -> list:
+    """``L // total`` for each total, ``L`` the lcm of all of them."""
+    whole = math.lcm(*totals)
+    return [whole // t for t in totals]
+
+
+def _scaled_used(totals, left, scale) -> int:
+    """A utilization numerator counted afresh: each element's used units,
+    ``total - left``, times its scale, summed."""
+    return sum(map(mul, map(sub, totals, left), scale))
+
+
+def _take(left, scale, units, sign) -> int:
+    """Take (sign 1) or give back (sign -1) ``units`` by index from
+    ``left``; return the numerator's change."""
+    used = 0
+    for i, n in units.items():
+        left[i] -= sign * n
+        used += n * scale[i]
+    return sign * used
 
 
 def reserve(view: SubstrateView, res: Reservation) -> Reservation:

@@ -102,7 +102,7 @@ def link_weight(view, request, vlink) -> LinkWeightRecord:
     not installed until commit, so one memory unit per switch is attributed
     explicitly (never below zero per switch).
     """
-    allocs = view.tentative_reservation(request.request_id).link_paths.get(vlink)
+    allocs = view.tentative[request.request_id].link_paths.get(vlink)
     if allocs is None:
         raise ValueError(f"virtual link {vlink} has no tentative reservation")
     path, units, ids = _single_path(vlink, allocs)
@@ -169,7 +169,7 @@ def remap_pass(view) -> int:
         ids = rec.ids
         for j in ids:
             residual[j] += units
-        node_map = view.tentative_reservation(rec.request_id).node_map
+        node_map = view.tentative[rec.request_id].node_map
         a, b = rec.vlink
         found = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
         if found is not None and found[0] != rec.path:

@@ -20,8 +20,10 @@ by hand and to check the ones that ``embed`` builds; so are the link ids of
 each part. These read a part's path and units only, so a mapping may give
 its parts as ``(path, units)``. ``full_audit`` is the ledger audit that sums
 every per-request unit afresh, the list the view's audit, which keeps its
-committed sums, must equal. The node stage is given as one ``max`` and
-one ``index`` per virtual node, for ``greedy_node_map`` to match. The rest
+committed sums, must equal; ``exact_utilization_means`` gives the exact
+fractions that each row's utilization means must round to. The node stage
+is given as one ``max`` and one ``index`` per virtual node, for
+``greedy_node_map`` to match. The rest
 derives from a network or a finished run what the package itself never
 needs: adjacency, equality and text of a substrate, its totals and residuals by name, the overlay's loads,
 the fate and the state of a request, the longest wait and the mean number
@@ -34,7 +36,9 @@ network for network and request for request.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -299,9 +303,10 @@ def full_audit(view) -> list:
     Audit the ledger in one pass; an empty list means every element
     balances. The committed and the tentative per-request units are
     summed by index; each element's committed loads must equal the
-    committed sums, its flat residual its total less both sums, neither
-    its committed nor its effective residual may be negative, and its
-    utilization term must match its flat residual."""
+    committed sums, its flat residual its total less both sums, and
+    neither its committed nor its effective residual may be negative. Each
+    kind's utilization numerator must equal its recount from the flat
+    residuals."""
     base = view.base
     switches, links = base.switches, base.links
     node, rule, link = _unit_sums(base.committed, len(switches), len(links))
@@ -317,13 +322,13 @@ def full_audit(view) -> list:
             out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
     held_sw = [n + r for n, r in zip(node, rule)]
     pending_sw = [n + r for n, r in zip(t_node, t_rule)]
-    for kind, names, totals, held, pending, left, util in (
+    for kind, names, totals, held, pending, left, used in (
         ("switch", switches, base.capacities, held_sw, pending_sw,
-         view.capacity_left, view.switch_util),
+         view.capacity_left, view.switch_used),
         ("link", links, base.bandwidths, link, t_link,
-         view.bandwidth_left, view.link_util),
+         view.bandwidth_left, view.link_used),
     ):
-        for name, total, h, p, resid, term in zip(names, totals, held, pending, left, util):
+        for name, total, h, p, resid in zip(names, totals, held, pending, left):
             if total - h < 0:
                 out.append(f"{kind} {name}: negative residual {total - h}")
             if resid != total - h - p:
@@ -331,9 +336,20 @@ def full_audit(view) -> list:
                            f"!= total less per-request sums {total - h - p}")
             if resid < 0:
                 out.append(f"{kind} {name}: negative effective residual")
-            if term != 1.0 - resid / total:
-                out.append(f"{kind} {name}: utilization term {term!r} does not match residual {resid}")
+        whole = math.lcm(*totals)
+        if used != sum((total - resid) * (whole // total) for total, resid in zip(totals, left)):
+            out.append(f"{kind} utilization numerator {used} does not match the residuals")
     return out
+
+
+def exact_utilization_means(view) -> tuple:
+    """(link, switch) mean utilization as exact fractions, each element's
+    ``(total - residual) / total`` from the flat residuals and the totals;
+    a row's ``avg_link_util`` and ``avg_switch_util`` must be their floats."""
+    base = view.base
+    return tuple(sum((Fraction(t - r, t) for t, r in zip(totals, left)), Fraction(0)) / len(totals)
+                 for totals, left in ((base.bandwidths, view.bandwidth_left),
+                                      (base.capacities, view.capacity_left)))
 
 
 def _unit_sums(reservations, switches, links) -> tuple:

@@ -171,7 +171,7 @@ def test_criterion_5_weight_algebra():
             if not outcome.accepted:
                 continue
             reserve(view, outcome.reservation)
-            for vl, allocs in named(view, view.tentative_reservation(rid)).link_paths.items():
+            for vl, allocs in named(view, view.tentative[rid]).link_paths.items():
                 (path, _units, _ids), = allocs
                 rec = link_weight(view, req, vl)
                 used = req.link_demands[vl] * (len(path) - 1) + len(path)

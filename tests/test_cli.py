@@ -445,7 +445,7 @@ class TestBadInputExitsTwo:
                                     "--out", str(tmp_path / "t.csv"))
         assert code == 0 and stderr == ""
         stats = dict(line.split(" ", 1) for line in out.splitlines()[2:])
-        assert stats["trace_sha256"] == "24361348b7b719312c8c8538a7868d5b4a078367ed610299ed5cdf498771faa0"
+        assert stats["trace_sha256"] == "06dc980005f0fc295e4d862b542ffe67f83d9fbf412f78eb15d8b0c27e9717a3"
         assert built == [1]
 
     def test_large_but_safe_unit_cost_still_runs(self, capsys, tmp_path):

@@ -282,12 +282,12 @@ class TestBatchedCommit:
         assert request_state(ctl, 0) == "tentative"
         view = ctl.view
         tentative = dict(view.tentative)
-        flat = [list(v) for v in (view.capacity_left, view.bandwidth_left,
-                                  view.switch_util, view.link_util)]
+        flat = [list(view.capacity_left), list(view.bandwidth_left),
+                view.switch_used, view.link_used]
         with pytest.raises(UnknownRequestError):
             ctl.on_departure(engine, 0)
         assert view.tentative == tentative and view.tentative[0] is tentative[0]
-        assert [view.capacity_left, view.bandwidth_left, view.switch_util, view.link_util] == flat
+        assert [view.capacity_left, view.bandwidth_left, view.switch_used, view.link_used] == flat
         assert view.base.committed == {}
 
 

@@ -37,47 +37,47 @@ HEAVY = dict(seed=4, requests=300, link_demand_min=40, link_demand_max=120)
 COSTS14 = dict(seed=0, substrate=str(Path(__file__).resolve().parent / "data" / "costs14.topo"))
 
 GOLDEN = [
-    ("batched", dict(seed=0), "1e4d14393ee1953b11cfe366141d823fef44831ebaab857098f36a9bf7f5401b"),
-    ("batched", dict(seed=1), "212e8f4b0e1ddb9f171dc7f63a7bd0e733feb7e053334dcc18ff083c45115a78"),
-    ("batched", dict(seed=2), "e06c3a954fea17c8379dfadb5f9124c21001d80c241fc8e00749211148605fea"),
-    ("batched", dict(seed=3), "230ea311647fdad2f04bc3d98ae65cdf61d291d378382625ac982d9f8167c362"),
-    ("batched", dict(seed=4), "e3ec1af3045478494ee9a45e440df3edd274b908dc068b006b6a33b9c633c3c5"),
-    ("batched", RANDOM100, "3b4aa8381dda53cafb3ff78a1648ccedf98cb0c2f96f19dae713f9a9e96584dd"),
-    ("batched", SPLIT3, "212e8f4b0e1ddb9f171dc7f63a7bd0e733feb7e053334dcc18ff083c45115a78"),
-    ("batched", COUNT_ONLY, "fd7155290d2cbc20569faea79520738fb2ac7e0cbfa28cd29c93bea64900486b"),
-    ("batched", TIME_ONLY, "8648061e1414b44f60a7a346a64c9e6b23565d6e52cfffa5bb15801b23aca9df"),
-    ("batched", HEAVY, "07dad0f4197f46052202d11a7f3f68eb92f39ab7d4df1e79b00d046d1ea2a1f1"),
-    ("per-request", dict(seed=0), "42cc431744b30e9d2bee99cfa13086a9152bdd0a20c5a0eac32306052a0b693c"),
-    ("per-request", dict(seed=1), "1ae590329b2f257af02ba5dadda6871d04e2f1a016d88e0e4d43640fcaba9a01"),
-    ("per-request", dict(seed=2), "ed2aa15957a996927e8ebd155313ba53f1f7c028cf58d7f9d344a12c2852fef8"),
-    ("per-request", dict(seed=3), "f59a803958b8eddb63a5e2864f38d1b0fe2cdb769bed236e0308a34a27f8ae64"),
-    ("per-request", dict(seed=4), "2960d88d67f511f86221cd5c38e2ac3774dc2bae23ce1a698d8d57f6d6df3880"),
-    ("per-request", RANDOM100, "74a36a9b4e2a920e4c8ed6fa3d93b31ee4b479979d55b5af1b51ce2d85789acc"),
-    ("per-request", SPLIT3, "1ae590329b2f257af02ba5dadda6871d04e2f1a016d88e0e4d43640fcaba9a01"),
-    ("per-request", COUNT_ONLY, "ed2aa15957a996927e8ebd155313ba53f1f7c028cf58d7f9d344a12c2852fef8"),
-    ("per-request", TIME_ONLY, "f59a803958b8eddb63a5e2864f38d1b0fe2cdb769bed236e0308a34a27f8ae64"),
-    ("per-request", HEAVY, "a8bdf3df09b1da60e62a05db96690265592209051efe9870f0241ac1bff0ce63"),
-    ("splitting", dict(seed=0), "ad2d414cd518517539983a775b1202224c471af1728834d4f4789bf02668885c"),
-    ("splitting", dict(seed=1), "4c3df9895fb7c22a968ecff8cea25672799b859b43647fbae9784495df188934"),
-    ("splitting", dict(seed=2), "ff95b927a07aa2c3251206c7f534be002359091ecfe90c71665a5b3f89a02c55"),
-    ("splitting", dict(seed=3), "d16fd5210bbfd37af8385ddc931a30586233553cb90870f3a77007d36dd2e156"),
-    ("splitting", dict(seed=4), "84765f10e98d33b8c71d3519225468233a98ba94c784d3e632ded865a0695c30"),
-    ("splitting", RANDOM100, "e98d33f387e5d4c0ee75c74e690fb80492aed1a247b2607cb6d080b07f0b5b2f"),
-    ("splitting", SPLIT3, "4c3df9895fb7c22a968ecff8cea25672799b859b43647fbae9784495df188934"),
-    ("splitting", COUNT_ONLY, "ff95b927a07aa2c3251206c7f534be002359091ecfe90c71665a5b3f89a02c55"),
-    ("splitting", TIME_ONLY, "8648061e1414b44f60a7a346a64c9e6b23565d6e52cfffa5bb15801b23aca9df"),
-    ("splitting", HEAVY, "54366671ba7135494a2306bc966ecc946983f34cf79f09fbfd573cf3e035f23b"),
-    ("splitting", dict(HEAVY, split_paths=1), "f30f72fdb16954f03e7785fb41628232ddb32c3611e586c7b15189e1a2b3c1de"),
-    ("splitting", dict(HEAVY, split_paths=3), "1831f7e1989e0f14012f68ab843ab9b151631f4fc2f19bd20a7f5dfb614f44d1"),
+    ("batched", dict(seed=0), "f71084de8b94cc7c058f2e67d8459ace871e12ce6044f15478f7e04e8c83c769"),
+    ("batched", dict(seed=1), "7a7d6e606cd5a1207fa4e67944bd1ce2b7e512ef5397c83a9e26895c8eac5f9a"),
+    ("batched", dict(seed=2), "043b9dd20fed7ee112f67efeca025f660504e0b1c265438ae519598e0db80497"),
+    ("batched", dict(seed=3), "6707ca76180e8a30607daa276a85b81d57a04e919b61c6a2ff933638de9fd110"),
+    ("batched", dict(seed=4), "8dde4bee1dc2c3ea6ace4e820a6c51e288aee8b58e8b73896998650a4f1aa69a"),
+    ("batched", RANDOM100, "534b68c08a1bf1698f1c828ec552c578a45c1d55996c556544b8cf7162b42e2f"),
+    ("batched", SPLIT3, "7a7d6e606cd5a1207fa4e67944bd1ce2b7e512ef5397c83a9e26895c8eac5f9a"),
+    ("batched", COUNT_ONLY, "52e44053f223dc9e41fbab1da2715ea8383f16bde4aa948298ee8634f2e3566c"),
+    ("batched", TIME_ONLY, "c7d674e4f83e04b3497735cbb56de922b012ae8bbbd6f9627b745e27e570f031"),
+    ("batched", HEAVY, "332dd2ce80ca4a5ebdc6daf0f2e62963407fed16059fdd0b6b0aa69a47c21a2e"),
+    ("per-request", dict(seed=0), "352719de5f5ceae831f56b4d258d524252078a81161419ffeb207550df7b1588"),
+    ("per-request", dict(seed=1), "45d0234002610b3b4c620c9c34df63c631b39cf8b1f79f7ce4bc790d347c68b8"),
+    ("per-request", dict(seed=2), "1d35e661ef47ff799b34766c2969e905d1c507170afdd55817b5d58e362ec0f3"),
+    ("per-request", dict(seed=3), "eb185995333934a89eef014d4b2b6cb7f68514640c3c685974d028a3957f0b69"),
+    ("per-request", dict(seed=4), "ef6526534de57da6758751b715b6f8390ac6dbd7388cf64fa6556da86e794771"),
+    ("per-request", RANDOM100, "c1e0346b01bcaf266ab7cdee249790454d8161e21c1731ffa3661e4855219394"),
+    ("per-request", SPLIT3, "45d0234002610b3b4c620c9c34df63c631b39cf8b1f79f7ce4bc790d347c68b8"),
+    ("per-request", COUNT_ONLY, "1d35e661ef47ff799b34766c2969e905d1c507170afdd55817b5d58e362ec0f3"),
+    ("per-request", TIME_ONLY, "eb185995333934a89eef014d4b2b6cb7f68514640c3c685974d028a3957f0b69"),
+    ("per-request", HEAVY, "bf80e03776d6f72f6ecbf9f3bcc7cfbb47456ce5b17493291970544f5b1a2059"),
+    ("splitting", dict(seed=0), "a7c1617919e6181283b6e0c63dd9490f5ef7553a03a1c6c791d0b54d1737f15d"),
+    ("splitting", dict(seed=1), "477f06dcf5081760520f056660d2b847e58039ea0f7d67198fc4fd15365bb1cd"),
+    ("splitting", dict(seed=2), "69ec5c9b21908730ef4a499b9ffc3c66c0cb62d51ef28df109f2eb22a5d847ae"),
+    ("splitting", dict(seed=3), "9b7d2f79c8a414202ddd19cf3d13ca7985e980b16b5beb99d5f94ab0b32fe9c9"),
+    ("splitting", dict(seed=4), "51be62cf400d0ee4fb5a76f1587b309330b9e602eb797e23045268a29cd3d074"),
+    ("splitting", RANDOM100, "ee2c2c9038ba87f85ea635575ebb5968d9dd3ffd8af8178afc5ad51cfeb49867"),
+    ("splitting", SPLIT3, "477f06dcf5081760520f056660d2b847e58039ea0f7d67198fc4fd15365bb1cd"),
+    ("splitting", COUNT_ONLY, "69ec5c9b21908730ef4a499b9ffc3c66c0cb62d51ef28df109f2eb22a5d847ae"),
+    ("splitting", TIME_ONLY, "c7d674e4f83e04b3497735cbb56de922b012ae8bbbd6f9627b745e27e570f031"),
+    ("splitting", HEAVY, "fc4e9afdd47ee40a7bcde9a2355d91ccf04523cf08580f193379710cd85630ee"),
+    ("splitting", dict(HEAVY, split_paths=1), "453e51a36684106ea7a24888c6b0d56907818fe9a9f6792ebc7acb29f9760297"),
+    ("splitting", dict(HEAVY, split_paths=3), "9c4d71bd7c550658ed97b4824876ab585a9a70691706d6798818e5ebb2eea809"),
     # the one case whose remap adopts a path by the utilization tie-break
-    ("batched", dict(HEAVY, seed=2), "9e967c0f26e0bfb288f8bc7c04a9e67e637ae5a291c7286d512488264cba4237"),
+    ("batched", dict(HEAVY, seed=2), "ee34e1f58c7a04f1aa3e18537d479664385dc32913ba9f2ecf3e7cfcec4e42c4"),
     # the horizon moves the last commit: mean_latency_proxy 958.245356, 17.888272 without it
     ("batched", dict(requests=200, seed=3, mode="count-only", horizon=100000),
-     "d83279de5f6e81aacbf4b42f35b3c42ab46c463c2c6638af50354b283547b9fd"),
+     "ee7ed81608f373a87ac3198a29a3bf82c39052d18cf2859b82d7a416c67fabdf"),
     # costs other than 1 order the routes; the batched remap adopts 2 paths
-    ("batched", COSTS14, "9c2747d2982de7b1e5872628dbed28eb787f697c2192e4faa3fd3c2c7ed7dca6"),
-    ("per-request", COSTS14, "be93d89f003c4b27f0152bc520bb05764fbecddb2c890817c19c7256a3b0b67b"),
-    ("splitting", COSTS14, "23153f363a33219a8e9a35971e5ea9ea4bc5edbeadb21f6d5ff5143af68f127f"),
+    ("batched", COSTS14, "3ce1c4257b9d779b1038db438cf16f403acb50d90e733b0bf00b9a5bb48feeb4"),
+    ("per-request", COSTS14, "231dda4633a2d8aac372a8aa082929cf30b80dcfc9c40310f65f2b208d2e5992"),
+    ("splitting", COSTS14, "ffe8851bbc1538862df7491a217599c6893efc7db252ed139508fab77a31bd82"),
 ]
 
 

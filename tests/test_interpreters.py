@@ -1,8 +1,10 @@
 """The golden trace hashes under each other installed Python, 3.10 to 3.13.
 
-``metrics.ordered_sum`` is the builtin ``sum`` below Python 3.12 and a loop
-from 3.12 on, so one interpreter checks only one side of that switch. Each
-case runs ``tests/test_golden.py`` as a script, with ``PYTHONPATH=src``,
+The trace must not depend on the interpreter: each row's utilization means
+are exact integer divisions and the summary's one float sum is a plain loop
+(``metrics.ordered_sum``), where the builtin ``sum`` would change its
+rounding at 3.12, so every version must give the same hashes. Each case
+runs ``tests/test_golden.py`` as a script, with ``PYTHONPATH=src``,
 under the ``python3.X`` that PATH finds or, when that one does not start as
 its version (a pyenv shim exits unless its version is selected), under
 the first ``$PYENV_ROOT/versions/3.X.*/bin/python3.X`` that does, with

@@ -1,8 +1,10 @@
 """Metrics log, summaries, and the CSV trace format."""
 
+import functools
 import hashlib
 import importlib.util
 import math
+import operator
 import os
 import random
 import subprocess
@@ -33,8 +35,9 @@ from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
 from vnesim.run import run_simulation
 
 from conftest import make_net
-from reference import active_counts, build_reservation, fates, mean_concurrent_active
-from test_golden import GOLDEN
+from reference import (active_counts, build_reservation, exact_utilization_means, fates,
+                       mean_concurrent_active)
+from test_golden import COSTS14, GOLDEN, HEAVY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -115,6 +118,34 @@ class TestRecording:
         link_util, switch_util = log._utilization_means()
         assert link_util == pytest.approx((0.5 + 0 + 0) / 3)
         assert switch_util == pytest.approx((0.01 + 0.01 + 0) / 3)
+
+
+class TestExactUtilizationMeans:
+    """Each row's two means are the exact means of the per-element
+    utilizations, rounded once, read from the view as the row is made."""
+
+    CONFIGS = {
+        "default": {},
+        "random100": dict(substrate="random:100", interarrival_mean=0.5, requests=200),
+        "costs14": COSTS14,
+        "heavy": HEAVY,  # links split and remaps adopt
+    }
+
+    @pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_every_row_is_the_exact_mean_rounded(self, monkeypatch, strategy, config):
+        exact = []
+        append = MetricsLog._append
+
+        def append_checked(log, *args):
+            exact.append(tuple(map(float, exact_utilization_means(log.view))))
+            append(log, *args)
+
+        monkeypatch.setattr(MetricsLog, "_append", append_checked)
+        overrides = dict(dict(requests=300, seed=1), **self.CONFIGS[config])
+        _, log = run_simulation(RunConfig(strategy=strategy, **overrides))
+        assert len(exact) == len(log.rows) > 300
+        assert [(r.avg_link_util, r.avg_switch_util) for r in log.rows] == exact
 
 
 class TestAcceptanceRate:
@@ -243,17 +274,14 @@ class TestDerivedStats:
         assert ordered_sum(series) == (1e16 + 1.0) - 1e16 == 0.0
         assert mean_latency(log) == 0.0
 
-        def loop(values):
-            total = 0.0
-            for v in values:
-                total += v
-            return total
+        def fold(values):
+            return functools.reduce(operator.add, values, 0.0)
 
         def same(got, want):
             # repr tells -0.0 from 0.0 and every other pair of floats apart
             return type(got) is float and repr(got) == repr(want)
 
-        # on the running interpreter, whichever form ordered_sum takes there
+        # one rounded addition per term, from 0.0, on every interpreter
         assert same(ordered_sum([-0.0]), 0.0)
         assert same(ordered_sum([-0.0, -0.0]), 0.0)
         assert same(ordered_sum([]), 0.0)
@@ -262,7 +290,7 @@ class TestDerivedStats:
         for _ in range(2000):
             values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
                       for _ in range(rng.randint(0, 60))]
-            assert same(ordered_sum(values), loop(values)), values
+            assert same(ordered_sum(values), fold(values)), values
 
     def test_summary_keys_and_values(self):
         log, _ = fresh_log()

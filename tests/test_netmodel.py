@@ -1,7 +1,6 @@
 """Resource ledger, mapping validation, cost, and the topology text format."""
 
 import copy
-import math
 from dataclasses import replace
 
 import pytest
@@ -219,7 +218,7 @@ class TestReserveAndCommit:
         r = req()
         reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
         move_tentative(view, r.request_id, (0, 1), [1, 2])
-        res = view.tentative_reservation(r.request_id)
+        res = view.tentative[r.request_id]
         assert res.link_paths == indexed_parts(triangle, {(0, 1): (((1, 2), 5),)})
         assert res.link_units == {triangle.links.index((1, 2)): 5}
         assert res.cost == mapping_cost(triangle, r, res) == 30 + 5
@@ -235,7 +234,7 @@ class TestReserveAndCommit:
         reserve(view, build_reservation(view, r, {0: 1, 1: 3}, {(0, 1): (((1, 2, 3), 10),)}))
         assert residual_bandwidth(view, (1, 2)) == 0
         move_tentative(view, r.request_id, (0, 1), (1, 2, 4, 3))
-        res = view.tentative_reservation(r.request_id)
+        res = view.tentative[r.request_id]
         assert res.link_paths == indexed_parts(net, {(0, 1): (((1, 2, 4, 3), 10),)})
         assert res.link_units == {net.links.index(lk): 10 for lk in ((1, 2), (2, 4), (3, 4))}
         assert res.cost == mapping_cost(net, r, res) == 2 + 30
@@ -249,12 +248,12 @@ class TestReserveAndCommit:
         reserve(view, build_reservation(view, hog, {0: 1, 1: 2}, {(0, 1): (((1, 2), 100),)}))
         r = req(rid=2, nodes={0: 1, 1: 1}, links={(0, 1): 5})
         reserve(view, build_reservation(view, r, {0: 1, 1: 2}, {(0, 1): (((1, 3, 2), 5),)}))
-        res_before = copy.deepcopy(view.tentative_reservation(2))
+        res_before = copy.deepcopy(view.tentative[2])
         load_before = t_link_load(view)
         # (1, 2) is full and the old path frees nothing on it
         with pytest.raises(ReservationError, match=r"link \(1, 2\)"):
             move_tentative(view, 2, (0, 1), (1, 2))
-        assert view.tentative_reservation(2) == res_before
+        assert view.tentative[2] == res_before
         assert t_link_load(view) == load_before
         assert view.conservation_violations() == []
 
@@ -319,7 +318,7 @@ def test_rule_units_split_paths_count_per_path():
 
 
 class TestViewAudit:
-    """The view's audit covers its flat residuals and utilization terms."""
+    """The view's audit covers its flat residuals and utilization numerators."""
 
     @staticmethod
     def staged(net):
@@ -339,15 +338,12 @@ class TestViewAudit:
         found = view.conservation_violations()
         assert any(v.startswith(f"{element}: effective residual") for v in found), found
 
-    @pytest.mark.parametrize("terms,element", [
-        ("switch_util", "switch 1"), ("link_util", "link (1, 2)"),
-    ])
-    def test_a_corrupted_utilization_term_is_reported(self, triangle, terms, element):
+    @pytest.mark.parametrize("numerator,kind", [("switch_used", "switch"), ("link_used", "link")])
+    def test_a_corrupted_utilization_term_is_reported(self, triangle, numerator, kind):
         view = self.staged(triangle)
-        entries = getattr(view, terms)
-        entries[0] = math.nextafter(entries[0], 1.0)  # one ulp off
+        setattr(view, numerator, getattr(view, numerator) + 1)  # 1 / L of a utilization off
         found = view.conservation_violations()
-        assert len(found) == 1 and found[0].startswith(f"{element}: utilization term"), found
+        assert len(found) == 1 and found[0].startswith(f"{kind} utilization numerator"), found
 
     def test_a_release_behind_the_views_back_is_reported(self, triangle):
         view = self.staged(triangle)
@@ -441,9 +437,9 @@ class TestViewAudit:
         assert view.conservation_violations() == []
 
     # Each corruption breaks one check of the audit and nothing else: the
-    # view's _debit keeps a residual and its utilization term consistent, and
-    # a unit moved between a committed and a tentative reservation leaves the
-    # effective residual as it was.
+    # view's _debit keeps a residual and its utilization numerator
+    # consistent, and a unit moved between a committed and a tentative
+    # reservation leaves the effective residual as it was.
     @staticmethod
     def node_load(net, view):
         net.node_load[2] += 1
@@ -492,11 +488,11 @@ class TestViewAudit:
 
     @staticmethod
     def switch_term(net, view):
-        view.switch_util[0] = math.nextafter(view.switch_util[0], 1.0)
+        view.switch_used += 1
 
     @staticmethod
     def link_term(net, view):
-        view.link_util[0] = math.nextafter(view.link_util[0], 1.0)
+        view.link_used -= 1
 
     CHECKS = [
         ("node_load", "switch 2: loads (21, 1) != per-request sums (20, 1)"),
@@ -508,8 +504,8 @@ class TestViewAudit:
         ("committed_link_overdrawn", "link (1, 2): negative residual -105"),
         ("effective_switch_overdrawn", "switch 3: negative effective residual"),
         ("effective_link_overdrawn", "link (1, 3): negative effective residual"),
-        ("switch_term", "switch 1: utilization term"),
-        ("link_term", "link (1, 2): utilization term"),
+        ("switch_term", "switch utilization numerator"),
+        ("link_term", "link utilization numerator"),
     ]
 
     @pytest.mark.parametrize("corrupt,line", CHECKS, ids=[c for c, _ in CHECKS])

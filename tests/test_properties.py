@@ -1,6 +1,7 @@
 """Quantified randomized checks: ledger identities, embedding soundness,
 cost invariances, and whole-run accounting, over seeded random instances."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -57,7 +58,7 @@ def ledger_state(view):
     b = view.base
     return (dict(b.node_load), dict(b.rule_load), dict(b.link_load),
             set(b.committed), t_node_load(view), t_link_load(view),
-            list(view.switch_util), list(view.link_util), set(view.tentative))
+            view.switch_used, view.link_used, set(view.tentative))
 
 
 class TestLedgerFuzz:
@@ -136,8 +137,11 @@ class TestLedgerFuzz:
                 bws = [bandwidth[lk] - exp_link[lk] for lk in net.links]
                 assert view.capacity_left == caps
                 assert view.bandwidth_left == bws
-                assert view.switch_util == [1.0 - r / capacity[u] for u, r in zip(net.switches, caps)]
-                assert view.link_util == [1.0 - r / bandwidth[lk] for lk, r in zip(net.links, bws)]
+                # each numerator: every element's used units times L / total, L the lcm
+                for used, totals, names, left in ((view.switch_used, capacity, net.switches, caps),
+                                                  (view.link_used, bandwidth, net.links, bws)):
+                    whole = math.lcm(*totals.values())
+                    assert used == sum((totals[e] - r) * (whole // totals[e]) for e, r in zip(names, left))
                 assert view.conservation_violations() == []
 
 

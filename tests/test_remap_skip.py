@@ -68,7 +68,7 @@ def oracle_remap_pass(view, requests, turns=None) -> int:
     its turn, moved]`` for each link in processing order."""
     records = []
     for request in requests:
-        res = view.tentative_reservation(request.request_id)
+        res = view.tentative[request.request_id]
         for vlink in sorted(res.link_paths):
             records.append(link_weight(view, request, vlink))
     base = view.base
@@ -83,7 +83,7 @@ def oracle_remap_pass(view, requests, turns=None) -> int:
         assert rec.ids == ids
         for j in ids:
             residual[j] += units
-        node_map = view.tentative_reservation(rec.request_id).node_map
+        node_map = view.tentative[rec.request_id].node_map
         a, b = rec.vlink
         found = embedder._dijkstra(base, residual, node_map[a], node_map[b], units)
         if found is not None and found[0] != rec.path:
@@ -252,7 +252,7 @@ def test_a_second_pass_matches_the_second_pass_of_the_oracle():
         view, batch, background = scenario(seed)
         want_view, want_batch, _ = scenario(seed)
         assert remap_pass(view) == oracle_remap_pass(want_view, want_batch), seed
-        assert all(view.tentative_reservation(r.request_id).blocked is None for r in batch)
+        assert all(view.tentative[r.request_id].blocked is None for r in batch)
         # units freed after the first pass reach links that moved in it
         for rid in background:
             view.release(rid)

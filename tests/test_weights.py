@@ -75,7 +75,7 @@ class TestUsedAndFree:
             weight=23 - 465,
         )
         # the record keeps the part's own list of link ids
-        assert rec.ids is view.tentative_reservation(1).link_paths[("a", "b")][0][2]
+        assert rec.ids is view.tentative[1].link_paths[("a", "b")][0][2]
 
     def test_free_memory_term_clamps_at_zero(self):
         # switch 2 has one unit left; after the rule attribution it shows 0,
@@ -143,7 +143,7 @@ class TestRemapPass:
             nodes={"a": 1, "b": 1}, links={("a", "b"): 10},
         )
         assert remap_pass(view) == 1
-        res = view.tentative_reservation(1)
+        res = view.tentative[1]
         assert res.link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
         assert residual_bandwidth(view, (1, 3)) == 100
         assert residual_bandwidth(view, (2, 3)) == 100
@@ -165,7 +165,7 @@ class TestRemapPass:
         )
         # both 2-hop paths cost 10; peak utilization 5/10 vs 5/100
         assert remap_pass(view) == 1
-        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 2, 4), 5),)})
+        assert view.tentative[1].link_paths == indexed_parts(view, {("a", "b"): (((1, 2, 4), 5),)})
 
     def test_equal_cost_equal_utilization_keeps_the_incumbent(self):
         view = SubstrateView(self.diamond(thin_bw=100))
@@ -174,7 +174,7 @@ class TestRemapPass:
             nodes={"a": 1, "b": 1}, links={("a", "b"): 5},
         )
         assert remap_pass(view) == 0
-        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 3, 4), 5),)})
+        assert view.tentative[1].link_paths == indexed_parts(view, {("a", "b"): (((1, 3, 4), 5),)})
 
     def test_already_optimal_path_stays(self, triangle):
         view = SubstrateView(triangle)
@@ -183,7 +183,7 @@ class TestRemapPass:
             nodes={"a": 1, "b": 1}, links={("a", "b"): 10},
         )
         assert remap_pass(view) == 0
-        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
+        assert view.tentative[1].link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
 
     def test_heavier_link_claims_the_scarce_path_first(self):
         net = make_net(
@@ -203,8 +203,8 @@ class TestRemapPass:
         # the 10-unit link outweighs the 6-unit one, remaps first, and takes
         # the whole direct link; the lighter one then has nowhere better
         assert remap_pass(view) == 1
-        assert view.tentative_reservation(1).link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
-        assert view.tentative_reservation(2).link_paths == indexed_parts(view, {("a", "b"): (((1, 3, 2), 6),)})
+        assert view.tentative[1].link_paths == indexed_parts(view, {("a", "b"): (((1, 2), 10),)})
+        assert view.tentative[2].link_paths == indexed_parts(view, {("a", "b"): (((1, 3, 2), 6),)})
         assert residual_bandwidth(view, (1, 2)) == 0
 
     def test_split_reservations_are_refused(self, triangle):
