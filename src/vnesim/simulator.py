@@ -81,8 +81,10 @@ class Engine:
     decrease; it is read one request ahead of the clock, and a decrease
     raises ValueError naming the request. The controller schedules
     departures (at commit) and window triggers back through the engine.
-    After the queue drains, any still-pending batch is flushed at the last
-    event time so every tentative request resolves.
+    After the queue drains, any still-pending batch is flushed so every
+    tentative request resolves: at the last event time, or with a horizon
+    at the horizon itself, even when the queue drained long before it
+    (ROADMAP item 7).
     """
 
     def __init__(self, controller, arrivals, horizon=None, check_invariants=False):

@@ -44,24 +44,10 @@ r' counts units freed by departures, cancellations and earlier moves of the
 pass alike. A link with B empty can never move, so the pass neither scores,
 sorts nor routes it; leaving it out keeps its own residual round trip, which
 nets to zero, and the relative order of the rest, since sorting a subset
-keeps its order. A link with B nonempty is scored, and routed only when some
-j in B has r'[j] >= d. B describes the path embed chose, so the pass reads it
-once and clears it; a reservation with B unknown (None) is scored and routed
-whole.
-
-Which links need a score. Call a link dormant when B is nonempty and
-r0[j] < d for every j in B, where r0 is the view's residual list at pass
-start. Until the pass adopts its first move, its list equals r0 whenever it
-reaches a link: a routed link that does not move adds back and takes back
-the same units on the same links, and a skipped link touches nothing. So a
-dormant link reached before the first adoption is skipped. The pass
-therefore scores only the links that are not dormant, and scores the
-dormant ones at the first adoption, before the move reaches the view: the
-view still holds r0 and the overlay of pass start, so each gets the record
-it would have got then. Those whose priority comes before the mover's were
-reached, and skipped, already; the rest merge into the remaining order,
-where the B test runs against the pass's list as for any other link. A pass
-that adopts nothing never scores a dormant link.
+keeps its order. Every other link is scored once, at pass start, and routed
+only when some j in B has r'[j] >= d. B describes the path embed chose, so
+the pass reads it once and clears it; a reservation with B unknown (None) is
+scored and routed whole.
 """
 
 from __future__ import annotations
@@ -133,36 +119,25 @@ def remap_pass(view) -> int:
     """One weight-ordered remap pass over the view's tentative batch.
 
     Computes a fresh record for every tentatively mapped virtual link that
-    could move, for a dormant one only at the pass's first adoption (see the
-    module docstring), sorts them by priority, and re-routes each link in
-    that order against a flat copy of the residuals with the link's own
-    units added back. Only an adopted path touches the view's overlay. Returns the
-    number of links whose path changed. Total batch cost never increases.
+    could move (see the module docstring), sorts them by priority, and
+    re-routes each link in that order against a flat copy of the residuals
+    with the link's own units added back. Only an adopted path touches the
+    view's overlay. Returns the number of links whose path changed. Total
+    batch cost never increases.
     """
-    records = []
-    dormant = []  # (request, vlink), scored at the first adoption
-    gates = {}  # (request id, vlink) -> B, or None when unknown
-    start = view.bandwidth_left
+    pairs = []  # (record, B), B None when unknown
     for res in view.tentative.values():
         blocked, res.blocked = res.blocked, None  # valid for this pass only
-        for vlink in res.link_paths:  # any order: records and dormant are sorted by the unique _priority
-            units = _single_path(vlink, res.link_paths[vlink])[1]  # a split link is refused, skip or not
+        for vlink, allocs in res.link_paths.items():  # any order: _priority is unique
+            _single_path(vlink, allocs)  # a split link is refused, skipped or not
             gate = None if blocked is None else blocked.get(vlink, ())
-            if gate == ():
-                continue  # nothing blocked its route: it cannot move
-            gates[res.request_id, vlink] = gate
-            if gate is not None and max(map(start.__getitem__, gate)) < units:
-                dormant.append((res.request, vlink))
-            else:
-                records.append(link_weight(view, res.request, vlink))
+            if gate != ():  # an empty B: nothing blocked its route, it cannot move
+                pairs.append((link_weight(view, res.request, vlink), gate))
     base = view.base
-    residual = start[:]  # equal to the view's between links
-    todo = sorted(records, key=_priority, reverse=True)  # popped from the end
+    residual = view.bandwidth_left[:]  # equal to the view's between links
     changed = 0
-    while todo:
-        rec = todo.pop()
+    for rec, gate in sorted(pairs, key=lambda pair: _priority(pair[0])):
         units = rec.demand
-        gate = gates[rec.request_id, rec.vlink]
         # B and the path share no link, so the add-back leaves B's residuals
         if gate is not None and max(map(residual.__getitem__, gate)) < units:
             continue  # no blocking link can carry it yet: the search returns the incumbent
@@ -175,12 +150,6 @@ def remap_pass(view) -> int:
         if found is not None and found[0] != rec.path:
             new_path, new_ids = found
             if _score(base, residual, new_ids, units) < _score(base, residual, ids, units):
-                if dormant:  # the first adoption, the view still as at pass start
-                    mark = _priority(rec)
-                    woken = (link_weight(view, request, vlink) for request, vlink in dormant)
-                    todo += [w for w in woken if _priority(w) > mark]
-                    todo.sort(key=_priority, reverse=True)
-                    dormant = ()
                 view.move_tentative_link(rec.request_id, rec.vlink, new_path, new_ids)
                 ids = new_ids
                 changed += 1

@@ -6,7 +6,8 @@ every traced benchmark run. This test installs the tracer on the package,
 runs each strategy, and checks the spans, the trace bytes and the restore.
 It also runs each strategy through bench/run.py's checked ``simulate`` and
 ``tracing.layer_metrics``, which read the controller's rule table, pending
-count, commit events and overlay, and the log's counts.
+count, commit events and overlay, and the log's counts, and through the
+timed path that ``speed.SpeedClock`` wraps around ``Engine._dispatch``.
 """
 
 import sys
@@ -21,6 +22,7 @@ from vnesim.metrics import trace_hash
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import run as bench_run  # noqa: E402
+from speed import SpeedClock  # noqa: E402
 from tracing import LAYER_METRICS, Tracer, layer_metrics  # noqa: E402
 
 
@@ -72,6 +74,18 @@ def test_bench_checks_and_layer_metrics_read_the_run(strategy):
         (log.committed + log.cancelled) / log.commit_events)
 
 
+def test_timed_run_times_every_dispatched_event_and_restores_dispatch():
+    # the benchmark's end-to-end numbers come from SpeedClock wrapping
+    # Engine._dispatch, as bench/run.py's timed runs install it
+    config = RunConfig(strategy="batched", requests=100, seed=3)
+    original = vars(vnesim.simulator.Engine)["_dispatch"]
+    clock = SpeedClock()
+    _us, _results, events, _ledgers = bench_run.simulate_all(vnesim, [config], None, clock)
+    assert len(clock.events) == events > 0
+    assert clock.probes
+    assert vars(vnesim.simulator.Engine)["_dispatch"] is original
+
+
 @pytest.mark.parametrize("corrupt", ["link_load", "rule_table"])
 def test_bench_audit_reports_each_selftest_corruption(corrupt):
     # bench/selftest.py corrupts a finished run in these two ways and expects
@@ -95,7 +109,9 @@ def test_committed_loads_keep_the_key_forms_bench_reads(strategy):
     # bench/selftest.py corrupts `rules[next(iter(rules))]` and
     # `base.link_load[base.links[0]]`, and bench/run.py compares the rule
     # table with the rule load; on a list or on index keys those would still
-    # "detect" a corruption, for the wrong reason
+    # "detect" a corruption, for the wrong reason. bench/ does not read
+    # node_load: its form is pinned because the audit's fast path compares
+    # its keys with `switches`
     config = RunConfig(strategy=strategy, requests=100, seed=3)
     engine, _log = vnesim.run.run_simulation(config)
     base = engine.controller.view.base

@@ -1,6 +1,6 @@
 """Golden trace hashes: the same config must keep producing the same bytes.
 
-Each case pins the ``trace_sha256`` of one run. A refactor or speedup must
+Each of the 38 cases pins the ``trace_sha256`` of one run. A refactor or speedup must
 leave every hash as it is; a deliberate behaviour change regenerates them in
 its own change and says why. Runs are short (400 requests unless stated), so
 the whole file takes a few seconds.
@@ -78,6 +78,10 @@ GOLDEN = [
     ("batched", COSTS14, "3ce1c4257b9d779b1038db438cf16f403acb50d90e733b0bf00b9a5bb48feeb4"),
     ("per-request", COSTS14, "231dda4633a2d8aac372a8aa082929cf30b80dcfc9c40310f65f2b208d2e5992"),
     ("splitting", COSTS14, "ffe8851bbc1538862df7491a217599c6893efc7db252ed139508fab77a31bd82"),
+    # the benchmark's random300-loaded config: links still blocked at pass
+    # start open after a move of the pass, and 6 links move
+    ("batched", dict(seed=7, substrate="random:300", interarrival_mean=0.5, requests=200),
+     "686a066577faa1fe00e9102fc3f949c18afbc6d1f8ec024108999eff33f7993d"),
 ]
 
 

@@ -9,7 +9,7 @@ bandwidth-bound batches embedded with ``blocked``, after which committed
 requests depart and tentative ones are cancelled, so links that blocked a
 route at embed time gain units. A second family embeds a batch back to back
 and cancels part of it, so many such links are still blocked at pass start
-and the pass scores them only at its first adoption. One more test requires
+and a move of the pass may open one. One more test requires
 the pass not to depend on the order of a reservation's links. Two check the
 blocking links each of embed's searches reports: they are too thin at that
 call, all of them where the A* decided, and while they stay too thin the
@@ -174,8 +174,8 @@ def bandwidth_bound_batch(seed, max_cost=4):
     seed builds the same state.
 
     The cancelled units let some members move, while most links that
-    blocked a route still carry too little: those links are dormant at pass
-    start, and a move may free units on one of them.
+    blocked a route still carry too little: those links are still blocked
+    at pass start, and a move may free units on one of them.
     """
     rng = random.Random(f"remap-lazy-{seed}")
     n = rng.randint(5, 10)
@@ -203,9 +203,10 @@ def bandwidth_bound_batch(seed, max_cost=4):
     return view, batch
 
 
-def dormant_links(view):
-    """(request id, vlink) -> (B, demand) for each link whose B is nonempty
-    and has no link that carries its demand, read before a pass clears B."""
+def still_blocked_links(view):
+    """(request id, vlink) -> (B, demand) for each link still blocked at
+    pass start: its B is nonempty and has no link that carries its demand.
+    Read before a pass clears B."""
     left = view.bandwidth_left
     out = {}
     for rid, res in view.tentative.items():
@@ -265,54 +266,53 @@ def test_a_second_pass_matches_the_second_pass_of_the_oracle():
     assert adopted > 20
 
 
-def test_dormant_links_scored_at_the_first_adoption_move_as_the_oracle_moves():
+def test_links_still_blocked_at_pass_start_move_as_the_oracle_moves():
     counted = Counter()
     for seed in range(1000):
         view, _ = bandwidth_bound_batch(seed)
         want_view, want_batch = bandwidth_bound_batch(seed)
-        dormant = dormant_links(view)
+        blocked = still_blocked_links(view)
         turns = []
         want = oracle_remap_pass(want_view, want_batch, turns)
         assert remap_pass(view) == want, seed
         assert state(view) == state(want_view), seed
         if not want:
             continue
-        # the first adoption, and the dormant links on either side of it
+        # the first adoption, and the links still blocked at pass start on
+        # either side of it
         first = next(i for i, (_key, _left, moved) in enumerate(turns) if moved)
-        before = [key for key, _left, _moved in turns[:first] if key in dormant]
-        after = [(i, key) for i, (key, _left, _moved) in enumerate(turns) if i > first and key in dormant]
+        before = [key for key, _left, _moved in turns[:first] if key in blocked]
+        after = [(i, key) for i, (key, _left, _moved) in enumerate(turns) if i > first and key in blocked]
         counted["both sides"] += bool(before and after)
-        # a dormant link that the first move opens routes after the merge
+        # one that the first move opens is routed after it
         opened = [(i, key) for i, key in after
-                  if max(turns[first + 1][1][j] for j in dormant[key][0]) >= dormant[key][1]]
+                  if max(turns[first + 1][1][j] for j in blocked[key][0]) >= blocked[key][1]]
         counted["opened"] += bool(opened)
         counted["opened, then moved"] += any(turns[i][2] for i, _key in opened)
     assert counted["both sides"] > 50
     assert counted["opened"] > 10 and counted["opened, then moved"] > 0, counted
 
 
-def test_a_default_run_scores_fewer_links_and_every_move(monkeypatch):
-    scored, candidates, moves = [], [], []
-    this_pass = set()
+def test_a_default_run_scores_each_candidate_once_and_every_move(monkeypatch):
+    passes, moves = [], []  # passes: (candidates, scored) in reading order
     real_weight, real_pass = weights.link_weight, vnesim.controller.remap_pass
     real_move = SubstrateView.move_tentative_link
 
     def counting_weight(view, request, vlink):
-        scored.append((request.request_id, vlink))
-        this_pass.add((request.request_id, vlink))
+        passes[-1][1].append((request.request_id, vlink))
         return real_weight(view, request, vlink)
 
     def counting_pass(view):
-        # what the pass that scores every link scores: all but the links
-        # whose known B is empty
-        candidates.extend((rid, vlink) for rid, res in view.tentative.items()
-                          for vlink in res.link_paths
-                          if res.blocked is None or res.blocked.get(vlink))
-        this_pass.clear()
+        # every link but those whose known B is empty, in the order the
+        # pass reads the batch
+        candidates = [(rid, vlink) for rid, res in view.tentative.items()
+                      for vlink in res.link_paths
+                      if res.blocked is None or res.blocked.get(vlink)]
+        passes.append((candidates, []))
         return real_pass(view)
 
     def checked_move(self, request_id, vlink, path, ids):
-        assert (request_id, vlink) in this_pass
+        assert (request_id, vlink) in passes[-1][1]
         moves.append((request_id, vlink))
         return real_move(self, request_id, vlink, path, ids)
 
@@ -321,11 +321,11 @@ def test_a_default_run_scores_fewer_links_and_every_move(monkeypatch):
     monkeypatch.setattr(SubstrateView, "move_tentative_link", checked_move)
     _, log = run_simulation(RunConfig(strategy="batched", seed=11))
     assert log.remapped_links == len(moves) > 0
-    assert len(scored) < len(candidates)
-    assert set(scored) <= set(candidates)
-    # B holds only the links that decided each route: 19 scores for the 8
-    # moves, where a B of every link too thin at embed made 129
-    assert (len(scored), len(moves)) == (19, 8)
+    for candidates, scored in passes:
+        assert scored == candidates
+    # B holds only the links that decided each route: 56 scores for the 8
+    # moves
+    assert (sum(len(scored) for _candidates, scored in passes), len(moves)) == (56, 8)
 
 
 def test_the_pass_does_not_depend_on_the_order_of_a_reservations_links(monkeypatch):
