@@ -78,14 +78,18 @@ class MetricsLog:
         self.rule_writes = 0
         self.commit_events = 0
         self.remapped_links = 0
+        if view is not None:
+            # (link, switch) L * count, L being any element's scale times its
+            # total: the means' denominators, the same on every row
+            base = view.base
+            self._wholes = (view.link_scale[0] * base.bandwidths[0] * len(base.links),
+                            view.switch_scale[0] * base.capacities[0] * len(base.switches))
 
     # -- recording ---------------------------------------------------------
 
     def _utilization_means(self):
-        # over L * count, L being any element's scale times its total
-        view, base = self.view, self.view.base
-        return (view.link_used / (view.link_scale[0] * base.bandwidths[0] * len(base.links)),
-                view.switch_used / (view.switch_scale[0] * base.capacities[0] * len(base.switches)))
+        link_whole, switch_whole = self._wholes
+        return self.view.link_used / link_whole, self.view.switch_used / switch_whole
 
     def _append(self, time, kind, request_id, outcome, cost, latency):
         rate = (self.accepted - self.cancelled) / self.arrivals if self.arrivals else None

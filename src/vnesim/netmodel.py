@@ -38,10 +38,14 @@ parts, ``ids`` the link ids that routing walked along ``path``, kept from
 the routing kernel to release so no reader derives them again.
 
 A committed record is frozen: ``commit`` makes its node, rule and link unit
-maps read-only. The audit keeps its committed sums from one call to the
-next, updated by record identity: it reads each committed record's unit
-maps, compares them with the ones it summed at C level, and adds or
-subtracts only the records that entered, left or changed.
+maps read-only. The audit keeps what it expects of the whole ledger between
+calls: the committed sums, each element's committed and effective residual
+and each kind's numerator. It applies only the records that entered, left
+or changed since, comparing read-only maps by identity and the overlay's
+plain maps by value with copies, and starts afresh when the totals or
+scales change or a call raised. Derived from the records alone, each kept
+value equals its fresh sum, so comparing whole lists with them is as strict
+as summing afresh.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import add, attrgetter, mul, ne, or_, sub
+from operator import attrgetter, mul, ne, or_, sub
 from types import MappingProxyType
 
 # ``hop_bounds`` builds every table in one sweep on substrates up to this
@@ -332,8 +336,7 @@ class SubstrateView:
     fails (leaving the reservation tentative) only when rule-memory headroom
     is missing; the committed record's unit maps become read-only. The view
     is the only writer of the base's loads and ``committed``, and the only
-    auditor of the ledger. Its audit keeps the committed sums between calls,
-    updated by the identity of each committed record's unit maps.
+    auditor of the ledger, which keeps its own expectation of it.
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
     index and ``bandwidth_left`` by link id, and the utilization numerators
@@ -356,9 +359,8 @@ class SubstrateView:
         self.link_scale = _scales(base.bandwidths)
         self.switch_used = _scaled_used(base.capacities, self.capacity_left, self.switch_scale)
         self.link_used = _scaled_used(base.bandwidths, self.bandwidth_left, self.link_scale)
-        # the audit's (unit maps summed, in committed order and by request
-        # id, committed sums), or None
-        self._summed = None
+        # what the audit expects of the ledger, kept between calls, or None
+        self._expected = None
 
     def _debit(self, node_units, link_units, sign=1):
         """Take (sign 1) or give back (sign -1) units of switches by index
@@ -450,38 +452,35 @@ class SubstrateView:
 
     def conservation_violations(self) -> list:
         """Audit the ledger; an empty list means every element balances.
-        The committed and the tentative per-request units are summed by
-        index; each element's committed loads must equal the committed sums,
-        its flat residual its total less both sums, and neither its committed
-        nor its effective residual may be negative. Each kind's utilization
-        numerator must equal its recount from the flat residuals; ``_debit``
-        moves both together, so a stray debit is reported once, by the
-        residual check.
-
-        The committed sums are kept from one audit to the next, updated by
-        record identity: the unit maps of every committed record are read
-        and compared with the ones summed, the read-only maps ``commit``
-        made by identity, and only the records that entered, left, were
-        swapped or had a map reassigned are added or subtracted. The
-        tentative overlay, at most one batch, is summed whole. When every
-        check passes on whole lists the answer is empty at once; otherwise
-        one pass over the elements names each failure, in element order."""
+        Each element's committed loads must equal the committed per-request
+        sums, its flat residual its total less the committed and tentative
+        sums, and neither its committed nor its effective residual may be
+        negative. Each kind's utilization numerator must equal its recount
+        from the flat residuals; ``_debit`` moves both together, so a stray
+        debit is reported once, by the residual check. The sums are the
+        ones ``_Expected`` keeps (module docstring); whole lists are
+        compared first, and when a check fails one pass over the elements
+        names each failure, in element order."""
         base = self.base
         switches, links = base.switches, base.links
-        node, rule, link = self._committed_sums()
-        t_node, t_rule, t_link = _unit_sums(self.tentative, len(switches), len(links))
-        held_sw = list(map(add, node, rule))
-        pending_sw = list(map(add, t_node, t_rule))
+        derived = [base.capacities, base.bandwidths, self.switch_scale, self.link_scale]
+        exp, self._expected = self._expected, None  # derived afresh next call if this raises
+        fresh = exp is None or exp.derived != derived
+        if fresh:
+            exp = _Expected(derived)
+        if exp.diff(base.committed, *exp.committed) or fresh:
+            exp.free_ok = min(exp.free[0]) >= 0 and min(exp.free[1]) >= 0
+        exp.diff(self.tentative, *exp.tentative)
+        self._expected = exp
+        node, rule, link = exp.sums
         node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
-        kinds = (("switch", switches, base.capacities, held_sw, pending_sw,
-                  self.capacity_left, self.switch_scale, self.switch_used),
-                 ("link", links, base.bandwidths, link, t_link,
-                  self.bandwidth_left, self.link_scale, self.link_used))
         # each load's keys in index order, then its values against the sums
         if (list(node_load) == switches == list(rule_load) and list(link_load) == links
                 and list(node_load.values()) == node and list(rule_load.values()) == rule
-                and list(link_load.values()) == link
-                and all(_balanced(*kind[2:]) for kind in kinds)):
+                and list(link_load.values()) == link and exp.free_ok
+                and self.capacity_left == exp.left[0] and self.bandwidth_left == exp.left[1]
+                and min(self.capacity_left) >= 0 and min(self.bandwidth_left) >= 0
+                and exp.used == [self.switch_used, self.link_used]):
             return []
         out = []
         for u, n, r in zip(switches, node, rule):
@@ -491,89 +490,90 @@ class SubstrateView:
         for lk, n in zip(links, link):
             if link_load[lk] != n:
                 out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
-        for kind, names, totals, held, pending, left, scale, used in kinds:
-            for name, total, h, p, resid in zip(names, totals, held, pending, left):
-                if total - h < 0:
-                    out.append(f"{kind} {name}: negative residual {total - h}")
-                if resid != total - h - p:
+        for kind, names, totals, free, expected, left, scale, used in (
+                ("switch", switches, base.capacities, exp.free[0], exp.left[0],
+                 self.capacity_left, self.switch_scale, self.switch_used),
+                ("link", links, base.bandwidths, exp.free[1], exp.left[1],
+                 self.bandwidth_left, self.link_scale, self.link_used)):
+            for name, f, e, resid in zip(names, free, expected, left):
+                if f < 0:
+                    out.append(f"{kind} {name}: negative residual {f}")
+                if resid != e:
                     out.append(f"{kind} {name}: effective residual {resid} "
-                               f"!= total less per-request sums {total - h - p}")
+                               f"!= total less per-request sums {e}")
                 if resid < 0:
                     out.append(f"{kind} {name}: negative effective residual")
             if used != _scaled_used(totals, left, scale):
                 out.append(f"{kind} utilization numerator {used} does not match the residuals")
         return out
 
-    def _committed_sums(self) -> tuple:
-        """(node, rule, link) units of ``base.committed`` by switch index and
-        link id, kept from the last call with the unit maps they summed, by
-        request id and in ``committed`` order. When the maps read now differ
-        from those, the ids that left or changed are subtracted and the ids
-        that entered or changed are added."""
-        committed = self.base.committed
-        maps = list(map(_UNIT_MAPS, committed.values()))
-        kept = self._summed
-        if kept is None:
-            base = self.base
-            switches, links = len(base.switches), len(base.links)
-            kept = [], {}, ([0] * switches, [0] * switches, [0] * links)
-        order, summed, sums = kept
-        if maps != order:
-            self._summed = None  # summed afresh next time if this raises
-            for rid in summed.keys() - committed.keys():
-                _sub_units(sums, summed.pop(rid))
-            stale = map(ne, map(summed.get, committed), maps)  # a new id gets None
-            for rid, units in list(compress(zip(committed, maps), stale)):
-                old = summed.get(rid)
-                if old is not None:
-                    _sub_units(sums, old)
-                _add_units(sums, units)
-                if any(type(m) is not MappingProxyType for m in units):
-                    # kept as a copy, so an edit in place differs from it
-                    # at the next call
-                    units = tuple(map(dict, units))
-                summed[rid] = units
-            kept = list(map(summed.__getitem__, committed)), summed, sums
-        self._summed = kept
-        return sums
-
 
 _UNIT_MAPS = attrgetter("node_units", "rule_units", "link_units")
 
 
-def _add_units(sums, maps):
-    """Add one reservation's (node, rule, link) unit maps into (node, rule,
-    link) lists by switch index and link id."""
-    for units, into in zip(maps, sums):
-        for i, n in units.items():
-            into[i] += n
+class _Expected:
+    """What the audit expects of a view's ledger, from its records and
+    ``derived``, copies of the (switch, link) totals and scales: ``sums``,
+    the committed (node, rule, link) units by index, and per kind ``free``,
+    the totals less those, ``left``, that less the tentative sums, ``used``,
+    all units times their scales, and ``free_ok``, no ``free`` below 0.
+    ``committed`` and ``tentative`` hold each ledger's unit maps as last
+    added, in record order and by request id, and the lists they move."""
 
+    def __init__(self, derived):
+        self.derived = list(map(list, derived))
+        capacities, bandwidths, switch_scale, link_scale = self.derived
+        self.free = list(capacities), list(bandwidths)
+        self.left = list(capacities), list(bandwidths)
+        switches, links = len(capacities), len(bandwidths)
+        node, rule, link = self.sums = [0] * switches, [0] * switches, [0] * links
+        self.used = [0, 0]
+        by_switch = self.free[0], self.left[0], switch_scale, 0
+        by_link = self.free[1], self.left[1], link_scale, 1
+        self.committed = [], {}, ((node, *by_switch), (rule, *by_switch), (link, *by_link))
+        self.tentative = [], {}, ((None, *by_switch), (None, *by_switch), (None, *by_link))
 
-def _sub_units(sums, maps):
-    """Take back what ``_add_units`` added for the same maps."""
-    for units, into in zip(maps, sums):
-        for i, n in units.items():
-            into[i] -= n
+    def diff(self, records, order, summed, targets) -> bool:
+        """Add in the records (request id -> Reservation) that entered or
+        changed since the last call, take out those that left or changed;
+        return whether any unit map differs. A plain map is kept as a copy,
+        so an edit in place differs from it at the next call."""
+        maps = list(map(_UNIT_MAPS, records.values()))
+        if maps == order:
+            return False
+        stale = map(ne, map(summed.get, records), maps)  # a new id gets None
+        for rid, units in list(compress(zip(records, maps), stale)):
+            old = summed.get(rid)
+            if old is not None:
+                self._add(old, targets, -1)
+            self._add(units, targets, 1)
+            if not (type(units[0]) is type(units[1]) is type(units[2]) is MappingProxyType):
+                units = tuple(map(dict, units))
+            summed[rid] = units
+        if len(summed) > len(records):  # every id in records is in summed now
+            for rid in summed.keys() - records.keys():
+                self._add(summed.pop(rid), targets, -1)
+        order[:] = map(summed.__getitem__, records)
+        return True
 
-
-def _unit_sums(reservations, switches, links) -> tuple:
-    """(node, rule, link) units of every reservation in a request id ->
-    Reservation dict, summed into lists by switch index and link id."""
-    sums = ([0] * switches, [0] * switches, [0] * links)
-    for maps in map(_UNIT_MAPS, reservations.values()):
-        _add_units(sums, maps)
-    return sums
-
-
-def _balanced(totals, held, pending, left, scale, used) -> bool:
-    """Whether one kind passes the audit's residual, sign and numerator
-    checks, read from whole lists: ``left`` is ``totals`` less ``held``
-    less ``pending``, neither ``totals - held`` nor ``left`` has a negative
-    entry, and ``used`` is the numerator recounted from ``left``."""
-    free = list(map(sub, totals, held))
-    return (left == list(map(sub, free, pending))
-            and min(free, default=0) >= 0 and min(left, default=0) >= 0
-            and used == _scaled_used(totals, left, scale))
+    def _add(self, maps, targets, sign):
+        """Add (sign 1) or take out (sign -1) one record's unit maps."""
+        used = self.used
+        for units, (sums, free, left, scale, k) in zip(maps, targets):
+            scaled = 0
+            if sums is None:
+                for i, n in units.items():
+                    n *= sign
+                    left[i] -= n
+                    scaled += n * scale[i]
+            else:
+                for i, n in units.items():
+                    n *= sign
+                    sums[i] += n
+                    free[i] -= n
+                    left[i] -= n
+                    scaled += n * scale[i]
+            used[k] += scaled
 
 
 def _scales(totals) -> list:

@@ -296,9 +296,12 @@ def t_link_load(view) -> dict:
 
 
 def full_audit(view) -> list:
-    """The view's audit as it was before it kept its committed sums: every
-    committed and tentative per-request unit summed afresh. The package's
-    ``SubstrateView.conservation_violations`` must return exactly this list.
+    """The view's audit with nothing kept between calls: every committed and
+    tentative per-request unit summed afresh, and each numerator recounted
+    with ``L`` taken afresh from the totals. The package's
+    ``SubstrateView.conservation_violations``, which keeps its sums,
+    residuals and numerators from one call to the next, must return
+    exactly this list.
 
     Audit the ledger in one pass; an empty list means every element
     balances. The committed and the tentative per-request units are

@@ -86,12 +86,17 @@ def test_timed_run_times_every_dispatched_event_and_restores_dispatch():
     assert vars(vnesim.simulator.Engine)["_dispatch"] is original
 
 
-@pytest.mark.parametrize("corrupt", ["link_load", "rule_table"])
-def test_bench_audit_reports_each_selftest_corruption(corrupt):
+@pytest.mark.parametrize("corrupt,audited", [
+    pytest.param(corrupt, audited, id=corrupt + ("-audited" if audited else ""))
+    for audited in (False, True) for corrupt in ("link_load", "rule_table")])
+def test_bench_audit_reports_each_selftest_corruption(corrupt, audited):
     # bench/selftest.py corrupts a finished run in these two ways and expects
     # a failed run; the audit must report each one as a problem, since an
-    # exception (say, from a key of another form) would fail the run as well
-    config = RunConfig(strategy="batched", requests=100, seed=3)
+    # exception (say, from a key of another form) would fail the run as well.
+    # Unaudited, the check after the run is the view's first audit, as in
+    # bench/selftest.py; audited, as on default-audited, it follows one
+    # audit per event, whose kept expectation it must check the loads against
+    config = RunConfig(strategy="batched", requests=100, seed=3, check_invariants=audited)
     engine, log = vnesim.run.run_simulation(config)
     result = vnesim.metrics.summary(log)
     assert bench_run.output_problems(engine, log, result, config) == []

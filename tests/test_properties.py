@@ -43,6 +43,7 @@ from reference import (
     t_node_load,
     validate_mapping,
 )
+from test_golden import HEAVY, RANDOM100
 
 SMALL = GeneratorSpec(vnodes_min=2, vnodes_max=4, node_demand_min=1, node_demand_max=30,
                       link_demand_min=1, link_demand_max=20, edge_prob=0.6)
@@ -212,122 +213,235 @@ def audits_agree(view):
 
 def corrupt_and_undo(rng, view):
     """Break a clean ledger in one of the ways the audit must see, behind
-    the view's back, check both audits agree, undo it and check again."""
+    the view's back, check both audits agree, undo it and check again:
+    a committed load, a flat residual, a numerator or a total; a committed
+    or a tentative record swapped for another or popped; a committed
+    record's unit map reassigned, or one with an index past the end, on
+    which both audits raise; a tentative record's own map edited in place."""
     base = view.base
-    committed = base.committed
-    kind = rng.choice(("swap", "reassign", "pop", "load")) if committed else "load"
-    if kind == "load":
-        load, key = rng.choice(((base.node_load, rng.choice(base.switches)),
-                                (base.rule_load, rng.choice(base.switches)),
-                                (base.link_load, rng.choice(base.links))))
-        load[key] += 1
+    committed, tentative = base.committed, view.tentative
+    kinds = ["load", "residual", "numerator", "total"]
+    if committed:
+        kinds += ["swap", "reassign", "pop", "out of range"]
+    if tentative:
+        kinds += ["swap pending", "pop pending", "edit pending"]
+    kind = rng.choice(kinds)
+    if kind in ("load", "residual", "total"):
+        table = rng.choice({"load": (base.node_load, base.rule_load, base.link_load),
+                            "residual": (view.capacity_left, view.bandwidth_left),
+                            "total": (base.capacities, base.bandwidths)}[kind])
+        key = rng.choice(list(table) if type(table) is dict else range(len(table)))
+        # a total may drop to 1, below what its element holds
+        step = rng.choice((1, 1 - table[key])) if kind == "total" else 1
+        table[key] += step
         assert audits_agree(view)
-        load[key] -= 1
-    else:
+        table[key] -= step
+    elif kind == "numerator":
+        name = rng.choice(("switch_used", "link_used"))
+        setattr(view, name, getattr(view, name) + 1)
+        assert audits_agree(view)
+        setattr(view, name, getattr(view, name) - 1)
+    elif kind == "out of range":
+        # the audit raises partway through its update; once the record is
+        # mended, the next audit must not build on what that one left
         rid = rng.choice(sorted(committed))
         res = committed[rid]
-        if kind == "pop":  # a release on the base alone
-            del committed[rid]
+        field = rng.choice(("node_units", "rule_units", "link_units"))
+        past = len(base.links if field == "link_units" else base.switches)
+        committed[rid] = replace(res, **{field: {past: 1, **getattr(res, field)}})
+        for audit in (view.conservation_violations, lambda: full_audit(view)):
+            with pytest.raises(IndexError):
+                audit()
+        committed[rid] = res
+    else:
+        ledger = tentative if kind.endswith("pending") else committed
+        rid = rng.choice(sorted(ledger))
+        res = ledger[rid]
+        if kind.startswith("pop"):  # a release on the base or overlay alone
+            records = list(ledger.items())
+            del ledger[rid]
             assert audits_agree(view)
-            committed[rid] = res
+            ledger.clear()
+            ledger.update(records)  # in the order they had
         else:
-            field = rng.choice(("node_units", "rule_units", "link_units"))
+            field = rng.choice([f for f in ("node_units", "rule_units", "link_units")
+                                if getattr(res, f)])
             units = getattr(res, field)
             i = rng.choice(sorted(units))
-            other = {**units, i: units[i] + rng.choice((-1, 1))}
-            if kind == "swap":  # the same id, another record object
-                committed[rid] = replace(res, **{field: other})
+            step = rng.choice((-1, 1))
+            other = {**units, i: units[i] + step}
+            if kind.startswith("swap"):  # the same id, another record object
+                ledger[rid] = replace(res, **{field: other})
                 assert audits_agree(view)
-                committed[rid] = res
-            else:  # the same record, one unit map reassigned
+                ledger[rid] = res
+            elif kind == "reassign":  # the same record, one unit map reassigned
                 setattr(res, field, other)
                 assert audits_agree(view)
                 other[i] += 2  # a plain map can still change in place
                 assert audits_agree(view)
                 setattr(res, field, units)
+            else:  # the tentative record's own map, as a remap move edits it
+                units[i] += step
+                assert audits_agree(view)
+                units[i] -= step
     assert audits_agree(view) == []
 
 
+def audited_ledger_steps(rng, net, count, steps, path_between):
+    """``count`` random steps on a view of ``net``: embed and reserve, a
+    remap move onto ``path_between(neighbours, a, b)``, commit, release, a
+    release and recommit of one id, a new view over the base, or a
+    corruption undone. After each, the view's audit must say exactly what
+    the audit that sums afresh says, and find nothing; ``steps`` counts
+    the moves, recommits, new views and corruptions."""
+    neighbours = adj(net)
+    view = SubstrateView(net)
+    for step in range(count):
+        roll = rng.random()
+        if roll < 0.35:
+            out = embed(view, gen_virtual_request(rng, SMALL, step, 1, 100), rng.choice((1, 2)))
+            if out.accepted:
+                reserve(view, out.reservation)
+        elif roll < 0.5:
+            movable = [(res, vl) for res in view.tentative.values()
+                       for vl, parts in sorted(res.link_paths.items()) if len(parts) == 1]
+            if movable:
+                res, (a, b) = rng.choice(movable)
+                hosts = named(net, res).node_map
+                try:
+                    move_tentative(view, res.request_id, (a, b),
+                                   path_between(neighbours, hosts[a], hosts[b]))
+                    steps["move"] += 1
+                except ReservationError:
+                    pass
+        elif roll < 0.7 and view.tentative:
+            rid = rng.choice(sorted(view.tentative))
+            if not view.commit(rid):
+                view.release(rid)
+        elif roll < 0.8 and net.committed:
+            view.release(rng.choice(sorted(net.committed)))
+        elif roll < 0.87 and net.committed:
+            # release and commit one id again between two audits,
+            # the same record or one with other paths
+            rid = rng.choice(sorted(net.committed))
+            res = net.committed[rid]
+            view.release(rid)
+            if rng.random() < 0.5:
+                res = embed(view, res.request).reservation
+            if res is not None:
+                reserve(view, res)
+                if not view.commit(rid):
+                    view.release(rid)
+            steps["recommit"] += 1
+        elif roll < 0.9:
+            # a view built over a base that holds committed records;
+            # the old view's tentative records are dropped with it
+            view = SubstrateView(net)
+            steps["new view"] += 1
+        else:
+            corrupt_and_undo(rng, view)
+            steps["corrupt"] += 1
+        assert audits_agree(view) == []
+
+
+def primes_from(start, count) -> list:
+    """The first ``count`` primes >= ``start``, by trial division."""
+    out = []
+    n = start
+    while len(out) < count:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+def random_path(rng, neighbours, src, dst) -> tuple:
+    """One simple path src->dst, by a depth-first search that tries each
+    switch's neighbours in random order."""
+    seen = set()
+    stack = [(src, (src,))]
+    while stack:
+        node, path = stack.pop()
+        if node == dst:
+            return path
+        if node not in seen:
+            seen.add(node)
+            around = sorted(neighbours[node])
+            rng.shuffle(around)
+            stack.extend((nb, path + (nb,)) for nb in around if nb not in seen)
+    raise ValueError(f"no path from {src} to {dst}")
+
+
 class TestIncrementalAudit:
-    """The audit keeps its committed sums from one call to the next; after
-    every step it must say exactly what the audit that sums afresh says."""
+    """The audit keeps what it expects of the ledger from one call to the
+    next; after every step it must say exactly what the audit that sums
+    afresh says."""
 
     def test_random_ledger_steps_and_corruptions(self):
         steps = {"recommit": 0, "new view": 0, "corrupt": 0, "move": 0}
         for seed in range(12):
             rng = random.Random(f"audit-{seed}")
             net = random_substrate(random.Random(f"audit-net-{seed}"), 8, SMALL)
-            neighbours = adj(net)
-            view = SubstrateView(net)
-            for step in range(150):
-                roll = rng.random()
-                if roll < 0.35:
-                    out = embed(view, gen_virtual_request(rng, SMALL, step, 1, 100), rng.choice((1, 2)))
-                    if out.accepted:
-                        reserve(view, out.reservation)
-                elif roll < 0.5:
-                    movable = [(res, vl) for res in view.tentative.values()
-                               for vl, parts in sorted(res.link_paths.items()) if len(parts) == 1]
-                    if movable:
-                        res, (a, b) = rng.choice(movable)
-                        hosts = named(net, res).node_map
-                        try:
-                            move_tentative(view, res.request_id, (a, b),
-                                           rng.choice(_simple_paths(neighbours, hosts[a], hosts[b])))
-                            steps["move"] += 1
-                        except ReservationError:
-                            pass
-                elif roll < 0.7 and view.tentative:
-                    rid = rng.choice(sorted(view.tentative))
-                    if not view.commit(rid):
-                        view.release(rid)
-                elif roll < 0.8 and net.committed:
-                    view.release(rng.choice(sorted(net.committed)))
-                elif roll < 0.87 and net.committed:
-                    # release and commit one id again between two audits,
-                    # the same record or one with other paths
-                    rid = rng.choice(sorted(net.committed))
-                    res = net.committed[rid]
-                    view.release(rid)
-                    if rng.random() < 0.5:
-                        res = embed(view, res.request).reservation
-                    if res is not None:
-                        reserve(view, res)
-                        if not view.commit(rid):
-                            view.release(rid)
-                    steps["recommit"] += 1
-                elif roll < 0.9:
-                    # a view built over a base that holds committed records;
-                    # the old view's tentative records are dropped with it
-                    view = SubstrateView(net)
-                    steps["new view"] += 1
-                else:
-                    corrupt_and_undo(rng, view)
-                    steps["corrupt"] += 1
-                assert audits_agree(view) == []
+            audited_ledger_steps(rng, net, 150, steps,
+                                 lambda around, a, b: rng.choice(_simple_paths(around, a, b)))
         assert min(steps.values()) > 40, steps
+
+    def test_ledger_steps_on_pairwise_coprime_totals(self):
+        # every total a distinct prime from 101 up, on random:300: each
+        # kind's lcm L, and so its scales and numerators, runs to thousands
+        # of bits, where a kept numerator is largest
+        rng = random.Random("audit-coprime")
+        drawn = random_substrate(random.Random("audit-coprime-net"), 300, SMALL)
+        switches, links = element_rows(drawn)
+        primes = primes_from(101, len(switches) + len(links))
+        net = SubstrateNetwork(
+            [(u, p, cost) for (u, _cap, cost), p in zip(switches, primes)],
+            [(a, b, p, cost) for (a, b, _bw, cost), p in zip(links, primes[len(switches):])])
+        view = SubstrateView(net)
+        assert min(view.switch_scale[0].bit_length(), view.link_scale[0].bit_length()) > 2000
+        steps = {"recommit": 0, "new view": 0, "corrupt": 0, "move": 0}
+        audited_ledger_steps(rng, net, 400, steps,
+                             lambda neighbours, a, b: random_path(rng, neighbours, a, b))
+        assert min(steps.values()) > 5, steps
 
     @pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
     def test_after_every_event_of_audited_runs(self, monkeypatch, strategy):
-        rng = random.Random(f"audited-{strategy}")
-        real = Engine._audit
-        audits = corrupted = 0
-
-        def audit(engine):
-            nonlocal audits, corrupted
-            view = engine.controller.view
-            audits += 1
-            assert audits_agree(view) == []
-            if rng.random() < 0.1:
-                corrupt_and_undo(rng, view)
-                corrupted += 1
-            real(engine)  # the package's own audit, which must find nothing
-
-        monkeypatch.setattr(Engine, "_audit", audit)
-        for seed in range(4):
-            run_simulation(RunConfig(strategy=strategy, requests=300, seed=seed,
-                                     check_invariants=True))
+        configs = [dict(seed=seed, requests=300) for seed in range(4)]
+        audits, corrupted = audit_every_event(monkeypatch, strategy, configs)
         assert audits > 1500 and corrupted > 100, (audits, corrupted)
+
+    @pytest.mark.parametrize("config", ["random100", "heavy"])
+    @pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
+    def test_after_every_event_of_golden_runs(self, monkeypatch, strategy, config):
+        # a substrate of 100 switches, and links that split and remaps adopt
+        configs = [{"random100": RANDOM100, "heavy": HEAVY}[config]]
+        audits, corrupted = audit_every_event(monkeypatch, strategy, configs)
+        assert audits > 300 and corrupted > 20, (audits, corrupted)
+
+
+def audit_every_event(monkeypatch, strategy, configs):
+    """Run ``strategy`` on each config with the invariant check on; at each
+    event, before the package's own audit, require both audits to agree
+    and find nothing, and on one event in ten corrupt the ledger and undo
+    it. Returns how many events were audited and how many corrupted."""
+    rng = random.Random(f"audited-{strategy}")
+    real = Engine._audit
+    audits = corrupted = 0
+
+    def audit(engine):
+        nonlocal audits, corrupted
+        view = engine.controller.view
+        audits += 1
+        assert audits_agree(view) == []
+        if rng.random() < 0.1:
+            corrupt_and_undo(rng, view)
+            corrupted += 1
+        real(engine)  # the package's own audit, which must find nothing
+
+    monkeypatch.setattr(Engine, "_audit", audit)
+    for config in configs:
+        run_simulation(RunConfig(strategy=strategy, check_invariants=True, **config))
+    return audits, corrupted
 
 
 class TestCostInvariance:
