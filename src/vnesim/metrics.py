@@ -3,8 +3,14 @@
 Every arrival, commit, and departure appends one row sampling the run state:
 cumulative acceptance, mean link/switch utilization, cumulative rule writes,
 commit events, remapped links, and the latency proxy of the request just
-committed. Summaries are pure functions of the logged rows, so recomputing
-them from an exported trace reproduces the same numbers.
+committed. Appending a row also adds it into the summary's running values,
+so ``statistics`` reads no row: the areas under the two utilization means
+(``_append``) and the committed requests' cost and latency sums
+(``record_commit``). The three float sums among them take one rounded
+addition per row, in row order, from 0.0, as a pass over the rows would
+(the builtin ``sum`` compensates from Python 3.12 on), so the summary
+derived again from an exported trace is the same to the bit
+(``tests/reference.py``: ``summary_of_rows`` of ``parse_trace``).
 
 A row's mean utilization of a kind is the exact mean of its elements'
 ``(total - residual) / total`` (committed plus tentative use), rounded once:
@@ -21,7 +27,6 @@ digest is the same either way.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .simulator import TICKS_PER_UNIT
@@ -53,16 +58,6 @@ class Row(NamedTuple):
 CSV_COLUMNS = Row._fields  # the trace's header, in row order
 
 
-def ordered_sum(values) -> float:
-    """Left-to-right float sum from 0.0: one rounded addition per term, in
-    order, so an empty input gives 0.0 and a leading -0.0 adds to 0.0. The
-    builtin ``sum`` compensates rounding from Python 3.12 on."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 class MetricsLog:
     """Collects one sample per event; fed by the controller."""
 
@@ -78,6 +73,13 @@ class MetricsLog:
         self.rule_writes = 0
         self.commit_events = 0
         self.remapped_links = 0
+        # the summary's running values, added to in row order: the (time,
+        # link, switch) of the last row and the areas under the two means up
+        # to it, and the cost and latency sums of the committed requests
+        self.last = (0, 0.0, 0.0)
+        self.link_area = self.switch_area = 0.0
+        self.cost_sum = 0
+        self.latency_sum = 0.0
         if view is not None:
             # (link, switch) L * count, L being any element's scale times its
             # total: the means' denominators, the same on every row
@@ -93,9 +95,14 @@ class MetricsLog:
 
     def _append(self, time, kind, request_id, outcome, cost, latency):
         rate = (self.accepted - self.cancelled) / self.arrivals if self.arrivals else None
+        link, switch = self._utilization_means()
+        last_time, last_link, last_switch = self.last
+        span = time - last_time
+        self.link_area += last_link * span
+        self.switch_area += last_switch * span
+        self.last = time, link, switch
         self.rows.append(Row(
-            time, kind, request_id, outcome, cost, rate,
-            *self._utilization_means(),
+            time, kind, request_id, outcome, cost, rate, link, switch,
             self.rule_writes, self.commit_events, self.remapped_links,
             latency,
         ))
@@ -117,6 +124,8 @@ class MetricsLog:
             self.committed += 1
             self.rule_writes += rules_written
             latency = self.latency_proxy(mean_hops, wait)
+            self.cost_sum += cost
+            self.latency_sum += latency
             self._append(time, "commit", request_id, "committed", cost, latency)
         else:
             self.cancelled += 1
@@ -132,90 +141,28 @@ class MetricsLog:
 
 
 # ---------------------------------------------------------------------------
-# summaries (all derived from the rows and counters only)
-
-
-def cumulative_acceptance(log) -> float:
-    if not log.arrivals:
-        return 0.0
-    return (log.accepted - log.cancelled) / log.arrivals
-
-
-def acceptance_rate(log, grouping="by-count", bucket=100):
-    """Accepted/arrived ratios bucketed by arrival count or by arrival time.
-
-    ``by-count`` groups each consecutive ``bucket`` arrivals; ``by-time``
-    groups arrivals into windows of ``bucket`` time units. A request counts
-    as accepted when it was eventually committed. Returns a list of
-    (bucket start, rate) pairs. Raises ValueError for an unknown grouping,
-    a bucket that is not positive and finite, a by-count bucket that is not
-    an integer, and a by-time bucket that rounds to 0 ticks or whose tick
-    count overflows.
-    """
-    if grouping not in ("by-count", "by-time"):
-        raise ValueError(f"unknown grouping {grouping!r}")
-    if not 0 < bucket < math.inf:  # NaN fails too
-        raise ValueError(f"bucket must be positive and finite, got {bucket!r}")
-    if grouping == "by-count" and not isinstance(bucket, int):
-        raise ValueError(f"by-count bucket must be an integer, got {bucket!r}")
-    if grouping == "by-time" and not bucket * TICKS_PER_UNIT < math.inf:
-        raise ValueError(f"by-time bucket {bucket!r} overflows the tick count")
-    width = bucket if grouping == "by-count" else int(round(bucket * TICKS_PER_UNIT))
-    if width == 0:
-        raise ValueError(f"by-time bucket {bucket!r} rounds to 0 ticks")
-    committed = {r.request_id for r in log.rows if r.outcome == "committed"}
-    arrivals = (r for r in log.rows if r.event_kind == "arrival")
-    groups = {}
-    for index, row in enumerate(arrivals):
-        key = ((index if grouping == "by-count" else row.time) // width) * bucket
-        hit, total = groups.get(key, (0, 0))
-        groups[key] = (hit + (row.request_id in committed), total + 1)
-    return [(key, hit / total) for key, (hit, total) in sorted(groups.items())]
-
-
-def _time_weighted(rows, value):
-    """Integrate a per-row step function from t=0 to the last event."""
-    if not rows:
-        return 0.0
-    area = 0.0
-    prev_t, prev_v = 0, 0.0
-    for row in rows:
-        area += prev_v * (row.time - prev_t)
-        prev_t, prev_v = row.time, value(row)
-    span = rows[-1].time
-    return area / span if span else prev_v
-
-
-def time_weighted_utilization(log, kind="link") -> float:
-    attr = "avg_link_util" if kind == "link" else "avg_switch_util"
-    return _time_weighted(log.rows, lambda r: getattr(r, attr))
-
-
-def mean_latency(log) -> float:
-    series = [r.latency_proxy for r in log.rows if r.latency_proxy is not None]
-    return ordered_sum(series) / len(series) if series else 0.0
-
-
-def mean_cost_per_accepted(log) -> float:
-    costs = [r.cost for r in log.rows if r.event_kind == "commit" and r.outcome == "committed"]
-    return sum(costs) / len(costs) if costs else 0.0
+# summaries (read from the counters and running values alone)
 
 
 def statistics(log) -> dict:
-    """The run's totals and means: every summary field but the trace hash."""
+    """The run's totals and means: every summary field but the trace hash.
+    A time-weighted mean is its area over the last row's time, or the last
+    row's value when that time is 0; a mean over the committed requests is
+    0.0 when there are none."""
+    committed, (span, link, switch) = log.committed, log.last
     return {
         "arrivals": log.arrivals,
         "accepted": log.accepted - log.cancelled,
         "rejected": log.arrivals - log.accepted,
         "rejected_at_commit": log.cancelled,
-        "acceptance_rate": cumulative_acceptance(log),
-        "mean_cost_per_accepted": mean_cost_per_accepted(log),
+        "acceptance_rate": (log.accepted - log.cancelled) / log.arrivals if log.arrivals else 0.0,
+        "mean_cost_per_accepted": log.cost_sum / committed if committed else 0.0,
         "rule_writes": log.rule_writes,
         "commit_events": log.commit_events,
         "remapped_links": log.remapped_links,
-        "mean_latency_proxy": mean_latency(log),
-        "avg_link_utilization": time_weighted_utilization(log, "link"),
-        "avg_switch_utilization": time_weighted_utilization(log, "switch"),
+        "mean_latency_proxy": log.latency_sum / committed if committed else 0.0,
+        "avg_link_utilization": log.link_area / span if span else link,
+        "avg_switch_utilization": log.switch_area / span if span else switch,
     }
 
 

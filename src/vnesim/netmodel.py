@@ -38,14 +38,9 @@ parts, ``ids`` the link ids that routing walked along ``path``, kept from
 the routing kernel to release so no reader derives them again.
 
 A committed record is frozen: ``commit`` makes its node, rule and link unit
-maps read-only. The audit keeps what it expects of the whole ledger between
-calls: the committed sums, each element's committed and effective residual
-and each kind's numerator. It applies only the records that entered, left
-or changed since, comparing read-only maps by identity and the overlay's
-plain maps by value with copies, and starts afresh when the totals or
-scales change or a call raised. Derived from the records alone, each kept
-value equals its fresh sum, so comparing whole lists with them is as strict
-as summing afresh.
+maps read-only. The audit keeps its expectation of the whole ledger between
+calls; ``_Expected`` states what it keeps and why that is as strict as
+summing afresh.
 """
 
 from __future__ import annotations
@@ -336,7 +331,7 @@ class SubstrateView:
     fails (leaving the reservation tentative) only when rule-memory headroom
     is missing; the committed record's unit maps become read-only. The view
     is the only writer of the base's loads and ``committed``, and the only
-    auditor of the ledger, which keeps its own expectation of it.
+    auditor of the ledger (``_Expected``).
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
     index and ``bandwidth_left`` by link id, and the utilization numerators
@@ -458,8 +453,7 @@ class SubstrateView:
         negative. Each kind's utilization numerator must equal its recount
         from the flat residuals; ``_debit`` moves both together, so a stray
         debit is reported once, by the residual check. The sums are the
-        ones ``_Expected`` keeps (module docstring); whole lists are
-        compared first, and when a check fails one pass over the elements
+        ones ``_Expected`` keeps; whole lists are compared first, and when a check fails one pass over the elements
         names each failure, in element order."""
         base = self.base
         switches, links = base.switches, base.links
@@ -512,13 +506,19 @@ _UNIT_MAPS = attrgetter("node_units", "rule_units", "link_units")
 
 
 class _Expected:
-    """What the audit expects of a view's ledger, from its records and
-    ``derived``, copies of the (switch, link) totals and scales: ``sums``,
-    the committed (node, rule, link) units by index, and per kind ``free``,
-    the totals less those, ``left``, that less the tentative sums, ``used``,
-    all units times their scales, and ``free_ok``, no ``free`` below 0.
-    ``committed`` and ``tentative`` hold each ledger's unit maps as last
-    added, in record order and by request id, and the lists they move."""
+    """What the audit expects of a view's whole ledger, kept between calls
+    and derived from its records and ``derived``, copies of the (switch,
+    link) totals and scales: ``sums``, the committed (node, rule, link)
+    units by index, and per kind ``free``, the totals less those, ``left``,
+    that less the tentative sums, ``used``, all units times their scales,
+    and ``free_ok``, no ``free`` below 0. ``committed`` and ``tentative``
+    hold each ledger's unit maps as last added, in record order and by
+    request id, and the lists they move. Each call applies only the records
+    that entered, left or changed (``diff``: read-only maps by identity,
+    the overlay's plain maps by value with copies); the audit starts afresh
+    when the totals or scales differ from ``derived`` or a call raised. So
+    each kept value equals its fresh sum, and comparing whole lists with
+    them is as strict as summing afresh."""
 
     def __init__(self, derived):
         self.derived = list(map(list, derived))

@@ -27,7 +27,11 @@ is given as one ``max`` and one ``index`` per virtual node, for
 derives from a network or a finished run what the package itself never
 needs: adjacency, equality and text of a substrate, its totals and residuals by name, the overlay's loads,
 the fate and the state of a request, the longest wait and the mean number
-of concurrently committed requests, and a tick count in time units. Last come the substrate and
+of concurrently committed requests, and a tick count in time units. A
+trace's text reads back into rows (``parse_trace``), and ``summary_of_rows``
+derives every field of ``metrics.statistics`` from rows alone by passes
+over them, the oracle for the log's running values; ``acceptance_rate``
+buckets the acceptance by arrival count or time. Last come the substrate and
 request generators as they drew through ``Random.randint``, ``randrange``
 and ``shuffle``, which the inline draws of ``vnesim.workload`` must match
 network for network and request for request.
@@ -43,7 +47,7 @@ from itertools import permutations
 from types import SimpleNamespace
 
 from vnesim import embedder
-from vnesim.metrics import _time_weighted
+from vnesim.metrics import CSV_COLUMNS, Row
 from vnesim.netmodel import (
     Reservation,
     SubstrateNetwork,
@@ -646,6 +650,129 @@ def oracle_embed(net, request, switch_limit=8, vnode_limit=4):
 
 
 # ---------------------------------------------------------------------------
+# the trace parsed back, and the summary derived from its rows alone
+
+
+def _optional(parse):
+    return lambda cell: None if cell == "" else parse(cell)
+
+
+def _ticks(cell) -> int:
+    """A time cell, always 6 decimals, read exactly as ticks."""
+    whole, dot, fraction = cell.partition(".")
+    if not dot or len(fraction) != 6:
+        raise ValueError(f"time {cell!r} does not have 6 decimals")
+    return int(whole + fraction)
+
+
+# each column's parser, in ``CSV_COLUMNS`` order; ``cost``,
+# ``cum_accept_rate`` and ``latency_proxy`` are empty cells when None
+_CELL_PARSERS = (_ticks, str, int, str, _optional(int), _optional(float), float, float,
+                 int, int, int, _optional(float))
+
+
+def parse_trace(text) -> list:
+    """The ``metrics.Row`` list of a trace's text, each cell of the type the
+    row held; raises ValueError on a header other than ``CSV_COLUMNS`` or a
+    line of another width. A float cell is its repr, so it reads back to
+    the same float."""
+    header, *lines = text.splitlines()
+    if tuple(header.split(",")) != CSV_COLUMNS:
+        raise ValueError(f"header {header!r} is not the trace's columns")
+    rows = []
+    for line in lines:
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"line {line!r} does not have {len(CSV_COLUMNS)} cells")
+        rows.append(Row(*(parse(cell) for parse, cell in zip(_CELL_PARSERS, cells))))
+    return rows
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right float sum from 0.0: one rounded addition per term, in
+    order, so an empty input gives 0.0 and a leading -0.0 adds to 0.0. The
+    builtin ``sum`` compensates rounding from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def time_weighted(rows, value) -> float:
+    """Integrate a per-row step function from t=0 to the last event, over
+    that span; with no span, the last row's value, and 0.0 with no rows."""
+    if not rows:
+        return 0.0
+    area = 0.0
+    prev_t, prev_v = 0, 0.0
+    for row in rows:
+        area += prev_v * (row.time - prev_t)
+        prev_t, prev_v = row.time, value(row)
+    span = rows[-1].time
+    return area / span if span else prev_v
+
+
+def summary_of_rows(rows) -> dict:
+    """The fields of ``metrics.statistics``, in its order, derived from the
+    rows alone by passes over them: the counts from the outcomes, the
+    cumulative counters from the last row, the mean cost and latency over
+    the committed rows (``ordered_sum``), and the utilizations by
+    ``time_weighted``."""
+    arrivals = sum(r.event_kind == "arrival" for r in rows)
+    accepted = sum(r.outcome == "accepted" for r in rows)
+    cancelled = sum(r.outcome == "rejected-at-commit" for r in rows)
+    costs = [r.cost for r in rows if r.event_kind == "commit" and r.outcome == "committed"]
+    latencies = [r.latency_proxy for r in rows if r.latency_proxy is not None]
+    last = rows[-1] if rows else None
+    return {
+        "arrivals": arrivals,
+        "accepted": accepted - cancelled,
+        "rejected": arrivals - accepted,
+        "rejected_at_commit": cancelled,
+        "acceptance_rate": (accepted - cancelled) / arrivals if arrivals else 0.0,
+        "mean_cost_per_accepted": sum(costs) / len(costs) if costs else 0.0,
+        "rule_writes": last.rule_writes_cum if last else 0,
+        "commit_events": last.commit_events_cum if last else 0,
+        "remapped_links": last.remapped_links_cum if last else 0,
+        "mean_latency_proxy": ordered_sum(latencies) / len(latencies) if latencies else 0.0,
+        "avg_link_utilization": time_weighted(rows, lambda r: r.avg_link_util),
+        "avg_switch_utilization": time_weighted(rows, lambda r: r.avg_switch_util),
+    }
+
+
+def acceptance_rate(rows, grouping="by-count", bucket=100):
+    """Accepted/arrived ratios bucketed by arrival count or by arrival time.
+
+    ``by-count`` groups each consecutive ``bucket`` arrivals; ``by-time``
+    groups arrivals into windows of ``bucket`` time units. A request counts
+    as accepted when it was eventually committed. Returns a list of
+    (bucket start, rate) pairs. Raises ValueError for an unknown grouping,
+    a bucket that is not positive and finite, a by-count bucket that is not
+    an integer, and a by-time bucket that rounds to 0 ticks or whose tick
+    count overflows.
+    """
+    if grouping not in ("by-count", "by-time"):
+        raise ValueError(f"unknown grouping {grouping!r}")
+    if not 0 < bucket < math.inf:  # NaN fails too
+        raise ValueError(f"bucket must be positive and finite, got {bucket!r}")
+    if grouping == "by-count" and not isinstance(bucket, int):
+        raise ValueError(f"by-count bucket must be an integer, got {bucket!r}")
+    if grouping == "by-time" and not bucket * TICKS_PER_UNIT < math.inf:
+        raise ValueError(f"by-time bucket {bucket!r} overflows the tick count")
+    width = bucket if grouping == "by-count" else int(round(bucket * TICKS_PER_UNIT))
+    if width == 0:
+        raise ValueError(f"by-time bucket {bucket!r} rounds to 0 ticks")
+    committed = {r.request_id for r in rows if r.outcome == "committed"}
+    arrivals = (r for r in rows if r.event_kind == "arrival")
+    groups = {}
+    for index, row in enumerate(arrivals):
+        key = ((index if grouping == "by-count" else row.time) // width) * bucket
+        hit, total = groups.get(key, (0, 0))
+        groups[key] = (hit + (row.request_id in committed), total + 1)
+    return [(key, hit / total) for key, (hit, total) in sorted(groups.items())]
+
+
+# ---------------------------------------------------------------------------
 # facts of a run, derived from the ledger and the log
 
 
@@ -699,7 +826,7 @@ def active_counts(rows) -> list:
 def mean_concurrent_active(log) -> float:
     """Time-weighted mean number of concurrently committed requests."""
     counts = iter(active_counts(log.rows))
-    return _time_weighted(log.rows, lambda _row: next(counts))
+    return time_weighted(log.rows, lambda _row: next(counts))
 
 
 def to_units(ticks) -> float:

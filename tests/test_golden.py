@@ -2,8 +2,11 @@
 
 Each of the 38 cases pins the ``trace_sha256`` of one run. A refactor or speedup must
 leave every hash as it is; a deliberate behaviour change regenerates them in
-its own change and says why. Runs are short (400 requests unless stated), so
-the whole file takes a few seconds.
+its own change and says why. Each case also checks the run's summary, which
+the log folds as it appends rows, against the one derived by passes over its
+trace parsed back (``reference.summary_of_rows`` of ``parse_trace``), field
+by field by ``repr``. Runs are short (400 requests unless stated), so the
+whole file takes a few seconds.
 
 Run as a script, ``python tests/test_golden.py`` checks every case without
 pytest, so each installed interpreter can be checked; it exits 1 on any
@@ -24,8 +27,10 @@ else:
     parametrize = pytest.mark.parametrize
 
 from vnesim.config import RunConfig
-from vnesim.metrics import trace_hash
+from vnesim.metrics import csv_text, statistics, trace_hash
 from vnesim.run import run_simulation
+
+from reference import parse_trace, summary_of_rows
 
 RANDOM100 = dict(seed=0, substrate="random:100", interarrival_mean=0.5, requests=300)
 SPLIT3 = dict(seed=1, split_paths=3)
@@ -96,7 +101,8 @@ def _case_id(case):
 def test_trace_hash_is_unchanged(strategy, overrides, expected):
     config = RunConfig(strategy=strategy, **dict(dict(requests=400), **overrides))
     _, log = run_simulation(config)
-    assert trace_hash(log) == expected
+    assert trace_hash(log) == expected, "trace hash"
+    assert repr(statistics(log)) == repr(summary_of_rows(parse_trace(csv_text(log)))), "summary"
 
 
 def main() -> int:
@@ -106,10 +112,11 @@ def main() -> int:
     for case in GOLDEN:
         try:
             test_trace_hash_is_unchanged(*case)
-        except AssertionError:
+        except AssertionError as mismatch:
             failed += 1
-            print("MISMATCH", _case_id(case))
-    print(f"Python {sys.version.split()[0]}: {len(GOLDEN) - failed}/{len(GOLDEN)} golden hashes hold")
+            print("MISMATCH", _case_id(case), mismatch)
+    print(f"Python {sys.version.split()[0]}: {len(GOLDEN) - failed}/{len(GOLDEN)} golden hashes "
+          "and summaries hold")
     return 1 if failed else 0
 
 

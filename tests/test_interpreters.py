@@ -1,10 +1,15 @@
-"""The golden trace hashes under each other installed Python, 3.10 to 3.13.
+"""The golden trace hashes and summaries under each other installed Python,
+3.10 to 3.13.
 
-The trace must not depend on the interpreter: each row's utilization means
-are exact integer divisions and the summary's one float sum is a plain loop
-(``metrics.ordered_sum``), where the builtin ``sum`` would change its
-rounding at 3.12, so every version must give the same hashes. Each case
-runs ``tests/test_golden.py`` as a script, with ``PYTHONPATH=src``,
+Neither may depend on the interpreter. Each row's utilization means are
+exact integer divisions. The summary's float sums are three running sums in
+``metrics.MetricsLog``, the areas under the two means and the latency sum,
+each one rounded addition per row, in row order, from 0.0, where the
+builtin ``sum`` would change its rounding at 3.12. The golden script checks
+each case's hash against its pinned value and its summary against
+``reference.summary_of_rows``, the same sums as passes over the parsed
+trace, so every version must give the same hashes and summaries that add
+in row order. Each case runs ``tests/test_golden.py`` as a script, with ``PYTHONPATH=src``,
 under the ``python3.X`` that PATH finds or, when that one does not start as
 its version (a pyenv shim exits unless its version is selected), under
 the first ``$PYENV_ROOT/versions/3.X.*/bin/python3.X`` that does, with

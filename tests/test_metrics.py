@@ -19,24 +19,19 @@ from vnesim.metrics import (
     MetricsLog,
     TRACE_BLOCK,
     Row,
-    acceptance_rate,
     csv_text,
-    cumulative_acceptance,
     export_csv,
-    mean_cost_per_accepted,
-    mean_latency,
-    ordered_sum,
+    statistics,
     summary,
-    time_weighted_utilization,
     trace_hash,
-    _time_weighted,
 )
 from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
 from vnesim.run import run_simulation
 
 from conftest import make_net
-from reference import (active_counts, build_reservation, exact_utilization_means, fates,
-                       mean_concurrent_active)
+from reference import (acceptance_rate, active_counts, build_reservation,
+                       exact_utilization_means, fates, mean_concurrent_active, ordered_sum,
+                       parse_trace, summary_of_rows, time_weighted)
 from test_golden import COSTS14, GOLDEN, HEAVY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,6 +40,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def fresh_log(**kwargs):
     net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
     return MetricsLog(SubstrateView(net), **kwargs), net
+
+
+def stage(view, request_id, link_units):
+    """Reserve one request: a virtual node on switches 1 and 2 each, and
+    ``link_units`` on link (1, 2), of the fresh log's 300 link units."""
+    r = VirtualNetworkRequest(request_id, {0: 1, 1: 1}, {(0, 1): link_units}, 0, 10)
+    reserve(view, build_reservation(view, r, {0: 1, 1: 2},
+                                    {(0, 1): (((1, 2), link_units),)}))
 
 
 def drive_tiny_run(log):
@@ -102,7 +105,7 @@ class TestRecording:
         log.record_commit(2, 0, committed=False)
         assert log.cancelled == 1
         assert fates(log)[0][2] == "rejected-at-commit"
-        assert cumulative_acceptance(log) == 0.0
+        assert statistics(log)["acceptance_rate"] == summary_of_rows(log.rows)["acceptance_rate"] == 0.0
         row = log.rows[-1]
         assert row.outcome == "rejected-at-commit"
         assert row.cost is None and row.latency_proxy is None
@@ -112,9 +115,8 @@ class TestRecording:
         assert log.latency_proxy(3.0, 4_000_000) == 3.0 * 2.0 + 4.0 * 0.5
 
     def test_utilization_means_average_over_all_elements(self):
-        log, net = fresh_log()
-        r = VirtualNetworkRequest(1, {0: 1, 1: 1}, {(0, 1): 50}, 0, 10)
-        reserve(log.view, build_reservation(log.view, r, {0: 1, 1: 2}, {(0, 1): (((1, 2), 50),)}))
+        log, _ = fresh_log()
+        stage(log.view, 1, 50)
         link_util, switch_util = log._utilization_means()
         assert link_util == pytest.approx((0.5 + 0 + 0) / 3)
         assert switch_util == pytest.approx((0.01 + 0.01 + 0) / 3)
@@ -158,7 +160,7 @@ class TestAcceptanceRate:
         for rid in (0, 2, 3):
             log.record_commit_event(0)
             log.record_commit(4_000_000, rid, committed=True, cost=1)
-        return log
+        return log.rows
 
     def test_by_count_groups_consecutive_arrivals(self):
         assert acceptance_rate(self.build(), "by-count", bucket=2) == [
@@ -202,7 +204,7 @@ class TestAcceptanceRate:
 
     def test_cumulative_acceptance_of_empty_log(self):
         log, _ = fresh_log()
-        assert cumulative_acceptance(log) == 0.0
+        assert statistics(log)["acceptance_rate"] == summary_of_rows(log.rows)["acceptance_rate"] == 0.0
 
 
 def row(t, link=0.0, kind="arrival", latency=None, cost=None, outcome="x"):
@@ -210,76 +212,117 @@ def row(t, link=0.0, kind="arrival", latency=None, cost=None, outcome="x"):
 
 
 class TestTimeWeighted:
+    """The log's running areas, and ``reference.time_weighted``, the pass
+    over the rows that they must equal."""
+
     def test_step_integration_from_time_zero(self):
         rows = [row(6_000_000, link=1.0), row(8_000_000, link=0.0)]
         # zero until t=6, one until t=8: 2 of 8 time units
-        assert _time_weighted(rows, lambda r: r.avg_link_util) == pytest.approx(0.25)
+        assert time_weighted(rows, lambda r: r.avg_link_util) == pytest.approx(0.25)
+        # through the log: a quarter of the link units from t=6 to t=8
+        log, _ = fresh_log()
+        stage(log.view, 1, 75)
+        log.record_arrival(6_000_000, 1, accepted=True, cost=1)
+        log.view.release(1)
+        log.record_commit(8_000_000, 1, committed=False)
+        assert [r.avg_link_util for r in log.rows] == [0.25, 0.0]
+        assert statistics(log)["avg_link_utilization"] == 0.25 * 2 / 8
 
     def test_empty_rows(self):
-        assert _time_weighted([], lambda r: r.avg_link_util) == 0.0
+        assert time_weighted([], lambda r: r.avg_link_util) == 0.0
+        log, _ = fresh_log()
+        assert statistics(log)["avg_link_utilization"] == 0.0
 
     def test_single_row_at_time_zero_returns_its_value(self):
-        assert _time_weighted([row(0, link=0.7)], lambda r: r.avg_link_util) == 0.7
+        assert time_weighted([row(0, link=0.7)], lambda r: r.avg_link_util) == 0.7
+        log, _ = fresh_log()
+        stage(log.view, 1, 75)
+        log.record_arrival(0, 1, accepted=True, cost=1)
+        assert statistics(log)["avg_link_utilization"] == 0.25
 
     def test_mean_concurrent_active(self):
         log, _ = fresh_log()
         # two commits at t=5, both depart at t=10
-        commit = dict(kind="commit", outcome="committed")
-        departure = dict(kind="departure", outcome="departed")
-        log.rows = [row(5, **commit), row(5, **commit), row(10, **departure), row(10, **departure)]
+        log.record_commit(5, 0, committed=True, cost=1)
+        log.record_commit(5, 1, committed=True, cost=1)
+        log.record_departure(10, 0)
+        log.record_departure(10, 1)
+        assert active_counts(log.rows) == [1, 2, 1, 0]
         assert mean_concurrent_active(log) == pytest.approx(1.0)
 
     def test_time_weighted_utilization_reads_the_requested_kind(self):
         log, _ = fresh_log()
-        log.rows = [row(10, link=0.4)]
-        assert time_weighted_utilization(log, "link") == pytest.approx(0.0)
-        log.rows = [row(0, link=0.4)]
-        assert time_weighted_utilization(log, "link") == pytest.approx(0.4)
+        stage(log.view, 1, 75)
+        log.record_arrival(0, 1, accepted=True, cost=1)
+        link, switch = log.rows[0].avg_link_util, log.rows[0].avg_switch_util
+        assert (link, switch) == (0.25, 2 / 300)
+        stats = statistics(log)
+        assert (stats["avg_link_utilization"], stats["avg_switch_utilization"]) == (link, switch)
+        # a first row at t=10 counts from then on: zero until the last row
+        late, _ = fresh_log()
+        stage(late.view, 1, 75)
+        late.record_arrival(10, 1, accepted=True, cost=1)
+        stats = statistics(late)
+        assert (stats["avg_link_utilization"], stats["avg_switch_utilization"]) == (0.0, 0.0)
 
     def test_utilization_series_converts_ticks_to_units(self):
         # the trace is the series: its time column is in units
         log, _ = fresh_log()
-        log.rows = [row(1_500_000, link=0.25)]
+        stage(log.view, 1, 75)
+        log.record_arrival(1_500_000, 1, accepted=True, cost=1)
         fields = csv_text(log).splitlines()[1].split(",")
         assert (fields[0], fields[CSV_COLUMNS.index("avg_link_util")]) == ("1.500000", "0.25")
 
 
+def same(got, want):
+    # repr tells -0.0 from 0.0 and every other pair of floats apart
+    return type(got) is float and repr(got) == repr(want)
+
+
 class TestDerivedStats:
+    """The summary's means over the committed requests, from the log's
+    running sums, and from the rows by ``reference.summary_of_rows``."""
+
+    def both(self, log, field):
+        live, derived = statistics(log)[field], summary_of_rows(log.rows)[field]
+        assert repr(live) == repr(derived)
+        return live
+
     def test_mean_cost_counts_only_real_commits(self):
         log, _ = fresh_log()
-        log.rows = [
-            row(1, kind="arrival", cost=99, outcome="accepted"),
-            row(2, kind="commit", cost=30, outcome="committed"),
-            row(3, kind="commit", cost=None, outcome="rejected-at-commit"),
-            row(4, kind="commit", cost=50, outcome="committed"),
-        ]
-        assert mean_cost_per_accepted(log) == 40.0
+        log.record_arrival(1, 0, accepted=True, cost=99)
+        log.record_commit(2, 0, committed=True, cost=30)
+        log.record_commit(3, 1, committed=False)
+        log.record_commit(4, 2, committed=True, cost=50)
+        assert self.both(log, "mean_cost_per_accepted") == 40.0
 
     def test_mean_latency_over_commit_rows(self):
         log, _ = fresh_log()
-        log.rows = [
-            row(1, latency=2.0),
-            row(2, latency=None),
-            row(3, latency=4.0),
-        ]
-        assert mean_latency(log) == 3.0
+        log.record_commit(1, 0, committed=True, cost=1, mean_hops=2.0)
+        log.record_commit(2, 1, committed=False)
+        log.record_commit(3, 2, committed=True, cost=1, mean_hops=4.0)
+        assert [r.latency_proxy for r in log.rows] == [2.0, None, 4.0]
+        assert self.both(log, "mean_latency_proxy") == 3.0
 
     def test_mean_latency_sums_left_to_right(self):
         # a compensated sum (``sum`` since Python 3.12, ``math.fsum``) keeps
         # the 1.0 that a left-to-right sum rounds away
-        log, _ = fresh_log()
         series = [1e16, 1.0, -1e16]
-        log.rows = [row(t, latency=v) for t, v in enumerate(series, start=1)]
         assert math.fsum(series) == 1.0
         assert ordered_sum(series) == (1e16 + 1.0) - 1e16 == 0.0
-        assert mean_latency(log) == 0.0
+
+        def commit_all(values):
+            # with hop delay 1 and no wait, each latency is its mean hops
+            log, _ = fresh_log()
+            for t, v in enumerate(values, start=1):
+                log.record_commit(t, t, committed=True, cost=1, mean_hops=v)
+            assert [r.latency_proxy for r in log.rows] == values
+            return log
+
+        assert self.both(commit_all(series), "mean_latency_proxy") == 0.0
 
         def fold(values):
             return functools.reduce(operator.add, values, 0.0)
-
-        def same(got, want):
-            # repr tells -0.0 from 0.0 and every other pair of floats apart
-            return type(got) is float and repr(got) == repr(want)
 
         # one rounded addition per term, from 0.0, on every interpreter
         assert same(ordered_sum([-0.0]), 0.0)
@@ -287,10 +330,14 @@ class TestDerivedStats:
         assert same(ordered_sum([]), 0.0)
         assert same(ordered_sum(v for v in series), 0.0)
         rng = random.Random("ordered-sum")
-        for _ in range(2000):
+        for i in range(2000):
             values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
                       for _ in range(rng.randint(0, 60))]
             assert same(ordered_sum(values), fold(values)), values
+            if i % 10 == 0 and values:
+                # the log's running sum is the same fold
+                assert same(self.both(commit_all(values), "mean_latency_proxy"),
+                            fold(values) / len(values)), values
 
     def test_summary_keys_and_values(self):
         log, _ = fresh_log()
@@ -317,6 +364,61 @@ class TestDerivedStats:
         assert s["mean_cost_per_accepted"] == 50.0
         assert s["mean_latency_proxy"] == 1.0
         assert s["trace_sha256"] == trace_hash(log)
+
+
+class TestFoldedSummary:
+    """``statistics`` reads the log's counters and running values, never its
+    rows, and an exported trace, parsed back, reproduces it to the bit."""
+
+    def test_statistics_reads_no_row(self):
+        _, log = run_simulation(RunConfig(requests=200, seed=5))
+        before = repr(statistics(log))
+        log.rows.clear()
+        assert repr(statistics(log)) == before
+
+    def test_a_log_without_a_view_gives_the_zero_row(self):
+        # what ``cli._COMPARE_COLUMNS`` is built from and ``compare
+        # --requests 0`` prints
+        zero = {"arrivals": 0, "accepted": 0, "rejected": 0, "rejected_at_commit": 0,
+                "acceptance_rate": 0.0, "mean_cost_per_accepted": 0.0, "rule_writes": 0,
+                "commit_events": 0, "remapped_links": 0, "mean_latency_proxy": 0.0,
+                "avg_link_utilization": 0.0, "avg_switch_utilization": 0.0}
+        assert repr(statistics(MetricsLog(None))) == repr(zero)
+        assert repr(summary_of_rows([])) == repr(zero)
+
+    @pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
+    def test_parsed_trace_reproduces_the_summary(self, strategy):
+        rng = random.Random(f"parsed-trace-{strategy}")
+        for requests in (0, 1, 2, 40, 200, 260):
+            config = RunConfig(
+                strategy=strategy, requests=requests, seed=rng.randrange(10_000),
+                substrate=rng.choice(["default", "random:40"]),
+                mode=rng.choice(["whichever-first", "count-only", "time-only"]),
+                batch_size=rng.randint(1, 8), interarrival_mean=rng.choice([0.5, 2.0, 5.0]),
+                hop_delay=rng.uniform(0.1, 3.0), wait_delay=rng.uniform(0.1, 3.0),
+                horizon=rng.choice([None, rng.uniform(1.0, 600.0)]))
+            _, log = run_simulation(config)
+            rows = parse_trace(csv_text(log))
+            assert rows == log.rows, config
+            assert repr(statistics(log)) == repr(summary_of_rows(rows)), config
+
+    def test_parse_trace_types_each_cell(self):
+        log, _ = fresh_log()
+        drive_tiny_run(log)
+        rows = parse_trace(csv_text(log))
+        assert rows == log.rows
+        assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in log.rows]
+
+    def test_parse_trace_rejects_another_header_or_width(self):
+        log, _ = fresh_log()
+        drive_tiny_run(log)
+        header, first, *_ = csv_text(log).splitlines(keepends=True)
+        with pytest.raises(ValueError, match="is not the trace's columns"):
+            parse_trace(header.replace("cost", "price") + first)
+        with pytest.raises(ValueError, match="does not have 12 cells"):
+            parse_trace(header + first.rstrip("\n") + ",\n")
+        with pytest.raises(ValueError, match="does not have 6 decimals"):
+            parse_trace(header + first.replace(".000000", ".0000", 1))
 
 
 class TestCsvTrace:
