@@ -157,14 +157,13 @@ class Controller:
             hops = [len(ids) for parts in res.link_paths.values() for _p, _u, ids in parts]
             mean_hops = sum(hops) / len(hops) if hops else 0.0
             self.log.record_commit(
-                engine.now, rid, committed=True, cost=res.cost,
-                mean_hops=mean_hops, wait=engine.now - request.arrival,
-                rules_written=sum(res.rule_units.values()),
+                engine.now, rid, cost=res.cost, mean_hops=mean_hops,
+                wait=engine.now - request.arrival, rules_written=sum(res.rule_units.values()),
             )
             engine.schedule_departure(max(engine.now, request.departure), rid)
         else:
             self.view.release(rid)
-            self.log.record_commit(engine.now, rid, committed=False)
+            self.log.record_cancel(engine.now, rid)
 
     def flush(self, engine):
         """Commit whatever is still pending (end of simulation)."""

@@ -26,12 +26,10 @@ is ``links[j]``) against a flat list of residuals by link id. A label packs
 count, so int order is pair order and labels add along a path; a link of unit
 cost c steps a label by ``c * H + 1``, at least ``min_step = cmin * H + 1``.
 The bound ``lb[v] = min(hopdist(v, src), 255) * min_step`` (hop distances on
-the whole substrate from ``hop_bounds``: every switch's table from one
-multi-source sweep on the first call where the substrate has at most 2,048
-switches and switch 0 is within 16 hops of all, else one breadth-first
-search per src, each memoized) never exceeds the label of any path from v
-to src, and it changes by at most ``min_step`` across a link, so it is
-consistent. The heap is ordered by ``(f, g, v)`` with ``f = g + lb``.
+the whole substrate, from ``SubstrateNetwork.hop_bounds``) never exceeds the
+label of any path from v to src, and it changes by at most ``min_step``
+across a link, clamped or not, so it is consistent. The heap is ordered by
+``(f, g, v)`` with ``f = g + lb``.
 
 Tie-break: call u a tight neighbour of v when ``g*(v) = g*(u) + step(u, v)``
 over a feasible link. Consistency gives ``f(u) <= f(v)``, and ``g*(u) <

@@ -118,18 +118,17 @@ class MetricsLog:
         self.commit_events += 1
         self.remapped_links += remapped_links
 
-    def record_commit(self, time, request_id, committed, cost=None,
-                      mean_hops=0.0, wait=0, rules_written=0):
-        if committed:
-            self.committed += 1
-            self.rule_writes += rules_written
-            latency = self.latency_proxy(mean_hops, wait)
-            self.cost_sum += cost
-            self.latency_sum += latency
-            self._append(time, "commit", request_id, "committed", cost, latency)
-        else:
-            self.cancelled += 1
-            self._append(time, "commit", request_id, "rejected-at-commit", None, None)
+    def record_commit(self, time, request_id, cost, mean_hops, wait, rules_written):
+        self.committed += 1
+        self.rule_writes += rules_written
+        latency = self.latency_proxy(mean_hops, wait)
+        self.cost_sum += cost
+        self.latency_sum += latency
+        self._append(time, "commit", request_id, "committed", cost, latency)
+
+    def record_cancel(self, time, request_id):
+        self.cancelled += 1
+        self._append(time, "commit", request_id, "rejected-at-commit", None, None)
 
     def record_departure(self, time, request_id):
         self._append(time, "departure", request_id, "departed", None, None)

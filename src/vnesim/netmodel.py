@@ -38,9 +38,9 @@ parts, ``ids`` the link ids that routing walked along ``path``, kept from
 the routing kernel to release so no reader derives them again.
 
 A committed record is frozen: ``commit`` makes its node, rule and link unit
-maps read-only. The audit keeps its expectation of the whole ledger between
-calls; ``_Expected`` states what it keeps and why that is as strict as
-summing afresh.
+maps read-only. The audit keeps its expectation of the committed ledger
+between calls and sums the overlay afresh; ``_Expected`` states what it
+keeps and why that is as strict as summing everything afresh.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import attrgetter, mul, ne, or_, sub
 from types import MappingProxyType
 
@@ -354,7 +354,7 @@ class SubstrateView:
         self.link_scale = _scales(base.bandwidths)
         self.switch_used = _scaled_used(base.capacities, self.capacity_left, self.switch_scale)
         self.link_used = _scaled_used(base.bandwidths, self.bandwidth_left, self.link_scale)
-        # what the audit expects of the ledger, kept between calls, or None
+        # what the audit expects of the committed ledger, kept between calls, or None
         self._expected = None
 
     def _debit(self, node_units, link_units, sign=1):
@@ -452,29 +452,29 @@ class SubstrateView:
         sums, and neither its committed nor its effective residual may be
         negative. Each kind's utilization numerator must equal its recount
         from the flat residuals; ``_debit`` moves both together, so a stray
-        debit is reported once, by the residual check. The sums are the
-        ones ``_Expected`` keeps; whole lists are compared first, and when a check fails one pass over the elements
-        names each failure, in element order."""
+        debit is reported once, by the residual check. The committed sums
+        are the ones ``_Expected`` keeps, the tentative ones are summed
+        afresh; whole lists are compared first, and when a check fails one
+        pass over the elements names each failure, in element order."""
         base = self.base
         switches, links = base.switches, base.links
         derived = [base.capacities, base.bandwidths, self.switch_scale, self.link_scale]
         exp, self._expected = self._expected, None  # derived afresh next call if this raises
-        fresh = exp is None or exp.derived != derived
-        if fresh:
+        if exp is None or exp.derived != derived:
             exp = _Expected(derived)
-        if exp.diff(base.committed, *exp.committed) or fresh:
-            exp.free_ok = min(exp.free[0]) >= 0 and min(exp.free[1]) >= 0
-        exp.diff(self.tentative, *exp.tentative)
+        exp.diff(base.committed)
+        effective, numerators = exp.effective(self.tentative)
         self._expected = exp
         node, rule, link = exp.sums
         node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
         # each load's keys in index order, then its values against the sums
         if (list(node_load) == switches == list(rule_load) and list(link_load) == links
                 and list(node_load.values()) == node and list(rule_load.values()) == rule
-                and list(link_load.values()) == link and exp.free_ok
-                and self.capacity_left == exp.left[0] and self.bandwidth_left == exp.left[1]
+                and list(link_load.values()) == link
+                and min(exp.free[0]) >= 0 and min(exp.free[1]) >= 0
+                and self.capacity_left == effective[0] and self.bandwidth_left == effective[1]
                 and min(self.capacity_left) >= 0 and min(self.bandwidth_left) >= 0
-                and exp.used == [self.switch_used, self.link_used]):
+                and numerators == [self.switch_used, self.link_used]):
             return []
         out = []
         for u, n, r in zip(switches, node, rule):
@@ -485,9 +485,9 @@ class SubstrateView:
             if link_load[lk] != n:
                 out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
         for kind, names, totals, free, expected, left, scale, used in (
-                ("switch", switches, base.capacities, exp.free[0], exp.left[0],
+                ("switch", switches, base.capacities, exp.free[0], effective[0],
                  self.capacity_left, self.switch_scale, self.switch_used),
-                ("link", links, base.bandwidths, exp.free[1], exp.left[1],
+                ("link", links, base.bandwidths, exp.free[1], effective[1],
                  self.bandwidth_left, self.link_scale, self.link_used)):
             for name, f, e, resid in zip(names, free, expected, left):
                 if f < 0:
@@ -506,74 +506,78 @@ _UNIT_MAPS = attrgetter("node_units", "rule_units", "link_units")
 
 
 class _Expected:
-    """What the audit expects of a view's whole ledger, kept between calls
-    and derived from its records and ``derived``, copies of the (switch,
-    link) totals and scales: ``sums``, the committed (node, rule, link)
-    units by index, and per kind ``free``, the totals less those, ``left``,
-    that less the tentative sums, ``used``, all units times their scales,
-    and ``free_ok``, no ``free`` below 0. ``committed`` and ``tentative``
-    hold each ledger's unit maps as last added, in record order and by
-    request id, and the lists they move. Each call applies only the records
-    that entered, left or changed (``diff``: read-only maps by identity,
-    the overlay's plain maps by value with copies); the audit starts afresh
-    when the totals or scales differ from ``derived`` or a call raised. So
-    each kept value equals its fresh sum, and comparing whole lists with
-    them is as strict as summing afresh."""
+    """What the audit expects of a view's committed ledger, kept between
+    calls and derived from its records and ``derived``, copies of the
+    (switch, link) totals and scales: ``sums``, the committed (node, rule,
+    link) units by index, and per kind ``free``, the totals less those, and
+    ``used``, those units times their scales. ``order`` and ``summed`` hold
+    each committed record's unit maps as last added, in record order and by
+    request id. Each call applies only the records that entered, left or
+    changed (``diff``: read-only maps by identity, plain ones by value with
+    copies); the audit starts afresh when the totals or scales differ from
+    ``derived`` or a call raised. So each kept value equals its fresh sum.
+    The overlay, at most one batch, is summed afresh on every call
+    (``effective``), so comparing whole lists with the results is as strict
+    as summing afresh."""
 
     def __init__(self, derived):
         self.derived = list(map(list, derived))
         capacities, bandwidths, switch_scale, link_scale = self.derived
         self.free = list(capacities), list(bandwidths)
-        self.left = list(capacities), list(bandwidths)
-        switches, links = len(capacities), len(bandwidths)
-        node, rule, link = self.sums = [0] * switches, [0] * switches, [0] * links
+        node, rule, link = self.sums = [[0] * len(t) for t in (capacities, capacities, bandwidths)]
         self.used = [0, 0]
-        by_switch = self.free[0], self.left[0], switch_scale, 0
-        by_link = self.free[1], self.left[1], link_scale, 1
-        self.committed = [], {}, ((node, *by_switch), (rule, *by_switch), (link, *by_link))
-        self.tentative = [], {}, ((None, *by_switch), (None, *by_switch), (None, *by_link))
+        by_switch = self.free[0], switch_scale, 0
+        self.targets = (node, *by_switch), (rule, *by_switch), (link, self.free[1], link_scale, 1)
+        self.order, self.summed = [], {}
 
-    def diff(self, records, order, summed, targets) -> bool:
-        """Add in the records (request id -> Reservation) that entered or
-        changed since the last call, take out those that left or changed;
-        return whether any unit map differs. A plain map is kept as a copy,
-        so an edit in place differs from it at the next call."""
+    def diff(self, records):
+        """Add in the committed records (request id -> Reservation) that
+        entered or changed since the last call, take out those that left or
+        changed. A plain map is kept as a copy, so an edit in place differs
+        from it at the next call."""
         maps = list(map(_UNIT_MAPS, records.values()))
-        if maps == order:
-            return False
+        if maps == self.order:
+            return
+        summed = self.summed
         stale = map(ne, map(summed.get, records), maps)  # a new id gets None
         for rid, units in list(compress(zip(records, maps), stale)):
             old = summed.get(rid)
             if old is not None:
-                self._add(old, targets, -1)
-            self._add(units, targets, 1)
+                self._add(old, -1)
+            self._add(units, 1)
             if not (type(units[0]) is type(units[1]) is type(units[2]) is MappingProxyType):
                 units = tuple(map(dict, units))
             summed[rid] = units
         if len(summed) > len(records):  # every id in records is in summed now
             for rid in summed.keys() - records.keys():
-                self._add(summed.pop(rid), targets, -1)
-        order[:] = map(summed.__getitem__, records)
-        return True
+                self._add(summed.pop(rid), -1)
+        self.order[:] = map(summed.__getitem__, records)
 
-    def _add(self, maps, targets, sign):
-        """Add (sign 1) or take out (sign -1) one record's unit maps."""
-        used = self.used
-        for units, (sums, free, left, scale, k) in zip(maps, targets):
+    def _add(self, maps, sign):
+        """Add (sign 1) or take out (sign -1) one committed record's maps."""
+        for units, (sums, free, scale, k) in zip(maps, self.targets):
             scaled = 0
-            if sums is None:
-                for i, n in units.items():
-                    n *= sign
-                    left[i] -= n
-                    scaled += n * scale[i]
-            else:
-                for i, n in units.items():
-                    n *= sign
-                    sums[i] += n
-                    free[i] -= n
-                    left[i] -= n
-                    scaled += n * scale[i]
-            used[k] += scaled
+            for i, n in units.items():
+                n *= sign
+                sums[i] += n
+                free[i] -= n
+                scaled += n * scale[i]
+            self.used[k] += scaled
+
+    def effective(self, tentative) -> tuple:
+        """Copies of ``free`` and ``used`` less and plus every tentative unit,
+        summed afresh: the expected effective residuals and numerators."""
+        switch, link = left = list(self.free[0]), list(self.free[1])
+        switch_scale, link_scale = self.derived[2:]
+        switch_used, link_used = self.used
+        for res in tentative.values():
+            for i, n in chain(res.node_units.items(), res.rule_units.items()):
+                switch[i] -= n
+                switch_used += n * switch_scale[i]
+            for j, n in res.link_units.items():
+                link[j] -= n
+                link_used += n * link_scale[j]
+        return left, [switch_used, link_used]
 
 
 def _scales(totals) -> list:

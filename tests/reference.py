@@ -303,9 +303,9 @@ def full_audit(view) -> list:
     """The view's audit with nothing kept between calls: every committed and
     tentative per-request unit summed afresh, and each numerator recounted
     with ``L`` taken afresh from the totals. The package's
-    ``SubstrateView.conservation_violations``, which keeps its sums,
-    residuals and numerators from one call to the next, must return
-    exactly this list.
+    ``SubstrateView.conservation_violations``, which keeps its committed
+    sums, residuals and numerators from one call to the next and sums only
+    the tentative overlay afresh, must return exactly this list.
 
     Audit the ledger in one pass; an empty list means every element
     balances. The committed and the tentative per-request units are

@@ -59,10 +59,7 @@ def drive_tiny_run(log):
     log.record_arrival(2_000_000, 1, accepted=True, cost=50)
     log.record_commit_event(remapped_links=0)
     view.commit(1)
-    log.record_commit(
-        3_000_000, 1, committed=True, cost=50, mean_hops=0.0,
-        wait=1_000_000, rules_written=0,
-    )
+    log.record_commit(3_000_000, 1, cost=50, mean_hops=0.0, wait=1_000_000, rules_written=0)
     view.release(1)
     log.record_departure(7_000_000, 1)
 
@@ -102,13 +99,23 @@ class TestRecording:
         log, _ = fresh_log()
         log.record_arrival(1, 0, accepted=True, cost=10)
         log.record_commit_event(remapped_links=0)
-        log.record_commit(2, 0, committed=False)
+        log.record_cancel(2, 0)
         assert log.cancelled == 1
         assert fates(log)[0][2] == "rejected-at-commit"
         assert statistics(log)["acceptance_rate"] == summary_of_rows(log.rows)["acceptance_rate"] == 0.0
         row = log.rows[-1]
         assert row.outcome == "rejected-at-commit"
         assert row.cost is None and row.latency_proxy is None
+
+    def test_a_commit_takes_every_value_it_records(self):
+        # only a cancelled commit has no cost or latency, and it has its own call
+        log, _ = fresh_log()
+        for missing in ("cost", "mean_hops", "wait", "rules_written"):
+            values = dict(cost=1, mean_hops=0.0, wait=0, rules_written=0)
+            del values[missing]
+            with pytest.raises(TypeError, match=missing):
+                log.record_commit(1, 0, **values)
+        assert (log.committed, log.cost_sum, log.rows) == (0, 0, [])
 
     def test_latency_proxy_formula(self):
         log, _ = fresh_log(hop_delay=2.0, wait_delay=0.5)
@@ -159,7 +166,7 @@ class TestAcceptanceRate:
         log.record_arrival(3_500_000, 3, accepted=True, cost=1)
         for rid in (0, 2, 3):
             log.record_commit_event(0)
-            log.record_commit(4_000_000, rid, committed=True, cost=1)
+            log.record_commit(4_000_000, rid, cost=1, mean_hops=0.0, wait=0, rules_written=0)
         return log.rows
 
     def test_by_count_groups_consecutive_arrivals(self):
@@ -224,7 +231,7 @@ class TestTimeWeighted:
         stage(log.view, 1, 75)
         log.record_arrival(6_000_000, 1, accepted=True, cost=1)
         log.view.release(1)
-        log.record_commit(8_000_000, 1, committed=False)
+        log.record_cancel(8_000_000, 1)
         assert [r.avg_link_util for r in log.rows] == [0.25, 0.0]
         assert statistics(log)["avg_link_utilization"] == 0.25 * 2 / 8
 
@@ -243,8 +250,8 @@ class TestTimeWeighted:
     def test_mean_concurrent_active(self):
         log, _ = fresh_log()
         # two commits at t=5, both depart at t=10
-        log.record_commit(5, 0, committed=True, cost=1)
-        log.record_commit(5, 1, committed=True, cost=1)
+        log.record_commit(5, 0, cost=1, mean_hops=0.0, wait=0, rules_written=0)
+        log.record_commit(5, 1, cost=1, mean_hops=0.0, wait=0, rules_written=0)
         log.record_departure(10, 0)
         log.record_departure(10, 1)
         assert active_counts(log.rows) == [1, 2, 1, 0]
@@ -291,16 +298,16 @@ class TestDerivedStats:
     def test_mean_cost_counts_only_real_commits(self):
         log, _ = fresh_log()
         log.record_arrival(1, 0, accepted=True, cost=99)
-        log.record_commit(2, 0, committed=True, cost=30)
-        log.record_commit(3, 1, committed=False)
-        log.record_commit(4, 2, committed=True, cost=50)
+        log.record_commit(2, 0, cost=30, mean_hops=0.0, wait=0, rules_written=0)
+        log.record_cancel(3, 1)
+        log.record_commit(4, 2, cost=50, mean_hops=0.0, wait=0, rules_written=0)
         assert self.both(log, "mean_cost_per_accepted") == 40.0
 
     def test_mean_latency_over_commit_rows(self):
         log, _ = fresh_log()
-        log.record_commit(1, 0, committed=True, cost=1, mean_hops=2.0)
-        log.record_commit(2, 1, committed=False)
-        log.record_commit(3, 2, committed=True, cost=1, mean_hops=4.0)
+        log.record_commit(1, 0, cost=1, mean_hops=2.0, wait=0, rules_written=0)
+        log.record_cancel(2, 1)
+        log.record_commit(3, 2, cost=1, mean_hops=4.0, wait=0, rules_written=0)
         assert [r.latency_proxy for r in log.rows] == [2.0, None, 4.0]
         assert self.both(log, "mean_latency_proxy") == 3.0
 
@@ -315,7 +322,7 @@ class TestDerivedStats:
             # with hop delay 1 and no wait, each latency is its mean hops
             log, _ = fresh_log()
             for t, v in enumerate(values, start=1):
-                log.record_commit(t, t, committed=True, cost=1, mean_hops=v)
+                log.record_commit(t, t, cost=1, mean_hops=v, wait=0, rules_written=0)
             assert [r.latency_proxy for r in log.rows] == values
             return log
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from vnesim import netmodel
 from vnesim.netmodel import (
     ReservationError,
     SubstrateNetwork,
@@ -434,6 +435,45 @@ class TestViewAudit:
         found = view.conservation_violations()
         assert found and found == full_audit(view)
         triangle.committed[1] = res
+        assert view.conservation_violations() == []
+
+    @pytest.mark.parametrize("units", ["node_units", "link_units"])
+    def test_a_tentative_index_past_the_end_raises_until_mended(self, triangle, units):
+        view = self.staged(triangle)
+        # the record's own map, as a remap move edits it, its other units first
+        own = getattr(view.tentative[2], units)
+        past = len(triangle.links if units == "link_units" else triangle.switches)
+        own[past] = 1
+        for audit in (view.conservation_violations, lambda: full_audit(view)):
+            with pytest.raises(IndexError):
+                audit()
+        del own[past]
+        assert view.conservation_violations() == full_audit(view) == []
+
+    def test_a_tentative_records_rule_units_are_summed(self, triangle):
+        # only commit gives a record rule units; the overlay sum counts any
+        view = self.staged(triangle)
+        view.tentative[2].rule_units[2] = 1
+        found = view.conservation_violations()
+        assert found == ["switch 3: effective residual 80 != total less per-request sums 79"]
+        assert found == full_audit(view)
+        del view.tentative[2].rule_units[2]
+        assert view.conservation_violations() == []
+
+    def test_a_balanced_ledger_passes_on_whole_lists_alone(self, triangle, monkeypatch):
+        # the element pass recounts each numerator; a balanced ledger must
+        # not reach it, whatever entered or left since the last call
+        view = self.staged(triangle)
+
+        def element_pass(*args):
+            raise AssertionError("the audit walked the elements")
+
+        monkeypatch.setattr(netmodel, "_scaled_used", element_pass)
+        assert view.commit(2) is True
+        assert view.conservation_violations() == []
+        view.release(1)
+        assert view.conservation_violations() == []
+        reserve(view, build_reservation(view, req(rid=3), {0: 2, 1: 3}, {(0, 1): (((2, 3), 7),)}))
         assert view.conservation_violations() == []
 
     # Each corruption breaks one check of the audit and nothing else: the
