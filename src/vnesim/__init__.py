@@ -11,7 +11,7 @@ window-splitting baselines run the same workload for comparison.
 from .config import RunConfig
 from .controller import BatchPolicy, make_controller
 from .embedder import EmbedOutcome, embed, greedy_node_map
-from .metrics import MetricsLog, export_csv, summary, trace_hash
+from .metrics import MetricsLog, summary, trace_hash
 from .netmodel import (
     SubstrateNetwork,
     SubstrateView,

@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_file
 from .controller import _MODES, STRATEGIES
-from .metrics import MetricsLog, export_csv, statistics, summary
+from .metrics import MetricsLog, statistics, summary
 from .netmodel import TopologyError, load_topology
 from .run import run_simulation
 
@@ -78,24 +78,34 @@ def _print_summary(stats):
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    engine, log = run_simulation(config)
     out = config.out or "trace.csv"
-    text = export_csv(log, out)  # written and hashed: formatted once
+    # the trace streams into a file beside --out, which replaces --out only
+    # once the run and its summary succeed: a failed run leaves --out as it was
+    partial = f"{out}.{os.getpid()}.tmp"
+    stream = open(partial, "w", encoding="utf-8", newline="")
+    try:
+        with stream:
+            engine, log = run_simulation(config, trace=stream)
+            stats = summary(log)
+        os.replace(partial, out)
+    except BaseException:
+        os.remove(partial)
+        raise
     print(f"trace {out}")
     print(f"events {engine.events_dispatched}")
-    _print_summary(summary(log, text))
+    _print_summary(stats)
     return 0
 
 
 # the strategy, then the statistics' keys in their order
-_COMPARE_COLUMNS = ("strategy", *statistics(MetricsLog(None)))
+_COMPARE_COLUMNS = ("strategy", *statistics(MetricsLog(None, trace=False)))
 
 
 def cmd_compare(args) -> int:
     config = _config_from_args(args)
     print(",".join(_COMPARE_COLUMNS))
     for strategy in STRATEGIES:
-        _, log = run_simulation(replace(config, strategy=strategy))
+        _, log = run_simulation(replace(config, strategy=strategy), trace=False)
         stats = statistics(log)
         stats["strategy"] = strategy
         print(",".join(_format(stats[c]) for c in _COMPARE_COLUMNS))
@@ -104,7 +114,7 @@ def cmd_compare(args) -> int:
 
 def _sweep_one(payload):
     kind, value, config = payload
-    _, log = run_simulation(config)
+    _, log = run_simulation(config, trace=False)
     stats = statistics(log)
     stats[kind] = value
     return value, stats

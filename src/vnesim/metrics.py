@@ -1,4 +1,4 @@
-"""Per-event metrics log, summary statistics, and the CSV trace format.
+"""Per-event metrics log, summary statistics, and the CSV trace.
 
 Every arrival, commit, and departure appends one row sampling the run state:
 cumulative acceptance, mean link/switch utilization, cumulative rule writes,
@@ -9,8 +9,14 @@ so ``statistics`` reads no row: the areas under the two utilization means
 (``record_commit``). The three float sums among them take one rounded
 addition per row, in row order, from 0.0, as a pass over the rows would
 (the builtin ``sum`` compensates from Python 3.12 on), so the summary
-derived again from an exported trace is the same to the bit
+derived again from the trace text is the same to the bit
 (``tests/reference.py``: ``summary_of_rows`` of ``parse_trace``).
+
+The log keeps no rows. When its block of ``TRACE_BLOCK`` rows fills, it
+formats them (``csv_text``), feeds the text to the trace's SHA-256, writes
+it to its text stream if it has one, and drops them; ``trace_hash`` formats
+the partial block. So each row is formatted once, and a log built with
+``trace=False``, for callers that read only ``statistics``, formats none.
 
 A row's mean utilization of a kind is the exact mean of its elements'
 ``(total - residual) / total`` (committed plus tentative use), rounded once:
@@ -18,16 +24,12 @@ one int division of the view's numerator per row (see ``netmodel``), so no
 summation order or interpreter version can move it.
 
 The trace hash is SHA-256 from the interpreter's builtin module (``_sha2``
-from 3.12 on, ``_sha256`` before), the lean module the stdlib's own
-``random`` prefers for its ``sha512``. ``hashlib`` would map OpenSSL's
-libcrypto for one digest per run, about 3.5 MB of a default run's 28 MB
-peak; it is the fallback only on a build that has neither module. The
-digest is the same either way.
+from 3.12 on, ``_sha256`` before), as the stdlib's ``random`` takes its
+``sha512``: ``hashlib`` would map OpenSSL's libcrypto (3.5 MB) for one
+digest per run, so it is only the fallback on a build with neither module.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .simulator import TICKS_PER_UNIT
 
@@ -40,32 +42,22 @@ except ImportError:
         from hashlib import sha256
 
 
-class Row(NamedTuple):
-    time: int  # ticks
-    event_kind: str
-    request_id: int
-    outcome: str
-    cost: int
-    cum_accept_rate: float
-    avg_link_util: float
-    avg_switch_util: float
-    rule_writes_cum: int
-    commit_events_cum: int
-    remapped_links_cum: int
-    latency_proxy: float
-
-
-CSV_COLUMNS = Row._fields  # the trace's header, in row order
+# a row's fields and the trace's header; the time is in ticks, written in units
+CSV_COLUMNS = ("time", "event_kind", "request_id", "outcome", "cost", "cum_accept_rate",
+               "avg_link_util", "avg_switch_util", "rule_writes_cum", "commit_events_cum",
+               "remapped_links_cum", "latency_proxy")
+TRACE_BLOCK = 256  # rows formatted into the trace at a time
 
 
 class MetricsLog:
-    """Collects one sample per event; fed by the controller."""
+    """Collects one sample per event; fed by the controller. ``trace`` is
+    True to hash the trace, a writable text stream to hash it and write it
+    there, or False to keep no trace."""
 
-    def __init__(self, view, hop_delay=1.0, wait_delay=1.0):
+    def __init__(self, view, hop_delay=1.0, wait_delay=1.0, trace=True):
         self.view = view
         self.hop_delay = hop_delay
         self.wait_delay = wait_delay
-        self.rows = []
         self.arrivals = 0
         self.accepted = 0  # tentative or committed successes; the rest were rejected
         self.cancelled = 0  # rejected at commit
@@ -86,6 +78,13 @@ class MetricsLog:
             base = view.base
             self._wholes = (view.link_scale[0] * base.bandwidths[0] * len(base.links),
                             view.switch_scale[0] * base.capacities[0] * len(base.switches))
+        # the trace: the rows not yet formatted, the digest of the text so far
+        # and the stream it is also written to
+        self.block = self.digest = self.stream = None
+        if trace is not False:
+            self.block, self.digest = [], sha256()
+            self.stream = None if trace is True else trace
+            self._write(",".join(CSV_COLUMNS) + "\n")
 
     # -- recording ---------------------------------------------------------
 
@@ -101,11 +100,23 @@ class MetricsLog:
         self.link_area += last_link * span
         self.switch_area += last_switch * span
         self.last = time, link, switch
-        self.rows.append(Row(
-            time, kind, request_id, outcome, cost, rate, link, switch,
-            self.rule_writes, self.commit_events, self.remapped_links,
-            latency,
-        ))
+        block = self.block
+        if block is not None:
+            block.append((time, kind, request_id, outcome, cost, rate, link, switch,
+                          self.rule_writes, self.commit_events, self.remapped_links, latency))
+            if len(block) == TRACE_BLOCK:
+                self._flush()
+
+    def _flush(self):
+        """Format the rows held into the trace, and drop them."""
+        if self.block:
+            self._write(csv_text(self.block))
+            self.block.clear()
+
+    def _write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        if self.stream is not None:
+            self.stream.write(text)
 
     def record_arrival(self, time, request_id, accepted, cost=None):
         self.arrivals += 1
@@ -165,52 +176,28 @@ def statistics(log) -> dict:
     }
 
 
-def summary(log, text=None) -> dict:
-    """``statistics`` plus the trace hash. A caller that has already
-    formatted the trace passes it as ``text``, which must be
-    ``csv_text(log)``; it is hashed instead of formatting the trace again."""
+def summary(log) -> dict:
+    """``statistics`` plus the trace hash."""
     stats = statistics(log)
-    stats["trace_sha256"] = (trace_hash(log) if text is None
-                             else sha256(text.encode("utf-8")).hexdigest())
+    stats["trace_sha256"] = trace_hash(log)
     return stats
 
 
 # ---------------------------------------------------------------------------
 # CSV trace
 
-TRACE_BLOCK = 256  # rows per piece of text that _csv_blocks formats at a time
 
-
-def _csv_blocks(log):
-    """The trace text in pieces: the header line, then the lines of up to
-    ``TRACE_BLOCK`` rows each. A line is the time in units, then every other
-    field in order: None as an empty cell, a float as its repr (which str
-    gives), anything else as str."""
-    yield ",".join(CSV_COLUMNS) + "\n"
-    rows = log.rows
-    for start in range(0, len(rows), TRACE_BLOCK):
-        yield "".join([f"{row.time / TICKS_PER_UNIT:.6f},"
-                       + ",".join(["" if v is None else str(v) for v in row[1:]]) + "\n"
-                       for row in rows[start:start + TRACE_BLOCK]])
-
-
-def csv_text(log) -> str:
-    return "".join(_csv_blocks(log))
-
-
-def export_csv(log, path) -> str:
-    """Write the trace and return its text, ``csv_text(log)``; identical log
-    state yields byte-identical files."""
-    text = csv_text(log)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return text
+def csv_text(rows) -> str:
+    """The trace lines of ``rows``, row tuples in ``CSV_COLUMNS`` order: the
+    time in units, then every other field in order: None as an empty cell,
+    a float as its repr (which str gives), anything else as str."""
+    return "".join([f"{row[0] / TICKS_PER_UNIT:.6f},"
+                    + ",".join(["" if v is None else str(v) for v in row[1:]]) + "\n"
+                    for row in rows])
 
 
 def trace_hash(log) -> str:
-    """SHA-256 of ``csv_text(log)``, fed one block of rows at a time, so the
-    whole text never exists at once."""
-    digest = sha256()
-    for block in _csv_blocks(log):
-        digest.update(block.encode("utf-8"))
-    return digest.hexdigest()
+    """SHA-256 of the trace so far, after formatting the rows the log still
+    holds. The digest goes on taking the rows appended after it."""
+    log._flush()
+    return log.digest.hexdigest()

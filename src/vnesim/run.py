@@ -11,14 +11,16 @@ from .simulator import TICKS_PER_UNIT, Engine, RandomStreams, to_ticks
 from .workload import arrival_schedule, build_substrate, generate_workload, iter_requests
 
 
-def run_simulation(config: RunConfig):
+def run_simulation(config: RunConfig, trace=True):
     """Build substrate, arrival schedule, controller, and engine; run to completion.
 
     Returns (engine, log); the controller is reachable as engine.controller.
     The engine builds the requests from the schedule as the clock reaches
     them (``workload.iter_requests``), so a run holds the requests in
-    flight, not the whole workload. The same config always produces the
-    same trace, byte for byte.
+    flight, not the whole workload. The log makes the trace as the run goes,
+    as ``trace`` asks (``MetricsLog``: True, a text stream or False); it is
+    whole once ``trace_hash`` or ``summary`` has read the log. The same
+    config always produces the same trace, byte for byte.
     """
     config.validate()
     streams = RandomStreams(config.seed)
@@ -38,7 +40,7 @@ def run_simulation(config: RunConfig):
     controller = make_controller(config.strategy, substrate, policy, log=None,
                                  split_paths=config.split_paths)
     log = MetricsLog(controller.view, hop_delay=config.hop_delay,
-                     wait_delay=config.wait_delay)
+                     wait_delay=config.wait_delay, trace=trace)
     controller.log = log
     engine = Engine(
         controller, iter_requests(streams, spec, schedule),

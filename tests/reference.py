@@ -27,11 +27,13 @@ is given as one ``max`` and one ``index`` per virtual node, for
 derives from a network or a finished run what the package itself never
 needs: adjacency, equality and text of a substrate, its totals and residuals by name, the overlay's loads,
 the fate and the state of a request, the longest wait and the mean number
-of concurrently committed requests, and a tick count in time units. A
-trace's text reads back into rows (``parse_trace``), and ``summary_of_rows``
-derives every field of ``metrics.statistics`` from rows alone by passes
-over them, the oracle for the log's running values; ``acceptance_rate``
-buckets the acceptance by arrival count or time. Last come the substrate and
+of concurrently committed requests, and a tick count in time units. The
+log keeps no rows: a trace's text (``trace_text`` of a log that writes to a
+text stream) reads back into rows (``parse_trace``, ``trace_rows``), and
+``summary_of_rows`` derives every field of ``metrics.statistics`` from
+rows alone by passes over them, the oracle for the log's running values;
+``acceptance_rate`` buckets the acceptance by arrival count or time. Last
+come the substrate and
 request generators as they drew through ``Random.randint``, ``randrange``
 and ``shuffle``, which the inline draws of ``vnesim.workload`` must match
 network for network and request for request.
@@ -41,13 +43,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
 
 from vnesim import embedder
-from vnesim.metrics import CSV_COLUMNS, Row
+from vnesim.metrics import CSV_COLUMNS, trace_hash
 from vnesim.netmodel import (
     Reservation,
     SubstrateNetwork,
@@ -665,6 +668,9 @@ def _ticks(cell) -> int:
     return int(whole + fraction)
 
 
+# a trace row parsed back: its fields by ``CSV_COLUMNS`` name, the time in ticks
+Row = namedtuple("Row", CSV_COLUMNS)
+
 # each column's parser, in ``CSV_COLUMNS`` order; ``cost``,
 # ``cum_accept_rate`` and ``latency_proxy`` are empty cells when None
 _CELL_PARSERS = (_ticks, str, int, str, _optional(int), _optional(float), float, float,
@@ -672,7 +678,7 @@ _CELL_PARSERS = (_ticks, str, int, str, _optional(int), _optional(float), float,
 
 
 def parse_trace(text) -> list:
-    """The ``metrics.Row`` list of a trace's text, each cell of the type the
+    """The ``Row`` list of a trace's text, each cell of the type the log's
     row held; raises ValueError on a header other than ``CSV_COLUMNS`` or a
     line of another width. A float cell is its repr, so it reads back to
     the same float."""
@@ -686,6 +692,18 @@ def parse_trace(text) -> list:
             raise ValueError(f"line {line!r} does not have {len(CSV_COLUMNS)} cells")
         rows.append(Row(*(parse(cell) for parse, cell in zip(_CELL_PARSERS, cells))))
     return rows
+
+
+def trace_text(log) -> str:
+    """The trace a log has written so far to its text stream (a log built
+    with ``trace=io.StringIO()``), the rows it still holds included."""
+    trace_hash(log)  # formats the rows the log still holds
+    return log.stream.getvalue()
+
+
+def trace_rows(log) -> list:
+    """The rows a log has written so far, parsed back (``trace_text``)."""
+    return parse_trace(trace_text(log))
 
 
 def ordered_sum(values) -> float:
@@ -784,15 +802,15 @@ def request_state(controller, request_id) -> str:
         return "tentative"
     if request_id in controller.view.base.committed:
         return "committed"
-    outcome = fates(controller.log)[request_id][2]
+    outcome = fates(trace_rows(controller.log))[request_id][2]
     return "departed" if outcome == "committed" else outcome
 
 
-def fates(log) -> dict:
+def fates(rows) -> dict:
     """Request id -> [arrival index, arrival ticks, final outcome], read off
     the arrival rows and then the commit rows, whose outcome is final."""
     out = {}
-    for r in log.rows:
+    for r in rows:
         if r.event_kind == "arrival":
             out[r.request_id] = [len(out), r.time, r.outcome]
         elif r.event_kind == "commit":
@@ -800,12 +818,12 @@ def fates(log) -> dict:
     return out
 
 
-def longest_wait(log) -> int:
+def longest_wait(rows) -> int:
     """Largest commit-row time minus arrival time, in ticks, over every
     commit row, cancelled ones included; 0 when nothing was committed."""
-    arrived = fates(log)
+    arrived = fates(rows)
     return max(
-        (r.time - arrived[r.request_id][1] for r in log.rows if r.event_kind == "commit"),
+        (r.time - arrived[r.request_id][1] for r in rows if r.event_kind == "commit"),
         default=0,
     )
 
@@ -823,10 +841,10 @@ def active_counts(rows) -> list:
     return out
 
 
-def mean_concurrent_active(log) -> float:
+def mean_concurrent_active(rows) -> float:
     """Time-weighted mean number of concurrently committed requests."""
-    counts = iter(active_counts(log.rows))
-    return time_weighted(log.rows, lambda _row: next(counts))
+    counts = iter(active_counts(rows))
+    return time_weighted(rows, lambda _row: next(counts))
 
 
 def to_units(ticks) -> float:

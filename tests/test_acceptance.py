@@ -4,6 +4,7 @@ Each test exercises one numbered criterion against the stated tolerance and
 prints a single pass/fail line (run with -s to see them as they happen).
 """
 
+import io
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import time
 import vnesim.controller
 from vnesim.config import RunConfig
 from vnesim.embedder import embed
-from vnesim.metrics import MetricsLog, csv_text, summary
+from vnesim.metrics import MetricsLog, summary
 from vnesim.netmodel import SubstrateView, norm_link, reserve
 from vnesim.run import run_simulation
 from vnesim.simulator import (
@@ -38,6 +39,8 @@ from reference import (
     residual_bandwidth,
     residual_capacity,
     to_units,
+    trace_rows,
+    trace_text,
     validate_mapping,
 )
 
@@ -138,8 +141,8 @@ def test_criterion_4_workload_statistics():
     lt = to_units(sum(draw_lifetime(streams.lifetime) for _ in range(n))) / n
     _, log = run_simulation(RunConfig(
         strategy="per-request", requests=1500, seed=0,
-        cap_min=100_000_000, cap_max=250_000_000))
-    concurrent = mean_concurrent_active(log)
+        cap_min=100_000_000, cap_max=250_000_000), trace=io.StringIO())
+    concurrent = mean_concurrent_active(trace_rows(log))
     ok = (4.95 <= ia <= 5.05 and 118.8 <= lt <= 121.2 and 21.0 <= concurrent <= 27.0)
     report("4 (workload statistics)", ok,
            f"inter-arrival mean {ia:.3f} in [4.95, 5.05], lifetime mean {lt:.2f} "
@@ -240,8 +243,8 @@ def test_criterion_6_strategy_trends(monkeypatch):
 
 def test_criterion_7_determinism(tmp_path):
     config = RunConfig(requests=200, seed=3)
-    first = csv_text(run_simulation(config)[1])
-    second = csv_text(run_simulation(config)[1])
+    first = trace_text(run_simulation(config, trace=io.StringIO())[1])
+    second = trace_text(run_simulation(config, trace=io.StringIO())[1])
     assert first == second
 
     # the CLI processes import the same package as this test
@@ -283,8 +286,8 @@ def test_criterion_8_batch_policy_exactness(monkeypatch):
     # commit-row time minus arrival, cancelled commits included
     longest = 0
     for seed in range(10):
-        _, log = run_simulation(RunConfig(requests=400, seed=seed))
-        longest = max(longest, longest_wait(log))
+        _, log = run_simulation(RunConfig(requests=400, seed=seed), trace=io.StringIO())
+        longest = max(longest, longest_wait(trace_rows(log)))
     window_ok = longest <= to_ticks(25.0)
     report("8 (batch policy exactness)", count_ok and window_ok,
            f"deepest batch {deepest} (n=7); longest tentative wait "

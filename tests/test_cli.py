@@ -24,10 +24,10 @@ def run_cli(capsys, *argv):
 
 
 def counting_csv_text(monkeypatch):
-    """Count the trace formattings from here on."""
+    """Record the trace formattings from here on: the rows of each call."""
     calls = []
     csv_text = metrics.csv_text
-    monkeypatch.setattr(metrics, "csv_text", lambda log: calls.append(1) or csv_text(log))
+    monkeypatch.setattr(metrics, "csv_text", lambda rows: calls.append(len(rows)) or csv_text(rows))
     return calls
 
 
@@ -166,12 +166,34 @@ class TestRunCommand:
         assert stats["trace_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
     def test_run_formats_the_trace_once(self, capsys, tmp_path, monkeypatch):
-        # the written file and the printed hash share one formatting
+        # each row is formatted exactly once, for the written file and the
+        # printed hash together: the rows formatted add up to the file's
+        out = tmp_path / "t.csv"
         calls = counting_csv_text(monkeypatch)
-        code, _, _ = run_cli(capsys, "run", "--requests", "20", "--seed", "3",
-                             "--out", str(tmp_path / "t.csv"))
+        code, _, _ = run_cli(capsys, "run", "--requests", "300", "--seed", "3", "--out", str(out))
         assert code == 0
-        assert len(calls) == 1
+        assert sum(calls) == len(out.read_text(encoding="utf-8").splitlines()) - 1 > 256
+        assert len(calls) > 1 and all(rows == metrics.TRACE_BLOCK for rows in calls[:-1])
+
+    def test_a_failed_run_leaves_the_file_at_out_as_it_was(self, capsys, tmp_path):
+        # the ConfigError comes from inside run_simulation, once the trace
+        # file is open: each gap fits the tick count, 1,500 of them summed do not
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"an earlier trace\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--interarrival-mean", "1e300",
+                                       "--requests", "1500", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("bad configuration:") and "interarrival_mean" in stderr
+        assert out.read_bytes() == b"an earlier trace\n"
+        assert list(tmp_path.iterdir()) == [out]  # the partial trace is removed
+
+    def test_out_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+        code, stdout, stderr = run_cli(capsys, "run", "--requests", "20",
+                                       "--out", str(tmp_path / "absent" / "t.csv"))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        assert "Traceback" not in stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

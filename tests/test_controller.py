@@ -1,6 +1,7 @@
 """Batch policies, commit flow, rule accounting, and the three strategy rows."""
 
 import copy
+import io
 
 import pytest
 
@@ -21,7 +22,8 @@ from vnesim.netmodel import UnknownRequestError, VirtualNetworkRequest
 from vnesim.simulator import Engine, to_ticks
 
 from conftest import make_net
-from reference import check_request, longest_wait, request_state, residual_capacity, indexed_parts, named_path
+from reference import (check_request, indexed_parts, longest_wait, named_path, request_state,
+                       residual_capacity, trace_rows)
 
 COMMITTED = "committed"
 DEPARTED = "departed"
@@ -39,7 +41,7 @@ def mk(rid, nodes, links, arrival=1, lifetime=100):
 
 def drive(substrate, policy, requests, strategy="batched", split_paths=2, horizon=None):
     ctl = make_controller(strategy, substrate, policy, None, split_paths)
-    ctl.log = MetricsLog(ctl.view)
+    ctl.log = MetricsLog(ctl.view, trace=io.StringIO())
     engine = Engine(ctl, requests, horizon=horizon, check_invariants=True)
     engine.run()
     return ctl, engine
@@ -77,7 +79,7 @@ class TestRuleAccounting:
         # the one virtual link's rules go on all three switches
         net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={1: 10, 2: 3, 3: 10})
         ctl = make_controller(BATCHED, net, BatchPolicy(1, None, COUNT_ONLY), None)
-        ctl.log = MetricsLog(ctl.view)
+        ctl.log = MetricsLog(ctl.view, trace=io.StringIO())
         engine = Engine(ctl, [])
         base = ctl.view.base
         loads, left = dict(base.rule_load), list(ctl.view.capacity_left)
@@ -179,11 +181,11 @@ class TestBatchedCommit:
         ctl, engine = drive(net, BatchPolicy(5, u(10), WHICHEVER_FIRST), reqs)
         assert ctl.commit_events == 1
         assert {r: request_state(ctl, r) for r in (0, 1)} == {0: DEPARTED, 1: DEPARTED}
-        commit_rows = [r for r in ctl.log.rows if r.event_kind == "commit"]
+        commit_rows = [r for r in trace_rows(ctl.log) if r.event_kind == "commit"]
         # the window opened at the first tentative success (t=1) and fired
         # ten units later
         assert [r.time for r in commit_rows] == [u(11), u(11)]
-        assert longest_wait(ctl.log) == u(10)
+        assert longest_wait(trace_rows(ctl.log)) == u(10)
 
     def test_stale_window_trigger_is_ignored_after_count_commit(self):
         ctl, engine = drive(
@@ -205,7 +207,7 @@ class TestBatchedCommit:
         # size 1 would have committed each instantly in a counting mode;
         # time-only holds all three for the single window trigger
         assert ctl.commit_events == 1
-        commit_times = {r.time for r in ctl.log.rows if r.event_kind == "commit"}
+        commit_times = {r.time for r in trace_rows(ctl.log) if r.event_kind == "commit"}
         assert commit_times == {u(11)}
 
     def test_commit_then_departure_on_the_same_tick(self):
@@ -215,7 +217,7 @@ class TestBatchedCommit:
         # the request expired (t=3) before its window trigger (t=11): it is
         # committed at t=11 and departs in the immediately following event
         assert request_state(ctl, 0) == DEPARTED
-        assert [(row.event_kind, row.time) for row in ctl.log.rows] == [
+        assert [(row.event_kind, row.time) for row in trace_rows(ctl.log)] == [
             ("arrival", u(1)),
             ("commit", u(11)),
             ("departure", u(11)),
@@ -229,7 +231,7 @@ class TestBatchedCommit:
         ]
         ctl, engine = drive(net, BatchPolicy(9, u(10), TIME_ONLY), reqs)
         assert request_state(ctl, 0) == REJECTED
-        commit_rows = [r for r in ctl.log.rows if r.event_kind == "commit"]
+        commit_rows = [r for r in trace_rows(ctl.log) if r.event_kind == "commit"]
         # window ran from t=5 (first tentative success), not from t=1
         assert [r.time for r in commit_rows] == [u(15)]
         assert engine.events_dispatched == 4  # arrivals, trigger, departure
@@ -242,7 +244,7 @@ class TestBatchedCommit:
         )
         assert engine.now == u(10)
         assert request_state(ctl, 0) == DEPARTED
-        commit_rows = [row for row in ctl.log.rows if row.event_kind == "commit"]
+        commit_rows = [row for row in trace_rows(ctl.log) if row.event_kind == "commit"]
         assert [row.time for row in commit_rows] == [u(10)]
 
     def test_rule_shortage_at_commit_cancels_and_releases(self):
@@ -260,7 +262,7 @@ class TestBatchedCommit:
         assert ctl.view.tentative == {}
         assert ctl.log.rule_writes == 0  # squatter had no links, victim died
         assert ctl.commit_events == 2
-        row = next(r for r in ctl.log.rows if r.outcome == CANCELLED)
+        row = next(r for r in trace_rows(ctl.log) if r.outcome == CANCELLED)
         assert row.request_id == 1
         assert row.cost is None
         assert ctl.view.conservation_violations() == []
@@ -276,7 +278,7 @@ class TestBatchedCommit:
         # accepts only a committed one
         net = make_net([1, 2], [(1, 2)])
         ctl = make_controller(BATCHED, net, BatchPolicy(5, None, COUNT_ONLY), None)
-        ctl.log = MetricsLog(ctl.view)
+        ctl.log = MetricsLog(ctl.view, trace=io.StringIO())
         engine = Engine(ctl, [])
         ctl.on_arrival(engine, mk(0, {0: 5, 1: 5}, {(0, 1): 2}))
         assert request_state(ctl, 0) == "tentative"
@@ -322,7 +324,7 @@ class TestRemapThroughTheEngine:
         res = ctl.view.base.committed[2]
         assert res.link_paths == indexed_parts(ctl.view, {(0, 1): (((2, 1), 10),)})
         victim_commit = next(
-            r for r in ctl.log.rows
+            r for r in trace_rows(ctl.log)
             if r.event_kind == "commit" and r.request_id == 2
         )
         assert victim_commit.time == u(12)
@@ -344,12 +346,12 @@ class TestRemapThroughTheEngine:
         res = ctl.view.base.committed[2]
         assert res.link_paths == indexed_parts(ctl.view, {(0, 1): (((2, 3, 1), 10),)})
         victim_commit = next(
-            r for r in ctl.log.rows
+            r for r in trace_rows(ctl.log)
             if r.event_kind == "commit" and r.request_id == 2
         )
         assert victim_commit.time == u(2)
         assert victim_commit.cost == 30
-        assert longest_wait(ctl.log) == 0
+        assert longest_wait(trace_rows(ctl.log)) == 0
 
 
 class TestSplittingStrategy:
@@ -377,7 +379,7 @@ class TestSplittingStrategy:
         assert ctl.view.base.rule_load == {1: 2, 2: 2, 3: 1}
         assert ctl.log.rule_writes == 5
         assert ctl.log.remapped_links == 0
-        commit = next(row for row in ctl.log.rows if row.event_kind == "commit")
+        commit = next(row for row in trace_rows(ctl.log) if row.event_kind == "commit")
         assert commit.cost == 175
         assert commit.time == u(11)
 
@@ -488,7 +490,7 @@ class TestStrategySelection:
         monkeypatch.setattr(vnesim.controller, "embed", spy_embed)
         net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)], bws={(1, 2): 50})
         ctl = make_controller(strategy, net, BatchPolicy(5, u(50), WHICHEVER_FIRST), None)
-        ctl.log = MetricsLog(ctl.view)
+        ctl.log = MetricsLog(ctl.view, trace=io.StringIO())
         engine = Engine(ctl, [])
         for i in range(3):
             r = mk(i, {0: 5, 1: 5}, {(0, 1): 20 + 10 * i}, arrival=1 + i)

@@ -5,7 +5,8 @@ leave every hash as it is; a deliberate behaviour change regenerates them in
 its own change and says why. Each case also checks the run's summary, which
 the log folds as it appends rows, against the one derived by passes over its
 trace parsed back (``reference.summary_of_rows`` of ``parse_trace``), field
-by field by ``repr``. Runs are short (400 requests unless stated), so the
+by field by ``repr``, and against the summary of the same run with no
+trace (``trace=False``). Runs are short (400 requests unless stated), so the
 whole file takes a few seconds.
 
 Run as a script, ``python tests/test_golden.py`` checks every case without
@@ -13,6 +14,7 @@ pytest, so each installed interpreter can be checked; it exits 1 on any
 mismatch.
 """
 
+import io
 import sys
 from pathlib import Path
 
@@ -27,7 +29,7 @@ else:
     parametrize = pytest.mark.parametrize
 
 from vnesim.config import RunConfig
-from vnesim.metrics import csv_text, statistics, trace_hash
+from vnesim.metrics import statistics, trace_hash
 from vnesim.run import run_simulation
 
 from reference import parse_trace, summary_of_rows
@@ -100,9 +102,12 @@ def _case_id(case):
 @parametrize("strategy,overrides,expected", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
 def test_trace_hash_is_unchanged(strategy, overrides, expected):
     config = RunConfig(strategy=strategy, **dict(dict(requests=400), **overrides))
-    _, log = run_simulation(config)
+    text = io.StringIO()
+    _, log = run_simulation(config, trace=text)
     assert trace_hash(log) == expected, "trace hash"
-    assert repr(statistics(log)) == repr(summary_of_rows(parse_trace(csv_text(log)))), "summary"
+    assert repr(statistics(log)) == repr(summary_of_rows(parse_trace(text.getvalue()))), "summary"
+    _, untraced = run_simulation(config, trace=False)
+    assert repr(statistics(untraced)) == repr(statistics(log)), "summary without a trace"
 
 
 def main() -> int:

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import importlib.util
+import io
 import math
 import operator
 import os
@@ -13,33 +14,49 @@ from pathlib import Path
 
 import pytest
 
+from vnesim import metrics
 from vnesim.config import RunConfig
 from vnesim.metrics import (
     CSV_COLUMNS,
     MetricsLog,
     TRACE_BLOCK,
-    Row,
     csv_text,
-    export_csv,
     statistics,
     summary,
     trace_hash,
 )
 from vnesim.netmodel import SubstrateView, VirtualNetworkRequest, reserve
 from vnesim.run import run_simulation
+from vnesim.simulator import Engine
 
 from conftest import make_net
-from reference import (acceptance_rate, active_counts, build_reservation,
+from reference import (Row, acceptance_rate, active_counts, build_reservation,
                        exact_utilization_means, fates, mean_concurrent_active, ordered_sum,
-                       parse_trace, summary_of_rows, time_weighted)
+                       parse_trace, summary_of_rows, time_weighted, trace_rows, trace_text)
 from test_golden import COSTS14, GOLDEN, HEAVY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fresh_log(**kwargs):
+    """A log on a triangle, writing its trace to a text stream unless
+    ``trace`` says otherwise."""
     net = make_net([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
+    kwargs.setdefault("trace", io.StringIO())
     return MetricsLog(SubstrateView(net), **kwargs), net
+
+
+def formatted_rows(monkeypatch):
+    """Every row that a log formats from here on, as the tuple it held."""
+    rows = []
+    real = metrics.csv_text
+
+    def recording(block):
+        rows.extend(block)
+        return real(block)
+
+    monkeypatch.setattr(metrics, "csv_text", recording)
+    return rows
 
 
 def stage(view, request_id, link_units):
@@ -69,9 +86,10 @@ class TestRecording:
         log, _ = fresh_log()
         drive_tiny_run(log)
         assert (log.arrivals, log.accepted, summary(log)["rejected"]) == (2, 1, 1)
-        assert (log.committed, log.cancelled, active_counts(log.rows)[-1]) == (1, 0, 0)
+        rows = trace_rows(log)
+        assert (log.committed, log.cancelled, active_counts(rows)[-1]) == (1, 0, 0)
         assert log.commit_events == 1
-        assert fates(log) == {
+        assert fates(rows) == {
             0: [0, 1_000_000, "rejected"],
             1: [1, 2_000_000, "committed"],
         }
@@ -79,19 +97,20 @@ class TestRecording:
     def test_rows_sample_the_run_state(self):
         log, _ = fresh_log()
         drive_tiny_run(log)
-        kinds = [(r.event_kind, r.outcome, r.time) for r in log.rows]
+        rows = trace_rows(log)
+        kinds = [(r.event_kind, r.outcome, r.time) for r in rows]
         assert kinds == [
             ("arrival", "rejected", 1_000_000),
             ("arrival", "accepted", 2_000_000),
             ("commit", "committed", 3_000_000),
             ("departure", "departed", 7_000_000),
         ]
-        rates = [r.cum_accept_rate for r in log.rows]
+        rates = [r.cum_accept_rate for r in rows]
         assert rates == [0.0, 0.5, 0.5, 0.5]
-        actives = active_counts(log.rows)
+        actives = active_counts(rows)
         assert actives == [0, 0, 1, 0]
         # 50 units tentative on switch 1 out of caps 100/100/100
-        assert [round(r.avg_switch_util, 6) for r in log.rows] == [
+        assert [round(r.avg_switch_util, 6) for r in rows] == [
             0.0, round(0.5 / 3, 6), round(0.5 / 3, 6), 0.0,
         ]
 
@@ -101,9 +120,10 @@ class TestRecording:
         log.record_commit_event(remapped_links=0)
         log.record_cancel(2, 0)
         assert log.cancelled == 1
-        assert fates(log)[0][2] == "rejected-at-commit"
-        assert statistics(log)["acceptance_rate"] == summary_of_rows(log.rows)["acceptance_rate"] == 0.0
-        row = log.rows[-1]
+        rows = trace_rows(log)
+        assert fates(rows)[0][2] == "rejected-at-commit"
+        assert statistics(log)["acceptance_rate"] == summary_of_rows(rows)["acceptance_rate"] == 0.0
+        row = rows[-1]
         assert row.outcome == "rejected-at-commit"
         assert row.cost is None and row.latency_proxy is None
 
@@ -115,7 +135,7 @@ class TestRecording:
             del values[missing]
             with pytest.raises(TypeError, match=missing):
                 log.record_commit(1, 0, **values)
-        assert (log.committed, log.cost_sum, log.rows) == (0, 0, [])
+        assert (log.committed, log.cost_sum, trace_rows(log)) == (0, 0, [])
 
     def test_latency_proxy_formula(self):
         log, _ = fresh_log(hop_delay=2.0, wait_delay=0.5)
@@ -152,9 +172,10 @@ class TestExactUtilizationMeans:
 
         monkeypatch.setattr(MetricsLog, "_append", append_checked)
         overrides = dict(dict(requests=300, seed=1), **self.CONFIGS[config])
-        _, log = run_simulation(RunConfig(strategy=strategy, **overrides))
-        assert len(exact) == len(log.rows) > 300
-        assert [(r.avg_link_util, r.avg_switch_util) for r in log.rows] == exact
+        _, log = run_simulation(RunConfig(strategy=strategy, **overrides), trace=io.StringIO())
+        rows = trace_rows(log)
+        assert len(exact) == len(rows) > 300
+        assert [(r.avg_link_util, r.avg_switch_util) for r in rows] == exact
 
 
 class TestAcceptanceRate:
@@ -167,7 +188,7 @@ class TestAcceptanceRate:
         for rid in (0, 2, 3):
             log.record_commit_event(0)
             log.record_commit(4_000_000, rid, cost=1, mean_hops=0.0, wait=0, rules_written=0)
-        return log.rows
+        return trace_rows(log)
 
     def test_by_count_groups_consecutive_arrivals(self):
         assert acceptance_rate(self.build(), "by-count", bucket=2) == [
@@ -211,7 +232,7 @@ class TestAcceptanceRate:
 
     def test_cumulative_acceptance_of_empty_log(self):
         log, _ = fresh_log()
-        assert statistics(log)["acceptance_rate"] == summary_of_rows(log.rows)["acceptance_rate"] == 0.0
+        assert statistics(log)["acceptance_rate"] == summary_of_rows(trace_rows(log))["acceptance_rate"] == 0.0
 
 
 def row(t, link=0.0, kind="arrival", latency=None, cost=None, outcome="x"):
@@ -232,7 +253,7 @@ class TestTimeWeighted:
         log.record_arrival(6_000_000, 1, accepted=True, cost=1)
         log.view.release(1)
         log.record_cancel(8_000_000, 1)
-        assert [r.avg_link_util for r in log.rows] == [0.25, 0.0]
+        assert [r.avg_link_util for r in trace_rows(log)] == [0.25, 0.0]
         assert statistics(log)["avg_link_utilization"] == 0.25 * 2 / 8
 
     def test_empty_rows(self):
@@ -254,14 +275,16 @@ class TestTimeWeighted:
         log.record_commit(5, 1, cost=1, mean_hops=0.0, wait=0, rules_written=0)
         log.record_departure(10, 0)
         log.record_departure(10, 1)
-        assert active_counts(log.rows) == [1, 2, 1, 0]
-        assert mean_concurrent_active(log) == pytest.approx(1.0)
+        rows = trace_rows(log)
+        assert active_counts(rows) == [1, 2, 1, 0]
+        assert mean_concurrent_active(rows) == pytest.approx(1.0)
 
     def test_time_weighted_utilization_reads_the_requested_kind(self):
         log, _ = fresh_log()
         stage(log.view, 1, 75)
         log.record_arrival(0, 1, accepted=True, cost=1)
-        link, switch = log.rows[0].avg_link_util, log.rows[0].avg_switch_util
+        first = trace_rows(log)[0]
+        link, switch = first.avg_link_util, first.avg_switch_util
         assert (link, switch) == (0.25, 2 / 300)
         stats = statistics(log)
         assert (stats["avg_link_utilization"], stats["avg_switch_utilization"]) == (link, switch)
@@ -277,7 +300,7 @@ class TestTimeWeighted:
         log, _ = fresh_log()
         stage(log.view, 1, 75)
         log.record_arrival(1_500_000, 1, accepted=True, cost=1)
-        fields = csv_text(log).splitlines()[1].split(",")
+        fields = trace_text(log).splitlines()[1].split(",")
         assert (fields[0], fields[CSV_COLUMNS.index("avg_link_util")]) == ("1.500000", "0.25")
 
 
@@ -291,7 +314,7 @@ class TestDerivedStats:
     running sums, and from the rows by ``reference.summary_of_rows``."""
 
     def both(self, log, field):
-        live, derived = statistics(log)[field], summary_of_rows(log.rows)[field]
+        live, derived = statistics(log)[field], summary_of_rows(trace_rows(log))[field]
         assert repr(live) == repr(derived)
         return live
 
@@ -308,7 +331,7 @@ class TestDerivedStats:
         log.record_commit(1, 0, cost=1, mean_hops=2.0, wait=0, rules_written=0)
         log.record_cancel(2, 1)
         log.record_commit(3, 2, cost=1, mean_hops=4.0, wait=0, rules_written=0)
-        assert [r.latency_proxy for r in log.rows] == [2.0, None, 4.0]
+        assert [r.latency_proxy for r in trace_rows(log)] == [2.0, None, 4.0]
         assert self.both(log, "mean_latency_proxy") == 3.0
 
     def test_mean_latency_sums_left_to_right(self):
@@ -323,7 +346,7 @@ class TestDerivedStats:
             log, _ = fresh_log()
             for t, v in enumerate(values, start=1):
                 log.record_commit(t, t, cost=1, mean_hops=v, wait=0, rules_written=0)
-            assert [r.latency_proxy for r in log.rows] == values
+            assert [r.latency_proxy for r in trace_rows(log)] == values
             return log
 
         assert self.both(commit_all(series), "mean_latency_proxy") == 0.0
@@ -374,13 +397,14 @@ class TestDerivedStats:
 
 
 class TestFoldedSummary:
-    """``statistics`` reads the log's counters and running values, never its
-    rows, and an exported trace, parsed back, reproduces it to the bit."""
+    """``statistics`` reads the log's counters and running values, never a
+    row, and the trace, parsed back, reproduces it to the bit."""
 
     def test_statistics_reads_no_row(self):
         _, log = run_simulation(RunConfig(requests=200, seed=5))
         before = repr(statistics(log))
-        log.rows.clear()
+        assert 0 < len(log.block) < TRACE_BLOCK  # the rows not yet formatted
+        log.block.clear()
         assert repr(statistics(log)) == before
 
     def test_a_log_without_a_view_gives_the_zero_row(self):
@@ -394,7 +418,8 @@ class TestFoldedSummary:
         assert repr(summary_of_rows([])) == repr(zero)
 
     @pytest.mark.parametrize("strategy", ["batched", "per-request", "splitting"])
-    def test_parsed_trace_reproduces_the_summary(self, strategy):
+    def test_parsed_trace_reproduces_the_summary(self, strategy, monkeypatch):
+        held = formatted_rows(monkeypatch)
         rng = random.Random(f"parsed-trace-{strategy}")
         for requests in (0, 1, 2, 40, 200, 260):
             config = RunConfig(
@@ -404,22 +429,24 @@ class TestFoldedSummary:
                 batch_size=rng.randint(1, 8), interarrival_mean=rng.choice([0.5, 2.0, 5.0]),
                 hop_delay=rng.uniform(0.1, 3.0), wait_delay=rng.uniform(0.1, 3.0),
                 horizon=rng.choice([None, rng.uniform(1.0, 600.0)]))
-            _, log = run_simulation(config)
-            rows = parse_trace(csv_text(log))
-            assert rows == log.rows, config
+            held.clear()
+            _, log = run_simulation(config, trace=io.StringIO())
+            rows = trace_rows(log)
+            assert rows == held, config
             assert repr(statistics(log)) == repr(summary_of_rows(rows)), config
 
-    def test_parse_trace_types_each_cell(self):
+    def test_parse_trace_types_each_cell(self, monkeypatch):
+        held = formatted_rows(monkeypatch)
         log, _ = fresh_log()
         drive_tiny_run(log)
-        rows = parse_trace(csv_text(log))
-        assert rows == log.rows
-        assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in log.rows]
+        rows = trace_rows(log)
+        assert rows == held and len(rows) == 4
+        assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in held]
 
     def test_parse_trace_rejects_another_header_or_width(self):
         log, _ = fresh_log()
         drive_tiny_run(log)
-        header, first, *_ = csv_text(log).splitlines(keepends=True)
+        header, first, *_ = trace_text(log).splitlines(keepends=True)
         with pytest.raises(ValueError, match="is not the trace's columns"):
             parse_trace(header.replace("cost", "price") + first)
         with pytest.raises(ValueError, match="does not have 12 cells"):
@@ -431,57 +458,104 @@ class TestFoldedSummary:
 class TestCsvTrace:
     def test_header_matches_the_schema(self):
         log, _ = fresh_log()
-        assert csv_text(log) == ",".join(CSV_COLUMNS) + "\n"
+        assert trace_text(log) == ",".join(CSV_COLUMNS) + "\n"
+        assert csv_text([]) == ""
 
     def test_row_formatting_literal(self):
         log, _ = fresh_log()
         log.record_arrival(1_500_000, 7, accepted=True, cost=35)
-        assert csv_text(log).splitlines()[1] == (
-            "1.500000,arrival,7,accepted,35,1.0,0.0,0.0,0,0,0,"
-        )
+        line = "1.500000,arrival,7,accepted,35,1.0,0.0,0.0,0,0,0,"
+        assert trace_text(log).splitlines()[1] == line
+        assert csv_text([(1_500_000, "arrival", 7, "accepted", 35, 1.0, 0.0, 0.0, 0, 0, 0,
+                          None)]) == line + "\n"
 
     def test_rebuilt_log_yields_identical_bytes(self):
         a, _ = fresh_log()
         b, _ = fresh_log()
         drive_tiny_run(a)
         drive_tiny_run(b)
-        assert csv_text(a) == csv_text(b)
+        assert trace_text(a) == trace_text(b)
         assert trace_hash(a) == trace_hash(b)
 
     def test_export_writes_exactly_the_text(self, tmp_path):
-        log, _ = fresh_log()
-        drive_tiny_run(log)
+        # a file stream gets the same bytes as a text buffer, and they hash
+        # to the trace hash
         out = tmp_path / "trace.csv"
-        text = export_csv(log, out)
-        assert text == csv_text(log)
-        assert out.read_bytes() == text.encode("utf-8")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            log, _ = fresh_log(trace=fh)
+            drive_tiny_run(log)
+            digest = trace_hash(log)
+        buffered, _ = fresh_log()
+        drive_tiny_run(buffered)
+        assert out.read_bytes() == trace_text(buffered).encode("utf-8")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_summary_hashes_the_formatted_text_as_the_trace_hash(self):
         log, _ = fresh_log()
         drive_tiny_run(log)
-        given = summary(log, csv_text(log))
-        assert given == summary(log)
-        assert given["trace_sha256"] == trace_hash(log)
+        given = summary(log)
+        assert given == dict(statistics(log), trace_sha256=trace_hash(log))
+        assert given["trace_sha256"] == hashlib.sha256(trace_text(log).encode("utf-8")).hexdigest()
 
     def test_trace_hash_is_sha256_of_the_text(self):
         log, _ = fresh_log()
         drive_tiny_run(log)
-        want = hashlib.sha256(csv_text(log).encode("utf-8")).hexdigest()
+        want = hashlib.sha256(trace_text(log).encode("utf-8")).hexdigest()
         assert trace_hash(log) == want
         assert len(want) == 64
 
     def test_hash_and_text_agree_around_a_block_boundary(self):
-        # trace_hash feeds the digest TRACE_BLOCK rows at a time
-        _, full = run_simulation(RunConfig(requests=120, seed=4))
-        rows = full.rows
-        assert len(rows) > TRACE_BLOCK + 1
-        lines = csv_text(full).splitlines(keepends=True)
-        log = MetricsLog(None)
-        for count in (0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1):
-            log.rows = rows[:count]
-            text = csv_text(log)
-            assert text == "".join(lines[:count + 1])
-            assert trace_hash(log) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        # the log formats TRACE_BLOCK rows at a time into the digest and the
+        # stream; each count of rows hashes to the SHA-256 of the text written
+        longest = 2 * TRACE_BLOCK
+        full, _ = fresh_log()
+        for i in range(longest):
+            full.record_departure(1000 * i, i)
+        lines = trace_text(full).splitlines(keepends=True)
+        assert len(lines) == longest + 1
+        for count in (0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, longest):
+            log, _ = fresh_log()
+            for i in range(count):
+                log.record_departure(1000 * i, i)
+            digest = trace_hash(log)
+            text = log.stream.getvalue()
+            assert text == "".join(lines[:count + 1]), count
+            assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest(), count
+
+    def test_a_hash_taken_mid_run_leaves_the_final_hash(self, monkeypatch):
+        # trace_hash formats the partial block; the rows after it go on
+        # into the same digest and stream
+        strategy, overrides, expected = GOLDEN[0]
+        config = RunConfig(strategy=strategy, **dict(dict(requests=400), **overrides))
+        append, taken = MetricsLog._append, []
+
+        def append_and_hash(log, *args):
+            append(log, *args)
+            if log.arrivals % 37 == 1:
+                taken.append(trace_hash(log))
+
+        monkeypatch.setattr(MetricsLog, "_append", append_and_hash)
+        _, log = run_simulation(config, trace=io.StringIO())
+        assert len(set(taken)) > 10
+        assert trace_hash(log) == expected
+        monkeypatch.undo()
+        _, once = run_simulation(config, trace=io.StringIO())
+        assert trace_hash(once) == expected
+        assert trace_text(log) == trace_text(once)
+
+    def test_a_run_holds_fewer_rows_than_a_block(self, monkeypatch):
+        held = []
+        dispatch = Engine._dispatch
+
+        def dispatch_and_count(engine, *args):
+            dispatch(engine, *args)
+            held.append(len(engine.controller.log.block))
+
+        monkeypatch.setattr(Engine, "_dispatch", dispatch_and_count)
+        engine, log = run_simulation(RunConfig(requests=1500, seed=0))
+        assert len(held) == engine.events_dispatched > 1500
+        assert max(held) < TRACE_BLOCK
+        assert len(log.block) == held[-1]
 
 
 def fresh_python(code):

@@ -1,6 +1,7 @@
 """Quantified randomized checks: ledger identities, embedding soundness,
 cost invariances, and whole-run accounting, over seeded random instances."""
 
+import io
 import math
 import random
 from dataclasses import replace
@@ -41,6 +42,7 @@ from reference import (
     rule_units_of,
     t_link_load,
     t_node_load,
+    trace_rows,
     validate_mapping,
 )
 from test_golden import HEAVY, RANDOM100
@@ -610,12 +612,14 @@ class TestWholeRunAccounting:
             arrival_rows = {}
             for strategy in ("batched", "per-request", "splitting"):
                 engine, log = run_simulation(RunConfig(
-                    strategy=strategy, requests=80, seed=seed, check_invariants=True))
+                    strategy=strategy, requests=80, seed=seed, check_invariants=True),
+                    trace=io.StringIO())
                 s = summary(log)
                 assert s["accepted"] + s["rejected"] + s["rejected_at_commit"] == s["arrivals"] == 80
-                times = [r.time for r in log.rows]
+                rows = trace_rows(log)
+                times = [r.time for r in rows]
                 assert times == sorted(times)  # the clock never runs backwards
-                departures = [r for r in log.rows if r.event_kind == "departure"]
+                departures = [r for r in rows if r.event_kind == "departure"]
                 assert len(departures) == log.committed  # everything drains
                 base = engine.controller.view.base
                 assert base.committed == {} and engine.controller.view.tentative == {}
@@ -623,7 +627,7 @@ class TestWholeRunAccounting:
                 assert set(base.rule_load.values()) == {0}
                 assert set(base.link_load.values()) == {0}
                 arrival_rows[strategy] = [
-                    (r.time, r.request_id) for r in log.rows if r.event_kind == "arrival"
+                    (r.time, r.request_id) for r in rows if r.event_kind == "arrival"
                 ]
             # one workload realization shared by all three strategies
             assert arrival_rows["batched"] == arrival_rows["per-request"] == arrival_rows["splitting"]
