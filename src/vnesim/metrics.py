@@ -93,7 +93,6 @@ class MetricsLog:
         return self.view.link_used / link_whole, self.view.switch_used / switch_whole
 
     def _append(self, time, kind, request_id, outcome, cost, latency):
-        rate = (self.accepted - self.cancelled) / self.arrivals if self.arrivals else None
         link, switch = self._utilization_means()
         last_time, last_link, last_switch = self.last
         span = time - last_time
@@ -102,6 +101,7 @@ class MetricsLog:
         self.last = time, link, switch
         block = self.block
         if block is not None:
+            rate = (self.accepted - self.cancelled) / self.arrivals if self.arrivals else None
             block.append((time, kind, request_id, outcome, cost, rate, link, switch,
                           self.rule_writes, self.commit_events, self.remapped_links, latency))
             if len(block) == TRACE_BLOCK:

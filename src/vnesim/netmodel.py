@@ -23,12 +23,10 @@ reservations live in a ``SubstrateView`` overlay so a batch can be staged,
 remapped, and then committed or cancelled atomically. The overlay is the
 pending batch, in arrival order. The view is the only writer and auditor
 of the ledger: ``SubstrateView.commit`` and ``SubstrateView.release``
-change the committed loads and ``committed``; the network only holds them,
-and its ``rule_load`` is the one record of installed flow rules.
-The committed loads keep names as keys (``node_load`` and ``rule_load`` by
-switch id, ``link_load`` by link tuple); the view maps indices to names only
-when it books them. Switch ids are otherwise read only by the constructor,
-the parser and messages.
+change ``committed`` and the committed loads, ``rule_load`` by switch id
+and ``link_load`` by link tuple, which restate it by name for the benchmark
+only; the view maps indices to names only when it books them. Switch ids
+are otherwise read only by the constructor, the parser and messages.
 
 A ``Reservation`` is the one allocation record: ``embed`` builds it with the
 units and the cost it computed while it routed, ``reserve`` stages that same
@@ -142,8 +140,8 @@ class Reservation:
 
 class SubstrateNetwork:
     """Committed resource ledger over a validated substrate topology: totals
-    and unit costs by switch index and link id, committed loads by name; a
-    ``SubstrateView`` writes the loads and ``committed``."""
+    and unit costs by switch index and link id; ``committed`` and the rule
+    and link loads by name, which a ``SubstrateView`` writes."""
 
     def __init__(self, switches, links):
         """``switches`` holds ``(id, capacity, unit cost)`` rows and ``links``
@@ -190,7 +188,8 @@ class SubstrateNetwork:
             # to average utilization over
             raise TopologyError("topology has no links")
 
-        self.node_load = {u: 0 for u in self.switches}
+        # bench/run.py:134 and bench/selftest.py:83-90 read these two by
+        # name; nothing else needs them, and ROADMAP item 2 removes them
         self.rule_load = {u: 0 for u in self.switches}
         self.link_load = {l: 0 for l in self.links}
         self.committed = {}
@@ -330,30 +329,28 @@ class SubstrateView:
     one reservation into the committed ledger and installs its flow rules; it
     fails (leaving the reservation tentative) only when rule-memory headroom
     is missing; the committed record's unit maps become read-only. The view
-    is the only writer of the base's loads and ``committed``, and the only
+    is the only writer of the base's ``committed`` and loads, and the only
     auditor of the ledger (``_Expected``).
 
     The view keeps the effective residuals flat, ``capacity_left`` by switch
     index and ``bandwidth_left`` by link id, and the utilization numerators
     ``switch_used`` and ``link_used`` (module docstring), with each
-    element's ``L // total`` in ``switch_scale`` and ``link_scale``.
-    ``reserve``, ``commit``, ``release`` and ``move_tentative_link`` update
-    only the entries they touch, and the numerators by their units. Every
-    ledger change must therefore go through the view: a base mutated behind
-    its back leaves the lists stale, and ``conservation_violations`` reports
-    it.
+    element's ``L // total`` in ``switch_scale`` and ``link_scale``. They
+    start as the totals and 0; ``reserve``, ``commit``, ``release`` and
+    ``move_tentative_link`` update only the entries they touch. So every
+    ledger change must go through the view: records a base held before the
+    view, or changes behind its back, leave the lists stale, and
+    ``conservation_violations`` reports it.
     """
 
     def __init__(self, base: SubstrateNetwork):
         self.base = base
         self.tentative = _Pending()
-        node, rule, link = base.node_load, base.rule_load, base.link_load
-        self.capacity_left = [c - node[u] - rule[u] for u, c in zip(base.switches, base.capacities)]
-        self.bandwidth_left = [b - link[lk] for lk, b in zip(base.links, base.bandwidths)]
+        self.capacity_left = list(base.capacities)
+        self.bandwidth_left = list(base.bandwidths)
         self.switch_scale = _scales(base.capacities)
         self.link_scale = _scales(base.bandwidths)
-        self.switch_used = _scaled_used(base.capacities, self.capacity_left, self.switch_scale)
-        self.link_used = _scaled_used(base.bandwidths, self.bandwidth_left, self.link_scale)
+        self.switch_used = self.link_used = 0
         # what the audit expects of the committed ledger, kept between calls, or None
         self._expected = None
 
@@ -406,13 +403,12 @@ class SubstrateView:
         return True
 
     def _book(self, res, sign=1):
-        """Add (sign 1) or remove (sign -1) a reservation's node, rule and
-        link units in the committed loads, mapping each index to the name
-        that keys the load. No headroom check is needed: the effective
-        residuals already count every unit."""
+        """Add (sign 1) or remove (sign -1) a reservation's rule and link
+        units in the committed loads, mapping each index to the name that
+        keys the load. No headroom check is needed: the effective residuals
+        already count every unit."""
         base = self.base
-        for units, names, load in ((res.node_units, base.switches, base.node_load),
-                                   (res.rule_units, base.switches, base.rule_load),
+        for units, names, load in ((res.rule_units, base.switches, base.rule_load),
                                    (res.link_units, base.links, base.link_load)):
             for i, n in units.items():
                 load[names[i]] += sign * n
@@ -447,15 +443,16 @@ class SubstrateView:
 
     def conservation_violations(self) -> list:
         """Audit the ledger; an empty list means every element balances.
-        Each element's committed loads must equal the committed per-request
-        sums, its flat residual its total less the committed and tentative
-        sums, and neither its committed nor its effective residual may be
-        negative. Each kind's utilization numerator must equal its recount
-        from the flat residuals; ``_debit`` moves both together, so a stray
-        debit is reported once, by the residual check. The committed sums
-        are the ones ``_Expected`` keeps, the tentative ones are summed
-        afresh; whole lists are compared first, and when a check fails one
-        pass over the elements names each failure, in element order."""
+        Each switch's rule load and each link's load must equal their
+        committed per-request sums, each element's flat residual its total
+        less the committed and tentative sums, and neither its committed nor
+        its effective residual may be negative. Each kind's utilization
+        numerator must equal its recount from the flat residuals; ``_debit``
+        moves both together, so a stray debit is reported once, by the
+        residual check. The committed sums are the ones ``_Expected`` keeps,
+        the tentative ones are summed afresh; whole lists are compared
+        first, and when a check fails one pass over the elements names each
+        failure, in element order."""
         base = self.base
         switches, links = base.switches, base.links
         derived = [base.capacities, base.bandwidths, self.switch_scale, self.link_scale]
@@ -465,22 +462,20 @@ class SubstrateView:
         exp.diff(base.committed)
         effective, numerators = exp.effective(self.tentative)
         self._expected = exp
-        node, rule, link = exp.sums
-        node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
+        rule, link = exp.sums
+        rule_load, link_load = base.rule_load, base.link_load
         # each load's keys in index order, then its values against the sums
-        if (list(node_load) == switches == list(rule_load) and list(link_load) == links
-                and list(node_load.values()) == node and list(rule_load.values()) == rule
-                and list(link_load.values()) == link
+        if (list(rule_load) == switches and list(link_load) == links
+                and list(rule_load.values()) == rule and list(link_load.values()) == link
                 and min(exp.free[0]) >= 0 and min(exp.free[1]) >= 0
                 and self.capacity_left == effective[0] and self.bandwidth_left == effective[1]
                 and min(self.capacity_left) >= 0 and min(self.bandwidth_left) >= 0
                 and numerators == [self.switch_used, self.link_used]):
             return []
         out = []
-        for u, n, r in zip(switches, node, rule):
-            if node_load[u] != n or rule_load[u] != r:
-                out.append(f"switch {u}: loads ({node_load[u]}, {rule_load[u]}) "
-                           f"!= per-request sums ({n}, {r})")
+        for u, n in zip(switches, rule):
+            if rule_load[u] != n:
+                out.append(f"switch {u}: rule load {rule_load[u]} != per-request sum {n}")
         for lk, n in zip(links, link):
             if link_load[lk] != n:
                 out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
@@ -508,8 +503,9 @@ _UNIT_MAPS = attrgetter("node_units", "rule_units", "link_units")
 class _Expected:
     """What the audit expects of a view's committed ledger, kept between
     calls and derived from its records and ``derived``, copies of the
-    (switch, link) totals and scales: ``sums``, the committed (node, rule,
-    link) units by index, and per kind ``free``, the totals less those, and
+    (switch, link) totals and scales: ``sums``, the committed rule and link
+    units by index, the two loads the audit checks, and per kind ``free``,
+    the totals less every committed unit, node units included, and
     ``used``, those units times their scales. ``order`` and ``summed`` hold
     each committed record's unit maps as last added, in record order and by
     request id. Each call applies only the records that entered, left or
@@ -524,10 +520,10 @@ class _Expected:
         self.derived = list(map(list, derived))
         capacities, bandwidths, switch_scale, link_scale = self.derived
         self.free = list(capacities), list(bandwidths)
-        node, rule, link = self.sums = [[0] * len(t) for t in (capacities, capacities, bandwidths)]
+        rule, link = self.sums = [0] * len(capacities), [0] * len(bandwidths)
         self.used = [0, 0]
         by_switch = self.free[0], switch_scale, 0
-        self.targets = (node, *by_switch), (rule, *by_switch), (link, self.free[1], link_scale, 1)
+        self.targets = (None, *by_switch), (rule, *by_switch), (link, self.free[1], link_scale, 1)
         self.order, self.summed = [], {}
 
     def diff(self, records):
@@ -559,9 +555,10 @@ class _Expected:
             scaled = 0
             for i, n in units.items():
                 n *= sign
-                sums[i] += n
                 free[i] -= n
                 scaled += n * scale[i]
+                if sums is not None:
+                    sums[i] += n
             self.used[k] += scaled
 
     def effective(self, tentative) -> tuple:

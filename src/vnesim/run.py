@@ -34,11 +34,11 @@ def run_simulation(config: RunConfig, trace=True):
         mode=config.mode,
     )
     horizon = to_ticks(config.horizon) if config.horizon is not None else None
-    last = _check_clock(config, schedule, policy.window, horizon)
-    _check_latency(config, substrate, last)
-    _check_cost(config, substrate, spec)
     controller = make_controller(config.strategy, substrate, policy, log=None,
                                  split_paths=config.split_paths)
+    last = _check_clock(config, schedule, policy.window, horizon, controller.row.policy)
+    _check_latency(config, substrate, last)
+    _check_cost(config, substrate, spec)
     log = MetricsLog(controller.view, hop_delay=config.hop_delay,
                      wait_delay=config.wait_delay, trace=trace)
     controller.log = log
@@ -51,18 +51,21 @@ def run_simulation(config: RunConfig, trace=True):
     return engine, log
 
 
-def _check_clock(config, schedule, window, horizon):
+def _check_clock(config, schedule, window, horizon, row_policy):
     """Reject a workload whose events run past float range: the metrics
     divide by the last event tick. ``validate`` bounds each draw, but
     many inter-arrival gaps can sum past it. No event comes after the last
-    departure or the last arrival's window, nor after the horizon. Returns
-    that bound on the last event tick, 0 without requests."""
+    departure or the last arrival's window, nor after the horizon; but a
+    batch left pending when the queue drains commits at the horizon
+    (``Engine.run``), which only a count-only ``row_policy`` of size > 1
+    can leave. Returns that bound on the last event tick, 0 without
+    requests."""
     if not schedule:
         return 0
     last = max(schedule[-1][0] + window,
                max(arrival + lifetime for arrival, lifetime in schedule))
     if horizon is not None:
-        last = min(last, horizon)
+        last = horizon if row_policy.size > 1 and not row_policy.timed else min(last, horizon)
     try:
         float(last)
     except OverflowError:

@@ -269,33 +269,45 @@ def move_tentative(view, request_id, vlink, path):
     view.move_tentative_link(request_id, vlink, *route(view, path))
 
 
+def committed_left(net) -> tuple:
+    """A network's committed residuals, by switch index and by link id: the
+    totals less every committed record's units, summed afresh."""
+    node, rule, link = _unit_sums(net.committed, len(net.switches), len(net.links))
+    return ([c - n - r for c, n, r in zip(net.capacities, node, rule)],
+            [b - n for b, n in zip(net.bandwidths, link)])
+
+
+def residual_lists(net) -> tuple:
+    """Residuals by switch index and by link id: a view's flat effective
+    lists, or a network's committed residuals."""
+    if isinstance(net, SubstrateView):
+        return net.capacity_left, net.bandwidth_left
+    return committed_left(net)
+
+
 def residual_bandwidth(net, lk) -> int:
     """Residual bandwidth of link lk: effective on a view, committed on a
     network."""
-    if isinstance(net, SubstrateView):
-        return net.bandwidth_left[net.base.links.index(lk)]
-    return net.bandwidths[net.links.index(lk)] - net.link_load[lk]
+    return residual_lists(net)[1][_base(net).links.index(lk)]
 
 
 def residual_capacity(net, u) -> int:
     """Residual memory of switch u: effective on a view, committed on a
     network."""
-    i = switch_indices(net)[u]
-    if isinstance(net, SubstrateView):
-        return net.capacity_left[i]
-    return net.capacities[i] - net.node_load[u] - net.rule_load[u]
+    return residual_lists(net)[0][switch_indices(net)[u]]
 
 
-def t_node_load(view) -> dict:
-    """Switch -> tentative node units: base residual less effective residual."""
+def t_switch_load(view) -> dict:
+    """Switch -> tentative node and rule units: committed residual less
+    effective residual."""
     base = view.base
-    return {u: residual_capacity(base, u) - r for u, r in zip(base.switches, view.capacity_left)}
+    return {u: c - r for u, c, r in zip(base.switches, committed_left(base)[0], view.capacity_left)}
 
 
 def t_link_load(view) -> dict:
-    """Link -> tentative units: base residual less effective residual."""
+    """Link -> tentative units: committed residual less effective residual."""
     base = view.base
-    return {lk: residual_bandwidth(base, lk) - r for lk, r in zip(base.links, view.bandwidth_left)}
+    return {lk: c - r for lk, c, r in zip(base.links, committed_left(base)[1], view.bandwidth_left)}
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +324,20 @@ def full_audit(view) -> list:
 
     Audit the ledger in one pass; an empty list means every element
     balances. The committed and the tentative per-request units are
-    summed by index; each element's committed loads must equal the
-    committed sums, its flat residual its total less both sums, and
-    neither its committed nor its effective residual may be negative. Each
-    kind's utilization numerator must equal its recount from the flat
-    residuals."""
+    summed by index; each switch's rule load and each link's load must
+    equal their committed sums, each element's flat residual its total less
+    both sums, and neither its committed nor its effective residual may be
+    negative. Each kind's utilization numerator must equal its recount from
+    the flat residuals."""
     base = view.base
     switches, links = base.switches, base.links
     node, rule, link = _unit_sums(base.committed, len(switches), len(links))
     t_node, t_rule, t_link = _unit_sums(view.tentative, len(switches), len(links))
     out = []
-    node_load, rule_load, link_load = base.node_load, base.rule_load, base.link_load
-    for u, n, r in zip(switches, node, rule):
-        if node_load[u] != n or rule_load[u] != r:
-            out.append(f"switch {u}: loads ({node_load[u]}, {rule_load[u]}) "
-                       f"!= per-request sums ({n}, {r})")
+    rule_load, link_load = base.rule_load, base.link_load
+    for u, r in zip(switches, rule):
+        if rule_load[u] != r:
+            out.append(f"switch {u}: rule load {rule_load[u]} != per-request sum {r}")
     for lk, n in zip(links, link):
         if link_load[lk] != n:
             out.append(f"link {lk}: load {link_load[lk]} != per-request sum {n}")
@@ -399,7 +410,8 @@ def element_rows(net) -> tuple:
 
 
 def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
-    """Same topology, unit costs, capacities and committed loads."""
+    """Same topology, unit costs, totals, committed residuals (derived from
+    ``committed``) and committed loads."""
     return (
         a.switches == b.switches
         and a.links == b.links
@@ -407,7 +419,7 @@ def networks_equal(a: SubstrateNetwork, b: SubstrateNetwork) -> bool:
         and a.switch_costs == b.switch_costs
         and a.bandwidths == b.bandwidths
         and a.link_costs == b.link_costs
-        and a.node_load == b.node_load
+        and committed_left(a) == committed_left(b)
         and a.rule_load == b.rule_load
         and a.link_load == b.link_load
     )
@@ -428,17 +440,16 @@ def cheapest_feasible_path(view, src, dst, demand):
 
     Returns what the routing kernel does, ``(switch-index tuple, link ids
     along it)``, or None when no feasible path exists; a network is read
-    through a fresh view.
+    through its committed residuals.
     """
-    if not isinstance(view, SubstrateView):
-        view = SubstrateView(view)
     index = switch_indices(view)
     for sw in (src, dst):
         if sw not in index:
             raise ValueError(f"unknown switch: {sw}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    return embedder._dijkstra(view.base, view.bandwidth_left[:], index[src], index[dst], demand)
+    left = residual_lists(view)[1][:]
+    return embedder._dijkstra(_base(view), left, index[src], index[dst], demand)
 
 
 def max_index_node_map(view, request):

@@ -114,12 +114,12 @@ def test_committed_loads_keep_the_key_forms_bench_reads(strategy):
     # bench/selftest.py corrupts `rules[next(iter(rules))]` and
     # `base.link_load[base.links[0]]`, and bench/run.py compares the rule
     # table with the rule load; on a list or on index keys those would still
-    # "detect" a corruption, for the wrong reason. bench/ does not read
-    # node_load: its form is pinned because the audit's fast path compares
-    # its keys with `switches`
+    # "detect" a corruption, for the wrong reason. The base keeps no other
+    # committed load: bench/ reads none
     config = RunConfig(strategy=strategy, requests=100, seed=3)
     engine, _log = vnesim.run.run_simulation(config)
     base = engine.controller.view.base
-    for by_switch in (engine.controller.rules.installed, base.rule_load, base.node_load):
-        assert type(by_switch) is dict and list(by_switch) == base.switches
+    assert engine.controller.rules.installed is base.rule_load
+    assert type(base.rule_load) is dict and list(base.rule_load) == base.switches
     assert type(base.link_load) is dict and list(base.link_load) == base.links
+    assert sorted(name for name in vars(base) if name.endswith("_load")) == ["link_load", "rule_load"]

@@ -437,6 +437,19 @@ class TestBadInputExitsTwo:
         latency = next(line for line in out.splitlines() if "mean_latency_proxy" in line)
         assert math.isfinite(float(latency.split()[-1]))
 
+    def test_a_count_only_batch_left_pending_waits_until_the_horizon(self, capsys, tmp_path):
+        # the queue drains long before the horizon, and the end-of-run flush
+        # commits the last count-only batch at the horizon itself
+        far = ("--mode", "count-only", "--seed", "3", "--horizon", "1e290", "--wait-delay", "1e30")
+        stderr = self.run_expecting_2(capsys, tmp_path, "run", *far, requests=200)
+        assert stderr.startswith("bad configuration: wait_delay")
+        # timed, each batch commits by its window: every row stays finite
+        code, out, stderr = run_cli(capsys, "compare", "--requests", "200", *far[2:])
+        assert code == 0 and stderr == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == list(STRATEGIES)
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
     @staticmethod
     def costly_topology(tmp_path, cost):
         p = tmp_path / "costly.topo"

@@ -161,6 +161,17 @@ class TestSubstrateNetwork:
 
 
 class TestReserveAndCommit:
+    def test_a_fresh_view_starts_from_the_totals(self):
+        net = make_net([1, 2, 3], [(1, 2), (2, 3)], caps={1: 40, 3: 90}, bws={(2, 3): 7})
+        # it reads no committed load: a base without them builds the same view
+        del net.rule_load, net.link_load
+        view = SubstrateView(net)
+        assert view.capacity_left == net.capacities == [40, 100, 90]
+        assert view.bandwidth_left == net.bandwidths == [100, 7]
+        # copies, which the view debits while the totals stay
+        assert view.capacity_left is not net.capacities and view.bandwidth_left is not net.bandwidths
+        assert view.switch_used == view.link_used == 0
+
     def test_tentative_reserve_hits_view_not_base(self, triangle):
         view = SubstrateView(triangle)
         r = req()
@@ -350,8 +361,7 @@ class TestViewAudit:
         view = self.staged(triangle)
         # release request 1 on the base by hand, as only the view may
         res = triangle.committed.pop(1)
-        for units, names, load in ((res.node_units, triangle.switches, triangle.node_load),
-                                   (res.rule_units, triangle.switches, triangle.rule_load),
+        for units, names, load in ((res.rule_units, triangle.switches, triangle.rule_load),
                                    (res.link_units, triangle.links, triangle.link_load)):
             for i, n in units.items():
                 load[names[i]] -= n
@@ -365,10 +375,10 @@ class TestViewAudit:
     def test_a_load_is_read_by_name_not_by_position(self, triangle):
         view = self.staged(triangle)
         # the same values in switch order, under other names
-        triangle.node_load = {1: 10, 3: 20, 2: 0}
+        triangle.rule_load = {1: 1, 3: 1, 2: 0}
         found = view.conservation_violations()
-        assert found == ["switch 2: loads (0, 1) != per-request sums (20, 1)",
-                         "switch 3: loads (20, 0) != per-request sums (0, 0)"]
+        assert found == ["switch 2: rule load 0 != per-request sum 1",
+                         "switch 3: rule load 1 != per-request sum 0"]
         assert found == full_audit(view)
 
     @pytest.mark.parametrize("units", ["node_units", "rule_units", "link_units"])
@@ -398,17 +408,17 @@ class TestViewAudit:
         res.link_units = frozen
         assert view.conservation_violations() == []
 
-    def test_a_view_over_a_base_that_holds_committed_records(self, triangle):
+    def test_a_new_view_reports_the_records_its_base_already_held(self, triangle):
         first = self.staged(triangle)
-        view = SubstrateView(triangle)  # sees request 1, not the other view's request 2
-        assert view.conservation_violations() == [] == full_audit(view)
-        reserve(view, build_reservation(view, req(rid=3), {0: 2, 1: 3}, {(0, 1): (((2, 3), 7),)}))
-        assert view.commit(3) is True
-        view.release(1)
-        assert view.conservation_violations() == [] == full_audit(view)
-        # the first view's flat lists are now stale, and both audits say so
-        stale = first.conservation_violations()
-        assert stale and stale == full_audit(first)
+        # a view starts from the totals: committed request 1 is missing from
+        # its lists, and the other view's tentative request 2 is not its own
+        view = SubstrateView(triangle)
+        found = view.conservation_violations()
+        assert found == ["switch 1: effective residual 100 != total less per-request sums 89",
+                         "switch 2: effective residual 100 != total less per-request sums 79",
+                         "link (1, 2): effective residual 100 != total less per-request sums 95"]
+        assert found == full_audit(view)
+        assert first.conservation_violations() == [] == full_audit(first)
 
     @pytest.mark.parametrize("same_record", [True, False])
     def test_a_release_and_recommit_of_one_id_between_audits(self, triangle, same_record):
@@ -481,10 +491,6 @@ class TestViewAudit:
     # consistent, and a unit moved between a committed and a tentative
     # reservation leaves the effective residual as it was.
     @staticmethod
-    def node_load(net, view):
-        net.node_load[2] += 1
-
-    @staticmethod
     def rule_load(net, view):
         net.rule_load[1] += 1
 
@@ -506,7 +512,6 @@ class TestViewAudit:
     def committed_switch_overdrawn(net, view):
         res = net.committed[1]
         net.committed[1] = replace(res, node_units={**res.node_units, 0: res.node_units[0] + 200})
-        net.node_load[1] += 200
         view.tentative[2].node_units[0] -= 200
 
     @staticmethod
@@ -535,8 +540,7 @@ class TestViewAudit:
         view.link_used -= 1
 
     CHECKS = [
-        ("node_load", "switch 2: loads (21, 1) != per-request sums (20, 1)"),
-        ("rule_load", "switch 1: loads (10, 2) != per-request sums (10, 1)"),
+        ("rule_load", "switch 1: rule load 2 != per-request sum 1"),
         ("link_load", "link (1, 2): load 6 != per-request sum 5"),
         ("switch_residual", "switch 2: effective residual 78 != total less per-request sums 79"),
         ("link_residual", "link (1, 3): effective residual 94 != total less per-request sums 95"),

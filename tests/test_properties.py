@@ -24,6 +24,7 @@ from vnesim.workload import GeneratorSpec, gen_virtual_request, random_substrate
 from reference import (
     _simple_paths,
     adj,
+    committed_left,
     element_rows,
     full_audit,
     indexed,
@@ -41,7 +42,7 @@ from reference import (
     residual_capacity,
     rule_units_of,
     t_link_load,
-    t_node_load,
+    t_switch_load,
     trace_rows,
     validate_mapping,
 )
@@ -59,8 +60,8 @@ def draw_instance(seed, n_switches=8, spec=SMALL):
 
 def ledger_state(view):
     b = view.base
-    return (dict(b.node_load), dict(b.rule_load), dict(b.link_load),
-            set(b.committed), t_node_load(view), t_link_load(view),
+    return (committed_left(b), dict(b.rule_load), dict(b.link_load),
+            set(b.committed), t_switch_load(view), t_link_load(view),
             view.switch_used, view.link_used, set(view.tentative))
 
 
@@ -229,7 +230,7 @@ def corrupt_and_undo(rng, view):
         kinds += ["swap pending", "pop pending", "edit pending"]
     kind = rng.choice(kinds)
     if kind in ("load", "residual", "total"):
-        table = rng.choice({"load": (base.node_load, base.rule_load, base.link_load),
+        table = rng.choice({"load": (base.rule_load, base.link_load),
                             "residual": (view.capacity_left, view.bandwidth_left),
                             "total": (base.capacities, base.bandwidths)}[kind])
         key = rng.choice(list(table) if type(table) is dict else range(len(table)))
@@ -292,7 +293,7 @@ def corrupt_and_undo(rng, view):
 def audited_ledger_steps(rng, net, count, steps, path_between):
     """``count`` random steps on a view of ``net``: embed and reserve, a
     remap move onto ``path_between(neighbours, a, b)``, commit, release, a
-    release and recommit of one id, a new view over the base, or a
+    release and recommit of one id, a second view over the base, or a
     corruption undone. After each, the view's audit must say exactly what
     the audit that sums afresh says, and find nothing; ``steps`` counts
     the moves, recommits, new views and corruptions."""
@@ -336,9 +337,10 @@ def audited_ledger_steps(rng, net, count, steps, path_between):
                     view.release(rid)
             steps["recommit"] += 1
         elif roll < 0.9:
-            # a view built over a base that holds committed records;
-            # the old view's tentative records are dropped with it
-            view = SubstrateView(net)
+            # a second view over the base starts from the totals: both
+            # audits report every committed record it did not see; the
+            # walk goes on with the first view
+            assert (audits_agree(SubstrateView(net)) != []) == bool(net.committed)
             steps["new view"] += 1
         else:
             corrupt_and_undo(rng, view)
@@ -621,11 +623,14 @@ class TestWholeRunAccounting:
                 assert times == sorted(times)  # the clock never runs backwards
                 departures = [r for r in rows if r.event_kind == "departure"]
                 assert len(departures) == log.committed  # everything drains
-                base = engine.controller.view.base
-                assert base.committed == {} and engine.controller.view.tentative == {}
-                assert set(base.node_load.values()) == {0}
-                assert set(base.rule_load.values()) == {0}
-                assert set(base.link_load.values()) == {0}
+                view = engine.controller.view
+                base = view.base
+                assert base.committed == {} and view.tentative == {}
+                # the audited run drained the view back to where it started
+                assert view.capacity_left == base.capacities
+                assert view.bandwidth_left == base.bandwidths
+                assert view.switch_used == view.link_used == 0
+                assert set(base.rule_load.values()) == {0} == set(base.link_load.values())
                 arrival_rows[strategy] = [
                     (r.time, r.request_id) for r in rows if r.event_kind == "arrival"
                 ]

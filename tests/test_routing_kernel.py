@@ -34,7 +34,7 @@ from reference import (
     build_reservation,
     cheapest_feasible_path,
     named_totals,
-    residual_bandwidth,
+    residual_lists,
     route,
     t_link_load,
 )
@@ -66,18 +66,41 @@ def _dijkstra(adj, link_cost, residual, src, dst, demand):
 
 def oracle(view, src, dst, demand):
     """The oracle's path with the link ids along it, as the kernel returns
-    them; None when there is no path."""
+    them; None when there is no path. A network is read through its
+    committed residuals."""
     base = view.base if isinstance(view, SubstrateView) else view
+    residual = dict(zip(base.links, residual_lists(view)[1]))
     return route(base, _dijkstra(adj(base), named_totals(base)[3],
-                                 lambda lk: residual_bandwidth(view, lk), src, dst, demand))
+                                 residual.__getitem__, src, dst, demand))
 
 
 def make_net(rng, ids, links, min_bw, max_bw, max_cost=5):
-    # memory n leaves room for one tentative unit per incident link
+    # memory 3n leaves room for a committed node and rule unit and a
+    # tentative node unit per incident link
     bandwidths = [rng.randint(min_bw, max_bw) for _ in links]
     costs = [rng.randint(1, max_cost) for _ in links]
-    return SubstrateNetwork([(u, len(ids), 1) for u in ids],
+    return SubstrateNetwork([(u, 3 * len(ids), 1) for u in ids],
                             [(a, b, bw, c) for (a, b), bw, c in zip(links, bandwidths, costs)])
+
+
+def hold(view, rid, lk, units):
+    """Reserve ``units`` on link lk for request rid, its two nodes of one
+    unit each on lk's ends."""
+    request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): units})
+    reserve(view, build_reservation(view, request, {0: lk[0], 1: lk[1]},
+                                    {(0, 1): ((lk, units),)}))
+
+
+def committed_view(net, loads):
+    """A view over ``net`` that committed one request per loaded link, of
+    that link's load (link -> units); a view starts from the totals, so
+    committed state is built through it."""
+    view = SubstrateView(net)
+    for rid, (lk, units) in enumerate(loads.items()):
+        if units:
+            hold(view, rid, lk, units)
+            assert view.commit(rid)
+    return view
 
 
 def random_instance(rng, max_cost=5):
@@ -97,15 +120,11 @@ def random_instance(rng, max_cost=5):
     for lk in net.links:
         committed[lk] = rng.randint(0, bandwidth[lk])
         tentative[lk] = rng.randint(0, bandwidth[lk] - committed[lk])
-    # the view reads committed loads when it is built, and tentative ones
-    # through reserve, one request per loaded link
-    net.link_load.update(committed)
-    view = SubstrateView(net)
-    for rid, lk in enumerate(net.links):
+    # one request per loaded link, the committed ones first
+    view = committed_view(net, committed)
+    for rid, lk in enumerate(net.links, len(net.links)):
         if tentative[lk]:
-            request = VirtualNetworkRequest(rid, {0: 1, 1: 1}, {(0, 1): tentative[lk]})
-            reserve(view, build_reservation(view, request, {0: lk[0], 1: lk[1]},
-                                            {(0, 1): ((lk, tentative[lk]),)}))
+            hold(view, rid, lk, tentative[lk])
     assert view.bandwidth_left == [
         bandwidth[lk] - committed[lk] - tentative[lk] for lk in net.links
     ]
@@ -143,8 +162,7 @@ def clamp_instance(rng, shape, max_cost=5):
     ids = list(range(n))
     links = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if shape == "ring" else [])
     net = make_net(rng, ids, links, 2, 3, max_cost)
-    for lk in net.links:
-        net.link_load[lk] = rng.randint(0, 1)
+    committed_view(net, {lk: rng.randint(0, 1) for lk in net.links})
     assert max(net.hop_bounds(0)) == 255  # the bound is clamped here
     pairs = [(0, n - 1), (n - 1, 0), (0, n // 2), (n // 2, 0), (5, n - 6)]
     pairs += [tuple(rng.sample(ids, 2)) for _ in range(20)]
@@ -222,7 +240,7 @@ def test_the_blocking_list_never_changes_the_answer(max_cost):
         net, view = random_instance(rng, max_cost)
         index = {u: i for i, u in enumerate(net.switches)}
         for src, dst, demand in queries(rng, net, 3):
-            for residual in (SubstrateView(net).bandwidth_left, view.bandwidth_left):
+            for residual in (residual_lists(net)[1], view.bandwidth_left):
                 thin = []
                 got = embedder._dijkstra(net, residual, index[src], index[dst], demand, thin)
                 assert got == embedder._dijkstra(net, residual, index[src], index[dst], demand)
