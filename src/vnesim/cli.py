@@ -8,7 +8,8 @@ Subcommands:
 * ``validate-topology``  parse and check a topology file, nothing else
 
 Every RunConfig field is settable by flag and by ``--config`` file
-(``key = value`` lines); flags win.
+(``key = value`` lines); flags win. Every command checks every config it
+will run (``run.check_config``) before its first line of output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import ConfigError, RunConfig, _coerce, build_config, parse_config_
 from .controller import _MODES, STRATEGIES
 from .metrics import MetricsLog, statistics, summary
 from .netmodel import TopologyError, load_topology
-from .run import run_simulation
+from .run import check_config, run_simulation
 
 
 _HELP = {
@@ -103,11 +104,14 @@ _COMPARE_COLUMNS = ("strategy", *statistics(MetricsLog(None, trace=False)))
 
 def cmd_compare(args) -> int:
     config = _config_from_args(args)
+    configs = [replace(config, strategy=strategy) for strategy in STRATEGIES]
+    for strategy_config in configs:
+        check_config(strategy_config)
     print(",".join(_COMPARE_COLUMNS))
-    for strategy in STRATEGIES:
-        _, log = run_simulation(replace(config, strategy=strategy), trace=False)
+    for strategy_config in configs:
+        _, log = run_simulation(strategy_config, trace=False)
         stats = statistics(log)
-        stats["strategy"] = strategy
+        stats["strategy"] = strategy_config.strategy
         print(",".join(_format(stats[c]) for c in _COMPARE_COLUMNS))
     return 0
 
@@ -139,7 +143,7 @@ def cmd_sweep(args) -> int:
         seeds = range(config.seed, config.seed + args.runs)
         jobs = [(kind, s, replace(config, seed=s)) for s in seeds]
     for _, _, job_config in jobs:
-        job_config.validate()
+        check_config(job_config)
 
     # the output does not depend on the worker count
     workers = min(args.workers, len(jobs), os.cpu_count() or 1)

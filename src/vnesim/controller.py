@@ -183,15 +183,18 @@ class Controller:
         self.log.record_departure(engine.now, request_id)
 
 
+def strategy_row(strategy, policy, split_paths=2) -> StrategyRow:
+    """The row of the named strategy, from the configured batch policy."""
+    if strategy == BATCHED:
+        return StrategyRow(1, policy, True)
+    if strategy == PER_REQUEST:
+        # per-request commit ignores count/window settings entirely
+        return StrategyRow(1, BatchPolicy(1, None, COUNT_ONLY), False)
+    if strategy == SPLITTING:
+        return StrategyRow(split_paths, BatchPolicy(policy.size, policy.window, TIME_ONLY), False)
+    raise ValueError(f"unknown strategy {strategy!r}; pick one of {', '.join(STRATEGIES)}")
+
+
 def make_controller(strategy, substrate, policy, log, split_paths=2) -> Controller:
     """The one controller, configured by the row of the named strategy."""
-    if strategy == BATCHED:
-        row = StrategyRow(1, policy, True)
-    elif strategy == PER_REQUEST:
-        # per-request commit ignores count/window settings entirely
-        row = StrategyRow(1, BatchPolicy(1, None, COUNT_ONLY), False)
-    elif strategy == SPLITTING:
-        row = StrategyRow(split_paths, BatchPolicy(policy.size, policy.window, TIME_ONLY), False)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {', '.join(STRATEGIES)}")
-    return Controller(substrate, row, log)
+    return Controller(substrate, strategy_row(strategy, policy, split_paths), log)

@@ -1,47 +1,71 @@
-"""Assemble and execute one simulation from a RunConfig."""
+"""Check, assemble and execute one simulation from a RunConfig.
+
+``check_config`` is the one place that decides whether a config can run;
+``run_simulation`` calls it first, and the CLI calls it for every config
+before its first line of output. A run holds only the requests in flight:
+the arrival schedule is drawn as the clock reaches it, and no check holds
+the whole schedule or workload either.
+"""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .config import ConfigError, RunConfig
-from .controller import BatchPolicy, make_controller
+from .controller import BatchPolicy, Controller, strategy_row
 from .metrics import MetricsLog
-from .simulator import TICKS_PER_UNIT, Engine, RandomStreams, to_ticks
-from .workload import arrival_schedule, build_substrate, generate_workload, iter_requests
+from .simulator import MAX_DRAW_FACTOR, TICKS_PER_UNIT, Engine, RandomStreams, to_ticks
+# no run calls generate_workload; bench/tracing.py wraps it here by name
+from .workload import build_substrate, generate_workload, iter_requests, iter_schedule
+
+# What check_config found: the run's streams (only the topology stream has
+# been drawn from), its substrate, its strategy row and its horizon in ticks.
+CheckedConfig = namedtuple("CheckedConfig", "streams spec substrate row horizon")
 
 
-def run_simulation(config: RunConfig, trace=True):
-    """Build substrate, arrival schedule, controller, and engine; run to completion.
+def check_config(config: RunConfig) -> CheckedConfig:
+    """Every check of ``config``, without running it; raises ConfigError,
+    or TopologyError or OSError for a topology file, as the run would.
 
-    Returns (engine, log); the controller is reachable as engine.controller.
-    The engine builds the requests from the schedule as the clock reaches
-    them (``workload.iter_requests``), so a run holds the requests in
-    flight, not the whole workload. The log makes the trace as the run goes,
-    as ``trace`` asks (``MetricsLog``: True, a text stream or False); it is
-    whole once ``trace_hash`` or ``summary`` has read the log. The same
-    config always produces the same trace, byte for byte.
-    """
+    It validates the fields, builds the substrate and takes the strategy's
+    row (no controller, no view), then bounds the clock, the latency
+    proxies and the mapping costs against float range."""
     config.validate()
     streams = RandomStreams(config.seed)
     spec = config.generator_spec()
     substrate = build_substrate(config.substrate, streams.topology, spec)
-    schedule = arrival_schedule(streams, config.requests, config.interarrival_mean,
-                                config.lifetime_mean)
     policy = BatchPolicy(
         size=config.batch_size,
         window=to_ticks(config.effective_window()),
         mode=config.mode,
     )
+    row = strategy_row(config.strategy, policy, config.split_paths)
     horizon = to_ticks(config.horizon) if config.horizon is not None else None
-    controller = make_controller(config.strategy, substrate, policy, log=None,
-                                 split_paths=config.split_paths)
-    last = _check_clock(config, schedule, policy.window, horizon, controller.row.policy)
-    _check_latency(config, substrate, last)
+    _check_clock(config, substrate, row.policy, horizon)
     _check_cost(config, substrate, spec)
+    return CheckedConfig(streams, spec, substrate, row, horizon)
+
+
+def run_simulation(config: RunConfig, trace=True):
+    """Check the config, then build the controller and engine; run to completion.
+
+    Returns (engine, log); the controller is reachable as engine.controller.
+    The engine builds the requests from the schedule as the clock reaches
+    them (``workload.iter_requests`` over ``workload.iter_schedule``), so a
+    run holds the requests in flight, not the whole schedule or workload.
+    The log makes the trace as the run goes, as ``trace`` asks
+    (``MetricsLog``: True, a text stream or False); it is whole once
+    ``trace_hash`` or ``summary`` has read the log. The same config always
+    produces the same trace, byte for byte.
+    """
+    streams, spec, substrate, row, horizon = check_config(config)
+    controller = Controller(substrate, row, log=None)
     log = MetricsLog(controller.view, hop_delay=config.hop_delay,
                      wait_delay=config.wait_delay, trace=trace)
     controller.log = log
+    schedule = iter_schedule(streams, config.requests, config.interarrival_mean,
+                             config.lifetime_mean)
     engine = Engine(
         controller, iter_requests(streams, spec, schedule),
         horizon=horizon,
@@ -51,27 +75,51 @@ def run_simulation(config: RunConfig, trace=True):
     return engine, log
 
 
-def _check_clock(config, schedule, window, horizon, row_policy):
-    """Reject a workload whose events run past float range: the metrics
-    divide by the last event tick. ``validate`` bounds each draw, but
-    many inter-arrival gaps can sum past it. No event comes after the last
-    departure or the last arrival's window, nor after the horizon; but a
-    batch left pending when the queue drains commits at the horizon
-    (``Engine.run``), which only a count-only ``row_policy`` of size > 1
-    can leave. Returns that bound on the last event tick, 0 without
-    requests."""
-    if not schedule:
-        return 0
-    last = max(schedule[-1][0] + window,
-               max(arrival + lifetime for arrival, lifetime in schedule))
-    if horizon is not None:
-        last = horizon if row_policy.size > 1 and not row_policy.timed else min(last, horizon)
+def _check_clock(config, substrate, row_policy, horizon):
+    """Reject a workload whose events run past float range, or whose
+    latency proxies do (``_check_latency``): the metrics divide by the last
+    event tick. ``validate`` bounds each draw, but many inter-arrival gaps
+    can sum past it.
+
+    No event comes after the last departure, nor after the last arrival's
+    window when ``row_policy`` is timed (only a timed row schedules window
+    triggers), nor after the horizon; but a batch left pending when the
+    queue drains commits at the horizon (``Engine.run``), which only a
+    count-only ``row_policy`` of size > 1 can leave. No gap or lifetime
+    passes its mean's largest draw, so that bound needs no draws; only when
+    it fails either check is the schedule drawn afresh, pair by pair, to
+    bound the last event exactly. So the check holds no schedule."""
+    if not config.requests:
+        _check_latency(config, substrate, 0)
+        return
+    window = row_policy.window if row_policy.timed else 0
+    gap_max, life_max = (max(1, to_ticks(MAX_DRAW_FACTOR * mean))
+                         for mean in (config.interarrival_mean, config.lifetime_mean))
     try:
-        float(last)
+        last = _last_tick(config.requests * gap_max + max(window, life_max), row_policy, horizon)
+        _check_latency(config, substrate, last)
+        return
+    except (OverflowError, ConfigError):
+        pass  # the draws may still fit: bound the schedule itself
+    arrival = departure = 0
+    for arrival, lifetime in iter_schedule(RandomStreams(config.seed), config.requests,
+                                           config.interarrival_mean, config.lifetime_mean):
+        departure = max(departure, arrival + lifetime)
+    try:
+        last = _last_tick(max(arrival + window, departure), row_policy, horizon)
     except OverflowError:
         raise ConfigError(
-            f"interarrival_mean {config.interarrival_mean}: {len(schedule)} arrivals and "
+            f"interarrival_mean {config.interarrival_mean}: {config.requests} arrivals and "
             f"their lifetimes run the clock past float range") from None
+    _check_latency(config, substrate, last)
+
+
+def _last_tick(last, row_policy, horizon):
+    """``last``, the bound on the last event tick without a horizon, under
+    ``horizon``; raises OverflowError when it leaves float range."""
+    if horizon is not None:
+        last = horizon if row_policy.size > 1 and not row_policy.timed else min(last, horizon)
+    float(last)
     return last
 
 
@@ -97,7 +145,8 @@ def _check_cost(config, substrate, spec):
     No request has more node demand than ``vnodes_max`` nodes at the most
     each, nor more link demand than all their pairs at the most each; when
     that bound fits a float, so does every request's. Only when it does not
-    are the requests generated up front to bound each one."""
+    are the requests generated afresh, as the run builds them, to bound each
+    one with a running maximum."""
     per_node = max(substrate.switch_costs)
     per_link = (len(substrate.switches) - 1) * max(substrate.link_costs)
     n = spec.vnodes_max
@@ -107,10 +156,11 @@ def _check_cost(config, substrate, spec):
         return
     except OverflowError:
         pass  # some request might pass float range: bound each one
-    requests = generate_workload(RandomStreams(config.seed), spec, config.requests,
-                                 config.interarrival_mean, config.lifetime_mean)
+    streams = RandomStreams(config.seed)
+    schedule = iter_schedule(streams, config.requests, config.interarrival_mean,
+                             config.lifetime_mean)
     bound = max((sum(r.node_demands.values()) * per_node + sum(r.link_demands.values()) * per_link
-                 for r in requests), default=0)
+                 for r in iter_requests(streams, spec, schedule)), default=0)
     try:
         float(bound)
     except OverflowError:

@@ -17,10 +17,11 @@ in place to the largest node count asked for: 1,500 default requests (3 to
 N nodes keeps one N x N table alive, not one per node count. The draws and
 the link order do not depend on the table.
 
-A run holds only the requests near the clock: ``arrival_schedule`` draws
-every arrival and lifetime up front, and ``iter_requests`` builds the
-requests from that schedule ``REQUEST_BLOCK`` at a time as they are asked
-for. ``generate_workload`` is the same requests as one list.
+A run holds only the requests in flight: ``iter_schedule`` draws each
+arrival and lifetime as it is asked for, and ``iter_requests`` reads that
+schedule and builds its requests ``REQUEST_BLOCK`` at a time, so neither
+the schedule nor the workload is ever whole in memory.
+``generate_workload`` is the same requests as one list.
 
 Integer draws go straight to the stream's ``getrandbits``: ``_randbelow``,
 ``_randints`` and ``_shuffle`` reproduce ``Random.randrange``, ``randint``
@@ -36,6 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 
 from .netmodel import SubstrateNetwork, VirtualNetworkRequest, load_topology, norm_link
 from .simulator import (
@@ -268,35 +270,35 @@ def gen_virtual_request(stream, spec: GeneratorSpec, request_id, arrival, lifeti
 REQUEST_BLOCK = 256
 
 
-def arrival_schedule(streams: RandomStreams, count, interarrival_mean=DEFAULT_INTERARRIVAL_MEAN,
-                     lifetime_mean=DEFAULT_LIFETIME_MEAN) -> list:
-    """The ``(arrival, lifetime)`` ticks of ``count`` requests: Poisson
-    arrivals from ``streams.interarrival``, exponential lifetimes from
-    ``streams.lifetime``. Arrivals strictly increase."""
+def iter_schedule(streams: RandomStreams, count, interarrival_mean=DEFAULT_INTERARRIVAL_MEAN,
+                  lifetime_mean=DEFAULT_LIFETIME_MEAN):
+    """The ``(arrival, lifetime)`` ticks of ``count`` requests, each pair
+    drawn as it is asked for: Poisson arrivals from ``streams.interarrival``,
+    exponential lifetimes from ``streams.lifetime``. Arrivals strictly
+    increase."""
     interarrival, lifetimes = streams.interarrival, streams.lifetime
-    out = []
     now = 0
     for _ in range(count):
         now += draw_interarrival(interarrival, interarrival_mean)
-        out.append((now, draw_lifetime(lifetimes, lifetime_mean)))
-    return out
+        yield now, draw_lifetime(lifetimes, lifetime_mean)
 
 
 def iter_requests(streams: RandomStreams, spec: GeneratorSpec, schedule):
-    """Request i of ``schedule``, demand graph from ``streams.request(i)``
-    per the validated ``spec``, in order; built ``REQUEST_BLOCK`` at a time,
-    so at most that many are built ahead of the one last asked for."""
-    for start in range(0, len(schedule), REQUEST_BLOCK):
-        block = schedule[start:start + REQUEST_BLOCK]
+    """Request i of the iterable ``schedule``, demand graph from
+    ``streams.request(i)`` per the validated ``spec``, in order; built
+    ``REQUEST_BLOCK`` at a time, so at most that many pairs are read and
+    requests built ahead of the one last asked for."""
+    pairs = enumerate(schedule)
+    while block := list(islice(pairs, REQUEST_BLOCK)):
         yield from [gen_virtual_request(streams.request(i), spec, i, arrival, lifetime)
-                    for i, (arrival, lifetime) in enumerate(block, start)]
+                    for i, (arrival, lifetime) in block]
 
 
 def generate_workload(streams: RandomStreams, spec: GeneratorSpec, count,
                       interarrival_mean=DEFAULT_INTERARRIVAL_MEAN,
                       lifetime_mean=DEFAULT_LIFETIME_MEAN) -> list:
-    """All ``count`` requests of ``iter_requests`` over ``arrival_schedule``,
+    """All ``count`` requests of ``iter_requests`` over ``iter_schedule``,
     as one list; raises ValueError for an invalid spec before any draw."""
     spec.validate()
-    schedule = arrival_schedule(streams, count, interarrival_mean, lifetime_mean)
+    schedule = iter_schedule(streams, count, interarrival_mean, lifetime_mean)
     return list(iter_requests(streams, spec, schedule))

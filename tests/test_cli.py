@@ -10,7 +10,8 @@ from vnesim import cli, metrics
 from vnesim import run as run_module
 from vnesim.cli import main
 from vnesim.config import ConfigError, RunConfig, build_config, parse_config_file
-from vnesim.controller import STRATEGIES
+from vnesim.controller import STRATEGIES, Controller
+from vnesim.netmodel import SubstrateView
 from vnesim.run import run_simulation
 
 from conftest import make_net
@@ -230,6 +231,88 @@ class TestRunCommand:
         )
         assert code == 2
         assert stderr.startswith("error:")
+
+
+class TestEveryConfigIsCheckedBeforeAnyOutput:
+    """``check_config`` decides whether a config runs, before any output."""
+
+    FAR = ("--mode", "count-only", "--seed", "3", "--horizon", "1e290", "--wait-delay", "1e30")
+
+    def test_compare_checks_every_strategy_before_its_header(self, capsys):
+        # batched, the first strategy, leaves a count-only batch for the horizon
+        code, out, stderr = run_cli(capsys, "compare", "--requests", "200", *self.FAR)
+        assert (code, out) == (2, "")
+        assert stderr.startswith("bad configuration: wait_delay 1e+30: ")
+
+    def test_compare_on_a_missing_topology_prints_no_header(self, capsys, tmp_path):
+        absent = tmp_path / "absent.topo"
+        code, out, stderr = run_cli(capsys, "compare", "--requests", "20", "--substrate", str(absent))
+        assert (code, out) == (2, "")
+        assert stderr.startswith("error: ") and str(absent) in stderr
+
+    def test_sweep_checks_every_job_before_any_runs(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_simulation", lambda *args, **kwargs: ran.append(args))
+        # batch size 1 runs; batch size 5 leaves a count-only batch for the horizon
+        code, out, stderr = run_cli(capsys, "sweep", "--batch-sizes", "1,5", "--requests", "200",
+                                    *self.FAR)
+        assert (code, out, ran) == (2, "", [])
+        assert stderr.startswith("bad configuration: wait_delay 1e+30: ")
+
+    def test_a_per_request_run_is_not_bounded_by_a_window_it_never_waits(self, capsys, tmp_path):
+        argv = ("run", "--strategy", "per-request", "--wait-delay", "1e10", "--requests", "20",
+                "--out", str(tmp_path / "t.csv"))
+        code, out, stderr = run_cli(capsys, *argv)
+        assert code == 0 and stderr == "" and "mean_latency_proxy 2.306728\n" in out
+        assert run_cli(capsys, *argv, "--window", "1e300") == (0, out, "")
+
+    def test_compare_whose_draw_free_bound_overflows_draws_the_schedule(self, capsys, monkeypatch):
+        # 20 gaps of up to 36.7e300 time units each sum past float range in
+        # ticks, but the 20 drawn do not
+        drawn = []
+        iter_schedule = run_module.iter_schedule
+        monkeypatch.setattr(run_module, "iter_schedule",
+                            lambda *args: drawn.append(args[1]) or iter_schedule(*args))
+        code, out, stderr = run_cli(capsys, "compare", "--requests", "20",
+                                    "--interarrival-mean", "1e300", "--wait-delay", "0")
+        assert code == 0 and stderr == ""
+        # the rows the run had when every run drew its schedule up front
+        row = "20,20,0,0,1.000000,205.200000,967,20,0,2.223030,0.000000,0.000000"
+        assert out == (
+            "strategy,arrivals,accepted,rejected,rejected_at_commit,acceptance_rate,"
+            "mean_cost_per_accepted,rule_writes,commit_events,remapped_links,"
+            "mean_latency_proxy,avg_link_utilization,avg_switch_utilization\n"
+            + "".join(f"{s},{row}\n" for s in STRATEGIES))
+        # each strategy is checked by compare and again by its run, then runs
+        assert drawn == [20] * 9
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--requests", "1500"), "interarrival_mean 1e+300: 1500 arrivals and their lifetimes "
+                                 "run the clock past float range"),
+        (("--requests", "20", "--wait-delay", "1e10"), "wait_delay 10000000000.0: the latency "
+         "proxies of 20 requests overflow float range summed for their mean"),
+    ])
+    def test_a_config_that_fails_only_the_drawn_bound_keeps_its_message(
+            self, capsys, tmp_path, monkeypatch, argv, message):
+        drawn = []
+        iter_schedule = run_module.iter_schedule
+        monkeypatch.setattr(run_module, "iter_schedule",
+                            lambda *args: drawn.append(args[1]) or iter_schedule(*args))
+        code, out, stderr = run_cli(capsys, "run", "--interarrival-mean", "1e300", *argv,
+                                    "--out", str(tmp_path / "t.csv"))
+        assert (code, out, stderr) == (2, "", f"bad configuration: {message}\n")
+        assert drawn == [int(argv[1])]  # the check's one walk; the run never started
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("means", [{}, {"interarrival_mean": 1e300, "wait_delay": 0.0}])
+    def test_check_config_builds_no_controller_and_no_view(self, monkeypatch, strategy, means):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_config built a controller or a view")
+
+        monkeypatch.setattr(Controller, "__init__", refuse)
+        monkeypatch.setattr(SubstrateView, "__init__", refuse)
+        checked = run_module.check_config(RunConfig(strategy=strategy, requests=20, **means))
+        assert checked.row.k == (2 if strategy == "splitting" else 1)
 
 
 class TestCompareCommand:
@@ -467,21 +550,28 @@ class TestBadInputExitsTwo:
 
     def test_unit_cost_whose_spec_bound_overflows_but_no_request_does(
             self, capsys, tmp_path, monkeypatch):
-        # 10 nodes of 35 units at 6e305 pass float range, so the requests
-        # are generated up front and bounded one by one: none of these 30
-        # has more than 249 node units. The hash is the one the run had when
-        # every run bounded its requests one by one.
-        built = []
-        generate_workload = run_module.generate_workload
-        monkeypatch.setattr(run_module, "generate_workload",
-                            lambda *args: built.append(1) or generate_workload(*args))
+        # 10 nodes of 35 units at 6e305 pass float range, so the check builds
+        # the requests and bounds them one by one: none of these 30 has more
+        # than 249 node units. The hash is the one the run had when every run
+        # bounded its requests one by one.
+        walks = []
+        iter_requests = run_module.iter_requests
+
+        def walk(*args):
+            walks.append([])
+            for request in iter_requests(*args):
+                walks[-1].append(request.request_id)
+                yield request
+
+        monkeypatch.setattr(run_module, "iter_requests", walk)
         p = self.costly_topology(tmp_path, 6 * 10 ** 305)
         code, out, stderr = run_cli(capsys, "run", "--substrate", str(p), "--requests", "30",
                                     "--out", str(tmp_path / "t.csv"))
         assert code == 0 and stderr == ""
         stats = dict(line.split(" ", 1) for line in out.splitlines()[2:])
         assert stats["trace_sha256"] == "06dc980005f0fc295e4d862b542ffe67f83d9fbf412f78eb15d8b0c27e9717a3"
-        assert built == [1]
+        # the cost check's one walk over the requests, then the run's
+        assert walks == [list(range(30))] * 2
 
     def test_large_but_safe_unit_cost_still_runs(self, capsys, tmp_path):
         p = self.costly_topology(tmp_path, 10 ** 300)

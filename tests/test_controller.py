@@ -16,6 +16,7 @@ from vnesim.controller import (
     BatchPolicy,
     StrategyRow,
     make_controller,
+    strategy_row,
 )
 from vnesim.metrics import MetricsLog
 from vnesim.netmodel import UnknownRequestError, VirtualNetworkRequest
@@ -417,6 +418,11 @@ class TestStrategySelection:
             1, BatchPolicy(1, None, COUNT_ONLY), False)
         assert make_controller(SPLITTING, net, policy, None, split_paths=3).row == StrategyRow(
             3, BatchPolicy(5, u(25), TIME_ONLY), False)
+        for strategy in STRATEGIES:
+            assert strategy_row(strategy, policy, 3) == make_controller(
+                strategy, net, policy, None, split_paths=3).row
+        with pytest.raises(ValueError, match="unknown strategy"):
+            strategy_row("greedy", policy)
 
     def test_only_batched_runs_the_remap_pass(self, monkeypatch):
         import vnesim.controller

@@ -23,12 +23,12 @@ from vnesim.workload import (
     _randbelow,
     _randints,
     _shuffle,
-    arrival_schedule,
     build_substrate,
     default_substrate,
     gen_virtual_request,
     generate_workload,
     iter_requests,
+    iter_schedule,
     random_substrate,
 )
 
@@ -378,7 +378,7 @@ class TestGenerateWorkload:
 
     def test_the_list_is_the_streamed_requests_of_the_schedule(self):
         spec = GeneratorSpec()
-        schedule = arrival_schedule(RandomStreams(8), 2 * REQUEST_BLOCK + 5, 2.0, 30.0)
+        schedule = list(iter_schedule(RandomStreams(8), 2 * REQUEST_BLOCK + 5, 2.0, 30.0))
         assert all(a < b for (a, _), (b, _) in zip(schedule, schedule[1:]))
         streamed = iter_requests(RandomStreams(8), spec, schedule)
         assert list(streamed) == generate_workload(RandomStreams(8), spec, len(schedule), 2.0, 30.0)
@@ -388,7 +388,7 @@ class TestGenerateWorkload:
     def test_requests_are_built_a_block_at_a_time(self):
         made = []
         streamed = iter_requests(RandomStreams(2), GeneratorSpec(),
-                                 arrival_schedule(RandomStreams(2), REQUEST_BLOCK + 1))
+                                 iter_schedule(RandomStreams(2), REQUEST_BLOCK + 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workload, "gen_virtual_request",
                        lambda *args: made.append(args[2]) or gen_virtual_request(*args))
@@ -403,24 +403,33 @@ class TestGenerateWorkload:
 
 class TestRunHoldsTheRequestsInFlight:
     def test_requests_are_built_at_most_a_block_ahead_and_none_outlive_the_run(self, monkeypatch):
-        made, ahead = [], []
+        made, drawn, ahead, drawn_ahead = [], [], [], []
         on_arrival = Controller.on_arrival
+        draw_interarrival = workload.draw_interarrival
 
         def make(*args):
             request = gen_virtual_request(*args)
             made.append(weakref.ref(request))
             return request
 
+        def draw(*args):
+            drawn.append(1)
+            return draw_interarrival(*args)
+
         def arrive(self, engine, request):
-            # built, less dispatched with this one
+            # built (drawn), less dispatched with this one
             ahead.append(len(made) - (request.request_id + 1))
+            drawn_ahead.append(len(drawn) - (request.request_id + 1))
             return on_arrival(self, engine, request)
 
         monkeypatch.setattr(workload, "gen_virtual_request", make)
+        monkeypatch.setattr(workload, "draw_interarrival", draw)
         monkeypatch.setattr(Controller, "on_arrival", arrive)
         engine, log = run_simulation(RunConfig(requests=3 * REQUEST_BLOCK + 10, seed=6))
-        assert len(made) == log.arrivals == 3 * REQUEST_BLOCK + 10
+        assert len(made) == len(drawn) == log.arrivals == 3 * REQUEST_BLOCK + 10
         assert max(ahead) == REQUEST_BLOCK
+        # the schedule is drawn a block ahead too, and its checks drew none of it
+        assert max(drawn_ahead) <= REQUEST_BLOCK
         gc.collect()
         assert [ref for ref in made if ref() is not None] == []
 
